@@ -340,6 +340,12 @@ impl<'a> NodeCtx<'a> {
     /// so it only decides what the merges *cost*, never the merge tree —
     /// otherwise floating-point results would vary run to run, and fault
     /// recovery could not promise bit-identical output.
+    ///
+    /// In `Virtual` mode the fold is streamed: each partial is merged the
+    /// moment its leaf returns, so a node never holds more than two live
+    /// partials (the accumulator and the one just produced) however many
+    /// chunks it runs. `Measured` mode produces partials concurrently and
+    /// folds them after the join; the value is the same left fold.
     pub fn map_reduce_chunks<P, T>(
         &self,
         chunks: Vec<P>,
@@ -388,35 +394,34 @@ impl<'a> NodeCtx<'a> {
                 out
             }
             ExecMode::Virtual => {
-                // Phase 1: run and time each chunk.
+                // Stream: fold each partial into the accumulator as soon as
+                // its leaf returns, so at most two partials are ever live.
+                // The fold is in chunk order and must not follow the
+                // schedule: the greedy assignment depends on *measured*
+                // durations, so a schedule-shaped merge tree would
+                // reassociate floating-point merges from run to run.
                 let mut durations = Vec::with_capacity(chunks.len());
-                let mut results: Vec<Option<T>> = Vec::with_capacity(chunks.len());
+                let mut merge_durations = Vec::with_capacity(chunks.len());
+                let mut acc: Option<T> = None;
                 for c in &chunks {
                     let t0 = Instant::now();
-                    let r = leaf(c);
+                    let value = leaf(c);
                     durations.push(t0.elapsed().as_secs_f64());
-                    results.push(Some(r));
-                }
-                // Phase 2: merge partials in chunk order, charging each
-                // merge to the virtual thread the schedule assigned that
-                // chunk to. The merge order must not follow the schedule:
-                // the greedy assignment depends on *measured* durations, so
-                // a schedule-shaped merge tree would reassociate
-                // floating-point merges from run to run.
-                let sched = greedy_schedule(&durations, self.threads);
-                let mut worker_loads = sched.worker_loads.clone();
-                let mut acc: Option<T> = None;
-                let mut merge_bounds = Vec::new();
-                for (task, slot) in results.iter_mut().enumerate() {
-                    let value = slot.take().expect("each chunk merged once");
                     let t0 = Instant::now();
                     acc = Some(match acc {
                         None => value,
                         Some(a) => merge(a, value),
                     });
-                    let w = sched.assignment[task];
+                    merge_durations.push(t0.elapsed().as_secs_f64());
+                }
+                // The schedule only decides what the merges *cost*: each is
+                // charged to the virtual thread its chunk was assigned to.
+                let sched = greedy_schedule(&durations, self.threads);
+                let mut worker_loads = sched.worker_loads.clone();
+                let mut merge_bounds = Vec::with_capacity(chunks.len());
+                for (&w, &d) in sched.assignment.iter().zip(&merge_durations) {
                     let pre = worker_loads[w];
-                    worker_loads[w] += t0.elapsed().as_secs_f64();
+                    worker_loads[w] += d;
                     merge_bounds.push((w, pre, worker_loads[w]));
                 }
                 let thread_span = worker_loads.iter().cloned().fold(0.0, f64::max);
@@ -505,6 +510,54 @@ mod tests {
             bits.iter().all(|&b| b == bits[0]),
             "virtual-mode merge must be bit-deterministic, got {bits:?}"
         );
+    }
+
+    #[test]
+    fn traced_reduce_emits_chunk_idle_merge_in_canonical_order() {
+        let (threads, n_chunks) = (3, 12);
+        let ctx = vctx(threads).with_trace(TraceHandle::recording());
+        let chunks = Seq::new(1200).split_parts(n_chunks);
+        ctx.map_reduce_chunks(
+            chunks,
+            |p: &SeqPart| p.range().map(|i| (i as f64).sqrt()).sum::<f64>(),
+            |a, b| a + b,
+        )
+        .unwrap();
+        let spans = ctx.take_trace().spans;
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        let mut expect = vec!["chunk"; n_chunks];
+        expect.extend(vec!["idle"; threads]);
+        expect.extend(vec!["merge"; n_chunks]);
+        assert_eq!(names, expect);
+        for (c, span) in spans[..n_chunks].iter().enumerate() {
+            assert_eq!(span.args, vec![("chunk", c.into())]);
+        }
+        for (w, span) in spans[n_chunks..n_chunks + threads].iter().enumerate() {
+            assert_eq!(span.track, Track::Worker { rank: 0, worker: w });
+        }
+        // A chunk's merge is charged to the worker that ran the chunk.
+        for (chunk, merge) in spans[..n_chunks].iter().zip(&spans[n_chunks + threads..]) {
+            assert_eq!(chunk.track, merge.track);
+            assert!(merge.t0 >= chunk.t1, "a merge cannot start before its chunk ends");
+        }
+        let longest_leaf = spans[..n_chunks].iter().map(|s| s.duration()).fold(0.0, f64::max);
+        assert!(
+            ctx.elapsed() >= longest_leaf,
+            "charged {} s, less than the longest leaf {longest_leaf} s",
+            ctx.elapsed()
+        );
+    }
+
+    #[test]
+    fn measured_fold_is_bit_equal_to_virtual() {
+        let xs: Vec<f64> = (0..20_000).map(|i| 1.0 / (1.0 + i as f64)).collect();
+        let chunks = Seq::new(xs.len()).split_parts(16);
+        let sum = |p: &SeqPart| p.range().map(|i| xs[i]).sum::<f64>();
+        let virt = vctx(4).map_reduce_chunks(chunks.clone(), sum, |a, b| a + b).unwrap();
+        let pool = ThreadPool::new(4);
+        let ctx = NodeCtx::new(0, 4, ExecMode::Measured, Some(&pool));
+        let meas = ctx.map_reduce_chunks(chunks, sum, |a, b| a + b).unwrap();
+        assert_eq!(virt.to_bits(), meas.to_bits());
     }
 
     #[test]

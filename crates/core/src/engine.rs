@@ -444,10 +444,15 @@ impl Triolet {
     /// a [`PackedEnv`] (from [`Triolet::pack_env`]) to pack once across
     /// calls, or `&()` when there is no shared data (zero wire bytes).
     ///
-    /// `merge` must be associative and commutative: partials combine in
-    /// schedule order, not chunk order. For order-sensitive assembly use
-    /// [`Triolet::build_vec`] / [`Triolet::build_array2`], which preserve
-    /// element order at every level.
+    /// `merge` must be associative (where the chunk and task boundaries fall
+    /// depends on the cluster shape) but need not be commutative: partials
+    /// always combine left to right, in chunk order within a node and in
+    /// task order at the root, never in the order the schedule finishes
+    /// them. For a given cluster shape the merge tree is therefore fixed,
+    /// so even an approximately-associative `f64` merge gives the same bits
+    /// on every run, pipeline mode and fault seed. To assemble elements in
+    /// order without a merge, use [`Triolet::build_vec`] /
+    /// [`Triolet::build_array2`].
     pub fn fold_reduce<In, Env, B, Seed, Step, Merge>(
         &self,
         input: In,
@@ -838,9 +843,9 @@ impl Triolet {
     ///
     /// Works for irregular iterators too: each node packs its variable-length
     /// fragment (the paper's variable-length output packing) and the root
-    /// concatenates fragments in part order. Unlike [`Triolet::fold_reduce`]
-    /// — whose merge order follows the dynamic schedule — fragments are
-    /// reassembled in chunk order at every level. Identity materialization
+    /// concatenates fragments in part order: like [`Triolet::fold_reduce`]'s
+    /// partials, fragments are reassembled in chunk order at every level,
+    /// never in the order the schedule finishes them. Identity materialization
     /// is `build_vec(it, &(), |_, x| x)`.
     pub fn build_vec<In, Env, U, F>(&self, input: In, env: Env, f: F) -> Run<Vec<U>>
     where

@@ -118,3 +118,17 @@ fn virtual_and_measured_bytes_match() {
     assert_eq!(v.bytes_back, m.bytes_back);
     assert_eq!(v.messages, m.messages);
 }
+
+#[test]
+fn virtual_and_measured_scatter_add_bits_match() {
+    // Virtual mode streams its node-level fold, Measured joins then folds;
+    // both are the same chunk-order left fold, so the f64 cells must agree
+    // to the bit, not to a tolerance.
+    let pairs: Vec<(usize, f64)> =
+        (0..20_000).map(|i| ((i * 7919) % 97, 1.0 / (1.0 + i as f64))).collect();
+    let run = |rt: &Triolet| rt.scatter_add(97, from_vec(pairs.clone()).par()).value;
+    let v = run(&Triolet::new(ClusterConfig::virtual_cluster(2, 4)));
+    let m = run(&measured(2, 4));
+    let bits = |cells: &[f64]| cells.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&v), bits(&m));
+}

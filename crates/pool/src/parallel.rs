@@ -2,12 +2,13 @@
 //!
 //! These are the low-level threaded skeletons the high-level library invokes
 //! for `localpar` iterators (paper §3.4): recursive part splitting down to a
-//! grain size, executed with work stealing, with per-task private
-//! accumulation for reductions.
+//! grain size, executed with work stealing, and an order-preserving map over
+//! explicit chunks. Reductions are built on the ordered map by the cluster's
+//! `NodeCtx::map_reduce_chunks`, which folds partials in chunk order; nothing
+//! here merges in completion order.
 
 use std::cell::UnsafeCell;
 
-use parking_lot::Mutex;
 use triolet_domain::Part;
 
 use crate::pool::{Scope, ThreadPool};
@@ -53,68 +54,6 @@ where
             split_for(s, b, grain, body);
         }
         None => body(&part),
-    }
-}
-
-/// Map each leaf part through `leaf` and merge the results with `merge`.
-///
-/// Each leaf computes a private value (the paper's per-thread private sums
-/// and histograms); merging is done pairwise as leaves finish. Returns `None`
-/// for an empty part.
-pub fn map_reduce_part<P, T, L, M>(
-    pool: &ThreadPool,
-    part: P,
-    grain: usize,
-    leaf: &L,
-    merge: &M,
-) -> Option<T>
-where
-    P: Part,
-    T: Send,
-    L: Fn(&P) -> T + Sync,
-    M: Fn(T, T) -> T + Sync,
-{
-    if part.is_empty() {
-        return None;
-    }
-    let grain = grain.max(1);
-    let acc: Mutex<Option<T>> = Mutex::new(None);
-    pool.scope(|s| split_reduce(s, part, grain, leaf, merge, &acc));
-    acc.into_inner()
-}
-
-fn split_reduce<'scope, P, T, L, M>(
-    s: &Scope<'scope>,
-    part: P,
-    grain: usize,
-    leaf: &'scope L,
-    merge: &'scope M,
-    acc: &'scope Mutex<Option<T>>,
-) where
-    P: Part,
-    T: Send,
-    L: Fn(&P) -> T + Sync,
-    M: Fn(T, T) -> T + Sync,
-{
-    if part.count() <= grain || part.split_half().is_none() {
-        // Merge outside the lock: take the current partial, combine, retry
-        // the insert. Each retry consumes another leaf's contribution, so the
-        // loop is bounded by the number of leaves.
-        let mut to_merge = Some(leaf(&part));
-        while let Some(v) = to_merge.take() {
-            let mut guard = acc.lock();
-            match guard.take() {
-                None => *guard = Some(v),
-                Some(prev) => {
-                    drop(guard);
-                    to_merge = Some(merge(prev, v));
-                }
-            }
-        }
-    } else {
-        let (a, b) = part.split_half().expect("checked above");
-        s.spawn(move |s| split_reduce(s, a, grain, leaf, merge, acc));
-        split_reduce(s, b, grain, leaf, merge, acc);
     }
 }
 
@@ -175,7 +114,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use triolet_domain::{Dim2, Domain, Seq, SeqPart};
+    use triolet_domain::{Domain, Seq, SeqPart};
 
     #[test]
     fn parallel_for_visits_every_index_once() {
@@ -199,69 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_sums_like_sequential() {
-        let pool = ThreadPool::new(4);
-        let xs: Vec<u64> = (0..10_000).collect();
-        let total = map_reduce_part(
-            &pool,
-            Seq::new(xs.len()).whole_part(),
-            64,
-            &|p: &SeqPart| p.range().map(|i| xs[i]).sum::<u64>(),
-            &|a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(total, xs.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn map_reduce_empty_is_none() {
-        let pool = ThreadPool::new(2);
-        let r = map_reduce_part(
-            &pool,
-            SeqPart::new(0, 0),
-            4,
-            &|_: &SeqPart| 1u32,
-            &|a: u32, b: u32| a + b,
-        );
-        assert!(r.is_none());
-    }
-
-    #[test]
-    fn map_reduce_2d_blocks() {
-        let pool = ThreadPool::new(3);
-        let d = Dim2::new(37, 23);
-        let total = map_reduce_part(
-            &pool,
-            d.whole_part(),
-            10,
-            &|b| b.indices().iter().map(|&(r, c)| (r * 1000 + c) as u64).sum::<u64>(),
-            &|a, b| a + b,
-        )
-        .unwrap();
-        let expect: u64 = (0..37).flat_map(|r| (0..23).map(move |c| (r * 1000 + c) as u64)).sum();
-        assert_eq!(total, expect);
-    }
-
-    #[test]
     fn map_parts_ordered_preserves_order() {
         let pool = ThreadPool::new(4);
         let parts = Seq::new(100).split_parts(7);
         let firsts = map_parts_ordered(&pool, parts.clone(), &|p: &SeqPart| p.start);
         assert_eq!(firsts, parts.iter().map(|p| p.start).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn grain_of_one_still_correct() {
-        let pool = ThreadPool::new(2);
-        let total = map_reduce_part(
-            &pool,
-            Seq::new(100).whole_part(),
-            1,
-            &|p: &SeqPart| p.count() as u64,
-            &|a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(total, 100);
     }
 
     #[test]

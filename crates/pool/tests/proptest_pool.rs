@@ -3,32 +3,13 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use triolet_domain::{Dim2, Domain, Part, Seq, SeqPart};
-use triolet_pool::parallel::{map_parts_ordered, map_reduce_part, parallel_for_part};
+use triolet_domain::{Domain, Seq, SeqPart};
+use triolet_pool::parallel::{map_parts_ordered, parallel_for_part};
 use triolet_pool::vtime::greedy_schedule;
 use triolet_pool::ThreadPool;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn map_reduce_invariant_under_threads_and_grain(
-        xs in proptest::collection::vec(any::<i64>(), 1..2000),
-        threads in 1usize..6,
-        grain in 1usize..200,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let expect: i64 = xs.iter().map(|x| x.wrapping_mul(3)).fold(0, i64::wrapping_add);
-        let got = map_reduce_part(
-            &pool,
-            Seq::new(xs.len()).whole_part(),
-            grain,
-            &|p: &SeqPart| p.range().map(|i| xs[i].wrapping_mul(3)).fold(0, i64::wrapping_add),
-            &|a, b| a.wrapping_add(b),
-        )
-        .unwrap();
-        prop_assert_eq!(got, expect);
-    }
 
     #[test]
     fn parallel_for_visits_each_exactly_once(
@@ -44,33 +25,6 @@ proptest! {
             }
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn dim2_reduce_matches_reference(
-        rows in 1usize..40,
-        cols in 1usize..40,
-        threads in 1usize..4,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let d = Dim2::new(rows, cols);
-        let expect: u64 = (0..rows).flat_map(|r| (0..cols).map(move |c| (r * 7 + c) as u64)).sum();
-        let got = map_reduce_part(
-            &pool,
-            d.whole_part(),
-            5,
-            &|b| {
-                let mut acc = 0u64;
-                for k in 0..b.count() {
-                    let (r, c) = b.index_at(k);
-                    acc += (r * 7 + c) as u64;
-                }
-                acc
-            },
-            &|a, b| a + b,
-        )
-        .unwrap();
-        prop_assert_eq!(got, expect);
     }
 
     #[test]
