@@ -85,6 +85,7 @@ mod tests {
     use super::*;
     use triolet::prelude::*;
     use triolet_baselines::{EdenError, EdenRt, LowLevelRt};
+    use triolet_serial::Wire;
 
     fn small() -> SgemmInput {
         generate(24, 11)
@@ -122,15 +123,84 @@ mod tests {
 
     #[test]
     fn triolet_block_slicing_bounds_traffic() {
-        // 2-D block decomposition: total shipped bytes are O(sqrt(nodes))
+        // 2-D block decomposition: total received bytes are O(sqrt(nodes))
         // copies of each matrix, far less than nodes x full copies.
         let input = generate(64, 3);
         let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
         let full = 2 * (64 * 64 * 4) as u64;
         let stats = run_triolet(&rt, &input).stats;
-        // 2x2 grid: each matrix shipped twice (each row block to 2 nodes).
+        // 2x2 grid: each row panel is read by 2 nodes, so every matrix
+        // arrives twice over all links — but leaves the root only once.
         assert!(stats.bytes_out < 3 * full, "bytes_out={} full={}", stats.bytes_out, full);
         assert!(stats.bytes_out as f64 > 1.5 * full as f64);
+        assert!(stats.root_bytes_out < full + 1024, "root_bytes_out={}", stats.root_bytes_out);
+    }
+
+    /// Packed size of a `rows x k` f32 row panel as `rows(..)` slices it.
+    fn panel(rows: usize, k: usize) -> u64 {
+        (8 + rows * k * 4 + 24) as u64
+    }
+
+    /// Bytes each rank received, read off the traced sends (`send` hops and
+    /// `comm:tree` piece edges). One copy per span: for fault-free links.
+    fn received(trace: &TraceData, nodes: usize) -> Vec<u64> {
+        let mut got = vec![0u64; nodes];
+        for s in trace.spans.iter().filter(|s| s.name == "send" || s.name == "comm:tree") {
+            got[s.arg_u64("dest").expect("dest") as usize] += s.arg_u64("bytes").expect("bytes");
+        }
+        got
+    }
+
+    #[test]
+    fn shared_panels_leave_the_root_once() {
+        // 8 nodes: a 2 x 4 grid of 32 x 16 blocks over a 64^3 product. Every
+        // A panel is read by 4 tasks and every B^T panel by 2.
+        let input = generate(64, 3);
+        let descriptors = 8 * Dim2::new(64, 64).whole_part().packed_size() as u64;
+        let distinct = 2 * panel(32, 64) + 4 * panel(16, 64);
+        let per_task = panel(32, 64) + panel(16, 64);
+        // A slow link makes communication, not the host-measured kernels,
+        // set the makespan.
+        let slow = CostModel::flat(1e-4, 1e6);
+        let run_on = |topology| {
+            let config = ClusterConfig::virtual_cluster(8, 2)
+                .with_cost(slow)
+                .with_topology(topology)
+                .with_trace(true);
+            run_triolet(&Triolet::new(config), &input)
+        };
+        let (tree, linear) = (run_on(Topology::Tree), run_on(Topology::Linear));
+        assert_eq!(tree.value, linear.value);
+        // Every reader still receives each of its panels exactly once ...
+        assert_eq!(tree.stats.bytes_out, 8 * per_task + descriptors);
+        assert_eq!(linear.stats.bytes_out, tree.stats.bytes_out);
+        assert_eq!(received(&tree.trace, 8), received(&linear.trace, 8));
+        // ... but under `Tree` only one copy of each crosses the root link.
+        assert_eq!(tree.stats.root_bytes_out, distinct + descriptors);
+        assert_eq!(linear.stats.root_bytes_out, linear.stats.bytes_out);
+        assert!(
+            tree.stats.total_s < linear.stats.total_s,
+            "tree {} vs linear {}",
+            tree.stats.total_s,
+            linear.stats.total_s
+        );
+    }
+
+    #[test]
+    fn tasks_redispatched_onto_one_rank_receive_a_shared_panel_once() {
+        // 4 nodes, a 2 x 2 grid; ranks 1 and 2 are down, so tasks 1 (A0,B1)
+        // and 2 (A1,B0) both move to rank 3, which also runs task 3
+        // (A1,B1). B1 and A1 then have rank 3 as their only reader: each
+        // rides with the first task that holds it and the second finds it
+        // there. A0 and B0 are shared with rank 0 and relayed from it.
+        let plan = FaultPlan::seeded(5).with_crash(1).with_crash(2);
+        let config = ClusterConfig::virtual_cluster(4, 2).with_faults(plan).with_trace(true);
+        let input = generate(64, 3);
+        let run = run_triolet(&Triolet::new(config), &input);
+        assert_eq!(run.value, run_seq(&input));
+        assert_eq!(run.stats.redispatches, 2);
+        let descriptor = Dim2::new(64, 64).whole_part().packed_size() as u64;
+        assert_eq!(received(&run.trace, 4)[3], 4 * panel(32, 64) + 3 * descriptor);
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //!
 //! `outerproduct(rows(A), rows(BT))` associates each 2-D output block with
 //! exactly the `A` rows and `B^T` rows covering it; slicing per node ships
-//! only those rows (§2, §3.5). The transpose runs `localpar`: "Single-node
-//! parallelization leverages shared memory to obtain speedup on loops that
-//! do very little work per byte of data, such as matrix transposition."
+//! only those rows (§2, §3.5). Blocks of one grid row slice the *same* `A`
+//! rows (and blocks of one grid column the same `B^T` rows): the engine's
+//! slice memo hands them one buffer, and the cluster sends it from the root
+//! once and relays it among the nodes that read it. The transpose runs
+//! `localpar`: "Single-node parallelization leverages shared memory to
+//! obtain speedup on loops that do very little work per byte of data, such
+//! as matrix transposition."
 
 use triolet::prelude::*;
 use triolet::Array2;
@@ -36,9 +40,8 @@ pub fn run_triolet(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
     let mut run = rt.build_array2(zipped_ab.map(move |(u, v): (RowRef<f32>, RowRef<f32>)| {
         alpha * dot_rows(u.as_slice(), v.as_slice())
     }));
-    // Total time (and the trace timeline) includes the transpose phase.
-    run.stats.total_s += t.stats.total_s;
-    run.stats.root_s += t.stats.root_s;
+    // The stats (and the trace timeline) include the transpose phase.
+    run.stats = t.stats.then(run.stats);
     let mut trace = t.trace;
     trace.then(run.trace);
     run.trace = trace;
@@ -85,13 +88,9 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
         }
     }
 
-    let mut run = Run::new(c, blocks.stats).with_trace(blocks.trace);
-    run.stats.total_s += t.stats.total_s;
-    run.stats.root_s += t.stats.root_s;
     let mut trace = t.trace;
-    trace.then(run.trace);
-    run.trace = trace;
-    run
+    trace.then(blocks.trace);
+    Run::new(c, t.stats.then(blocks.stats)).with_trace(trace)
 }
 
 /// Concrete type of the sgemm outer-product indexer.

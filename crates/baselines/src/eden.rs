@@ -157,6 +157,7 @@ impl EdenRt {
                 let wire_bytes = if self.nodes() > 1 { group.packed_size() } else { 0 };
                 RawTask {
                     wire_bytes,
+                    pieces: Vec::new(),
                     pack_s: 0.0,
                     resident: None,
                     work: Box::new(move |ctx: &NodeCtx<'_>| {
@@ -224,6 +225,7 @@ impl EdenRt {
                 let wire_bytes = if self.nodes() > 1 { data_bytes } else { 0 };
                 RawTask {
                     wire_bytes,
+                    pieces: Vec::new(),
                     pack_s: 0.0,
                     resident: None,
                     work: Box::new(move |ctx: &NodeCtx<'_>| {

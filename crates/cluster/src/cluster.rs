@@ -9,22 +9,23 @@
 //! on whichever rank finally receives it — and results come back in task
 //! order, bit-identical to a fault-free run.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use triolet_obs::{tree_edge_args, TraceData, TraceHandle, Track};
 use triolet_pool::ThreadPool;
-use triolet_serial::{packed, unpack_all, unpack_counters, Wire, WireError};
+use triolet_serial::{packed, unpack_all, unpack_counters, Piece, Wire, WireError};
 
 use crate::cost::{CostModel, DistTiming, TrafficStats};
 use crate::fault::FaultPlan;
 use crate::node::{ExecMode, NodeCtx, ResidentStore};
-use crate::sim::{self, SimCore, SimEnvEdge, SimProblem, SimTask};
+use crate::sim::{self, SimCore, SimEdge, SimProblem, SimTask};
 use crate::tree;
 
 /// Pseudo-rank of the root in fault-schedule coordinates (the root is not a
 /// cluster rank; any value outside `0..nodes` works, this one is obvious).
-const ROOT: usize = usize::MAX;
+pub(crate) const ROOT: usize = usize::MAX;
 /// Fault-schedule tag for root -> node task payloads.
 const FWD_TAG: u32 = 0;
 /// Fault-schedule tag for node -> root results.
@@ -33,17 +34,13 @@ const RET_TAG: u32 = 1;
 const ENV_TAG: u32 = 2;
 /// Fault-schedule tag for resident-segment scatter payloads.
 const SEG_TAG: u32 = 3;
-/// Attempt cap on scatter edges (like the env/return paths: both endpoints
-/// are treated as alive, so only a near-1.0 drop rate can exhaust this).
-const SEG_ATTEMPT_CAP: u32 = 10_000;
-/// Attempt cap on environment-broadcast edges. Both endpoints of every edge
-/// are alive by construction (participants are executing ranks), so like the
-/// return path this only trips on a near-1.0 drop rate.
-const ENV_ATTEMPT_CAP: u32 = 10_000;
-/// Attempt cap on the return path. Executing ranks are alive by
-/// construction and the root never gives up on them, so only a plan with a
-/// drop rate of essentially 1.0 can hit this.
-const RETURN_ATTEMPT_CAP: u32 = 10_000;
+/// Fault-schedule tag for input pieces shared by several executing ranks.
+const PIECE_TAG: u32 = 4;
+/// Attempt cap on transfers whose endpoints are both alive by construction
+/// (environment and shared-piece edges go only to executing ranks, results
+/// come from them, and a segment scatter treats its home as alive): the
+/// sender never gives up, so only a drop rate of essentially 1.0 trips this.
+const LIVE_ATTEMPT_CAP: u32 = 10_000;
 
 /// Run `f` and return its result plus the `(copied, aliased)` unpack byte
 /// deltas it produced on this thread — the root-side accounting hook for the
@@ -274,10 +271,17 @@ pub struct ResidentSpec {
 }
 
 /// One node's share of a distributed operation, in prepared form: the
-/// payload size it would occupy on the wire plus the work to run on the node.
+/// payload it would occupy on the wire plus the work to run on the node.
 pub struct RawTask<'a, R> {
-    /// Bytes the node's input payload occupies when serialized.
+    /// Bytes of the input payload that belong to this task alone (the part
+    /// descriptor of a sliced iterator; the whole payload of a hand-packed
+    /// one). They travel in the task's own message.
     pub wire_bytes: usize,
+    /// The rest of the input payload, one [`Piece`] per buffer. A piece
+    /// only this task's rank reads rides in the task's own message like
+    /// `wire_bytes`; a piece that tasks on several ranks hold is sent by
+    /// the root once and relayed among its readers.
+    pub pieces: Vec<Piece>,
     /// Root-side seconds spent slicing/packing this task's payload. Charged
     /// on the root clock immediately before the task's send under
     /// `PipelineMode::Streamed` (so later packs overlap earlier nodes'
@@ -293,7 +297,8 @@ pub struct RawTask<'a, R> {
 }
 
 impl<'a, R> RawTask<'a, R> {
-    /// Input bytes this task puts on the wire for a hop targeting `dest`.
+    /// Private input bytes this task puts on the wire for a hop targeting
+    /// `dest` (the pieces riding along are the planner's to add).
     ///
     /// Ordinary tasks ship `wire_bytes` to every candidate rank. Resident
     /// tasks ship only halo bytes to their home rank and additionally the
@@ -318,11 +323,11 @@ impl<'a, R> RawTask<'a, R> {
     }
 }
 
-/// How one task's payload traveled from the root: one entry per rank tried.
-struct Hop {
-    /// The rank this hop targeted.
-    dest: usize,
-    /// Transmission attempts to this rank (1 + retries).
+/// What the fault schedule did to one message: how many times it was
+/// transmitted and what happened to the attempts.
+#[derive(Clone, Copy, Default)]
+struct Attempts {
+    /// Transmission attempts (1 + retries).
     attempts: u32,
     /// Attempts that additionally arrived twice.
     dups: u32,
@@ -330,13 +335,162 @@ struct Hop {
     drops: u32,
     /// Attempts damaged in flight.
     corrupts: u32,
+}
+
+impl Attempts {
+    /// Walk `(from, to, tag, key)` through the schedule until an attempt is
+    /// acknowledged or `budget` attempts are spent; the flag says which.
+    /// `dest_acks` is false for a crashed destination, which receives but
+    /// never acknowledges. An inactive plan delivers on the first attempt.
+    fn plan(
+        plan: &FaultPlan,
+        (from, to): (usize, usize),
+        (tag, key): (u32, u64),
+        budget: u32,
+        dest_acks: bool,
+    ) -> (Attempts, bool) {
+        if !plan.is_active() {
+            return (Attempts { attempts: 1, ..Attempts::default() }, true);
+        }
+        let mut tx = Attempts::default();
+        for attempt in 0..budget {
+            tx.attempts += 1;
+            let d = plan.decide(from, to, tag, key, attempt);
+            if !d.deliver {
+                tx.drops += 1;
+                continue;
+            }
+            if d.duplicate {
+                tx.dups += 1;
+            }
+            if d.corrupt {
+                tx.corrupts += 1;
+                continue;
+            }
+            if dest_acks {
+                return (tx, true);
+            }
+        }
+        (tx, false)
+    }
+
+    /// A transfer between two live endpoints: retried until it arrives.
+    fn reliable(plan: &FaultPlan, ends: (usize, usize), tag: u32, key: u64) -> Attempts {
+        let (tx, delivered) = Attempts::plan(plan, ends, (tag, key), LIVE_ATTEMPT_CAP, true);
+        assert!(delivered, "fault plan never delivers message (tag {tag}, key {key}) to its peer");
+        tx
+    }
+
+    /// Copies of the message that crossed the wire.
+    fn copies(&self) -> u64 {
+        (self.attempts + self.dups) as u64
+    }
+
+    /// Retransmissions.
+    fn retries(&self) -> u32 {
+        self.attempts - 1
+    }
+
+    /// Seconds the message occupies its sender's NIC: every copy pays the
+    /// transfer time `dt`, every attempt that went unacknowledged an ack
+    /// timeout.
+    fn seconds(&self, dt: f64, timeout_s: f64, timeouts: u32) -> f64 {
+        dt * self.copies() as f64 + timeout_s * timeouts as f64
+    }
+}
+
+/// One dispatch's traffic totals, kept in step with the cluster-wide
+/// [`TrafficStats`]: every message is counted in both by one call.
+struct Tally<'s> {
+    stats: &'s TrafficStats,
+    /// The counts so far (times are filled in when the dispatch closes).
+    totals: DistTiming,
+}
+
+impl<'s> Tally<'s> {
+    fn new(stats: &'s TrafficStats) -> Self {
+        Tally { stats, totals: DistTiming::default() }
+    }
+
+    /// Count one `bytes`-sized message from `from` to `to` (ranks, or
+    /// [`ROOT`]) and everything the schedule did to it.
+    fn message(&mut self, tx: &Attempts, bytes: usize, (from, to): (usize, usize)) {
+        let copies = tx.copies();
+        for _ in 0..copies {
+            self.stats.record(bytes);
+        }
+        for _ in 0..tx.drops {
+            self.stats.record_dropped();
+        }
+        for _ in 0..tx.corrupts {
+            self.stats.record_corrupted();
+        }
+        for _ in 0..tx.dups {
+            self.stats.record_duplicated();
+        }
+        for _ in 0..tx.retries() {
+            self.stats.record_retry();
+        }
+        let t = &mut self.totals;
+        t.messages += copies;
+        t.retries += tx.retries() as u64;
+        let total = bytes as u64 * copies;
+        if to == ROOT {
+            t.bytes_back += total;
+        } else {
+            // A relayed copy is outbound too, but not on the root's link.
+            t.bytes_out += total;
+            if from == ROOT {
+                t.root_bytes_out += total;
+            }
+        }
+    }
+
+    /// Count where one task ended up: its redispatches and, for a resident
+    /// task, whether it ran on its segment's home rank.
+    fn placement(&mut self, route: &TaskRoute, resident: Option<ResidentSpec>) {
+        for _ in 0..route.redispatches {
+            self.stats.record_redispatch();
+        }
+        self.totals.redispatches += route.redispatches;
+        if let Some(spec) = resident {
+            if route.exec == spec.home {
+                self.stats.record_resident_hit();
+                self.totals.resident_hits += 1;
+            } else {
+                self.stats.record_resident_miss();
+                self.totals.resident_misses += 1;
+            }
+        }
+    }
+
+    /// Close the dispatch: the totals with its times, the root's unpack
+    /// byte movement banked cluster-wide.
+    fn timing(
+        self,
+        total_s: f64,
+        comm_s: f64,
+        node_compute_s: Vec<f64>,
+        (unpack_copied, unpack_aliased): (u64, u64),
+    ) -> DistTiming {
+        self.stats.record_unpack(unpack_copied, unpack_aliased);
+        DistTiming { total_s, comm_s, node_compute_s, unpack_copied, unpack_aliased, ..self.totals }
+    }
+}
+
+/// How one task's payload traveled from the root: one entry per rank tried.
+struct Hop {
+    /// The rank this hop targeted.
+    dest: usize,
+    tx: Attempts,
     /// Whether the final attempt arrived intact (false => moved on).
     delivered: bool,
 }
 
 impl Hop {
-    fn failed_attempts(&self) -> u32 {
-        self.attempts - u32::from(self.delivered)
+    /// Attempts the root waited out an ack timeout for.
+    fn timeouts(&self) -> u32 {
+        self.tx.attempts - u32::from(self.delivered)
     }
 }
 
@@ -345,16 +499,7 @@ struct TaskRoute {
     /// The rank that finally executes the task.
     exec: usize,
     hops: Vec<Hop>,
-    retries: u64,
     redispatches: u64,
-}
-
-/// The result's trip back to the root.
-struct ReturnRoute {
-    attempts: u32,
-    dups: u32,
-    drops: u32,
-    corrupts: u32,
 }
 
 /// Decide, purely from the fault schedule, where task `i` ends up running.
@@ -365,57 +510,23 @@ struct ReturnRoute {
 /// schedule is keyed on the task index `i`, not the home rank, so a
 /// resident and a re-broadcast run of the same call see the same faults.
 fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRoute {
-    if !plan.is_active() {
-        return TaskRoute {
-            exec: home,
-            hops: vec![Hop {
-                dest: home,
-                attempts: 1,
-                dups: 0,
-                drops: 0,
-                corrupts: 0,
-                delivered: true,
-            }],
-            retries: 0,
-            redispatches: 0,
-        };
-    }
     let mut candidates = vec![home];
-    for off in 1..n_nodes {
-        let r = (home + off) % n_nodes;
-        if !plan.crashed(r) {
-            candidates.push(r);
-        }
+    if plan.is_active() {
+        candidates
+            .extend((1..n_nodes).map(|off| (home + off) % n_nodes).filter(|&r| !plan.crashed(r)));
     }
     let mut hops = Vec::new();
-    let mut retries = 0u64;
     for (ci, &dest) in candidates.iter().enumerate() {
-        let mut hop = Hop { dest, attempts: 0, dups: 0, drops: 0, corrupts: 0, delivered: false };
-        for attempt in 0..=plan.max_retries {
-            hop.attempts += 1;
-            retries += u64::from(attempt > 0);
-            let d = plan.decide(ROOT, dest, FWD_TAG, i as u64, attempt);
-            if !d.deliver {
-                hop.drops += 1;
-                continue;
-            }
-            if d.duplicate {
-                hop.dups += 1;
-            }
-            if d.corrupt {
-                hop.corrupts += 1;
-                continue;
-            }
-            if !plan.crashed(dest) {
-                hop.delivered = true;
-                break;
-            }
-            // Crashed ranks receive but never acknowledge: keep retrying.
-        }
-        let delivered = hop.delivered;
-        hops.push(hop);
+        let (tx, delivered) = Attempts::plan(
+            plan,
+            (ROOT, dest),
+            (FWD_TAG, i as u64),
+            plan.max_retries + 1,
+            !plan.crashed(dest),
+        );
+        hops.push(Hop { dest, tx, delivered });
         if delivered {
-            return TaskRoute { exec: dest, hops, retries, redispatches: ci as u64 };
+            return TaskRoute { exec: dest, hops, redispatches: ci as u64 };
         }
     }
     panic!(
@@ -424,112 +535,306 @@ fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRo
     );
 }
 
-/// Decide how many attempts task `i`'s result needs to reach the root from
-/// `exec`. Both endpoints are alive, so the sender retries past the normal
-/// budget rather than declaring the root dead.
-fn plan_return(plan: &FaultPlan, exec: usize, i: usize) -> ReturnRoute {
-    let mut ret = ReturnRoute { attempts: 0, dups: 0, drops: 0, corrupts: 0 };
-    if !plan.is_active() {
-        ret.attempts = 1;
-        return ret;
+/// Record task `i`'s trip from the root: one `send` per rank tried — a span
+/// when `timing(h)` gives hop `h` a `(start, Some(done))` on a modeled
+/// clock, an instant at `start` otherwise — its fault events `dt` apart, a
+/// `redispatch` where the root moved on, and the resident hit/miss verdict
+/// at `settled`. `wire[h]` is the bytes hop `h` carried.
+fn trace_route(
+    tr: &TraceHandle,
+    i: usize,
+    route: &TaskRoute,
+    resident: Option<ResidentSpec>,
+    wire: &[usize],
+    timing: impl Fn(usize) -> (f64, Option<f64>, f64),
+    settled: f64,
+) {
+    for (h, hop) in route.hops.iter().enumerate() {
+        let (start, done, dt) = timing(h);
+        let args = vec![
+            ("task", i.into()),
+            ("dest", hop.dest.into()),
+            ("bytes", wire[h].into()),
+            ("attempts", (hop.tx.attempts as u64).into()),
+        ];
+        match done {
+            Some(done) => tr.span("send", "comm", Track::Root, start, done, args),
+            None => tr.event("send", "comm", Track::Root, start, args),
+        }
+        // Fault-event placement within the hop is a model decoration; the
+        // *counts* are exact.
+        let fault = |name: &'static str, count: u32| {
+            for k in 0..count {
+                let at = start + dt * (k + 1) as f64;
+                let args = vec![("task", i.into()), ("dest", hop.dest.into())];
+                tr.event(name, "fault", Track::Root, at, args);
+            }
+        };
+        fault("retry", hop.tx.retries());
+        fault("drop", hop.tx.drops);
+        fault("corrupt", hop.tx.corrupts);
+        fault("duplicate", hop.tx.dups);
+        if !hop.delivered && h + 1 < route.hops.len() {
+            tr.event(
+                "redispatch",
+                "fault",
+                Track::Root,
+                done.unwrap_or(start),
+                vec![
+                    ("task", i.into()),
+                    ("from", hop.dest.into()),
+                    ("to", route.hops[h + 1].dest.into()),
+                ],
+            );
+        }
     }
-    for attempt in 0..RETURN_ATTEMPT_CAP {
-        ret.attempts += 1;
-        let d = plan.decide(exec, ROOT, RET_TAG, i as u64, attempt);
-        if !d.deliver {
-            ret.drops += 1;
-            continue;
-        }
-        if d.duplicate {
-            ret.dups += 1;
-        }
-        if d.corrupt {
-            ret.corrupts += 1;
-            continue;
-        }
-        return ret;
+    if let Some(spec) = resident {
+        let name = if route.exec == spec.home { "dist:resident-hit" } else { "dist:resident-miss" };
+        tr.event(
+            name,
+            "dist",
+            Track::Root,
+            settled,
+            vec![
+                ("task", i.into()),
+                ("seg", spec.id.into()),
+                ("home", spec.home.into()),
+                ("exec", route.exec.into()),
+            ],
+        );
     }
-    panic!("fault plan never lets task {i}'s result reach the root");
 }
 
-/// One planned edge of the environment broadcast. Positions index the
-/// participant list (`0` = root, `1..` = executing ranks); the fault
-/// outcomes are decided up front from the schedule, like task routes.
-struct EnvEdge {
-    sender_pos: usize,
-    dest_pos: usize,
-    /// Destination's depth below the root (1 for every linear edge).
+/// One planned edge of a one-to-many payload: the broadcast environment, or
+/// an input piece that tasks on several ranks read. Fault outcomes are
+/// decided up front from the schedule, like task routes, so the edge list
+/// is a pure function of the plan, ready for both the mode-independent
+/// traffic accounting and virtual-time charging.
+struct PayloadEdge {
+    /// Sending rank, or [`ROOT`].
+    sender: usize,
+    /// Receiving rank (always an executing rank, so both ends are alive).
+    dest: usize,
+    /// The edge that brought the payload to `sender` (`None` for the root).
+    feeder: Option<usize>,
+    /// Destination's depth below the root.
     depth: u32,
     /// Sender's child count (its serialized send burst).
     fanout: usize,
-    attempts: u32,
-    dups: u32,
-    drops: u32,
-    corrupts: u32,
+    bytes: usize,
+    /// Which shared piece of this dispatch; `None` for the environment.
+    piece: Option<usize>,
+    tx: Attempts,
 }
 
-impl EnvEdge {
-    fn copies(&self) -> u64 {
-        (self.attempts + self.dups) as u64
-    }
-
-    fn failed(&self) -> u32 {
-        self.attempts - 1
+impl PayloadEdge {
+    /// Record the edge on the timeline: a `comm:tree` span over
+    /// `start..done` on a modeled clock, an instant at `start` when `done`
+    /// is `None` (measured mode, whose transfers are in-process), each
+    /// followed by the edge's fault events `dt` apart.
+    fn trace(&self, tr: &TraceHandle, start: f64, done: Option<f64>, dt: f64) {
+        if !tr.enabled() {
+            return;
+        }
+        let track = if self.sender == ROOT { Track::Root } else { Track::Node(self.sender) };
+        let tag = if self.piece.is_some() { PIECE_TAG } else { ENV_TAG };
+        let mut args = tree_edge_args(self.dest, tag, self.depth, self.fanout);
+        if let Some(piece) = self.piece {
+            args.push(("piece", piece.into()));
+            args.push(("dest", self.dest.into()));
+        }
+        args.push(("bytes", self.bytes.into()));
+        args.push(("attempts", (self.tx.attempts as u64).into()));
+        match done {
+            Some(done) => tr.span("comm:tree", "comm", track, start, done, args),
+            None => tr.event("comm:tree", "comm", track, start, args),
+        }
+        let fault = |name: &'static str, count: u32| {
+            for k in 0..count {
+                let at = start + dt * (k + 1) as f64;
+                tr.event(name, "fault", track, at, vec![("dest", self.dest.into())]);
+            }
+        };
+        fault("retry", self.tx.retries());
+        fault("drop", self.tx.drops);
+        fault("corrupt", self.tx.corrupts);
+        fault("duplicate", self.tx.dups);
     }
 }
 
-/// Plan the environment broadcast over `participants` (ranks; index 0 is the
-/// root's pseudo-rank slot). Every edge retries through the fault schedule
-/// until it delivers intact — both endpoints are alive by construction — so
-/// the edge list is a pure function of the plan, ready for both the
-/// mode-independent traffic accounting and virtual-time charging.
-fn plan_env_edges(plan: &FaultPlan, topology: Topology, participants: &[usize]) -> Vec<EnvEdge> {
-    let m = participants.len();
-    let shape: Vec<(usize, usize, u32, usize)> = match topology {
-        Topology::Tree => tree::edges(m)
+/// Append the edges that carry one `bytes`-sized payload from the root to
+/// every rank in `dests`, each retried through the fault schedule until it
+/// delivers intact.
+///
+/// The environment (`piece == None`) enters the binomial tree at the root,
+/// which therefore sends `O(log N)` copies. A shared piece is sent by the
+/// root exactly **once**, to its first reader, and the readers relay it
+/// among themselves over the tree rooted there — the root link is the
+/// scarce one when a whole input fans out. Under [`Topology::Linear`] the
+/// root sends every copy of either kind itself.
+fn plan_payload(
+    edges: &mut Vec<PayloadEdge>,
+    plan: &FaultPlan,
+    topology: Topology,
+    dests: &[usize],
+    bytes: usize,
+    piece: Option<usize>,
+) {
+    let n = dests.len();
+    // Positions: 0 is the root, `p >= 1` is `dests[p - 1]`.
+    let shape: Vec<(usize, usize, u32, usize)> = match (topology, piece) {
+        (Topology::Linear, _) => (1..=n).map(|c| (0, c, 1, n)).collect(),
+        (Topology::Tree, None) => tree::edges(n + 1)
             .into_iter()
-            .map(|(s, c)| (s, c, tree::depth(c), tree::fanout(s, m)))
+            .map(|(s, c)| (s, c, tree::depth(c), tree::fanout(s, n + 1)))
             .collect(),
-        Topology::Linear => (1..m).map(|c| (0, c, 1, m - 1)).collect(),
+        (Topology::Tree, Some(_)) => std::iter::once((0, 1, 1, 1))
+            .chain(
+                tree::edges(n)
+                    .into_iter()
+                    .map(|(s, c)| (s + 1, c + 1, tree::depth(c) + 1, tree::fanout(s, n))),
+            )
+            .collect(),
     };
-    shape
-        .into_iter()
-        .map(|(s, c, depth, fanout)| {
-            let sender_rank = if s == 0 { ROOT } else { participants[s] };
-            let dest_rank = participants[c];
-            let mut edge = EnvEdge {
-                sender_pos: s,
-                dest_pos: c,
-                depth,
-                fanout,
-                attempts: 0,
-                dups: 0,
-                drops: 0,
-                corrupts: 0,
-            };
-            if !plan.is_active() {
-                edge.attempts = 1;
-                return edge;
+    let rank_at = |pos: usize| if pos == 0 { ROOT } else { dests[pos - 1] };
+    // The edge that delivered the payload to each position.
+    let mut arrived_by: Vec<Option<usize>> = vec![None; n + 1];
+    for (s, c, depth, fanout) in shape {
+        let (sender, dest) = (rank_at(s), rank_at(c));
+        let (tag, key) = match piece {
+            None => (ENV_TAG, c as u64),
+            Some(k) => (PIECE_TAG, k as u64),
+        };
+        arrived_by[c] = Some(edges.len());
+        edges.push(PayloadEdge {
+            sender,
+            dest,
+            feeder: arrived_by[s],
+            depth,
+            fanout,
+            bytes,
+            piece,
+            tx: Attempts::reliable(plan, (sender, dest), tag, key),
+        });
+    }
+}
+
+/// What the scatter of one dispatch looks like once sharing is known.
+struct ScatterPlan {
+    /// Environment edges first, then each task's block of shared-piece
+    /// edges (see [`TaskScatter::edges`]).
+    edges: Vec<PayloadEdge>,
+    /// How many leading `edges` carry the environment.
+    env_edges: usize,
+    tasks: Vec<TaskScatter>,
+    /// Flattened per-task lists of the edges a task waits for.
+    needs: Vec<usize>,
+}
+
+/// One task's part of a [`ScatterPlan`].
+struct TaskScatter {
+    /// Piece bytes that ride in the task's own message: pieces no buffer
+    /// identifies, and pieces whose only reader is this task's rank (the
+    /// first task on the rank to hold one carries it; later ones find it
+    /// there).
+    carried: usize,
+    /// The edges of the shared pieces this task is the first to read.
+    edges: std::ops::Range<usize>,
+    /// This task's slice of [`ScatterPlan::needs`]: the edges delivering the
+    /// environment and each shared piece it reads to its executing rank.
+    needs: std::ops::Range<usize>,
+}
+
+/// Group every task's pieces by buffer over the ranks that will *execute*
+/// (never a rank that only timed out: the environment's rule), and plan the
+/// one-to-many payloads: the environment, then each piece with two or more
+/// reader ranks, in the order tasks first read them.
+fn plan_scatter<R>(
+    plan: &FaultPlan,
+    topology: Topology,
+    n_nodes: usize,
+    tasks: &[RawTask<'_, R>],
+    routes: &[TaskRoute],
+    bcast_bytes: usize,
+) -> ScatterPlan {
+    let mut edges = Vec::new();
+    // Environment: one shared payload to every executing rank.
+    let mut env_edge_to = Vec::new();
+    if bcast_bytes > 0 && !tasks.is_empty() {
+        let mut execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
+        execs.sort_unstable();
+        execs.dedup();
+        plan_payload(&mut edges, plan, topology, &execs, bcast_bytes, None);
+        env_edge_to = vec![usize::MAX; n_nodes];
+        for (idx, e) in edges.iter().enumerate() {
+            env_edge_to[e.dest] = idx;
+        }
+    }
+    let env_edges = edges.len();
+
+    /// Who reads one buffer.
+    enum Readers {
+        /// Every task holding it runs on this rank; the flag says whether
+        /// one of them has carried it there yet.
+        One { rank: usize, carried: bool },
+        /// Tasks on several ranks hold it: its edges, once planned.
+        Many(Option<std::ops::Range<usize>>),
+    }
+    let mut by_id: BTreeMap<usize, Readers> = BTreeMap::new();
+    for (t, route) in tasks.iter().zip(routes) {
+        for id in t.pieces.iter().filter_map(|p| p.id) {
+            let readers =
+                by_id.entry(id).or_insert(Readers::One { rank: route.exec, carried: false });
+            if matches!(readers, Readers::One { rank, .. } if *rank != route.exec) {
+                *readers = Readers::Many(None);
             }
-            for attempt in 0..ENV_ATTEMPT_CAP {
-                edge.attempts += 1;
-                let d = plan.decide(sender_rank, dest_rank, ENV_TAG, c as u64, attempt);
-                if !d.deliver {
-                    edge.drops += 1;
-                    continue;
+        }
+    }
+
+    let mut needs = Vec::new();
+    let mut shared = 0usize;
+    let mut scatter = Vec::with_capacity(tasks.len());
+    for (t, route) in tasks.iter().zip(routes) {
+        let (edges0, needs0) = (edges.len(), needs.len());
+        if env_edges > 0 {
+            needs.push(env_edge_to[route.exec]);
+        }
+        let mut carried_bytes = 0usize;
+        for p in &t.pieces {
+            match p.id.map(|id| by_id.get_mut(&id).expect("grouped above")) {
+                None => carried_bytes += p.bytes,
+                Some(Readers::One { carried, .. }) => {
+                    if !std::mem::replace(carried, true) {
+                        carried_bytes += p.bytes;
+                    }
                 }
-                if d.duplicate {
-                    edge.dups += 1;
+                Some(Readers::Many(block)) => {
+                    let block = block.get_or_insert_with(|| {
+                        // Its reader ranks, in the order tasks first read it.
+                        let mut ranks: Vec<usize> = Vec::new();
+                        for (t, route) in tasks.iter().zip(routes) {
+                            let reads = t.pieces.iter().any(|q| q.id == p.id);
+                            if reads && !ranks.contains(&route.exec) {
+                                ranks.push(route.exec);
+                            }
+                        }
+                        let start = edges.len();
+                        plan_payload(&mut edges, plan, topology, &ranks, p.bytes, Some(shared));
+                        shared += 1;
+                        start..edges.len()
+                    });
+                    let arrival = block.clone().find(|&e| edges[e].dest == route.exec);
+                    needs.push(arrival.expect("every reader rank is a destination of its piece"));
                 }
-                if d.corrupt {
-                    edge.corrupts += 1;
-                    continue;
-                }
-                return edge;
             }
-            panic!("fault plan never delivers the environment to rank {dest_rank}");
-        })
-        .collect()
+        }
+        scatter.push(TaskScatter {
+            carried: carried_bytes,
+            edges: edges0..edges.len(),
+            needs: needs0..needs.len(),
+        });
+    }
+    ScatterPlan { edges, env_edges, tasks: scatter, needs }
 }
 
 /// A simulated cluster of multicore nodes.
@@ -610,61 +915,16 @@ impl Cluster {
         let cost = self.config.cost;
         let timeout_s = plan.timeout.as_secs_f64();
         let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
+        let mut tally = Tally::new(&self.stats);
         let mut clock = 0.0f64;
-        let mut comm_s = 0.0f64;
-        let mut bytes_out = 0u64;
-        let mut messages = 0u64;
-        let mut retries = 0u64;
         for &(rank, bytes) in segs {
             self.resident.register(id, rank, bytes);
             self.stats.record_seg_scatter();
-            // Plan the edge like an env edge: both endpoints treated alive
-            // (crash interaction happens at *call* time, via redispatch).
-            let mut attempts = 0u32;
-            let mut dups = 0u32;
-            let mut drops = 0u32;
-            let mut corrupts = 0u32;
-            for attempt in 0..SEG_ATTEMPT_CAP {
-                attempts += 1;
-                if !plan.is_active() {
-                    break;
-                }
-                let d = plan.decide(ROOT, rank, SEG_TAG, rank as u64, attempt);
-                if !d.deliver {
-                    drops += 1;
-                    continue;
-                }
-                if d.duplicate {
-                    dups += 1;
-                }
-                if d.corrupt {
-                    corrupts += 1;
-                    continue;
-                }
-                break;
-            }
-            let copies = (attempts + dups) as u64;
-            for _ in 0..copies {
-                self.stats.record(bytes);
-            }
-            for _ in 0..drops {
-                self.stats.record_dropped();
-            }
-            for _ in 0..corrupts {
-                self.stats.record_corrupted();
-            }
-            for _ in 0..dups {
-                self.stats.record_duplicated();
-            }
-            let failed = (attempts - 1) as u64;
-            for _ in 0..failed {
-                self.stats.record_retry();
-            }
-            messages += copies;
-            bytes_out += bytes as u64 * copies;
-            retries += failed;
-            let dt = cost.edge_time(ROOT, rank, bytes);
-            let edge_s = dt * copies as f64 + timeout_s * failed as f64;
+            // Both endpoints are treated as alive: a crashed home interacts
+            // at *call* time, via redispatch.
+            let tx = Attempts::reliable(&plan, (ROOT, rank), SEG_TAG, rank as u64);
+            tally.message(&tx, bytes, (ROOT, rank));
+            let edge_s = tx.seconds(cost.edge_time(ROOT, rank, bytes), timeout_s, tx.retries());
             if tr.enabled() {
                 tr.span(
                     "send",
@@ -676,12 +936,11 @@ impl Cluster {
                         ("seg", id.into()),
                         ("dest", rank.into()),
                         ("bytes", bytes.into()),
-                        ("attempts", (attempts as u64).into()),
+                        ("attempts", (tx.attempts as u64).into()),
                     ],
                 );
             }
             clock += edge_s;
-            comm_s += edge_s;
         }
         if tr.enabled() {
             tr.span(
@@ -693,27 +952,12 @@ impl Cluster {
                 vec![
                     ("seg", id.into()),
                     ("segments", segs.len().into()),
-                    ("bytes", bytes_out.into()),
+                    ("bytes", tally.totals.bytes_out.into()),
                 ],
             );
         }
-        (
-            DistTiming {
-                total_s: clock,
-                comm_s,
-                node_compute_s: vec![0.0; self.config.nodes],
-                bytes_out,
-                bytes_back: 0,
-                messages,
-                retries,
-                redispatches: 0,
-                resident_hits: 0,
-                resident_misses: 0,
-                unpack_copied: 0,
-                unpack_aliased: 0,
-            },
-            tr.take(),
-        )
+        // The root NIC is busy for the whole scatter: all of it is comm.
+        (tally.timing(clock, clock, vec![0.0; self.config.nodes], (0, 0)), tr.take())
     }
 
     /// Scatter `payloads` (one per node, at most `nodes()`), run `task` on
@@ -764,6 +1008,7 @@ impl Cluster {
                 drop(payload);
                 RawTask {
                     wire_bytes: msg.len(),
+                    pieces: Vec::new(),
                     pack_s,
                     resident: None,
                     work: Box::new(move |ctx: &NodeCtx<'_>| {
@@ -793,11 +1038,13 @@ impl Cluster {
     /// Lowest-level collective: run one prepared task per node.
     ///
     /// Used by the skeleton engine, whose payloads are sliced indexers: the
-    /// closure carries the (already serialization-roundtripped) data
-    /// natively — code plus deserialized bytes, exactly what arrives at a
-    /// real node — while `wire_bytes` declares the payload size for the cost
-    /// model and traffic accounting. Each task must route its compute
-    /// through the provided [`NodeCtx`] so virtual time observes it.
+    /// closure carries the data natively — code plus the sliced buffers it
+    /// deserializes on the node — while `wire_bytes` and `pieces` declare
+    /// what the payload occupies on the wire for the cost model and traffic
+    /// accounting, and which of its buffers other tasks hold too (those are
+    /// shipped once and relayed, see [`RawTask::pieces`]). Each task must
+    /// route its compute through the provided [`NodeCtx`] so virtual time
+    /// observes it.
     pub fn run_raw<'a, R>(&self, tasks: Vec<RawTask<'a, R>>) -> DistOutcome<R>
     where
         R: Wire + Send,
@@ -862,10 +1109,45 @@ impl Cluster {
         self.dispatch(tasks, 0.0, bcast_bytes)
     }
 
+    /// Run `work` on the root's own node: the `localpar` path.
+    ///
+    /// Shared memory only — no route is planned, nothing is packed, sent,
+    /// returned or unpacked, so the timing reports zero bytes and messages,
+    /// the [`FaultPlan`] has nothing to act on, and the result needs no
+    /// [`Wire`] round trip. `work` sees a rank-0 [`NodeCtx`] and must route
+    /// its compute through it so virtual time observes it.
+    pub fn run_local<R>(&self, work: impl FnOnce(&NodeCtx<'_>) -> R) -> (R, DistTiming, TraceData) {
+        let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
+        let node_tr = if tr.enabled() { TraceHandle::recording() } else { TraceHandle::disabled() };
+        let mode = self.config.mode;
+        let ctx = NodeCtx::new(0, self.config.threads_per_node, mode, self.pools.first())
+            .with_trace(node_tr);
+        let t0 = Instant::now();
+        let value = work(&ctx);
+        let total_s = match mode {
+            ExecMode::Virtual => ctx.elapsed(),
+            ExecMode::Measured => t0.elapsed().as_secs_f64(),
+        };
+        tr.absorb(ctx.take_trace());
+        tr.span(
+            "node:task",
+            "dispatch",
+            Track::Node(0),
+            0.0,
+            total_s,
+            vec![("task", 0usize.into())],
+        );
+        let mut node_compute = vec![0.0f64; self.config.nodes];
+        node_compute[0] = ctx.elapsed();
+        (value, Tally::new(&self.stats).timing(total_s, 0.0, node_compute, (0, 0)), tr.take())
+    }
+
     /// The one dispatcher behind `run` and `run_raw`: plan every task's
-    /// route through the fault schedule, execute each task once on its
-    /// final rank, account all traffic (including lost/duplicated attempts
-    /// and retransmissions), and gather results in task order.
+    /// route through the fault schedule, plan the one-to-many payloads (the
+    /// environment, and input pieces that tasks on several ranks share) over
+    /// the ranks that will execute, execute each task once on its final
+    /// rank, account all traffic (including lost/duplicated attempts and
+    /// retransmissions), and gather results in task order.
     ///
     /// Under [`PipelineMode::Streamed`] the root's own pack/unpack work is
     /// pipelined against node compute: task k+1's pack is charged right
@@ -897,90 +1179,33 @@ impl Cluster {
             .enumerate()
             .map(|(i, t)| plan_route(&plan, n_nodes, t.home(i), i))
             .collect();
+        let scatter =
+            plan_scatter(&plan, self.config.topology, n_nodes, &tasks, &routes, bcast_bytes);
 
         // Forward-path traffic and fault-event accounting (mode-independent:
         // the schedule, not the executor, decides what happens on the wire).
-        // Resident tasks pay per-hop bytes: the control descriptor (plus any
-        // halo) to the home rank, the full segment only when redispatch
-        // forces execution off-home.
-        let mut bytes_out = 0u64;
-        let mut messages = 0u64;
-        let mut retries = 0u64;
-        let mut redispatches = 0u64;
-        let mut resident_hits = 0u64;
-        let mut resident_misses = 0u64;
-        for (t, route) in tasks.iter().zip(&routes) {
+        // A hop carries the task's private bytes plus the pieces riding
+        // with it; resident tasks pay per-hop bytes: the control descriptor
+        // (plus any halo) to the home rank, the full segment only when
+        // redispatch forces execution off-home.
+        let mut tally = Tally::new(&self.stats);
+        for e in &scatter.edges {
+            tally.message(&e.tx, e.bytes, (e.sender, e.dest));
+        }
+        // Bytes of every hop, flattened task-major; `hop0[i]` is task i's
+        // first.
+        let mut hop_wire: Vec<usize> = Vec::with_capacity(n_tasks);
+        let mut hop0: Vec<usize> = Vec::with_capacity(n_tasks);
+        for ((t, route), sc) in tasks.iter().zip(&routes).zip(&scatter.tasks) {
+            hop0.push(hop_wire.len());
             for hop in &route.hops {
-                let w = t.hop_bytes(hop.dest);
-                let copies = (hop.attempts + hop.dups) as u64;
-                for _ in 0..copies {
-                    self.stats.record(w);
-                }
-                messages += copies;
-                bytes_out += w as u64 * copies;
-                for _ in 0..hop.drops {
-                    self.stats.record_dropped();
-                }
-                for _ in 0..hop.corrupts {
-                    self.stats.record_corrupted();
-                }
-                for _ in 0..hop.dups {
-                    self.stats.record_duplicated();
-                }
+                let w = t.hop_bytes(hop.dest) + sc.carried;
+                tally.message(&hop.tx, w, (ROOT, hop.dest));
+                hop_wire.push(w);
             }
-            for _ in 0..route.retries {
-                self.stats.record_retry();
-            }
-            for _ in 0..route.redispatches {
-                self.stats.record_redispatch();
-            }
-            retries += route.retries;
-            redispatches += route.redispatches;
-            if let Some(spec) = t.resident {
-                if route.exec == spec.home {
-                    self.stats.record_resident_hit();
-                    resident_hits += 1;
-                } else {
-                    self.stats.record_resident_miss();
-                    resident_misses += 1;
-                }
-            }
+            tally.placement(route, t.resident);
         }
-
-        // Environment broadcast: one shared payload reaches every executing
-        // rank, routed by the configured topology. Planned up front like
-        // task routes, so both modes account identical traffic.
-        let mut participants: Vec<usize> = Vec::new();
-        let env_edges: Vec<EnvEdge> = if bcast_bytes > 0 && n_tasks > 0 {
-            let mut execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
-            execs.sort_unstable();
-            execs.dedup();
-            participants.push(ROOT);
-            participants.extend(execs);
-            plan_env_edges(&plan, self.config.topology, &participants)
-        } else {
-            Vec::new()
-        };
-        for e in &env_edges {
-            for _ in 0..e.copies() {
-                self.stats.record(bcast_bytes);
-            }
-            messages += e.copies();
-            bytes_out += bcast_bytes as u64 * e.copies();
-            for _ in 0..e.drops {
-                self.stats.record_dropped();
-            }
-            for _ in 0..e.corrupts {
-                self.stats.record_corrupted();
-            }
-            for _ in 0..e.dups {
-                self.stats.record_duplicated();
-            }
-            for _ in 0..e.failed() {
-                self.stats.record_retry();
-            }
-            retries += e.failed() as u64;
-        }
+        let task_wire = |i: usize| &hop_wire[hop0[i]..hop0[i] + routes[i].hops.len()];
 
         let cost = self.config.cost;
         let timeout_s = plan.timeout.as_secs_f64();
@@ -1015,45 +1240,35 @@ impl Cluster {
                 }
 
                 // --- Reduce the dispatch to pure durations (a SimProblem).
-                // comm_s accumulates in canonical order — environment edges,
+                // comm_s accumulates in canonical order — payload edges,
                 // then task hops, then returns below — so the breakdown is
                 // bit-identical whichever core lays the timeline.
                 let mut comm_s = 0.0f64;
-                let mut sim_env: Vec<SimEnvEdge> = Vec::with_capacity(env_edges.len());
-                let mut env_dt: Vec<f64> = Vec::with_capacity(env_edges.len());
-                for e in &env_edges {
-                    let sender_rank =
-                        if e.sender_pos == 0 { ROOT } else { participants[e.sender_pos] };
-                    let dest_rank = participants[e.dest_pos];
-                    let dt = cost.edge_time(sender_rank, dest_rank, bcast_bytes);
-                    let edge_s = dt * e.copies() as f64 + timeout_s * e.failed() as f64;
-                    comm_s += edge_s;
-                    env_dt.push(dt);
-                    sim_env.push(SimEnvEdge {
-                        sender_pos: e.sender_pos,
-                        dest_pos: e.dest_pos,
-                        dest_rank,
-                        edge_s,
-                    });
-                }
-                let n_hops: usize = routes.iter().map(|r| r.hops.len()).sum();
-                let mut hop_s: Vec<f64> = Vec::with_capacity(n_hops);
-                let mut hop_dt: Vec<f64> = Vec::with_capacity(n_hops);
-                let mut hop_wire: Vec<usize> = Vec::with_capacity(n_hops);
+                let mut edge_dt: Vec<f64> = Vec::with_capacity(scatter.edges.len());
+                let sim_edges: Vec<SimEdge> = scatter
+                    .edges
+                    .iter()
+                    .map(|e| {
+                        let dt = cost.edge_time(e.sender, e.dest, e.bytes);
+                        let edge_s = e.tx.seconds(dt, timeout_s, e.tx.retries());
+                        comm_s += edge_s;
+                        edge_dt.push(dt);
+                        SimEdge { sender: e.sender, dest: e.dest, feeder: e.feeder, edge_s }
+                    })
+                    .collect();
+                let mut hop_s: Vec<f64> = Vec::with_capacity(hop_wire.len());
+                let mut hop_dt: Vec<f64> = Vec::with_capacity(hop_wire.len());
                 let mut pack_s_v: Vec<f64> = Vec::with_capacity(n_tasks);
                 let mut resident_v: Vec<Option<ResidentSpec>> = Vec::with_capacity(n_tasks);
                 let mut sim_tasks: Vec<SimTask> = Vec::with_capacity(n_tasks);
-                for (t, route) in tasks.iter().zip(&routes) {
+                for ((t, route), sc) in tasks.iter().zip(&routes).zip(&scatter.tasks) {
                     let h0 = hop_s.len();
                     for hop in &route.hops {
-                        let w = t.hop_bytes(hop.dest);
-                        let dt = cost.edge_time(ROOT, hop.dest, w);
-                        let s = dt * (hop.attempts + hop.dups) as f64
-                            + timeout_s * hop.failed_attempts() as f64;
+                        let dt = cost.edge_time(ROOT, hop.dest, hop_wire[hop_s.len()]);
+                        let s = hop.tx.seconds(dt, timeout_s, hop.timeouts());
                         comm_s += s;
                         hop_s.push(s);
                         hop_dt.push(dt);
-                        hop_wire.push(w);
                     }
                     pack_s_v.push(t.pack_s);
                     resident_v.push(t.resident);
@@ -1063,6 +1278,8 @@ impl Cluster {
                         elapsed: 0.0, // measured below, once the task has run
                         ret_s: 0.0,   // filled once result sizes are known
                         hops: h0..hop_s.len(),
+                        edges: sc.edges.clone(),
+                        needs: sc.needs.clone(),
                     });
                 }
 
@@ -1092,32 +1309,12 @@ impl Cluster {
                 // Return trips, planned and accounted in task order (the
                 // third leg of the canonical comm_s order). Each attempt
                 // pays a transfer and each failed attempt an ack timeout.
-                let mut bytes_back = 0u64;
-                let mut returns: Vec<(ReturnRoute, f64)> = Vec::with_capacity(n_tasks);
+                let mut returns: Vec<(Attempts, f64)> = Vec::with_capacity(n_tasks);
                 for (i, rb) in results_bytes.iter().enumerate() {
-                    let ret = plan_return(&plan, routes[i].exec, i);
-                    let copies = (ret.attempts + ret.dups) as u64;
-                    for _ in 0..copies {
-                        self.stats.record(rb.len());
-                    }
-                    messages += copies;
-                    bytes_back += rb.len() as u64 * copies;
-                    for _ in 0..ret.drops {
-                        self.stats.record_dropped();
-                    }
-                    for _ in 0..ret.corrupts {
-                        self.stats.record_corrupted();
-                    }
-                    for _ in 0..ret.dups {
-                        self.stats.record_duplicated();
-                    }
-                    let failed = (ret.attempts - 1) as u64;
-                    for _ in 0..failed {
-                        self.stats.record_retry();
-                    }
-                    retries += failed;
+                    let ret = Attempts::reliable(&plan, (routes[i].exec, ROOT), RET_TAG, i as u64);
+                    tally.message(&ret, rb.len(), (routes[i].exec, ROOT));
                     let rdt = cost.edge_time(routes[i].exec, ROOT, rb.len());
-                    let path_s = rdt * copies as f64 + timeout_s * failed as f64;
+                    let path_s = ret.seconds(rdt, timeout_s, ret.retries());
                     comm_s += path_s;
                     sim_tasks[i].ret_s = path_s;
                     returns.push((ret, rdt));
@@ -1128,10 +1325,11 @@ impl Cluster {
                 let problem = SimProblem {
                     start_clock,
                     n_nodes,
-                    n_participants: participants.len(),
-                    env_edges: &sim_env,
+                    edges: &sim_edges,
+                    env_edges: scatter.env_edges,
                     hop_s: &hop_s,
                     tasks: &sim_tasks,
+                    needs: &scatter.needs,
                 };
                 let times = {
                     let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
@@ -1156,37 +1354,15 @@ impl Cluster {
 
                 // --- Render the canonical trace off the timeline (the exact
                 // record order of the pre-event dispatcher, so golden traces
-                // stay bit-identical).
+                // stay bit-identical): the environment's edges, then per
+                // task its pack, the shared pieces it is first to read, and
+                // its own sends.
                 if tr.enabled() {
-                    for (idx, e) in env_edges.iter().enumerate() {
-                        let (start, done) = times.env_bounds[idx];
-                        let dt = env_dt[idx];
-                        let dest = participants[e.dest_pos];
-                        let track = if e.sender_pos == 0 {
-                            Track::Root
-                        } else {
-                            Track::Node(participants[e.sender_pos])
-                        };
-                        let mut args = tree_edge_args(dest, ENV_TAG, e.depth, e.fanout);
-                        args.push(("bytes", bcast_bytes.into()));
-                        args.push(("attempts", (e.attempts as u64).into()));
-                        tr.span("comm:tree", "comm", track, start, done, args);
-                        let fault = |name: &'static str, count: u32| {
-                            for k in 0..count {
-                                tr.event(
-                                    name,
-                                    "fault",
-                                    track,
-                                    start + dt * (k + 1) as f64,
-                                    vec![("dest", dest.into())],
-                                );
-                            }
-                        };
-                        fault("retry", e.failed());
-                        fault("drop", e.drops);
-                        fault("corrupt", e.corrupts);
-                        fault("duplicate", e.dups);
-                    }
+                    let edge_span = |idx: usize| {
+                        let (start, done) = times.edge_bounds[idx];
+                        scatter.edges[idx].trace(&tr, start, Some(done), edge_dt[idx]);
+                    };
+                    (0..scatter.env_edges).for_each(edge_span);
                     for (i, route) in routes.iter().enumerate() {
                         if streamed && pack_s_v[i] > 0.0 {
                             tr.span(
@@ -1198,73 +1374,21 @@ impl Cluster {
                                 vec![("task", i.into())],
                             );
                         }
-                        let h0 = sim_tasks[i].hops.start;
-                        for (h, hop) in route.hops.iter().enumerate() {
-                            let (hop_start, hop_done) = times.hop_bounds[h0 + h];
-                            let dt = hop_dt[h0 + h];
-                            tr.span(
-                                "send",
-                                "comm",
-                                Track::Root,
-                                hop_start,
-                                hop_done,
-                                vec![
-                                    ("task", i.into()),
-                                    ("dest", hop.dest.into()),
-                                    ("bytes", hop_wire[h0 + h].into()),
-                                    ("attempts", (hop.attempts as u64).into()),
-                                ],
-                            );
-                            // Fault-event placement within the hop span is a
-                            // model decoration; the *counts* are exact.
-                            let fault = |name: &'static str, count: u32| {
-                                for k in 0..count {
-                                    tr.event(
-                                        name,
-                                        "fault",
-                                        Track::Root,
-                                        hop_start + dt * (k + 1) as f64,
-                                        vec![("task", i.into()), ("dest", hop.dest.into())],
-                                    );
-                                }
-                            };
-                            fault("retry", hop.attempts.saturating_sub(1));
-                            fault("drop", hop.drops);
-                            fault("corrupt", hop.corrupts);
-                            fault("duplicate", hop.dups);
-                            if !hop.delivered && h + 1 < route.hops.len() {
-                                tr.event(
-                                    "redispatch",
-                                    "fault",
-                                    Track::Root,
-                                    hop_done,
-                                    vec![
-                                        ("task", i.into()),
-                                        ("from", hop.dest.into()),
-                                        ("to", route.hops[h + 1].dest.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        if let Some(spec) = resident_v[i] {
-                            let name = if route.exec == spec.home {
-                                "dist:resident-hit"
-                            } else {
-                                "dist:resident-miss"
-                            };
-                            tr.event(
-                                name,
-                                "dist",
-                                Track::Root,
-                                times.send_done[i],
-                                vec![
-                                    ("task", i.into()),
-                                    ("seg", spec.id.into()),
-                                    ("home", spec.home.into()),
-                                    ("exec", route.exec.into()),
-                                ],
-                            );
-                        }
+                        scatter.tasks[i].edges.clone().for_each(edge_span);
+                        let hop_timing = |h: usize| {
+                            let (start, done) = times.hop_bounds[hop0[i] + h];
+                            (start, Some(done), hop_dt[hop0[i] + h])
+                        };
+                        let settled = times.send_done[i];
+                        trace_route(
+                            &tr,
+                            i,
+                            route,
+                            resident_v[i],
+                            task_wire(i),
+                            hop_timing,
+                            settled,
+                        );
                     }
                     for (i, mut sub) in sub_traces.into_iter().enumerate() {
                         let (start, done) = times.node_bounds[i];
@@ -1294,7 +1418,7 @@ impl Cluster {
                                 ("attempts", (ret.attempts as u64).into()),
                             ],
                         );
-                        for k in 0..(ret.attempts - 1) as u64 {
+                        for k in 0..ret.retries() {
                             tr.event(
                                 "retry",
                                 "fault",
@@ -1407,25 +1531,16 @@ impl Cluster {
                         uclock.max(finish)
                     }
                 };
-                self.stats.record_unpack(unpack_copied, unpack_aliased);
                 Ok(DistOutcome {
                     results,
                     arrivals,
                     trace: tr.take(),
-                    timing: DistTiming {
+                    timing: tally.timing(
                         total_s,
                         comm_s,
-                        node_compute_s: node_compute,
-                        bytes_out,
-                        bytes_back,
-                        messages,
-                        retries,
-                        redispatches,
-                        resident_hits,
-                        resident_misses,
-                        unpack_copied,
-                        unpack_aliased,
-                    },
+                        node_compute,
+                        (unpack_copied, unpack_aliased),
+                    ),
                 })
             }
             ExecMode::Measured => {
@@ -1444,95 +1559,13 @@ impl Cluster {
                 // (instantaneous in-process) land at `prep_off` and node
                 // task spans at their measured offsets.
                 if tr.enabled() {
-                    for e in &env_edges {
-                        let track = if e.sender_pos == 0 {
-                            Track::Root
-                        } else {
-                            Track::Node(participants[e.sender_pos])
-                        };
-                        let dest = participants[e.dest_pos];
-                        let mut args = tree_edge_args(dest, ENV_TAG, e.depth, e.fanout);
-                        args.push(("bytes", bcast_bytes.into()));
-                        args.push(("attempts", (e.attempts as u64).into()));
-                        tr.event("comm:tree", "comm", track, prep_off, args);
-                        let fault = |name: &'static str, count: u32| {
-                            for _ in 0..count {
-                                tr.event(
-                                    name,
-                                    "fault",
-                                    track,
-                                    prep_off,
-                                    vec![("dest", dest.into())],
-                                );
-                            }
-                        };
-                        fault("retry", e.failed());
-                        fault("drop", e.drops);
-                        fault("corrupt", e.corrupts);
-                        fault("duplicate", e.dups);
-                    }
+                    let edge_event =
+                        |idx: usize| scatter.edges[idx].trace(&tr, prep_off, None, 0.0);
+                    (0..scatter.env_edges).for_each(edge_event);
                     for (i, (t, route)) in tasks.iter().zip(&routes).enumerate() {
-                        for (h, hop) in route.hops.iter().enumerate() {
-                            tr.event(
-                                "send",
-                                "comm",
-                                Track::Root,
-                                prep_off,
-                                vec![
-                                    ("task", i.into()),
-                                    ("dest", hop.dest.into()),
-                                    ("bytes", t.hop_bytes(hop.dest).into()),
-                                    ("attempts", (hop.attempts as u64).into()),
-                                ],
-                            );
-                            let fault = |name: &'static str, count: u32| {
-                                for _ in 0..count {
-                                    tr.event(
-                                        name,
-                                        "fault",
-                                        Track::Root,
-                                        prep_off,
-                                        vec![("task", i.into()), ("dest", hop.dest.into())],
-                                    );
-                                }
-                            };
-                            fault("retry", hop.attempts.saturating_sub(1));
-                            fault("drop", hop.drops);
-                            fault("corrupt", hop.corrupts);
-                            fault("duplicate", hop.dups);
-                            if !hop.delivered && h + 1 < route.hops.len() {
-                                tr.event(
-                                    "redispatch",
-                                    "fault",
-                                    Track::Root,
-                                    prep_off,
-                                    vec![
-                                        ("task", i.into()),
-                                        ("from", hop.dest.into()),
-                                        ("to", route.hops[h + 1].dest.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        if let Some(spec) = t.resident {
-                            let name = if route.exec == spec.home {
-                                "dist:resident-hit"
-                            } else {
-                                "dist:resident-miss"
-                            };
-                            tr.event(
-                                name,
-                                "dist",
-                                Track::Root,
-                                prep_off,
-                                vec![
-                                    ("task", i.into()),
-                                    ("seg", spec.id.into()),
-                                    ("home", spec.home.into()),
-                                    ("exec", route.exec.into()),
-                                ],
-                            );
-                        }
+                        scatter.tasks[i].edges.clone().for_each(edge_event);
+                        let at = |_| (prep_off, None, 0.0);
+                        trace_route(&tr, i, route, t.resident, task_wire(i), at, prep_off);
                     }
                 }
                 // Group tasks by executing rank; each group runs in task
@@ -1646,32 +1679,12 @@ impl Cluster {
                 // the counters are order-independent sums, and emitting the
                 // trace lines here keeps the recorded order deterministic
                 // even though completion order is not.
-                let mut bytes_back = 0u64;
                 for i in 0..n_tasks {
                     let len = raw[i].as_ref().expect("every task produced a result").len();
-                    let ret = plan_return(&plan, routes[i].exec, i);
-                    let copies = (ret.attempts + ret.dups) as u64;
-                    for _ in 0..copies {
-                        self.stats.record(len);
-                    }
-                    messages += copies;
-                    bytes_back += len as u64 * copies;
-                    for _ in 0..ret.drops {
-                        self.stats.record_dropped();
-                    }
-                    for _ in 0..ret.corrupts {
-                        self.stats.record_corrupted();
-                    }
-                    for _ in 0..ret.dups {
-                        self.stats.record_duplicated();
-                    }
-                    let failed = (ret.attempts - 1) as u64;
-                    for _ in 0..failed {
-                        self.stats.record_retry();
-                    }
-                    retries += failed;
+                    let ret = Attempts::reliable(&plan, (routes[i].exec, ROOT), RET_TAG, i as u64);
+                    tally.message(&ret, len, (routes[i].exec, ROOT));
                     if tr.enabled() {
-                        for _ in 0..failed {
+                        for _ in 0..ret.retries() {
                             tr.event(
                                 "retry",
                                 "fault",
@@ -1704,25 +1717,17 @@ impl Cluster {
                 }
                 let results: Vec<R> =
                     slots.into_iter().map(|s| s.expect("every task produced a result")).collect();
-                self.stats.record_unpack(unpack_copied, unpack_aliased);
                 Ok(DistOutcome {
                     results,
                     arrivals,
                     trace: tr.take(),
-                    timing: DistTiming {
-                        total_s: end_off,
-                        comm_s: 0.0, // real transfers are in-process; wall time covers them
-                        node_compute_s: node_compute,
-                        bytes_out,
-                        bytes_back,
-                        messages,
-                        retries,
-                        redispatches,
-                        resident_hits,
-                        resident_misses,
-                        unpack_copied,
-                        unpack_aliased,
-                    },
+                    // Real transfers are in-process; wall time covers them.
+                    timing: tally.timing(
+                        end_off,
+                        0.0,
+                        node_compute,
+                        (unpack_copied, unpack_aliased),
+                    ),
                 })
             }
         }
@@ -2109,6 +2114,99 @@ mod tests {
         assert_eq!(s.timing.bytes_out, b.timing.bytes_out);
         assert_eq!(s.timing.bytes_back, b.timing.bytes_back);
         assert_eq!(s.timing.messages, b.timing.messages);
+    }
+
+    /// Four tasks that all read buffer `7` (1000 bytes) and each a buffer
+    /// of their own (100 bytes), behind a 16-byte descriptor.
+    fn sharing_tasks<'a>() -> Vec<RawTask<'a, u64>> {
+        (0..4usize)
+            .map(|i| RawTask {
+                wire_bytes: 16,
+                pieces: vec![
+                    Piece { id: Some(7), bytes: 1000 },
+                    Piece { id: Some(100 + i), bytes: 100 },
+                ],
+                pack_s: 0.0,
+                resident: None,
+                work: Box::new(move |ctx: &NodeCtx<'_>| ctx.rank() as u64),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_piece_four_ranks_read_leaves_the_root_once() {
+        let run = |topology| {
+            let cfg = ClusterConfig::virtual_cluster(4, 1)
+                .with_topology(topology)
+                .with_sim_check(true)
+                .with_trace(true);
+            Cluster::new(cfg).run_raw_with_broadcast(sharing_tasks(), 500)
+        };
+        let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
+        for out in [&tree, &linear] {
+            assert_eq!(out.results, vec![0, 1, 2, 3]);
+            // Every rank receives the environment, the shared piece, its own
+            // piece and its descriptor: the same bytes on all links.
+            assert_eq!(out.timing.bytes_out, 4 * (500 + 1000 + 100 + 16));
+            // 4 env edges + 4 piece edges + 4 hops + 4 returns.
+            assert_eq!(out.timing.messages, 16);
+        }
+        assert_eq!(linear.timing.root_bytes_out, linear.timing.bytes_out);
+        // Tree: the environment enters the 5-participant tree at the root
+        // (3 copies), the shared piece goes to its first reader only.
+        assert_eq!(tree.timing.root_bytes_out, 3 * 500 + 1000 + 4 * (100 + 16));
+        let piece_edges = |out: &DistOutcome<u64>| {
+            let tagged = |s: &&triolet_obs::Span| s.args.iter().any(|(k, _)| *k == "piece");
+            out.trace.spans.iter().filter(|s| s.name == "comm:tree").filter(tagged).count()
+        };
+        assert_eq!((piece_edges(&tree), piece_edges(&linear)), (4, 4));
+        // A single-reader piece rides its task's own message.
+        let hop = tree.trace.spans.iter().find(|s| s.name == "send").expect("a send");
+        assert!(hop.args.contains(&("bytes", 116usize.into())), "{hop:?}");
+    }
+
+    #[test]
+    fn shared_pieces_follow_redispatched_tasks_and_never_reach_dead_ranks() {
+        // Rank 1 is down: task 1 moves to rank 2, which then holds two
+        // readers of the shared piece and must receive it once.
+        let plan = FaultPlan::seeded(3).with_crash(1).with_timeout(Duration::from_millis(1));
+        for mode in [PipelineMode::Streamed, PipelineMode::Barrier] {
+            let cfg = ClusterConfig::virtual_cluster(4, 1)
+                .with_faults(plan)
+                .with_pipeline(mode)
+                .with_sim_check(true)
+                .with_trace(true);
+            let out = Cluster::new(cfg).run_raw(sharing_tasks());
+            assert_eq!(out.results, vec![0, 2, 2, 3]);
+            let edges_to = |rank: usize| {
+                let to_rank = |s: &&triolet_obs::Span| s.args.contains(&("dest", rank.into()));
+                out.trace.spans.iter().filter(|s| s.name == "comm:tree").filter(to_rank).count()
+            };
+            assert_eq!(out.trace.count_spans("comm:tree"), 3, "one edge per executing rank");
+            assert_eq!(edges_to(1), 0, "nothing for the dead rank");
+            assert_eq!(edges_to(2), 1, "once for two readers");
+            // The timed-out hop to rank 1 carried task 1's private bytes
+            // (descriptor + own piece) on each of its 9 attempts.
+            assert_eq!(out.timing.bytes_out, 3 * 1000 + 4 * 116 + 9 * 116);
+            assert_eq!(out.timing.redispatches, 1);
+        }
+    }
+
+    #[test]
+    fn run_local_touches_no_wire() {
+        let plan = FaultPlan::seeded(1).with_drop(0.5).with_crash(0);
+        for cfg in [ClusterConfig::virtual_cluster(3, 2), ClusterConfig::measured(3, 2)] {
+            let cluster = Cluster::new(cfg.with_faults(plan).with_trace(true));
+            let (value, timing, trace) = cluster.run_local(|ctx| {
+                assert_eq!((ctx.rank(), ctx.threads()), (0, 2));
+                ctx.map_reduce_chunks(vec![1u64, 2, 3, 4], |x| x * 10, |a, b| a + b)
+            });
+            assert_eq!(value, Some(100));
+            assert_eq!((timing.bytes_out, timing.bytes_back, timing.messages), (0, 0, 0));
+            assert_eq!(cluster.stats().snapshot(), Default::default());
+            assert_eq!(trace.count_spans("node:task"), 1);
+            assert_eq!(trace.count_spans("send") + trace.count_spans("return"), 0);
+        }
     }
 
     #[test]

@@ -401,7 +401,7 @@ impl TrafficSnapshot {
 }
 
 /// Timing breakdown of one distributed operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistTiming {
     /// End-to-end time in seconds: wall-clock in `Measured` mode, modeled
     /// makespan in `Virtual` mode.
@@ -410,8 +410,11 @@ pub struct DistTiming {
     pub comm_s: f64,
     /// Per-node compute seconds (the max of these bounds the compute span).
     pub node_compute_s: Vec<f64>,
-    /// Bytes shipped root -> nodes (sliced input data).
+    /// Bytes shipped to nodes (sliced input data, environment), summed
+    /// over every link: a copy a rank relays to another counts again.
     pub bytes_out: u64,
+    /// The part of `bytes_out` that left on the root's own link.
+    pub root_bytes_out: u64,
     /// Bytes shipped nodes -> root (results).
     pub bytes_back: u64,
     /// Total messages in both directions.
@@ -556,6 +559,7 @@ mod tests {
             comm_s: 0.1,
             node_compute_s: vec![0.2, 0.9, 0.5],
             bytes_out: 0,
+            root_bytes_out: 0,
             bytes_back: 0,
             messages: 0,
             retries: 0,

@@ -4,23 +4,30 @@
 //! execution, byte accounting — all decided before any timeline exists)
 //! from *when* its pieces happen on the modeled clock. This module owns the
 //! "when": given a [`SimProblem`] — the durations of every timed piece of
-//! one collective (environment-broadcast edges, per-task root pack times,
-//! send hops with their ack/retry timeouts folded in, node compute times,
-//! return trips) — a core produces the full [`SimTimes`] timeline.
+//! one collective (the edges of every one-to-many payload — the broadcast
+//! environment and the input pieces several ranks share — per-task root
+//! pack times, send hops with their ack/retry timeouts folded in, node
+//! compute times, return trips) — a core produces the full [`SimTimes`]
+//! timeline.
+//!
+//! The model of a shared payload: the root's one NIC sends it in plan
+//! order; a rank that has received it relays it onward, each relay starting
+//! at `max(that rank's NIC free, the payload's arrival there)`; a task
+//! starts at `max(its own hop done, its rank free, the arrival of every
+//! payload it reads)`.
 //!
 //! Two interchangeable cores:
 //!
-//! * [`SimCore::Eager`] — the original three-pass walk: replay the
-//!   environment tree with a per-participant clock vector, chain every
-//!   send on the root NIC, then sweep tasks in order. Simple, but each
-//!   collective step allocates `O(participants)` clock state and the walk
-//!   is structured around full-vector passes.
+//! * [`SimCore::Eager`] — the original pass-per-phase walk: chain every
+//!   send on the root NIC, replay the relays over a per-rank NIC clock
+//!   vector, then sweep tasks in order. Simple, but structured around
+//!   full-vector passes.
 //! * [`SimCore::Event`] (the default) — a single binary event heap of
 //!   timestamped sends, receives, ack/retry-extended hops, and task
 //!   completions, popped in deterministic `(time, push-order)` order. A
 //!   skeleton call is processed in `O(E log E)` heap operations with
-//!   `O(ranks)` resident state, which is what makes 1k–10k-rank topologies
-//!   benchable in CI.
+//!   `O(ranks)` heap entries in flight, which is what makes 1k–10k-rank
+//!   topologies benchable in CI.
 //!
 //! Both cores run against reusable [`SimScratch`] buffers owned by the
 //! cluster, so a collective step allocates no per-step clock vectors
@@ -34,6 +41,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::cluster::ROOT;
+
 /// Which virtual-time core computes dispatch timelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimCore {
@@ -45,24 +54,25 @@ pub enum SimCore {
     Event,
 }
 
-/// One environment-broadcast edge, reduced to what the timeline needs: the
-/// participant positions it connects, the destination's cluster rank, and
-/// its full duration (every transmission copy plus every ack timeout).
-pub(crate) struct SimEnvEdge {
-    /// Sender's index into the participant list (0 = root).
-    pub sender_pos: usize,
-    /// Destination's index into the participant list.
-    pub dest_pos: usize,
-    /// Destination's cluster rank (what task execution is gated on).
-    pub dest_rank: usize,
-    /// Seconds the edge occupies its sender's NIC.
+/// One edge of a one-to-many payload — the broadcast environment or an
+/// input piece several ranks read — reduced to what the timeline needs.
+pub(crate) struct SimEdge {
+    /// Sending rank, or [`ROOT`].
+    pub sender: usize,
+    /// Receiving rank.
+    pub dest: usize,
+    /// The earlier edge that brought this payload to `sender`; `None` when
+    /// the root sends (it holds everything it has packed).
+    pub feeder: Option<usize>,
+    /// Seconds the edge occupies its sender's NIC (every transmission copy
+    /// plus every ack timeout).
     pub edge_s: f64,
 }
 
 /// One task, reduced to its timed pieces.
 pub(crate) struct SimTask {
     /// Root-side pack seconds charged immediately before this task's first
-    /// hop (already zeroed by the caller under `PipelineMode::Barrier`,
+    /// send (already zeroed by the caller under `PipelineMode::Barrier`,
     /// which charges packing as one prologue lump in the start clock).
     pub pack_s: f64,
     /// Rank that finally executes the task.
@@ -73,6 +83,12 @@ pub(crate) struct SimTask {
     pub ret_s: f64,
     /// This task's slice of [`SimProblem::hop_s`].
     pub hops: std::ops::Range<usize>,
+    /// The edges of the shared pieces this task is the first to read, as a
+    /// slice of [`SimProblem::edges`]: the root sends its share of them
+    /// after packing the task and before the task's hops.
+    pub edges: std::ops::Range<usize>,
+    /// This task's slice of [`SimProblem::needs`].
+    pub needs: std::ops::Range<usize>,
 }
 
 /// Everything a core needs to lay one dispatch on the virtual clock.
@@ -81,16 +97,20 @@ pub(crate) struct SimProblem<'a> {
     pub start_clock: f64,
     /// Cluster size (per-rank state is sized by this).
     pub n_nodes: usize,
-    /// Environment-broadcast participant count (0 when no broadcast).
-    pub n_participants: usize,
-    /// Broadcast edges in transmission order (each sender's edges are
-    /// contiguous, and a participant's arrival edge precedes its outgoing
-    /// edges — the invariant both cores rely on).
-    pub env_edges: &'a [SimEnvEdge],
+    /// Payload edges in plan order: the environment's, then each task's
+    /// block. An edge's feeder always precedes it, and a NIC transmits its
+    /// edges in this order.
+    pub edges: &'a [SimEdge],
+    /// How many leading `edges` belong to the environment broadcast (sent
+    /// before the root packs any task).
+    pub env_edges: usize,
     /// Durations of every task hop, flattened task-major.
     pub hop_s: &'a [f64],
     /// The tasks, in dispatch order.
     pub tasks: &'a [SimTask],
+    /// Per task, the edges that deliver the payloads it reads to its
+    /// executing rank: it cannot start before the last of them is done.
+    pub needs: &'a [usize],
 }
 
 /// The complete timeline of one dispatch, in seconds from the root-prep
@@ -98,9 +118,9 @@ pub(crate) struct SimProblem<'a> {
 /// cores must agree on all of it bitwise.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimTimes {
-    /// `(start, done)` of each environment edge, in edge order.
-    pub env_bounds: Vec<(f64, f64)>,
-    /// When the root began packing each task (== first hop start when the
+    /// `(start, done)` of each payload edge, in edge order.
+    pub edge_bounds: Vec<(f64, f64)>,
+    /// When the root began packing each task (== first send start when the
     /// task has no pack time).
     pub pack_start: Vec<f64>,
     /// `(start, done)` of every hop, aligned with [`SimProblem::hop_s`].
@@ -120,15 +140,16 @@ pub(crate) struct SimTimes {
 }
 
 impl SimTimes {
-    fn with_capacity(n_env: usize, n_hops: usize, n_tasks: usize, start_clock: f64) -> Self {
+    fn zeroed(p: &SimProblem<'_>) -> Self {
+        let n_tasks = p.tasks.len();
         SimTimes {
-            env_bounds: Vec::with_capacity(n_env),
-            pack_start: Vec::with_capacity(n_tasks),
-            hop_bounds: Vec::with_capacity(n_hops),
-            send_done: Vec::with_capacity(n_tasks),
-            node_bounds: Vec::with_capacity(n_tasks),
-            ret_done: Vec::with_capacity(n_tasks),
-            root_free: start_clock,
+            edge_bounds: vec![(0.0, 0.0); p.edges.len()],
+            pack_start: vec![0.0; n_tasks],
+            hop_bounds: vec![(0.0, 0.0); p.hop_s.len()],
+            send_done: vec![0.0; n_tasks],
+            node_bounds: vec![(0.0, 0.0); n_tasks],
+            ret_done: vec![0.0; n_tasks],
+            root_free: p.start_clock,
             events: 0,
             peak_heap: 0,
         }
@@ -146,8 +167,8 @@ struct Event {
 }
 
 enum EventKind {
-    /// An environment edge finished transmitting (receive at its dest).
-    EnvDone { edge: usize },
+    /// A payload edge finished transmitting (receive at its dest).
+    EdgeDone { edge: usize },
     /// The root NIC is free to pack and send the next task.
     RootSend { task: usize },
     /// One send hop — all its retries and ack timeouts — completed.
@@ -180,28 +201,34 @@ impl Ord for Event {
     }
 }
 
+/// "No edge" in the per-rank send queues.
+const NONE: usize = usize::MAX;
+
 /// Reusable per-dispatch state, owned by the cluster so collective steps
 /// allocate no fresh clock vectors: `clear` + `resize` retain capacity, and
 /// the event heap keeps its backing storage across calls. Everything here
-/// is `O(ranks + participants)` resident.
+/// is `O(ranks + edges)` resident.
 #[derive(Default)]
 pub(crate) struct SimScratch {
-    /// Eager core: per-participant NIC clock (the old `sender_clock`).
-    pos_clock: Vec<f64>,
-    /// Environment arrival time per rank (0.0 without a broadcast).
-    env_arrival: Vec<f64>,
-    /// Whether the environment has reached each rank yet (event core).
-    env_ready: Vec<bool>,
+    /// When each rank's NIC finishes its current relay.
+    nic_free: Vec<f64>,
+    /// Whether each rank's NIC has an edge in flight (event core).
+    nic_busy: Vec<bool>,
+    /// Per rank: the next edge its NIC will send, then the last one queued
+    /// (event core; `NONE` when empty).
+    out_head: Vec<usize>,
+    out_tail: Vec<usize>,
+    /// Per edge: the edge its sender transmits next (event core).
+    out_next: Vec<usize>,
+    /// Whether each edge has been received yet (event core).
+    edge_done: Vec<bool>,
     /// When each rank finishes its current task.
     node_free: Vec<f64>,
-    /// Per participant: index of its first outgoing env edge.
-    first_edge: Vec<usize>,
-    /// Per participant: outgoing env edge count.
-    n_out: Vec<usize>,
-    /// Per participant: outgoing env edges completed so far (event core).
-    done_out: Vec<usize>,
-    /// Per rank: tasks that arrived before the environment did.
+    /// Per rank: arrived tasks in task order, and how many of them have
+    /// started (a rank runs its tasks in order, so only the first unstarted
+    /// one can be waiting on a payload).
     pending: Vec<Vec<usize>>,
+    pending_head: Vec<usize>,
     /// The event heap (`Reverse` turns `BinaryHeap`'s max order into the
     /// min-time order a simulator pops in).
     heap: BinaryHeap<Reverse<Event>>,
@@ -217,14 +244,15 @@ impl SimScratch {
         Self::default()
     }
 
-    fn reset(&mut self, n_nodes: usize, n_participants: usize, env_gates: bool) {
-        refill(&mut self.pos_clock, n_participants, 0.0);
-        refill(&mut self.env_arrival, n_nodes, 0.0);
-        refill(&mut self.env_ready, n_nodes, !env_gates);
+    fn reset(&mut self, n_nodes: usize, n_edges: usize) {
+        refill(&mut self.nic_free, n_nodes, 0.0);
+        refill(&mut self.nic_busy, n_nodes, false);
+        refill(&mut self.out_head, n_nodes, NONE);
+        refill(&mut self.out_tail, n_nodes, NONE);
+        refill(&mut self.out_next, n_edges, NONE);
+        refill(&mut self.edge_done, n_edges, false);
         refill(&mut self.node_free, n_nodes, 0.0);
-        refill(&mut self.first_edge, n_participants, 0);
-        refill(&mut self.n_out, n_participants, 0);
-        refill(&mut self.done_out, n_participants, 0);
+        refill(&mut self.pending_head, n_nodes, 0);
         if self.pending.len() < n_nodes {
             self.pending.resize_with(n_nodes, Vec::new);
         }
@@ -243,58 +271,68 @@ pub(crate) fn run(core: SimCore, p: &SimProblem<'_>, scratch: &mut SimScratch) -
     }
 }
 
-/// The original walk: replay the environment tree over a per-participant
-/// clock vector, chain sends on the root NIC, sweep tasks in order.
+/// The original walk: chain everything the root sends on its one NIC, replay
+/// the relays over per-rank NIC clocks, then sweep tasks in order.
 pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
-    s.reset(p.n_nodes, p.n_participants, false);
-    let mut times =
-        SimTimes::with_capacity(p.env_edges.len(), p.hop_s.len(), p.tasks.len(), p.start_clock);
+    s.reset(p.n_nodes, p.edges.len());
+    let mut times = SimTimes::zeroed(p);
     let mut clock = p.start_clock;
 
-    // Environment phase: each sender's NIC serializes its own edges while
-    // ranks already holding the payload relay concurrently.
-    if !p.env_edges.is_empty() {
-        s.pos_clock[0] = clock;
-        for e in p.env_edges {
-            let start = s.pos_clock[e.sender_pos];
-            let done = start + e.edge_s;
-            s.pos_clock[e.sender_pos] = done;
-            s.pos_clock[e.dest_pos] = done;
-            s.env_arrival[e.dest_rank] = done;
-            times.env_bounds.push((start, done));
+    // Root phase: the environment leaves first; then, per task, the root
+    // packs (streamed), sends the shared pieces that task is first to read,
+    // and transmits the task's own payload — back to back on its single NIC,
+    // each hop paying every retry and ack timeout before the next begins.
+    let root_edges = |range: std::ops::Range<usize>, clock: &mut f64, times: &mut SimTimes| {
+        for e in range {
+            if p.edges[e].sender == ROOT {
+                let done = *clock + p.edges[e].edge_s;
+                times.edge_bounds[e] = (*clock, done);
+                *clock = done;
+            }
         }
-        clock = s.pos_clock[0];
-    }
-
-    // Send phase: the root packs (streamed) and transmits task payloads
-    // back to back on its single NIC, each hop paying every retry and ack
-    // timeout before the next begins.
-    for t in p.tasks {
-        times.pack_start.push(clock);
+    };
+    root_edges(0..p.env_edges, &mut clock, &mut times);
+    for (i, t) in p.tasks.iter().enumerate() {
+        times.pack_start[i] = clock;
         if t.pack_s > 0.0 {
             clock += t.pack_s;
         }
+        root_edges(t.edges.clone(), &mut clock, &mut times);
         for h in t.hops.clone() {
             let start = clock;
             clock += p.hop_s[h];
-            times.hop_bounds.push((start, clock));
+            times.hop_bounds[h] = (start, clock);
         }
-        times.send_done.push(clock);
+        times.send_done[i] = clock;
     }
 
-    // Node phase: a task starts when its payload, its rank, and the
-    // broadcast environment are all ready; tasks landing on the same rank
-    // serialize on its clock.
+    // Relay phase: a rank forwards a payload once it holds it and its NIC is
+    // free; ranks relay concurrently, each NIC in plan order.
+    for (e, edge) in p.edges.iter().enumerate() {
+        if let Some(f) = edge.feeder {
+            let start = s.nic_free[edge.sender].max(times.edge_bounds[f].1);
+            let done = start + edge.edge_s;
+            s.nic_free[edge.sender] = done;
+            times.edge_bounds[e] = (start, done);
+        }
+    }
+
+    // Node phase: a task starts when its payload, its rank, and every
+    // payload it reads (environment, shared pieces) are all present; tasks
+    // landing on the same rank serialize on its clock.
     for (i, t) in p.tasks.iter().enumerate() {
-        let start = times.send_done[i].max(s.node_free[t.exec]).max(s.env_arrival[t.exec]);
+        let mut start = times.send_done[i].max(s.node_free[t.exec]);
+        for &e in &p.needs[t.needs.clone()] {
+            start = start.max(times.edge_bounds[e].1);
+        }
         let done = start + t.elapsed;
         s.node_free[t.exec] = done;
-        times.node_bounds.push((start, done));
+        times.node_bounds[i] = (start, done);
     }
 
     // Return phase: results stream back independently.
     for (i, t) in p.tasks.iter().enumerate() {
-        times.ret_done.push(times.node_bounds[i].1 + t.ret_s);
+        times.ret_done[i] = times.node_bounds[i].1 + t.ret_s;
     }
     times.root_free = clock;
     times
@@ -302,44 +340,34 @@ pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
 
 /// The discrete-event core: one heap, popped in `(time, push-order)` order.
 ///
-/// Per-rank state replaces the eager core's full-vector passes: a rank
-/// holds its NIC clock, its environment-arrival flag, and a (normally
-/// empty) list of tasks parked awaiting the environment. Values are
-/// bit-identical to the eager walk because every handler performs the same
-/// additions and `max` chains on the same operands — the heap only decides
-/// *when* a handler runs, never what it computes — and because arrivals at
-/// any rank are processed in task order (root sends serialize them; the
-/// sequence tie-break preserves that order at equal timestamps).
+/// Per-rank state replaces the eager core's full passes: a rank holds its
+/// NIC clock, a queue of the edges it will relay, and a (normally empty)
+/// list of tasks parked awaiting a payload. Values are bit-identical to the
+/// eager walk because every handler performs the same additions and `max`
+/// chains on the same operands — the heap only decides *when* a handler
+/// runs, never what it computes: a NIC sends its edges in plan order and a
+/// rank starts its tasks in task order, exactly as the eager passes do.
 pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
     let n_tasks = p.tasks.len();
-    s.reset(p.n_nodes, p.n_participants, !p.env_edges.is_empty());
-    let mut times = SimTimes {
-        env_bounds: vec![(0.0, 0.0); p.env_edges.len()],
-        pack_start: vec![0.0; n_tasks],
-        hop_bounds: vec![(0.0, 0.0); p.hop_s.len()],
-        send_done: vec![0.0; n_tasks],
-        node_bounds: vec![(0.0, 0.0); n_tasks],
-        ret_done: vec![0.0; n_tasks],
-        root_free: p.start_clock,
-        events: 0,
-        peak_heap: 0,
-    };
+    s.reset(p.n_nodes, p.edges.len());
+    let mut times = SimTimes::zeroed(p);
 
-    // Each sender's outgoing edges form one contiguous run of the edge
-    // list (ascending-sender transmission order), so per-participant
-    // `(first, count, completed)` cursors replace any per-edge queues.
-    for (idx, e) in p.env_edges.iter().enumerate() {
-        if s.n_out[e.sender_pos] == 0 {
-            s.first_edge[e.sender_pos] = idx;
-        } else {
-            debug_assert_eq!(
-                s.first_edge[e.sender_pos] + s.n_out[e.sender_pos],
-                idx,
-                "env edges of one sender must be contiguous"
-            );
+    // Thread each rank's outgoing edges into its send queue, in plan order.
+    for (idx, e) in p.edges.iter().enumerate() {
+        if e.sender == ROOT {
+            continue;
         }
-        s.n_out[e.sender_pos] += 1;
+        match s.out_tail[e.sender] {
+            NONE => s.out_head[e.sender] = idx,
+            tail => s.out_next[tail] = idx,
+        }
+        s.out_tail[e.sender] = idx;
     }
+
+    // The block of `edges` the root is working through — the environment's,
+    // then each task's in turn — and the task it belongs to.
+    let mut root_block_end = p.env_edges;
+    let mut root_task: Option<usize> = None;
 
     let mut seq = 0u64;
     macro_rules! push {
@@ -351,71 +379,117 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
             }
         }};
     }
-    // An edge occupies its sender's NIC from `start`; its receive fires at
-    // `start + edge_s`.
-    macro_rules! send_env_edge {
-        ($idx:expr, $start:expr) => {{
-            let idx = $idx;
-            let start = $start;
-            let done = start + p.env_edges[idx].edge_s;
-            times.env_bounds[idx] = (start, done);
-            push!(done, EventKind::EnvDone { edge: idx });
+    // A task's first hop leaves once the root has packed it and sent the
+    // pieces it is first to read.
+    macro_rules! start_hops {
+        ($task:expr, $clock:expr) => {{
+            let task = $task;
+            let clock = $clock;
+            if let Some(h) = p.tasks[task].hops.clone().next() {
+                let done = clock + p.hop_s[h];
+                times.hop_bounds[h] = (clock, done);
+                push!(done, EventKind::HopDone { task, hop: h });
+            } else {
+                // A task always has at least one planned hop; keep the
+                // degenerate case consistent anyway.
+                times.send_done[task] = clock;
+                times.root_free = clock;
+                push!(clock, EventKind::TaskArrive { task });
+                if task + 1 < n_tasks {
+                    push!(clock, EventKind::RootSend { task: task + 1 });
+                }
+            }
         }};
     }
-    // A task starts once its payload, its rank, and the environment are
-    // all present — the identical `max` chain the eager core evaluates.
-    macro_rules! start_task {
-        ($i:expr) => {{
-            let i = $i;
-            let exec = p.tasks[i].exec;
-            let start = times.send_done[i].max(s.node_free[exec]).max(s.env_arrival[exec]);
-            let done = start + p.tasks[i].elapsed;
-            s.node_free[exec] = done;
-            times.node_bounds[i] = (start, done);
-            push!(done, EventKind::TaskDone { task: i });
+    // The root's NIC moves on: to its next edge at or after `from` in the
+    // current block, else past the block (first task after the environment,
+    // the task's hops after its pieces).
+    macro_rules! root_continue {
+        ($from:expr, $now:expr) => {{
+            let now = $now;
+            match ($from..root_block_end).find(|&e| p.edges[e].sender == ROOT) {
+                Some(e) => {
+                    let done = now + p.edges[e].edge_s;
+                    times.edge_bounds[e] = (now, done);
+                    push!(done, EventKind::EdgeDone { edge: e });
+                }
+                None => match root_task {
+                    None => {
+                        times.root_free = now;
+                        if n_tasks > 0 {
+                            push!(now, EventKind::RootSend { task: 0 });
+                        }
+                    }
+                    Some(task) => start_hops!(task, now),
+                },
+            }
+        }};
+    }
+    // A rank's NIC takes the next edge of its queue once it is idle and the
+    // payload has arrived — the `max` the eager relay pass evaluates.
+    macro_rules! try_relay {
+        ($rank:expr) => {{
+            let r = $rank;
+            let e = s.out_head[r];
+            if e != NONE && !s.nic_busy[r] {
+                let f = p.edges[e].feeder.expect("a relayed edge has a feeder");
+                if s.edge_done[f] {
+                    let start = s.nic_free[r].max(times.edge_bounds[f].1);
+                    let done = start + p.edges[e].edge_s;
+                    times.edge_bounds[e] = (start, done);
+                    s.nic_busy[r] = true;
+                    push!(done, EventKind::EdgeDone { edge: e });
+                }
+            }
+        }};
+    }
+    // A rank starts its arrived tasks in order, each once every payload it
+    // reads is present — the identical `max` chain the eager core evaluates.
+    macro_rules! start_ready_tasks {
+        ($rank:expr) => {{
+            let r = $rank;
+            while let Some(&i) = s.pending[r].get(s.pending_head[r]) {
+                let needs = &p.needs[p.tasks[i].needs.clone()];
+                if !needs.iter().all(|&e| s.edge_done[e]) {
+                    break;
+                }
+                let mut start = times.send_done[i].max(s.node_free[r]);
+                for &e in needs {
+                    start = start.max(times.edge_bounds[e].1);
+                }
+                let done = start + p.tasks[i].elapsed;
+                s.node_free[r] = done;
+                times.node_bounds[i] = (start, done);
+                s.pending_head[r] += 1;
+                push!(done, EventKind::TaskDone { task: i });
+            }
         }};
     }
 
     // Kick off: the root's NIC either relays the environment first or, with
     // no broadcast, turns straight to task sends.
-    if p.env_edges.is_empty() {
-        if n_tasks > 0 {
-            push!(p.start_clock, EventKind::RootSend { task: 0 });
-        }
-    } else {
-        send_env_edge!(s.first_edge[0], p.start_clock);
-    }
+    root_continue!(0, p.start_clock);
 
     while let Some(Reverse(ev)) = s.heap.pop() {
         times.events += 1;
         let now = ev.time;
         match ev.kind {
-            EventKind::EnvDone { edge } => {
-                let e = &p.env_edges[edge];
+            EventKind::EdgeDone { edge } => {
+                let e = &p.edges[edge];
+                s.edge_done[edge] = true;
                 // Sender's NIC moves to its next queued edge.
-                s.done_out[e.sender_pos] += 1;
-                let k = s.done_out[e.sender_pos];
-                if k < s.n_out[e.sender_pos] {
-                    send_env_edge!(s.first_edge[e.sender_pos] + k, now);
-                } else if e.sender_pos == 0 {
-                    // The root finished relaying: its NIC turns to tasks.
-                    times.root_free = now;
-                    if n_tasks > 0 {
-                        push!(now, EventKind::RootSend { task: 0 });
-                    }
+                if e.sender == ROOT {
+                    root_continue!(edge + 1, now);
+                } else {
+                    s.nic_free[e.sender] = now;
+                    s.nic_busy[e.sender] = false;
+                    s.out_head[e.sender] = s.out_next[edge];
+                    try_relay!(e.sender);
                 }
                 // The destination now holds the payload: it starts its own
-                // relays and releases any tasks parked on the environment.
-                s.env_arrival[e.dest_rank] = now;
-                s.env_ready[e.dest_rank] = true;
-                if s.n_out[e.dest_pos] > 0 {
-                    send_env_edge!(s.first_edge[e.dest_pos], now);
-                }
-                for j in 0..s.pending[e.dest_rank].len() {
-                    let parked = s.pending[e.dest_rank][j];
-                    start_task!(parked);
-                }
-                s.pending[e.dest_rank].clear();
+                // relays and releases any tasks parked on it.
+                try_relay!(e.dest);
+                start_ready_tasks!(e.dest);
             }
             EventKind::RootSend { task } => {
                 times.pack_start[task] = now;
@@ -423,21 +497,9 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
                 if p.tasks[task].pack_s > 0.0 {
                     clock += p.tasks[task].pack_s;
                 }
-                let hops = p.tasks[task].hops.clone();
-                if let Some(h) = hops.clone().next() {
-                    let done = clock + p.hop_s[h];
-                    times.hop_bounds[h] = (clock, done);
-                    push!(done, EventKind::HopDone { task, hop: h });
-                } else {
-                    // A task always has at least one planned hop; keep the
-                    // degenerate case consistent anyway.
-                    times.send_done[task] = clock;
-                    times.root_free = clock;
-                    push!(clock, EventKind::TaskArrive { task });
-                    if task + 1 < n_tasks {
-                        push!(clock, EventKind::RootSend { task: task + 1 });
-                    }
-                }
+                root_task = Some(task);
+                root_block_end = p.tasks[task].edges.end;
+                root_continue!(p.tasks[task].edges.start, clock);
             }
             EventKind::HopDone { task, hop } => {
                 if hop + 1 < p.tasks[task].hops.end {
@@ -457,11 +519,8 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
             }
             EventKind::TaskArrive { task } => {
                 let exec = p.tasks[task].exec;
-                if s.env_ready[exec] {
-                    start_task!(task);
-                } else {
-                    s.pending[exec].push(task);
-                }
+                s.pending[exec].push(task);
+                start_ready_tasks!(exec);
             }
             EventKind::TaskDone { task } => {
                 let done = now + p.tasks[task].ret_s;
@@ -495,7 +554,7 @@ pub(crate) fn assert_cores_agree(eager: &SimTimes, event: &SimTimes) {
             );
         }
     }
-    pairs("env_bounds", &eager.env_bounds, &event.env_bounds);
+    pairs("edge_bounds", &eager.edge_bounds, &event.edge_bounds);
     scalars("pack_start", &eager.pack_start, &event.pack_start);
     pairs("hop_bounds", &eager.hop_bounds, &event.hop_bounds);
     scalars("send_done", &eager.send_done, &event.send_done);
@@ -521,20 +580,27 @@ mod tests {
         (eager, event)
     }
 
+    fn edge(sender: usize, dest: usize, feeder: Option<usize>, edge_s: f64) -> SimEdge {
+        SimEdge { sender, dest, feeder, edge_s }
+    }
+
+    /// A task that reads no shared payload.
+    fn task(pack_s: f64, exec: usize, elapsed: f64, ret_s: f64, hop: usize) -> SimTask {
+        SimTask { pack_s, exec, elapsed, ret_s, hops: hop..hop + 1, edges: 0..0, needs: 0..0 }
+    }
+
     #[test]
     fn trivial_two_tasks_chain_on_the_root_nic() {
         let hop_s = vec![0.5, 0.25];
-        let tasks = vec![
-            SimTask { pack_s: 0.1, exec: 0, elapsed: 2.0, ret_s: 0.5, hops: 0..1 },
-            SimTask { pack_s: 0.1, exec: 1, elapsed: 1.0, ret_s: 0.5, hops: 1..2 },
-        ];
+        let tasks = vec![task(0.1, 0, 2.0, 0.5, 0), task(0.1, 1, 1.0, 0.5, 1)];
         let p = SimProblem {
             start_clock: 1.0,
             n_nodes: 2,
-            n_participants: 0,
-            env_edges: &[],
+            edges: &[],
+            env_edges: 0,
             hop_s: &hop_s,
             tasks: &tasks,
+            needs: &[],
         };
         let (t, _) = check(&p);
         // Root: 1.0 +pack .1 +hop .5 => send_done[0]; +pack .1 +hop .25 =>
@@ -550,16 +616,15 @@ mod tests {
     #[test]
     fn same_rank_tasks_serialize_on_its_clock() {
         let hop_s = vec![0.1, 0.1, 0.1];
-        let tasks: Vec<SimTask> = (0..3)
-            .map(|i| SimTask { pack_s: 0.0, exec: 0, elapsed: 1.0, ret_s: 0.0, hops: i..i + 1 })
-            .collect();
+        let tasks: Vec<SimTask> = (0..3).map(|i| task(0.0, 0, 1.0, 0.0, i)).collect();
         let p = SimProblem {
             start_clock: 0.0,
             n_nodes: 1,
-            n_participants: 0,
-            env_edges: &[],
+            edges: &[],
+            env_edges: 0,
             hop_s: &hop_s,
             tasks: &tasks,
+            needs: &[],
         };
         let (t, _) = check(&p);
         // Arrivals at 0.1/0.2/0.3 but rank 0 runs them back to back.
@@ -572,28 +637,25 @@ mod tests {
         // payloads leave the root the moment its own relay is done: tasks
         // for r1 and r2 arrive *before* their environment and must park
         // until the relay reaches them. Both cores must agree exactly.
-        let env = vec![
-            SimEnvEdge { sender_pos: 0, dest_pos: 1, dest_rank: 0, edge_s: 1.0 },
-            SimEnvEdge { sender_pos: 1, dest_pos: 2, dest_rank: 1, edge_s: 1.0 },
-            SimEnvEdge { sender_pos: 2, dest_pos: 3, dest_rank: 2, edge_s: 1.0 },
-        ];
+        let env =
+            vec![edge(ROOT, 0, None, 1.0), edge(0, 1, Some(0), 1.0), edge(1, 2, Some(1), 1.0)];
         let hop_s = vec![0.01, 0.01, 0.01];
-        let tasks: Vec<SimTask> = (0..3)
-            .map(|i| SimTask { pack_s: 0.0, exec: i, elapsed: 0.1, ret_s: 0.2, hops: i..i + 1 })
-            .collect();
+        let tasks: Vec<SimTask> =
+            (0..3).map(|i| SimTask { needs: i..i + 1, ..task(0.0, i, 0.1, 0.2, i) }).collect();
         let p = SimProblem {
             start_clock: 0.0,
             n_nodes: 3,
-            n_participants: 4,
-            env_edges: &env,
+            edges: &env,
+            env_edges: 3,
             hop_s: &hop_s,
             tasks: &tasks,
+            needs: &[0, 1, 2],
         };
         let (t, ev) = check(&p);
         // The root is free after its single relay at 1.0; payloads land at
         // 1.01/1.02/1.03, but the environment reaches r1 at 2.0 and r2 at
         // 3.0 — those tasks start at their env arrival, not their payload.
-        assert_eq!(t.env_bounds, vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]);
+        assert_eq!(t.edge_bounds, vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]);
         assert_eq!(t.send_done, vec![1.01, 1.02, 1.03]);
         assert_eq!(t.node_bounds[0].0, 1.01);
         assert_eq!(t.node_bounds[1].0, 2.0);
@@ -603,32 +665,100 @@ mod tests {
 
     #[test]
     fn relayed_tree_broadcast_matches_between_cores() {
-        // A 5-participant binomial-ish shape: root sends to pos 1 and 2;
-        // pos 1 relays to 3 and 4 concurrently with the root's second send.
+        // A 5-participant binomial-ish shape: root sends to r0 and r1; r0
+        // relays to r2 and r3 concurrently with the root's second send.
         let env = vec![
-            SimEnvEdge { sender_pos: 0, dest_pos: 1, dest_rank: 0, edge_s: 1.0 },
-            SimEnvEdge { sender_pos: 0, dest_pos: 2, dest_rank: 1, edge_s: 1.0 },
-            SimEnvEdge { sender_pos: 1, dest_pos: 3, dest_rank: 2, edge_s: 1.0 },
-            SimEnvEdge { sender_pos: 1, dest_pos: 4, dest_rank: 3, edge_s: 1.0 },
+            edge(ROOT, 0, None, 1.0),
+            edge(ROOT, 1, None, 1.0),
+            edge(0, 2, Some(0), 1.0),
+            edge(0, 3, Some(0), 1.0),
         ];
         let hop_s = vec![0.5; 4];
-        let tasks: Vec<SimTask> = (0..4)
-            .map(|i| SimTask { pack_s: 0.05, exec: i, elapsed: 0.3, ret_s: 0.1, hops: i..i + 1 })
-            .collect();
+        let tasks: Vec<SimTask> =
+            (0..4).map(|i| SimTask { needs: i..i + 1, ..task(0.05, i, 0.3, 0.1, i) }).collect();
         let p = SimProblem {
             start_clock: 0.0,
             n_nodes: 4,
-            n_participants: 5,
-            env_edges: &env,
+            edges: &env,
+            env_edges: 4,
             hop_s: &hop_s,
             tasks: &tasks,
+            needs: &[0, 1, 2, 3],
         };
         let (t, _) = check(&p);
-        // Root's NIC: edges at (0,1) and (1,2); pos 1 relays at (1,2),(2,3).
-        assert_eq!(t.env_bounds, vec![(0.0, 1.0), (1.0, 2.0), (1.0, 2.0), (2.0, 3.0)]);
+        // Root's NIC: edges at (0,1) and (1,2); r0 relays at (1,2),(2,3).
+        assert_eq!(t.edge_bounds, vec![(0.0, 1.0), (1.0, 2.0), (1.0, 2.0), (2.0, 3.0)]);
         // Rank 3's payload can arrive before its env (sends start at 2.0);
         // its task start is gated on the 3.0 arrival.
         assert!(t.node_bounds[3].0 >= 3.0);
+    }
+
+    #[test]
+    fn one_relay_serves_two_shared_pieces() {
+        // Three ranks, no environment. Piece P (1.0 s an edge) is read by
+        // r0, r1 and r2; piece Q (0.5 s) by r0 and r1. Task 0 is the first
+        // reader of both, so the root sends P then Q to r0 before task 0's
+        // hop, and r0 alone relays: P -> r1, P -> r2, then Q -> r1, its NIC
+        // serializing the three in plan order. Hops cost 0.25 s, nothing is
+        // packed, every task computes 0.125 s and returns in 0.0625 s (all
+        // binary fractions, so the hand arithmetic below is exact).
+        let edges = vec![
+            edge(ROOT, 0, None, 1.0), // 0: P root -> r0
+            edge(0, 1, Some(0), 1.0), // 1: P r0 -> r1
+            edge(0, 2, Some(0), 1.0), // 2: P r0 -> r2
+            edge(ROOT, 0, None, 0.5), // 3: Q root -> r0
+            edge(0, 1, Some(3), 0.5), // 4: Q r0 -> r1
+        ];
+        let hop_s = vec![0.25; 3];
+        let needs = [0, 3, 1, 4, 2];
+        let tasks = vec![
+            SimTask { edges: 0..5, needs: 0..2, ..task(0.0, 0, 0.125, 0.0625, 0) },
+            SimTask { edges: 5..5, needs: 2..4, ..task(0.0, 1, 0.125, 0.0625, 1) },
+            SimTask { edges: 5..5, needs: 4..5, ..task(0.0, 2, 0.125, 0.0625, 2) },
+        ];
+        let p = SimProblem {
+            start_clock: 0.0,
+            n_nodes: 3,
+            edges: &edges,
+            env_edges: 0,
+            hop_s: &hop_s,
+            tasks: &tasks,
+            needs: &needs,
+        };
+        let (t, _) = check(&p);
+        // Root NIC: P 0..1, Q 1..1.5, then the three hops back to back.
+        // r0's NIC: P->r1 starts when P lands (1.0), P->r2 follows (2.0),
+        // and Q->r1 — in hand since 1.5 — waits for the NIC until 3.0.
+        assert_eq!(t.edge_bounds, vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (1.0, 1.5), (3.0, 3.5)]);
+        assert_eq!(t.hop_bounds, vec![(1.5, 1.75), (1.75, 2.0), (2.0, 2.25)]);
+        // Task 0 has everything at its hop; task 1 waits for Q (3.5), the
+        // last of its pieces; task 2 for P (3.0).
+        assert_eq!(t.node_bounds, vec![(1.75, 1.875), (3.5, 3.625), (3.0, 3.125)]);
+        assert_eq!(t.ret_done, vec![1.9375, 3.6875, 3.1875]);
+        assert_eq!(t.root_free, 2.25);
+    }
+
+    #[test]
+    fn a_rank_runs_its_tasks_in_order_even_when_a_later_one_is_ready_first() {
+        // Tasks 0 and 1 both run on r1. Task 0 waits for a piece relayed
+        // late by r0; task 1 needs nothing. The rank still runs 0 then 1.
+        let edges = vec![edge(ROOT, 0, None, 0.5), edge(0, 1, Some(0), 4.0)];
+        let hop_s = vec![0.25, 0.25];
+        let tasks = vec![
+            SimTask { edges: 0..2, needs: 0..1, ..task(0.0, 1, 1.0, 0.0, 0) },
+            task(0.0, 1, 1.0, 0.0, 1),
+        ];
+        let p = SimProblem {
+            start_clock: 0.0,
+            n_nodes: 2,
+            edges: &edges,
+            env_edges: 0,
+            hop_s: &hop_s,
+            tasks: &tasks,
+            needs: &[1],
+        };
+        let (t, _) = check(&p);
+        assert_eq!(t.node_bounds, vec![(4.5, 5.5), (5.5, 6.5)]);
     }
 
     #[test]
@@ -636,10 +766,11 @@ mod tests {
         let p = SimProblem {
             start_clock: 0.25,
             n_nodes: 4,
-            n_participants: 0,
-            env_edges: &[],
+            edges: &[],
+            env_edges: 0,
             hop_s: &[],
             tasks: &[],
+            needs: &[],
         };
         let (t, _) = check(&p);
         assert_eq!(t.root_free, 0.25);
@@ -653,34 +784,27 @@ mod tests {
         // per-collective `sender_clock` allocations with reused buffers).
         let mut scratch = SimScratch::new();
         let hop_big: Vec<f64> = (0..64).map(|i| 0.01 * (i + 1) as f64).collect();
-        let tasks_big: Vec<SimTask> = (0..64)
-            .map(|i| SimTask {
-                pack_s: 0.001,
-                exec: i % 8,
-                elapsed: 0.5,
-                ret_s: 0.01,
-                hops: i..i + 1,
-            })
-            .collect();
+        let tasks_big: Vec<SimTask> = (0..64).map(|i| task(0.001, i % 8, 0.5, 0.01, i)).collect();
         let big = SimProblem {
             start_clock: 0.0,
             n_nodes: 8,
-            n_participants: 0,
-            env_edges: &[],
+            edges: &[],
+            env_edges: 0,
             hop_s: &hop_big,
             tasks: &tasks_big,
+            needs: &[],
         };
         let _ = run_event(&big, &mut scratch);
         let hop_small = vec![1.0];
-        let tasks_small =
-            vec![SimTask { pack_s: 0.0, exec: 0, elapsed: 1.0, ret_s: 1.0, hops: 0..1 }];
+        let tasks_small = vec![task(0.0, 0, 1.0, 1.0, 0)];
         let small = SimProblem {
             start_clock: 0.0,
             n_nodes: 1,
-            n_participants: 0,
-            env_edges: &[],
+            edges: &[],
+            env_edges: 0,
             hop_s: &hop_small,
             tasks: &tasks_small,
+            needs: &[],
         };
         let reused = run_event(&small, &mut scratch);
         let fresh = run_event(&small, &mut SimScratch::new());

@@ -46,7 +46,7 @@ use triolet_cluster::{
 use triolet_domain::{Dim2, Domain, Part, Seq, SeqPart};
 use triolet_iter::collector::Collector;
 use triolet_iter::shapes::ParHint;
-use triolet_iter::Array2;
+use triolet_iter::{Array2, SliceMemo};
 use triolet_pool::parallel::CHUNKS_PER_THREAD;
 use triolet_serial::{PackedPayload, PodView, Wire};
 
@@ -86,6 +86,36 @@ fn streamed_merge_clock(
         busy += u;
     }
     (clock, busy, spans)
+}
+
+/// The slicing step of every `Par` arm: cut `it` down to each part's data
+/// (paper §3.5) and wrap `body(sub, part)` — the node-side work over that
+/// slice — as the part's task.
+///
+/// One [`SliceMemo`] spans the call, so a window two parts read (an sgemm
+/// row panel its grid neighbours share) is copied once and both slices hold
+/// the same buffer; the task lists its buffers as [`RawTask::pieces`] and the
+/// cluster ships each shared one once. Only the part descriptor is private
+/// to the task. The slice is wall-measured into `pack_s`, so the streamed
+/// dispatcher can overlap task k+1's slicing with task k's compute — the
+/// first reader of a shared window pays for it, later readers find it.
+fn slice_tasks<'a, It: DistIter, R>(
+    it: &It,
+    parts: Vec<<It::OuterDom as Domain>::Part>,
+    body: impl Fn(It, <It::OuterDom as Domain>::Part) -> Box<dyn FnOnce(&NodeCtx<'_>) -> R + Send + 'a>,
+) -> Vec<RawTask<'a, R>> {
+    let mut memo = SliceMemo::default();
+    parts
+        .into_iter()
+        .map(|part| {
+            let tp = Instant::now();
+            let sub = it.slice_outer_shared(&part, &mut memo);
+            let pieces = sub.source_pieces();
+            let wire_bytes = part.packed_size();
+            let pack_s = tp.elapsed().as_secs_f64();
+            RawTask { wire_bytes, pieces, pack_s, resident: None, work: body(sub, part) }
+        })
+        .collect()
 }
 
 /// The Triolet runtime: a cluster plus the skeleton dispatch logic.
@@ -308,6 +338,15 @@ impl Triolet {
         h.take()
     }
 
+    /// The `LocalPar` arm of every skeleton: run `work` over the root node's
+    /// threads, in place. Nothing ships and nothing comes back over the
+    /// wire, so the result is used as computed.
+    fn run_localpar<R>(&self, name: &str, work: impl FnOnce(&NodeCtx<'_>) -> R) -> Run<R> {
+        let (value, timing, trace) = self.cluster.run_local(work);
+        let trace = self.skeleton_trace(name, None, trace, timing.total_s, None);
+        Run::new(value, RunStats::from_dist(timing, 0.0)).with_trace(trace)
+    }
+
     /// Is the cluster's dispatch pipeline streamed (vs barrier)?
     fn streamed(&self) -> bool {
         self.cluster.config().pipeline == PipelineMode::Streamed
@@ -519,26 +558,17 @@ impl Triolet {
                 let env = env.value();
                 let dom = it.outer_domain();
                 let chunks = dom.whole_part().split(self.threads_per_node() * CHUNKS_PER_THREAD);
-                let out = self.cluster.run_raw(vec![RawTask {
-                    wire_bytes: 0, // local execution: nothing ships
-                    pack_s: 0.0,
-                    resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| {
-                        ctx.map_reduce_chunks(
-                            chunks,
-                            |chunk| {
-                                let mut g = |b: B, x: It::Item| step(env, b, x);
-                                it.fold_outer_part(chunk, seed(), &mut g)
-                            },
-                            &merge,
-                        )
-                        .unwrap_or_else(&seed)
-                    }),
-                }]);
-                let trace = self.skeleton_trace(name, None, out.trace, out.timing.total_s, None);
-                let mut results = out.results;
-                let value = results.pop().expect("one local task");
-                Run::new(value, RunStats::from_dist(out.timing, 0.0)).with_trace(trace)
+                self.run_localpar(name, |ctx| {
+                    ctx.map_reduce_chunks(
+                        chunks,
+                        |chunk| {
+                            let mut g = |b: B, x: It::Item| step(env, b, x);
+                            it.fold_outer_part(chunk, seed(), &mut g)
+                        },
+                        &merge,
+                    )
+                    .unwrap_or_else(&seed)
+                })
             }
             ParHint::Par => {
                 let dom = it.outer_domain();
@@ -554,42 +584,28 @@ impl Triolet {
                 let env_payload = env.payload(self.cluster.stats());
                 let env_bytes = env_payload.len();
                 let root_prep_s = t0.elapsed().as_secs_f64();
-                let tasks: Vec<RawTask<'_, B>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes = sub.source_bytes() + part.packed_size();
-                        let pack_s = tp.elapsed().as_secs_f64();
-                        let penv = env_payload.clone();
-                        let seed = &seed;
-                        let step = &step;
-                        let merge = &merge;
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                // Node side: data arrives as bytes.
-                                let sub = ctx.sequential(|| sub.roundtrip());
-                                let env: E = ctx
-                                    .sequential(|| penv.unpack().expect("environment roundtrip"));
-                                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                                ctx.map_reduce_chunks(
-                                    chunks,
-                                    |chunk| {
-                                        let mut g = |b: B, x: It::Item| step(&env, b, x);
-                                        sub.fold_outer_part(chunk, seed(), &mut g)
-                                    },
-                                    merge,
-                                )
-                                .unwrap_or_else(seed)
-                            }),
-                        }
+                let (seed, step, merge) = (&seed, &step, &merge);
+                let tasks = slice_tasks(&it, parts, |sub, part| {
+                    let penv = env_payload.clone();
+                    Box::new(move |ctx: &NodeCtx<'_>| {
+                        // Node side: data arrives as bytes.
+                        let sub = ctx.sequential(|| sub.roundtrip());
+                        let env: E =
+                            ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
+                        let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
+                        ctx.map_reduce_chunks(
+                            chunks,
+                            |chunk| {
+                                let mut g = |b: B, x: It::Item| step(&env, b, x);
+                                sub.fold_outer_part(chunk, seed(), &mut g)
+                            },
+                            merge,
+                        )
+                        .unwrap_or_else(seed)
                     })
-                    .collect();
+                });
                 let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
-                self.fold_epilogue(name, root_prep_s, out, &seed, &merge)
+                self.fold_epilogue(name, root_prep_s, out, seed, merge)
             }
         }
     }
@@ -637,6 +653,7 @@ impl Triolet {
                 let merge = &merge;
                 RawTask {
                     wire_bytes: 0,
+                    pieces: Vec::new(),
                     pack_s: 0.0,
                     resident: Some(ResidentSpec {
                         id,
@@ -918,6 +935,7 @@ impl Triolet {
                         let part = p.part;
                         RawTask {
                             wire_bytes: 0,
+                            pieces: Vec::new(),
                             pack_s: 0.0,
                             resident: Some(ResidentSpec {
                                 id,
@@ -966,18 +984,7 @@ impl Triolet {
             ParHint::LocalPar => {
                 let env = env.value();
                 let part = dom.whole_part();
-                let f = &f;
-                let out = self.cluster.run_raw(vec![RawTask {
-                    wire_bytes: 0,
-                    pack_s: 0.0,
-                    resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| node_fragment(ctx, &it, env, &part, f)),
-                }]);
-                let trace =
-                    self.skeleton_trace("build_vec", None, out.trace, out.timing.total_s, None);
-                let mut results = out.results;
-                let value = results.pop().expect("one local task");
-                Run::new(value, RunStats::from_dist(out.timing, 0.0)).with_trace(trace)
+                self.run_localpar("build_vec", |ctx| node_fragment(ctx, &it, env, &part, &f))
             }
             ParHint::Par => {
                 let parts = dom.split_parts(self.nodes());
@@ -986,28 +993,15 @@ impl Triolet {
                 let env_bytes = env_payload.len();
                 let root_prep_s = t0.elapsed().as_secs_f64();
                 let f = &f;
-                let tasks: Vec<RawTask<'_, PodView<U>>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes = sub.source_bytes() + part.packed_size();
-                        let pack_s = tp.elapsed().as_secs_f64();
-                        let penv = env_payload.clone();
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let sub = ctx.unpack_sequential(|| sub.roundtrip());
-                                let env: E = ctx.unpack_sequential(|| {
-                                    penv.unpack().expect("environment roundtrip")
-                                });
-                                PodView::from_vec(node_fragment(ctx, &sub, &env, &part, f))
-                            }),
-                        }
+                let tasks = slice_tasks(&it, parts, |sub, part| {
+                    let penv = env_payload.clone();
+                    Box::new(move |ctx: &NodeCtx<'_>| {
+                        let sub = ctx.unpack_sequential(|| sub.roundtrip());
+                        let env: E =
+                            ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
+                        PodView::from_vec(node_fragment(ctx, &sub, &env, &part, f))
                     })
-                    .collect();
+                });
                 let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
                 self.concat_epilogue("build_vec", root_prep_s, out)
             }
@@ -1025,6 +1019,29 @@ impl Triolet {
         It: DistIter<OuterDom = triolet_domain::Dim3>,
         It::Item: Wire + Send + Sync + Clone,
     {
+        /// One slab's row-major contents: chunk pieces concatenated in
+        /// chunk order (sequential packing on the node).
+        fn slab<It>(ctx: &NodeCtx<'_>, sub: &It, part: &triolet_domain::Dim3Part) -> Vec<It::Item>
+        where
+            It: DistIter<OuterDom = triolet_domain::Dim3>,
+            It::Item: Send,
+        {
+            let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
+            let pieces = ctx.map_chunks(chunks, |chunk| {
+                let mut v = Vec::with_capacity(chunk.count());
+                sub.fold_outer_part(chunk, (), &mut |(), x| v.push(x));
+                v
+            });
+            ctx.sequential(|| {
+                let total = pieces.iter().map(Vec::len).sum();
+                let mut out = Vec::with_capacity(total);
+                for p in pieces {
+                    out.extend(p);
+                }
+                out
+            })
+        }
+
         let dom = it.outer_domain();
         match it.hint() {
             ParHint::Sequential => {
@@ -1035,50 +1052,20 @@ impl Triolet {
                 Run::new(triolet_iter::Array3::from_vec(data, dom), RunStats::local(total_s))
                     .with_trace(self.local_trace("build_array3", total_s))
             }
-            ParHint::LocalPar | ParHint::Par => {
-                let parts = if it.hint() == ParHint::Par {
-                    dom.split_parts(self.nodes())
-                } else {
-                    vec![dom.whole_part()]
-                };
-                let local = it.hint() == ParHint::LocalPar;
+            ParHint::LocalPar => {
+                let part = dom.whole_part();
+                self.run_localpar("build_array3", |ctx| slab(ctx, &it, &part))
+                    .map(|data| triolet_iter::Array3::from_vec(data, dom))
+            }
+            ParHint::Par => {
+                let parts = dom.split_parts(self.nodes());
                 let t0 = Instant::now();
-                let tasks: Vec<RawTask<'_, PodView<It::Item>>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes =
-                            if local { 0 } else { sub.source_bytes() + part.packed_size() };
-                        let pack_s = if local { 0.0 } else { tp.elapsed().as_secs_f64() };
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let sub = if local {
-                                    sub
-                                } else {
-                                    ctx.unpack_sequential(|| sub.roundtrip())
-                                };
-                                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                                let pieces = ctx.map_chunks(chunks, |chunk| {
-                                    let mut v = Vec::with_capacity(chunk.count());
-                                    sub.fold_outer_part(chunk, (), &mut |(), x| v.push(x));
-                                    v
-                                });
-                                ctx.sequential(|| {
-                                    let total = pieces.iter().map(Vec::len).sum();
-                                    let mut out = Vec::with_capacity(total);
-                                    for p in pieces {
-                                        out.extend(p);
-                                    }
-                                    PodView::from_vec(out)
-                                })
-                            }),
-                        }
+                let tasks = slice_tasks(&it, parts, |sub, part| {
+                    Box::new(move |ctx: &NodeCtx<'_>| {
+                        let sub = ctx.unpack_sequential(|| sub.roundtrip());
+                        PodView::from_vec(slab(ctx, &sub, &part))
                     })
-                    .collect();
+                });
                 let root_prep_s =
                     t0.elapsed().as_secs_f64() - tasks.iter().map(|t| t.pack_s).sum::<f64>();
                 let out = self.cluster.run_raw(tasks);
@@ -1154,44 +1141,19 @@ impl Triolet {
             }
             ParHint::LocalPar => {
                 let part = dom.whole_part();
-                let out = self.cluster.run_raw(vec![RawTask {
-                    wire_bytes: 0,
-                    pack_s: 0.0,
-                    resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| assemble_block(ctx, &it, &part)),
-                }]);
-                let trace =
-                    self.skeleton_trace("build_array2", None, out.trace, out.timing.total_s, None);
-                let mut results = out.results;
-                let data = results.pop().expect("one local task");
-                Run::new(
-                    Array2::from_vec(data, dom.rows, dom.cols),
-                    RunStats::from_dist(out.timing, 0.0),
-                )
-                .with_trace(trace)
+                self.run_localpar("build_array2", |ctx| assemble_block(ctx, &it, &part))
+                    .map(|data| Array2::from_vec(data, dom.rows, dom.cols))
             }
             ParHint::Par => {
                 let parts = dom.split_parts(self.nodes());
                 let t0 = Instant::now();
-                let tasks: Vec<RawTask<'_, (triolet_domain::Dim2Part, PodView<It::Item>)>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes = sub.source_bytes() + part.packed_size();
-                        let pack_s = tp.elapsed().as_secs_f64();
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let sub = ctx.unpack_sequential(|| sub.roundtrip());
-                                let block = assemble_block(ctx, &sub, &part);
-                                (part, PodView::from_vec(block))
-                            }),
-                        }
+                let tasks = slice_tasks(&it, parts, |sub, part| {
+                    Box::new(move |ctx: &NodeCtx<'_>| {
+                        let sub = ctx.unpack_sequential(|| sub.roundtrip());
+                        let block = assemble_block(ctx, &sub, &part);
+                        (part, PodView::from_vec(block))
                     })
-                    .collect();
+                });
                 let root_prep_s =
                     t0.elapsed().as_secs_f64() - tasks.iter().map(|t| t.pack_s).sum::<f64>();
                 let out = self.cluster.run_raw(tasks);
@@ -1412,10 +1374,28 @@ mod tests {
     }
 
     #[test]
-    fn localpar_does_not_ship_bytes() {
-        let xs: Vec<f32> = (0..512).map(|i| i as f32).collect();
-        let stats = rt(4, 4).sum(from_vec(xs).localpar()).stats;
-        assert_eq!(stats.bytes_out, 0);
+    fn localpar_runs_in_place_whatever_the_fault_plan() {
+        // Shared memory only: nothing crosses the wire in either direction,
+        // so a plan that drops messages and crashes rank 0 has nothing to
+        // act on.
+        let plan = triolet_cluster::FaultPlan::seeded(7).with_drop(0.3).with_crash(0);
+        let xs: Vec<i64> = (0..512).collect();
+        for config in [
+            ClusterConfig::virtual_cluster(4, 4),
+            ClusterConfig::virtual_cluster(4, 4).with_faults(plan),
+            ClusterConfig::measured(2, 2).with_faults(plan),
+        ] {
+            let rt = Triolet::new(config);
+            let before = rt.cluster().stats().snapshot();
+            let run = rt.sum(from_vec(xs.clone()).localpar());
+            assert_eq!(run.value, xs.iter().sum::<i64>());
+            let s = &run.stats;
+            assert_eq!(
+                (s.bytes_out, s.bytes_back, s.messages, s.retries, s.redispatches),
+                (0, 0, 0, 0, 0)
+            );
+            assert_eq!(rt.cluster().stats().snapshot().since(&before), Default::default());
+        }
     }
 
     #[test]

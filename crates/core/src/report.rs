@@ -17,8 +17,11 @@ pub struct RunStats {
     pub root_s: f64,
     /// Per-node compute seconds.
     pub node_compute_s: Vec<f64>,
-    /// Bytes shipped root -> nodes.
+    /// Bytes shipped to nodes, summed over every link (a copy one node
+    /// relays to another counts again).
     pub bytes_out: u64,
+    /// The part of `bytes_out` that left on the root's own link.
+    pub root_bytes_out: u64,
     /// Bytes shipped nodes -> root.
     pub bytes_back: u64,
     /// Messages in both directions.
@@ -46,6 +49,7 @@ impl RunStats {
             root_s: 0.0,
             node_compute_s: vec![total_s],
             bytes_out: 0,
+            root_bytes_out: 0,
             bytes_back: 0,
             messages: 0,
             retries: 0,
@@ -65,6 +69,7 @@ impl RunStats {
             root_s,
             node_compute_s: d.node_compute_s,
             bytes_out: d.bytes_out,
+            root_bytes_out: d.root_bytes_out,
             bytes_back: d.bytes_back,
             messages: d.messages,
             retries: d.retries,
@@ -87,6 +92,7 @@ impl RunStats {
             root_s,
             node_compute_s: d.node_compute_s,
             bytes_out: d.bytes_out,
+            root_bytes_out: d.root_bytes_out,
             bytes_back: d.bytes_back,
             messages: d.messages,
             retries: d.retries,
@@ -105,6 +111,7 @@ impl RunStats {
         self.comm_s += other.comm_s;
         self.root_s += other.root_s;
         self.bytes_out += other.bytes_out;
+        self.root_bytes_out += other.root_bytes_out;
         self.bytes_back += other.bytes_back;
         self.messages += other.messages;
         self.retries += other.retries;
@@ -156,6 +163,7 @@ mod tests {
             comm_s: 0.5,
             node_compute_s: vec![1.0, 1.4],
             bytes_out: 10,
+            root_bytes_out: 10,
             bytes_back: 20,
             messages: 4,
             retries: 3,

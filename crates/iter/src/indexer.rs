@@ -8,21 +8,68 @@
 //! [`Part`](triolet_domain::Part) touches; distributed skeletons use it to
 //! send each node exactly the data its tasks read, with no compile-time
 //! array-reference analysis.
+//!
+//! Slices are values, so sharing is visible: every `slice` call of one
+//! skeleton invocation goes through the same [`SliceMemo`], and two parts
+//! that read the same window of the same buffer get the *same* `Arc`.
+//! [`Indexer::pieces`] then lists each sliced buffer with that `Arc`'s
+//! address as its identity, which is all the cluster needs to ship a window
+//! two tasks share once instead of twice.
 
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::ops::Index;
 use std::sync::Arc;
 
 use triolet_domain::{Dim2, Dim2Part, Domain, Seq, SeqPart};
-use triolet_serial::{packed, unpack_all, Wire};
+use triolet_serial::{packed, unpack_all, Piece, Wire};
+
+/// A buffer of some element type, held only to share it or keep it alive.
+type SharedBuf = Arc<dyn Any + Send + Sync>;
+
+/// The windows already copied out during one skeleton call, keyed by
+/// `(source buffer, offset, length)`.
+///
+/// The first part to read a window pays for the copy; every later part
+/// reading the same window is handed the same `Arc`. Create one per call
+/// and drop it with the call. A key names its source buffer by address, so
+/// the memo keeps every source it has sliced alive beside the window: no
+/// other buffer can take that address while the entry exists.
+#[derive(Default)]
+pub struct SliceMemo {
+    windows: BTreeMap<(usize, usize, usize), (SharedBuf, SharedBuf)>,
+}
+
+impl SliceMemo {
+    /// `src[lo..lo + len]` as an owned, shared buffer.
+    fn window<T: Clone + Send + Sync + 'static>(
+        &mut self,
+        src: &Arc<Vec<T>>,
+        lo: usize,
+        len: usize,
+    ) -> Arc<Vec<T>> {
+        let key = (Arc::as_ptr(src) as usize, lo, len);
+        let (_source, window) = self.windows.entry(key).or_insert_with(|| {
+            (Arc::clone(src) as SharedBuf, Arc::new(src[lo..lo + len].to_vec()) as SharedBuf)
+        });
+        Arc::clone(window).downcast().expect("a live buffer has one element type")
+    }
+}
+
+/// The piece for one array-backed data source: the buffer's packed elements
+/// plus `header` bytes of coordinates, identified by the buffer.
+fn buffer_piece<T: Wire>(data: &Arc<Vec<T>>, header: usize) -> Piece {
+    Piece { id: Some(Arc::as_ptr(data) as usize), bytes: T::slice_packed_size(data) + header }
+}
 
 /// Random-access virtual collection over a [`Domain`].
 ///
 /// Cloning an indexer is cheap (data sources are reference-counted); slicing
-/// copies out only the addressed window. `source_size` and
-/// `roundtrip_source` exist for the distributed engine: the former is the
-/// number of bytes this indexer's data occupies on the wire, the latter
-/// actually pushes the data through pack/unpack — the moment at which, in a
-/// real cluster, the bytes would cross the network.
+/// copies out only the addressed window. `pieces`, `source_size` and
+/// `roundtrip_source` exist for the distributed engine: the first two say
+/// which buffers this indexer's data occupies on the wire and how many bytes
+/// that is, the last actually pushes the data through pack/unpack — the
+/// moment at which, in a real cluster, the bytes would cross the network.
 pub trait Indexer: Clone + Send + Sync + 'static {
     /// The iteration space.
     type Dom: Domain;
@@ -38,10 +85,20 @@ pub trait Indexer: Clone + Send + Sync + 'static {
     fn get(&self, idx: <Self::Dom as Domain>::Index) -> Self::Out;
 
     /// Extract an indexer owning only the data `part` touches (paper §3.5).
-    fn slice(&self, part: &<Self::Dom as Domain>::Part) -> Self;
+    /// Windows already in `memo` are shared, not copied again.
+    fn slice(&self, part: &<Self::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self;
 
-    /// Packed byte size of the data sources (what the wire would carry).
-    fn source_size(&self) -> usize;
+    /// Append this indexer's data sources to `out`, one [`Piece`] each.
+    /// Combinators only forward to the indexers they wrap.
+    fn pieces(&self, out: &mut Vec<Piece>);
+
+    /// Packed byte size of the data sources (what the wire would carry):
+    /// the sum of [`pieces`](Self::pieces).
+    fn source_size(&self) -> usize {
+        let mut pieces = Vec::new();
+        self.pieces(&mut pieces);
+        pieces.iter().map(|p| p.bytes).sum()
+    }
 
     /// Push every data source through pack/unpack, yielding an equivalent
     /// indexer whose data provably survived serialization. The distributed
@@ -111,15 +168,14 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for ArrayIdx<T> {
         self.data[idx - self.base].clone()
     }
 
-    fn slice(&self, part: &SeqPart) -> Self {
+    fn slice(&self, part: &SeqPart, memo: &mut SliceMemo) -> Self {
         debug_assert!(part.start >= self.base && part.end() <= self.base + self.data.len());
-        let lo = part.start - self.base;
-        let window = self.data[lo..lo + part.len].to_vec();
-        ArrayIdx { data: Arc::new(window), base: part.start, dom: self.dom }
+        let data = memo.window(&self.data, part.start - self.base, part.len);
+        ArrayIdx { data, base: part.start, dom: self.dom }
     }
 
-    fn source_size(&self) -> usize {
-        T::slice_packed_size(&self.data) + self.base.packed_size() + self.dom.packed_size()
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        out.push(buffer_piece(&self.data, self.base.packed_size() + self.dom.packed_size()));
     }
 
     fn roundtrip_source(self) -> Self {
@@ -331,13 +387,12 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for StripsIdx<T> {
         }
     }
 
-    fn slice(&self, part: &SeqPart) -> Self {
+    fn slice(&self, part: &SeqPart, memo: &mut SliceMemo) -> Self {
         debug_assert!(part.start >= self.base_strip);
         let lo = (part.start - self.base_strip) * self.strip_rows * self.cols;
         let rows_covered: usize = (part.start..part.end()).map(|s| self.rows_of(s)).sum();
-        let window = self.data[lo..lo + rows_covered * self.cols].to_vec();
         StripsIdx {
-            data: Arc::new(window),
+            data: memo.window(&self.data, lo, rows_covered * self.cols),
             base_strip: part.start,
             strip_rows: self.strip_rows,
             total_rows: self.total_rows,
@@ -346,8 +401,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for StripsIdx<T> {
         }
     }
 
-    fn source_size(&self) -> usize {
-        T::slice_packed_size(&self.data) + 40 // base_strip + strip_rows + total_rows + cols + dom
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        out.push(buffer_piece(&self.data, 40)); // base_strip + strip_rows + total_rows + cols + dom
     }
 
     fn roundtrip_source(self) -> Self {
@@ -383,15 +438,15 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for RowsIdx<T> {
         }
     }
 
-    fn slice(&self, part: &SeqPart) -> Self {
+    fn slice(&self, part: &SeqPart, memo: &mut SliceMemo) -> Self {
         debug_assert!(part.start >= self.base_row);
         let lo = (part.start - self.base_row) * self.cols;
-        let window = self.data[lo..lo + part.len * self.cols].to_vec();
-        RowsIdx { data: Arc::new(window), base_row: part.start, cols: self.cols, dom: self.dom }
+        let data = memo.window(&self.data, lo, part.len * self.cols);
+        RowsIdx { data, base_row: part.start, cols: self.cols, dom: self.dom }
     }
 
-    fn source_size(&self) -> usize {
-        T::slice_packed_size(&self.data) + 24 // base_row + cols + dom
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        out.push(buffer_piece(&self.data, 24)); // base_row + cols + dom
     }
 
     fn roundtrip_source(self) -> Self {
@@ -431,12 +486,12 @@ impl<D: Domain> Indexer for RangeIdx<D> {
         idx
     }
 
-    fn slice(&self, _part: &D::Part) -> Self {
+    fn slice(&self, _part: &D::Part, _memo: &mut SliceMemo) -> Self {
         self.clone()
     }
 
-    fn source_size(&self) -> usize {
-        self.dom.packed_size()
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        out.push(Piece { id: None, bytes: self.dom.packed_size() });
     }
 
     fn roundtrip_source(self) -> Self {
@@ -482,12 +537,12 @@ where
         (self.f)(idx)
     }
 
-    fn slice(&self, _part: &D::Part) -> Self {
+    fn slice(&self, _part: &D::Part, _memo: &mut SliceMemo) -> Self {
         self.clone()
     }
 
-    fn source_size(&self) -> usize {
-        self.dom.packed_size()
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        out.push(Piece { id: None, bytes: self.dom.packed_size() });
     }
 
     fn roundtrip_source(self) -> Self {
@@ -531,12 +586,12 @@ where
         self.f.call(self.inner.get(idx))
     }
 
-    fn slice(&self, part: &<I::Dom as Domain>::Part) -> Self {
-        MapIdx { inner: self.inner.slice(part), f: self.f.clone() }
+    fn slice(&self, part: &<I::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self {
+        MapIdx { inner: self.inner.slice(part, memo), f: self.f.clone() }
     }
 
-    fn source_size(&self) -> usize {
-        self.inner.source_size()
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        self.inner.pieces(out);
     }
 
     fn roundtrip_source(self) -> Self {
@@ -582,12 +637,13 @@ where
         (self.a.get(idx), self.b.get(idx))
     }
 
-    fn slice(&self, part: &<A::Dom as Domain>::Part) -> Self {
-        ZipIdx { a: self.a.slice(part), b: self.b.slice(part) }
+    fn slice(&self, part: &<A::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self {
+        ZipIdx { a: self.a.slice(part, memo), b: self.b.slice(part, memo) }
     }
 
-    fn source_size(&self) -> usize {
-        self.a.source_size() + self.b.source_size()
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        self.a.pieces(out);
+        self.b.pieces(out);
     }
 
     fn roundtrip_source(self) -> Self {
@@ -627,12 +683,18 @@ where
         (self.a.get(idx), self.b.get(idx), self.c.get(idx))
     }
 
-    fn slice(&self, part: &<A::Dom as Domain>::Part) -> Self {
-        Zip3Idx { a: self.a.slice(part), b: self.b.slice(part), c: self.c.slice(part) }
+    fn slice(&self, part: &<A::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self {
+        Zip3Idx {
+            a: self.a.slice(part, memo),
+            b: self.b.slice(part, memo),
+            c: self.c.slice(part, memo),
+        }
     }
 
-    fn source_size(&self) -> usize {
-        self.a.source_size() + self.b.source_size() + self.c.source_size()
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        self.a.pieces(out);
+        self.b.pieces(out);
+        self.c.pieces(out);
     }
 
     fn roundtrip_source(self) -> Self {
@@ -684,15 +746,16 @@ where
         (self.a.get(r), self.b.get(c))
     }
 
-    fn slice(&self, part: &Dim2Part) -> Self {
+    fn slice(&self, part: &Dim2Part, memo: &mut SliceMemo) -> Self {
         OuterProductIdx {
-            a: self.a.slice(&SeqPart::new(part.row0, part.rows)),
-            b: self.b.slice(&SeqPart::new(part.col0, part.cols)),
+            a: self.a.slice(&SeqPart::new(part.row0, part.rows), memo),
+            b: self.b.slice(&SeqPart::new(part.col0, part.cols), memo),
         }
     }
 
-    fn source_size(&self) -> usize {
-        self.a.source_size() + self.b.source_size()
+    fn pieces(&self, out: &mut Vec<Piece>) {
+        self.a.pieces(out);
+        self.b.pieces(out);
     }
 
     fn roundtrip_source(self) -> Self {
@@ -709,7 +772,7 @@ mod tests {
     fn array_idx_global_indexing_after_slice() {
         let idx = ArrayIdx::new((0..100i64).collect());
         let part = SeqPart::new(40, 10);
-        let sub = idx.slice(&part);
+        let sub = idx.slice(&part, &mut SliceMemo::default());
         assert_eq!(sub.base(), 40);
         assert_eq!(sub.local_data().len(), 10);
         for i in 40..50 {
@@ -727,8 +790,8 @@ mod tests {
     #[test]
     fn slice_of_slice_composes() {
         let idx = ArrayIdx::new((0..1000u32).collect());
-        let sub = idx.slice(&SeqPart::new(100, 500));
-        let subsub = sub.slice(&SeqPart::new(300, 50));
+        let sub = idx.slice(&SeqPart::new(100, 500), &mut SliceMemo::default());
+        let subsub = sub.slice(&SeqPart::new(300, 50), &mut SliceMemo::default());
         for i in 300..350 {
             assert_eq!(subsub.get(i), i as u32);
         }
@@ -738,7 +801,7 @@ mod tests {
     #[test]
     fn source_size_shrinks_with_slice() {
         let idx = ArrayIdx::new(vec![0f64; 1000]);
-        let sub = idx.slice(&SeqPart::new(0, 10));
+        let sub = idx.slice(&SeqPart::new(0, 10), &mut SliceMemo::default());
         assert!(sub.source_size() < idx.source_size() / 50);
     }
 
@@ -754,7 +817,7 @@ mod tests {
     #[test]
     fn rows_idx_slice_holds_only_rows() {
         let m = RowsIdx::new(Arc::new((0..20i32).collect()), 5, 4);
-        let sub = m.slice(&SeqPart::new(2, 2));
+        let sub = m.slice(&SeqPart::new(2, 2), &mut SliceMemo::default());
         assert_eq!(sub.get(2).as_slice(), &[8, 9, 10, 11]);
         assert_eq!(sub.get(3).as_slice(), &[12, 13, 14, 15]);
         // Data footprint: exactly 2 rows of 4 i32 plus small headers.
@@ -765,7 +828,7 @@ mod tests {
     fn map_idx_composes_and_slices() {
         let idx = MapIdx::new(ArrayIdx::new((0..10i64).collect()), |x: i64| x * x);
         assert_eq!(idx.get(3), 9);
-        let sub = idx.slice(&SeqPart::new(5, 5));
+        let sub = idx.slice(&SeqPart::new(5, 5), &mut SliceMemo::default());
         assert_eq!(sub.get(7), 49);
     }
 
@@ -796,7 +859,7 @@ mod tests {
         let op = OuterProductIdx::new(a, b);
         assert_eq!(op.domain(), Dim2::new(4, 4));
         let block = Dim2Part::new(1, 2, 2, 2);
-        let sub = op.slice(&block);
+        let sub = op.slice(&block, &mut SliceMemo::default());
         // The block covers rows {1,2} and cols {2,3}.
         assert_eq!(sub.get((1, 2)), (1, 12));
         assert_eq!(sub.get((2, 3)), (2, 13));
@@ -811,7 +874,85 @@ mod tests {
         let r = RangeIdx::new(Dim2::new(2, 2));
         assert_eq!(r.get((1, 0)), (1, 0));
         // Slicing data-free indexers is identity.
-        let sub = sq.slice(&SeqPart::new(2, 2));
+        let sub = sq.slice(&SeqPart::new(2, 2), &mut SliceMemo::default());
         assert_eq!(sub.get(3), 9);
+    }
+
+    fn ids<I: Indexer>(idx: &I) -> Vec<Option<usize>> {
+        let mut out = Vec::new();
+        idx.pieces(&mut out);
+        out.iter().map(|p| p.id).collect()
+    }
+
+    #[test]
+    fn parts_with_a_common_window_share_one_buffer_through_map_zip() {
+        let a = ArrayIdx::new((0..100i64).collect());
+        let b = ArrayIdx::new((100..200i64).collect());
+        let it = MapIdx::new(ZipIdx::new(a, b), |(x, y): (i64, i64)| x + y);
+        let mut memo = SliceMemo::default();
+        let part = SeqPart::new(10, 20);
+        let (s1, s2) = (it.slice(&part, &mut memo), it.slice(&part, &mut memo));
+        assert!(Arc::ptr_eq(&s1.inner.a.data, &s2.inner.a.data));
+        assert!(Arc::ptr_eq(&s1.inner.b.data, &s2.inner.b.data));
+        assert_eq!(ids(&s1), ids(&s2));
+        assert_eq!(s2.get(15), 15 + 115);
+        // A different window of the same buffers is a different piece, and
+        // so is the same window under another call's memo.
+        let other = it.slice(&SeqPart::new(30, 20), &mut memo);
+        assert!(ids(&other).iter().all(|id| !ids(&s1).contains(id)));
+        let fresh = it.slice(&part, &mut SliceMemo::default());
+        assert!(!Arc::ptr_eq(&s1.inner.a.data, &fresh.inner.a.data));
+    }
+
+    #[test]
+    fn outerproduct_blocks_share_their_row_and_column_panels() {
+        let a = RowsIdx::new(Arc::new((0..32i32).collect()), 8, 4);
+        let b = StripsIdx::new(Arc::new((0..24i32).collect()), 6, 4, 2);
+        let op = OuterProductIdx::new(a, b);
+        let mut memo = SliceMemo::default();
+        // A 2x2 grid of blocks over 8 rows x 3 strips.
+        let blocks: Vec<_> = [(0, 0), (0, 2), (4, 0), (4, 2)]
+            .iter()
+            .map(|&(r, c)| op.slice(&Dim2Part::new(r, 4, c, if c == 0 { 2 } else { 1 }), &mut memo))
+            .collect();
+        // Same grid row => same A panel; same grid column => same B panel.
+        assert!(Arc::ptr_eq(&blocks[0].a.data, &blocks[1].a.data));
+        assert!(Arc::ptr_eq(&blocks[2].a.data, &blocks[3].a.data));
+        assert!(Arc::ptr_eq(&blocks[0].b.data, &blocks[2].b.data));
+        assert!(Arc::ptr_eq(&blocks[1].b.data, &blocks[3].b.data));
+        // Diagonal blocks read disjoint windows and share nothing.
+        assert!(ids(&blocks[0]).iter().all(|id| !ids(&blocks[3]).contains(id)));
+        // Four distinct buffers cover the eight the blocks list.
+        let mut distinct: Vec<_> = blocks.iter().flat_map(ids).collect();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4);
+        assert_eq!(blocks[3].get((5, 2)).0.as_slice(), &[20, 21, 22, 23]);
+    }
+
+    #[test]
+    fn pieces_sum_to_source_size_for_every_indexer() {
+        fn check<I: Indexer>(idx: &I, expect_pieces: usize, expect_bytes: usize) {
+            let mut out = Vec::new();
+            idx.pieces(&mut out);
+            assert_eq!(out.len(), expect_pieces);
+            assert_eq!(out.iter().map(|p| p.bytes).sum::<usize>(), idx.source_size());
+            assert_eq!(idx.source_size(), expect_bytes);
+        }
+        let arr = || ArrayIdx::new(vec![0f64; 10]); // 8 + 80 elements, 16 header
+        let rows = RowsIdx::new(Arc::new(vec![0i32; 20]), 5, 4);
+        let strips = StripsIdx::new(Arc::new(vec![0i32; 20]), 5, 4, 2);
+        check(&arr(), 1, 104);
+        check(&rows, 1, 8 + 80 + 24);
+        check(&strips, 1, 8 + 80 + 40);
+        check(&RangeIdx::new(Seq::new(7)), 1, 8);
+        check(&FnIdx::new(Dim2::new(2, 3), |i: (usize, usize)| i), 1, 16);
+        check(&MapIdx::new(arr(), |x: f64| x), 1, 104);
+        check(&ZipIdx::new(arr(), arr()), 2, 208);
+        check(&Zip3Idx::new(arr(), arr(), arr()), 3, 312);
+        check(&OuterProductIdx::new(rows.clone(), strips.clone()), 2, 112 + 128);
+        // Data-free indexers name no buffer; array-backed ones do.
+        assert_eq!(ids(&RangeIdx::new(Seq::new(7))), vec![None]);
+        assert!(ids(&rows)[0].is_some());
     }
 }

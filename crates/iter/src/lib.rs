@@ -55,8 +55,8 @@ pub use array::{Array2, Array3};
 pub use collector::{Collector, CountHist, SumCollector, VecCollector, WeightHist};
 pub use dyniter::{DynIdx, DynIter, DynStep};
 pub use indexer::{
-    ArrayIdx, FnIdx, Indexer, MapIdx, OuterProductIdx, RangeIdx, RowRef, RowsIdx, StripRef,
-    StripsIdx, Zip3Idx, ZipIdx,
+    ArrayIdx, FnIdx, Indexer, MapIdx, OuterProductIdx, RangeIdx, RowRef, RowsIdx, SliceMemo,
+    StripRef, StripsIdx, Zip3Idx, ZipIdx,
 };
 pub use shapes::{IdxFlat, IdxNest, ParHint, StepFlat, StepNest, TrioIter};
 pub use sources::{

@@ -133,6 +133,14 @@ impl Span {
     pub fn duration(&self) -> f64 {
         (self.t1 - self.t0).max(0.0)
     }
+
+    /// The integer argument recorded under `key`, if any.
+    pub fn arg_u64(&self, key: &str) -> Option<u64> {
+        self.args.iter().find_map(|(k, v)| match v {
+            ArgValue::U64(n) if *k == key => Some(*n),
+            _ => None,
+        })
+    }
 }
 
 /// A point event (instant) on some track: a send attempt, an ack, an

@@ -44,7 +44,7 @@ mod wire;
 mod writer;
 
 pub use error::WireError;
-pub use payload::PackedPayload;
+pub use payload::{PackedPayload, Piece};
 pub use pod::Pod;
 pub use reader::WireReader;
 pub use view::{reset_unpack_counters, unpack_counters, PodView};

@@ -17,6 +17,23 @@ use bytes::Bytes;
 use crate::wire::{packed, unpack_all, Wire};
 use crate::WireResult;
 
+/// One separately shippable run of a task's input: how many bytes it packs
+/// to, and which buffer they come from.
+///
+/// A payload that lists its pieces lets a transport notice that two
+/// destinations read the *same* buffer and move it once (the sharing-aware
+/// scatter in `triolet-cluster`). The identity is the address of the
+/// reference-counted buffer holding the bytes, so it is only meaningful
+/// while that buffer is alive — within one dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Piece {
+    /// Address of the shared buffer; equal ids are the same bytes. `None`
+    /// for bytes no other payload can hold (domains, extractor state).
+    pub id: Option<usize>,
+    /// Packed size of the piece, headers included.
+    pub bytes: usize,
+}
+
 /// A value packed once into shared bytes.
 ///
 /// ```

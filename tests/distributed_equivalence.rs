@@ -104,11 +104,25 @@ fn measured_mode_equivalence_small_shapes() {
 
 #[test]
 fn traffic_accounting_is_consistent() {
-    // Cluster-level stats must agree with the per-run stats.
-    let input = mriq::generate(64, 32, 9);
-    let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
-    let before = rt.cluster().stats().bytes();
-    let stats = mriq::run_triolet(&rt, &input).stats;
-    let after = rt.cluster().stats().bytes();
-    assert_eq!(after - before, stats.bytes_out + stats.bytes_back);
+    // Cluster-level stats must agree with the per-run stats, for every
+    // phase of every app: sgemm used to add only its transpose phase's
+    // seconds and drop that phase's bytes and messages.
+    fn check(name: &str, run: impl Fn(&Triolet) -> RunStats) {
+        let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
+        let before = rt.cluster().stats().snapshot();
+        let stats = run(&rt);
+        let delta = rt.cluster().stats().snapshot().since(&before);
+        assert_eq!(delta.bytes, stats.bytes_out + stats.bytes_back, "{name}: bytes");
+        assert_eq!(delta.messages, stats.messages, "{name}: messages");
+        assert!(stats.root_bytes_out <= stats.bytes_out, "{name}: root link");
+    }
+    let mriq_in = mriq::generate(64, 32, 9);
+    let sgemm_in = sgemm::generate(48, 9);
+    let tpacf_in = tpacf::generate(48, 5, 16, 9);
+    let cutcp_in = cutcp::generate(96, 8, 9);
+    check("mriq", |rt| mriq::run_triolet(rt, &mriq_in).stats);
+    check("sgemm", |rt| sgemm::run_triolet(rt, &sgemm_in).stats);
+    check("sgemm tiled", |rt| sgemm::run_triolet_tiled(rt, &sgemm_in).stats);
+    check("tpacf", |rt| tpacf::run_triolet(rt, &tpacf_in).stats);
+    check("cutcp", |rt| cutcp::run_triolet(rt, &cutcp_in).stats);
 }
