@@ -16,6 +16,7 @@
 
 use triolet::prelude::*;
 use triolet::service::percentile;
+use triolet_apps::cli::FaultFlags;
 
 struct Args {
     nodes: usize,
@@ -27,6 +28,7 @@ struct Args {
     policy: String,
     seed: u64,
     trace_out: Option<String>,
+    faults: FaultFlags,
 }
 
 fn parse_args() -> Args {
@@ -40,11 +42,13 @@ fn parse_args() -> Args {
         policy: "fair".to_string(),
         seed: 1,
         trace_out: None,
+        faults: FaultFlags::default(),
     };
     let usage = || -> ! {
         eprintln!(
             "usage: jobs [--nodes N] [--threads T] [--tenants K] [--jobs J] [--cap C] \
-             [--items I] [--policy fifo|fair|priority] [--seed S] [--trace-out FILE]"
+             [--items I] [--policy fifo|fair|priority] [--seed S] [--trace-out FILE] {}",
+            FaultFlags::USAGE
         );
         std::process::exit(2);
     };
@@ -62,7 +66,14 @@ fn parse_args() -> Args {
             "--policy" => a.policy = val(),
             "--seed" => a.seed = val().parse().unwrap_or_else(|_| usage()),
             "--trace-out" => a.trace_out = Some(val()),
-            _ => usage(),
+            other => match a.faults.accept(other, &mut || args.next()) {
+                Ok(true) => {}
+                Ok(false) => usage(),
+                Err(why) => {
+                    eprintln!("jobs: {why}");
+                    usage()
+                }
+            },
         }
     }
     if a.tenants == 0 || a.jobs == 0 {
@@ -101,6 +112,7 @@ fn main() {
 
     let rt = Triolet::new(
         ClusterConfig::virtual_cluster(args.nodes, args.threads)
+            .with_faults(args.faults.plan())
             .with_trace(args.trace_out.is_some()),
     );
     let svc = rt.into_service(ServiceConfig::new(policy.clone()).with_queue_cap(args.cap));

@@ -7,7 +7,6 @@
 
 use std::time::Instant;
 
-use triolet::ClusterConfig;
 use triolet_apps::cli::{print_seq_time, print_stats, Impl, Opts};
 use triolet_apps::sgemm;
 use triolet_baselines::{EdenRt, LowLevelRt};
@@ -39,7 +38,7 @@ fn main() {
             run.value
         }
         Impl::Lowlevel => {
-            let rt = LowLevelRt::new(ClusterConfig::virtual_cluster(opts.nodes, opts.threads));
+            let rt = LowLevelRt::new(opts.cluster_config());
             let (c, stats) = sgemm::run_lowlevel(&rt, &input);
             print_stats(&stats);
             c

@@ -7,7 +7,6 @@
 
 use std::time::Instant;
 
-use triolet::ClusterConfig;
 use triolet_apps::cli::{print_seq_time, print_stats, Impl, Opts};
 use triolet_apps::tpacf;
 use triolet_baselines::{EdenRt, LowLevelRt};
@@ -40,7 +39,7 @@ fn main() {
             run.value
         }
         Impl::Lowlevel => {
-            let rt = LowLevelRt::new(ClusterConfig::virtual_cluster(opts.nodes, opts.threads));
+            let rt = LowLevelRt::new(opts.cluster_config());
             let (out, stats) = tpacf::run_lowlevel(&rt, &input);
             print_stats(&stats);
             out

@@ -1,6 +1,8 @@
 //! Tiny argument parsing shared by the benchmark binaries (no external
 //! dependencies: the offline crate policy applies to binaries too).
 
+use std::time::Duration;
+
 use triolet::prelude::*;
 use triolet::RunStats;
 use triolet::TraceData;
@@ -20,6 +22,72 @@ pub enum Impl {
     Eden,
 }
 
+/// The fault-injection flags every binary that takes `--nodes` accepts:
+/// `--crash RANK`, `--drop P`, `--fault-seed S`, `--timeout-ms T`. With
+/// none given the run is fault-free.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultFlags {
+    crash: Option<usize>,
+    drop: Option<f64>,
+    seed: Option<u64>,
+    timeout_ms: Option<u64>,
+}
+
+impl FaultFlags {
+    /// The flags, for a usage line.
+    pub const USAGE: &'static str = "[--crash RANK] [--drop P] [--fault-seed S] [--timeout-ms T]";
+
+    /// If `flag` is a fault flag, parse the value `next` yields into it.
+    /// `Ok(false)` means the flag is somebody else's; `Err` carries why the
+    /// value was refused.
+    pub fn accept(
+        &mut self,
+        flag: &str,
+        next: &mut dyn FnMut() -> Option<String>,
+    ) -> Result<bool, String> {
+        fn value<T: std::str::FromStr>(flag: &str, text: Option<String>) -> Result<T, String> {
+            let text = text.ok_or_else(|| format!("{flag} needs a value"))?;
+            text.parse().map_err(|_| format!("{flag}: cannot parse {text:?}"))
+        }
+        match flag {
+            "--crash" => {
+                let rank: usize = value(flag, next())?;
+                if rank >= 64 {
+                    return Err(format!("--crash {rank}: the fault plan covers ranks 0..64"));
+                }
+                self.crash = Some(rank);
+            }
+            "--drop" => {
+                let p: f64 = value(flag, next())?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("--drop {p}: not a probability"));
+                }
+                self.drop = Some(p);
+            }
+            "--fault-seed" => self.seed = Some(value(flag, next())?),
+            "--timeout-ms" => self.timeout_ms = Some(value(flag, next())?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The plan the flags describe ([`FaultPlan::none`] when none was given:
+    /// a seed or timeout alone injects nothing).
+    pub fn plan(&self) -> FaultPlan {
+        let mut plan = FaultPlan::seeded(self.seed.unwrap_or(0));
+        if let Some(p) = self.drop {
+            plan = plan.with_drop(p);
+        }
+        if let Some(rank) = self.crash {
+            plan = plan.with_crash(rank);
+        }
+        if let Some(ms) = self.timeout_ms {
+            plan = plan.with_timeout(Duration::from_millis(ms));
+        }
+        plan
+    }
+}
+
 /// Parsed common options.
 #[derive(Debug, Clone)]
 pub struct Opts {
@@ -34,6 +102,10 @@ pub struct Opts {
     /// Write a chrome://tracing JSON timeline here (`--trace-out FILE`);
     /// also switches span recording on in the runtime.
     pub trace_out: Option<String>,
+    /// Injected faults (`--crash`, `--drop`, `--fault-seed`, `--timeout-ms`);
+    /// applied to every runtime built from a
+    /// [`cluster_config`](Opts::cluster_config).
+    pub faults: FaultFlags,
     /// App-specific sizes, filled from the remaining `--key value` pairs.
     pub sizes: Vec<(String, usize)>,
 }
@@ -48,6 +120,7 @@ impl Opts {
         let mut threads = 4usize;
         let mut seed = 1u64;
         let mut trace_out = None;
+        let mut faults = FaultFlags::default();
         let mut sizes: Vec<(String, usize)> =
             size_keys.iter().map(|&(k, v)| (k.to_string(), v)).collect();
         let mut args = std::env::args().skip(1);
@@ -57,7 +130,8 @@ impl Opts {
                     size_keys.iter().map(|(k, v)| format!("[--{k} N (default {v})]")).collect();
                 eprintln!(
                     "usage: {app} [--impl seq|triolet|tiled|lowlevel|eden] [--nodes N] \
-                     [--threads T] [--seed S] [--trace-out FILE] {}",
+                     [--threads T] [--seed S] [--trace-out FILE] {} {}",
+                    FaultFlags::USAGE,
                     keys.join(" ")
                 );
                 std::process::exit(2);
@@ -102,6 +176,14 @@ impl Opts {
                 }
                 "--trace-out" => trace_out = Some(value(&mut args)),
                 other => {
+                    match faults.accept(other, &mut || args.next()) {
+                        Ok(true) => continue,
+                        Ok(false) => {}
+                        Err(why) => {
+                            eprintln!("{app}: {why}");
+                            usage();
+                        }
+                    }
                     let key = other.strip_prefix("--").unwrap_or_else(|| {
                         usage();
                         unreachable!()
@@ -122,7 +204,7 @@ impl Opts {
                 }
             }
         }
-        Opts { imp, nodes, threads, seed, trace_out, sizes }
+        Opts { imp, nodes, threads, seed, trace_out, faults, sizes }
     }
 
     /// Look up an app-specific size by key.
@@ -134,13 +216,15 @@ impl Opts {
             .unwrap_or_else(|| panic!("size key {key} not registered"))
     }
 
+    /// The virtual cluster these options describe, fault flags applied.
+    pub fn cluster_config(&self) -> ClusterConfig {
+        ClusterConfig::virtual_cluster(self.nodes, self.threads).with_faults(self.faults.plan())
+    }
+
     /// Build the Triolet runtime for these options. Span recording is on
     /// exactly when `--trace-out` was given.
     pub fn triolet_rt(&self) -> Triolet {
-        Triolet::new(
-            ClusterConfig::virtual_cluster(self.nodes, self.threads)
-                .with_trace(self.trace_out.is_some()),
-        )
+        Triolet::new(self.cluster_config().with_trace(self.trace_out.is_some()))
     }
 
     /// Write a recorded timeline as chrome://tracing JSON to the
@@ -168,6 +252,9 @@ impl Opts {
             "{app}: impl={:?} cluster={}x{} seed={} sizes={:?}",
             self.imp, self.nodes, self.threads, self.seed, self.sizes
         );
+        if self.faults != FaultFlags::default() {
+            println!("{app}: faults={:?}", self.faults);
+        }
     }
 }
 
@@ -188,4 +275,51 @@ pub fn print_stats(stats: &RunStats) {
 /// Print a sequential-run timing in the same format.
 pub fn print_seq_time(seconds: f64) {
     println!("time={seconds:.4}s (sequential)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<FaultFlags, String> {
+        let mut flags = FaultFlags::default();
+        let mut it = args.iter().map(|s| s.to_string());
+        while let Some(flag) = it.next() {
+            if !flags.accept(&flag, &mut || it.next())? {
+                return Err(format!("{flag}: not a fault flag"));
+            }
+        }
+        Ok(flags)
+    }
+
+    #[test]
+    fn no_fault_flags_means_no_plan() {
+        assert_eq!(parse(&[]).unwrap().plan(), FaultPlan::none());
+        assert!(!parse(&["--fault-seed", "9", "--timeout-ms", "3"]).unwrap().plan().is_active());
+    }
+
+    #[test]
+    fn fault_flags_build_the_plan_they_name() {
+        let flags =
+            parse(&["--crash", "3", "--drop", "0.05", "--fault-seed", "7", "--timeout-ms", "1"]);
+        let expect = FaultPlan::seeded(7)
+            .with_drop(0.05)
+            .with_crash(3)
+            .with_timeout(Duration::from_millis(1));
+        assert_eq!(flags.unwrap().plan(), expect);
+    }
+
+    #[test]
+    fn malformed_fault_values_are_refused() {
+        for bad in [
+            &["--crash", "64"][..],
+            &["--crash", "x"],
+            &["--drop", "1.5"],
+            &["--drop", "nan"],
+            &["--timeout-ms"],
+            &["--nodes", "4"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
+        }
+    }
 }

@@ -171,10 +171,44 @@ mod tests {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
         let a = run_resident(&rt, &input).value;
         let b = run_rebroadcast(&rt, &input).value;
-        let bits = |cs: &[(f64, f64)]| -> Vec<(u64, u64)> {
-            cs.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect()
-        };
         assert_eq!(bits(&a.centroids), bits(&b.centroids));
+    }
+
+    /// The benchmark's `kmeans_crash` plan.
+    fn crash_rt() -> Triolet {
+        let plan = FaultPlan::seeded(7)
+            .with_drop(0.05)
+            .with_crash(3)
+            .with_timeout(std::time::Duration::from_millis(1));
+        Triolet::new(ClusterConfig::virtual_cluster(8, 2).with_faults(plan))
+    }
+
+    fn bits(cs: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        cs.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect()
+    }
+
+    #[test]
+    fn resident_run_pays_for_a_crashed_rank_once() {
+        let input = generate(4096, 8, 6, 3);
+        let clean = run_resident(&Triolet::new(ClusterConfig::virtual_cluster(8, 2)), &input);
+        let run = run_resident(&crash_rt(), &input);
+        assert_eq!((run.stats.resident_misses, run.stats.redispatches), (1, 1));
+        assert_eq!(run.stats.resident_hits, 8 * input.iters as u64 - 1);
+        assert_eq!(bits(&run.value.centroids), bits(&clean.value.centroids));
+        assert!(validate(&run_seq(&input), &run.value.centroids, 1e-9));
+    }
+
+    #[test]
+    fn rebroadcast_run_has_no_handle_to_remember_the_crash_with() {
+        // An iterator input is sliced and shipped afresh by every sweep, so
+        // each one finds the dead rank for itself: one redispatch per sweep,
+        // as before, and still the fault-free bits.
+        let input = generate(4096, 8, 6, 3);
+        let clean = run_rebroadcast(&Triolet::new(ClusterConfig::virtual_cluster(8, 2)), &input);
+        let run = run_rebroadcast(&crash_rt(), &input);
+        assert_eq!(run.stats.redispatches, input.iters as u64);
+        assert_eq!((run.stats.resident_hits, run.stats.resident_misses), (0, 0));
+        assert_eq!(bits(&run.value.centroids), bits(&clean.value.centroids));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! order, bit-identical to a fault-free run.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use triolet_obs::{tree_edge_args, TraceData, TraceHandle, Track};
@@ -236,6 +236,9 @@ pub struct DistOutcome<R> {
     /// One result per task, in task order (under faults a task's result may
     /// have been computed on a different rank than its index).
     pub results: Vec<R>,
+    /// The rank each task executed on, in task order: its home unless the
+    /// fault schedule redispatched it to a survivor.
+    pub execs: Vec<usize>,
     /// When each task's result was unpacked and ready at the root, in task
     /// order, on the outcome's timeline. Under `PipelineMode::Streamed`
     /// these are staggered arrival-order times (the streaming-merge
@@ -254,14 +257,17 @@ pub struct DistOutcome<R> {
 /// A task carrying one of these reads its input from node-local storage
 /// rather than a root-shipped payload: dispatched to `home`, it pays zero
 /// input bytes on the wire (a *resident hit*); forced onto any other rank —
-/// a crash redispatch — the dispatcher re-ships the full `seg_bytes` to the
+/// a redispatch — the dispatcher re-ships the full `seg_bytes` to the
 /// survivor (a *resident miss*), so recovery stays possible and its cost
-/// stays visible.
+/// stays visible. The dispatcher keeps no memory of either: `home` is
+/// whatever the caller resolved from the [`ResidentStore`] when it built
+/// the task, and [`DistOutcome::execs`] tells the caller where the segment
+/// went, so it can move the store entry there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidentSpec {
     /// Collection id in the cluster's [`ResidentStore`].
     pub id: u64,
-    /// Rank holding the segment this task reads.
+    /// Rank owning the segment this task reads.
     pub home: usize,
     /// Bytes re-shipped if the task must execute off its home rank.
     pub seg_bytes: usize,
@@ -848,7 +854,7 @@ pub struct Cluster {
     config: ClusterConfig,
     pools: Vec<ThreadPool>,
     stats: TrafficStats,
-    resident: ResidentStore,
+    resident: Arc<ResidentStore>,
     /// Reusable simulator state (clock vectors, event heap): capacity is
     /// retained across dispatches, so a collective step allocates no
     /// per-step `sender_clock` vectors.
@@ -869,7 +875,7 @@ impl Cluster {
             config,
             pools,
             stats: TrafficStats::new(),
-            resident: ResidentStore::new(),
+            resident: Arc::new(ResidentStore::new()),
             sim_scratch: Mutex::new(sim::SimScratch::new()),
         }
     }
@@ -894,14 +900,16 @@ impl Cluster {
         &self.stats
     }
 
-    /// The node-local store tracking resident collection segments.
-    pub fn resident_store(&self) -> &ResidentStore {
+    /// The ownership table of resident collection segments, shared with
+    /// every collection handle (whose last drop evicts its entries).
+    pub fn resident_store(&self) -> &Arc<ResidentStore> {
         &self.resident
     }
 
     /// Scatter the segments of a persistent collection to their home ranks:
-    /// one `(rank, bytes)` send per segment, serialized on the root NIC,
-    /// each retrying through the fault schedule until delivered intact.
+    /// one `(rank, bytes)` send per segment (its index is its store slot),
+    /// serialized on the root NIC, each retrying through the fault schedule
+    /// until delivered intact.
     ///
     /// This is the *one-time* placement cost of a resident collection; every
     /// later skeleton call over it ships zero input bytes (see
@@ -917,8 +925,8 @@ impl Cluster {
         let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
         let mut tally = Tally::new(&self.stats);
         let mut clock = 0.0f64;
-        for &(rank, bytes) in segs {
-            self.resident.register(id, rank, bytes);
+        for (slot, &(rank, bytes)) in segs.iter().enumerate() {
+            self.resident.register(id, slot, rank, bytes);
             self.stats.record_seg_scatter();
             // Both endpoints are treated as alive: a crashed home interacts
             // at *call* time, via redispatch.
@@ -1220,6 +1228,7 @@ impl Cluster {
         // right before its own send, so rank k's compute overlaps the pack
         // for rank k+1.
         let total_pack: f64 = tasks.iter().map(|t| t.pack_s).sum();
+        let execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
 
         match self.config.mode {
             ExecMode::Virtual => {
@@ -1478,10 +1487,7 @@ impl Cluster {
                         // so the processing order is deterministic.
                         let mut order: Vec<usize> = (0..n_tasks).collect();
                         order.sort_by(|&a, &b| {
-                            ret_arrival[a]
-                                .partial_cmp(&ret_arrival[b])
-                                .expect("arrival times are finite")
-                                .then(a.cmp(&b))
+                            ret_arrival[a].total_cmp(&ret_arrival[b]).then(a.cmp(&b))
                         });
                         let mut uclock = times.root_free; // root free after last send
                         let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
@@ -1533,6 +1539,7 @@ impl Cluster {
                 };
                 Ok(DistOutcome {
                     results,
+                    execs,
                     arrivals,
                     trace: tr.take(),
                     timing: tally.timing(
@@ -1719,6 +1726,7 @@ impl Cluster {
                     slots.into_iter().map(|s| s.expect("every task produced a result")).collect();
                 Ok(DistOutcome {
                     results,
+                    execs,
                     arrivals,
                     trace: tr.take(),
                     // Real transfers are in-process; wall time covers them.

@@ -3,7 +3,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use triolet_obs::{TraceData, TraceHandle, Track};
@@ -20,20 +20,24 @@ pub enum ExecMode {
     Virtual,
 }
 
-/// Node-local storage for persistent distributed collections.
+/// The cluster's ownership table for persistent distributed collections.
 ///
-/// When the engine scatters a `DistVec`, each segment is registered here
-/// under a `(collection id, rank)` key with the byte size it occupies in
-/// that rank's memory. The registry is the cluster's source of truth for
-/// *placement*: a dispatched task tagged with a resident segment pays zero
-/// forward bytes when its executing rank matches the segment's home entry,
-/// and a full re-ship when a crash forces it onto a survivor. Dropping a
-/// collection evicts its segments (the node-side `free`).
+/// Scattering a collection registers each segment under a
+/// `(collection id, segment slot)` key with the rank that owns it and the
+/// bytes it occupies there. The table is the source of truth for
+/// *placement*: a resident view resolves each part's home through
+/// [`owner`](Self::owner) when a call is built, and after a dispatch that
+/// ran a task off that rank — the segment crossed the wire to a survivor —
+/// [`rehome`](Self::rehome) moves ownership to where the bytes now are, so
+/// later calls route straight there. The dispatcher never reads the table:
+/// it sees only the owners its tasks were built with. Dropping a
+/// collection's last handle or view evicts its segments (the node-side
+/// `free`).
 #[derive(Debug, Default)]
 pub struct ResidentStore {
     next_id: AtomicU64,
-    /// `(collection id, rank)` -> resident bytes on that rank.
-    segments: Mutex<HashMap<(u64, usize), usize>>,
+    /// `(collection id, segment slot)` -> `(owner rank, resident bytes)`.
+    segments: Mutex<HashMap<(u64, usize), (usize, usize)>>,
 }
 
 impl ResidentStore {
@@ -42,57 +46,49 @@ impl ResidentStore {
         Self::default()
     }
 
+    fn table(&self) -> MutexGuard<'_, HashMap<(u64, usize), (usize, usize)>> {
+        self.segments.lock().expect("resident store poisoned")
+    }
+
     /// Allocate a collection id (unique within this cluster).
     pub fn alloc_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Register one segment of collection `id` as resident on `rank`.
-    pub fn register(&self, id: u64, rank: usize, bytes: usize) {
-        self.segments.lock().expect("resident store poisoned").insert((id, rank), bytes);
+    /// Register segment `slot` of collection `id` as resident on `rank`.
+    pub fn register(&self, id: u64, slot: usize, rank: usize, bytes: usize) {
+        self.table().insert((id, slot), (rank, bytes));
     }
 
-    /// Does `rank` hold a segment of collection `id`?
-    pub fn holds(&self, id: u64, rank: usize) -> bool {
-        self.segments.lock().expect("resident store poisoned").contains_key(&(id, rank))
+    /// The rank owning segment `slot` of collection `id` (`None` once the
+    /// collection is evicted).
+    pub fn owner(&self, id: u64, slot: usize) -> Option<usize> {
+        self.table().get(&(id, slot)).map(|&(rank, _)| rank)
     }
 
-    /// Bytes of collection `id` resident on `rank` (0 if absent).
-    pub fn segment_bytes(&self, id: u64, rank: usize) -> usize {
-        self.segments
-            .lock()
-            .expect("resident store poisoned")
-            .get(&(id, rank))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Total resident bytes on `rank` across all collections.
-    pub fn bytes_on(&self, rank: usize) -> usize {
-        self.segments
-            .lock()
-            .expect("resident store poisoned")
-            .iter()
-            .filter(|((_, r), _)| *r == rank)
-            .map(|(_, b)| *b)
-            .sum()
-    }
-
-    /// Total resident bytes across the cluster.
-    pub fn total_bytes(&self) -> usize {
-        self.segments.lock().expect("resident store poisoned").values().sum()
+    /// Move segment `slot` of collection `id` to rank `to`, returning the
+    /// rank that owned it before — `None` when it already lives on `to`, or
+    /// when the collection is evicted (a move never resurrects an entry).
+    pub fn rehome(&self, id: u64, slot: usize, to: usize) -> Option<usize> {
+        let mut table = self.table();
+        let (owner, _) = table.get_mut(&(id, slot)).filter(|(owner, _)| *owner != to)?;
+        Some(std::mem::replace(owner, to))
     }
 
     /// Number of registered segments.
     pub fn segment_count(&self) -> usize {
-        self.segments.lock().expect("resident store poisoned").len()
+        self.table().len()
     }
 
     /// Evict every segment of collection `id`, returning the bytes freed.
     pub fn evict(&self, id: u64) -> usize {
-        let mut map = self.segments.lock().expect("resident store poisoned");
-        let freed: usize = map.iter().filter(|((i, _), _)| *i == id).map(|(_, b)| *b).sum();
-        map.retain(|(i, _), _| *i != id);
+        let mut freed = 0;
+        self.table().retain(|&(i, _), &mut (_, bytes)| {
+            if i == id {
+                freed += bytes;
+            }
+            i != id
+        });
         freed
     }
 }
@@ -453,6 +449,23 @@ mod tests {
 
     fn vctx(threads: usize) -> NodeCtx<'static> {
         NodeCtx::new(0, threads, ExecMode::Virtual, None)
+    }
+
+    #[test]
+    fn store_moves_owners_and_never_resurrects_an_evicted_segment() {
+        let store = ResidentStore::new();
+        let (a, b) = (store.alloc_id(), store.alloc_id());
+        for slot in 0..3 {
+            store.register(a, slot, slot, 100);
+            store.register(b, slot, slot, 10);
+        }
+        assert_eq!(store.rehome(a, 1, 2), Some(1));
+        assert_eq!(store.rehome(a, 1, 2), None, "already there: not a move");
+        assert_eq!((store.owner(a, 1), store.owner(b, 1)), (Some(2), Some(1)));
+        assert_eq!(store.segment_count(), 6, "a move replaces the entry, it adds none");
+        assert_eq!(store.evict(a), 300, "the moved segment is evicted with its collection");
+        assert_eq!(store.rehome(a, 1, 0), None);
+        assert_eq!((store.owner(a, 1), store.segment_count()), (None, 3));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use triolet_cluster::TrafficStats;
+use triolet_cluster::{ResidentStore, TrafficStats};
 use triolet_domain::SeqPart;
 use triolet_serial::{PackedPayload, Wire};
 
@@ -114,44 +114,122 @@ impl<E: Wire + Send + Sync> AsEnv for &PackedEnv<E> {
     }
 }
 
-/// One resident task: a contiguous range of the input's index space whose
-/// backing segment lives on `home`.
-///
-/// `fold` enumerates the items at input-space indices `start .. start + len`
-/// (a subrange of `part`) — the engine splits `part` into the same chunks
-/// as the re-broadcast path, so a resident execution folds and merges in an
-/// identical order and the result is bit-identical.
-pub struct ResidentPart<T> {
-    /// Rank holding this part's segment.
-    pub home: usize,
-    /// The input-space range this part covers.
-    pub part: SeqPart,
-    /// Bytes re-shipped if a crash forces this task off its home rank.
-    pub seg_bytes: usize,
-    /// Ghost/halo bytes a view needs from neighboring segments each call.
-    pub halo_bytes: usize,
-    /// Enumerate items at input-space indices `start .. start + len`.
-    #[allow(clippy::type_complexity)]
-    pub fold: Arc<dyn Fn(usize, usize, &mut dyn FnMut(T)) + Send + Sync>,
+/// A collection's registration in the cluster's [`ResidentStore`], shared by
+/// every handle, view and in-flight call over it: the last one to drop
+/// evicts the collection's segments.
+pub(crate) struct Lease {
+    store: Arc<ResidentStore>,
+    id: u64,
 }
 
-impl<T> Clone for ResidentPart<T> {
-    fn clone(&self) -> Self {
-        ResidentPart {
-            home: self.home,
-            part: self.part,
-            seg_bytes: self.seg_bytes,
-            halo_bytes: self.halo_bytes,
-            fold: Arc::clone(&self.fold),
-        }
+impl Lease {
+    /// Allocate a collection id on `store`; the scatter registers its
+    /// segments under it.
+    pub(crate) fn new(store: &Arc<ResidentStore>) -> Arc<Self> {
+        Arc::new(Lease { store: Arc::clone(store), id: store.alloc_id() })
+    }
+
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The claim on segment `slot`, `bytes` large.
+    pub(crate) fn claim(self: &Arc<Self>, slot: usize, bytes: usize) -> SegClaim {
+        SegClaim { lease: Arc::clone(self), slot, bytes }
     }
 }
 
-/// A resident execution plan: one [`ResidentPart`] per home rank, covering
+impl Drop for Lease {
+    fn drop(&mut self) {
+        self.store.evict(self.id);
+    }
+}
+
+/// One store entry a resident task reads: a segment of a collection, by
+/// slot. The segment's owner is looked up in the store, never remembered
+/// here, so every handle and view sees a move the moment it is made.
+#[derive(Clone)]
+pub struct SegClaim {
+    lease: Arc<Lease>,
+    slot: usize,
+    bytes: usize,
+}
+
+impl SegClaim {
+    /// The store id of the collection this segment belongs to.
+    pub(crate) fn id(&self) -> u64 {
+        self.lease.id
+    }
+
+    /// The rank that owns the segment now.
+    fn owner(&self) -> usize {
+        let owner = self.lease.store.owner(self.lease.id, self.slot);
+        owner.expect("a segment stays registered while its lease lives")
+    }
+
+    /// Record that the segment now lives on `rank`; returns the rank that
+    /// owned it before if that is a move.
+    pub(crate) fn rehome(&self, rank: usize) -> Option<usize> {
+        self.lease.store.rehome(self.lease.id, self.slot, rank)
+    }
+}
+
+/// Enumerates a resident part's items at input-space indices
+/// `start .. start + len`.
+pub type PartFold<T> = Arc<dyn Fn(usize, usize, &mut dyn FnMut(T)) + Send + Sync>;
+
+/// One resident task: a contiguous range of the input's index space whose
+/// backing segment lives on `home`.
+///
+/// `fold` enumerates a subrange of `part` — the engine splits `part` into
+/// the same chunks as the re-broadcast path, so a resident execution folds
+/// and merges in an identical order and the result is bit-identical.
+pub struct ResidentPart<T> {
+    /// Rank owning this part's segment when the call was built.
+    pub home: usize,
+    /// The store entries this part reads (one per zipped operand). Whatever
+    /// rank ends up executing the part owns all of them afterwards.
+    pub claims: Vec<SegClaim>,
+    /// The input-space range this part covers.
+    pub part: SeqPart,
+    /// Bytes shipped only when the task executes off `home`: the segments
+    /// that live there. A miss moves whole segments, even under a view that
+    /// reads a sub-range, because the executing rank becomes their owner.
+    pub seg_bytes: usize,
+    /// Bytes shipped on every call wherever it runs: ghost cells a view
+    /// needs from neighboring segments, and any zipped operand whose
+    /// segment is not on `home`.
+    pub halo_bytes: usize,
+    /// The part's items.
+    pub fold: PartFold<T>,
+}
+
+impl<T> ResidentPart<T> {
+    /// A part over `claims`, homed where the first one lives now.
+    pub(crate) fn resolve(
+        claims: Vec<SegClaim>,
+        part: SeqPart,
+        halo_bytes: usize,
+        fold: PartFold<T>,
+    ) -> Self {
+        let home = claims[0].owner();
+        let (mut seg_bytes, mut away_bytes) = (claims[0].bytes, 0);
+        for claim in &claims[1..] {
+            if claim.owner() == home {
+                seg_bytes += claim.bytes;
+            } else {
+                away_bytes += claim.bytes;
+            }
+        }
+        ResidentPart { home, claims, part, seg_bytes, halo_bytes: halo_bytes + away_bytes, fold }
+    }
+}
+
+/// A resident execution plan: one [`ResidentPart`] per segment, covering
 /// the view's index space in order. Produced by resident collection views;
 /// consumed by the engine's resident dispatch arm.
 pub struct ResidentRun<T> {
-    /// The backing collection's store id (for hit/miss accounting).
+    /// The backing collection's store id (labels hit/miss trace events).
     pub id: u64,
     /// Total items in the view's index space.
     pub len: usize,

@@ -19,8 +19,10 @@ mod input;
 mod iter;
 mod vec;
 
-pub(crate) use input::EnvArg;
-pub use input::{AsEnv, DistInput, IntoDistInput, PackedEnv, ResidentPart, ResidentRun};
+pub use input::{
+    AsEnv, DistInput, IntoDistInput, PackedEnv, PartFold, ResidentPart, ResidentRun, SegClaim,
+};
+pub(crate) use input::{EnvArg, Lease};
 pub use iter::DistIter;
 pub(crate) use vec::Seg;
 pub use vec::{DistArray2, DistVec, EnumView, HaloView, RowsView, SliceView, ZipView};

@@ -12,9 +12,11 @@
 //! segments; none of them move or copy segment data at construction.
 //!
 //! Residency is cooperative with fault injection: a crash that forces a
-//! task off its home rank re-ships that segment to the survivor (a
-//! `dist:resident-miss`), and the result is bit-identical because parts and
-//! chunk boundaries depend only on lengths, never on the executing rank.
+//! task off its segment's owner re-ships that segment to the survivor (a
+//! `dist:resident-miss`) and the survivor owns it from then on (a
+//! `dist:rehome`), so the crash is paid for once, not on every call. The
+//! result is bit-identical because parts and chunk boundaries depend only
+//! on lengths, never on the executing rank.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -24,12 +26,13 @@ use triolet_iter::indexer::ArrayIdx;
 use triolet_iter::shapes::IdxFlat;
 use triolet_serial::Wire;
 
-use super::input::{DistInput, IntoDistInput, ResidentPart, ResidentRun};
+use super::input::{DistInput, IntoDistInput, Lease, PartFold, ResidentPart, ResidentRun};
 
-/// One resident segment: the contiguous rows of a collection that live on
-/// `home`.
+/// One resident segment: contiguous rows of a collection. Its index in the
+/// collection's segment list is its slot in the
+/// [`ResidentStore`](triolet_cluster::ResidentStore), which says where it
+/// lives.
 pub(crate) struct Seg<T> {
-    pub(crate) home: usize,
     pub(crate) part: SeqPart,
     pub(crate) data: Arc<Vec<T>>,
     pub(crate) bytes: usize,
@@ -37,7 +40,7 @@ pub(crate) struct Seg<T> {
 
 impl<T> Clone for Seg<T> {
     fn clone(&self) -> Self {
-        Seg { home: self.home, part: self.part, data: Arc::clone(&self.data), bytes: self.bytes }
+        Seg { part: self.part, data: Arc::clone(&self.data), bytes: self.bytes }
     }
 }
 
@@ -57,32 +60,33 @@ fn element_at<T: Clone>(segs: &[Seg<T>], i: usize) -> T {
 }
 
 /// A persistent distributed vector: segments scattered once, resident on
-/// their home ranks across skeleton calls.
+/// their owning ranks across skeleton calls. Dropping the last handle or
+/// view frees the segments.
 ///
 /// Pass `&dv` anywhere a skeleton takes an input, or build a view first:
 /// [`slice`](DistVec::slice), [`enumerate`](DistVec::enumerate),
 /// [`zip`](DistVec::zip), [`halo`](DistVec::halo).
 pub struct DistVec<T> {
-    id: u64,
+    lease: Arc<Lease>,
     len: usize,
     segs: Arc<Vec<Seg<T>>>,
 }
 
 impl<T> Clone for DistVec<T> {
     fn clone(&self) -> Self {
-        DistVec { id: self.id, len: self.len, segs: Arc::clone(&self.segs) }
+        DistVec { lease: Arc::clone(&self.lease), len: self.len, segs: Arc::clone(&self.segs) }
     }
 }
 
 impl<T> DistVec<T> {
-    pub(crate) fn from_segments(id: u64, len: usize, segs: Vec<Seg<T>>) -> Self {
+    pub(crate) fn from_segments(lease: Arc<Lease>, len: usize, segs: Vec<Seg<T>>) -> Self {
         debug_assert!(segs.windows(2).all(|w| w[0].part.end() == w[1].part.start));
-        DistVec { id, len, segs: Arc::new(segs) }
+        DistVec { lease, len, segs: Arc::new(segs) }
     }
 
     /// The resident-store id of this collection.
     pub fn id(&self) -> u64 {
-        self.id
+        self.lease.id()
     }
 
     /// Total elements across all segments.
@@ -109,30 +113,29 @@ impl<T> DistVec<T> {
     /// the range participate in calls over the view; no data moves.
     pub fn slice(&self, range: Range<usize>) -> SliceView<T> {
         assert!(range.start <= range.end && range.end <= self.len, "slice out of bounds");
-        SliceView { id: self.id, segs: Arc::clone(&self.segs), range }
+        SliceView { lease: Arc::clone(&self.lease), segs: Arc::clone(&self.segs), range }
     }
 
     /// A view yielding `(global_index, element)` pairs.
     pub fn enumerate(&self) -> EnumView<T> {
-        EnumView { id: self.id, len: self.len, segs: Arc::clone(&self.segs) }
+        EnumView { lease: Arc::clone(&self.lease), len: self.len, segs: Arc::clone(&self.segs) }
     }
 
     /// Zip with another resident vector of identical segmentation (same
     /// length, scattered on the same runtime). Panics when the
-    /// segmentations differ — elements would not be rank-aligned.
+    /// segmentations differ — elements would not be segment-aligned. Where
+    /// the two segments of a pair live is not compared: a pair split across
+    /// ranks by an earlier move runs where the first operand lives, ships
+    /// the other there, and stays together afterwards.
     pub fn zip<U>(&self, other: &DistVec<U>) -> ZipView<T, U> {
         assert_eq!(self.len, other.len, "zip of different-length collections");
         assert!(
             self.segs.len() == other.segs.len()
-                && self
-                    .segs
-                    .iter()
-                    .zip(other.segs.iter())
-                    .all(|(a, b)| a.part == b.part && a.home == b.home),
+                && self.segs.iter().zip(other.segs.iter()).all(|(a, b)| a.part == b.part),
             "zip requires identical segmentation (scatter both on the same runtime)"
         );
         ZipView {
-            id: self.id,
+            leases: (Arc::clone(&self.lease), Arc::clone(&other.lease)),
             len: self.len,
             a: Arc::clone(&self.segs),
             b: Arc::clone(&other.segs),
@@ -146,7 +149,12 @@ impl<T> DistVec<T> {
     /// halo (`~2 * radius` elements per boundary) — counted as input bytes,
     /// unlike the zero-byte interior.
     pub fn halo(&self, radius: usize) -> HaloView<T> {
-        HaloView { id: self.id, len: self.len, radius, segs: Arc::clone(&self.segs) }
+        HaloView {
+            lease: Arc::clone(&self.lease),
+            len: self.len,
+            radius,
+            segs: Arc::clone(&self.segs),
+        }
     }
 
     /// Assemble the full vector at the root (verification/debug only: the
@@ -163,21 +171,21 @@ impl<T> DistVec<T> {
     }
 }
 
-/// Build the full-collection resident parts, mapping each element through
-/// per-segment closure factory `make` (shared by the whole-vec and
-/// enumerated views, whose parts differ only in the emitted item).
+/// Build the full-collection resident parts, one per segment, each homed
+/// where the store says its segment lives now. `make` gives a segment's
+/// item enumeration (the whole-vec and enumerated views differ only in the
+/// emitted item).
 fn whole_parts<T, Item>(
-    segs: &Arc<Vec<Seg<T>>>,
+    lease: &Arc<Lease>,
+    segs: &[Seg<T>],
     halo_bytes: impl Fn(&Seg<T>) -> usize,
-    make: impl Fn(&Seg<T>) -> Arc<dyn Fn(usize, usize, &mut dyn FnMut(Item)) + Send + Sync>,
+    make: impl Fn(&Seg<T>) -> PartFold<Item>,
 ) -> Vec<ResidentPart<Item>> {
     segs.iter()
-        .map(|seg| ResidentPart {
-            home: seg.home,
-            part: seg.part,
-            seg_bytes: seg.bytes,
-            halo_bytes: halo_bytes(seg),
-            fold: make(seg),
+        .enumerate()
+        .map(|(slot, seg)| {
+            let claims = vec![lease.claim(slot, seg.bytes)];
+            ResidentPart::resolve(claims, seg.part, halo_bytes(seg), make(seg))
         })
         .collect()
 }
@@ -188,6 +196,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let parts = whole_parts(
+            &self.lease,
             &self.segs,
             |_| 0,
             |seg| {
@@ -200,13 +209,13 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
                 })
             },
         );
-        DistInput::Resident(ResidentRun { id: self.id, len: self.len, parts })
+        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.len, parts })
     }
 }
 
 /// A contiguous-range view of a [`DistVec`] (see [`DistVec::slice`]).
 pub struct SliceView<T> {
-    id: u64,
+    lease: Arc<Lease>,
     segs: Arc<Vec<Seg<T>>>,
     range: Range<usize>,
 }
@@ -218,7 +227,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for SliceView<T> {
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let (a, b) = (self.range.start, self.range.end);
         let mut parts = Vec::new();
-        for seg in self.segs.iter() {
+        for (slot, seg) in self.segs.iter().enumerate() {
             let lo = seg.part.start.max(a);
             let hi = seg.part.end().min(b);
             if lo >= hi {
@@ -227,26 +236,25 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for SliceView<T> {
             let data = Arc::clone(&seg.data);
             let base = seg.part.start;
             // View index v maps to global index a + v.
-            parts.push(ResidentPart {
-                home: seg.home,
-                part: SeqPart::new(lo - a, hi - lo),
-                seg_bytes: (seg.elem_bytes() * (hi - lo)).max(1),
-                halo_bytes: 0,
-                fold: Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
+            parts.push(ResidentPart::resolve(
+                vec![self.lease.claim(slot, seg.bytes)],
+                SeqPart::new(lo - a, hi - lo),
+                0,
+                Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
                     let off = a + start - base;
                     for x in &data[off..off + len] {
                         f(x.clone());
                     }
                 }),
-            });
+            ));
         }
-        DistInput::Resident(ResidentRun { id: self.id, len: b - a, parts })
+        DistInput::Resident(ResidentRun { id: self.lease.id(), len: b - a, parts })
     }
 }
 
 /// An index-carrying view of a [`DistVec`] (see [`DistVec::enumerate`]).
 pub struct EnumView<T> {
-    id: u64,
+    lease: Arc<Lease>,
     len: usize,
     segs: Arc<Vec<Seg<T>>>,
 }
@@ -257,6 +265,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for EnumView<T> {
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let parts = whole_parts(
+            &self.lease,
             &self.segs,
             |_| 0,
             |seg| {
@@ -269,14 +278,15 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for EnumView<T> {
                 })
             },
         );
-        DistInput::Resident(ResidentRun { id: self.id, len: self.len, parts })
+        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.len, parts })
     }
 }
 
 /// An element-aligned pairing of two identically-segmented [`DistVec`]s
-/// (see [`DistVec::zip`]). A redispatch off-home re-ships both segments.
+/// (see [`DistVec::zip`]). A redispatch off-home re-ships both segments, and
+/// both move to the rank that received them.
 pub struct ZipView<T, U> {
-    id: u64,
+    leases: (Arc<Lease>, Arc<Lease>),
     len: usize,
     a: Arc<Vec<Seg<T>>>,
     b: Arc<Vec<Seg<U>>>,
@@ -291,35 +301,36 @@ where
     type Iter = IdxFlat<ArrayIdx<(T, U)>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
+        let (la, lb) = &self.leases;
         let parts = self
             .a
             .iter()
             .zip(self.b.iter())
-            .map(|(sa, sb)| {
+            .enumerate()
+            .map(|(slot, (sa, sb))| {
                 let da = Arc::clone(&sa.data);
                 let db = Arc::clone(&sb.data);
                 let base = sa.part.start;
-                ResidentPart {
-                    home: sa.home,
-                    part: sa.part,
-                    seg_bytes: sa.bytes + sb.bytes,
-                    halo_bytes: 0,
-                    fold: Arc::new(move |start, len, f: &mut dyn FnMut((T, U))| {
+                ResidentPart::resolve(
+                    vec![la.claim(slot, sa.bytes), lb.claim(slot, sb.bytes)],
+                    sa.part,
+                    0,
+                    Arc::new(move |start, len, f: &mut dyn FnMut((T, U))| {
                         let off = start - base;
                         for k in off..off + len {
                             f((da[k].clone(), db[k].clone()));
                         }
                     }),
-                }
+                )
             })
             .collect();
-        DistInput::Resident(ResidentRun { id: self.id, len: self.len, parts })
+        DistInput::Resident(ResidentRun { id: la.id(), len: self.len, parts })
     }
 }
 
 /// A ghost-cell stencil view of a [`DistVec`] (see [`DistVec::halo`]).
 pub struct HaloView<T> {
-    id: u64,
+    lease: Arc<Lease>,
     len: usize,
     radius: usize,
     segs: Arc<Vec<Seg<T>>>,
@@ -334,6 +345,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for HaloView<T> {
         let n = self.len;
         let all = Arc::clone(&self.segs);
         let parts = whole_parts(
+            &self.lease,
             &self.segs,
             // Each boundary needs up to `radius` ghost elements per side.
             |seg| 2 * radius * seg.elem_bytes(),
@@ -349,15 +361,15 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for HaloView<T> {
                 })
             },
         );
-        DistInput::Resident(ResidentRun { id: self.id, len: self.len, parts })
+        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.len, parts })
     }
 }
 
 /// A persistent distributed matrix: row slabs scattered once, resident on
-/// their home ranks. `&da` iterates elements in row-major order;
+/// their owning ranks. `&da` iterates elements in row-major order;
 /// [`rows`](DistArray2::rows) yields whole rows with their indices.
 pub struct DistArray2<T> {
-    id: u64,
+    lease: Arc<Lease>,
     rows: usize,
     cols: usize,
     /// Segments partition the *row* space; each holds its slab row-major.
@@ -366,18 +378,28 @@ pub struct DistArray2<T> {
 
 impl<T> Clone for DistArray2<T> {
     fn clone(&self) -> Self {
-        DistArray2 { id: self.id, rows: self.rows, cols: self.cols, segs: Arc::clone(&self.segs) }
+        DistArray2 {
+            lease: Arc::clone(&self.lease),
+            rows: self.rows,
+            cols: self.cols,
+            segs: Arc::clone(&self.segs),
+        }
     }
 }
 
 impl<T> DistArray2<T> {
-    pub(crate) fn from_segments(id: u64, rows: usize, cols: usize, segs: Vec<Seg<T>>) -> Self {
-        DistArray2 { id, rows, cols, segs: Arc::new(segs) }
+    pub(crate) fn from_segments(
+        lease: Arc<Lease>,
+        rows: usize,
+        cols: usize,
+        segs: Vec<Seg<T>>,
+    ) -> Self {
+        DistArray2 { lease, rows, cols, segs: Arc::new(segs) }
     }
 
     /// The resident-store id of this collection.
     pub fn id(&self) -> u64 {
-        self.id
+        self.lease.id()
     }
 
     /// Matrix rows.
@@ -397,7 +419,12 @@ impl<T> DistArray2<T> {
 
     /// A view yielding `(row_index, row)` pairs, one per matrix row.
     pub fn row_view(&self) -> RowsView<T> {
-        RowsView { id: self.id, rows: self.rows, cols: self.cols, segs: Arc::clone(&self.segs) }
+        RowsView {
+            lease: Arc::clone(&self.lease),
+            rows: self.rows,
+            cols: self.cols,
+            segs: Arc::clone(&self.segs),
+        }
     }
 
     /// Assemble the full matrix at the root (verification/debug only; no
@@ -425,29 +452,29 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistArray2<T> {
         let parts = self
             .segs
             .iter()
-            .map(|seg| {
+            .enumerate()
+            .map(|(slot, seg)| {
                 let data = Arc::clone(&seg.data);
                 let base = seg.part.start * cols;
-                ResidentPart {
-                    home: seg.home,
-                    part: SeqPart::new(base, seg.part.len * cols),
-                    seg_bytes: seg.bytes,
-                    halo_bytes: 0,
-                    fold: Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
+                ResidentPart::resolve(
+                    vec![self.lease.claim(slot, seg.bytes)],
+                    SeqPart::new(base, seg.part.len * cols),
+                    0,
+                    Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
                         for x in &data[start - base..start - base + len] {
                             f(x.clone());
                         }
                     }),
-                }
+                )
             })
             .collect();
-        DistInput::Resident(ResidentRun { id: self.id, len: self.rows * self.cols, parts })
+        DistInput::Resident(ResidentRun { id: self.id(), len: self.rows * self.cols, parts })
     }
 }
 
 /// A whole-row view of a [`DistArray2`] (see [`DistArray2::row_view`]).
 pub struct RowsView<T> {
-    id: u64,
+    lease: Arc<Lease>,
     rows: usize,
     cols: usize,
     segs: Arc<Vec<Seg<T>>>,
@@ -459,52 +486,56 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for RowsView<T> {
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let cols = self.cols;
-        let parts = self
-            .segs
-            .iter()
-            .map(|seg| {
+        let parts = whole_parts(
+            &self.lease,
+            &self.segs,
+            |_| 0,
+            |seg| {
                 let data = Arc::clone(&seg.data);
                 let base = seg.part.start;
-                ResidentPart {
-                    home: seg.home,
-                    part: seg.part,
-                    seg_bytes: seg.bytes,
-                    halo_bytes: 0,
-                    fold: Arc::new(move |start, len, f: &mut dyn FnMut((usize, Vec<T>))| {
-                        for r in start..start + len {
-                            let off = (r - base) * cols;
-                            f((r, data[off..off + cols].to_vec()));
-                        }
-                    }),
-                }
-            })
-            .collect();
-        DistInput::Resident(ResidentRun { id: self.id, len: self.rows, parts })
+                Arc::new(move |start, len, f: &mut dyn FnMut((usize, Vec<T>))| {
+                    for r in start..start + len {
+                        let off = (r - base) * cols;
+                        f((r, data[off..off + cols].to_vec()));
+                    }
+                })
+            },
+        );
+        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.rows, parts })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triolet_cluster::ResidentStore;
     use triolet_domain::{Domain, Seq};
+
+    /// A lease on a fresh store with `segs` registered one per rank, as
+    /// `Cluster::scatter_segments` would leave them.
+    fn registered<T>(segs: &[Seg<T>]) -> Arc<Lease> {
+        let store = Arc::new(ResidentStore::new());
+        let lease = Lease::new(&store);
+        for (slot, seg) in segs.iter().enumerate() {
+            store.register(lease.id(), slot, slot, seg.bytes);
+        }
+        lease
+    }
 
     /// A hand-built DistVec over `data` split into `n` segments (the engine
     /// normally does this through `Triolet::scatter`).
     fn dv(data: Vec<i64>, n: usize) -> DistVec<i64> {
         let len = data.len();
-        let shared = Arc::new(data);
-        let segs = Seq::new(len)
+        let segs: Vec<Seg<i64>> = Seq::new(len)
             .split_parts(n)
             .into_iter()
-            .enumerate()
-            .map(|(i, part)| Seg {
-                home: i,
+            .map(|part| Seg {
                 part,
-                data: Arc::new(shared[part.range()].to_vec()),
+                data: Arc::new(data[part.range()].to_vec()),
                 bytes: part.len * 8,
             })
             .collect();
-        DistVec::from_segments(7, len, segs)
+        DistVec::from_segments(registered(&segs), len, segs)
     }
 
     fn collect_input<In: IntoDistInput>(input: In) -> Vec<In::Item> {
@@ -580,19 +611,16 @@ mod tests {
         let rows = 6;
         let cols = 4;
         let data: Vec<i64> = (0..(rows * cols) as i64).collect();
-        let shared = Arc::new(data.clone());
-        let segs = Seq::new(rows)
+        let segs: Vec<Seg<i64>> = Seq::new(rows)
             .split_parts(3)
             .into_iter()
-            .enumerate()
-            .map(|(i, part)| Seg {
-                home: i,
+            .map(|part| Seg {
                 part,
-                data: Arc::new(shared[part.start * cols..part.end() * cols].to_vec()),
+                data: Arc::new(data[part.start * cols..part.end() * cols].to_vec()),
                 bytes: part.len * cols * 8,
             })
             .collect();
-        let m = DistArray2::from_segments(9, rows, cols, segs);
+        let m = DistArray2::from_segments(registered(&segs), rows, cols, segs);
         assert_eq!(collect_input(&m), data);
         let row_pairs = collect_input(m.row_view());
         assert_eq!(row_pairs.len(), rows);

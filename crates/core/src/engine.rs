@@ -47,12 +47,13 @@ use triolet_domain::{Dim2, Domain, Part, Seq, SeqPart};
 use triolet_iter::collector::Collector;
 use triolet_iter::shapes::ParHint;
 use triolet_iter::{Array2, SliceMemo};
+use triolet_obs::rehome_event;
 use triolet_pool::parallel::CHUNKS_PER_THREAD;
 use triolet_serial::{PackedPayload, PodView, Wire};
 
 use crate::dist::{
-    AsEnv, DistArray2, DistInput, DistIter, DistVec, EnvArg, IntoDistInput, PackedEnv, ResidentRun,
-    Seg,
+    AsEnv, DistArray2, DistInput, DistIter, DistVec, EnvArg, IntoDistInput, Lease, PackedEnv,
+    PartFold, ResidentRun, Seg,
 };
 use crate::report::RunStats;
 use crate::run::Run;
@@ -204,23 +205,17 @@ impl Triolet {
     {
         let t0 = Instant::now();
         let len = data.len();
-        let id = self.cluster.resident_store().alloc_id();
         let segs: Vec<Seg<T>> = Seq::new(len)
             .split_parts(self.nodes())
             .into_iter()
-            .enumerate()
-            .map(|(rank, part)| {
+            .map(|part| {
                 let seg: Vec<T> = data[part.range()].to_vec();
                 let bytes = seg.packed_size();
-                Seg { home: rank, part, data: Arc::new(seg), bytes }
+                Seg { part, data: Arc::new(seg), bytes }
             })
             .collect();
         let pack_s = t0.elapsed().as_secs_f64();
-        let sizes: Vec<(usize, usize)> = segs.iter().map(|s| (s.home, s.bytes)).collect();
-        let (timing, dist_trace) = self.cluster.scatter_segments(id, &sizes);
-        let trace = self.skeleton_trace("scatter", Some(pack_s), dist_trace, timing.total_s, None);
-        Run::new(DistVec::from_segments(id, len, segs), RunStats::from_dist(timing, pack_s))
-            .with_trace(trace)
+        self.scatter_segs(&segs, pack_s).map(|lease| DistVec::from_segments(lease, len, segs))
     }
 
     /// Scatter a matrix across the cluster once as row slabs, returning a
@@ -233,26 +228,29 @@ impl Triolet {
         let rows = m.rows();
         let cols = m.cols();
         let data = m.into_vec();
-        let id = self.cluster.resident_store().alloc_id();
         let segs: Vec<Seg<T>> = Seq::new(rows)
             .split_parts(self.nodes())
             .into_iter()
-            .enumerate()
-            .map(|(rank, part)| {
+            .map(|part| {
                 let slab: Vec<T> = data[part.start * cols..part.end() * cols].to_vec();
                 let bytes = slab.packed_size();
-                Seg { home: rank, part, data: Arc::new(slab), bytes }
+                Seg { part, data: Arc::new(slab), bytes }
             })
             .collect();
         let pack_s = t0.elapsed().as_secs_f64();
-        let sizes: Vec<(usize, usize)> = segs.iter().map(|s| (s.home, s.bytes)).collect();
-        let (timing, dist_trace) = self.cluster.scatter_segments(id, &sizes);
+        self.scatter_segs(&segs, pack_s)
+            .map(|lease| DistArray2::from_segments(lease, rows, cols, segs))
+    }
+
+    /// Ship segment `k` to rank `k` and register it there under a fresh
+    /// lease (`pack_s` is the root's time cutting the segments).
+    fn scatter_segs<T>(&self, segs: &[Seg<T>], pack_s: f64) -> Run<Arc<Lease>> {
+        let lease = Lease::new(self.cluster.resident_store());
+        let sizes: Vec<(usize, usize)> =
+            segs.iter().enumerate().map(|(rank, s)| (rank, s.bytes)).collect();
+        let (timing, dist_trace) = self.cluster.scatter_segments(lease.id(), &sizes);
         let trace = self.skeleton_trace("scatter", Some(pack_s), dist_trace, timing.total_s, None);
-        Run::new(
-            DistArray2::from_segments(id, rows, cols, segs),
-            RunStats::from_dist(timing, pack_s),
-        )
-        .with_trace(trace)
+        Run::new(lease, RunStats::from_dist(timing, pack_s)).with_trace(trace)
     }
 
     // ======================================================================
@@ -350,6 +348,59 @@ impl Triolet {
     /// Is the cluster's dispatch pipeline streamed (vs barrier)?
     fn streamed(&self) -> bool {
         self.cluster.config().pipeline == PipelineMode::Streamed
+    }
+
+    /// The resident mirror of [`slice_tasks`], dispatch included: one task
+    /// per [`ResidentPart`](crate::dist::ResidentPart), routed to the rank
+    /// the store said owns the part's segment when the view was resolved,
+    /// running `body(part, fold)` there. Tasks declare zero wire bytes (the
+    /// descriptor is control-plane); the environment still broadcasts.
+    ///
+    /// A task forced off that rank has its segment re-shipped to whichever
+    /// rank executed it (counted by the cluster as a `dist:resident-miss`).
+    /// The bytes are there now, so ownership follows them: the store entry
+    /// moves (a `dist:rehome`), and every later call over the collection
+    /// routes that part straight to its new owner. The dispatcher itself
+    /// remembers nothing — it is handed owners and reports executing ranks.
+    fn run_resident_tasks<'a, T, R: Wire + Send>(
+        &self,
+        run: ResidentRun<T>,
+        env_bytes: usize,
+        body: impl Fn(SeqPart, PartFold<T>) -> Box<dyn FnOnce(&NodeCtx<'_>) -> R + Send + 'a>,
+    ) -> DistOutcome<R> {
+        let id = run.id;
+        let (tasks, claims): (Vec<_>, Vec<_>) = run
+            .parts
+            .into_iter()
+            .map(|p| {
+                let spec = ResidentSpec {
+                    id,
+                    home: p.home,
+                    seg_bytes: p.seg_bytes,
+                    halo_bytes: p.halo_bytes,
+                };
+                let task = RawTask {
+                    wire_bytes: 0,
+                    pieces: Vec::new(),
+                    pack_s: 0.0,
+                    resident: Some(spec),
+                    work: body(p.part, p.fold),
+                };
+                (task, p.claims)
+            })
+            .unzip();
+        let mut out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
+        for (task, (claims, &exec)) in claims.iter().zip(&out.execs).enumerate() {
+            for claim in claims {
+                if let Some(from) = claim.rehome(exec) {
+                    if self.traced() {
+                        let at = out.timing.total_s;
+                        out.trace.events.push(rehome_event(task, claim.id(), from, exec, at));
+                    }
+                }
+            }
+        }
+        out
     }
 
     // ======================================================================
@@ -610,16 +661,13 @@ impl Triolet {
         }
     }
 
-    /// The resident dispatch arm: one task per [`ResidentPart`], sent to the
-    /// rank already holding that part's segment. Tasks declare zero wire
-    /// bytes (the descriptor is control-plane); the environment still
-    /// broadcasts, and a crash that forces a task off its home rank re-ships
-    /// the segment (counted by the cluster as a `dist:resident-miss`).
+    /// The resident arm of [`fold_reduce`](Self::fold_reduce).
     ///
     /// Each part splits into the same chunks the shipped path would use
     /// (`part.split(threads × CHUNKS_PER_THREAD)` depends only on the index
     /// range), and partials merge in chunk then task order — so resident
-    /// results are bit-identical to re-broadcast results.
+    /// results are bit-identical to re-broadcast results, wherever a part
+    /// ends up running.
     fn fold_reduce_resident<T, E, B, Seed, Step, Merge>(
         &self,
         name: &str,
@@ -638,52 +686,29 @@ impl Triolet {
     {
         let t0 = Instant::now();
         let env_payload = env.payload(self.cluster.stats());
-        let env_bytes = env_payload.len();
         let root_prep_s = t0.elapsed().as_secs_f64();
-        let id = run.id;
-        let tasks: Vec<RawTask<'_, B>> = run
-            .parts
-            .into_iter()
-            .map(|p| {
-                let penv = env_payload.clone();
-                let fold = p.fold;
-                let part = p.part;
-                let seed = &seed;
-                let step = &step;
-                let merge = &merge;
-                RawTask {
-                    wire_bytes: 0,
-                    pieces: Vec::new(),
-                    pack_s: 0.0,
-                    resident: Some(ResidentSpec {
-                        id,
-                        home: p.home,
-                        seg_bytes: p.seg_bytes,
-                        halo_bytes: p.halo_bytes,
-                    }),
-                    work: Box::new(move |ctx: &NodeCtx<'_>| {
-                        let env: E =
-                            ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
-                        let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                        ctx.map_reduce_chunks(
-                            chunks,
-                            |chunk| {
-                                let mut acc = Some(seed());
-                                fold(chunk.start, chunk.len, &mut |x| {
-                                    let a = acc.take().expect("accumulator present");
-                                    acc = Some(step(&env, a, x));
-                                });
-                                acc.expect("accumulator present")
-                            },
-                            merge,
-                        )
-                        .unwrap_or_else(seed)
-                    }),
-                }
+        let (seed, step, merge) = (&seed, &step, &merge);
+        let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
+            let penv = env_payload.clone();
+            Box::new(move |ctx: &NodeCtx<'_>| {
+                let env: E = ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
+                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
+                ctx.map_reduce_chunks(
+                    chunks,
+                    |chunk| {
+                        let mut acc = Some(seed());
+                        fold(chunk.start, chunk.len, &mut |x| {
+                            let a = acc.take().expect("accumulator present");
+                            acc = Some(step(&env, a, x));
+                        });
+                        acc.expect("accumulator present")
+                    },
+                    merge,
+                )
+                .unwrap_or_else(seed)
             })
-            .collect();
-        let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
-        self.fold_epilogue(name, root_prep_s, out, &seed, &merge)
+        });
+        self.fold_epilogue(name, root_prep_s, out, seed, merge)
     }
 
     // ======================================================================
@@ -918,54 +943,33 @@ impl Triolet {
 
         let it = match input {
             DistInput::Resident(run) => {
-                // Resident assembly: each home rank materializes its part's
-                // fragment in place; only fragments travel back.
+                // Resident assembly: each owning rank materializes its
+                // part's fragment in place; only fragments travel back.
                 let t0 = Instant::now();
                 let env_payload = env.payload(self.cluster.stats());
-                let env_bytes = env_payload.len();
                 let root_prep_s = t0.elapsed().as_secs_f64();
-                let id = run.id;
                 let f = &f;
-                let tasks: Vec<RawTask<'_, PodView<U>>> = run
-                    .parts
-                    .into_iter()
-                    .map(|p| {
-                        let penv = env_payload.clone();
-                        let fold = p.fold;
-                        let part = p.part;
-                        RawTask {
-                            wire_bytes: 0,
-                            pieces: Vec::new(),
-                            pack_s: 0.0,
-                            resident: Some(ResidentSpec {
-                                id,
-                                home: p.home,
-                                seg_bytes: p.seg_bytes,
-                                halo_bytes: p.halo_bytes,
-                            }),
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let env: E = ctx.unpack_sequential(|| {
-                                    penv.unpack().expect("environment roundtrip")
-                                });
-                                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                                let pieces = ctx.map_chunks(chunks, |chunk| {
-                                    let mut v = Vec::with_capacity(chunk.count());
-                                    fold(chunk.start, chunk.len, &mut |x| v.push(f(&env, x)));
-                                    v
-                                });
-                                ctx.sequential(|| {
-                                    let total = pieces.iter().map(Vec::len).sum();
-                                    let mut out = Vec::with_capacity(total);
-                                    for piece in pieces {
-                                        out.extend(piece);
-                                    }
-                                    PodView::from_vec(out)
-                                })
-                            }),
-                        }
+                let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
+                    let penv = env_payload.clone();
+                    Box::new(move |ctx: &NodeCtx<'_>| {
+                        let env: E =
+                            ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
+                        let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
+                        let pieces = ctx.map_chunks(chunks, |chunk| {
+                            let mut v = Vec::with_capacity(chunk.count());
+                            fold(chunk.start, chunk.len, &mut |x| v.push(f(&env, x)));
+                            v
+                        });
+                        ctx.sequential(|| {
+                            let total = pieces.iter().map(Vec::len).sum();
+                            let mut out = Vec::with_capacity(total);
+                            for piece in pieces {
+                                out.extend(piece);
+                            }
+                            PodView::from_vec(out)
+                        })
                     })
-                    .collect();
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
+                });
                 return self.concat_epilogue("build_vec", root_prep_s, out);
             }
             DistInput::Iter(it) => it,
@@ -1572,6 +1576,45 @@ mod tests {
         let a = rt.sum(&dv).value;
         let b = rt.sum(from_vec(xs).par()).value;
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    #[test]
+    fn a_segment_follows_its_data_off_a_live_rank() {
+        // Nobody is crashed: with a one-attempt budget, drops alone push
+        // tasks off live owners. The segment crossed the wire all the same,
+        // so it belongs to the rank that received it.
+        let plan = triolet_cluster::FaultPlan::seeded(5)
+            .with_drop(0.3)
+            .with_max_retries(0)
+            .with_timeout(std::time::Duration::from_millis(1));
+        let lossy =
+            Triolet::new(ClusterConfig::virtual_cluster(4, 2).with_faults(plan).with_trace(true));
+        let xs: Vec<f64> = (0..1000).map(|i| i as f64 * 0.25 - 3.0).collect();
+        let dv = lossy.scatter(xs.clone()).value;
+        let store = lossy.cluster().resident_store();
+        let first = lossy.sum(&dv);
+        assert!(first.stats.resident_misses > 0, "seed 5 drops the only attempt of two tasks");
+        let moves: Vec<&triolet_obs::Event> =
+            first.trace.events.iter().filter(|e| e.name == "dist:rehome").collect();
+        assert_eq!(moves.len() as u64, first.stats.resident_misses, "one move per miss");
+        for e in moves {
+            let arg = |key| match e.args.iter().find(|(k, _)| *k == key) {
+                Some((_, triolet_obs::ArgValue::U64(v))) => *v as usize,
+                other => panic!("dist:rehome has no integer {key:?}: {other:?}"),
+            };
+            // A whole-collection call's task index is its segment's slot.
+            assert_eq!(arg("from"), arg("task"), "segments start on the rank of their slot");
+            assert_eq!(store.owner(dv.id(), arg("task")), Some(arg("to")));
+        }
+        assert_eq!(store.segment_count(), 4, "the stale entry is gone: still one per segment");
+        // The same hops now lead to the new owners: the same attempts that
+        // delivered the segments deliver the descriptors.
+        let second = lossy.sum(&dv);
+        assert_eq!((second.stats.resident_misses, second.stats.resident_hits), (0, 4));
+        assert_eq!(second.trace.count_events("dist:rehome"), 0);
+        let clean = rt(4, 2);
+        let expect = clean.sum(&clean.scatter(xs).value).value.to_bits();
+        assert_eq!((first.value.to_bits(), second.value.to_bits()), (expect, expect));
     }
 
     #[test]

@@ -154,6 +154,16 @@ pub struct Event {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
+/// The `dist:rehome` event: after a dispatch ran `task` off the rank that
+/// owned its resident segment, the root moved ownership of that segment (of
+/// collection `seg`) from rank `from` to rank `to` — where its bytes landed
+/// — so later calls route there. Stamped at `t`, the end of that dispatch.
+pub fn rehome_event(task: usize, seg: u64, from: usize, to: usize, t: f64) -> Event {
+    let args =
+        vec![("task", task.into()), ("seg", seg.into()), ("from", from.into()), ("to", to.into())];
+    Event { name: "dist:rehome".into(), cat: "dist", track: Track::Root, t, args }
+}
+
 /// Destination for trace records. The runtime only ever talks to this trait;
 /// the default sink is [`NullSink`], whose methods are empty and inline away.
 pub trait TraceSink: Send + Sync {

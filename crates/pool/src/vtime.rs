@@ -205,7 +205,7 @@ mod tests {
                 let (best, _) = free_at
                     .iter()
                     .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                    .min_by(|a, b| a.1.total_cmp(b.1))
                     .expect("workers >= 1");
                 start_times.push(free_at[best]);
                 free_at[best] += d.max(0.0);

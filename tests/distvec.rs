@@ -8,7 +8,10 @@
 //! * the iterative k-means ablation moves at least 5x fewer bytes per sweep
 //!   over resident segments than re-broadcasting, at 8 and at 16 nodes;
 //! * a crashed rank forces resident misses (segment re-ship to a survivor)
-//!   without changing a single result bit.
+//!   without changing a single result bit;
+//! * that miss happens once: the survivor owns the segment afterwards, so
+//!   later sweeps never probe the dead rank or re-ship the segment;
+//! * dropping a collection frees its store entries, moved ones included.
 
 use std::time::Duration;
 
@@ -184,4 +187,91 @@ fn crashed_rank_forces_resident_misses_without_changing_bits() {
     );
     assert_eq!(clean.stats.resident_misses, 0);
     assert_eq!(clean.stats.bytes_out, 0);
+}
+
+/// One sweep with a real environment, so a sweep's outbound bytes are
+/// environment copies and nothing else once every segment is where its
+/// task runs.
+fn env_sum(rt: &Triolet, dv: &DistVec<f64>, env: &Vec<f64>) -> Run<f64> {
+    rt.fold_reduce(
+        dv,
+        env,
+        || 0.0f64,
+        |env: &Vec<f64>, acc, x: f64| acc + x * env[(x.abs() as usize) % env.len()],
+        |a, b| a + b,
+    )
+}
+
+#[test]
+fn a_crashed_home_is_paid_for_once() {
+    const NODES: usize = 8;
+    let xs = data(1 << 14);
+    let env: Vec<f64> = (0..16).map(|i| 1.0 + i as f64 / 16.0).collect();
+    let plan =
+        FaultPlan::seeded(7).with_drop(0.05).with_crash(3).with_timeout(Duration::from_millis(1));
+    let clean_rt = rt(NODES);
+    let faulty_rt = Triolet::new(ClusterConfig::virtual_cluster(NODES, TPN).with_faults(plan));
+    let env_bytes = clean_rt.pack_env(env.clone()).wire_bytes() as u64;
+
+    let clean_dv = clean_rt.scatter(xs.clone()).value;
+    let faulty_dv = faulty_rt.scatter(xs).value;
+    let seg_bytes = (faulty_dv.resident_bytes() / NODES) as u64;
+    let clean = env_sum(&clean_rt, &clean_dv, &env);
+    assert_eq!(clean.stats.bytes_out, NODES as u64 * env_bytes, "one env copy per rank");
+
+    let (mut misses, mut redispatches) = (0, 0);
+    for sweep in 1..=20 {
+        let run = env_sum(&faulty_rt, &faulty_dv, &env);
+        let s = &run.stats;
+        println!(
+            "sweep {sweep:2}: {:.3} ms, {} B out, {} retries, {} redispatches, {} hits, {} misses",
+            s.total_s * 1e3,
+            s.bytes_out,
+            s.retries,
+            s.redispatches,
+            s.resident_hits,
+            s.resident_misses
+        );
+        assert_eq!(run.value.to_bits(), clean.value.to_bits(), "sweep {sweep} changed the value");
+        misses += s.resident_misses;
+        redispatches += s.redispatches;
+        if sweep == 1 {
+            assert!(s.bytes_out > seg_bytes, "the detecting sweep re-ships rank 3's segment");
+            continue;
+        }
+        // Rank 3's segment lives on the survivor now: every task is a hit,
+        // and the only bytes out are the seven executing ranks' environment
+        // copies plus whatever the drop schedule made them retransmit.
+        assert_eq!(s.resident_hits, NODES as u64, "sweep {sweep}");
+        assert_eq!(s.bytes_out % env_bytes, 0, "sweep {sweep} shipped something besides the env");
+        let copies = s.bytes_out / env_bytes;
+        assert!(
+            (NODES as u64 - 1..NODES as u64 + s.retries).contains(&copies),
+            "sweep {sweep}: {copies} env copies with {} retries",
+            s.retries
+        );
+    }
+    assert_eq!((misses, redispatches), (1, 1), "the crash is detected and paid for exactly once");
+}
+
+#[test]
+fn dropping_a_collection_frees_its_segments() {
+    let plan =
+        FaultPlan::seeded(7).with_drop(0.05).with_crash(3).with_timeout(Duration::from_millis(1));
+    let rt = Triolet::new(ClusterConfig::virtual_cluster(8, TPN).with_faults(plan));
+    let store = rt.cluster().resident_store();
+    for _ in 0..100 {
+        let dv = rt.scatter(data(256)).value;
+        assert_eq!(store.segment_count(), 8);
+        // The sweep moves rank 3's segment; the moved entry goes with the
+        // rest when the handle drops.
+        assert_eq!(weighted_sum(&rt, &dv).stats.resident_misses, 1);
+    }
+    assert_eq!(store.segment_count(), 0, "every scatter's segments were evicted on drop");
+
+    // A view keeps the collection registered after its handle is gone.
+    let view = rt.scatter(data(256)).value.slice(10..200);
+    assert_eq!(store.segment_count(), 8);
+    weighted_sum(&rt, view);
+    assert_eq!(store.segment_count(), 0);
 }

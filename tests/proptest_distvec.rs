@@ -2,7 +2,9 @@
 //! cluster shapes, either topology, either pipeline mode, and seeded fault
 //! schedules (including whole-rank crashes that force resident segments to
 //! re-ship), a skeleton over a resident `DistVec` must be **bit-identical**
-//! to the same skeleton over a re-broadcast iterator.
+//! to the same skeleton over a re-broadcast iterator — and a crash must be
+//! paid for once per collection, through every view, however many sweeps
+//! follow.
 
 use std::time::Duration;
 
@@ -133,6 +135,125 @@ proptest! {
         let got = rt.build_vec(dv.slice(lo..hi), &(), |_, x: u32| x as u64 + 9);
         let expect: Vec<u64> = xs[lo..hi].iter().map(|&x| x as u64 + 9).collect();
         prop_assert_eq!(got.value, expect);
+    }
+}
+
+/// The three resident collections the healing property sweeps over, on one
+/// runtime: two vectors of identical segmentation and a 3-column matrix.
+struct Collections {
+    a: DistVec<f64>,
+    b: DistVec<f64>,
+    m: DistArray2<f64>,
+}
+
+const COLS: usize = 3;
+const VIEWS: u64 = 6;
+const ZIP: u64 = 3;
+
+impl Collections {
+    fn scatter(rt: &Triolet, xs: &[f64]) -> Self {
+        let rows = xs.len() / COLS;
+        Collections {
+            a: rt.scatter(xs.to_vec()).value,
+            b: rt.scatter(xs.iter().map(|x| x * 0.5 - 1.0).collect()).value,
+            m: rt.scatter_array2(Array2::from_vec(xs[..rows * COLS].to_vec(), rows, COLS)).value,
+        }
+    }
+
+    /// One sweep through view number `view`; returns the result's bits
+    /// (every element's, for `build_vec`) and the sweep's stats.
+    fn sweep(&self, rt: &Triolet, view: u64, build: bool) -> (Vec<u64>, RunStats) {
+        let n = self.a.len();
+        let window = |(i, w): (usize, Vec<f64>)| w.iter().sum::<f64>() + i as f64;
+        match view {
+            0 => run_view(rt, &self.a, build, |x: f64| x),
+            1 => run_view(rt, self.a.slice(n / 4..n - n / 4), build, |x: f64| x),
+            2 => run_view(rt, self.a.enumerate(), build, |(i, x): (usize, f64)| x * i as f64),
+            ZIP => run_view(rt, self.a.zip(&self.b), build, |(x, y): (f64, f64)| x * y),
+            4 => run_view(rt, self.a.halo(2), build, window),
+            _ => run_view(rt, self.m.row_view(), build, window),
+        }
+    }
+}
+
+/// `fold_reduce` (an f64 sum: not associative, so equal bits mean equal
+/// association) or `build_vec` of `g` over `input`.
+fn run_view<In>(
+    rt: &Triolet,
+    input: In,
+    build: bool,
+    g: impl Fn(In::Item) -> f64 + Send + Sync,
+) -> (Vec<u64>, RunStats)
+where
+    In: IntoDistInput,
+    In::Iter: DistIter<OuterDom = Seq>,
+{
+    if build {
+        let run = rt.build_vec(input, &(), |(), x| g(x));
+        (run.value.iter().map(|v| v.to_bits()).collect(), run.stats)
+    } else {
+        let run = rt.fold_reduce(input, &(), || 0.0f64, |(), acc, x| acc + g(x), |a, b| a + b);
+        (vec![run.value.to_bits()], run.stats)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Healing: with a crashed rank, sweeping any view any number of times
+    /// gives the fault-free bits every time, misses at most once per
+    /// segment that started on the dead rank, and never again after the
+    /// sweep that detected the crash.
+    #[test]
+    fn a_crash_is_paid_for_once_through_every_view(
+        xs in proptest::collection::vec(-1e6f64..1e6, COLS..300),
+        (nodes, tpn) in (2usize..=9, 1usize..=3),
+        sel in 0u64..4,
+        (seed, crash) in (0u64..1000, 0usize..8),
+        (view, build, sweeps) in (0..VIEWS, 0u8..2, 1usize..=6),
+    ) {
+        let (topology, pipeline) = shape_from(sel);
+        let crash = 1 + crash % (nodes - 1);
+        let faulty_rt =
+            Triolet::new(config(nodes, tpn, topology, pipeline, &Some((seed, Some(crash)))));
+        let clean_rt = Triolet::new(config(nodes, tpn, topology, pipeline, &None));
+        let faulty = Collections::scatter(&faulty_rt, &xs);
+        let clean = Collections::scatter(&clean_rt, &xs);
+
+        // Segments that start on the dead rank, among the collections the
+        // view reads (short inputs split into fewer segments than ranks).
+        let on_dead = |segments: usize| usize::from(segments > crash) as u64;
+        let mut budget = match view {
+            ZIP => 2 * on_dead(faulty.a.segments()),
+            5 => on_dead(faulty.m.segments()),
+            _ => on_dead(faulty.a.segments()),
+        };
+        let mut healed = false;
+        if view == ZIP {
+            // Move one operand alone first: the zipped sweeps then meet a
+            // pair whose segments live on different ranks.
+            let (_, stats) = faulty.sweep(&faulty_rt, 0, false);
+            healed = stats.resident_misses > 0;
+            budget -= stats.resident_misses.min(budget);
+        }
+        for sweep in 0..sweeps {
+            let (got, stats) = faulty.sweep(&faulty_rt, view, build == 1);
+            let (expect, _) = clean.sweep(&clean_rt, view, build == 1);
+            prop_assert_eq!(got, expect, "sweep {} diverged from the fault-free bits", sweep);
+            prop_assert!(
+                stats.resident_misses <= budget,
+                "sweep {} missed {} times with {} unhealed segments",
+                sweep, stats.resident_misses, budget
+            );
+            prop_assert!(
+                !(healed && stats.resident_misses > 0),
+                "sweep {} missed after the crash was already paid for", sweep
+            );
+            healed |= stats.resident_misses > 0;
+            budget -= stats.resident_misses;
+        }
+        drop(faulty);
+        prop_assert_eq!(faulty_rt.cluster().resident_store().segment_count(), 0);
     }
 }
 
