@@ -51,7 +51,7 @@ fn accumulate_atom(grid: &mut [f64], geom: &GridGeom, a: &Atom) {
 }
 
 /// The node kernel: private grid per thread chunk, explicit reduction.
-fn kernel(ctx: &NodeCtx<'_>, p: RankPayload) -> Vec<f64> {
+fn kernel(ctx: &NodeCtx, p: RankPayload) -> Vec<f64> {
     let cells = p.geom.dom.count();
     let chunk_count = ctx.threads() * 4;
     let chunk_size = p.atoms.len().div_ceil(chunk_count.max(1)).max(1);

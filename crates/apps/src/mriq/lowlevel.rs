@@ -63,7 +63,7 @@ pub fn run_lowlevel(rt: &LowLevelRt, input: &MriqInput) -> (MriqOutput, RunStats
         .collect();
 
     // --- Node kernel: the "OpenMP parallel for" ---------------------------
-    let kernel = |ctx: &NodeCtx<'_>, p: RankPayload| -> (Vec<f32>, Vec<f32>) {
+    let kernel = |ctx: &NodeCtx, p: RankPayload| -> (Vec<f32>, Vec<f32>) {
         let local_n = p.x.len();
         let chunks = Seq::new(local_n).split_parts(ctx.threads() * 4);
         let pieces = ctx.map_chunks(chunks, |c: &SeqPart| {

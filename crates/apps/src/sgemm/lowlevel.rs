@@ -87,7 +87,7 @@ fn build_payloads(input: &SgemmInput, bt: &Array2<f32>, nodes: usize) -> Vec<Blo
 /// The node kernel: compute one output block, threads over block rows.
 /// Each thread strip runs the tiled kernel over its rows against the full
 /// `B^T` band (registered-blocked tiles; bit-identical to the naive loop).
-fn block_kernel(ctx: &NodeCtx<'_>, p: BlockPayload) -> (Dim2Part, PodView<f32>) {
+fn block_kernel(ctx: &NodeCtx, p: BlockPayload) -> (Dim2Part, PodView<f32>) {
     let BlockPayload { block, a_rows, bt_rows, k, alpha } = p;
     let chunks = Seq::new(block.rows).split_parts(ctx.threads() * 4);
     let row_strips = ctx.map_chunks(chunks, |strip: &SeqPart| {

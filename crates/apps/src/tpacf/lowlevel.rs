@@ -50,7 +50,7 @@ impl Wire for RankPayload {
 type ThreeHists = (Vec<u64>, Vec<u64>, Vec<u64>);
 
 /// The node kernel: private histograms per thread chunk, reduced by hand.
-fn kernel(ctx: &NodeCtx<'_>, p: RankPayload) -> ThreeHists {
+fn kernel(ctx: &NodeCtx, p: RankPayload) -> ThreeHists {
     let bins = p.bin_edges.len();
     // DR + RR: one task per random set, each with private histograms.
     let per_set = ctx.map_chunks(p.rands.clone(), |rand: &Vec<Point>| {

@@ -160,7 +160,7 @@ impl EdenRt {
                     pieces: Vec::new(),
                     pack_s: 0.0,
                     resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| {
+                    work: Box::new(move |ctx: &NodeCtx| {
                         // Leader -> process messages: every task input is
                         // serialized to its worker process (no shared heap).
                         let input_bytes: usize = group.iter().map(Wire::packed_size).sum();
@@ -228,7 +228,7 @@ impl EdenRt {
                     pieces: Vec::new(),
                     pack_s: 0.0,
                     resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| {
+                    work: Box::new(move |ctx: &NodeCtx| {
                         // Each process receives its own full copy of `data`.
                         let data: D = ctx.sequential(|| {
                             triolet_serial::unpack_all(packed(&data)).expect("full-copy roundtrip")

@@ -53,7 +53,7 @@ impl LowLevelRt {
     pub fn run<T, R, O>(
         &self,
         payloads: Vec<T>,
-        kernel: impl Fn(&NodeCtx<'_>, T) -> R + Send + Sync,
+        kernel: impl Fn(&NodeCtx, T) -> R + Send + Sync,
         combine: impl FnOnce(Vec<R>) -> O,
     ) -> (O, RunStats)
     where

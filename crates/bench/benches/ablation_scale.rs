@@ -1,22 +1,16 @@
-//! Ablation: event-driven vs eager virtual-time core at 64–4096 ranks.
+//! Scale sweep: the event-driven virtual-time core at 64–4096 ranks.
 //!
 //! ```text
 //! cargo bench --bench ablation_scale -- [--smoke] [--out FILE]
 //! ```
 //!
 //! Runs an environment-broadcasting `fold_reduce` across N ∈ {64, 256,
-//! 1024, 4096} simulated ranks (the eager core still finishes at every
-//! point, so both cores are measured everywhere) and reports, per point:
-//! the simulator's host wall-clock for the whole virtual dispatch, the
-//! event core's heap throughput (events/second), and its peak resident
-//! heap length — the `O(ranks)` state bound that distinguishes the event
-//! core from the eager walk's full-vector passes. A final pass per rank
-//! count re-runs with [`ClusterConfig::with_sim_check`], which executes
-//! *both* cores on every dispatch and panics unless their timelines agree
-//! to the bit, so cross-core identity is asserted in-bench, not assumed.
-//! `--out` writes the table as JSON (BENCH_scale.json is the committed
-//! capture); `--smoke` shrinks the workload and rank sweep for CI while
-//! keeping the 1024-rank point.
+//! 1024, 4096} simulated ranks and reports, per point: the host wall-clock
+//! for the whole virtual dispatch, the simulator's heap throughput
+//! (events/second), and its peak resident heap length, asserted to stay
+//! `O(ranks)`. `--out` writes the table as JSON (BENCH_scale.json is the
+//! committed capture); `--smoke` shrinks the workload and rank sweep for CI
+//! while keeping the 1024-rank point — the only > 8-rank floor CI has.
 
 use std::io::Write;
 use std::time::Instant;
@@ -25,13 +19,11 @@ use triolet::prelude::*;
 
 struct Point {
     ranks: usize,
-    core: &'static str,
     wall_s: f64,
     total_s: f64,
     events: u64,
     events_per_s: f64,
     peak_heap: u64,
-    value_bits: u64,
 }
 
 fn workload(ranks: usize, items_per_rank: usize) -> (Vec<f64>, Vec<f64>) {
@@ -41,10 +33,8 @@ fn workload(ranks: usize, items_per_rank: usize) -> (Vec<f64>, Vec<f64>) {
     (env, xs)
 }
 
-fn run_point(ranks: usize, core: SimCore, sim_check: bool, env: &Vec<f64>, xs: &[f64]) -> Point {
-    let cfg =
-        ClusterConfig::virtual_cluster(ranks, 2).with_sim_core(core).with_sim_check(sim_check);
-    let rt = Triolet::new(cfg);
+fn run_point(ranks: usize, env: &Vec<f64>, xs: &[f64]) -> Point {
+    let rt = Triolet::new(ClusterConfig::virtual_cluster(ranks, 2));
     let t0 = Instant::now();
     let run = rt.fold_reduce(
         from_vec(xs.to_vec()).par(),
@@ -58,16 +48,11 @@ fn run_point(ranks: usize, core: SimCore, sim_check: bool, env: &Vec<f64>, xs: &
     let peak_heap = rt.cluster().stats().sim_peak_heap();
     Point {
         ranks,
-        core: match core {
-            SimCore::Event => "event",
-            SimCore::Eager => "eager",
-        },
         wall_s,
         total_s: run.stats.total_s,
         events,
         events_per_s: if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 },
         peak_heap,
-        value_bits: run.value.to_bits(),
     }
 }
 
@@ -79,63 +64,37 @@ fn main() {
     let rank_sweep: &[usize] = if smoke { &[64, 1024] } else { &[64, 256, 1024, 4096] };
     let items_per_rank = if smoke { 16 } else { 64 };
 
-    println!("# Ablation: event-driven vs eager virtual-time core");
+    println!("# Scale sweep: event-driven virtual-time core");
     println!(
         "{items_per_rank} items/rank | env broadcast 4096 bytes | cost model {:?}",
         CostModel::default()
     );
-    println!("| ranks | core | sim wall (s) | events | events/s | peak heap | makespan (s) |");
-    println!("|------:|------|-------------:|-------:|---------:|----------:|-------------:|");
+    println!("| ranks | sim wall (s) | events | events/s | peak heap | makespan (s) |");
+    println!("|------:|-------------:|-------:|---------:|----------:|-------------:|");
 
     // One discarded run to warm the allocator and page in the inputs.
     {
         let (env, xs) = workload(64, items_per_rank);
-        let _ = run_point(64, SimCore::Event, false, &env, &xs);
+        let _ = run_point(64, &env, &xs);
     }
 
     let mut points = Vec::new();
     for &ranks in rank_sweep {
         let (env, xs) = workload(ranks, items_per_rank);
-        for core in [SimCore::Event, SimCore::Eager] {
-            let p = run_point(ranks, core, false, &env, &xs);
-            println!(
-                "| {} | {} | {:.6} | {} | {:.0} | {} | {:.6} |",
-                p.ranks, p.core, p.wall_s, p.events, p.events_per_s, p.peak_heap, p.total_s
-            );
-            points.push(p);
-        }
-    }
-
-    for &ranks in rank_sweep {
-        let get = |core: &str| {
-            points.iter().find(|p| p.ranks == ranks && p.core == core).expect("point present")
-        };
-        let (event, eager) = (get("event"), get("eager"));
-        // Identical results whichever core laid the timeline.
-        assert_eq!(
-            event.value_bits, eager.value_bits,
-            "cores must agree bit-for-bit at {ranks} ranks"
+        let p = run_point(ranks, &env, &xs);
+        println!(
+            "| {} | {:.6} | {} | {:.0} | {} | {:.6} |",
+            p.ranks, p.wall_s, p.events, p.events_per_s, p.peak_heap, p.total_s
         );
         // The heap discipline: every timed piece pops as an event, while
         // resident state stays O(ranks) — far below the event total.
-        assert!(event.events > 0, "event core must process heap events at {ranks} ranks");
-        assert_eq!(eager.events, 0, "eager core must pop no heap events");
+        assert!(p.events > 0, "the simulator must process heap events at {ranks} ranks");
         assert!(
-            event.peak_heap <= 4 * ranks as u64 + 16,
+            p.peak_heap <= 4 * ranks as u64 + 16,
             "peak heap {} must stay O(ranks) at {ranks} ranks",
-            event.peak_heap
+            p.peak_heap
         );
-
-        // In-bench bit-identity: run both cores on the *same* dispatch and
-        // assert every span bound and arrival agrees to the bit (panics on
-        // the first divergence).
-        let (env, xs) = workload(ranks, items_per_rank);
-        let checked = run_point(ranks, SimCore::Event, true, &env, &xs);
-        assert_eq!(
-            checked.value_bits, event.value_bits,
-            "sim-check run must reproduce the value at {ranks} ranks"
-        );
-        println!("sim-check at {ranks} ranks: timelines bit-identical");
+        points.push(p);
     }
 
     if let Some(path) = out_path {
@@ -143,10 +102,9 @@ fn main() {
         json.push_str(&format!("  \"items_per_rank\": {items_per_rank},\n  \"points\": [\n"));
         for (i, p) in points.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"ranks\": {}, \"core\": \"{}\", \"sim_wall_s\": {:.9}, \"events\": {}, \
+                "    {{\"ranks\": {}, \"sim_wall_s\": {:.9}, \"events\": {}, \
                  \"events_per_s\": {:.0}, \"peak_heap\": {}, \"total_s\": {:.9}}}{}\n",
                 p.ranks,
-                p.core,
                 p.wall_s,
                 p.events,
                 p.events_per_s,

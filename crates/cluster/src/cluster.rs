@@ -14,13 +14,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use triolet_obs::{tree_edge_args, TraceData, TraceHandle, Track};
-use triolet_pool::ThreadPool;
 use triolet_serial::{packed, unpack_all, unpack_counters, Piece, Wire, WireError};
 
 use crate::cost::{CostModel, DistTiming, TrafficStats};
 use crate::fault::FaultPlan;
-use crate::node::{ExecMode, NodeCtx, ResidentStore};
-use crate::sim::{self, SimCore, SimEdge, SimProblem, SimTask};
+use crate::node::{NodeCtx, ResidentStore};
+use crate::sim::{self, SimEdge, SimProblem, SimTask};
 use crate::tree;
 
 /// Pseudo-rank of the root in fault-schedule coordinates (the root is not a
@@ -58,8 +57,8 @@ fn with_unpack_delta<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 /// `Tree` sends over the contiguous-subtree binomial tree of [`tree`]: the
 /// root transmits `O(log N)` copies and ranks that already hold the payload
 /// relay it concurrently, so the last arrival is `O(log N)` edge times
-/// behind the root instead of `O(N)`. `Linear` is the pre-tree behavior
-/// (root loops over every destination), kept for ablations.
+/// behind the root instead of `O(N)`. Under `Linear` the root loops over
+/// every destination itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Topology {
     /// Root sends every copy itself, serialized on its one NIC.
@@ -69,32 +68,11 @@ pub enum Topology {
     Tree,
 }
 
-/// How the root overlaps its own work with node compute.
-///
-/// `Streamed` (the default) pipelines the distributed hot path: the root
-/// charges each task's pack time immediately before that task's send — so
-/// rank k computes while the root still packs for rank k+1 — and unpacks
-/// each result the moment it arrives instead of barriering on the slowest
-/// node. `Barrier` is the pre-pipeline behavior (pack everything, send
-/// everything, wait for every result, then unpack everything), kept for
-/// equivalence tests and ablation. Results are bit-identical in both modes:
-/// only the modeled timeline and the trace structure differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Serial root prologue/epilogue: pack-all, send-all, wait-all,
-    /// unpack-all.
-    Barrier,
-    /// Overlap root-side pack/send/unpack with node compute (the default).
-    #[default]
-    Streamed,
-}
-
 /// A result payload gathered at the root failed to decode.
 ///
-/// The pre-PR-4 dispatcher panicked (`expect("result roundtrip")`) here;
-/// like the comm layer's recv/gather (`CommError::Decode`), a damaged or
-/// mistyped result now surfaces as a typed error through the `try_*`
-/// entry points instead.
+/// Like the comm layer's recv/gather (`CommError::Decode`), a damaged or
+/// mistyped result surfaces as a typed error through the `try_*` entry
+/// points.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchError {
     /// Task `task`'s result bytes did not decode as the expected type.
@@ -125,8 +103,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Worker threads per node (the paper's 16 cores/node).
     pub threads_per_node: usize,
-    /// Real-thread or virtual-time execution.
-    pub mode: ExecMode,
     /// Inter-node transfer cost model.
     pub cost: CostModel,
     /// Injected-fault schedule ([`FaultPlan::none`] by default).
@@ -136,15 +112,6 @@ pub struct ClusterConfig {
     pub trace: bool,
     /// Route for one-to-all payloads (tree by default).
     pub topology: Topology,
-    /// Root-side overlap strategy (streamed by default).
-    pub pipeline: PipelineMode,
-    /// Which virtual-time core lays dispatch timelines (the event heap by
-    /// default; the eager walk is kept for ablation and equivalence).
-    pub core: SimCore,
-    /// Run *both* cores on every virtual dispatch and panic unless their
-    /// timelines agree to the bit (equivalence gates and benches; off by
-    /// default — it doubles simulation work).
-    pub sim_check: bool,
 }
 
 impl ClusterConfig {
@@ -153,30 +120,10 @@ impl ClusterConfig {
         ClusterConfig {
             nodes: nodes.max(1),
             threads_per_node: threads_per_node.max(1),
-            mode: ExecMode::Virtual,
             cost: CostModel::default(),
             faults: FaultPlan::none(),
             trace: false,
             topology: Topology::default(),
-            pipeline: PipelineMode::default(),
-            core: SimCore::default(),
-            sim_check: false,
-        }
-    }
-
-    /// Real-thread cluster (for correctness tests on small shapes).
-    pub fn measured(nodes: usize, threads_per_node: usize) -> Self {
-        ClusterConfig {
-            nodes: nodes.max(1),
-            threads_per_node: threads_per_node.max(1),
-            mode: ExecMode::Measured,
-            cost: CostModel::default(),
-            faults: FaultPlan::none(),
-            trace: false,
-            topology: Topology::default(),
-            pipeline: PipelineMode::default(),
-            core: SimCore::default(),
-            sim_check: false,
         }
     }
 
@@ -204,26 +151,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Replace the root-side overlap strategy.
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Replace the virtual-time simulator core.
-    pub fn with_sim_core(mut self, core: SimCore) -> Self {
-        self.core = core;
-        self
-    }
-
-    /// Enable or disable the in-dispatch dual-core equivalence check: every
-    /// virtual dispatch runs *both* cores and panics unless the timelines
-    /// agree bitwise.
-    pub fn with_sim_check(mut self, sim_check: bool) -> Self {
-        self.sim_check = sim_check;
-        self
-    }
-
     /// Total cores across the cluster.
     pub fn total_cores(&self) -> usize {
         self.nodes * self.threads_per_node
@@ -240,10 +167,8 @@ pub struct DistOutcome<R> {
     /// fault schedule redispatched it to a survivor.
     pub execs: Vec<usize>,
     /// When each task's result was unpacked and ready at the root, in task
-    /// order, on the outcome's timeline. Under `PipelineMode::Streamed`
-    /// these are staggered arrival-order times (the streaming-merge
-    /// consumer folds the completed prefix as it grows); under `Barrier`
-    /// every entry equals `timing.total_s`.
+    /// order, on the outcome's timeline: staggered arrival-order times (the
+    /// streaming-merge consumer folds the completed prefix as it grows).
     pub arrivals: Vec<f64>,
     /// Timing and traffic breakdown.
     pub timing: DistTiming,
@@ -289,9 +214,8 @@ pub struct RawTask<'a, R> {
     /// the root once and relayed among its readers.
     pub pieces: Vec<Piece>,
     /// Root-side seconds spent slicing/packing this task's payload. Charged
-    /// on the root clock immediately before the task's send under
-    /// `PipelineMode::Streamed` (so later packs overlap earlier nodes'
-    /// compute) and as one prologue lump under `Barrier`.
+    /// on the root clock immediately before the task's send, so later packs
+    /// overlap earlier nodes' compute.
     pub pack_s: f64,
     /// Resident-segment claim: `Some` routes the task to the segment's home
     /// rank and makes its input bytes placement-dependent (zero on a hit,
@@ -299,7 +223,7 @@ pub struct RawTask<'a, R> {
     /// path.
     pub resident: Option<ResidentSpec>,
     /// The node task; must route compute through the [`NodeCtx`].
-    pub work: Box<dyn FnOnce(&NodeCtx<'_>) -> R + Send + 'a>,
+    pub work: Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
 }
 
 impl<'a, R> RawTask<'a, R> {
@@ -541,18 +465,17 @@ fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRo
     );
 }
 
-/// Record task `i`'s trip from the root: one `send` per rank tried — a span
-/// when `timing(h)` gives hop `h` a `(start, Some(done))` on a modeled
-/// clock, an instant at `start` otherwise — its fault events `dt` apart, a
-/// `redispatch` where the root moved on, and the resident hit/miss verdict
-/// at `settled`. `wire[h]` is the bytes hop `h` carried.
+/// Record task `i`'s trip from the root: one `send` span per rank tried,
+/// over the `(start, done)` that `timing(h)` gives hop `h`, its fault events
+/// `dt` apart, a `redispatch` where the root moved on, and the resident
+/// hit/miss verdict at `settled`. `wire[h]` is the bytes hop `h` carried.
 fn trace_route(
     tr: &TraceHandle,
     i: usize,
     route: &TaskRoute,
     resident: Option<ResidentSpec>,
     wire: &[usize],
-    timing: impl Fn(usize) -> (f64, Option<f64>, f64),
+    timing: impl Fn(usize) -> (f64, f64, f64),
     settled: f64,
 ) {
     for (h, hop) in route.hops.iter().enumerate() {
@@ -563,10 +486,7 @@ fn trace_route(
             ("bytes", wire[h].into()),
             ("attempts", (hop.tx.attempts as u64).into()),
         ];
-        match done {
-            Some(done) => tr.span("send", "comm", Track::Root, start, done, args),
-            None => tr.event("send", "comm", Track::Root, start, args),
-        }
+        tr.span("send", "comm", Track::Root, start, done, args);
         // Fault-event placement within the hop is a model decoration; the
         // *counts* are exact.
         let fault = |name: &'static str, count: u32| {
@@ -585,7 +505,7 @@ fn trace_route(
                 "redispatch",
                 "fault",
                 Track::Root,
-                done.unwrap_or(start),
+                done,
                 vec![
                     ("task", i.into()),
                     ("from", hop.dest.into()),
@@ -614,8 +534,8 @@ fn trace_route(
 /// One planned edge of a one-to-many payload: the broadcast environment, or
 /// an input piece that tasks on several ranks read. Fault outcomes are
 /// decided up front from the schedule, like task routes, so the edge list
-/// is a pure function of the plan, ready for both the mode-independent
-/// traffic accounting and virtual-time charging.
+/// is a pure function of the plan, ready for both traffic accounting and
+/// virtual-time charging.
 struct PayloadEdge {
     /// Sending rank, or [`ROOT`].
     sender: usize,
@@ -635,10 +555,8 @@ struct PayloadEdge {
 
 impl PayloadEdge {
     /// Record the edge on the timeline: a `comm:tree` span over
-    /// `start..done` on a modeled clock, an instant at `start` when `done`
-    /// is `None` (measured mode, whose transfers are in-process), each
-    /// followed by the edge's fault events `dt` apart.
-    fn trace(&self, tr: &TraceHandle, start: f64, done: Option<f64>, dt: f64) {
+    /// `start..done`, followed by the edge's fault events `dt` apart.
+    fn trace(&self, tr: &TraceHandle, start: f64, done: f64, dt: f64) {
         if !tr.enabled() {
             return;
         }
@@ -651,10 +569,7 @@ impl PayloadEdge {
         }
         args.push(("bytes", self.bytes.into()));
         args.push(("attempts", (self.tx.attempts as u64).into()));
-        match done {
-            Some(done) => tr.span("comm:tree", "comm", track, start, done, args),
-            None => tr.event("comm:tree", "comm", track, start, args),
-        }
+        tr.span("comm:tree", "comm", track, start, done, args);
         let fault = |name: &'static str, count: u32| {
             for k in 0..count {
                 let at = start + dt * (k + 1) as f64;
@@ -852,7 +767,6 @@ fn plan_scatter<R>(
 /// skeletons compile to.
 pub struct Cluster {
     config: ClusterConfig,
-    pools: Vec<ThreadPool>,
     stats: TrafficStats,
     resident: Arc<ResidentStore>,
     /// Reusable simulator state (clock vectors, event heap): capacity is
@@ -862,18 +776,11 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Bring up a cluster. `Measured` mode spawns `nodes * threads_per_node`
-    /// real worker threads; `Virtual` mode spawns none.
+    /// Bring up a cluster (no threads are spawned: node tasks run one at a
+    /// time on the caller's thread, in virtual time).
     pub fn new(config: ClusterConfig) -> Self {
-        let pools = match config.mode {
-            ExecMode::Measured => {
-                (0..config.nodes).map(|_| ThreadPool::new(config.threads_per_node)).collect()
-            }
-            ExecMode::Virtual => Vec::new(),
-        };
         Cluster {
             config,
-            pools,
             stats: TrafficStats::new(),
             resident: Arc::new(ResidentStore::new()),
             sim_scratch: Mutex::new(sim::SimScratch::new()),
@@ -979,7 +886,7 @@ impl Cluster {
     where
         T: Wire + Send,
         R: Wire + Send,
-        F: Fn(&NodeCtx<'_>, T) -> R + Send + Sync,
+        F: Fn(&NodeCtx, T) -> R + Send + Sync,
     {
         self.try_run(payloads, task).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -994,7 +901,7 @@ impl Cluster {
     where
         T: Wire + Send,
         R: Wire + Send,
-        F: Fn(&NodeCtx<'_>, T) -> R + Send + Sync,
+        F: Fn(&NodeCtx, T) -> R + Send + Sync,
     {
         assert!(
             payloads.len() <= self.config.nodes,
@@ -1019,7 +926,7 @@ impl Cluster {
                     pieces: Vec::new(),
                     pack_s,
                     resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| {
+                    work: Box::new(move |ctx: &NodeCtx| {
                         // Deserialization happens on the node: charge it (and
                         // let the trace show how much of it was zero-copy).
                         let payload: T =
@@ -1029,7 +936,7 @@ impl Cluster {
                 }
             })
             .collect();
-        self.dispatch(tasks, 0.0, 0)
+        self.dispatch(tasks, 0)
     }
 
     /// Run the same (cloned) payload on every node: the broadcast pattern.
@@ -1037,7 +944,7 @@ impl Cluster {
     where
         T: Wire + Send + Clone,
         R: Wire + Send,
-        F: Fn(&NodeCtx<'_>, T) -> R + Send + Sync,
+        F: Fn(&NodeCtx, T) -> R + Send + Sync,
     {
         let payloads = vec![payload; self.config.nodes];
         self.run(payloads, task)
@@ -1075,7 +982,7 @@ impl Cluster {
             tasks.len(),
             self.config.nodes
         );
-        self.dispatch(tasks, 0.0, 0)
+        self.dispatch(tasks, 0)
     }
 
     /// Like [`run_raw`](Self::run_raw), but additionally charges one
@@ -1114,7 +1021,7 @@ impl Cluster {
             tasks.len(),
             self.config.nodes
         );
-        self.dispatch(tasks, 0.0, bcast_bytes)
+        self.dispatch(tasks, bcast_bytes)
     }
 
     /// Run `work` on the root's own node: the `localpar` path.
@@ -1124,18 +1031,12 @@ impl Cluster {
     /// the [`FaultPlan`] has nothing to act on, and the result needs no
     /// [`Wire`] round trip. `work` sees a rank-0 [`NodeCtx`] and must route
     /// its compute through it so virtual time observes it.
-    pub fn run_local<R>(&self, work: impl FnOnce(&NodeCtx<'_>) -> R) -> (R, DistTiming, TraceData) {
+    pub fn run_local<R>(&self, work: impl FnOnce(&NodeCtx) -> R) -> (R, DistTiming, TraceData) {
         let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
         let node_tr = if tr.enabled() { TraceHandle::recording() } else { TraceHandle::disabled() };
-        let mode = self.config.mode;
-        let ctx = NodeCtx::new(0, self.config.threads_per_node, mode, self.pools.first())
-            .with_trace(node_tr);
-        let t0 = Instant::now();
+        let ctx = NodeCtx::new(0, self.config.threads_per_node).with_trace(node_tr);
         let value = work(&ctx);
-        let total_s = match mode {
-            ExecMode::Virtual => ctx.elapsed(),
-            ExecMode::Measured => t0.elapsed().as_secs_f64(),
-        };
+        let total_s = ctx.elapsed();
         tr.absorb(ctx.take_trace());
         tr.span(
             "node:task",
@@ -1146,28 +1047,27 @@ impl Cluster {
             vec![("task", 0usize.into())],
         );
         let mut node_compute = vec![0.0f64; self.config.nodes];
-        node_compute[0] = ctx.elapsed();
+        node_compute[0] = total_s;
         (value, Tally::new(&self.stats).timing(total_s, 0.0, node_compute, (0, 0)), tr.take())
     }
 
-    /// The one dispatcher behind `run` and `run_raw`: plan every task's
-    /// route through the fault schedule, plan the one-to-many payloads (the
-    /// environment, and input pieces that tasks on several ranks share) over
-    /// the ranks that will execute, execute each task once on its final
-    /// rank, account all traffic (including lost/duplicated attempts and
-    /// retransmissions), and gather results in task order.
+    /// The one dispatcher behind `run` and `run_raw`, in four steps. *Plan*
+    /// every task's route through the fault schedule, then the one-to-many
+    /// payloads (the environment, and input pieces that tasks on several
+    /// ranks share) over the ranks that will execute. *Execute* each task
+    /// once, on its final rank. *Lay the timeline*: the simulator places
+    /// every planned transfer and measured duration on the virtual clock.
+    /// *Account* all traffic (including lost/duplicated attempts and
+    /// retransmissions) and gather results in task order — a redispatched
+    /// task's result still lands in its original task slot.
     ///
-    /// Under [`PipelineMode::Streamed`] the root's own pack/unpack work is
-    /// pipelined against node compute: task k+1's pack is charged right
-    /// before its send (so rank k already computes), and each result is
-    /// unpacked the moment it arrives rather than after the slowest node.
-    /// [`PipelineMode::Barrier`] keeps the serial prologue/epilogue. Both
-    /// modes produce bit-identical results and traffic accounting — a
-    /// redispatched task's result still lands in its original task slot.
+    /// The root's own pack/unpack work is pipelined against node compute:
+    /// task k+1's pack is charged right before its send (so rank k already
+    /// computes), and each result is unpacked the moment it arrives rather
+    /// than after the slowest node.
     fn dispatch<'a, R>(
         &self,
         tasks: Vec<RawTask<'a, R>>,
-        root_prep_s: f64,
         bcast_bytes: usize,
     ) -> Result<DistOutcome<R>, DispatchError>
     where
@@ -1190,12 +1090,12 @@ impl Cluster {
         let scatter =
             plan_scatter(&plan, self.config.topology, n_nodes, &tasks, &routes, bcast_bytes);
 
-        // Forward-path traffic and fault-event accounting (mode-independent:
-        // the schedule, not the executor, decides what happens on the wire).
-        // A hop carries the task's private bytes plus the pieces riding
-        // with it; resident tasks pay per-hop bytes: the control descriptor
-        // (plus any halo) to the home rank, the full segment only when
-        // redispatch forces execution off-home.
+        // Forward-path traffic and fault-event accounting (the schedule, not
+        // the executor, decides what happens on the wire). A hop carries the
+        // task's private bytes plus the pieces riding with it; resident
+        // tasks pay per-hop bytes: the control descriptor (plus any halo) to
+        // the home rank, the full segment only when redispatch forces
+        // execution off-home.
         let mut tally = Tally::new(&self.stats);
         for e in &scatter.edges {
             tally.message(&e.tx, e.bytes, (e.sender, e.dest));
@@ -1219,526 +1119,231 @@ impl Cluster {
         let timeout_s = plan.timeout.as_secs_f64();
         let tpn = self.config.threads_per_node;
         let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
-        if root_prep_s > 0.0 {
-            tr.span("root:pack", "prep", Track::Root, 0.0, root_prep_s, vec![]);
-        }
-        // Root-side pack seconds, measured per task. `Barrier` charges the
-        // sum as one prologue lump before anything leaves the root (the
-        // pre-pipeline timeline); `Streamed` charges each task's share
-        // right before its own send, so rank k's compute overlaps the pack
-        // for rank k+1.
-        let total_pack: f64 = tasks.iter().map(|t| t.pack_s).sum();
         let execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
 
-        match self.config.mode {
-            ExecMode::Virtual => {
-                let streamed = self.config.pipeline == PipelineMode::Streamed;
-                // Root prologue: prep runs first; `Barrier` additionally
-                // charges the whole pack lump before anything leaves.
-                let mut start_clock = root_prep_s;
-                if !streamed && total_pack > 0.0 {
+        // --- Reduce the dispatch to pure durations (a SimProblem). comm_s
+        // accumulates in a fixed order — payload edges, then task hops, then
+        // returns below — so the breakdown is a pure function of the plan
+        // and the measured durations. Each task's root-side pack seconds are
+        // charged right before its own send, so rank k's compute overlaps
+        // the pack for rank k+1.
+        let mut comm_s = 0.0f64;
+        let mut edge_dt: Vec<f64> = Vec::with_capacity(scatter.edges.len());
+        let sim_edges: Vec<SimEdge> = scatter
+            .edges
+            .iter()
+            .map(|e| {
+                let dt = cost.edge_time(e.sender, e.dest, e.bytes);
+                let edge_s = e.tx.seconds(dt, timeout_s, e.tx.retries());
+                comm_s += edge_s;
+                edge_dt.push(dt);
+                SimEdge { sender: e.sender, dest: e.dest, feeder: e.feeder, edge_s }
+            })
+            .collect();
+        let mut hop_s: Vec<f64> = Vec::with_capacity(hop_wire.len());
+        let mut hop_dt: Vec<f64> = Vec::with_capacity(hop_wire.len());
+        let mut resident_v: Vec<Option<ResidentSpec>> = Vec::with_capacity(n_tasks);
+        let mut sim_tasks: Vec<SimTask> = Vec::with_capacity(n_tasks);
+        for ((t, route), sc) in tasks.iter().zip(&routes).zip(&scatter.tasks) {
+            let h0 = hop_s.len();
+            for hop in &route.hops {
+                let dt = cost.edge_time(ROOT, hop.dest, hop_wire[hop_s.len()]);
+                let s = hop.tx.seconds(dt, timeout_s, hop.timeouts());
+                comm_s += s;
+                hop_s.push(s);
+                hop_dt.push(dt);
+            }
+            resident_v.push(t.resident);
+            sim_tasks.push(SimTask {
+                pack_s: t.pack_s,
+                exec: route.exec,
+                elapsed: 0.0, // measured below, once the task has run
+                ret_s: 0.0,   // filled once result sizes are known
+                hops: h0..hop_s.len(),
+                edges: sc.edges.clone(),
+                needs: sc.needs.clone(),
+            });
+        }
+
+        // --- Execute every task once, in task order. Execution is
+        // clockless: results and wall-measured node seconds feed the
+        // simulator; they never depend on it.
+        let mut node_compute = vec![0.0f64; n_nodes];
+        let mut results_bytes = Vec::with_capacity(n_tasks);
+        let mut sub_traces = Vec::with_capacity(n_tasks);
+        for (i, t) in tasks.into_iter().enumerate() {
+            let exec = routes[i].exec;
+            let node_tr =
+                if tr.enabled() { TraceHandle::recording() } else { TraceHandle::disabled() };
+            let ctx = NodeCtx::new(exec, tpn).with_trace(node_tr);
+            let result = (t.work)(&ctx);
+            let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
+            let elapsed = ctx.elapsed();
+            node_compute[exec] += elapsed;
+            sim_tasks[i].elapsed = elapsed;
+            sub_traces.push(ctx.take_trace());
+            results_bytes.push(rb);
+        }
+
+        // Return trips, planned and accounted in task order (the third leg
+        // of the comm_s order). Each attempt pays a transfer and each failed
+        // attempt an ack timeout.
+        let mut returns: Vec<(Attempts, f64)> = Vec::with_capacity(n_tasks);
+        for (i, rb) in results_bytes.iter().enumerate() {
+            let ret = Attempts::reliable(&plan, (routes[i].exec, ROOT), RET_TAG, i as u64);
+            tally.message(&ret, rb.len(), (routes[i].exec, ROOT));
+            let rdt = cost.edge_time(routes[i].exec, ROOT, rb.len());
+            let path_s = ret.seconds(rdt, timeout_s, ret.retries());
+            comm_s += path_s;
+            sim_tasks[i].ret_s = path_s;
+            returns.push((ret, rdt));
+        }
+
+        // --- Lay the dispatch on the virtual clock. Debug builds replay it
+        // through the eager oracle and panic unless the two timelines agree
+        // to the bit.
+        let problem = SimProblem {
+            n_nodes,
+            edges: &sim_edges,
+            env_edges: scatter.env_edges,
+            hop_s: &hop_s,
+            tasks: &sim_tasks,
+            needs: &scatter.needs,
+        };
+        let times = {
+            let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
+            let times = sim::run_event(&problem, &mut scratch);
+            #[cfg(debug_assertions)]
+            sim::assert_cores_agree(&sim::run_eager(&problem, &mut scratch), &times);
+            times
+        };
+        self.stats.record_sim(times.events, times.peak_heap as u64);
+        let finish = times.ret_done.iter().fold(0.0f64, |a, &rd| a.max(rd));
+
+        // --- Render the trace off the timeline in canonical record order
+        // (golden traces pin it): the environment's edges, then per task its
+        // pack, the shared pieces it is first to read, and its own sends.
+        if tr.enabled() {
+            let edge_span = |idx: usize| {
+                let (start, done) = times.edge_bounds[idx];
+                scatter.edges[idx].trace(&tr, start, done, edge_dt[idx]);
+            };
+            (0..scatter.env_edges).for_each(edge_span);
+            for (i, route) in routes.iter().enumerate() {
+                let pack_s = sim_tasks[i].pack_s;
+                if pack_s > 0.0 {
                     tr.span(
                         "root:pack",
                         "prep",
                         Track::Root,
-                        start_clock,
-                        start_clock + total_pack,
-                        vec![],
+                        times.pack_start[i],
+                        times.pack_start[i] + pack_s,
+                        vec![("task", i.into())],
                     );
-                    start_clock += total_pack;
                 }
-
-                // --- Reduce the dispatch to pure durations (a SimProblem).
-                // comm_s accumulates in canonical order — payload edges,
-                // then task hops, then returns below — so the breakdown is
-                // bit-identical whichever core lays the timeline.
-                let mut comm_s = 0.0f64;
-                let mut edge_dt: Vec<f64> = Vec::with_capacity(scatter.edges.len());
-                let sim_edges: Vec<SimEdge> = scatter
-                    .edges
-                    .iter()
-                    .map(|e| {
-                        let dt = cost.edge_time(e.sender, e.dest, e.bytes);
-                        let edge_s = e.tx.seconds(dt, timeout_s, e.tx.retries());
-                        comm_s += edge_s;
-                        edge_dt.push(dt);
-                        SimEdge { sender: e.sender, dest: e.dest, feeder: e.feeder, edge_s }
-                    })
-                    .collect();
-                let mut hop_s: Vec<f64> = Vec::with_capacity(hop_wire.len());
-                let mut hop_dt: Vec<f64> = Vec::with_capacity(hop_wire.len());
-                let mut pack_s_v: Vec<f64> = Vec::with_capacity(n_tasks);
-                let mut resident_v: Vec<Option<ResidentSpec>> = Vec::with_capacity(n_tasks);
-                let mut sim_tasks: Vec<SimTask> = Vec::with_capacity(n_tasks);
-                for ((t, route), sc) in tasks.iter().zip(&routes).zip(&scatter.tasks) {
-                    let h0 = hop_s.len();
-                    for hop in &route.hops {
-                        let dt = cost.edge_time(ROOT, hop.dest, hop_wire[hop_s.len()]);
-                        let s = hop.tx.seconds(dt, timeout_s, hop.timeouts());
-                        comm_s += s;
-                        hop_s.push(s);
-                        hop_dt.push(dt);
-                    }
-                    pack_s_v.push(t.pack_s);
-                    resident_v.push(t.resident);
-                    sim_tasks.push(SimTask {
-                        pack_s: if streamed { t.pack_s } else { 0.0 },
-                        exec: route.exec,
-                        elapsed: 0.0, // measured below, once the task has run
-                        ret_s: 0.0,   // filled once result sizes are known
-                        hops: h0..hop_s.len(),
-                        edges: sc.edges.clone(),
-                        needs: sc.needs.clone(),
-                    });
-                }
-
-                // --- Execute every task once, in task order. Execution is
-                // clockless: results and wall-measured node seconds feed the
-                // simulator; they never depend on it.
-                let mut node_compute = vec![0.0f64; n_nodes];
-                let mut results_bytes = Vec::with_capacity(n_tasks);
-                let mut sub_traces = Vec::with_capacity(n_tasks);
-                for (i, t) in tasks.into_iter().enumerate() {
-                    let exec = routes[i].exec;
-                    let node_tr = if tr.enabled() {
-                        TraceHandle::recording()
-                    } else {
-                        TraceHandle::disabled()
-                    };
-                    let ctx = NodeCtx::new(exec, tpn, ExecMode::Virtual, None).with_trace(node_tr);
-                    let result = (t.work)(&ctx);
-                    let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
-                    let elapsed = ctx.elapsed();
-                    node_compute[exec] += elapsed;
-                    sim_tasks[i].elapsed = elapsed;
-                    sub_traces.push(ctx.take_trace());
-                    results_bytes.push(rb);
-                }
-
-                // Return trips, planned and accounted in task order (the
-                // third leg of the canonical comm_s order). Each attempt
-                // pays a transfer and each failed attempt an ack timeout.
-                let mut returns: Vec<(Attempts, f64)> = Vec::with_capacity(n_tasks);
-                for (i, rb) in results_bytes.iter().enumerate() {
-                    let ret = Attempts::reliable(&plan, (routes[i].exec, ROOT), RET_TAG, i as u64);
-                    tally.message(&ret, rb.len(), (routes[i].exec, ROOT));
-                    let rdt = cost.edge_time(routes[i].exec, ROOT, rb.len());
-                    let path_s = ret.seconds(rdt, timeout_s, ret.retries());
-                    comm_s += path_s;
-                    sim_tasks[i].ret_s = path_s;
-                    returns.push((ret, rdt));
-                }
-
-                // --- Lay the dispatch on the virtual clock (optionally with
-                // both cores, asserting bitwise agreement).
-                let problem = SimProblem {
-                    start_clock,
-                    n_nodes,
-                    edges: &sim_edges,
-                    env_edges: scatter.env_edges,
-                    hop_s: &hop_s,
-                    tasks: &sim_tasks,
-                    needs: &scatter.needs,
+                scatter.tasks[i].edges.clone().for_each(edge_span);
+                let hop_timing = |h: usize| {
+                    let (start, done) = times.hop_bounds[hop0[i] + h];
+                    (start, done, hop_dt[hop0[i] + h])
                 };
-                let times = {
-                    let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
-                    if self.config.sim_check {
-                        let eager = sim::run_eager(&problem, &mut scratch);
-                        let event = sim::run_event(&problem, &mut scratch);
-                        sim::assert_cores_agree(&eager, &event);
-                        if self.config.core == SimCore::Eager {
-                            eager
-                        } else {
-                            event
-                        }
-                    } else {
-                        sim::run(self.config.core, &problem, &mut scratch)
-                    }
-                };
-                self.stats.record_sim(times.events, times.peak_heap as u64);
-                let mut finish = 0.0f64;
-                for &rd in &times.ret_done {
-                    finish = finish.max(rd);
-                }
-
-                // --- Render the canonical trace off the timeline (the exact
-                // record order of the pre-event dispatcher, so golden traces
-                // stay bit-identical): the environment's edges, then per
-                // task its pack, the shared pieces it is first to read, and
-                // its own sends.
-                if tr.enabled() {
-                    let edge_span = |idx: usize| {
-                        let (start, done) = times.edge_bounds[idx];
-                        scatter.edges[idx].trace(&tr, start, Some(done), edge_dt[idx]);
-                    };
-                    (0..scatter.env_edges).for_each(edge_span);
-                    for (i, route) in routes.iter().enumerate() {
-                        if streamed && pack_s_v[i] > 0.0 {
-                            tr.span(
-                                "root:pack",
-                                "prep",
-                                Track::Root,
-                                times.pack_start[i],
-                                times.pack_start[i] + pack_s_v[i],
-                                vec![("task", i.into())],
-                            );
-                        }
-                        scatter.tasks[i].edges.clone().for_each(edge_span);
-                        let hop_timing = |h: usize| {
-                            let (start, done) = times.hop_bounds[hop0[i] + h];
-                            (start, Some(done), hop_dt[hop0[i] + h])
-                        };
-                        let settled = times.send_done[i];
-                        trace_route(
-                            &tr,
-                            i,
-                            route,
-                            resident_v[i],
-                            task_wire(i),
-                            hop_timing,
-                            settled,
-                        );
-                    }
-                    for (i, mut sub) in sub_traces.into_iter().enumerate() {
-                        let (start, done) = times.node_bounds[i];
-                        sub.shift(start);
-                        tr.absorb(sub);
-                        tr.span(
-                            "node:task",
-                            "dispatch",
-                            Track::Node(routes[i].exec),
-                            start,
-                            done,
-                            vec![("task", i.into())],
-                        );
-                    }
-                    for (i, (ret, rdt)) in returns.iter().enumerate() {
-                        let done_at = times.node_bounds[i].1;
-                        tr.span(
-                            "return",
-                            "comm",
-                            Track::Root,
-                            done_at,
-                            times.ret_done[i],
-                            vec![
-                                ("task", i.into()),
-                                ("from", routes[i].exec.into()),
-                                ("bytes", results_bytes[i].len().into()),
-                                ("attempts", (ret.attempts as u64).into()),
-                            ],
-                        );
-                        for k in 0..ret.retries() {
-                            tr.event(
-                                "retry",
-                                "fault",
-                                Track::Root,
-                                done_at + rdt * (k + 1) as f64,
-                                vec![("task", i.into()), ("from", routes[i].exec.into())],
-                            );
-                        }
-                    }
-                }
-
-                let ret_arrival = &times.ret_done;
-                let mut arrivals = vec![0.0f64; n_tasks];
-                let mut unpack_copied = 0u64;
-                let mut unpack_aliased = 0u64;
-                let results: Vec<R>;
-                let total_s = match self.config.pipeline {
-                    PipelineMode::Barrier => {
-                        // Serial epilogue: the root waits out the slowest
-                        // return, then unpacks everything in one lump.
-                        let t1 = Instant::now();
-                        let mut out = Vec::with_capacity(n_tasks);
-                        for (i, rb) in results_bytes.into_iter().enumerate() {
-                            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
-                            unpack_copied += c;
-                            unpack_aliased += a;
-                            match decoded {
-                                Ok(r) => out.push(r),
-                                Err(source) => {
-                                    return Err(DispatchError::Decode { task: i, source })
-                                }
-                            }
-                        }
-                        results = out;
-                        let root_unpack_s = t1.elapsed().as_secs_f64();
-                        tr.span(
-                            "root:unpack",
-                            "prep",
-                            Track::Root,
-                            finish,
-                            finish + root_unpack_s,
-                            vec![
-                                ("copied", unpack_copied.into()),
-                                ("aliased", unpack_aliased.into()),
-                            ],
-                        );
-                        let total = finish + root_unpack_s;
-                        arrivals.iter_mut().for_each(|a| *a = total);
-                        total
-                    }
-                    PipelineMode::Streamed => {
-                        // Streaming epilogue: the root (one core) unpacks
-                        // results in arrival order, each the moment it
-                        // lands — early results are ready while late nodes
-                        // still compute, so most of the unpack cost hides
-                        // inside the network tail. Ties break on task index
-                        // so the processing order is deterministic.
-                        let mut order: Vec<usize> = (0..n_tasks).collect();
-                        order.sort_by(|&a, &b| {
-                            ret_arrival[a].total_cmp(&ret_arrival[b]).then(a.cmp(&b))
-                        });
-                        let mut uclock = times.root_free; // root free after last send
-                        let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
-                        let mut spans = vec![(0.0f64, 0.0f64); n_tasks];
-                        let mut moved = vec![(0u64, 0u64); n_tasks];
-                        for &i in &order {
-                            uclock = uclock.max(ret_arrival[i]);
-                            let rb = std::mem::take(&mut results_bytes[i]);
-                            let t1 = Instant::now();
-                            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
-                            let u = t1.elapsed().as_secs_f64();
-                            unpack_copied += c;
-                            unpack_aliased += a;
-                            moved[i] = (c, a);
-                            match decoded {
-                                Ok(r) => slots[i] = Some(r),
-                                Err(source) => {
-                                    return Err(DispatchError::Decode { task: i, source })
-                                }
-                            }
-                            spans[i] = (uclock, uclock + u);
-                            uclock += u;
-                            arrivals[i] = uclock;
-                        }
-                        // Spans are emitted in task order (not arrival
-                        // order) so the recorded line order is a pure
-                        // function of the inputs, independent of measured
-                        // unpack durations.
-                        if tr.enabled() {
-                            for (i, &(s0, s1)) in spans.iter().enumerate() {
-                                tr.span(
-                                    "root:unpack",
-                                    "prep",
-                                    Track::Root,
-                                    s0,
-                                    s1,
-                                    vec![
-                                        ("task", i.into()),
-                                        ("copied", moved[i].0.into()),
-                                        ("aliased", moved[i].1.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        results =
-                            slots.into_iter().map(|s| s.expect("every task unpacked")).collect();
-                        uclock.max(finish)
-                    }
-                };
-                Ok(DistOutcome {
-                    results,
-                    execs,
-                    arrivals,
-                    trace: tr.take(),
-                    timing: tally.timing(
-                        total_s,
-                        comm_s,
-                        node_compute,
-                        (unpack_copied, unpack_aliased),
-                    ),
-                })
+                let settled = times.send_done[i];
+                trace_route(&tr, i, route, resident_v[i], task_wire(i), hop_timing, settled);
             }
-            ExecMode::Measured => {
-                let t_start = Instant::now();
-                // Measured mode genuinely packed every payload serially
-                // before dispatch, so the pack lump sits at the timeline
-                // origin in both pipeline modes; what streaming overlaps
-                // here is the *gather* side — the root unpacks each result
-                // as its node thread hands it over, while slower node
-                // threads still compute.
-                let prep_off = root_prep_s + total_pack;
-                if total_pack > 0.0 {
-                    tr.span("root:pack", "prep", Track::Root, root_prep_s, prep_off, vec![]);
+            for (i, mut sub) in sub_traces.into_iter().enumerate() {
+                let (start, done) = times.node_bounds[i];
+                sub.shift(start);
+                tr.absorb(sub);
+                tr.span(
+                    "node:task",
+                    "dispatch",
+                    Track::Node(routes[i].exec),
+                    start,
+                    done,
+                    vec![("task", i.into())],
+                );
+            }
+            for (i, (ret, rdt)) in returns.iter().enumerate() {
+                let done_at = times.node_bounds[i].1;
+                tr.span(
+                    "return",
+                    "comm",
+                    Track::Root,
+                    done_at,
+                    times.ret_done[i],
+                    vec![
+                        ("task", i.into()),
+                        ("from", routes[i].exec.into()),
+                        ("bytes", results_bytes[i].len().into()),
+                        ("attempts", (ret.attempts as u64).into()),
+                    ],
+                );
+                for k in 0..ret.retries() {
+                    tr.event(
+                        "retry",
+                        "fault",
+                        Track::Root,
+                        done_at + rdt * (k + 1) as f64,
+                        vec![("task", i.into()), ("from", routes[i].exec.into())],
+                    );
                 }
-                // Wall-clock timeline: origin at root-prep start, so sends
-                // (instantaneous in-process) land at `prep_off` and node
-                // task spans at their measured offsets.
-                if tr.enabled() {
-                    let edge_event =
-                        |idx: usize| scatter.edges[idx].trace(&tr, prep_off, None, 0.0);
-                    (0..scatter.env_edges).for_each(edge_event);
-                    for (i, (t, route)) in tasks.iter().zip(&routes).enumerate() {
-                        scatter.tasks[i].edges.clone().for_each(edge_event);
-                        let at = |_| (prep_off, None, 0.0);
-                        trace_route(&tr, i, route, t.resident, task_wire(i), at, prep_off);
-                    }
-                }
-                // Group tasks by executing rank; each group runs in task
-                // order on its rank's real thread pool.
-                let mut groups: Vec<Vec<(usize, RawTask<'a, R>)>> =
-                    (0..n_nodes).map(|_| Vec::new()).collect();
-                for (i, t) in tasks.into_iter().enumerate() {
-                    groups[routes[i].exec].push((i, t));
-                }
-                let pools = &self.pools;
-                let mut node_compute = vec![0.0f64; n_nodes];
-                let mut raw: Vec<Option<bytes::Bytes>> = (0..n_tasks).map(|_| None).collect();
-                let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
-                let mut arrivals = vec![0.0f64; n_tasks];
-                let mut unpack_spans = vec![(0.0f64, 0.0f64); n_tasks];
-                let mut unpack_moved = vec![(0u64, 0u64); n_tasks];
-                let mut unpack_copied = 0u64;
-                let mut unpack_aliased = 0u64;
-                let mut first_ready: Option<f64> = None;
-                let mut decode_err: Option<DispatchError> = None;
-                let streamed = self.config.pipeline == PipelineMode::Streamed;
-                let (res_tx, res_rx) =
-                    std::sync::mpsc::channel::<(usize, usize, bytes::Bytes, f64)>();
-                std::thread::scope(|s| {
-                    for (rank, group) in groups.into_iter().enumerate() {
-                        if group.is_empty() {
-                            continue;
-                        }
-                        let pool = &pools[rank];
-                        let tr = tr.clone();
-                        let res_tx = res_tx.clone();
-                        s.spawn(move || {
-                            for (i, t) in group {
-                                let node_tr = if tr.enabled() {
-                                    TraceHandle::recording()
-                                } else {
-                                    TraceHandle::disabled()
-                                };
-                                let start_off = prep_off + t_start.elapsed().as_secs_f64();
-                                let ctx = NodeCtx::new(rank, tpn, ExecMode::Measured, Some(pool))
-                                    .with_trace(node_tr);
-                                let result = (t.work)(&ctx);
-                                let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
-                                if tr.enabled() {
-                                    let end_off = prep_off + t_start.elapsed().as_secs_f64();
-                                    let mut sub = ctx.take_trace();
-                                    sub.shift(start_off);
-                                    tr.absorb(sub);
-                                    tr.span(
-                                        "node:task",
-                                        "dispatch",
-                                        Track::Node(rank),
-                                        start_off,
-                                        end_off,
-                                        vec![("task", i.into())],
-                                    );
-                                }
-                                // The root may have bailed on a decode
-                                // error; a dead receiver is not our problem.
-                                let _ = res_tx.send((rank, i, rb, ctx.elapsed()));
-                            }
-                        });
-                    }
-                    drop(res_tx);
-                    // The root thread is the gather consumer. Streamed: take
-                    // each result as its node thread finishes and unpack it
-                    // immediately, overlapping slower nodes' compute.
-                    // Barrier: only record receipt here; the unpack lump
-                    // happens after every node is done (pre-pipeline shape).
-                    while let Ok((rank, i, rb, secs)) = res_rx.recv() {
-                        node_compute[rank] += secs;
-                        if streamed {
-                            let at = prep_off + t_start.elapsed().as_secs_f64();
-                            first_ready.get_or_insert(at);
-                            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb.clone()));
-                            let done = prep_off + t_start.elapsed().as_secs_f64();
-                            unpack_copied += c;
-                            unpack_aliased += a;
-                            unpack_moved[i] = (c, a);
-                            match decoded {
-                                Ok(r) => slots[i] = Some(r),
-                                Err(source) => {
-                                    decode_err = Some(DispatchError::Decode { task: i, source });
-                                    break;
-                                }
-                            }
-                            unpack_spans[i] = (at, done);
-                            arrivals[i] = done;
-                        }
-                        raw[i] = Some(rb);
-                    }
-                });
-                if let Some(e) = decode_err {
-                    return Err(e);
-                }
-                let gather_off =
-                    first_ready.unwrap_or_else(|| prep_off + t_start.elapsed().as_secs_f64());
-                if !streamed {
-                    for (i, rb) in raw.iter().enumerate() {
-                        let rb = rb.clone().expect("every task produced a result");
-                        let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
-                        unpack_copied += c;
-                        unpack_aliased += a;
-                        match decoded {
-                            Ok(r) => slots[i] = Some(r),
-                            Err(source) => return Err(DispatchError::Decode { task: i, source }),
-                        }
-                    }
-                }
-                // Return-path accounting runs in task order after the fact:
-                // the counters are order-independent sums, and emitting the
-                // trace lines here keeps the recorded order deterministic
-                // even though completion order is not.
-                for i in 0..n_tasks {
-                    let len = raw[i].as_ref().expect("every task produced a result").len();
-                    let ret = Attempts::reliable(&plan, (routes[i].exec, ROOT), RET_TAG, i as u64);
-                    tally.message(&ret, len, (routes[i].exec, ROOT));
-                    if tr.enabled() {
-                        for _ in 0..ret.retries() {
-                            tr.event(
-                                "retry",
-                                "fault",
-                                Track::Root,
-                                gather_off,
-                                vec![("task", i.into()), ("from", routes[i].exec.into())],
-                            );
-                        }
-                        if streamed {
-                            let (s0, s1) = unpack_spans[i];
-                            tr.span(
-                                "root:unpack",
-                                "prep",
-                                Track::Root,
-                                s0,
-                                s1,
-                                vec![
-                                    ("task", i.into()),
-                                    ("copied", unpack_moved[i].0.into()),
-                                    ("aliased", unpack_moved[i].1.into()),
-                                ],
-                            );
-                        }
-                    }
-                }
-                let end_off = prep_off + t_start.elapsed().as_secs_f64();
-                tr.span("root:gather", "comm", Track::Root, gather_off, end_off, vec![]);
-                if !streamed {
-                    arrivals.iter_mut().for_each(|a| *a = end_off);
-                }
-                let results: Vec<R> =
-                    slots.into_iter().map(|s| s.expect("every task produced a result")).collect();
-                Ok(DistOutcome {
-                    results,
-                    execs,
-                    arrivals,
-                    trace: tr.take(),
-                    // Real transfers are in-process; wall time covers them.
-                    timing: tally.timing(
-                        end_off,
-                        0.0,
-                        node_compute,
-                        (unpack_copied, unpack_aliased),
-                    ),
-                })
             }
         }
+
+        // --- Streaming epilogue: the root (one core) unpacks results in
+        // arrival order, each the moment it lands — early results are ready
+        // while late nodes still compute, so most of the unpack cost hides
+        // inside the network tail. Ties break on task index so the
+        // processing order is deterministic.
+        let ret_arrival = &times.ret_done;
+        let mut order: Vec<usize> = (0..n_tasks).collect();
+        order.sort_by(|&a, &b| ret_arrival[a].total_cmp(&ret_arrival[b]).then(a.cmp(&b)));
+        let mut uclock = times.root_free; // root free after last send
+        let mut arrivals = vec![0.0f64; n_tasks];
+        let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
+        let mut spans = vec![(0.0f64, 0.0f64); n_tasks];
+        let mut moved = vec![(0u64, 0u64); n_tasks];
+        for &i in &order {
+            uclock = uclock.max(ret_arrival[i]);
+            let rb = std::mem::take(&mut results_bytes[i]);
+            let t1 = Instant::now();
+            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
+            let u = t1.elapsed().as_secs_f64();
+            moved[i] = (c, a);
+            match decoded {
+                Ok(r) => slots[i] = Some(r),
+                Err(source) => return Err(DispatchError::Decode { task: i, source }),
+            }
+            spans[i] = (uclock, uclock + u);
+            uclock += u;
+            arrivals[i] = uclock;
+        }
+        // Spans are emitted in task order (not arrival order) so the
+        // recorded line order is a pure function of the inputs, independent
+        // of measured unpack durations.
+        if tr.enabled() {
+            for (i, &(s0, s1)) in spans.iter().enumerate() {
+                tr.span(
+                    "root:unpack",
+                    "prep",
+                    Track::Root,
+                    s0,
+                    s1,
+                    vec![
+                        ("task", i.into()),
+                        ("copied", moved[i].0.into()),
+                        ("aliased", moved[i].1.into()),
+                    ],
+                );
+            }
+        }
+        let unpacked = moved.iter().fold((0u64, 0u64), |(c, a), m| (c + m.0, a + m.1));
+        Ok(DistOutcome {
+            results: slots.into_iter().map(|s| s.expect("every task unpacked")).collect(),
+            execs,
+            arrivals,
+            trace: tr.take(),
+            timing: tally.timing(uclock.max(finish), comm_s, node_compute, unpacked),
+        })
     }
 }
 
@@ -1761,16 +1366,6 @@ mod tests {
         assert_eq!(out.timing.redispatches, 0);
         assert!(out.timing.bytes_out > 0);
         assert_eq!(cluster.stats().messages(), 8);
-    }
-
-    #[test]
-    fn measured_run_matches_virtual_results() {
-        let payloads: Vec<Vec<u64>> = (0..3).map(|i| (0..=i as u64).collect()).collect();
-        let task = |_ctx: &NodeCtx<'_>, v: Vec<u64>| v.iter().sum::<u64>();
-        let v = Cluster::new(ClusterConfig::virtual_cluster(3, 2)).run(payloads.clone(), task);
-        let m = Cluster::new(ClusterConfig::measured(3, 2)).run(payloads, task);
-        assert_eq!(v.results, m.results);
-        assert_eq!(v.timing.bytes_out, m.timing.bytes_out);
     }
 
     #[test]
@@ -1839,7 +1434,7 @@ mod tests {
     #[test]
     fn lossy_virtual_run_matches_fault_free_results() {
         let payloads: Vec<Vec<u64>> = (0..4).map(|i| (0..50u64).map(|x| x * i).collect()).collect();
-        let task = |_ctx: &NodeCtx<'_>, v: Vec<u64>| v.iter().sum::<u64>();
+        let task = |_ctx: &NodeCtx, v: Vec<u64>| v.iter().sum::<u64>();
         let clean = Cluster::new(ClusterConfig::virtual_cluster(4, 2)).run(payloads.clone(), task);
         let faulty = Cluster::new(ClusterConfig::virtual_cluster(4, 2).with_faults(lossy_plan(42)))
             .run(payloads, task);
@@ -1864,20 +1459,9 @@ mod tests {
     }
 
     #[test]
-    fn crashed_rank_tasks_are_redispatched_measured() {
-        let plan = FaultPlan::seeded(7).with_crash(0).with_timeout(Duration::from_millis(1));
-        let cfg = ClusterConfig::measured(3, 2).with_faults(plan);
-        let cluster = Cluster::new(cfg);
-        let out = cluster.run(vec![1u64, 2, 3], |_ctx, x: u64| x + 100);
-        assert_eq!(out.results, vec![101, 102, 103]);
-        assert!(out.timing.redispatches >= 1);
-        assert_eq!(out.timing.node_compute_s[0], 0.0);
-    }
-
-    #[test]
     fn fault_runs_are_deterministic() {
         let payloads: Vec<Vec<u64>> = (0..4).map(|i| vec![i as u64; 20]).collect();
-        let task = |_ctx: &NodeCtx<'_>, v: Vec<u64>| v.iter().sum::<u64>();
+        let task = |_ctx: &NodeCtx, v: Vec<u64>| v.iter().sum::<u64>();
         let cfg = ClusterConfig::virtual_cluster(4, 2).with_faults(lossy_plan(5));
         let a = Cluster::new(cfg).run(payloads.clone(), task);
         let b = Cluster::new(cfg).run(payloads, task);
@@ -1929,44 +1513,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_measured_dispatch_records_node_tasks() {
-        let cfg = ClusterConfig::measured(2, 2).with_trace(true);
-        let out = Cluster::new(cfg).run(vec![10u64, 20], |ctx, x: u64| ctx.sequential(|| x + 1));
-        assert_eq!(out.results, vec![11, 21]);
-        let names = out.trace.span_names();
-        assert!(names.contains(&"node:task"), "missing node:task in {names:?}");
-        assert!(names.contains(&"root:gather"), "missing root:gather in {names:?}");
-        assert_eq!(out.trace.spans.iter().filter(|s| s.name == "node:task").count(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "crashes every node")]
     fn all_crashed_plan_is_rejected() {
         let plan = FaultPlan::seeded(1).with_crash(0).with_crash(1);
         let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1).with_faults(plan));
         let _ = cluster.run(vec![1u64, 2], |_ctx, x: u64| x);
-    }
-
-    #[test]
-    fn streamed_and_barrier_are_bit_identical() {
-        // Same payloads, same fault schedule: only the modeled timeline may
-        // differ between pipeline modes, never results or wire accounting.
-        let payloads: Vec<Vec<f64>> =
-            (0..4).map(|i| (0..60).map(|x| (x as f64) * 0.1 + i as f64).collect()).collect();
-        let task = |_ctx: &NodeCtx<'_>, v: Vec<f64>| v.iter().fold(0.0f64, |a, &x| a + x * x);
-        for faults in [FaultPlan::none(), lossy_plan(11)] {
-            let base = ClusterConfig::virtual_cluster(4, 2).with_faults(faults);
-            let s = Cluster::new(base.with_pipeline(PipelineMode::Streamed))
-                .run(payloads.clone(), task);
-            let b =
-                Cluster::new(base.with_pipeline(PipelineMode::Barrier)).run(payloads.clone(), task);
-            assert_eq!(s.results, b.results, "pipeline mode must not change results");
-            assert_eq!(s.timing.bytes_out, b.timing.bytes_out);
-            assert_eq!(s.timing.bytes_back, b.timing.bytes_back);
-            assert_eq!(s.timing.messages, b.timing.messages);
-            assert_eq!(s.timing.retries, b.timing.retries);
-            assert_eq!(s.timing.redispatches, b.timing.redispatches);
-        }
     }
 
     #[test]
@@ -1982,13 +1533,6 @@ mod tests {
         }
         assert!(out.arrivals[0] < out.timing.total_s);
         assert!(*out.arrivals.last().unwrap() <= out.timing.total_s + 1e-12);
-    }
-
-    #[test]
-    fn barrier_arrivals_all_equal_total() {
-        let cfg = ClusterConfig::virtual_cluster(3, 1).with_pipeline(PipelineMode::Barrier);
-        let out = Cluster::new(cfg).run(vec![1u64, 2, 3], |_ctx, x: u64| x + 1);
-        assert!(out.arrivals.iter().all(|&a| a == out.timing.total_s));
     }
 
     /// Packs one word, demands two on unpack: every decode fails.
@@ -2011,27 +1555,10 @@ mod tests {
 
     #[test]
     fn result_decode_failure_is_a_typed_error() {
-        for mode in [PipelineMode::Streamed, PipelineMode::Barrier] {
-            let cfg = ClusterConfig::virtual_cluster(2, 1).with_pipeline(mode);
-            let err = Cluster::new(cfg)
-                .try_run(vec![1u64, 2], |_ctx, x: u64| Truncated(x))
-                .expect_err("truncated results must not decode");
-            assert!(
-                matches!(err, DispatchError::Decode { task: 0, .. }),
-                "unexpected error in {mode:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn measured_decode_failure_is_a_typed_error() {
-        for mode in [PipelineMode::Streamed, PipelineMode::Barrier] {
-            let cfg = ClusterConfig::measured(2, 1).with_pipeline(mode);
-            let err = Cluster::new(cfg)
-                .try_run(vec![1u64, 2], |_ctx, x: u64| Truncated(x))
-                .expect_err("truncated results must not decode");
-            assert!(matches!(err, DispatchError::Decode { .. }), "{mode:?}: {err}");
-        }
+        let err = Cluster::new(ClusterConfig::virtual_cluster(2, 1))
+            .try_run(vec![1u64, 2], |_ctx, x: u64| Truncated(x))
+            .expect_err("truncated results must not decode");
+        assert!(matches!(err, DispatchError::Decode { task: 0, .. }), "unexpected error: {err}");
     }
 
     #[test]
@@ -2086,44 +1613,6 @@ mod tests {
         assert!(unpack0.t1 <= unpack2.t0, "streamed unpacks must not wait for stragglers");
     }
 
-    #[test]
-    fn barrier_keeps_the_serial_epilogue() {
-        let cfg = ClusterConfig::virtual_cluster(3, 1)
-            .with_trace(true)
-            .with_pipeline(PipelineMode::Barrier);
-        let out = Cluster::new(cfg)
-            .run(vec![vec![1u64; 64], vec![2; 64], vec![3; 64]], |ctx, v: Vec<u64>| {
-                ctx.sequential(|| v.iter().sum::<u64>())
-            });
-        // One lump pack, one lump unpack; the unpack starts after the last
-        // node:task ends.
-        assert_eq!(out.trace.spans.iter().filter(|s| s.name == "root:pack").count(), 1);
-        let unpacks: Vec<_> = out.trace.spans.iter().filter(|s| s.name == "root:unpack").collect();
-        assert_eq!(unpacks.len(), 1);
-        let last_node_end = out
-            .trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "node:task")
-            .map(|s| s.t1)
-            .fold(0.0f64, f64::max);
-        assert!(unpacks[0].t0 >= last_node_end);
-    }
-
-    #[test]
-    fn measured_streamed_matches_barrier() {
-        let payloads: Vec<Vec<u64>> = (0..3).map(|i| (0..=i as u64).collect()).collect();
-        let task = |_ctx: &NodeCtx<'_>, v: Vec<u64>| v.iter().sum::<u64>();
-        let s = Cluster::new(ClusterConfig::measured(3, 2).with_pipeline(PipelineMode::Streamed))
-            .run(payloads.clone(), task);
-        let b = Cluster::new(ClusterConfig::measured(3, 2).with_pipeline(PipelineMode::Barrier))
-            .run(payloads, task);
-        assert_eq!(s.results, b.results);
-        assert_eq!(s.timing.bytes_out, b.timing.bytes_out);
-        assert_eq!(s.timing.bytes_back, b.timing.bytes_back);
-        assert_eq!(s.timing.messages, b.timing.messages);
-    }
-
     /// Four tasks that all read buffer `7` (1000 bytes) and each a buffer
     /// of their own (100 bytes), behind a 16-byte descriptor.
     fn sharing_tasks<'a>() -> Vec<RawTask<'a, u64>> {
@@ -2136,7 +1625,7 @@ mod tests {
                 ],
                 pack_s: 0.0,
                 resident: None,
-                work: Box::new(move |ctx: &NodeCtx<'_>| ctx.rank() as u64),
+                work: Box::new(move |ctx: &NodeCtx| ctx.rank() as u64),
             })
             .collect()
     }
@@ -2144,10 +1633,7 @@ mod tests {
     #[test]
     fn a_piece_four_ranks_read_leaves_the_root_once() {
         let run = |topology| {
-            let cfg = ClusterConfig::virtual_cluster(4, 1)
-                .with_topology(topology)
-                .with_sim_check(true)
-                .with_trace(true);
+            let cfg = ClusterConfig::virtual_cluster(4, 1).with_topology(topology).with_trace(true);
             Cluster::new(cfg).run_raw_with_broadcast(sharing_tasks(), 500)
         };
         let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
@@ -2178,43 +1664,36 @@ mod tests {
         // Rank 1 is down: task 1 moves to rank 2, which then holds two
         // readers of the shared piece and must receive it once.
         let plan = FaultPlan::seeded(3).with_crash(1).with_timeout(Duration::from_millis(1));
-        for mode in [PipelineMode::Streamed, PipelineMode::Barrier] {
-            let cfg = ClusterConfig::virtual_cluster(4, 1)
-                .with_faults(plan)
-                .with_pipeline(mode)
-                .with_sim_check(true)
-                .with_trace(true);
-            let out = Cluster::new(cfg).run_raw(sharing_tasks());
-            assert_eq!(out.results, vec![0, 2, 2, 3]);
-            let edges_to = |rank: usize| {
-                let to_rank = |s: &&triolet_obs::Span| s.args.contains(&("dest", rank.into()));
-                out.trace.spans.iter().filter(|s| s.name == "comm:tree").filter(to_rank).count()
-            };
-            assert_eq!(out.trace.count_spans("comm:tree"), 3, "one edge per executing rank");
-            assert_eq!(edges_to(1), 0, "nothing for the dead rank");
-            assert_eq!(edges_to(2), 1, "once for two readers");
-            // The timed-out hop to rank 1 carried task 1's private bytes
-            // (descriptor + own piece) on each of its 9 attempts.
-            assert_eq!(out.timing.bytes_out, 3 * 1000 + 4 * 116 + 9 * 116);
-            assert_eq!(out.timing.redispatches, 1);
-        }
+        let cfg = ClusterConfig::virtual_cluster(4, 1).with_faults(plan).with_trace(true);
+        let out = Cluster::new(cfg).run_raw(sharing_tasks());
+        assert_eq!(out.results, vec![0, 2, 2, 3]);
+        let edges_to = |rank: usize| {
+            let to_rank = |s: &&triolet_obs::Span| s.args.contains(&("dest", rank.into()));
+            out.trace.spans.iter().filter(|s| s.name == "comm:tree").filter(to_rank).count()
+        };
+        assert_eq!(out.trace.count_spans("comm:tree"), 3, "one edge per executing rank");
+        assert_eq!(edges_to(1), 0, "nothing for the dead rank");
+        assert_eq!(edges_to(2), 1, "once for two readers");
+        // The timed-out hop to rank 1 carried task 1's private bytes
+        // (descriptor + own piece) on each of its 9 attempts.
+        assert_eq!(out.timing.bytes_out, 3 * 1000 + 4 * 116 + 9 * 116);
+        assert_eq!(out.timing.redispatches, 1);
     }
 
     #[test]
     fn run_local_touches_no_wire() {
         let plan = FaultPlan::seeded(1).with_drop(0.5).with_crash(0);
-        for cfg in [ClusterConfig::virtual_cluster(3, 2), ClusterConfig::measured(3, 2)] {
-            let cluster = Cluster::new(cfg.with_faults(plan).with_trace(true));
-            let (value, timing, trace) = cluster.run_local(|ctx| {
-                assert_eq!((ctx.rank(), ctx.threads()), (0, 2));
-                ctx.map_reduce_chunks(vec![1u64, 2, 3, 4], |x| x * 10, |a, b| a + b)
-            });
-            assert_eq!(value, Some(100));
-            assert_eq!((timing.bytes_out, timing.bytes_back, timing.messages), (0, 0, 0));
-            assert_eq!(cluster.stats().snapshot(), Default::default());
-            assert_eq!(trace.count_spans("node:task"), 1);
-            assert_eq!(trace.count_spans("send") + trace.count_spans("return"), 0);
-        }
+        let cfg = ClusterConfig::virtual_cluster(3, 2).with_faults(plan).with_trace(true);
+        let cluster = Cluster::new(cfg);
+        let (value, timing, trace) = cluster.run_local(|ctx| {
+            assert_eq!((ctx.rank(), ctx.threads()), (0, 2));
+            ctx.map_reduce_chunks(vec![1u64, 2, 3, 4], |x| x * 10, |a, b| a + b)
+        });
+        assert_eq!(value, Some(100));
+        assert_eq!((timing.bytes_out, timing.bytes_back, timing.messages), (0, 0, 0));
+        assert_eq!(cluster.stats().snapshot(), Default::default());
+        assert_eq!(trace.count_spans("node:task"), 1);
+        assert_eq!(trace.count_spans("send") + trace.count_spans("return"), 0);
     }
 
     #[test]
@@ -2222,11 +1701,9 @@ mod tests {
         // Rank 1 crashes, so its task is redispatched and returns out of
         // step with the stream — its result must still occupy slot 1.
         let plan = FaultPlan::seeded(9).with_crash(1).with_timeout(Duration::from_millis(1));
-        for mode in [PipelineMode::Streamed, PipelineMode::Barrier] {
-            let cfg = ClusterConfig::virtual_cluster(4, 2).with_faults(plan).with_pipeline(mode);
-            let out = Cluster::new(cfg).run(vec![10u64, 20, 30, 40], |_ctx, x: u64| x * 2);
-            assert_eq!(out.results, vec![20, 40, 60, 80], "slot order broken in {mode:?}");
-            assert!(out.timing.redispatches >= 1);
-        }
+        let cfg = ClusterConfig::virtual_cluster(4, 2).with_faults(plan);
+        let out = Cluster::new(cfg).run(vec![10u64, 20, 30, 40], |_ctx, x: u64| x * 2);
+        assert_eq!(out.results, vec![20, 40, 60, 80], "slot order broken");
+        assert!(out.timing.redispatches >= 1);
     }
 }

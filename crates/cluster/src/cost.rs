@@ -403,8 +403,7 @@ impl TrafficSnapshot {
 /// Timing breakdown of one distributed operation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistTiming {
-    /// End-to-end time in seconds: wall-clock in `Measured` mode, modeled
-    /// makespan in `Virtual` mode.
+    /// End-to-end time in seconds: the modeled makespan.
     pub total_s: f64,
     /// Seconds attributed to communication (modeled from byte counts).
     pub comm_s: f64,

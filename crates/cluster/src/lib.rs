@@ -7,25 +7,22 @@
 //! explicit, configurable [`CostModel`] instead of an artifact of whatever
 //! network the host happens to have.
 //!
-//! Two execution modes ([`ExecMode`]):
-//!
-//! * `Measured` — node tasks run concurrently on real OS threads, each node
-//!   owning a real work-stealing [`ThreadPool`](triolet_pool::ThreadPool).
-//!   Timing is wall-clock. Correct but meaningless as a scaling measurement
-//!   on a host with fewer cores than the simulated cluster.
-//! * `Virtual` — node tasks run one at a time (sound: cluster nodes share
-//!   nothing between collectives); every leaf task is timed and replayed
-//!   through the greedy virtual-time scheduler of [`triolet_pool::vtime`];
-//!   the distributed makespan combines per-node compute times with modeled
-//!   transfer times over the *actually serialized* byte counts. This is how
-//!   the paper's 128-core scaling figures are regenerated on a small host.
+//! Execution is in virtual time: node tasks run one at a time (sound:
+//! cluster nodes share nothing between collectives); every leaf task is
+//! timed and replayed through the greedy virtual-time scheduler of
+//! [`triolet_pool::vtime`]; the distributed makespan combines per-node
+//! compute times with modeled transfer times over the *actually serialized*
+//! byte counts, laid on one clock by the discrete-event simulator in `sim`.
+//! This is how the paper's 128-core scaling figures are regenerated on a
+//! small host.
 //!
 //! The [`comm`] module additionally provides a real rank-to-rank typed
-//! message layer (send/recv/broadcast/scatter/gather/all-reduce) used in
-//! `Measured` mode and by tests — the analogue of the MPI primitives the
-//! paper's runtime wraps. The [`fault`] module adds a deterministic,
-//! seeded fault schedule ([`FaultPlan`]) that the comm layer and the
-//! cluster dispatcher consult to inject message loss, duplication,
+//! message layer (send/recv/broadcast/scatter/gather/all-reduce) over OS
+//! threads — the analogue of the MPI primitives the paper's runtime wraps.
+//! The dispatcher does not send through it; its own tests and the
+//! benchmark's round-trip probe do. The [`fault`] module adds a
+//! deterministic, seeded fault schedule ([`FaultPlan`]) that the comm layer
+//! and the cluster dispatcher consult to inject message loss, duplication,
 //! corruption, and node crashes — and to recover from them, so skeleton
 //! results stay bit-identical with faults on.
 
@@ -34,16 +31,14 @@ pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod node;
-pub mod sim;
+mod sim;
 pub mod tree;
 
 pub use cluster::{
-    Cluster, ClusterConfig, DispatchError, DistOutcome, PipelineMode, RawTask, ResidentSpec,
-    Topology,
+    Cluster, ClusterConfig, DispatchError, DistOutcome, RawTask, ResidentSpec, Topology,
 };
 pub use comm::{Comm, CommError, CommHandle, REPLY_TAG_BIT};
 pub use cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
 pub use fault::{FaultDecision, FaultPlan};
-pub use node::{ExecMode, NodeCtx, ResidentStore};
-pub use sim::SimCore;
+pub use node::{NodeCtx, ResidentStore};
 pub use triolet_obs::{TraceData, TraceHandle, Track};

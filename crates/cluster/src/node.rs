@@ -7,18 +7,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use triolet_obs::{TraceData, TraceHandle, Track};
-use triolet_pool::parallel::map_parts_ordered;
 use triolet_pool::vtime::greedy_schedule;
-use triolet_pool::{current_worker_index, ThreadPool};
-
-/// How node tasks execute and how their time is accounted.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ExecMode {
-    /// Real threads, wall-clock timing.
-    Measured,
-    /// Sequential execution, virtual-time modeling of `threads` workers.
-    Virtual,
-}
 
 /// The cluster's ownership table for persistent distributed collections.
 ///
@@ -93,37 +82,28 @@ impl ResidentStore {
     }
 }
 
-/// The context a node task receives: its rank, its (real or modeled) thread
-/// count, and a virtual clock.
+/// The context a node task receives: its rank, its modeled thread count,
+/// and a virtual clock.
 ///
 /// All compute inside a node task must go through the context's helpers
 /// ([`NodeCtx::map_chunks`], [`NodeCtx::map_reduce_chunks`],
-/// [`NodeCtx::sequential`]) so the virtual clock observes it. In `Measured`
-/// mode the helpers run on the node's real pool and charge wall time; in
-/// `Virtual` mode they run sequentially, time every leaf, and charge the
-/// greedy-schedule makespan for the configured thread count — the
-/// deterministic replay of a work-stealing execution.
-pub struct NodeCtx<'a> {
+/// [`NodeCtx::sequential`]) so the virtual clock observes it: they run
+/// sequentially, time every leaf, and charge the greedy-schedule makespan
+/// for the configured thread count — the deterministic replay of a
+/// work-stealing execution.
+pub struct NodeCtx {
     rank: usize,
     threads: usize,
-    mode: ExecMode,
-    pool: Option<&'a ThreadPool>,
     vclock: Cell<f64>,
     trace: TraceHandle,
 }
 
-impl<'a> NodeCtx<'a> {
+impl NodeCtx {
     /// Build a context (the cluster does this; tests may too).
-    pub fn new(rank: usize, threads: usize, mode: ExecMode, pool: Option<&'a ThreadPool>) -> Self {
-        assert!(
-            mode == ExecMode::Virtual || pool.is_some(),
-            "Measured mode requires a real thread pool"
-        );
+    pub fn new(rank: usize, threads: usize) -> Self {
         NodeCtx {
             rank,
             threads: threads.max(1),
-            mode,
-            pool,
             vclock: Cell::new(0.0),
             trace: TraceHandle::disabled(),
         }
@@ -154,23 +134,18 @@ impl<'a> NodeCtx<'a> {
         self.rank
     }
 
-    /// Worker threads this node models (or really has).
+    /// Worker threads this node models.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// Seconds of node time charged so far.
     ///
-    /// In virtual mode this is the task's whole timed footprint: the
-    /// dispatcher reads it once after the task body returns and hands it to
-    /// the discrete-event core ([`crate::sim`]) as the task's node-execution
-    /// duration, so a rank's timeline is a chain of these, each gated on
-    /// payload arrival, rank availability, and the broadcast environment.
+    /// This is the task's whole timed footprint: the dispatcher reads it
+    /// once after the task body returns and hands it to the discrete-event
+    /// simulator as the task's node-execution duration, so a rank's timeline
+    /// is a chain of these, each gated on payload arrival, rank
+    /// availability, and the broadcast environment.
     pub fn elapsed(&self) -> f64 {
         self.vclock.get()
     }
@@ -240,50 +215,17 @@ impl<'a> NodeCtx<'a> {
         P: Send,
         T: Send,
     {
-        match self.mode {
-            ExecMode::Measured => {
-                let pool = self.pool.expect("Measured mode has a pool");
-                let base = self.elapsed();
-                let t0 = Instant::now();
-                let out = if self.trace.enabled() {
-                    let trace = self.trace.clone();
-                    let rank = self.rank;
-                    let traced = |c: &P| {
-                        let s = t0.elapsed().as_secs_f64();
-                        let r = leaf(c);
-                        let e = t0.elapsed().as_secs_f64();
-                        let w = current_worker_index().unwrap_or(0);
-                        trace.span(
-                            "chunk",
-                            "compute",
-                            Track::Worker { rank, worker: w },
-                            base + s,
-                            base + e,
-                            vec![],
-                        );
-                        r
-                    };
-                    map_parts_ordered(pool, chunks, &traced)
-                } else {
-                    map_parts_ordered(pool, chunks, &leaf)
-                };
-                self.charge(t0.elapsed().as_secs_f64());
-                out
-            }
-            ExecMode::Virtual => {
-                let mut durations = Vec::with_capacity(chunks.len());
-                let mut out = Vec::with_capacity(chunks.len());
-                for c in &chunks {
-                    let t0 = Instant::now();
-                    out.push(leaf(c));
-                    durations.push(t0.elapsed().as_secs_f64());
-                }
-                let sched = greedy_schedule(&durations, self.threads);
-                self.trace_schedule(&sched, &durations, &sched.worker_loads, sched.makespan);
-                self.charge(sched.makespan);
-                out
-            }
+        let mut durations = Vec::with_capacity(chunks.len());
+        let mut out = Vec::with_capacity(chunks.len());
+        for c in &chunks {
+            let t0 = Instant::now();
+            out.push(leaf(c));
+            durations.push(t0.elapsed().as_secs_f64());
         }
+        let sched = greedy_schedule(&durations, self.threads);
+        self.trace_schedule(&sched, &durations, &sched.worker_loads, sched.makespan);
+        self.charge(sched.makespan);
+        out
     }
 
     /// Emit per-chunk compute spans and per-worker idle spans for a virtual
@@ -331,17 +273,15 @@ impl<'a> NodeCtx<'a> {
     /// per-thread private accumulation (each thread builds its own sum or
     /// histogram) followed by a per-node merge.
     ///
-    /// The merge always folds partials in chunk order, in both modes. The
-    /// virtual schedule (like a real work-stealing pool) is timing-dependent,
-    /// so it only decides what the merges *cost*, never the merge tree —
-    /// otherwise floating-point results would vary run to run, and fault
-    /// recovery could not promise bit-identical output.
+    /// The merge always folds partials in chunk order. The virtual schedule
+    /// (like a real work-stealing pool) is timing-dependent, so it only
+    /// decides what the merges *cost*, never the merge tree — otherwise
+    /// floating-point results would vary run to run, and fault recovery
+    /// could not promise bit-identical output.
     ///
-    /// In `Virtual` mode the fold is streamed: each partial is merged the
-    /// moment its leaf returns, so a node never holds more than two live
-    /// partials (the accumulator and the one just produced) however many
-    /// chunks it runs. `Measured` mode produces partials concurrently and
-    /// folds them after the join; the value is the same left fold.
+    /// The fold is streamed: each partial is merged the moment its leaf
+    /// returns, so a node never holds more than two live partials (the
+    /// accumulator and the one just produced) however many chunks it runs.
     pub fn map_reduce_chunks<P, T>(
         &self,
         chunks: Vec<P>,
@@ -355,100 +295,63 @@ impl<'a> NodeCtx<'a> {
         if chunks.is_empty() {
             return None;
         }
-        match self.mode {
-            ExecMode::Measured => {
-                let pool = self.pool.expect("Measured mode has a pool");
-                let base = self.elapsed();
-                let t0 = Instant::now();
-                let partials = if self.trace.enabled() {
-                    let trace = self.trace.clone();
-                    let rank = self.rank;
-                    let traced = |c: &P| {
-                        let s = t0.elapsed().as_secs_f64();
-                        let r = leaf(c);
-                        let e = t0.elapsed().as_secs_f64();
-                        let w = current_worker_index().unwrap_or(0);
-                        trace.span(
-                            "chunk",
-                            "compute",
-                            Track::Worker { rank, worker: w },
-                            base + s,
-                            base + e,
-                            vec![],
-                        );
-                        r
-                    };
-                    map_parts_ordered(pool, chunks, &traced)
-                } else {
-                    map_parts_ordered(pool, chunks, &leaf)
-                };
-                let m0 = t0.elapsed().as_secs_f64();
-                let out = partials.into_iter().reduce(&mut merge);
-                let m1 = t0.elapsed().as_secs_f64();
-                self.trace.span("merge", "merge", self.node_track(), base + m0, base + m1, vec![]);
-                self.charge(t0.elapsed().as_secs_f64());
-                out
-            }
-            ExecMode::Virtual => {
-                // Stream: fold each partial into the accumulator as soon as
-                // its leaf returns, so at most two partials are ever live.
-                // The fold is in chunk order and must not follow the
-                // schedule: the greedy assignment depends on *measured*
-                // durations, so a schedule-shaped merge tree would
-                // reassociate floating-point merges from run to run.
-                let mut durations = Vec::with_capacity(chunks.len());
-                let mut merge_durations = Vec::with_capacity(chunks.len());
-                let mut acc: Option<T> = None;
-                for c in &chunks {
-                    let t0 = Instant::now();
-                    let value = leaf(c);
-                    durations.push(t0.elapsed().as_secs_f64());
-                    let t0 = Instant::now();
-                    acc = Some(match acc {
-                        None => value,
-                        Some(a) => merge(a, value),
-                    });
-                    merge_durations.push(t0.elapsed().as_secs_f64());
-                }
-                // The schedule only decides what the merges *cost*: each is
-                // charged to the virtual thread its chunk was assigned to.
-                let sched = greedy_schedule(&durations, self.threads);
-                let mut worker_loads = sched.worker_loads.clone();
-                let mut merge_bounds = Vec::with_capacity(chunks.len());
-                for (&w, &d) in sched.assignment.iter().zip(&merge_durations) {
-                    let pre = worker_loads[w];
-                    worker_loads[w] += d;
-                    merge_bounds.push((w, pre, worker_loads[w]));
-                }
-                let thread_span = worker_loads.iter().cloned().fold(0.0, f64::max);
-                self.trace_schedule(&sched, &durations, &worker_loads, thread_span);
-                if self.trace.enabled() {
-                    let base = self.elapsed();
-                    for (w, pre, post) in merge_bounds {
-                        self.trace.span(
-                            "merge",
-                            "merge",
-                            self.worker_track(w),
-                            base + pre,
-                            base + post,
-                            vec![],
-                        );
-                    }
-                }
-                self.charge(thread_span);
-                acc
+        // Stream: fold each partial into the accumulator as soon as its
+        // leaf returns, so at most two partials are ever live. The fold is
+        // in chunk order and must not follow the schedule: the greedy
+        // assignment depends on *measured* durations, so a schedule-shaped
+        // merge tree would reassociate floating-point merges from run to
+        // run.
+        let mut durations = Vec::with_capacity(chunks.len());
+        let mut merge_durations = Vec::with_capacity(chunks.len());
+        let mut acc: Option<T> = None;
+        for c in &chunks {
+            let t0 = Instant::now();
+            let value = leaf(c);
+            durations.push(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            acc = Some(match acc {
+                None => value,
+                Some(a) => merge(a, value),
+            });
+            merge_durations.push(t0.elapsed().as_secs_f64());
+        }
+        // The schedule only decides what the merges *cost*: each is charged
+        // to the virtual thread its chunk was assigned to.
+        let sched = greedy_schedule(&durations, self.threads);
+        let mut worker_loads = sched.worker_loads.clone();
+        let mut merge_bounds = Vec::with_capacity(chunks.len());
+        for (&w, &d) in sched.assignment.iter().zip(&merge_durations) {
+            let pre = worker_loads[w];
+            worker_loads[w] += d;
+            merge_bounds.push((w, pre, worker_loads[w]));
+        }
+        let thread_span = worker_loads.iter().cloned().fold(0.0, f64::max);
+        self.trace_schedule(&sched, &durations, &worker_loads, thread_span);
+        if self.trace.enabled() {
+            let base = self.elapsed();
+            for (w, pre, post) in merge_bounds {
+                self.trace.span(
+                    "merge",
+                    "merge",
+                    self.worker_track(w),
+                    base + pre,
+                    base + post,
+                    vec![],
+                );
             }
         }
+        self.charge(thread_span);
+        acc
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triolet_domain::{Domain, Part, Seq, SeqPart};
+    use triolet_domain::{Domain, Seq, SeqPart};
 
-    fn vctx(threads: usize) -> NodeCtx<'static> {
-        NodeCtx::new(0, threads, ExecMode::Virtual, None)
+    fn vctx(threads: usize) -> NodeCtx {
+        NodeCtx::new(0, threads)
     }
 
     #[test]
@@ -562,18 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_fold_is_bit_equal_to_virtual() {
-        let xs: Vec<f64> = (0..20_000).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let chunks = Seq::new(xs.len()).split_parts(16);
-        let sum = |p: &SeqPart| p.range().map(|i| xs[i]).sum::<f64>();
-        let virt = vctx(4).map_reduce_chunks(chunks.clone(), sum, |a, b| a + b).unwrap();
-        let pool = ThreadPool::new(4);
-        let ctx = NodeCtx::new(0, 4, ExecMode::Measured, Some(&pool));
-        let meas = ctx.map_reduce_chunks(chunks, sum, |a, b| a + b).unwrap();
-        assert_eq!(virt.to_bits(), meas.to_bits());
-    }
-
-    #[test]
     fn more_virtual_threads_less_charged_time() {
         // Charge a deliberate per-chunk cost and check modeled scaling.
         let busy = |_p: &SeqPart| {
@@ -608,26 +499,9 @@ mod tests {
     }
 
     #[test]
-    fn measured_mode_map_reduce() {
-        let pool = ThreadPool::new(2);
-        let ctx = NodeCtx::new(0, 2, ExecMode::Measured, Some(&pool));
-        let chunks = Seq::new(100).split_parts(8);
-        let total =
-            ctx.map_reduce_chunks(chunks, |p: &SeqPart| p.count() as u64, |a, b| a + b).unwrap();
-        assert_eq!(total, 100);
-        assert!(ctx.elapsed() > 0.0);
-    }
-
-    #[test]
     fn empty_chunk_list_is_none() {
         let ctx = vctx(2);
         let r = ctx.map_reduce_chunks(Vec::<SeqPart>::new(), |_| 1u32, |a, b| a + b);
         assert!(r.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "Measured mode requires")]
-    fn measured_without_pool_panics() {
-        let _ = NodeCtx::new(0, 2, ExecMode::Measured, None);
     }
 }

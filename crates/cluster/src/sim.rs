@@ -1,14 +1,13 @@
-//! The virtual-time simulator cores: eager walk vs discrete-event heap.
+//! The virtual-time simulator: a discrete-event heap, and its eager oracle.
 //!
-//! Virtual mode separates *what* a dispatch does (fault routing, task
-//! execution, byte accounting — all decided before any timeline exists)
-//! from *when* its pieces happen on the modeled clock. This module owns the
-//! "when": given a [`SimProblem`] — the durations of every timed piece of
-//! one collective (the edges of every one-to-many payload — the broadcast
-//! environment and the input pieces several ranks share — per-task root
-//! pack times, send hops with their ack/retry timeouts folded in, node
-//! compute times, return trips) — a core produces the full [`SimTimes`]
-//! timeline.
+//! A dispatch separates *what* it does (fault routing, task execution, byte
+//! accounting — all decided before any timeline exists) from *when* its
+//! pieces happen on the modeled clock. This module owns the "when": given a
+//! [`SimProblem`] — the durations of every timed piece of one collective
+//! (the edges of every one-to-many payload — the broadcast environment and
+//! the input pieces several ranks share — per-task root pack times, send
+//! hops with their ack/retry timeouts folded in, node compute times, return
+//! trips) — [`run_event`] produces the full [`SimTimes`] timeline.
 //!
 //! The model of a shared payload: the root's one NIC sends it in plan
 //! order; a rank that has received it relays it onward, each relay starting
@@ -16,43 +15,32 @@
 //! starts at `max(its own hop done, its rank free, the arrival of every
 //! payload it reads)`.
 //!
-//! Two interchangeable cores:
+//! The timeline is laid by a single binary event heap of timestamped sends,
+//! receives, ack/retry-extended hops, and task completions, popped in
+//! deterministic `(time, push-order)` order: a skeleton call is processed in
+//! `O(E log E)` heap operations with `O(ranks)` heap entries in flight. It
+//! is the core kept because its per-event handlers are where a contended
+//! resource (a root ingress queue, a shared link) can be modeled — a walk in
+//! fixed phase order cannot reorder around one — and because its `events` /
+//! `peak_heap` counters are what the benchmark's `cluster.sim_events*` rows
+//! read.
 //!
-//! * [`SimCore::Eager`] — the original pass-per-phase walk: chain every
-//!   send on the root NIC, replay the relays over a per-rank NIC clock
-//!   vector, then sweep tasks in order. Simple, but structured around
-//!   full-vector passes.
-//! * [`SimCore::Event`] (the default) — a single binary event heap of
-//!   timestamped sends, receives, ack/retry-extended hops, and task
-//!   completions, popped in deterministic `(time, push-order)` order. A
-//!   skeleton call is processed in `O(E log E)` heap operations with
-//!   `O(ranks)` heap entries in flight, which is what makes 1k–10k-rank
-//!   topologies benchable in CI.
+//! The eager walk — chain every send on the root NIC, replay the relays over
+//! a per-rank NIC clock vector, then sweep tasks in order — is compiled into
+//! debug builds only, as the oracle: the dispatcher replays every dispatch
+//! through [`run_eager`] and [`assert_cores_agree`] panics unless every
+//! `f64` in the two [`SimTimes`] agrees to the last bit (both perform the
+//! same additions and `max` chains on the same operands). Release builds pay
+//! nothing for it.
 //!
-//! Both cores run against reusable [`SimScratch`] buffers owned by the
-//! cluster, so a collective step allocates no per-step clock vectors
-//! (capacity is retained across dispatches). The cores are *bit-identical*:
-//! every `f64` in [`SimTimes`] is produced by the same additions and
-//! `max` chains in the same order, so makespans, trace span bounds, and
-//! streamed-arrival times agree to the last bit — property-tested in
-//! `tests/proptest_scale.rs` and asserted in-dispatch by
-//! [`ClusterConfig::with_sim_check`](crate::ClusterConfig::with_sim_check).
+//! Both run against reusable [`SimScratch`] buffers owned by the cluster,
+//! so a collective step allocates no per-step clock vectors (capacity is
+//! retained across dispatches).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::cluster::ROOT;
-
-/// Which virtual-time core computes dispatch timelines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimCore {
-    /// The pre-event three-pass walk (kept for ablation and equivalence
-    /// testing).
-    Eager,
-    /// The discrete-event heap (the default).
-    #[default]
-    Event,
-}
 
 /// One edge of a one-to-many payload — the broadcast environment or an
 /// input piece several ranks read — reduced to what the timeline needs.
@@ -72,8 +60,7 @@ pub(crate) struct SimEdge {
 /// One task, reduced to its timed pieces.
 pub(crate) struct SimTask {
     /// Root-side pack seconds charged immediately before this task's first
-    /// send (already zeroed by the caller under `PipelineMode::Barrier`,
-    /// which charges packing as one prologue lump in the start clock).
+    /// send.
     pub pack_s: f64,
     /// Rank that finally executes the task.
     pub exec: usize,
@@ -93,8 +80,6 @@ pub(crate) struct SimTask {
 
 /// Everything a core needs to lay one dispatch on the virtual clock.
 pub(crate) struct SimProblem<'a> {
-    /// Root clock when the first payload may leave (prep + barrier pack).
-    pub start_clock: f64,
     /// Cluster size (per-rank state is sized by this).
     pub n_nodes: usize,
     /// Payload edges in plan order: the environment's, then each task's
@@ -113,9 +98,9 @@ pub(crate) struct SimProblem<'a> {
     pub needs: &'a [usize],
 }
 
-/// The complete timeline of one dispatch, in seconds from the root-prep
-/// origin. Every field is a pure function of the [`SimProblem`]; the two
-/// cores must agree on all of it bitwise.
+/// The complete timeline of one dispatch, in seconds from its start. Every
+/// field is a pure function of the [`SimProblem`]; the event core and its
+/// oracle must agree on all of it bitwise.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimTimes {
     /// `(start, done)` of each payload edge, in edge order.
@@ -133,9 +118,9 @@ pub(crate) struct SimTimes {
     pub ret_done: Vec<f64>,
     /// Root clock after its last send (where the streamed unpacker starts).
     pub root_free: f64,
-    /// Heap events processed (0 for the eager core).
+    /// Heap events processed (0 from the eager oracle).
     pub events: u64,
-    /// Peak event-heap length (0 for the eager core).
+    /// Peak event-heap length (0 from the eager oracle).
     pub peak_heap: usize,
 }
 
@@ -149,7 +134,7 @@ impl SimTimes {
             send_done: vec![0.0; n_tasks],
             node_bounds: vec![(0.0, 0.0); n_tasks],
             ret_done: vec![0.0; n_tasks],
-            root_free: p.start_clock,
+            root_free: 0.0,
             events: 0,
             peak_heap: 0,
         }
@@ -263,20 +248,13 @@ impl SimScratch {
     }
 }
 
-/// Run the configured core.
-pub(crate) fn run(core: SimCore, p: &SimProblem<'_>, scratch: &mut SimScratch) -> SimTimes {
-    match core {
-        SimCore::Eager => run_eager(p, scratch),
-        SimCore::Event => run_event(p, scratch),
-    }
-}
-
-/// The original walk: chain everything the root sends on its one NIC, replay
+/// The oracle walk: chain everything the root sends on its one NIC, replay
 /// the relays over per-rank NIC clocks, then sweep tasks in order.
+#[cfg(any(debug_assertions, test))]
 pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
     s.reset(p.n_nodes, p.edges.len());
     let mut times = SimTimes::zeroed(p);
-    let mut clock = p.start_clock;
+    let mut clock = 0.0f64;
 
     // Root phase: the environment leaves first; then, per task, the root
     // packs (streamed), sends the shared pieces that task is first to read,
@@ -340,7 +318,7 @@ pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
 
 /// The discrete-event core: one heap, popped in `(time, push-order)` order.
 ///
-/// Per-rank state replaces the eager core's full passes: a rank holds its
+/// Per-rank state replaces the eager walk's full passes: a rank holds its
 /// NIC clock, a queue of the edges it will relay, and a (normally empty)
 /// list of tasks parked awaiting a payload. Values are bit-identical to the
 /// eager walk because every handler performs the same additions and `max`
@@ -385,20 +363,11 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
         ($task:expr, $clock:expr) => {{
             let task = $task;
             let clock = $clock;
-            if let Some(h) = p.tasks[task].hops.clone().next() {
-                let done = clock + p.hop_s[h];
-                times.hop_bounds[h] = (clock, done);
-                push!(done, EventKind::HopDone { task, hop: h });
-            } else {
-                // A task always has at least one planned hop; keep the
-                // degenerate case consistent anyway.
-                times.send_done[task] = clock;
-                times.root_free = clock;
-                push!(clock, EventKind::TaskArrive { task });
-                if task + 1 < n_tasks {
-                    push!(clock, EventKind::RootSend { task: task + 1 });
-                }
-            }
+            // `plan_route` tries the task's home rank first.
+            let h = p.tasks[task].hops.clone().next().expect("a task has at least one hop");
+            let done = clock + p.hop_s[h];
+            times.hop_bounds[h] = (clock, done);
+            push!(done, EventKind::HopDone { task, hop: h });
         }};
     }
     // The root's NIC moves on: to its next edge at or after `from` in the
@@ -468,7 +437,7 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
 
     // Kick off: the root's NIC either relays the environment first or, with
     // no broadcast, turns straight to task sends.
-    root_continue!(0, p.start_clock);
+    root_continue!(0, 0.0);
 
     while let Some(Reverse(ev)) = s.heap.pop() {
         times.events += 1;
@@ -533,8 +502,9 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
     times
 }
 
-/// Panic unless two timelines agree to the last bit — the in-dispatch
-/// equivalence gate behind `ClusterConfig::with_sim_check`.
+/// Panic unless two timelines agree to the last bit — the gate every
+/// debug-build dispatch passes its event timeline through.
+#[cfg(any(debug_assertions, test))]
 pub(crate) fn assert_cores_agree(eager: &SimTimes, event: &SimTimes) {
     fn pairs(name: &str, a: &[(f64, f64)], b: &[(f64, f64)]) {
         assert_eq!(a.len(), b.len(), "sim-check: {name} length mismatch");
@@ -594,7 +564,6 @@ mod tests {
         let hop_s = vec![0.5, 0.25];
         let tasks = vec![task(0.1, 0, 2.0, 0.5, 0), task(0.1, 1, 1.0, 0.5, 1)];
         let p = SimProblem {
-            start_clock: 1.0,
             n_nodes: 2,
             edges: &[],
             env_edges: 0,
@@ -603,9 +572,9 @@ mod tests {
             needs: &[],
         };
         let (t, _) = check(&p);
-        // Root: 1.0 +pack .1 +hop .5 => send_done[0]; +pack .1 +hop .25 =>
+        // Root: pack .1 +hop .5 => send_done[0]; +pack .1 +hop .25 =>
         // send_done[1]. Expected values use the same chained additions.
-        let s0 = 1.0 + 0.1 + 0.5;
+        let s0 = 0.1 + 0.5;
         let s1 = s0 + 0.1 + 0.25;
         assert_eq!(t.send_done, vec![s0, s1]);
         assert_eq!(t.node_bounds, vec![(s0, s0 + 2.0), (s1, s1 + 1.0)]);
@@ -618,7 +587,6 @@ mod tests {
         let hop_s = vec![0.1, 0.1, 0.1];
         let tasks: Vec<SimTask> = (0..3).map(|i| task(0.0, 0, 1.0, 0.0, i)).collect();
         let p = SimProblem {
-            start_clock: 0.0,
             n_nodes: 1,
             edges: &[],
             env_edges: 0,
@@ -636,14 +604,13 @@ mod tests {
         // Env relays down a slow chain (root -> r0 -> r1 -> r2) while task
         // payloads leave the root the moment its own relay is done: tasks
         // for r1 and r2 arrive *before* their environment and must park
-        // until the relay reaches them. Both cores must agree exactly.
+        // until the relay reaches them.
         let env =
             vec![edge(ROOT, 0, None, 1.0), edge(0, 1, Some(0), 1.0), edge(1, 2, Some(1), 1.0)];
         let hop_s = vec![0.01, 0.01, 0.01];
         let tasks: Vec<SimTask> =
             (0..3).map(|i| SimTask { needs: i..i + 1, ..task(0.0, i, 0.1, 0.2, i) }).collect();
         let p = SimProblem {
-            start_clock: 0.0,
             n_nodes: 3,
             edges: &env,
             env_edges: 3,
@@ -677,7 +644,6 @@ mod tests {
         let tasks: Vec<SimTask> =
             (0..4).map(|i| SimTask { needs: i..i + 1, ..task(0.05, i, 0.3, 0.1, i) }).collect();
         let p = SimProblem {
-            start_clock: 0.0,
             n_nodes: 4,
             edges: &env,
             env_edges: 4,
@@ -717,7 +683,6 @@ mod tests {
             SimTask { edges: 5..5, needs: 4..5, ..task(0.0, 2, 0.125, 0.0625, 2) },
         ];
         let p = SimProblem {
-            start_clock: 0.0,
             n_nodes: 3,
             edges: &edges,
             env_edges: 0,
@@ -749,7 +714,6 @@ mod tests {
             task(0.0, 1, 1.0, 0.0, 1),
         ];
         let p = SimProblem {
-            start_clock: 0.0,
             n_nodes: 2,
             edges: &edges,
             env_edges: 0,
@@ -763,30 +727,39 @@ mod tests {
 
     #[test]
     fn empty_problem_is_fine() {
+        let p =
+            SimProblem { n_nodes: 4, edges: &[], env_edges: 0, hop_s: &[], tasks: &[], needs: &[] };
+        let (t, _) = check(&p);
+        assert_eq!(t.root_free, 0.0);
+        assert!(t.send_done.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "sim-check: ret_done[1] diverged")]
+    fn the_oracle_trips_on_a_single_flipped_bit() {
+        let hop_s = vec![0.5, 0.25];
+        let tasks = vec![task(0.1, 0, 2.0, 0.5, 0), task(0.1, 1, 1.0, 0.5, 1)];
         let p = SimProblem {
-            start_clock: 0.25,
-            n_nodes: 4,
+            n_nodes: 2,
             edges: &[],
             env_edges: 0,
-            hop_s: &[],
-            tasks: &[],
+            hop_s: &hop_s,
+            tasks: &tasks,
             needs: &[],
         };
-        let (t, _) = check(&p);
-        assert_eq!(t.root_free, 0.25);
-        assert!(t.send_done.is_empty());
+        let (eager, mut event) = check(&p);
+        event.ret_done[1] = f64::from_bits(event.ret_done[1].to_bits() ^ 1);
+        assert_cores_agree(&eager, &event);
     }
 
     #[test]
     fn scratch_reuse_is_clean_across_calls() {
         // Run a big problem, then a small one, on the same scratch: stale
-        // state must not leak (this is the satellite replacing the
-        // per-collective `sender_clock` allocations with reused buffers).
+        // state must not leak.
         let mut scratch = SimScratch::new();
         let hop_big: Vec<f64> = (0..64).map(|i| 0.01 * (i + 1) as f64).collect();
         let tasks_big: Vec<SimTask> = (0..64).map(|i| task(0.001, i % 8, 0.5, 0.01, i)).collect();
         let big = SimProblem {
-            start_clock: 0.0,
             n_nodes: 8,
             edges: &[],
             env_edges: 0,
@@ -798,7 +771,6 @@ mod tests {
         let hop_small = vec![1.0];
         let tasks_small = vec![task(0.0, 0, 1.0, 1.0, 0)];
         let small = SimProblem {
-            start_clock: 0.0,
             n_nodes: 1,
             edges: &[],
             env_edges: 0,

@@ -62,20 +62,6 @@ fn node_task_panic_propagates_in_virtual_mode() {
 }
 
 #[test]
-fn node_task_panic_propagates_in_measured_mode() {
-    let cluster = Cluster::new(ClusterConfig::measured(2, 1));
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        cluster.run(vec![0u64, 1], |_ctx, x: u64| {
-            if x == 1 {
-                panic!("injected node failure");
-            }
-            x
-        })
-    }));
-    assert!(result.is_err());
-}
-
-#[test]
 fn disconnected_peer_surfaces_as_error() {
     let mut handles = Comm::create_with(2, None, Arc::new(TrafficStats::new()), FaultPlan::none());
     let h1 = handles.pop().expect("rank 1");

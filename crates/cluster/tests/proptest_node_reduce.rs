@@ -1,5 +1,5 @@
 //! Tests for the node-level streamed reduction
-//! (`NodeCtx::map_reduce_chunks`, Virtual mode): whatever the chunk count,
+//! (`NodeCtx::map_reduce_chunks`): whatever the chunk count,
 //! the modeled thread count and the per-leaf cost (which together decide
 //! the greedy schedule), the value is the plain chunk-order left fold, and
 //! the node never holds more than two partials at once. Fixed shapes first,
@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use triolet_cluster::{ExecMode, NodeCtx};
+use triolet_cluster::NodeCtx;
 use triolet_domain::{Domain, Part, Seq, SeqPart};
 
 /// Counts the [`Tracked`] partials alive at once (one gauge per case).
@@ -58,8 +58,8 @@ fn collect_then_reduce<P, T>(
     chunks.iter().map(leaf).collect::<Vec<T>>().into_iter().reduce(merge)
 }
 
-fn vctx(threads: usize) -> NodeCtx<'static> {
-    NodeCtx::new(0, threads, ExecMode::Virtual, None)
+fn vctx(threads: usize) -> NodeCtx {
+    NodeCtx::new(0, threads)
 }
 
 #[test]

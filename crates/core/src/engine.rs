@@ -25,23 +25,18 @@
 //! [`ClusterConfig::with_trace`](triolet_cluster::ClusterConfig::with_trace)
 //! — a recorded span/event timeline rooted at a `skeleton:<name>` span.
 //!
-//! In virtual mode the dispatch timeline under every skeleton call is laid
-//! by the cluster's discrete-event simulator core
-//! ([`SimCore`](triolet_cluster::SimCore), selectable via
-//! [`ClusterConfig::with_sim_core`](triolet_cluster::ClusterConfig::with_sim_core)),
-//! which processes a call in `O(E log E)` heap events with `O(ranks)`
-//! resident state — the property that makes 1k–10k-rank shapes usable from
-//! the skeleton API. Results, [`RunStats`] accounting, and traces are
-//! bit-identical between cores
-//! ([`ClusterConfig::with_sim_check`](triolet_cluster::ClusterConfig::with_sim_check)
-//! asserts it in-dispatch).
+//! The dispatch timeline under every `Par` call is laid by the cluster's
+//! discrete-event simulator, which processes a call in `O(E log E)` heap
+//! events with `O(ranks)` resident state, so 1k-rank shapes are usable from
+//! the skeleton API. The root's own work is pipelined against it: slices
+//! are packed task by task and partials fold in task order as they arrive.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use triolet_cluster::{
-    Cluster, ClusterConfig, DistOutcome, NodeCtx, PipelineMode, RawTask, ResidentSpec, TraceData,
-    TraceHandle, Track,
+    Cluster, ClusterConfig, DistOutcome, NodeCtx, RawTask, ResidentSpec, TraceData, TraceHandle,
+    Track,
 };
 use triolet_domain::{Dim2, Domain, Part, Seq, SeqPart};
 use triolet_iter::collector::Collector;
@@ -58,37 +53,6 @@ use crate::dist::{
 use crate::report::RunStats;
 use crate::run::Run;
 
-/// Model the rank-ordered streaming merge against the dispatch timeline.
-///
-/// `step(i)` folds task `i`'s result into the caller's accumulator and is
-/// wall-measured here. On the modeled clock, step `i` cannot start before
-/// task `i`'s result is unpacked at the root (`arrivals[i]`) nor before
-/// step `i-1` finished — the completed prefix folds as it grows, in fixed
-/// task order, so the merged value is bit-identical to the barrier path's
-/// lump merge while most of its cost hides inside the arrival stream.
-///
-/// Returns `(merge_end, merge_busy_s, spans)`: when the last fold finished,
-/// the root's busy seconds across all folds, and one `(t0, t1)` interval
-/// per task (task-indexed, on the dispatch timeline) for tracing.
-fn streamed_merge_clock(
-    arrivals: &[f64],
-    mut step: impl FnMut(usize),
-) -> (f64, f64, Vec<(f64, f64)>) {
-    let mut clock = 0.0f64;
-    let mut busy = 0.0f64;
-    let mut spans = Vec::with_capacity(arrivals.len());
-    for (i, &arrival) in arrivals.iter().enumerate() {
-        clock = clock.max(arrival);
-        let t = Instant::now();
-        step(i);
-        let u = t.elapsed().as_secs_f64();
-        spans.push((clock, clock + u));
-        clock += u;
-        busy += u;
-    }
-    (clock, busy, spans)
-}
-
 /// The slicing step of every `Par` arm: cut `it` down to each part's data
 /// (paper §3.5) and wrap `body(sub, part)` — the node-side work over that
 /// slice — as the part's task.
@@ -103,7 +67,7 @@ fn streamed_merge_clock(
 fn slice_tasks<'a, It: DistIter, R>(
     it: &It,
     parts: Vec<<It::OuterDom as Domain>::Part>,
-    body: impl Fn(It, <It::OuterDom as Domain>::Part) -> Box<dyn FnOnce(&NodeCtx<'_>) -> R + Send + 'a>,
+    body: impl Fn(It, <It::OuterDom as Domain>::Part) -> Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
 ) -> Vec<RawTask<'a, R>> {
     let mut memo = SliceMemo::default();
     parts
@@ -249,7 +213,7 @@ impl Triolet {
         let sizes: Vec<(usize, usize)> =
             segs.iter().enumerate().map(|(rank, s)| (rank, s.bytes)).collect();
         let (timing, dist_trace) = self.cluster.scatter_segments(lease.id(), &sizes);
-        let trace = self.skeleton_trace("scatter", Some(pack_s), dist_trace, timing.total_s, None);
+        let trace = self.skeleton_trace("scatter", Some(pack_s), dist_trace, timing.total_s, &[]);
         Run::new(lease, RunStats::from_dist(timing, pack_s)).with_trace(trace)
     }
 
@@ -269,41 +233,12 @@ impl Triolet {
 
     /// Assemble the skeleton-level timeline around a cluster dispatch:
     /// root-side slicing (`root:slice`), the dispatch trace rebased past it,
-    /// root-side assembly (`root:merge`), all under one covering
-    /// `skeleton:<name>` span. `prep`/`post` are `None` for hints that do no
-    /// root-side work (so those spans are absent, not zero-width).
+    /// and each task's root-side fold as its own `root:merge:streamed` span
+    /// interleaved with the dispatch timeline, all under one covering
+    /// `skeleton:<name>` span (`end_s`, on the dispatch clock, already
+    /// covers the last fold). `prep` is `None` for hints that do no
+    /// root-side work (so that span is absent, not zero-width).
     fn skeleton_trace(
-        &self,
-        name: &str,
-        prep: Option<f64>,
-        mut dist: TraceData,
-        dist_total_s: f64,
-        post: Option<f64>,
-    ) -> TraceData {
-        if !self.traced() {
-            return TraceData::default();
-        }
-        let prep_s = prep.unwrap_or(0.0);
-        let total = prep_s + dist_total_s + post.unwrap_or(0.0);
-        let h = TraceHandle::recording();
-        h.span(format!("skeleton:{name}"), "skeleton", Track::Root, 0.0, total, vec![]);
-        if prep.is_some() {
-            h.span("root:slice", "prep", Track::Root, 0.0, prep_s, vec![]);
-        }
-        if post.is_some() {
-            h.span("root:merge", "merge", Track::Root, prep_s + dist_total_s, total, vec![]);
-        }
-        dist.shift(prep_s);
-        h.absorb(dist);
-        h.take()
-    }
-
-    /// [`skeleton_trace`](Self::skeleton_trace) for the streamed pipeline:
-    /// instead of one lump `root:merge` after the dispatch, each task's fold
-    /// is its own `root:merge:streamed` span interleaved with the dispatch
-    /// timeline (`end_s` already covers the last fold, so the skeleton span
-    /// still encloses everything).
-    fn skeleton_trace_streamed(
         &self,
         name: &str,
         prep: Option<f64>,
@@ -339,15 +274,10 @@ impl Triolet {
     /// The `LocalPar` arm of every skeleton: run `work` over the root node's
     /// threads, in place. Nothing ships and nothing comes back over the
     /// wire, so the result is used as computed.
-    fn run_localpar<R>(&self, name: &str, work: impl FnOnce(&NodeCtx<'_>) -> R) -> Run<R> {
+    fn run_localpar<R>(&self, name: &str, work: impl FnOnce(&NodeCtx) -> R) -> Run<R> {
         let (value, timing, trace) = self.cluster.run_local(work);
-        let trace = self.skeleton_trace(name, None, trace, timing.total_s, None);
+        let trace = self.skeleton_trace(name, None, trace, timing.total_s, &[]);
         Run::new(value, RunStats::from_dist(timing, 0.0)).with_trace(trace)
-    }
-
-    /// Is the cluster's dispatch pipeline streamed (vs barrier)?
-    fn streamed(&self) -> bool {
-        self.cluster.config().pipeline == PipelineMode::Streamed
     }
 
     /// The resident mirror of [`slice_tasks`], dispatch included: one task
@@ -366,7 +296,7 @@ impl Triolet {
         &self,
         run: ResidentRun<T>,
         env_bytes: usize,
-        body: impl Fn(SeqPart, PartFold<T>) -> Box<dyn FnOnce(&NodeCtx<'_>) -> R + Send + 'a>,
+        body: impl Fn(SeqPart, PartFold<T>) -> Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
     ) -> DistOutcome<R> {
         let id = run.id;
         let (tasks, claims): (Vec<_>, Vec<_>) = run
@@ -407,9 +337,44 @@ impl Triolet {
     // Root-side epilogues (shared by the iterator and resident paths)
     // ======================================================================
 
-    /// Fold task partials at the root: streamed prefix merge under the
-    /// streamed pipeline, lump reduce under the barrier — both in task
-    /// order, so the value is identical either way.
+    /// Close a `Par` call at the root: the rank-ordered streaming merge,
+    /// modeled against the dispatch timeline.
+    ///
+    /// `step` folds one task's result into `value` and is wall-measured
+    /// here. On the modeled clock, step `i` cannot start before task `i`'s
+    /// result is unpacked at the root (`arrivals[i]`) nor before step `i-1`
+    /// finished — the completed prefix folds as it grows, in fixed task
+    /// order, so the merged value is that of a plain left fold while most
+    /// of its cost hides inside the arrival stream. Each step is one
+    /// `root:merge:streamed` span; the stats report the root's busy seconds
+    /// apart from the makespan they overlap.
+    fn merge_epilogue<R, V>(
+        &self,
+        name: &str,
+        root_prep_s: f64,
+        out: DistOutcome<R>,
+        mut value: V,
+        mut step: impl FnMut(&mut V, R),
+    ) -> Run<V> {
+        let mut clock = 0.0f64;
+        let mut busy = 0.0f64;
+        let mut spans = Vec::with_capacity(out.arrivals.len());
+        for (&arrival, result) in out.arrivals.iter().zip(out.results) {
+            clock = clock.max(arrival);
+            let t = Instant::now();
+            step(&mut value, result);
+            let u = t.elapsed().as_secs_f64();
+            spans.push((clock, clock + u));
+            clock += u;
+            busy += u;
+        }
+        let end_s = out.timing.total_s.max(clock);
+        let trace = self.skeleton_trace(name, Some(root_prep_s), out.trace, end_s, &spans);
+        Run::new(value, RunStats::overlapped(out.timing, root_prep_s + busy, root_prep_s + end_s))
+            .with_trace(trace)
+    }
+
+    /// Fold task partials at the root, in task order.
     fn fold_epilogue<B, Empty, Merge>(
         &self,
         name: &str,
@@ -423,44 +388,17 @@ impl Triolet {
         Empty: Fn() -> B,
         Merge: Fn(B, B) -> B,
     {
-        if self.streamed() {
-            let mut results = out.results.into_iter();
-            let mut acc: Option<B> = None;
-            let (merge_end, merge_busy, spans) = streamed_merge_clock(&out.arrivals, |_| {
-                let r = results.next().expect("one result per task");
-                acc = Some(match acc.take() {
-                    None => r,
-                    Some(a) => merge(a, r),
-                });
+        self.merge_epilogue(name, root_prep_s, out, None, |acc: &mut Option<B>, r| {
+            *acc = Some(match acc.take() {
+                None => r,
+                Some(a) => merge(a, r),
             });
-            let value = acc.unwrap_or_else(empty);
-            let end_s = out.timing.total_s.max(merge_end);
-            let trace =
-                self.skeleton_trace_streamed(name, Some(root_prep_s), out.trace, end_s, &spans);
-            Run::new(
-                value,
-                RunStats::overlapped(out.timing, root_prep_s + merge_busy, root_prep_s + end_s),
-            )
-            .with_trace(trace)
-        } else {
-            let t1 = Instant::now();
-            let value = out.results.into_iter().reduce(merge).unwrap_or_else(empty);
-            let root_merge_s = t1.elapsed().as_secs_f64();
-            let trace = self.skeleton_trace(
-                name,
-                Some(root_prep_s),
-                out.trace,
-                out.timing.total_s,
-                Some(root_merge_s),
-            );
-            Run::new(value, RunStats::from_dist(out.timing, root_prep_s + root_merge_s))
-                .with_trace(trace)
-        }
+        })
+        .map(|acc| acc.unwrap_or_else(empty))
     }
 
     /// Concatenate ordered per-task fragments at the root (build_vec-style
-    /// assembly): streamed extension or lump concatenation — identical
-    /// bytes either way, since fragments extend in task order.
+    /// assembly), extending in task order.
     ///
     /// Fragments arrive as [`PodView`]s: for pod element types the root-side
     /// unpack aliased the received buffer, so the only copy left is this
@@ -474,39 +412,10 @@ impl Triolet {
     where
         U: Wire + Send + Sync + Clone,
     {
-        if self.streamed() {
-            let total: usize = out.results.iter().map(PodView::len).sum();
-            let mut frags = out.results.into_iter();
-            let mut value = Vec::with_capacity(total);
-            let (merge_end, merge_busy, spans) = streamed_merge_clock(&out.arrivals, |_| {
-                value.extend_from_slice(&frags.next().expect("one fragment per task"));
-            });
-            let end_s = out.timing.total_s.max(merge_end);
-            let trace =
-                self.skeleton_trace_streamed(name, Some(root_prep_s), out.trace, end_s, &spans);
-            Run::new(
-                value,
-                RunStats::overlapped(out.timing, root_prep_s + merge_busy, root_prep_s + end_s),
-            )
-            .with_trace(trace)
-        } else {
-            let t1 = Instant::now();
-            let total: usize = out.results.iter().map(PodView::len).sum();
-            let mut value = Vec::with_capacity(total);
-            for frag in out.results {
-                value.extend_from_slice(&frag);
-            }
-            let root_merge_s = t1.elapsed().as_secs_f64();
-            let trace = self.skeleton_trace(
-                name,
-                Some(root_prep_s),
-                out.trace,
-                out.timing.total_s,
-                Some(root_merge_s),
-            );
-            Run::new(value, RunStats::from_dist(out.timing, root_prep_s + root_merge_s))
-                .with_trace(trace)
-        }
+        let total: usize = out.results.iter().map(PodView::len).sum();
+        self.merge_epilogue(name, root_prep_s, out, Vec::with_capacity(total), |value, frag| {
+            value.extend_from_slice(&frag);
+        })
     }
 
     // ======================================================================
@@ -540,7 +449,7 @@ impl Triolet {
     /// task order at the root, never in the order the schedule finishes
     /// them. For a given cluster shape the merge tree is therefore fixed,
     /// so even an approximately-associative `f64` merge gives the same bits
-    /// on every run, pipeline mode and fault seed. To assemble elements in
+    /// on every run and fault seed. To assemble elements in
     /// order without a merge, use [`Triolet::build_vec`] /
     /// [`Triolet::build_array2`].
     pub fn fold_reduce<In, Env, B, Seed, Step, Merge>(
@@ -628,7 +537,7 @@ impl Triolet {
                 // (charged as root prep); every task shares the buffer, and
                 // the cluster charges its transport per broadcast edge
                 // rather than per task. Slicing each node's data (paper
-                // §3.5) is measured per task into `pack_s`, so the streamed
+                // §3.5) is measured per task into `pack_s`, so the
                 // dispatcher can overlap task k+1's slice/pack with task
                 // k's compute.
                 let t0 = Instant::now();
@@ -638,7 +547,7 @@ impl Triolet {
                 let (seed, step, merge) = (&seed, &step, &merge);
                 let tasks = slice_tasks(&it, parts, |sub, part| {
                     let penv = env_payload.clone();
-                    Box::new(move |ctx: &NodeCtx<'_>| {
+                    Box::new(move |ctx: &NodeCtx| {
                         // Node side: data arrives as bytes.
                         let sub = ctx.sequential(|| sub.roundtrip());
                         let env: E =
@@ -690,7 +599,7 @@ impl Triolet {
         let (seed, step, merge) = (&seed, &step, &merge);
         let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
             let penv = env_payload.clone();
-            Box::new(move |ctx: &NodeCtx<'_>| {
+            Box::new(move |ctx: &NodeCtx| {
                 let env: E = ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
                 let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
                 ctx.map_reduce_chunks(
@@ -913,7 +822,7 @@ impl Triolet {
         F: Fn(&E, It::Item) -> U + Send + Sync,
     {
         fn node_fragment<It, E, U>(
-            ctx: &NodeCtx<'_>,
+            ctx: &NodeCtx,
             sub: &It,
             env: &E,
             part: &SeqPart,
@@ -951,7 +860,7 @@ impl Triolet {
                 let f = &f;
                 let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
                     let penv = env_payload.clone();
-                    Box::new(move |ctx: &NodeCtx<'_>| {
+                    Box::new(move |ctx: &NodeCtx| {
                         let env: E =
                             ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
                         let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
@@ -999,7 +908,7 @@ impl Triolet {
                 let f = &f;
                 let tasks = slice_tasks(&it, parts, |sub, part| {
                     let penv = env_payload.clone();
-                    Box::new(move |ctx: &NodeCtx<'_>| {
+                    Box::new(move |ctx: &NodeCtx| {
                         let sub = ctx.unpack_sequential(|| sub.roundtrip());
                         let env: E =
                             ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
@@ -1025,7 +934,7 @@ impl Triolet {
     {
         /// One slab's row-major contents: chunk pieces concatenated in
         /// chunk order (sequential packing on the node).
-        fn slab<It>(ctx: &NodeCtx<'_>, sub: &It, part: &triolet_domain::Dim3Part) -> Vec<It::Item>
+        fn slab<It>(ctx: &NodeCtx, sub: &It, part: &triolet_domain::Dim3Part) -> Vec<It::Item>
         where
             It: DistIter<OuterDom = triolet_domain::Dim3>,
             It::Item: Send,
@@ -1065,7 +974,7 @@ impl Triolet {
                 let parts = dom.split_parts(self.nodes());
                 let t0 = Instant::now();
                 let tasks = slice_tasks(&it, parts, |sub, part| {
-                    Box::new(move |ctx: &NodeCtx<'_>| {
+                    Box::new(move |ctx: &NodeCtx| {
                         let sub = ctx.unpack_sequential(|| sub.roundtrip());
                         PodView::from_vec(slab(ctx, &sub, &part))
                     })
@@ -1088,7 +997,7 @@ impl Triolet {
     {
         /// Compute one block's row-major contents from ordered chunk pieces.
         fn assemble_block<It>(
-            ctx: &NodeCtx<'_>,
+            ctx: &NodeCtx,
             sub: &It,
             part: &triolet_domain::Dim2Part,
         ) -> Vec<It::Item>
@@ -1152,7 +1061,7 @@ impl Triolet {
                 let parts = dom.split_parts(self.nodes());
                 let t0 = Instant::now();
                 let tasks = slice_tasks(&it, parts, |sub, part| {
-                    Box::new(move |ctx: &NodeCtx<'_>| {
+                    Box::new(move |ctx: &NodeCtx| {
                         let sub = ctx.unpack_sequential(|| sub.roundtrip());
                         let block = assemble_block(ctx, &sub, &part);
                         (part, PodView::from_vec(block))
@@ -1161,50 +1070,16 @@ impl Triolet {
                 let root_prep_s =
                     t0.elapsed().as_secs_f64() - tasks.iter().map(|t| t.pack_s).sum::<f64>();
                 let out = self.cluster.run_raw(tasks);
-                if self.streamed() {
-                    // Blocks land at disjoint coordinates, so placing each
-                    // as it arrives is byte-identical to the lump placement.
-                    let mut blocks = out.results.into_iter();
-                    let mut result = Array2::zeros(dom.rows, dom.cols);
-                    let (merge_end, merge_busy, spans) =
-                        streamed_merge_clock(&out.arrivals, |_| {
-                            let (part, block) = blocks.next().expect("one block per task");
-                            place_block(&mut result, dom.cols, &part, &block);
-                        });
-                    let end_s = out.timing.total_s.max(merge_end);
-                    let trace = self.skeleton_trace_streamed(
-                        "build_array2",
-                        Some(root_prep_s),
-                        out.trace,
-                        end_s,
-                        &spans,
-                    );
-                    Run::new(
-                        result,
-                        RunStats::overlapped(
-                            out.timing,
-                            root_prep_s + merge_busy,
-                            root_prep_s + end_s,
-                        ),
-                    )
-                    .with_trace(trace)
-                } else {
-                    let t1 = Instant::now();
-                    let mut result = Array2::zeros(dom.rows, dom.cols);
-                    for (part, block) in out.results {
-                        place_block(&mut result, dom.cols, &part, &block);
-                    }
-                    let root_merge_s = t1.elapsed().as_secs_f64();
-                    let trace = self.skeleton_trace(
-                        "build_array2",
-                        Some(root_prep_s),
-                        out.trace,
-                        out.timing.total_s,
-                        Some(root_merge_s),
-                    );
-                    Run::new(result, RunStats::from_dist(out.timing, root_prep_s + root_merge_s))
-                        .with_trace(trace)
-                }
+                // Blocks land at disjoint coordinates, so each is placed
+                // as it arrives.
+                let result = Array2::zeros(dom.rows, dom.cols);
+                self.merge_epilogue(
+                    "build_array2",
+                    root_prep_s,
+                    out,
+                    result,
+                    |result, (part, block)| place_block(result, dom.cols, &part, &block),
+                )
             }
         }
     }
@@ -1387,7 +1262,6 @@ mod tests {
         for config in [
             ClusterConfig::virtual_cluster(4, 4),
             ClusterConfig::virtual_cluster(4, 4).with_faults(plan),
-            ClusterConfig::measured(2, 2).with_faults(plan),
         ] {
             let rt = Triolet::new(config);
             let before = rt.cluster().stats().snapshot();
@@ -1400,16 +1274,6 @@ mod tests {
             );
             assert_eq!(rt.cluster().stats().snapshot().since(&before), Default::default());
         }
-    }
-
-    #[test]
-    fn measured_mode_agrees_with_virtual() {
-        let xs: Vec<i64> = (0..4000).collect();
-        let expect: i64 = xs.iter().sum();
-        let m = Triolet::new(ClusterConfig::measured(2, 2));
-        let (s, stats) = m.sum(from_vec(xs).par()).into_inner();
-        assert_eq!(s, expect);
-        assert!(stats.total_s > 0.0);
     }
 
     #[test]
@@ -1500,37 +1364,6 @@ mod tests {
         let engine = Triolet::new(ClusterConfig::virtual_cluster(2, 2).with_trace(true));
         let run = engine.sum(from_vec((0..50i64).collect::<Vec<_>>()));
         assert_eq!(run.trace.span_names(), vec!["skeleton:sum"]);
-    }
-
-    #[test]
-    fn barrier_mode_keeps_lump_merge_span() {
-        let engine = Triolet::new(
-            ClusterConfig::virtual_cluster(3, 2)
-                .with_trace(true)
-                .with_pipeline(PipelineMode::Barrier),
-        );
-        let run = engine.sum(from_vec((0..3000i64).collect::<Vec<_>>()).par());
-        let names = run.trace.span_names();
-        assert!(names.contains(&"root:merge"), "barrier keeps root:merge: {names:?}");
-        assert!(!names.contains(&"root:merge:streamed"), "{names:?}");
-    }
-
-    #[test]
-    fn pipeline_modes_agree_on_skeleton_values() {
-        // One engine-level sanity pass over the order-sensitive skeletons;
-        // the proptest gate covers the space, this pins the obvious cases.
-        let xs: Vec<f64> = (0..2500).map(|i| (i as f64) * 0.37 - 100.0).collect();
-        let s = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
-        let b =
-            Triolet::new(ClusterConfig::virtual_cluster(4, 2).with_pipeline(PipelineMode::Barrier));
-        assert_eq!(
-            s.sum(from_vec(xs.clone()).par()).value.to_bits(),
-            b.sum(from_vec(xs.clone()).par()).value.to_bits(),
-        );
-        assert_eq!(
-            s.build_vec(from_vec(xs.clone()).map(|x: f64| x * 1.5).par(), &(), |_, x| x).value,
-            b.build_vec(from_vec(xs).map(|x: f64| x * 1.5).par(), &(), |_, x| x).value,
-        );
     }
 
     #[test]

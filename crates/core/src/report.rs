@@ -4,8 +4,8 @@ use triolet_cluster::DistTiming;
 
 /// Timing and traffic breakdown of one skeleton execution.
 ///
-/// `total_s` is wall-clock in `Measured` mode and the modeled distributed
-/// makespan in `Virtual` mode (see [`triolet_cluster`] for the model).
+/// `total_s` is the modeled distributed makespan (see [`triolet_cluster`] for
+/// the model).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// End-to-end seconds.

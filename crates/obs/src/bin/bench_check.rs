@@ -32,12 +32,11 @@ const REGISTRY: &[(&str, &[&str], &[&str])] = &[
         &["points"],
         &["nodes", "input", "total_s", "bytes_per_iter", "resident_hits", "scatter_bytes"],
     ),
-    ("ablation_pipeline", &["points"], &["nodes", "pipeline", "total_s", "root_s"]),
     ("ablation_kernels", &["sgemm", "tpacf", "unpack", "e2e_sgemm"], &[]),
     (
         "ablation_scale",
         &["points"],
-        &["ranks", "core", "sim_wall_s", "events", "events_per_s", "peak_heap", "total_s"],
+        &["ranks", "sim_wall_s", "events", "events_per_s", "peak_heap", "total_s"],
     ),
     (
         "ablation_tenancy",

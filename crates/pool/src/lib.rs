@@ -14,8 +14,7 @@
 //!   the caller.
 //! * [`ThreadPool::join`] — binary fork-join.
 //! * [`parallel`] — data-parallel loops over [`triolet_domain::Part`]s with
-//!   recursive splitting down to a grain size, plus an order-preserving map
-//!   over explicit chunks (the base of the cluster's chunk-order reductions).
+//!   recursive splitting down to a grain size.
 //! * [`vtime`] — the *virtual-time* scheduler used for reproducing the
 //!   paper's scaling figures on a host with fewer cores than the paper's
 //!   cluster: leaf task durations are measured sequentially and replayed
@@ -39,5 +38,5 @@ mod pool;
 pub mod vtime;
 
 pub use parallel::parallel_for_part;
-pub use pool::{current_worker_index, Scope, ThreadPool};
+pub use pool::{Scope, ThreadPool};
 pub use vtime::{greedy_schedule, Schedule};

@@ -87,15 +87,6 @@ thread_local! {
 struct WorkerCtx {
     shared: Arc<Shared>,
     local: Deque<Job>,
-    index: usize,
-}
-
-/// The calling thread's worker index within its pool, or `None` off-pool.
-///
-/// Tracing uses this to place per-chunk spans on the right worker timeline
-/// in measured mode; stolen work reports the thread that actually ran it.
-pub fn current_worker_index() -> Option<usize> {
-    WORKER.with(|w| w.borrow().as_ref().map(|ctx| ctx.index))
 }
 
 /// A fixed-size work-stealing thread pool (the paper's per-node TBB runtime).
@@ -128,7 +119,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("triolet-worker-{i}"))
-                    .spawn(move || worker_main(shared, local, i))
+                    .spawn(move || worker_main(shared, local))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -221,11 +212,11 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_main(shared: Arc<Shared>, local: Deque<Job>, index: usize) {
+fn worker_main(shared: Arc<Shared>, local: Deque<Job>) {
     // Install the worker context; the deque lives in the thread-local for the
     // rest of the thread's life.
     WORKER.with(|w| {
-        *w.borrow_mut() = Some(WorkerCtx { shared: Arc::clone(&shared), local, index });
+        *w.borrow_mut() = Some(WorkerCtx { shared: Arc::clone(&shared), local });
     });
     loop {
         let job = WORKER.with(|w| {
@@ -425,24 +416,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn worker_index_visible_inside_tasks_only() {
-        assert_eq!(current_worker_index(), None, "caller thread is not a pool worker");
-        let pool = ThreadPool::new(3);
-        let seen = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for _ in 0..30 {
-                s.spawn(|_| {
-                    let idx = current_worker_index().expect("tasks run on pool workers");
-                    seen.lock().push(idx);
-                });
-            }
-        });
-        let seen = seen.lock();
-        assert_eq!(seen.len(), 30);
-        assert!(seen.iter().all(|&i| i < 3));
     }
 
     #[test]

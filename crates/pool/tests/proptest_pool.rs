@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use triolet_domain::{Domain, Seq, SeqPart};
-use triolet_pool::parallel::{map_parts_ordered, parallel_for_part};
+use triolet_pool::parallel::parallel_for_part;
 use triolet_pool::vtime::greedy_schedule;
 use triolet_pool::ThreadPool;
 
@@ -25,25 +25,6 @@ proptest! {
             }
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn ordered_map_is_order_stable(
-        lens in proptest::collection::vec(1usize..50, 1..30),
-        threads in 1usize..5,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let parts: Vec<SeqPart> = {
-            let mut out = Vec::new();
-            let mut start = 0;
-            for l in lens {
-                out.push(SeqPart::new(start, l));
-                start += l;
-            }
-            out
-        };
-        let starts = map_parts_ordered(&pool, parts.clone(), &|p: &SeqPart| p.start);
-        prop_assert_eq!(starts, parts.iter().map(|p| p.start).collect::<Vec<_>>());
     }
 
     #[test]

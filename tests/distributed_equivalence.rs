@@ -1,6 +1,6 @@
 //! Cross-implementation, cross-configuration equivalence: every benchmark
 //! must produce the same answer in every programming model, on every cluster
-//! shape, in both execution modes. This is the correctness backbone of the
+//! shape. This is the correctness backbone of the
 //! reproduction — the paper's comparisons are only meaningful because all
 //! three versions compute the same thing.
 
@@ -84,22 +84,6 @@ fn cutcp_equivalent_across_shapes_and_models() {
         let (got, _) = cutcp::run_eden(&eden, &input).expect("fits buffers");
         assert!(cutcp::validate(&expect, &got, 1e-9), "eden {nodes}x{tpn}");
     }
-}
-
-#[test]
-fn measured_mode_equivalence_small_shapes() {
-    // Real threads (Measured mode): same answers as virtual mode.
-    let mriq_in = mriq::generate(48, 24, 4);
-    let expect = mriq::run_seq(&mriq_in);
-    let rt = Triolet::new(ClusterConfig::measured(2, 2));
-    let got = mriq::run_triolet(&rt, &mriq_in);
-    assert!(mriq::validate(&expect, &got.value, 1e-4));
-
-    let tpacf_in = tpacf::generate(32, 3, 12, 5);
-    let expect = tpacf::run_seq(&tpacf_in);
-    let rt = Triolet::new(ClusterConfig::measured(2, 2));
-    let got = tpacf::run_triolet(&rt, &tpacf_in);
-    assert!(tpacf::validate(&expect, &got.value));
 }
 
 #[test]

@@ -135,29 +135,6 @@ fn fault_runs_replay_identically() {
 }
 
 #[test]
-fn measured_mode_recovers_too() {
-    // Real threads, same schedule: results still exact, recovery visible.
-    let xs: Vec<i64> = (0..2000).map(|i| i % 17 - 8).collect();
-    let cfg = ClusterConfig::measured(NODES, TPN).with_faults(gate_plan());
-    let clean = Triolet::new(ClusterConfig::measured(NODES, TPN)).fold_reduce(
-        from_vec(xs.clone()).par(),
-        &(),
-        || 0i64,
-        |(), acc, x| acc + x,
-        |a, b| a + b,
-    );
-    let faulty = Triolet::new(cfg).fold_reduce(
-        from_vec(xs).par(),
-        &(),
-        || 0i64,
-        |(), acc, x| acc + x,
-        |a, b| a + b,
-    );
-    assert_eq!(clean.value, faulty.value);
-    assert_recovered(&faulty.stats);
-}
-
-#[test]
 fn traffic_counters_expose_fault_events() {
     let rt = faulty_rt();
     let xs: Vec<usize> = (0..4000).map(|i| i % 32).collect();

@@ -1,56 +1,15 @@
 //! Property-based gate for resident execution: for random data, random
-//! cluster shapes, either topology, either pipeline mode, and seeded fault
-//! schedules (including whole-rank crashes that force resident segments to
-//! re-ship), a skeleton over a resident `DistVec` must be **bit-identical**
-//! to the same skeleton over a re-broadcast iterator — and a crash must be
-//! paid for once per collection, through every view, however many sweeps
-//! follow.
-
-use std::time::Duration;
+//! cluster shapes, either topology, and seeded fault schedules (including
+//! whole-rank crashes that force resident segments to re-ship), a skeleton
+//! over a resident `DistVec` must be **bit-identical** to the same skeleton
+//! over a re-broadcast iterator — and a crash must be paid for once per
+//! collection, through every view, however many sweeps follow.
 
 use proptest::prelude::*;
 use triolet::prelude::*;
 
-fn cluster_shapes() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..=8, 1usize..=4)
-}
-
-/// The shimmed proptest has no `prop_oneof`; decode a selector integer:
-/// bit 0 picks the topology, bit 1 the pipeline mode.
-fn shape_from(sel: u64) -> (Topology, PipelineMode) {
-    let topology = if sel & 1 == 0 { Topology::Linear } else { Topology::Tree };
-    let pipeline = if sel & 2 == 0 { PipelineMode::Barrier } else { PipelineMode::Streamed };
-    (topology, pipeline)
-}
-
-/// `None` => fault-free; `Some((seed, crash))` => seeded drops plus an
-/// optional whole-rank crash (crash rank 0 is the root's own node and the
-/// redispatch target of last resort, so crashes hit ranks 1+).
-fn fault_plans() -> impl Strategy<Value = Option<(u64, Option<usize>)>> {
-    proptest::option::of((0u64..1000, proptest::option::of(1usize..8)))
-}
-
-fn config(
-    nodes: usize,
-    tpn: usize,
-    topology: Topology,
-    pipeline: PipelineMode,
-    faults: &Option<(u64, Option<usize>)>,
-) -> ClusterConfig {
-    let mut cfg =
-        ClusterConfig::virtual_cluster(nodes, tpn).with_topology(topology).with_pipeline(pipeline);
-    if let Some((seed, crash)) = faults {
-        let mut plan =
-            FaultPlan::seeded(*seed).with_drop(0.12).with_timeout(Duration::from_millis(1));
-        if let Some(rank) = crash {
-            if *rank < nodes {
-                plan = plan.with_crash(*rank);
-            }
-        }
-        cfg = cfg.with_faults(plan);
-    }
-    cfg
-}
+mod common;
+use common::{cluster, lossy, plan_for, shapes, topology_from};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -61,12 +20,12 @@ proptest! {
     #[test]
     fn resident_f64_fold_is_bit_identical(
         xs in proptest::collection::vec(-1e6f64..1e6, 1..400),
-        (nodes, tpn) in cluster_shapes(),
-        sel in 0u64..4,
-        faults in fault_plans(),
+        shape in shapes(8, 4),
+        topo_sel in 0u64..2,
+        seed in 0u64..3000,
     ) {
-        let (topology, pipeline) = shape_from(sel);
-        let rt = Triolet::new(config(nodes, tpn, topology, pipeline, &faults));
+        let faults = plan_for(seed, shape.0);
+        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), faults));
         let fold = |input: DistInputOf<f64>, rt: &Triolet| {
             match input {
                 DistInputOf::Resident(dv) => rt.fold_reduce(
@@ -94,12 +53,11 @@ proptest! {
     #[test]
     fn resident_concat_fold_preserves_order(
         xs in proptest::collection::vec(any::<u32>(), 1..300),
-        (nodes, tpn) in cluster_shapes(),
-        sel in 0u64..4,
-        faults in fault_plans(),
+        shape in shapes(8, 4),
+        topo_sel in 0u64..2,
+        seed in 0u64..3000,
     ) {
-        let (topology, pipeline) = shape_from(sel);
-        let rt = Triolet::new(config(nodes, tpn, topology, pipeline, &faults));
+        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0)));
         let concat = |rt: &Triolet, dv: &DistVec<u32>| {
             rt.fold_reduce(
                 dv,
@@ -119,12 +77,11 @@ proptest! {
     #[test]
     fn resident_build_vec_matches_map(
         xs in proptest::collection::vec(any::<u32>(), 1..300),
-        (nodes, tpn) in cluster_shapes(),
-        sel in 0u64..4,
-        faults in fault_plans(),
+        shape in shapes(8, 4),
+        topo_sel in 0u64..2,
+        seed in 0u64..3000,
     ) {
-        let (topology, pipeline) = shape_from(sel);
-        let rt = Triolet::new(config(nodes, tpn, topology, pipeline, &faults));
+        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0)));
         let dv = rt.scatter(xs.clone()).value;
         let got = rt.build_vec(&dv, &(), |_, x: u32| x as u64 * 3 + 1);
         let expect: Vec<u64> = xs.iter().map(|&x| x as u64 * 3 + 1).collect();
@@ -208,15 +165,17 @@ proptest! {
     fn a_crash_is_paid_for_once_through_every_view(
         xs in proptest::collection::vec(-1e6f64..1e6, COLS..300),
         (nodes, tpn) in (2usize..=9, 1usize..=3),
-        sel in 0u64..4,
+        topo_sel in 0u64..2,
         (seed, crash) in (0u64..1000, 0usize..8),
         (view, build, sweeps) in (0..VIEWS, 0u8..2, 1usize..=6),
     ) {
-        let (topology, pipeline) = shape_from(sel);
+        let topology = topology_from(topo_sel);
+        // Rank 0 is the root's own node and the redispatch target of last
+        // resort, so the crash hits ranks 1+.
         let crash = 1 + crash % (nodes - 1);
         let faulty_rt =
-            Triolet::new(config(nodes, tpn, topology, pipeline, &Some((seed, Some(crash)))));
-        let clean_rt = Triolet::new(config(nodes, tpn, topology, pipeline, &None));
+            Triolet::new(cluster((nodes, tpn), topology, Some(lossy(seed).with_crash(crash))));
+        let clean_rt = Triolet::new(cluster((nodes, tpn), topology, None));
         let faulty = Collections::scatter(&faulty_rt, &xs);
         let clean = Collections::scatter(&clean_rt, &xs);
 

@@ -6,9 +6,8 @@
 use proptest::prelude::*;
 use triolet::prelude::*;
 
-fn cluster_shapes() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..=8, 1usize..=8)
-}
+mod common;
+use common::shapes;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -16,7 +15,7 @@ proptest! {
     #[test]
     fn par_sum_equals_seq_sum(
         xs in proptest::collection::vec(-1000i64..1000, 0..400),
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let expect: i64 = xs.iter().sum();
@@ -28,7 +27,7 @@ proptest! {
     fn par_filter_count_equals_seq(
         xs in proptest::collection::vec(any::<i32>(), 0..400),
         modulus in 1i32..20,
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let expect = xs.iter().filter(|&&x| x.rem_euclid(modulus) == 0).count() as u64;
@@ -41,7 +40,7 @@ proptest! {
     #[test]
     fn par_histogram_equals_seq(
         xs in proptest::collection::vec(0usize..50, 0..500),
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let mut expect = vec![0u64; 50];
@@ -55,7 +54,7 @@ proptest! {
     #[test]
     fn par_build_vec_preserves_order(
         xs in proptest::collection::vec(any::<u32>(), 0..300),
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let expect: Vec<u64> = xs.iter().map(|&x| x as u64 + 7).collect();
@@ -66,7 +65,7 @@ proptest! {
     #[test]
     fn par_concat_map_sum_equals_seq(
         xs in proptest::collection::vec(0i64..30, 0..120),
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let expect: i64 = xs.iter().flat_map(|&x| 0..x).sum();
@@ -80,7 +79,7 @@ proptest! {
     #[test]
     fn par_reduce_min_equals_seq(
         xs in proptest::collection::vec(any::<i64>(), 0..300),
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let expect = xs.iter().copied().min();
@@ -92,7 +91,7 @@ proptest! {
     fn build_array2_matches_from_fn(
         rows in 1usize..20,
         cols in 1usize..20,
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let got = rt.build_array2(
@@ -105,7 +104,7 @@ proptest! {
     #[test]
     fn scatter_add_equals_seq(
         pairs in proptest::collection::vec((0usize..64, -100i32..100), 0..400),
-        (nodes, tpn) in cluster_shapes(),
+        (nodes, tpn) in shapes(8, 8),
     ) {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
         let items: Vec<(usize, f64)> =

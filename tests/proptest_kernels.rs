@@ -1,11 +1,9 @@
 //! Property-based gate for the tiled node kernels: for random shapes
-//! (including tile remainders), random cluster shapes, either pipeline mode,
-//! and seeded fault schedules, the register-blocked tiled kernels must be
+//! (including tile remainders), random cluster shapes and seeded fault
+//! schedules, the register-blocked tiled kernels must be
 //! **bit-identical** to the naive reference loops — the tiling only reorders
 //! the i/j traversal, never the per-element ascending-k accumulation chain
 //! (sgemm) or the set of scored pairs (tpacf).
-
-use std::time::Duration;
 
 use proptest::prelude::*;
 use triolet::prelude::*;
@@ -15,24 +13,8 @@ use triolet_apps::tpacf::{
 };
 use triolet_baselines::LowLevelRt;
 
-fn cluster_shapes() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..=6, 1usize..=4)
-}
-
-fn fault_plans() -> impl Strategy<Value = Option<u64>> {
-    proptest::option::of(0u64..1000)
-}
-
-fn config(nodes: usize, tpn: usize, sel: u64, faults: &Option<u64>) -> ClusterConfig {
-    let pipeline = if sel & 1 == 0 { PipelineMode::Barrier } else { PipelineMode::Streamed };
-    let mut cfg = ClusterConfig::virtual_cluster(nodes, tpn).with_pipeline(pipeline);
-    if let Some(seed) = faults {
-        cfg = cfg.with_faults(
-            FaultPlan::seeded(*seed).with_drop(0.12).with_timeout(Duration::from_millis(1)),
-        );
-    }
-    cfg
-}
+mod common;
+use common::{cluster, plan_for, shapes};
 
 fn assert_f32_bits(a: &[f32], b: &[f32]) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.len(), b.len());
@@ -66,25 +48,25 @@ proptest! {
 
     /// Distributed sgemm: the tiled strip-level two-liner and the tiled
     /// low-level decomposition both reproduce the sequential result to the
-    /// bit across cluster shapes, pipeline modes, and fault schedules.
+    /// bit across cluster shapes and fault schedules.
     #[test]
     fn distributed_sgemm_tiled_is_bit_identical(
         m in 1usize..40,
         k in 1usize..20,
         n in 1usize..40,
         seed in 0u64..1000,
-        (nodes, tpn) in cluster_shapes(),
-        sel in 0u64..2,
-        faults in fault_plans(),
+        shape in shapes(6, 4),
+        fault_seed in 0u64..3000,
     ) {
         let input = sgemm::generate_rect(m, k, n, seed);
         let expect = sgemm::run_seq(&input);
+        let cfg = cluster(shape, Topology::Tree, plan_for(fault_seed, shape.0));
 
-        let rt = Triolet::new(config(nodes, tpn, sel, &faults));
+        let rt = Triolet::new(cfg);
         let got = sgemm::run_triolet_tiled(&rt, &input).value;
         assert_f32_bits(expect.as_slice(), got.as_slice())?;
 
-        let ll = LowLevelRt::new(config(nodes, tpn, sel, &faults));
+        let ll = LowLevelRt::new(cfg);
         let (got, _) = sgemm::run_lowlevel(&ll, &input);
         assert_f32_bits(expect.as_slice(), got.as_slice())?;
     }
@@ -112,24 +94,24 @@ proptest! {
     }
 
     /// Distributed tpacf: tiled skeleton and tiled low-level runs equal the
-    /// sequential histograms exactly across shapes, modes, and faults.
+    /// sequential histograms exactly across shapes and faults.
     #[test]
     fn distributed_tpacf_tiled_matches_seq(
         n in 1usize..50,
         n_rand in 0usize..4,
         seed in 0u64..1000,
-        (nodes, tpn) in cluster_shapes(),
-        sel in 0u64..2,
-        faults in fault_plans(),
+        shape in shapes(6, 4),
+        fault_seed in 0u64..3000,
     ) {
         let input = tpacf::generate(n, n_rand, 12, seed);
         let expect = tpacf::run_seq(&input);
+        let cfg = cluster(shape, Topology::Tree, plan_for(fault_seed, shape.0));
 
-        let rt = Triolet::new(config(nodes, tpn, sel, &faults));
+        let rt = Triolet::new(cfg);
         let run = tpacf::run_triolet_tiled(&rt, &input);
         prop_assert_eq!(&expect, &run.value);
 
-        let ll = LowLevelRt::new(config(nodes, tpn, sel, &faults));
+        let ll = LowLevelRt::new(cfg);
         let (got, _) = tpacf::run_lowlevel(&ll, &input);
         prop_assert_eq!(&expect, &got);
     }

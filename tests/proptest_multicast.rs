@@ -1,53 +1,21 @@
 //! Property-based gate for the sharing-aware scatter: the block-decomposed
 //! matrix product is the workload whose tasks share input windows (every A
 //! row panel with its grid row, every Bᵀ panel with its grid column), so for
-//! random shapes, cluster sizes, topologies, pipeline modes, simulator cores
-//! and seeded fault schedules — including a crashed rank, which piles
-//! several tasks and their panels onto one survivor — shipping each shared
-//! panel once and relaying it must change nothing but *which link* carries
-//! a byte: values stay bit-equal to the sequential run, every reader still
-//! receives each of its panels exactly once, and accounting does not depend
-//! on the pipeline mode.
-
-use std::time::Duration;
+//! random shapes, cluster sizes, topologies and seeded fault schedules —
+//! including a crashed rank, which piles several tasks and their panels onto
+//! one survivor — shipping each shared panel once and relaying it must
+//! change nothing but *which link* carries a byte: values stay bit-equal to
+//! the sequential run and every reader still receives each of its panels
+//! exactly once. (In debug builds every dispatch here is also replayed
+//! through the simulator's eager oracle.)
 
 use proptest::prelude::*;
 use triolet::prelude::*;
 use triolet_apps::sgemm;
 use triolet_serial::Wire;
 
-/// A third of cases run clean, a third with lossy links, a third with a
-/// lossy link plus a crashed rank (single-node clusters stay at lossy).
-fn plan_for(seed: u64, nodes: usize) -> Option<FaultPlan> {
-    let lossy = FaultPlan::seeded(seed).with_drop(0.12).with_timeout(Duration::from_millis(1));
-    match seed % 3 {
-        0 => None,
-        2 if nodes > 1 => Some(lossy.with_crash((seed as usize / 3) % nodes)),
-        _ => Some(lossy),
-    }
-}
-
-/// Both cores lay every dispatch (`sim_check` panics on the first bit that
-/// differs); `sel` picks whose timeline is returned.
-fn config(
-    (nodes, tpn): (usize, usize),
-    topology: Topology,
-    pipeline: PipelineMode,
-    sel: u64,
-    faults: Option<FaultPlan>,
-) -> ClusterConfig {
-    let core = if sel % 2 == 0 { SimCore::Event } else { SimCore::Eager };
-    let cfg = ClusterConfig::virtual_cluster(nodes, tpn)
-        .with_topology(topology)
-        .with_pipeline(pipeline)
-        .with_sim_core(core)
-        .with_sim_check(true)
-        .with_trace(true);
-    match faults {
-        Some(plan) => cfg.with_faults(plan),
-        None => cfg,
-    }
-}
+mod common;
+use common::{cluster, plan_for, shapes, topology_from};
 
 /// Bytes each rank received, read off the traced sends (`send` hops and
 /// `comm:tree` piece edges). One copy per span: for fault-free links.
@@ -67,42 +35,23 @@ fn assert_bits(a: &Array2<f32>, b: &Array2<f32>) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn assert_same_accounting(a: &RunStats, b: &RunStats) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.bytes_out, b.bytes_out);
-    prop_assert_eq!(a.root_bytes_out, b.root_bytes_out);
-    prop_assert_eq!(a.bytes_back, b.bytes_back);
-    prop_assert_eq!(a.messages, b.messages);
-    prop_assert_eq!(a.retries, b.retries);
-    prop_assert_eq!(a.redispatches, b.redispatches);
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Whatever the schedule does, the product is the sequential product,
-    /// and the pipeline mode moves no byte and no message.
+    /// Whatever the schedule does, the product is the sequential product.
     #[test]
     fn multicast_changes_no_value_and_no_count(
         (m, k, n) in (1usize..40, 1usize..24, 1usize..40),
-        shape in (1usize..=9, 1usize..=3),
+        shape in shapes(9, 3),
         topo_sel in 0u64..2,
-        core_sel in 0u64..2,
         seed in 0u64..3000,
     ) {
         let input = sgemm::generate_rect(m, k, n, seed);
         let expect = sgemm::run_seq(&input);
-        let topology = if topo_sel == 0 { Topology::Linear } else { Topology::Tree };
-        let plan = plan_for(seed, shape.0);
-        let run = |pipeline| {
-            let rt = Triolet::new(config(shape, topology, pipeline, core_sel, plan));
-            sgemm::run_triolet(&rt, &input)
-        };
-        let (s, b) = (run(PipelineMode::Streamed), run(PipelineMode::Barrier));
-        assert_bits(&s.value, &expect)?;
-        assert_bits(&b.value, &expect)?;
-        assert_same_accounting(&s.stats, &b.stats)?;
-        prop_assert!(s.stats.root_bytes_out <= s.stats.bytes_out);
+        let cfg = cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0));
+        let run = sgemm::run_triolet(&Triolet::new(cfg), &input);
+        assert_bits(&run.value, &expect)?;
+        prop_assert!(run.stats.root_bytes_out <= run.stats.bytes_out);
     }
 
     /// Fault-free, the bytes on all links are what point-to-point slicing
@@ -112,15 +61,12 @@ proptest! {
     #[test]
     fn every_reader_receives_each_panel_once(
         (m, k, n) in (1usize..40, 1usize..24, 1usize..40),
-        shape in (1usize..=9, 1usize..=3),
-        pipe_sel in 0u64..2,
-        core_sel in 0u64..2,
+        shape in shapes(9, 3),
         seed in 0u64..1000,
     ) {
         let input = sgemm::generate_rect(m, k, n, seed);
-        let pipeline = if pipe_sel == 0 { PipelineMode::Barrier } else { PipelineMode::Streamed };
         let run = |topology| {
-            let rt = Triolet::new(config(shape, topology, pipeline, core_sel, None));
+            let rt = Triolet::new(cluster(shape, topology, None).with_trace(true));
             sgemm::run_triolet(&rt, &input)
         };
         let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
@@ -157,8 +103,7 @@ proptest! {
         let expect = sgemm::run_seq(&input);
         let plan = plan_for(seed, nodes);
         let run = |topology| {
-            let cfg = config((nodes, 2), topology, PipelineMode::Streamed, seed, plan);
-            sgemm::run_triolet_tiled(&Triolet::new(cfg), &input)
+            sgemm::run_triolet_tiled(&Triolet::new(cluster((nodes, 2), topology, plan)), &input)
         };
         let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
         assert_bits(&tree.value, &expect)?;

@@ -1,68 +1,17 @@
 //! Property-based tenancy isolation: any interleaving of N tenants' jobs
 //! through the shared [`JobService`] — under FairShare or Priority, across
-//! topologies, pipeline modes, and seeded fault plans including crashed
-//! ranks — yields per-job results bit-identical to running each job alone
-//! on an identically configured cluster. Values and traffic accounting are
-//! order-independent; only wall-measured timings may differ, so those are
-//! deliberately not compared. The schedule itself must also be
-//! deterministic: two identical services complete jobs in the same order.
-
-use std::time::Duration;
+//! topologies and seeded fault plans including crashed ranks — yields
+//! per-job results bit-identical to running each job alone on an identically
+//! configured cluster. Values and traffic accounting are order-independent;
+//! only wall-measured timings may differ, so those are deliberately not
+//! compared. The schedule itself must also be deterministic: two identical
+//! services complete jobs in the same order.
 
 use proptest::prelude::*;
 use triolet::prelude::*;
 
-#[derive(Debug, Clone, Copy)]
-enum PlanKind {
-    None,
-    Lossy,
-    Crashy,
-}
-
-fn plan_for(kind: PlanKind, seed: u64, nodes: usize) -> FaultPlan {
-    match kind {
-        PlanKind::None => FaultPlan::none(),
-        PlanKind::Lossy => FaultPlan::seeded(seed)
-            .with_drop(0.2)
-            .with_duplication(0.1)
-            .with_corruption(0.05)
-            .with_timeout(Duration::from_millis(1)),
-        PlanKind::Crashy => {
-            let plan =
-                FaultPlan::seeded(seed).with_drop(0.15).with_timeout(Duration::from_millis(1));
-            if nodes >= 2 {
-                plan.with_crash(nodes / 2)
-            } else {
-                plan
-            }
-        }
-    }
-}
-
-/// The shimmed proptest has no `prop_oneof`; pick enums from an integer.
-fn topology_from(sel: u64) -> Topology {
-    if sel % 2 == 0 {
-        Topology::Linear
-    } else {
-        Topology::Tree
-    }
-}
-
-fn pipeline_from(sel: u64) -> PipelineMode {
-    if sel % 2 == 0 {
-        PipelineMode::Barrier
-    } else {
-        PipelineMode::Streamed
-    }
-}
-
-fn plan_kind_from(sel: u64) -> PlanKind {
-    match sel % 3 {
-        0 => PlanKind::None,
-        1 => PlanKind::Lossy,
-        _ => PlanKind::Crashy,
-    }
-}
+mod common;
+use common::{cluster, plan_for, topology_from};
 
 fn policy_from(sel: u64, tenants: usize) -> SchedPolicy {
     if sel % 2 == 0 {
@@ -123,15 +72,10 @@ proptest! {
         tenants in 1usize..=4,
         jobs in 1usize..=12,
         topo_sel in 0u64..2,
-        pipe_sel in 0u64..2,
-        kind_sel in 0u64..3,
         policy_sel in 0u64..2,
         seed in 0u64..1_000,
     ) {
-        let cfg = ClusterConfig::virtual_cluster(nodes, tpn)
-            .with_topology(topology_from(topo_sel))
-            .with_pipeline(pipeline_from(pipe_sel))
-            .with_faults(plan_for(plan_kind_from(kind_sel), seed, nodes));
+        let cfg = cluster((nodes, tpn), topology_from(topo_sel), plan_for(seed, nodes));
         let specs = specs_for(tenants, jobs, seed);
 
         let svc = Triolet::new(cfg).into_service(
@@ -171,11 +115,9 @@ proptest! {
         tenants in 1usize..=4,
         jobs in 1usize..=16,
         policy_sel in 0u64..2,
-        kind_sel in 0u64..3,
         seed in 0u64..1_000,
     ) {
-        let cfg = ClusterConfig::virtual_cluster(nodes, tpn)
-            .with_faults(plan_for(plan_kind_from(kind_sel), seed, nodes));
+        let cfg = cluster((nodes, tpn), Topology::Tree, plan_for(seed, nodes));
         let specs = specs_for(tenants, jobs, seed);
         let run_service = || {
             let svc = Triolet::new(cfg).into_service(

@@ -5,8 +5,8 @@
 //! trace *structure* on a fixed cluster shape is pinned by a golden file.
 //!
 //! The golden file holds `TraceData::canonical_lines()` — category, name,
-//! and track per span/event, no timestamps — so it is deterministic in
-//! virtual mode and robust to cost-model retuning. Regenerate it after an
+//! and track per span/event, no timestamps — so it is deterministic and
+//! robust to cost-model retuning. Regenerate it after an
 //! intentional structure change with:
 //!
 //! ```text
@@ -50,7 +50,7 @@ fn golden_trace_structure_for_sum_on_3x2() {
 fn traced_run_replays_identically() {
     // Virtual time + seeded routing: two identical runs must produce the
     // exact same trace structure. (Timestamps are not compared: the root's
-    // own slice/pack work is measured in wall-clock even in virtual mode.)
+    // own slice/pack work is measured in wall-clock.)
     let xs: Vec<i64> = (0..500).collect();
     let run = || traced_rt(4, 2).sum(from_vec(xs.clone()).par());
     let (a, b) = (run(), run());
@@ -131,4 +131,15 @@ fn untraced_runs_stay_empty_even_under_faults() {
     let run = Triolet::new(cfg).sum(from_vec(xs).par());
     assert!(run.trace.is_empty(), "tracing off must record nothing");
     assert!(run.stats.retries > 0, "faults still happen, they are just not traced");
+}
+
+#[test]
+fn streamed_trace_has_per_task_pipeline_spans() {
+    const NODES: usize = 6;
+    let xs: Vec<f64> = (0..2048).map(|i| i as f64).collect();
+    let run = traced_rt(NODES, 2).sum(from_vec(xs).par());
+    // One pack, one unpack, one merge span per task.
+    for name in ["root:pack", "root:unpack", "root:merge:streamed"] {
+        assert_eq!(run.trace.count_spans(name), NODES, "{name}");
+    }
 }
