@@ -184,7 +184,12 @@ pub struct DistOutcome<R> {
 /// input bytes on the wire (a *resident hit*); forced onto any other rank —
 /// a redispatch — the dispatcher re-ships the full `seg_bytes` to the
 /// survivor (a *resident miss*), so recovery stays possible and its cost
-/// stays visible. The dispatcher keeps no memory of either: `home` is
+/// stays visible. A hit with no halo under a broadcast environment is the
+/// case in which the task has no message at all: the segment's owner
+/// already knows its part, so the environment reaching `home` starts it
+/// (see [`RawTask`]). A crashed `home` is never assumed dead — it is
+/// probed with the task's message, timed out, and the task redispatched.
+/// The dispatcher keeps no memory of either: `home` is
 /// whatever the caller resolved from the [`ResidentStore`] when it built
 /// the task, and [`DistOutcome::execs`] tells the caller where the segment
 /// went, so it can move the store entry there.
@@ -203,6 +208,16 @@ pub struct ResidentSpec {
 
 /// One node's share of a distributed operation, in prepared form: the
 /// payload it would occupy on the wire plus the work to run on the node.
+///
+/// A task normally travels in a message of its own, sent by the root. A
+/// task whose message would be *empty* — `wire_bytes == 0`, no `pieces`,
+/// `pack_s == 0.0`, and for a resident task a live `home` and no halo —
+/// dispatched under a non-empty broadcast environment is not sent: it
+/// *rides* the environment edge into its rank and starts when that edge
+/// lands (one `task:ride` trace instant in place of a `send` span, no
+/// message counted, no fault decision drawn). Any byte of its own, and the
+/// task gets its send back: relaying non-empty descriptors down the tree
+/// would put them on more links than the root's.
 pub struct RawTask<'a, R> {
     /// Bytes of the input payload that belong to this task alone (the part
     /// descriptor of a sliced iterator; the whole payload of a hand-packed
@@ -250,6 +265,19 @@ impl<'a, R> RawTask<'a, R> {
     /// The rank this task is routed to first (its home).
     fn home(&self, i: usize) -> usize {
         self.resident.map_or(i, |spec| spec.home)
+    }
+
+    /// Whether this task has nothing to send to a live `home` that a
+    /// `bcast_bytes`-sized environment is about to reach anyway: no private
+    /// byte, halo or piece, and nothing packed for it. Such a task *rides*
+    /// the environment edge into its rank instead of getting a message of
+    /// its own (see [`Cluster::run_raw_with_broadcast`]).
+    fn rides(&self, home: usize, plan: &FaultPlan, bcast_bytes: usize) -> bool {
+        bcast_bytes > 0
+            && self.pieces.is_empty()
+            && self.pack_s == 0.0
+            && self.hop_bytes(home) == 0
+            && !plan.crashed(home)
     }
 }
 
@@ -408,7 +436,8 @@ impl<'s> Tally<'s> {
     }
 }
 
-/// How one task's payload traveled from the root: one entry per rank tried.
+/// How one task's payload traveled from the root: one entry per rank tried
+/// (none for a task that rode the environment in).
 struct Hop {
     /// The rank this hop targeted.
     dest: usize,
@@ -467,8 +496,10 @@ fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRo
 
 /// Record task `i`'s trip from the root: one `send` span per rank tried,
 /// over the `(start, done)` that `timing(h)` gives hop `h`, its fault events
-/// `dt` apart, a `redispatch` where the root moved on, and the resident
-/// hit/miss verdict at `settled`. `wire[h]` is the bytes hop `h` carried.
+/// `dt` apart, a `redispatch` where the root moved on — or, for a task that
+/// had no message, one `task:ride` instant on its rank's track — and the
+/// resident hit/miss verdict, both at `settled`, the task's arrival.
+/// `wire[h]` is the bytes hop `h` carried.
 fn trace_route(
     tr: &TraceHandle,
     i: usize,
@@ -478,6 +509,10 @@ fn trace_route(
     timing: impl Fn(usize) -> (f64, f64, f64),
     settled: f64,
 ) {
+    if route.hops.is_empty() {
+        let args = vec![("task", i.into()), ("rank", route.exec.into())];
+        tr.event("task:ride", "dispatch", Track::Node(route.exec), settled, args);
+    }
     for (h, hop) in route.hops.iter().enumerate() {
         let (start, done, dt) = timing(h);
         let args = vec![
@@ -994,6 +1029,11 @@ impl Cluster {
     /// task — and in virtual time a task cannot start before its rank
     /// holds the environment. `bcast_bytes == 0` (the unit environment)
     /// charges nothing.
+    ///
+    /// The environment's arrival is also the start signal for a task with
+    /// nothing of its own to send (see [`RawTask`]): the root sends such a
+    /// task no message, so a sweep of `n` resident hits costs the root its
+    /// `⌈log₂(n+1)⌉` tree sends rather than those plus `n` empty ones.
     pub fn run_raw_with_broadcast<'a, R>(
         &self,
         tasks: Vec<RawTask<'a, R>>,
@@ -1085,7 +1125,17 @@ impl Cluster {
         let routes: Vec<TaskRoute> = tasks
             .iter()
             .enumerate()
-            .map(|(i, t)| plan_route(&plan, n_nodes, t.home(i), i))
+            .map(|(i, t)| {
+                let home = t.home(i);
+                if t.rides(home, &plan, bcast_bytes) {
+                    // No message to route: the task executes at home, where
+                    // the environment finds it, and draws nothing from the
+                    // schedule.
+                    TaskRoute { exec: home, hops: Vec::new(), redispatches: 0 }
+                } else {
+                    plan_route(&plan, n_nodes, home, i)
+                }
+            })
             .collect();
         let scatter =
             plan_scatter(&plan, self.config.topology, n_nodes, &tasks, &routes, bcast_bytes);
@@ -1095,7 +1145,7 @@ impl Cluster {
         // task's private bytes plus the pieces riding with it; resident
         // tasks pay per-hop bytes: the control descriptor (plus any halo) to
         // the home rank, the full segment only when redispatch forces
-        // execution off-home.
+        // execution off-home. A task riding the environment has no hop.
         let mut tally = Tally::new(&self.stats);
         for e in &scatter.edges {
             tally.message(&e.tx, e.bytes, (e.sender, e.dest));
@@ -1678,6 +1728,111 @@ mod tests {
         // (descriptor + own piece) on each of its 9 attempts.
         assert_eq!(out.timing.bytes_out, 3 * 1000 + 4 * 116 + 9 * 116);
         assert_eq!(out.timing.redispatches, 1);
+    }
+
+    /// Modeled seconds per message in the riding tests: large enough that
+    /// the wall-measured node and unpack times are noise beside it.
+    const LATENCY: f64 = 0.05;
+
+    /// One resident task per rank of an `n`-rank cluster, each with `halo`
+    /// halo bytes and the given pieces, returning the rank it ran on.
+    fn resident_tasks<'a>(n: usize, halo: usize, pieces: &[Piece]) -> Vec<RawTask<'a, u64>> {
+        (0..n)
+            .map(|home| RawTask {
+                wire_bytes: 0,
+                pieces: pieces.to_vec(),
+                pack_s: 0.0,
+                resident: Some(ResidentSpec { id: 1, home, seg_bytes: 4096, halo_bytes: halo }),
+                work: Box::new(move |ctx: &NodeCtx| ctx.rank() as u64),
+            })
+            .collect()
+    }
+
+    /// Eight [`resident_tasks`] behind an `env_bytes`-byte environment (0
+    /// for none), on a flat network where every message costs [`LATENCY`].
+    fn resident_sweep(
+        plan: FaultPlan,
+        env_bytes: usize,
+        halo: usize,
+        pieces: &[Piece],
+    ) -> DistOutcome<u64> {
+        let tasks = resident_tasks(8, halo, pieces);
+        let cfg = ClusterConfig::virtual_cluster(8, 1)
+            .with_cost(CostModel::flat(LATENCY, f64::INFINITY))
+            .with_faults(plan)
+            .with_trace(true);
+        Cluster::new(cfg).run_raw_with_broadcast(tasks, env_bytes)
+    }
+
+    #[test]
+    fn empty_task_messages_ride_the_environment() {
+        let out = resident_sweep(FaultPlan::none(), 264, 0, &[]);
+        assert_eq!(out.results, (0..8).collect::<Vec<u64>>());
+        assert_eq!(out.execs, (0..8).collect::<Vec<usize>>());
+        // 8 environment edges + 8 returns; the tasks themselves send nothing.
+        assert_eq!(out.timing.messages, 16);
+        assert_eq!(out.timing.bytes_out, 8 * 264);
+        assert_eq!((out.timing.resident_hits, out.timing.resident_misses), (8, 0));
+        // The root's four tree sends, one compute, one return — where eight
+        // more sends on its NIC made this 13 latencies.
+        assert!(out.timing.total_s >= 5.0 * LATENCY, "{}", out.timing.total_s);
+        assert!(out.timing.total_s < 6.0 * LATENCY, "{}", out.timing.total_s);
+        assert_eq!(out.trace.count_spans("send"), 0);
+        assert_eq!(out.trace.count_events("task:ride"), 8);
+        assert_eq!(out.trace.count_events("dist:resident-hit"), 8);
+        // Every rank starts the moment its own environment edge lands.
+        for edge in out.trace.spans.iter().filter(|s| s.name == "comm:tree") {
+            let rank = edge.arg_u64("peer").expect("a tree edge names its peer") as usize;
+            let on_rank = |s: &&triolet_obs::Span| s.track == Track::Node(rank);
+            let task = out.trace.spans.iter().filter(|s| s.name == "node:task").find(on_rank);
+            assert_eq!(task.expect("every rank ran a task").t0, edge.t1, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn linear_topology_rides_its_direct_environment_sends() {
+        let cfg = ClusterConfig::virtual_cluster(4, 1).with_topology(Topology::Linear);
+        let out = Cluster::new(cfg).run_raw_with_broadcast(resident_tasks(4, 0, &[]), 100);
+        assert_eq!(out.results, vec![0, 1, 2, 3]);
+        assert_eq!((out.timing.messages, out.timing.bytes_out), (8, 400));
+        assert_eq!(out.timing.root_bytes_out, 400);
+    }
+
+    #[test]
+    fn a_task_with_anything_to_send_keeps_its_own_message() {
+        // 8 environment edges (none without an environment) + 8 task
+        // messages + 8 returns, the task messages serialized on the root's
+        // NIC behind its four tree sends: what every variant cost before
+        // empty messages rode, and still does.
+        let piece = [Piece { id: None, bytes: 1 }];
+        for (env, halo, pieces) in [(0, 0, &[][..]), (264, 1, &[][..]), (264, 0, &piece[..])] {
+            let out = resident_sweep(FaultPlan::none(), env, halo, pieces);
+            let env_edges = if env > 0 { 8 } else { 0 };
+            assert_eq!(out.timing.messages, env_edges + 16, "env {env} halo {halo}");
+            let sends = env_edges / 2 + 8 + 1;
+            assert!(out.timing.total_s >= sends as f64 * LATENCY, "env {env} halo {halo}");
+            assert_eq!(out.trace.count_spans("send"), 8);
+            assert_eq!(out.trace.count_events("task:ride"), 0);
+            assert_eq!(out.timing.bytes_out, 8 * (env + halo + pieces.len()) as u64);
+        }
+    }
+
+    #[test]
+    fn a_crashed_home_is_still_probed_timed_out_and_redispatched() {
+        let plan = FaultPlan::seeded(11).with_crash(3).with_timeout(Duration::from_millis(1));
+        let out = resident_sweep(plan, 264, 0, &[]);
+        assert_eq!(out.execs, vec![0, 1, 2, 4, 4, 5, 6, 7]);
+        // 7 environment edges (rank 3 executes nothing) + the 9 attempts on
+        // the dead home + the redispatch to rank 4 + 8 returns.
+        assert_eq!(out.timing.messages, 7 + 9 + 1 + 8);
+        assert_eq!((out.timing.retries, out.timing.redispatches), (8, 1));
+        assert_eq!((out.timing.resident_hits, out.timing.resident_misses), (7, 1));
+        // The probes are empty; the survivor is shipped the segment.
+        assert_eq!(out.timing.bytes_out, 7 * 264 + 4096);
+        assert_eq!(out.trace.count_spans("send"), 2);
+        assert_eq!(out.trace.count_events("task:ride"), 7);
+        assert_eq!(out.trace.count_events("redispatch"), 1);
+        assert_eq!(out.trace.count_events("retry") as u64, out.timing.retries);
     }
 
     #[test]

@@ -11,27 +11,31 @@
 //!
 //! The model of a shared payload: the root's one NIC sends it in plan
 //! order; a rank that has received it relays it onward, each relay starting
-//! at `max(that rank's NIC free, the payload's arrival there)`; a task
-//! starts at `max(its own hop done, its rank free, the arrival of every
-//! payload it reads)`.
+//! at `max(that rank's NIC free, the payload's arrival there)`. A task
+//! *arrives* at its rank when its own last hop is done — or, when it has no
+//! message of its own (an empty [`SimTask::hops`]), when the first payload
+//! it reads lands there: the environment's arrival is its start signal and
+//! the root's NIC never sees it. A rank queues tasks in `(arrival, task
+//! index)` order and starts the head of the queue at `max(its arrival, the
+//! rank free, the arrival of every payload it reads)`.
 //!
 //! The timeline is laid by a single binary event heap of timestamped sends,
 //! receives, ack/retry-extended hops, and task completions, popped in
-//! deterministic `(time, push-order)` order: a skeleton call is processed in
-//! `O(E log E)` heap operations with `O(ranks)` heap entries in flight. It
-//! is the core kept because its per-event handlers are where a contended
-//! resource (a root ingress queue, a shared link) can be modeled — a walk in
-//! fixed phase order cannot reorder around one — and because its `events` /
-//! `peak_heap` counters are what the benchmark's `cluster.sim_events*` rows
-//! read.
+//! deterministic `(time, arrivals last, push-order)` order: a skeleton call
+//! is processed in `O(E log E)` heap operations with `O(ranks)` heap entries
+//! in flight. It is the core kept because its per-event handlers are where a
+//! contended resource (a root ingress queue, a shared link) can be modeled —
+//! a walk in fixed phase order cannot reorder around one — and because its
+//! `events` / `peak_heap` counters are what the benchmark's
+//! `cluster.sim_events*` rows read.
 //!
 //! The eager walk — chain every send on the root NIC, replay the relays over
-//! a per-rank NIC clock vector, then sweep tasks in order — is compiled into
-//! debug builds only, as the oracle: the dispatcher replays every dispatch
-//! through [`run_eager`] and [`assert_cores_agree`] panics unless every
-//! `f64` in the two [`SimTimes`] agrees to the last bit (both perform the
-//! same additions and `max` chains on the same operands). Release builds pay
-//! nothing for it.
+//! a per-rank NIC clock vector, then sweep tasks in arrival order — is
+//! compiled into debug builds only, as the oracle: the dispatcher replays
+//! every dispatch through [`run_eager`] and [`assert_cores_agree`] panics
+//! unless every `f64` in the two [`SimTimes`] agrees to the last bit (both
+//! perform the same additions and `max` chains on the same operands).
+//! Release builds pay nothing for it.
 //!
 //! Both run against reusable [`SimScratch`] buffers owned by the cluster,
 //! so a collective step allocates no per-step clock vectors (capacity is
@@ -68,7 +72,9 @@ pub(crate) struct SimTask {
     pub elapsed: f64,
     /// Return-trip seconds (every copy plus every ack timeout).
     pub ret_s: f64,
-    /// This task's slice of [`SimProblem::hop_s`].
+    /// This task's slice of [`SimProblem::hop_s`]. Empty when the task has
+    /// no message of its own and rides the first edge of its `needs` into
+    /// its rank (it then has no pack time and no `edges` either).
     pub hops: std::ops::Range<usize>,
     /// The edges of the shared pieces this task is the first to read, as a
     /// slice of [`SimProblem::edges`]: the root sends its share of them
@@ -106,11 +112,12 @@ pub(crate) struct SimTimes {
     /// `(start, done)` of each payload edge, in edge order.
     pub edge_bounds: Vec<(f64, f64)>,
     /// When the root began packing each task (== first send start when the
-    /// task has no pack time).
+    /// task has no pack time, == `send_done` when it has no send).
     pub pack_start: Vec<f64>,
     /// `(start, done)` of every hop, aligned with [`SimProblem::hop_s`].
     pub hop_bounds: Vec<(f64, f64)>,
-    /// When each task's payload finished leaving the root.
+    /// When each task arrived at its executing rank: its last hop done, or
+    /// for a task without hops the done time of the edge it rides.
     pub send_done: Vec<f64>,
     /// `(start, done)` of each task's node execution.
     pub node_bounds: Vec<(f64, f64)>,
@@ -142,9 +149,13 @@ impl SimTimes {
 }
 
 /// One heap entry: a timestamped state change. Ordering is `(time,
-/// push-order)` — `total_cmp` on the time, monotonic sequence number as the
-/// tie-break — so the pop order is fully deterministic and independent of
-/// heap internals.
+/// arrivals last and by task index, push-order)` — `total_cmp` on the time,
+/// monotonic sequence number as the final tie-break — so the pop order is
+/// fully deterministic and independent of heap internals. Task arrivals
+/// wait out every other event of their instant (none of which an arrival
+/// can cause) so that all of them are in the heap before the first pops:
+/// a rank's queue order is then `(arrival time, task index)` whatever mix
+/// of hops and ridden edges delivered its tasks.
 struct Event {
     time: f64,
     seq: u64,
@@ -180,13 +191,26 @@ impl PartialOrd for Event {
     }
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
+impl Event {
+    /// The arriving task, for [`EventKind::TaskArrive`] (`None` sorts first).
+    fn arrival(&self) -> Option<usize> {
+        match self.kind {
+            EventKind::TaskArrive { task } => Some(task),
+            _ => None,
+        }
     }
 }
 
-/// "No edge" in the per-rank send queues.
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.time
+            .total_cmp(&other.time)
+            .then_with(|| self.arrival().cmp(&other.arrival()))
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// "No edge" / "no task" in the intrusive queues below.
 const NONE: usize = usize::MAX;
 
 /// Reusable per-dispatch state, owned by the cluster so collective steps
@@ -207,9 +231,13 @@ pub(crate) struct SimScratch {
     out_next: Vec<usize>,
     /// Whether each edge has been received yet (event core).
     edge_done: Vec<bool>,
+    /// Per edge: the first task riding it; per task: the next one riding
+    /// the same edge, in task order (event core).
+    rider_head: Vec<usize>,
+    rider_next: Vec<usize>,
     /// When each rank finishes its current task.
     node_free: Vec<f64>,
-    /// Per rank: arrived tasks in task order, and how many of them have
+    /// Per rank: arrived tasks in arrival order, and how many of them have
     /// started (a rank runs its tasks in order, so only the first unstarted
     /// one can be waiting on a payload).
     pending: Vec<Vec<usize>>,
@@ -229,13 +257,15 @@ impl SimScratch {
         Self::default()
     }
 
-    fn reset(&mut self, n_nodes: usize, n_edges: usize) {
+    fn reset(&mut self, n_nodes: usize, n_edges: usize, n_tasks: usize) {
         refill(&mut self.nic_free, n_nodes, 0.0);
         refill(&mut self.nic_busy, n_nodes, false);
         refill(&mut self.out_head, n_nodes, NONE);
         refill(&mut self.out_tail, n_nodes, NONE);
         refill(&mut self.out_next, n_edges, NONE);
         refill(&mut self.edge_done, n_edges, false);
+        refill(&mut self.rider_head, n_edges, NONE);
+        refill(&mut self.rider_next, n_tasks, NONE);
         refill(&mut self.node_free, n_nodes, 0.0);
         refill(&mut self.pending_head, n_nodes, 0);
         if self.pending.len() < n_nodes {
@@ -248,11 +278,19 @@ impl SimScratch {
     }
 }
 
+/// The edge that stands in for the message of a task without hops: the
+/// first payload it reads (the dispatcher lists the environment first).
+fn ridden_edge(p: &SimProblem<'_>, t: &SimTask) -> usize {
+    debug_assert!(t.pack_s == 0.0 && t.edges.is_empty(), "a riding task sends nothing");
+    debug_assert!(!t.needs.is_empty(), "a riding task needs an edge to ride");
+    p.needs[t.needs.start]
+}
+
 /// The oracle walk: chain everything the root sends on its one NIC, replay
-/// the relays over per-rank NIC clocks, then sweep tasks in order.
+/// the relays over per-rank NIC clocks, then sweep tasks in arrival order.
 #[cfg(any(debug_assertions, test))]
 pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
-    s.reset(p.n_nodes, p.edges.len());
+    s.reset(p.n_nodes, p.edges.len(), p.tasks.len());
     let mut times = SimTimes::zeroed(p);
     let mut clock = 0.0f64;
 
@@ -271,6 +309,9 @@ pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
     };
     root_edges(0..p.env_edges, &mut clock, &mut times);
     for (i, t) in p.tasks.iter().enumerate() {
+        if t.hops.is_empty() {
+            continue;
+        }
         times.pack_start[i] = clock;
         if t.pack_s > 0.0 {
             clock += t.pack_s;
@@ -295,10 +336,22 @@ pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
         }
     }
 
+    // A task with no message of its own arrives with the edge it rides.
+    for (i, t) in p.tasks.iter().enumerate() {
+        if t.hops.is_empty() {
+            let arrival = times.edge_bounds[ridden_edge(p, t)].1;
+            times.pack_start[i] = arrival;
+            times.send_done[i] = arrival;
+        }
+    }
+
     // Node phase: a task starts when its payload, its rank, and every
     // payload it reads (environment, shared pieces) are all present; tasks
-    // landing on the same rank serialize on its clock.
-    for (i, t) in p.tasks.iter().enumerate() {
+    // landing on the same rank serialize on its clock in arrival order.
+    let mut order: Vec<usize> = (0..p.tasks.len()).collect();
+    order.sort_by(|&a, &b| times.send_done[a].total_cmp(&times.send_done[b]).then(a.cmp(&b)));
+    for i in order {
+        let t = &p.tasks[i];
         let mut start = times.send_done[i].max(s.node_free[t.exec]);
         for &e in &p.needs[t.needs.clone()] {
             start = start.max(times.edge_bounds[e].1);
@@ -316,7 +369,7 @@ pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
     times
 }
 
-/// The discrete-event core: one heap, popped in `(time, push-order)` order.
+/// The discrete-event core: one heap, popped in [`Event`] order.
 ///
 /// Per-rank state replaces the eager walk's full passes: a rank holds its
 /// NIC clock, a queue of the edges it will relay, and a (normally empty)
@@ -324,10 +377,11 @@ pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
 /// eager walk because every handler performs the same additions and `max`
 /// chains on the same operands — the heap only decides *when* a handler
 /// runs, never what it computes: a NIC sends its edges in plan order and a
-/// rank starts its tasks in task order, exactly as the eager passes do.
+/// rank starts its tasks in `(arrival, task index)` order, exactly as the
+/// eager passes do.
 pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
     let n_tasks = p.tasks.len();
-    s.reset(p.n_nodes, p.edges.len());
+    s.reset(p.n_nodes, p.edges.len(), n_tasks);
     let mut times = SimTimes::zeroed(p);
 
     // Thread each rank's outgoing edges into its send queue, in plan order.
@@ -341,6 +395,17 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
         }
         s.out_tail[e.sender] = idx;
     }
+    // Thread the tasks without a message of their own onto the edge each
+    // rides (back to front, so every list reads in task order).
+    for (i, t) in p.tasks.iter().enumerate().rev() {
+        if t.hops.is_empty() {
+            let e = ridden_edge(p, t);
+            s.rider_next[i] = s.rider_head[e];
+            s.rider_head[e] = i;
+        }
+    }
+    // The next task at or after `from` that the root has to send.
+    let next_send = |from: usize| (from..n_tasks).find(|&t| !p.tasks[t].hops.is_empty());
 
     // The block of `edges` the root is working through — the environment's,
     // then each task's in turn — and the task it belongs to.
@@ -364,7 +429,7 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
             let task = $task;
             let clock = $clock;
             // `plan_route` tries the task's home rank first.
-            let h = p.tasks[task].hops.clone().next().expect("a task has at least one hop");
+            let h = p.tasks[task].hops.start;
             let done = clock + p.hop_s[h];
             times.hop_bounds[h] = (clock, done);
             push!(done, EventKind::HopDone { task, hop: h });
@@ -385,8 +450,8 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
                 None => match root_task {
                     None => {
                         times.root_free = now;
-                        if n_tasks > 0 {
-                            push!(now, EventKind::RootSend { task: 0 });
+                        if let Some(task) = next_send(0) {
+                            push!(now, EventKind::RootSend { task });
                         }
                     }
                     Some(task) => start_hops!(task, now),
@@ -456,9 +521,17 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
                     try_relay!(e.sender);
                 }
                 // The destination now holds the payload: it starts its own
-                // relays and releases any tasks parked on it.
+                // relays, releases any tasks parked on it, and the tasks
+                // riding the edge have arrived.
                 try_relay!(e.dest);
                 start_ready_tasks!(e.dest);
+                let mut task = s.rider_head[edge];
+                while task != NONE {
+                    times.pack_start[task] = now;
+                    times.send_done[task] = now;
+                    push!(now, EventKind::TaskArrive { task });
+                    task = s.rider_next[task];
+                }
             }
             EventKind::RootSend { task } => {
                 times.pack_start[task] = now;
@@ -481,8 +554,8 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
                     times.send_done[task] = now;
                     times.root_free = now;
                     push!(now, EventKind::TaskArrive { task });
-                    if task + 1 < n_tasks {
-                        push!(now, EventKind::RootSend { task: task + 1 });
+                    if let Some(task) = next_send(task + 1) {
+                        push!(now, EventKind::RootSend { task });
                     }
                 }
             }
@@ -723,6 +796,84 @@ mod tests {
         };
         let (t, _) = check(&p);
         assert_eq!(t.node_bounds, vec![(4.5, 5.5), (5.5, 6.5)]);
+    }
+
+    /// A task with no message of its own, riding edge `needs[need]`.
+    fn rider(exec: usize, elapsed: f64, ret_s: f64, need: usize) -> SimTask {
+        SimTask { hops: 0..0, needs: need..need + 1, ..task(0.0, exec, elapsed, ret_s, 0) }
+    }
+
+    #[test]
+    fn riding_tasks_start_in_environment_arrival_order_not_task_order() {
+        // The environment reaches r3 first, then r2 and r0, r1 last. Tasks
+        // 0..4 ride it into ranks 0..4 and start the instant it lands; task
+        // 4 has a message of its own, the only thing the root sends after
+        // the environment.
+        let env = vec![
+            edge(ROOT, 3, None, 1.0),  // 0: 0.0 .. 1.0
+            edge(ROOT, 0, None, 1.0),  // 1: 1.0 .. 2.0
+            edge(3, 2, Some(0), 0.5),  // 2: 1.0 .. 1.5
+            edge(3, 1, Some(0), 1.0),  // 3: 1.5 .. 2.5
+            edge(ROOT, 4, None, 0.25), // 4: 2.0 .. 2.25
+        ];
+        let hop_s = vec![0.25];
+        let needs = [1, 3, 2, 0, 4];
+        let tasks = vec![
+            rider(0, 0.5, 0.125, 0),
+            rider(1, 0.5, 0.125, 1),
+            rider(2, 0.5, 0.125, 2),
+            rider(3, 0.5, 0.125, 3),
+            SimTask { needs: 4..5, ..task(0.0, 4, 0.5, 0.125, 0) },
+        ];
+        let p = SimProblem {
+            n_nodes: 5,
+            edges: &env,
+            env_edges: 5,
+            hop_s: &hop_s,
+            tasks: &tasks,
+            needs: &needs,
+        };
+        let (t, ev) = check(&p);
+        assert_eq!(
+            t.edge_bounds,
+            vec![(0.0, 1.0), (1.0, 2.0), (1.0, 1.5), (1.5, 2.5), (2.0, 2.25)]
+        );
+        assert_eq!(t.send_done, vec![2.0, 2.5, 1.5, 1.0, 2.5]);
+        assert_eq!(t.pack_start, vec![2.0, 2.5, 1.5, 1.0, 2.25]);
+        assert_eq!(t.hop_bounds, vec![(2.25, 2.5)]);
+        let starts: Vec<f64> = t.node_bounds.iter().map(|b| b.0).collect();
+        assert_eq!(starts, vec![2.0, 2.5, 1.5, 1.0, 2.5]);
+        assert_eq!(t.ret_done, vec![2.625, 3.125, 2.125, 1.625, 3.125]);
+        // The root's clock stops at its last send; riders never touch it.
+        assert_eq!(t.root_free, 2.5);
+        // 5 edges, then per rider arrive/done/return, and the sender's
+        // send/hop/arrive/done/return.
+        assert_eq!(ev.events, 5 + 4 * 3 + 5);
+    }
+
+    #[test]
+    fn a_rank_queues_riders_and_sent_tasks_by_arrival_then_task_index() {
+        // Both tasks run on r1. Task 1 rides the environment in at 1.0; task
+        // 0's own message lands at 1.0 + hop. A rank works through what it
+        // has in hand: the rider first when the hop takes time, task order
+        // when the two arrive at the same instant.
+        let env = vec![edge(ROOT, 1, None, 1.0)];
+        let run = |hop: f64| {
+            let hop_s = vec![hop];
+            let tasks =
+                vec![SimTask { needs: 0..1, ..task(0.0, 1, 1.0, 0.0, 0) }, rider(1, 2.0, 0.0, 1)];
+            let p = SimProblem {
+                n_nodes: 2,
+                edges: &env,
+                env_edges: 1,
+                hop_s: &hop_s,
+                tasks: &tasks,
+                needs: &[0, 0],
+            };
+            check(&p).0.node_bounds
+        };
+        assert_eq!(run(0.5), vec![(3.0, 4.0), (1.0, 3.0)]);
+        assert_eq!(run(0.0), vec![(1.0, 2.0), (2.0, 4.0)]);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use triolet_cluster::{Cluster, ClusterConfig, Comm, CostModel, FaultPlan, TrafficStats};
+use triolet_cluster::{
+    Cluster, ClusterConfig, Comm, CostModel, FaultPlan, NodeCtx, RawTask, ResidentSpec, Topology,
+    TrafficStats,
+};
 use triolet_serial::Wire;
 
 proptest! {
@@ -64,6 +67,61 @@ proptest! {
             expect += cost.transfer_time(8);
         }
         prop_assert!((out.timing.comm_s - expect).abs() < 1e-9);
+    }
+
+    /// Tasks that ride the environment in and tasks with a message of their
+    /// own, piled onto shared ranks: exactly the empty ones with a live home
+    /// ride, results keep their slots, and — this being a debug build —
+    /// every dispatch passes the simulator's oracle, including on a free
+    /// network where every arrival is a tie at time zero.
+    #[test]
+    fn riders_and_senders_share_ranks_under_the_oracle(
+        specs in proptest::collection::vec((0usize..6, 0usize..3), 1..=6),
+        (free, linear, crash) in (any::<bool>(), any::<bool>(), 0usize..12),
+        seed in 0u64..500,
+    ) {
+        const NODES: usize = 6;
+        let plan = match crash {
+            rank if rank < NODES => FaultPlan::seeded(seed)
+                .with_drop(0.1)
+                .with_crash(rank)
+                .with_timeout(std::time::Duration::from_millis(1)),
+            _ => FaultPlan::none(),
+        };
+        let cost = if free { CostModel::free() } else { CostModel::flat(1e-5, 1e9) };
+        let topology = if linear { Topology::Linear } else { Topology::Tree };
+        let cfg = ClusterConfig::virtual_cluster(NODES, 1)
+            .with_cost(cost)
+            .with_topology(topology)
+            .with_faults(plan)
+            .with_trace(true);
+        // Kind 0 has nothing to send, 1 carries a halo, 2 a descriptor.
+        let tasks: Vec<RawTask<'_, u64>> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(home, kind))| RawTask {
+                wire_bytes: if kind == 2 { 16 } else { 0 },
+                pieces: Vec::new(),
+                pack_s: 0.0,
+                resident: Some(ResidentSpec {
+                    id: 1,
+                    home,
+                    seg_bytes: 256,
+                    halo_bytes: if kind == 1 { 8 } else { 0 },
+                }),
+                work: Box::new(move |_: &NodeCtx| i as u64),
+            })
+            .collect();
+        let out = Cluster::new(cfg).run_raw_with_broadcast(tasks, 100);
+        prop_assert_eq!(&out.results, &(0..specs.len() as u64).collect::<Vec<_>>());
+        let rides = |&(home, kind): &(usize, usize)| kind == 0 && !plan.crashed(home);
+        let riders = specs.iter().filter(|spec| rides(spec)).count();
+        prop_assert_eq!(out.trace.count_events("task:ride"), riders);
+        for (spec, &exec) in specs.iter().zip(&out.execs) {
+            if rides(spec) {
+                prop_assert_eq!(exec, spec.0);
+            }
+        }
     }
 }
 

@@ -242,7 +242,7 @@ pub struct ResidentRun<T> {
 pub enum DistInput<It: DistIter> {
     /// Root-held data: slice per part and ship each node its share.
     Iter(It),
-    /// Resident data: dispatch zero-byte descriptors to the home ranks.
+    /// Resident data: run each part on the rank that owns its segment.
     Resident(ResidentRun<It::Item>),
 }
 

@@ -7,8 +7,9 @@
 //! ([`Seq::split_parts`](triolet_domain::Domain::split_parts)), each segment
 //! is sent once to its home rank, and the handle then feeds any number of
 //! skeleton calls without moving input data again — a resident call ships
-//! only a zero-byte task descriptor per node (plus the environment, plus any
-//! halo a view declares). Views are cheap descriptions over the resident
+//! only the environment, whose arrival at a rank starts that rank's task,
+//! plus any halo a view declares (with the unit environment, one zero-byte
+//! task message per node). Views are cheap descriptions over the resident
 //! segments; none of them move or copy segment data at construction.
 //!
 //! Residency is cooperative with fault injection: a crash that forces a

@@ -284,7 +284,12 @@ impl Triolet {
     /// per [`ResidentPart`](crate::dist::ResidentPart), routed to the rank
     /// the store said owns the part's segment when the view was resolved,
     /// running `body(part, fold)` there. Tasks declare zero wire bytes (the
-    /// descriptor is control-plane); the environment still broadcasts.
+    /// descriptor is control-plane); the environment still broadcasts, and
+    /// its arrival at a rank is what starts that rank's task: a part with no
+    /// halo whose owner is alive is sent no message of its own (the owner
+    /// already knows its part — see [`RawTask`]), so a sweep costs the root
+    /// its tree sends and nothing per task. With the unit environment, or a
+    /// halo to carry, each task still gets its send.
     ///
     /// A task forced off that rank has its segment re-shipped to whichever
     /// rank executed it (counted by the cluster as a `dist:resident-miss`).

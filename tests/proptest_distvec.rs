@@ -3,10 +3,13 @@
 //! whole-rank crashes that force resident segments to re-ship), a skeleton
 //! over a resident `DistVec` must be **bit-identical** to the same skeleton
 //! over a re-broadcast iterator — and a crash must be paid for once per
-//! collection, through every view, however many sweeps follow.
+//! collection, through every view, however many sweeps follow. Under a
+//! non-empty environment a resident hit has no message of its own: the
+//! last suite pins what that may and may not change.
 
 use proptest::prelude::*;
 use triolet::prelude::*;
+use triolet::{Track, Wire};
 
 mod common;
 use common::{cluster, lossy, plan_for, shapes, topology_from};
@@ -213,6 +216,116 @@ proptest! {
         }
         drop(faulty);
         prop_assert_eq!(faulty_rt.cluster().resident_store().segment_count(), 0);
+    }
+}
+
+/// `(Σ attempts, Σ bytes × attempts)` over the message spans called `name`:
+/// under a plan that never duplicates, the copies of those messages that
+/// crossed the wire and the bytes they carried.
+fn wire_of(trace: &TraceData, name: &str) -> (u64, u64) {
+    let spans = trace.spans.iter().filter(|s| s.name == name);
+    spans.fold((0, 0), |(copies, bytes), s| {
+        let attempts = s.arg_u64("attempts").expect("a message span");
+        (copies + attempts, bytes + attempts * s.arg_u64("bytes").expect("a message span"))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The environment's arrival is the start signal: a resident task with
+    /// a live home and nothing to send gets no message of its own. That
+    /// must change no bit (resident == re-broadcast, element order ==
+    /// sequential), no byte (the skipped messages were empty: bytes are
+    /// still the environment's edge copies plus the one segment a crash
+    /// re-ships), and exactly the messages it removes — every message left
+    /// is an environment edge, a return, or a hop that did not ride, and
+    /// the only hops that do not ride are the probes of a dead home and the
+    /// redispatch that follows them.
+    #[test]
+    fn resident_hits_ride_the_environment_without_moving_a_bit_or_a_byte(
+        xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
+        env in proptest::collection::vec(-2.0f64..2.0, 1..40),
+        shape in shapes(8, 3),
+        topo_sel in 0u64..2,
+        seed in 0u64..3000,
+    ) {
+        // A third of seeds run clean, a third over a dropping link, a third
+        // with a crashed rank besides (never duplicating: see `wire_of`).
+        let nodes = shape.0;
+        let crash = (seed % 3 == 2 && nodes > 1).then_some((seed as usize / 3) % nodes);
+        let plan = match (seed % 3, crash) {
+            (0, _) => None,
+            (_, Some(rank)) => Some(lossy(seed).with_crash(rank)),
+            _ => Some(lossy(seed)),
+        };
+        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan).with_trace(true));
+        // An f64 sum (association-sensitive) beside the elements in fold
+        // order (order-sensitive), both reading the environment.
+        type Acc = (f64, Vec<u64>);
+        let step = |w: &Vec<f64>, (sum, mut seen): Acc, x: f64| {
+            seen.push(x.to_bits());
+            (sum + x * w[0] + w[w.len() - 1], seen)
+        };
+        let merge = |(a, mut left): Acc, (b, mut right): Acc| {
+            left.append(&mut right);
+            (a + b, left)
+        };
+        let seed_acc = || (0.0f64, Vec::new());
+        let dv = rt.scatter(xs.clone()).value;
+        let segments = dv.segments() as u64;
+        let first = rt.fold_reduce(&dv, &env, seed_acc, step, merge);
+        let healed = rt.fold_reduce(&dv, &env, seed_acc, step, merge);
+        let rebroadcast = rt.fold_reduce(from_vec(xs.clone()).par(), &env, seed_acc, step, merge);
+
+        let in_order: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
+        for run in [&first, &healed] {
+            prop_assert_eq!(run.value.0.to_bits(), rebroadcast.value.0.to_bits());
+            prop_assert_eq!(&run.value.1, &in_order);
+        }
+        prop_assert_eq!(&rebroadcast.value.1, &in_order);
+
+        let env_bytes = env.packed_size() as u64;
+        // Segments start on the rank of their slot: the dead rank's task is
+        // the one probed and redispatched, on the first sweep only.
+        let on_dead = crash.map_or(0, |rank| u64::from(segments > rank as u64));
+        for (run, unhealed) in [(&first, on_dead), (&healed, 0)] {
+            let (t, stats) = (&run.trace, &run.stats);
+            let edges = t.spans.iter().filter(|s| s.name == "comm:tree");
+            prop_assert!(edges.clone().all(|s| s.arg_u64("bytes") == Some(env_bytes)));
+            // One edge per executing rank (a survivor may hold two tasks).
+            let on_node = |s: &triolet_obs::Span| match s.track {
+                Track::Node(rank) if s.name == "node:task" => Some(rank),
+                _ => None,
+            };
+            let mut ranks: Vec<usize> = t.spans.iter().filter_map(on_node).collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            prop_assert_eq!(edges.count(), ranks.len());
+            let (tree, sent, returned) =
+                (wire_of(t, "comm:tree"), wire_of(t, "send"), wire_of(t, "return"));
+            prop_assert_eq!(stats.messages, tree.0 + sent.0 + returned.0);
+            prop_assert_eq!(stats.bytes_out, env_bytes * tree.0 + sent.1);
+            prop_assert_eq!(t.count_events("task:ride") as u64, segments - unhealed);
+            prop_assert_eq!(
+                (stats.resident_hits, stats.resident_misses),
+                (segments - unhealed, unhealed)
+            );
+            // Probes of the dead home are empty; the survivor's copy of the
+            // segment is the only task byte on the wire.
+            let sends: Vec<_> = t.spans.iter().filter(|s| s.name == "send").collect();
+            prop_assert_eq!(sends.len() as u64, 2 * unhealed);
+            let dead = crash.map(|rank| rank as u64);
+            let mut probes = sends.iter().filter(|s| s.arg_u64("dest") == dead);
+            prop_assert!(probes.all(|s| s.arg_u64("bytes") == Some(0)));
+            prop_assert_eq!(stats.retries as usize, t.count_events("retry"));
+            if plan.is_none() {
+                prop_assert_eq!(
+                    (stats.messages, stats.bytes_out),
+                    (2 * segments, env_bytes * segments)
+                );
+            }
+        }
     }
 }
 
