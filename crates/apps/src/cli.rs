@@ -258,9 +258,11 @@ impl Opts {
     }
 }
 
-/// Print a [`RunStats`] in one line.
-pub fn print_stats(stats: &RunStats) {
-    println!(
+/// A [`RunStats`] as one line. What recovery cost (`retries`,
+/// `redispatches`, `resident_misses`) is appended only when there was some,
+/// so a fault-free line reads as it always has.
+fn stats_line(stats: &RunStats) -> String {
+    let mut line = format!(
         "time={:.4}s comm={:.4}s root={:.4}s span={:.4}s out={}B back={}B msgs={}",
         stats.total_s,
         stats.comm_s,
@@ -270,6 +272,17 @@ pub fn print_stats(stats: &RunStats) {
         stats.bytes_back,
         stats.messages
     );
+    let (retries, redispatches, misses) =
+        (stats.retries, stats.redispatches, stats.resident_misses);
+    if retries + redispatches + misses > 0 {
+        line += &format!(" retries={retries} redispatches={redispatches} resident_misses={misses}");
+    }
+    line
+}
+
+/// Print a [`RunStats`] in one line.
+pub fn print_stats(stats: &RunStats) {
+    println!("{}", stats_line(stats));
 }
 
 /// Print a sequential-run timing in the same format.
@@ -290,6 +303,19 @@ mod tests {
             }
         }
         Ok(flags)
+    }
+
+    #[test]
+    fn stats_line_shows_recovery_only_when_there_was_some() {
+        let clean = RunStats { bytes_out: 64, bytes_back: 8, messages: 2, ..RunStats::local(0.5) };
+        let quiet = "time=0.5000s comm=0.0000s root=0.0000s span=0.5000s out=64B back=8B msgs=2";
+        assert_eq!(stats_line(&clean), quiet);
+        let crashed = RunStats { retries: 9, redispatches: 1, resident_misses: 1, ..clean.clone() };
+        let tail = " retries=9 redispatches=1 resident_misses=1";
+        assert_eq!(stats_line(&crashed), format!("{quiet}{tail}"));
+        // Any one of the three is enough.
+        let missed = RunStats { resident_misses: 2, ..clean };
+        assert!(stats_line(&missed).ends_with(" retries=0 redispatches=0 resident_misses=2"));
     }
 
     #[test]

@@ -57,41 +57,37 @@ where
 /// segments.
 pub fn run_resident(rt: &Triolet, input: &KmeansInput) -> Run<KmeansRun> {
     let scattered = rt.scatter(input.points.clone());
-    let points = scattered.value;
     let scatter_bytes = scattered.stats.bytes_out;
 
-    let mut centroids = input.initial_centroids();
-    let mut stats = scattered.stats;
-    let mut trace = scattered.trace;
+    // The sweeps' own timeline, carrying the centroids they have reached.
+    let mut sweeps = Run::new(input.initial_centroids(), RunStats::local(0.0));
     let mut sweep_bytes = 0u64;
     for _ in 0..input.iters {
-        let run = sweep(rt, &points, &centroids, input.k);
-        centroids = next_centroids(&centroids, &run.value);
+        let run = sweep(rt, &scattered.value, &sweeps.value, input.k);
         sweep_bytes += run.stats.bytes_out;
-        stats = stats.then(run.stats);
-        trace.then(run.trace);
+        let next = next_centroids(&sweeps.value, &run.value);
+        sweeps = sweeps.then(run.map(|_| next));
     }
-    Run::new(KmeansRun { centroids, scatter_bytes, sweep_bytes, iters: input.iters as u64 }, stats)
-        .with_trace(trace)
+    let iters = input.iters as u64;
+    scattered.then(sweeps).map(|centroids| KmeansRun {
+        centroids,
+        scatter_bytes,
+        sweep_bytes,
+        iters,
+    })
 }
 
 /// k-means re-broadcasting the point set on every sweep (the pre-residency
 /// baseline, kept as the ablation's control arm).
 pub fn run_rebroadcast(rt: &Triolet, input: &KmeansInput) -> Run<KmeansRun> {
-    let mut centroids = input.initial_centroids();
-    let mut stats = RunStats::local(0.0);
-    let mut trace = TraceData::default();
+    let mut sweeps = Run::new(input.initial_centroids(), RunStats::local(0.0));
     let mut sweep_bytes = 0u64;
     for _ in 0..input.iters {
-        let run = sweep(rt, from_vec(input.points.clone()).par(), &centroids, input.k);
-        centroids = next_centroids(&centroids, &run.value);
+        let run = sweep(rt, from_vec(input.points.clone()).par(), &sweeps.value, input.k);
         sweep_bytes += run.stats.bytes_out;
-        stats = stats.then(run.stats);
-        trace.then(run.trace);
+        let next = next_centroids(&sweeps.value, &run.value);
+        sweeps = sweeps.then(run.map(|_| next));
     }
-    Run::new(
-        KmeansRun { centroids, scatter_bytes: 0, sweep_bytes, iters: input.iters as u64 },
-        stats,
-    )
-    .with_trace(trace)
+    let iters = input.iters as u64;
+    sweeps.map(|centroids| KmeansRun { centroids, scatter_bytes: 0, sweep_bytes, iters })
 }

@@ -37,15 +37,10 @@ pub fn run_triolet(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
 
     // The two-liner.
     let zipped_ab = outerproduct(rows(&input.a), rows(&t.value)).par();
-    let mut run = rt.build_array2(zipped_ab.map(move |(u, v): (RowRef<f32>, RowRef<f32>)| {
-        alpha * dot_rows(u.as_slice(), v.as_slice())
-    }));
     // The stats (and the trace timeline) include the transpose phase.
-    run.stats = t.stats.then(run.stats);
-    let mut trace = t.trace;
-    trace.then(run.trace);
-    run.trace = trace;
-    run
+    t.then(rt.build_array2(zipped_ab.map(move |(u, v): (RowRef<f32>, RowRef<f32>)| {
+        alpha * dot_rows(u.as_slice(), v.as_slice())
+    })))
 }
 
 /// Run sgemm through the Triolet skeletons with the tiled node kernel.
@@ -71,14 +66,14 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
 
     // Root: flatten the strip grid of blocks into the dense m x n output,
     // one contiguous row segment per block row.
-    let mut c = Array2::<f32>::zeros(m, n);
-    {
+    t.then(blocks).map(|blocks| {
+        let mut c = Array2::<f32>::zeros(m, n);
         let data = c.as_mut_slice();
         for (si, row0) in (0..m).step_by(strip).enumerate() {
             let rows_here = strip.min(m - row0);
             for (sj, col0) in (0..n).step_by(strip).enumerate() {
                 let cols_here = strip.min(n - col0);
-                let block = &blocks.value[(si, sj)];
+                let block = &blocks[(si, sj)];
                 for rr in 0..rows_here {
                     let d0 = (row0 + rr) * n + col0;
                     data[d0..d0 + cols_here]
@@ -86,11 +81,8 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
                 }
             }
         }
-    }
-
-    let mut trace = t.trace;
-    trace.then(blocks.trace);
-    Run::new(c, t.stats.then(blocks.stats)).with_trace(trace)
+        c
+    })
 }
 
 /// Concrete type of the sgemm outer-product indexer.

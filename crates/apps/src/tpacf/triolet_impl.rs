@@ -81,7 +81,7 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
         })
         .map(move |(u, v): (Point, Point)| score(&dd_edges, u, v))
         .localpar();
-    let dd = rt.histogram(bins, dd_pairs);
+    let mut dd = rt.histogram(bins, dd_pairs);
 
     // --- Scatter the random sets once; RR and DR run over the resident
     // segments, so the datasets cross the wire a single time for both
@@ -123,14 +123,16 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
         },
     );
 
-    // Four phases back to back: stats add, traces concatenate in time.
-    let stats = dd.stats.then(rands.stats).then(rr.stats).then(dr.stats);
-    let mut trace = dd.trace;
-    trace.then(rands.trace);
-    trace.then(rr.trace);
-    trace.then(dr.trace);
-    Run::new(TpacfOutput { dd: dd.value, dr: dr.value.finish(), rr: rr.value.finish() }, stats)
-        .with_trace(trace)
+    // Four phases back to back: stats add, traces concatenate in time. The
+    // chain keeps the last phase's value, so the earlier histograms are
+    // taken out first.
+    let mut rr = rr.map(CountHist::finish);
+    let (dd_hist, rr_hist) = (std::mem::take(&mut dd.value), std::mem::take(&mut rr.value));
+    dd.then(rands).then(rr).then(dr).map(|dr| TpacfOutput {
+        dd: dd_hist,
+        dr: dr.finish(),
+        rr: rr_hist,
+    })
 }
 
 /// Run tpacf through the Triolet skeletons with the tiled histogram kernels.
@@ -159,7 +161,7 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
         .into_iter()
         .map(|(s, l)| (s, s + l))
         .collect();
-    let dd = rt.fold_reduce(
+    let mut dd = rt.fold_reduce(
         from_vec(dd_chunks).par(),
         &obs_env,
         move || vec![0u64; bins],
@@ -176,7 +178,7 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
 
     // --- RR: tiled self-correlation of each random set -------------------
     let rr_edges = Arc::clone(&edges);
-    let rr = rt.fold_reduce(
+    let mut rr = rt.fold_reduce(
         &rands.value,
         &(),
         move || vec![0u64; bins],
@@ -201,10 +203,6 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
         add,
     );
 
-    let stats = dd.stats.then(rands.stats).then(rr.stats).then(dr.stats);
-    let mut trace = dd.trace;
-    trace.then(rands.trace);
-    trace.then(rr.trace);
-    trace.then(dr.trace);
-    Run::new(TpacfOutput { dd: dd.value, dr: dr.value, rr: rr.value }, stats).with_trace(trace)
+    let (dd_hist, rr_hist) = (std::mem::take(&mut dd.value), std::mem::take(&mut rr.value));
+    dd.then(rands).then(rr).then(dr).map(|dr| TpacfOutput { dd: dd_hist, dr, rr: rr_hist })
 }

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use triolet_obs::{tree_edge_args, TraceData, TraceHandle, Track};
+use triolet_obs::{tree_edge_args, ArgValue, TraceData, TraceHandle, Track};
 use triolet_serial::{packed, unpack_all, unpack_counters, Piece, Wire, WireError};
 
 use crate::cost::{CostModel, DistTiming, TrafficStats};
@@ -406,12 +406,12 @@ impl<'s> Tally<'s> {
 
     /// Count where one task ended up: its redispatches and, for a resident
     /// task, whether it ran on its segment's home rank.
-    fn placement(&mut self, route: &TaskRoute, resident: Option<ResidentSpec>) {
+    fn placement(&mut self, route: &TaskRoute) {
         for _ in 0..route.redispatches {
             self.stats.record_redispatch();
         }
         self.totals.redispatches += route.redispatches;
-        if let Some(spec) = resident {
+        if let Some(spec) = route.resident {
             if route.exec == spec.home {
                 self.stats.record_resident_hit();
                 self.totals.resident_hits += 1;
@@ -441,6 +441,10 @@ impl<'s> Tally<'s> {
 struct Hop {
     /// The rank this hop targeted.
     dest: usize,
+    /// What each copy carried: the task's private bytes for `dest` plus the
+    /// pieces riding along. Set by the dispatcher's forward walk, once the
+    /// scatter plan says which pieces those are.
+    bytes: usize,
     tx: Attempts,
     /// Whether the final attempt arrived intact (false => moved on).
     delivered: bool,
@@ -459,6 +463,8 @@ struct TaskRoute {
     exec: usize,
     hops: Vec<Hop>,
     redispatches: u64,
+    /// The task's resident claim, if it has one: `exec == home` is a hit.
+    resident: Option<ResidentSpec>,
 }
 
 /// Decide, purely from the fault schedule, where task `i` ends up running.
@@ -468,7 +474,8 @@ struct TaskRoute {
 /// budget. Moving to the next candidate is one redispatch. The fault
 /// schedule is keyed on the task index `i`, not the home rank, so a
 /// resident and a re-broadcast run of the same call see the same faults.
-fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRoute {
+fn plan_route<R>(plan: &FaultPlan, n_nodes: usize, t: &RawTask<'_, R>, i: usize) -> TaskRoute {
+    let home = t.home(i);
     let mut candidates = vec![home];
     if plan.is_active() {
         candidates
@@ -483,9 +490,9 @@ fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRo
             plan.max_retries + 1,
             !plan.crashed(dest),
         );
-        hops.push(Hop { dest, tx, delivered });
+        hops.push(Hop { dest, bytes: 0, tx, delivered });
         if delivered {
-            return TaskRoute { exec: dest, hops, redispatches: ci as u64 };
+            return TaskRoute { exec: dest, hops, redispatches: ci as u64, resident: t.resident };
         }
     }
     panic!(
@@ -494,47 +501,58 @@ fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRo
     );
 }
 
+/// Decorate a transfer's span with what the schedule did to it: its
+/// `retry`, `drop`, `corrupt` and `duplicate` instants on `track`, `dt`
+/// apart from `start`. Placement within the transfer is a model decoration;
+/// the *counts* are exact.
+fn trace_faults(
+    tr: &TraceHandle,
+    track: Track,
+    tx: &Attempts,
+    (start, dt): (f64, f64),
+    args: &[(&'static str, ArgValue)],
+) {
+    let kinds = [
+        ("retry", tx.retries()),
+        ("drop", tx.drops),
+        ("corrupt", tx.corrupts),
+        ("duplicate", tx.dups),
+    ];
+    for (name, count) in kinds {
+        for k in 0..count {
+            tr.event(name, "fault", track, start + dt * (k + 1) as f64, args.to_vec());
+        }
+    }
+}
+
 /// Record task `i`'s trip from the root: one `send` span per rank tried,
-/// over the `(start, done)` that `timing(h)` gives hop `h`, its fault events
-/// `dt` apart, a `redispatch` where the root moved on — or, for a task that
-/// had no message, one `task:ride` instant on its rank's track — and the
-/// resident hit/miss verdict, both at `settled`, the task's arrival.
-/// `wire[h]` is the bytes hop `h` carried.
+/// over that hop's `(start, done)` in `bounds`, its fault events one
+/// transfer time apart, a `redispatch` where the root moved on — or, for a
+/// task that had no message, one `task:ride` instant on its rank's track —
+/// and the resident hit/miss verdict, both at `settled`, the task's arrival.
 fn trace_route(
     tr: &TraceHandle,
+    cost: &CostModel,
     i: usize,
     route: &TaskRoute,
-    resident: Option<ResidentSpec>,
-    wire: &[usize],
-    timing: impl Fn(usize) -> (f64, f64, f64),
+    bounds: &[(f64, f64)],
     settled: f64,
 ) {
     if route.hops.is_empty() {
         let args = vec![("task", i.into()), ("rank", route.exec.into())];
         tr.event("task:ride", "dispatch", Track::Node(route.exec), settled, args);
     }
-    for (h, hop) in route.hops.iter().enumerate() {
-        let (start, done, dt) = timing(h);
+    for (h, (hop, &(start, done))) in route.hops.iter().zip(bounds).enumerate() {
         let args = vec![
             ("task", i.into()),
             ("dest", hop.dest.into()),
-            ("bytes", wire[h].into()),
+            ("bytes", hop.bytes.into()),
             ("attempts", (hop.tx.attempts as u64).into()),
         ];
         tr.span("send", "comm", Track::Root, start, done, args);
-        // Fault-event placement within the hop is a model decoration; the
-        // *counts* are exact.
-        let fault = |name: &'static str, count: u32| {
-            for k in 0..count {
-                let at = start + dt * (k + 1) as f64;
-                let args = vec![("task", i.into()), ("dest", hop.dest.into())];
-                tr.event(name, "fault", Track::Root, at, args);
-            }
-        };
-        fault("retry", hop.tx.retries());
-        fault("drop", hop.tx.drops);
-        fault("corrupt", hop.tx.corrupts);
-        fault("duplicate", hop.tx.dups);
+        let dt = cost.edge_time(ROOT, hop.dest, hop.bytes);
+        let args = [("task", i.into()), ("dest", hop.dest.into())];
+        trace_faults(tr, Track::Root, &hop.tx, (start, dt), &args);
         if !hop.delivered && h + 1 < route.hops.len() {
             tr.event(
                 "redispatch",
@@ -549,7 +567,7 @@ fn trace_route(
             );
         }
     }
-    if let Some(spec) = resident {
+    if let Some(spec) = route.resident {
         let name = if route.exec == spec.home { "dist:resident-hit" } else { "dist:resident-miss" };
         tr.event(
             name,
@@ -590,11 +608,9 @@ struct PayloadEdge {
 
 impl PayloadEdge {
     /// Record the edge on the timeline: a `comm:tree` span over
-    /// `start..done`, followed by the edge's fault events `dt` apart.
-    fn trace(&self, tr: &TraceHandle, start: f64, done: f64, dt: f64) {
-        if !tr.enabled() {
-            return;
-        }
+    /// `start..done`, followed by the edge's fault events one transfer time
+    /// apart.
+    fn trace(&self, tr: &TraceHandle, cost: &CostModel, (start, done): (f64, f64)) {
         let track = if self.sender == ROOT { Track::Root } else { Track::Node(self.sender) };
         let tag = if self.piece.is_some() { PIECE_TAG } else { ENV_TAG };
         let mut args = tree_edge_args(self.dest, tag, self.depth, self.fanout);
@@ -605,16 +621,8 @@ impl PayloadEdge {
         args.push(("bytes", self.bytes.into()));
         args.push(("attempts", (self.tx.attempts as u64).into()));
         tr.span("comm:tree", "comm", track, start, done, args);
-        let fault = |name: &'static str, count: u32| {
-            for k in 0..count {
-                let at = start + dt * (k + 1) as f64;
-                tr.event(name, "fault", track, at, vec![("dest", self.dest.into())]);
-            }
-        };
-        fault("retry", self.tx.retries());
-        fault("drop", self.tx.drops);
-        fault("corrupt", self.tx.corrupts);
-        fault("duplicate", self.tx.dups);
+        let dt = cost.edge_time(self.sender, self.dest, self.bytes);
+        trace_faults(tr, track, &self.tx, (start, dt), &[("dest", self.dest.into())]);
     }
 }
 
@@ -848,6 +856,16 @@ impl Cluster {
         &self.resident
     }
 
+    /// A fresh timeline for one operation: recording iff the cluster was
+    /// configured with [`ClusterConfig::trace`].
+    fn tracer(&self) -> TraceHandle {
+        if self.config.trace {
+            TraceHandle::recording()
+        } else {
+            TraceHandle::disabled()
+        }
+    }
+
     /// Scatter the segments of a persistent collection to their home ranks:
     /// one `(rank, bytes)` send per segment (its index is its store slot),
     /// serialized on the root NIC, each retrying through the fault schedule
@@ -864,7 +882,7 @@ impl Cluster {
         let plan = self.config.faults;
         let cost = self.config.cost;
         let timeout_s = plan.timeout.as_secs_f64();
-        let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
+        let tr = self.tracer();
         let mut tally = Tally::new(&self.stats);
         let mut clock = 0.0f64;
         for (slot, &(rank, bytes)) in segs.iter().enumerate() {
@@ -974,17 +992,6 @@ impl Cluster {
         self.dispatch(tasks, 0)
     }
 
-    /// Run the same (cloned) payload on every node: the broadcast pattern.
-    pub fn run_broadcast<T, R, F>(&self, payload: T, task: F) -> DistOutcome<R>
-    where
-        T: Wire + Send + Clone,
-        R: Wire + Send,
-        F: Fn(&NodeCtx, T) -> R + Send + Sync,
-    {
-        let payloads = vec![payload; self.config.nodes];
-        self.run(payloads, task)
-    }
-
     /// Lowest-level collective: run one prepared task per node.
     ///
     /// Used by the skeleton engine, whose payloads are sliced indexers: the
@@ -999,7 +1006,7 @@ impl Cluster {
     where
         R: Wire + Send,
     {
-        self.try_run_raw(tasks).unwrap_or_else(|e| panic!("{e}"))
+        self.run_raw_with_broadcast(tasks, 0)
     }
 
     /// [`run_raw`](Self::run_raw), surfacing root-side decode failures as
@@ -1011,13 +1018,7 @@ impl Cluster {
     where
         R: Wire + Send,
     {
-        assert!(
-            tasks.len() <= self.config.nodes,
-            "more tasks ({}) than nodes ({})",
-            tasks.len(),
-            self.config.nodes
-        );
-        self.dispatch(tasks, 0)
+        self.try_run_raw_with_broadcast(tasks, 0)
     }
 
     /// Like [`run_raw`](Self::run_raw), but additionally charges one
@@ -1072,9 +1073,8 @@ impl Cluster {
     /// [`Wire`] round trip. `work` sees a rank-0 [`NodeCtx`] and must route
     /// its compute through it so virtual time observes it.
     pub fn run_local<R>(&self, work: impl FnOnce(&NodeCtx) -> R) -> (R, DistTiming, TraceData) {
-        let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
-        let node_tr = if tr.enabled() { TraceHandle::recording() } else { TraceHandle::disabled() };
-        let ctx = NodeCtx::new(0, self.config.threads_per_node).with_trace(node_tr);
+        let tr = self.tracer();
+        let ctx = NodeCtx::new(0, self.config.threads_per_node).with_trace(self.tracer());
         let value = work(&ctx);
         let total_s = ctx.elapsed();
         tr.absorb(ctx.take_trace());
@@ -1122,7 +1122,7 @@ impl Cluster {
                 "fault plan crashes every node: nothing can recover"
             );
         }
-        let routes: Vec<TaskRoute> = tasks
+        let mut routes: Vec<TaskRoute> = tasks
             .iter()
             .enumerate()
             .map(|(i, t)| {
@@ -1131,79 +1131,59 @@ impl Cluster {
                     // No message to route: the task executes at home, where
                     // the environment finds it, and draws nothing from the
                     // schedule.
-                    TaskRoute { exec: home, hops: Vec::new(), redispatches: 0 }
+                    TaskRoute { exec: home, hops: vec![], redispatches: 0, resident: t.resident }
                 } else {
-                    plan_route(&plan, n_nodes, home, i)
+                    plan_route(&plan, n_nodes, t, i)
                 }
             })
             .collect();
         let scatter =
             plan_scatter(&plan, self.config.topology, n_nodes, &tasks, &routes, bcast_bytes);
 
-        // Forward-path traffic and fault-event accounting (the schedule, not
-        // the executor, decides what happens on the wire). A hop carries the
-        // task's private bytes plus the pieces riding with it; resident
-        // tasks pay per-hop bytes: the control descriptor (plus any halo) to
-        // the home rank, the full segment only when redispatch forces
-        // execution off-home. A task riding the environment has no hop.
-        let mut tally = Tally::new(&self.stats);
-        for e in &scatter.edges {
-            tally.message(&e.tx, e.bytes, (e.sender, e.dest));
-        }
-        // Bytes of every hop, flattened task-major; `hop0[i]` is task i's
-        // first.
-        let mut hop_wire: Vec<usize> = Vec::with_capacity(n_tasks);
-        let mut hop0: Vec<usize> = Vec::with_capacity(n_tasks);
-        for ((t, route), sc) in tasks.iter().zip(&routes).zip(&scatter.tasks) {
-            hop0.push(hop_wire.len());
-            for hop in &route.hops {
-                let w = t.hop_bytes(hop.dest) + sc.carried;
-                tally.message(&hop.tx, w, (ROOT, hop.dest));
-                hop_wire.push(w);
-            }
-            tally.placement(route, t.resident);
-        }
-        let task_wire = |i: usize| &hop_wire[hop0[i]..hop0[i] + routes[i].hops.len()];
-
         let cost = self.config.cost;
         let timeout_s = plan.timeout.as_secs_f64();
         let tpn = self.config.threads_per_node;
-        let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
-        let execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
+        let tr = self.tracer();
 
-        // --- Reduce the dispatch to pure durations (a SimProblem). comm_s
-        // accumulates in a fixed order — payload edges, then task hops, then
-        // returns below — so the breakdown is a pure function of the plan
-        // and the measured durations. Each task's root-side pack seconds are
-        // charged right before its own send, so rank k's compute overlaps
-        // the pack for rank k+1.
+        // --- One walk of the forward path: every payload edge, then every
+        // task hop, is counted (the schedule, not the executor, decides what
+        // happens on the wire) and reduced to the pure duration the
+        // simulator needs. A hop carries the task's private bytes plus the
+        // pieces riding with it; resident tasks pay per-hop bytes: the
+        // control descriptor (plus any halo) to the home rank, the full
+        // segment only when redispatch forces execution off-home. A task
+        // riding the environment has no hop. comm_s accumulates in a fixed
+        // order — payload edges, then task hops, then returns below — so the
+        // breakdown is a pure function of the plan and the measured
+        // durations. Each task's root-side pack seconds are charged right
+        // before its own send, so rank k's compute overlaps the pack for
+        // rank k+1.
+        let mut tally = Tally::new(&self.stats);
         let mut comm_s = 0.0f64;
-        let mut edge_dt: Vec<f64> = Vec::with_capacity(scatter.edges.len());
         let sim_edges: Vec<SimEdge> = scatter
             .edges
             .iter()
             .map(|e| {
+                tally.message(&e.tx, e.bytes, (e.sender, e.dest));
                 let dt = cost.edge_time(e.sender, e.dest, e.bytes);
                 let edge_s = e.tx.seconds(dt, timeout_s, e.tx.retries());
                 comm_s += edge_s;
-                edge_dt.push(dt);
                 SimEdge { sender: e.sender, dest: e.dest, feeder: e.feeder, edge_s }
             })
             .collect();
-        let mut hop_s: Vec<f64> = Vec::with_capacity(hop_wire.len());
-        let mut hop_dt: Vec<f64> = Vec::with_capacity(hop_wire.len());
-        let mut resident_v: Vec<Option<ResidentSpec>> = Vec::with_capacity(n_tasks);
+        let mut hop_s: Vec<f64> = Vec::with_capacity(n_tasks);
         let mut sim_tasks: Vec<SimTask> = Vec::with_capacity(n_tasks);
-        for ((t, route), sc) in tasks.iter().zip(&routes).zip(&scatter.tasks) {
+        for ((t, route), sc) in tasks.iter().zip(&mut routes).zip(&scatter.tasks) {
             let h0 = hop_s.len();
-            for hop in &route.hops {
-                let dt = cost.edge_time(ROOT, hop.dest, hop_wire[hop_s.len()]);
+            for hop in &mut route.hops {
+                hop.bytes = t.hop_bytes(hop.dest) + sc.carried;
+                tally.message(&hop.tx, hop.bytes, (ROOT, hop.dest));
+                let dt = cost.edge_time(ROOT, hop.dest, hop.bytes);
                 let s = hop.tx.seconds(dt, timeout_s, hop.timeouts());
                 comm_s += s;
                 hop_s.push(s);
-                hop_dt.push(dt);
             }
-            resident_v.push(t.resident);
+            tally.placement(route);
             sim_tasks.push(SimTask {
                 pack_s: t.pack_s,
                 exec: route.exec,
@@ -1214,6 +1194,7 @@ impl Cluster {
                 needs: sc.needs.clone(),
             });
         }
+        let execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
 
         // --- Execute every task once, in task order. Execution is
         // clockless: results and wall-measured node seconds feed the
@@ -1223,9 +1204,7 @@ impl Cluster {
         let mut sub_traces = Vec::with_capacity(n_tasks);
         for (i, t) in tasks.into_iter().enumerate() {
             let exec = routes[i].exec;
-            let node_tr =
-                if tr.enabled() { TraceHandle::recording() } else { TraceHandle::disabled() };
-            let ctx = NodeCtx::new(exec, tpn).with_trace(node_tr);
+            let ctx = NodeCtx::new(exec, tpn).with_trace(self.tracer());
             let result = (t.work)(&ctx);
             let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
             let elapsed = ctx.elapsed();
@@ -1274,10 +1253,8 @@ impl Cluster {
         // (golden traces pin it): the environment's edges, then per task its
         // pack, the shared pieces it is first to read, and its own sends.
         if tr.enabled() {
-            let edge_span = |idx: usize| {
-                let (start, done) = times.edge_bounds[idx];
-                scatter.edges[idx].trace(&tr, start, done, edge_dt[idx]);
-            };
+            let edge_span =
+                |idx: usize| scatter.edges[idx].trace(&tr, &cost, times.edge_bounds[idx]);
             (0..scatter.env_edges).for_each(edge_span);
             for (i, route) in routes.iter().enumerate() {
                 let pack_s = sim_tasks[i].pack_s;
@@ -1292,12 +1269,8 @@ impl Cluster {
                     );
                 }
                 scatter.tasks[i].edges.clone().for_each(edge_span);
-                let hop_timing = |h: usize| {
-                    let (start, done) = times.hop_bounds[hop0[i] + h];
-                    (start, done, hop_dt[hop0[i] + h])
-                };
-                let settled = times.send_done[i];
-                trace_route(&tr, i, route, resident_v[i], task_wire(i), hop_timing, settled);
+                let bounds = &times.hop_bounds[sim_tasks[i].hops.clone()];
+                trace_route(&tr, &cost, i, route, bounds, times.send_done[i]);
             }
             for (i, mut sub) in sub_traces.into_iter().enumerate() {
                 let (start, done) = times.node_bounds[i];
@@ -1416,17 +1389,6 @@ mod tests {
         assert_eq!(out.timing.redispatches, 0);
         assert!(out.timing.bytes_out > 0);
         assert_eq!(cluster.stats().messages(), 8);
-    }
-
-    #[test]
-    fn broadcast_clones_payload_per_node() {
-        let cluster = Cluster::new(ClusterConfig::virtual_cluster(3, 1));
-        let out =
-            cluster.run_broadcast(vec![1u32, 2, 3], |ctx, v: Vec<u32>| v[ctx.rank() % 3] as u64);
-        assert_eq!(out.results, vec![1, 2, 3]);
-        // Broadcast ships the payload once per node.
-        let one = (vec![1u32, 2, 3]).packed_size() as u64;
-        assert_eq!(out.timing.bytes_out, 3 * one);
     }
 
     #[test]
@@ -1833,6 +1795,34 @@ mod tests {
         assert_eq!(out.trace.count_events("task:ride"), 7);
         assert_eq!(out.trace.count_events("redispatch"), 1);
         assert_eq!(out.trace.count_events("retry") as u64, out.timing.retries);
+    }
+
+    #[test]
+    fn fault_events_on_hops_and_tree_edges_match_the_schedule() {
+        // Eight ranks, so the environment and the piece every task reads
+        // are both relayed rank to rank: fault events land on the root's
+        // track (task hops, the tree's first edges) and on relay tracks.
+        let tasks: Vec<RawTask<'_, u64>> = (0..8usize)
+            .map(|i| RawTask {
+                wire_bytes: 16,
+                pieces: vec![Piece { id: Some(7), bytes: 1000 }],
+                pack_s: 0.0,
+                resident: None,
+                work: Box::new(move |_: &NodeCtx| i as u64),
+            })
+            .collect();
+        let cfg = ClusterConfig::virtual_cluster(8, 1).with_faults(lossy_plan(13)).with_trace(true);
+        let out = Cluster::new(cfg).run_raw_with_broadcast(tasks, 500);
+        assert_eq!(out.results, (0..8).collect::<Vec<u64>>());
+        assert_eq!((out.trace.count_events("retry") as u64, out.timing.retries), (16, 16));
+        let count = |name: &str, on_root: bool| {
+            let events = out.trace.events.iter().filter(|e| e.name == name);
+            events.filter(|e| (e.track == Track::Root) == on_root).count()
+        };
+        let on = |on_root| ["drop", "corrupt", "duplicate"].map(|name| count(name, on_root));
+        // Recorded at the commit before hops and tree edges shared one
+        // `trace_faults`, for this seed.
+        assert_eq!((on(true), on(false)), ([6, 1, 1], [2, 2, 2]));
     }
 
     #[test]

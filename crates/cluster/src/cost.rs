@@ -357,56 +357,58 @@ pub struct TrafficSnapshot {
 }
 
 impl TrafficSnapshot {
+    /// Combine with `other`, counter by counter.
+    fn zip(&self, other: &TrafficSnapshot, f: impl Fn(u64, u64) -> u64) -> TrafficSnapshot {
+        TrafficSnapshot {
+            messages: f(self.messages, other.messages),
+            bytes: f(self.bytes, other.bytes),
+            dropped: f(self.dropped, other.dropped),
+            duplicated: f(self.duplicated, other.duplicated),
+            corrupted: f(self.corrupted, other.corrupted),
+            retries: f(self.retries, other.retries),
+            redispatches: f(self.redispatches, other.redispatches),
+            env_packs: f(self.env_packs, other.env_packs),
+            seg_scatters: f(self.seg_scatters, other.seg_scatters),
+            resident_hits: f(self.resident_hits, other.resident_hits),
+            resident_misses: f(self.resident_misses, other.resident_misses),
+            unpack_copied: f(self.unpack_copied, other.unpack_copied),
+            unpack_aliased: f(self.unpack_aliased, other.unpack_aliased),
+            sim_events: f(self.sim_events, other.sim_events),
+        }
+    }
+
     /// Counter-by-counter difference `self - earlier`: the traffic of the
     /// interval between the two snapshots. Saturating, so a `reset()`
     /// between the snapshots degrades to zeros instead of wrapping.
     pub fn since(&self, earlier: &TrafficSnapshot) -> TrafficSnapshot {
-        TrafficSnapshot {
-            messages: self.messages.saturating_sub(earlier.messages),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            duplicated: self.duplicated.saturating_sub(earlier.duplicated),
-            corrupted: self.corrupted.saturating_sub(earlier.corrupted),
-            retries: self.retries.saturating_sub(earlier.retries),
-            redispatches: self.redispatches.saturating_sub(earlier.redispatches),
-            env_packs: self.env_packs.saturating_sub(earlier.env_packs),
-            seg_scatters: self.seg_scatters.saturating_sub(earlier.seg_scatters),
-            resident_hits: self.resident_hits.saturating_sub(earlier.resident_hits),
-            resident_misses: self.resident_misses.saturating_sub(earlier.resident_misses),
-            unpack_copied: self.unpack_copied.saturating_sub(earlier.unpack_copied),
-            unpack_aliased: self.unpack_aliased.saturating_sub(earlier.unpack_aliased),
-            sim_events: self.sim_events.saturating_sub(earlier.sim_events),
-        }
+        self.zip(earlier, u64::saturating_sub)
     }
 
     /// Elementwise sum (aggregating one tenant's per-job deltas).
     pub fn plus(&self, other: &TrafficSnapshot) -> TrafficSnapshot {
-        TrafficSnapshot {
-            messages: self.messages + other.messages,
-            bytes: self.bytes + other.bytes,
-            dropped: self.dropped + other.dropped,
-            duplicated: self.duplicated + other.duplicated,
-            corrupted: self.corrupted + other.corrupted,
-            retries: self.retries + other.retries,
-            redispatches: self.redispatches + other.redispatches,
-            env_packs: self.env_packs + other.env_packs,
-            seg_scatters: self.seg_scatters + other.seg_scatters,
-            resident_hits: self.resident_hits + other.resident_hits,
-            resident_misses: self.resident_misses + other.resident_misses,
-            unpack_copied: self.unpack_copied + other.unpack_copied,
-            unpack_aliased: self.unpack_aliased + other.unpack_aliased,
-            sim_events: self.sim_events + other.sim_events,
-        }
+        self.zip(other, |a, b| a + b)
     }
 }
 
-/// Timing breakdown of one distributed operation.
+/// Timing and traffic breakdown of one distributed operation — and, under
+/// the name `RunStats`, of one whole skeleton execution.
+///
+/// One record, not one per layer: a dispatch fills in the modeled times and
+/// every count, the skeleton engine adds the root's own seconds
+/// ([`from_dist`](Self::from_dist) / [`overlapped`](Self::overlapped)), an
+/// app chaining calls sums them ([`then`](Self::then)). The constructors are
+/// struct updates, so a new count is declared here, tallied where it
+/// happens and added in `then` — nowhere else.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistTiming {
     /// End-to-end time in seconds: the modeled makespan.
     pub total_s: f64,
     /// Seconds attributed to communication (modeled from byte counts).
     pub comm_s: f64,
+    /// Seconds spent at the root outside the distributed region (slicing
+    /// inputs, merging node partials, assembling outputs). Zero as a
+    /// dispatch reports it; the skeleton engine fills it in.
+    pub root_s: f64,
     /// Per-node compute seconds (the max of these bounds the compute span).
     pub node_compute_s: Vec<f64>,
     /// Bytes shipped to nodes (sliced input data, environment), summed
@@ -433,9 +435,63 @@ pub struct DistTiming {
 }
 
 impl DistTiming {
+    /// Stats for a purely sequential or purely local run: one node busy
+    /// for all of it, nothing on the wire.
+    pub fn local(total_s: f64) -> Self {
+        DistTiming { total_s, node_compute_s: vec![total_s], ..DistTiming::default() }
+    }
+
+    /// Add root-side seconds that ran before or after the distributed
+    /// region `d`: the total is their sum.
+    pub fn from_dist(d: DistTiming, root_s: f64) -> Self {
+        let total_s = d.total_s + root_s;
+        DistTiming::overlapped(d, root_s, total_s)
+    }
+
+    /// Add root-side work that *overlapped* the distributed region `d` (the
+    /// streamed merge): `root_s` still reports the root's busy seconds, but
+    /// the end-to-end total is the overlapped makespan rather than their sum.
+    pub fn overlapped(d: DistTiming, root_s: f64, total_s: f64) -> Self {
+        DistTiming { total_s, root_s, ..d }
+    }
+
+    /// Combine with the stats of a phase that ran *after* this one
+    /// (times and counts add; per-node compute adds elementwise).
+    pub fn then(mut self, other: DistTiming) -> DistTiming {
+        self.total_s += other.total_s;
+        self.comm_s += other.comm_s;
+        self.root_s += other.root_s;
+        self.bytes_out += other.bytes_out;
+        self.root_bytes_out += other.root_bytes_out;
+        self.bytes_back += other.bytes_back;
+        self.messages += other.messages;
+        self.retries += other.retries;
+        self.redispatches += other.redispatches;
+        self.resident_hits += other.resident_hits;
+        self.resident_misses += other.resident_misses;
+        self.unpack_copied += other.unpack_copied;
+        self.unpack_aliased += other.unpack_aliased;
+        if self.node_compute_s.len() < other.node_compute_s.len() {
+            self.node_compute_s.resize(other.node_compute_s.len(), 0.0);
+        }
+        for (a, b) in self.node_compute_s.iter_mut().zip(&other.node_compute_s) {
+            *a += b;
+        }
+        self
+    }
+
     /// Compute-only span: the slowest node.
     pub fn compute_span_s(&self) -> f64 {
         self.node_compute_s.iter().cloned().fold(0.0, f64::max)
+    }
+
+    /// Fraction of total time spent communicating.
+    pub fn comm_fraction(&self) -> f64 {
+        if self.total_s <= 0.0 {
+            0.0
+        } else {
+            self.comm_s / self.total_s
+        }
     }
 }
 
@@ -553,21 +609,67 @@ mod tests {
 
     #[test]
     fn compute_span_is_max() {
-        let t = DistTiming {
-            total_s: 1.0,
-            comm_s: 0.1,
-            node_compute_s: vec![0.2, 0.9, 0.5],
-            bytes_out: 0,
-            root_bytes_out: 0,
-            bytes_back: 0,
-            messages: 0,
-            retries: 0,
-            redispatches: 0,
-            resident_hits: 0,
-            resident_misses: 0,
-            unpack_copied: 0,
-            unpack_aliased: 0,
-        };
+        let t = DistTiming { node_compute_s: vec![0.2, 0.9, 0.5], ..DistTiming::default() };
         assert_eq!(t.compute_span_s(), 0.9);
+    }
+
+    /// A dispatch's record with every field distinct and non-zero.
+    fn dispatch_timing() -> DistTiming {
+        DistTiming {
+            total_s: 2.0,
+            comm_s: 0.5,
+            root_s: 0.0,
+            node_compute_s: vec![1.0, 1.4],
+            bytes_out: 10,
+            root_bytes_out: 7,
+            bytes_back: 20,
+            messages: 4,
+            retries: 3,
+            redispatches: 1,
+            resident_hits: 5,
+            resident_misses: 2,
+            unpack_copied: 30,
+            unpack_aliased: 40,
+        }
+    }
+
+    #[test]
+    fn from_dist_is_overlapped_at_the_sum() {
+        let (d, r) = (dispatch_timing(), 0.25);
+        let s = DistTiming::from_dist(d.clone(), r);
+        assert_eq!(s, DistTiming::overlapped(d.clone(), r, d.total_s + r));
+        // Only the two times moved; every count is the dispatch's.
+        assert_eq!(DistTiming { total_s: d.total_s, root_s: 0.0, ..s }, d);
+    }
+
+    #[test]
+    fn local_is_one_busy_node_and_no_traffic() {
+        let s = DistTiming::local(1.5);
+        let quiet = DistTiming { total_s: 1.5, node_compute_s: vec![1.5], ..Default::default() };
+        assert_eq!(s, quiet);
+        assert_eq!((s.compute_span_s(), s.comm_fraction()), (1.5, 0.0));
+    }
+
+    #[test]
+    fn then_adds_root_seconds_and_every_count() {
+        let a = DistTiming::from_dist(dispatch_timing(), 0.25);
+        let b = DistTiming { node_compute_s: vec![0.5, 0.5, 0.5], ..a.clone() };
+        let expect = DistTiming {
+            total_s: 4.5,
+            comm_s: 1.0,
+            root_s: 0.5,
+            node_compute_s: vec![1.5, 1.9, 0.5],
+            bytes_out: 20,
+            root_bytes_out: 14,
+            bytes_back: 40,
+            messages: 8,
+            retries: 6,
+            redispatches: 2,
+            resident_hits: 10,
+            resident_misses: 4,
+            unpack_copied: 60,
+            unpack_aliased: 80,
+        };
+        assert_eq!(a.then(b), expect);
     }
 }

@@ -20,6 +20,17 @@
 //! implementing [`AsEnv`]). The argument's type — not the method's name —
 //! selects the execution path.
 //!
+//! The arms differ in how they *reach* a node — in place on the root's
+//! threads, behind a sliced and shipped payload, or as a descriptor to the
+//! rank that owns the segment — and in nothing else. What a node does once
+//! reached is written once, over a private `PartSource` that a `DistIter`
+//! slice and a resident part both implement: `node_fold` (chunks → private
+//! accumulators → chunk-order merge) under every reduction, `node_collect`
+//! (chunks → pieces → chunk-order concat) under `build_vec` and
+//! `build_array3`. Chunking and merge order are thus one function of a
+//! part's index range on every path, which is why a resident, a shipped and
+//! a `localpar` run over the same part agree to the bit.
+//!
 //! Every skeleton returns a [`Run`]: the value, its [`RunStats`], and — when
 //! the cluster is built with
 //! [`ClusterConfig::with_trace`](triolet_cluster::ClusterConfig::with_trace)
@@ -81,6 +92,95 @@ fn slice_tasks<'a, It: DistIter, R>(
             RawTask { wire_bytes, pieces, pack_s, resident: None, work: body(sub, part) }
         })
         .collect()
+}
+
+/// Where a node body reads its elements from: a slice of an iterator the
+/// root shipped (or, under `LocalPar`, the iterator itself), or a resident
+/// part's segment in place. The node bodies below are written against this,
+/// once, so every way of reaching a node runs the same chunks in the same
+/// order — statically dispatched: the shipped path gains no indirection, the
+/// resident path keeps the one per-element call its [`PartFold`] always was.
+trait PartSource: Sync {
+    type Item;
+    type Part: Part;
+
+    /// Fold the elements of `chunk`, a sub-range of this source's part.
+    fn fold_chunk<B>(&self, chunk: &Self::Part, init: B, g: impl FnMut(B, Self::Item) -> B) -> B;
+}
+
+impl<It: DistIter> PartSource for It {
+    type Item = It::Item;
+    type Part = <It::OuterDom as Domain>::Part;
+
+    fn fold_chunk<B>(&self, chunk: &Self::Part, init: B, mut g: impl FnMut(B, It::Item) -> B) -> B {
+        self.fold_outer_part(chunk, init, &mut g)
+    }
+}
+
+impl<T> PartSource for PartFold<T> {
+    type Item = T;
+    type Part = SeqPart;
+
+    fn fold_chunk<B>(&self, chunk: &SeqPart, init: B, mut g: impl FnMut(B, T) -> B) -> B {
+        let mut acc = Some(init);
+        let slot = &mut acc;
+        // `g` moves into the per-element callback, so what it captured (the
+        // environment) is one load away there. Reached through a chain of
+        // closure references, the same loop ran ~10% slower per k-means point.
+        self(chunk.start, chunk.len, &mut move |x| {
+            let a = slot.take().expect("accumulator present");
+            *slot = Some(g(a, x));
+        });
+        acc.expect("accumulator present")
+    }
+}
+
+/// The node body of every reduction (paper §3.4: "one threaded reduction per
+/// node, which sequentially builds one histogram per thread"): split `part`
+/// into chunks, fold each into a private accumulator, merge the partials in
+/// chunk order.
+///
+/// The chunking depends only on `part`'s index range and the node's thread
+/// count, and the merge order only on the chunking — never on which arm got
+/// here or where the data lives — so a resident run is bit-identical to a
+/// shipped one by construction. `step` is `Copy` (a `move` closure over
+/// references) so each chunk's fold owns one rather than borrowing ours.
+fn node_fold<S: PartSource, B: Send>(
+    ctx: &NodeCtx,
+    src: &S,
+    part: &S::Part,
+    seed: impl Fn() -> B + Sync,
+    step: impl Fn(B, S::Item) -> B + Sync + Copy,
+    merge: impl Fn(B, B) -> B,
+) -> B {
+    let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
+    ctx.map_reduce_chunks(chunks, |chunk| src.fold_chunk(chunk, seed(), step), merge)
+        .unwrap_or_else(seed)
+}
+
+/// The node body of every ordered assembly: split `part` into chunks, map
+/// each into a piece, concatenate the pieces in chunk order (sequential
+/// packing on the node). For parts that are contiguous in their output's
+/// row-major order ([`Seq`] ranges, [`Dim3`](triolet_domain::Dim3) slabs).
+fn node_collect<S: PartSource, U: Send>(
+    ctx: &NodeCtx,
+    src: &S,
+    part: &S::Part,
+    f: impl Fn(S::Item) -> U + Sync,
+) -> Vec<U> {
+    let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
+    let pieces = ctx.map_chunks(chunks, |chunk| {
+        let mut v = Vec::with_capacity(chunk.count());
+        src.fold_chunk(chunk, (), |(), x| v.push(f(x)));
+        v
+    });
+    ctx.sequential(|| {
+        let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
+        for piece in pieces {
+            out.extend(piece);
+        }
+        out
+    })
 }
 
 /// The Triolet runtime: a cluster plus the skeleton dispatch logic.
@@ -167,19 +267,9 @@ impl Triolet {
     where
         T: Wire + Clone + Send + Sync + 'static,
     {
-        let t0 = Instant::now();
         let len = data.len();
-        let segs: Vec<Seg<T>> = Seq::new(len)
-            .split_parts(self.nodes())
-            .into_iter()
-            .map(|part| {
-                let seg: Vec<T> = data[part.range()].to_vec();
-                let bytes = seg.packed_size();
-                Seg { part, data: Arc::new(seg), bytes }
-            })
-            .collect();
-        let pack_s = t0.elapsed().as_secs_f64();
-        self.scatter_segs(&segs, pack_s).map(|lease| DistVec::from_segments(lease, len, segs))
+        self.scatter_cut(len, 1, &data)
+            .map(|(lease, segs)| DistVec::from_segments(lease, len, segs))
     }
 
     /// Scatter a matrix across the cluster once as row slabs, returning a
@@ -188,48 +278,46 @@ impl Triolet {
     where
         T: Wire + Clone + Send + Sync + 'static,
     {
+        let (rows, cols) = (m.rows(), m.cols());
+        self.scatter_cut(rows, cols, &m.into_vec())
+            .map(|(lease, segs)| DistArray2::from_segments(lease, rows, cols, segs))
+    }
+
+    /// Cut `data` — `rows` rows of `width` items — into one row-range
+    /// segment per node (the parts the shipped path would use; cutting is
+    /// the root's prep time), ship segment `k` to rank `k` and register it
+    /// there under a fresh lease.
+    fn scatter_cut<T>(
+        &self,
+        rows: usize,
+        width: usize,
+        data: &[T],
+    ) -> Run<(Arc<Lease>, Vec<Seg<T>>)>
+    where
+        T: Wire + Clone,
+    {
         let t0 = Instant::now();
-        let rows = m.rows();
-        let cols = m.cols();
-        let data = m.into_vec();
         let segs: Vec<Seg<T>> = Seq::new(rows)
             .split_parts(self.nodes())
             .into_iter()
             .map(|part| {
-                let slab: Vec<T> = data[part.start * cols..part.end() * cols].to_vec();
-                let bytes = slab.packed_size();
-                Seg { part, data: Arc::new(slab), bytes }
+                let seg: Vec<T> = data[part.start * width..part.end() * width].to_vec();
+                let bytes = seg.packed_size();
+                Seg { part, data: Arc::new(seg), bytes }
             })
             .collect();
         let pack_s = t0.elapsed().as_secs_f64();
-        self.scatter_segs(&segs, pack_s)
-            .map(|lease| DistArray2::from_segments(lease, rows, cols, segs))
-    }
-
-    /// Ship segment `k` to rank `k` and register it there under a fresh
-    /// lease (`pack_s` is the root's time cutting the segments).
-    fn scatter_segs<T>(&self, segs: &[Seg<T>], pack_s: f64) -> Run<Arc<Lease>> {
         let lease = Lease::new(self.cluster.resident_store());
         let sizes: Vec<(usize, usize)> =
             segs.iter().enumerate().map(|(rank, s)| (rank, s.bytes)).collect();
         let (timing, dist_trace) = self.cluster.scatter_segments(lease.id(), &sizes);
         let trace = self.skeleton_trace("scatter", Some(pack_s), dist_trace, timing.total_s, &[]);
-        Run::new(lease, RunStats::from_dist(timing, pack_s)).with_trace(trace)
+        Run::new((lease, segs), RunStats::from_dist(timing, pack_s)).with_trace(trace)
     }
 
     // ======================================================================
     // Trace assembly
     // ======================================================================
-
-    /// Timeline for a root-only (sequential) execution: one skeleton span.
-    fn local_trace(&self, name: &str, total_s: f64) -> TraceData {
-        if !self.traced() {
-            return TraceData::default();
-        }
-        let h = TraceHandle::recording();
-        h.span(format!("skeleton:{name}"), "skeleton", Track::Root, 0.0, total_s, vec![]);
-        h.take()
-    }
 
     /// Assemble the skeleton-level timeline around a cluster dispatch:
     /// root-side slicing (`root:slice`), the dispatch trace rebased past it,
@@ -237,7 +325,8 @@ impl Triolet {
     /// interleaved with the dispatch timeline, all under one covering
     /// `skeleton:<name>` span (`end_s`, on the dispatch clock, already
     /// covers the last fold). `prep` is `None` for hints that do no
-    /// root-side work (so that span is absent, not zero-width).
+    /// root-side work (so that span is absent, not zero-width); a sequential
+    /// run has no dispatch either and is the covering span alone.
     fn skeleton_trace(
         &self,
         name: &str,
@@ -271,13 +360,33 @@ impl Triolet {
         h.take()
     }
 
+    /// The `Sequential` arm of every skeleton: run `work` on the calling
+    /// thread, wall-timed, under one `skeleton:<name>` span.
+    fn run_sequential<R>(&self, name: &str, work: impl FnOnce() -> R) -> Run<R> {
+        let t0 = Instant::now();
+        let value = work();
+        let total_s = t0.elapsed().as_secs_f64();
+        let trace = self.skeleton_trace(name, None, TraceData::default(), total_s, &[]);
+        Run::new(value, RunStats::local(total_s)).with_trace(trace)
+    }
+
+    /// The root-side preamble of every dispatching arm: the environment is
+    /// packed at most once here (its seconds are the call's root prep);
+    /// every task shares the buffer, and the cluster charges its transport
+    /// per broadcast edge rather than per task.
+    fn timed_payload<E: Wire>(&self, env: &EnvArg<'_, E>) -> (PackedPayload, f64) {
+        let t0 = Instant::now();
+        let payload = env.payload(self.cluster.stats());
+        (payload, t0.elapsed().as_secs_f64())
+    }
+
     /// The `LocalPar` arm of every skeleton: run `work` over the root node's
     /// threads, in place. Nothing ships and nothing comes back over the
     /// wire, so the result is used as computed.
     fn run_localpar<R>(&self, name: &str, work: impl FnOnce(&NodeCtx) -> R) -> Run<R> {
         let (value, timing, trace) = self.cluster.run_local(work);
         let trace = self.skeleton_trace(name, None, trace, timing.total_s, &[]);
-        Run::new(value, RunStats::from_dist(timing, 0.0)).with_trace(trace)
+        Run::new(value, timing).with_trace(trace)
     }
 
     /// The resident mirror of [`slice_tasks`], dispatch included: one task
@@ -502,127 +611,58 @@ impl Triolet {
         Step: Fn(&E, B, It::Item) -> B + Send + Sync,
         Merge: Fn(B, B) -> B + Send + Sync,
     {
+        let (seed, step, merge) = (&seed, &step, &merge);
         let it = match input {
             DistInput::Resident(run) => {
-                return self.fold_reduce_resident(name, run, env, seed, step, merge);
+                let (env_payload, root_prep_s) = self.timed_payload(&env);
+                let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
+                    let penv = env_payload.clone();
+                    Box::new(move |ctx: &NodeCtx| {
+                        let env: E =
+                            ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
+                        let env = &env;
+                        node_fold(ctx, &fold, &part, seed, move |b, x| step(env, b, x), merge)
+                    })
+                });
+                return self.fold_epilogue(name, root_prep_s, out, seed, merge);
             }
             DistInput::Iter(it) => it,
         };
+        let dom = it.outer_domain();
         match it.hint() {
             ParHint::Sequential => {
                 let env = env.value();
-                let t0 = Instant::now();
-                let dom = it.outer_domain();
-                let mut g = |b: B, x: It::Item| step(env, b, x);
-                let out = it.fold_outer_part(&dom.whole_part(), seed(), &mut g);
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(out, RunStats::local(total_s)).with_trace(self.local_trace(name, total_s))
+                self.run_sequential(name, || {
+                    it.fold_outer_part(&dom.whole_part(), seed(), &mut |b, x| step(env, b, x))
+                })
             }
             ParHint::LocalPar => {
                 // No node boundary: use the environment in place.
-                let env = env.value();
-                let dom = it.outer_domain();
-                let chunks = dom.whole_part().split(self.threads_per_node() * CHUNKS_PER_THREAD);
+                let (env, part) = (env.value(), dom.whole_part());
                 self.run_localpar(name, |ctx| {
-                    ctx.map_reduce_chunks(
-                        chunks,
-                        |chunk| {
-                            let mut g = |b: B, x: It::Item| step(env, b, x);
-                            it.fold_outer_part(chunk, seed(), &mut g)
-                        },
-                        &merge,
-                    )
-                    .unwrap_or_else(&seed)
+                    node_fold(ctx, &it, &part, seed, move |b, x| step(env, b, x), merge)
                 })
             }
             ParHint::Par => {
-                let dom = it.outer_domain();
-                let parts = dom.split_parts(self.nodes());
-                // Root side: the environment is packed at most once here
-                // (charged as root prep); every task shares the buffer, and
-                // the cluster charges its transport per broadcast edge
-                // rather than per task. Slicing each node's data (paper
-                // §3.5) is measured per task into `pack_s`, so the
-                // dispatcher can overlap task k+1's slice/pack with task
-                // k's compute.
-                let t0 = Instant::now();
-                let env_payload = env.payload(self.cluster.stats());
-                let env_bytes = env_payload.len();
-                let root_prep_s = t0.elapsed().as_secs_f64();
-                let (seed, step, merge) = (&seed, &step, &merge);
-                let tasks = slice_tasks(&it, parts, |sub, part| {
+                // Slicing each node's data (paper §3.5) is measured per
+                // task into `pack_s`, so the dispatcher can overlap task
+                // k+1's slice/pack with task k's compute.
+                let (env_payload, root_prep_s) = self.timed_payload(&env);
+                let tasks = slice_tasks(&it, dom.split_parts(self.nodes()), |sub, part| {
                     let penv = env_payload.clone();
                     Box::new(move |ctx: &NodeCtx| {
                         // Node side: data arrives as bytes.
                         let sub = ctx.sequential(|| sub.roundtrip());
                         let env: E =
                             ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
-                        let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                        ctx.map_reduce_chunks(
-                            chunks,
-                            |chunk| {
-                                let mut g = |b: B, x: It::Item| step(&env, b, x);
-                                sub.fold_outer_part(chunk, seed(), &mut g)
-                            },
-                            merge,
-                        )
-                        .unwrap_or_else(seed)
+                        let env = &env;
+                        node_fold(ctx, &sub, &part, seed, move |b, x| step(env, b, x), merge)
                     })
                 });
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
+                let out = self.cluster.run_raw_with_broadcast(tasks, env_payload.len());
                 self.fold_epilogue(name, root_prep_s, out, seed, merge)
             }
         }
-    }
-
-    /// The resident arm of [`fold_reduce`](Self::fold_reduce).
-    ///
-    /// Each part splits into the same chunks the shipped path would use
-    /// (`part.split(threads × CHUNKS_PER_THREAD)` depends only on the index
-    /// range), and partials merge in chunk then task order — so resident
-    /// results are bit-identical to re-broadcast results, wherever a part
-    /// ends up running.
-    fn fold_reduce_resident<T, E, B, Seed, Step, Merge>(
-        &self,
-        name: &str,
-        run: ResidentRun<T>,
-        env: EnvArg<'_, E>,
-        seed: Seed,
-        step: Step,
-        merge: Merge,
-    ) -> Run<B>
-    where
-        E: Wire + Send + Sync,
-        B: Wire + Send,
-        Seed: Fn() -> B + Send + Sync,
-        Step: Fn(&E, B, T) -> B + Send + Sync,
-        Merge: Fn(B, B) -> B + Send + Sync,
-    {
-        let t0 = Instant::now();
-        let env_payload = env.payload(self.cluster.stats());
-        let root_prep_s = t0.elapsed().as_secs_f64();
-        let (seed, step, merge) = (&seed, &step, &merge);
-        let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
-            let penv = env_payload.clone();
-            Box::new(move |ctx: &NodeCtx| {
-                let env: E = ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
-                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                ctx.map_reduce_chunks(
-                    chunks,
-                    |chunk| {
-                        let mut acc = Some(seed());
-                        fold(chunk.start, chunk.len, &mut |x| {
-                            let a = acc.take().expect("accumulator present");
-                            acc = Some(step(&env, a, x));
-                        });
-                        acc.expect("accumulator present")
-                    },
-                    merge,
-                )
-                .unwrap_or_else(seed)
-            })
-        });
-        self.fold_epilogue(name, root_prep_s, out, seed, merge)
     }
 
     // ======================================================================
@@ -811,117 +851,71 @@ impl Triolet {
         U: Wire + Send + Sync + Clone,
         F: Fn(&Env::Env, In::Item) -> U + Send + Sync,
     {
-        self.build_vec_named(input.into_dist_input(), env.env_arg(), f)
-    }
-
-    fn build_vec_named<It, E, U, F>(
-        &self,
-        input: DistInput<It>,
-        env: EnvArg<'_, E>,
-        f: F,
-    ) -> Run<Vec<U>>
-    where
-        It: DistIter<OuterDom = Seq>,
-        E: Wire + Send + Sync,
-        U: Wire + Send + Sync + Clone,
-        F: Fn(&E, It::Item) -> U + Send + Sync,
-    {
-        fn node_fragment<It, E, U>(
-            ctx: &NodeCtx,
-            sub: &It,
-            env: &E,
-            part: &SeqPart,
-            f: &(impl Fn(&E, It::Item) -> U + Send + Sync),
-        ) -> Vec<U>
-        where
-            It: DistIter<OuterDom = Seq>,
-            U: Send,
-            E: Sync,
-        {
-            let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-            let pieces = ctx.map_chunks(chunks, |chunk| {
-                let mut v = Vec::with_capacity(chunk.count());
-                sub.fold_outer_part(chunk, (), &mut |(), x| v.push(f(env, x)));
-                v
-            });
-            // Concatenate in chunk order (sequential packing on the node).
-            ctx.sequential(|| {
-                let total = pieces.iter().map(Vec::len).sum();
-                let mut out = Vec::with_capacity(total);
-                for p in pieces {
-                    out.extend(p);
-                }
-                out
-            })
-        }
-
-        let it = match input {
+        let (env, f) = (env.env_arg(), &f);
+        let it = match input.into_dist_input() {
             DistInput::Resident(run) => {
                 // Resident assembly: each owning rank materializes its
                 // part's fragment in place; only fragments travel back.
-                let t0 = Instant::now();
-                let env_payload = env.payload(self.cluster.stats());
-                let root_prep_s = t0.elapsed().as_secs_f64();
-                let f = &f;
+                let (env_payload, root_prep_s) = self.timed_payload(&env);
                 let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
                     let penv = env_payload.clone();
                     Box::new(move |ctx: &NodeCtx| {
-                        let env: E =
+                        let env: Env::Env =
                             ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
-                        let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                        let pieces = ctx.map_chunks(chunks, |chunk| {
-                            let mut v = Vec::with_capacity(chunk.count());
-                            fold(chunk.start, chunk.len, &mut |x| v.push(f(&env, x)));
-                            v
-                        });
-                        ctx.sequential(|| {
-                            let total = pieces.iter().map(Vec::len).sum();
-                            let mut out = Vec::with_capacity(total);
-                            for piece in pieces {
-                                out.extend(piece);
-                            }
-                            PodView::from_vec(out)
-                        })
+                        PodView::from_vec(node_collect(ctx, &fold, &part, |x| f(&env, x)))
                     })
                 });
                 return self.concat_epilogue("build_vec", root_prep_s, out);
             }
             DistInput::Iter(it) => it,
         };
+        self.build_ordered("build_vec", it, env, f)
+    }
+
+    /// The iterator driver of the ordered-assembly skeletons: materialize
+    /// `f(env, item)` for every item of `it` in row-major order of its outer
+    /// domain, whose parts must be contiguous in that order.
+    fn build_ordered<It, E, U, F>(
+        &self,
+        name: &str,
+        it: It,
+        env: EnvArg<'_, E>,
+        f: F,
+    ) -> Run<Vec<U>>
+    where
+        It: DistIter,
+        E: Wire + Send + Sync,
+        U: Wire + Send + Sync + Clone,
+        F: Fn(&E, It::Item) -> U + Send + Sync,
+    {
+        let f = &f;
         let dom = it.outer_domain();
         match it.hint() {
             ParHint::Sequential => {
                 let env = env.value();
-                let t0 = Instant::now();
-                let mut out = Vec::with_capacity(dom.count());
-                it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| out.push(f(env, x)));
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(out, RunStats::local(total_s))
-                    .with_trace(self.local_trace("build_vec", total_s))
+                self.run_sequential(name, || {
+                    let mut out = Vec::with_capacity(dom.count());
+                    it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| out.push(f(env, x)));
+                    out
+                })
             }
             ParHint::LocalPar => {
-                let env = env.value();
-                let part = dom.whole_part();
-                self.run_localpar("build_vec", |ctx| node_fragment(ctx, &it, env, &part, &f))
+                let (env, part) = (env.value(), dom.whole_part());
+                self.run_localpar(name, |ctx| node_collect(ctx, &it, &part, |x| f(env, x)))
             }
             ParHint::Par => {
-                let parts = dom.split_parts(self.nodes());
-                let t0 = Instant::now();
-                let env_payload = env.payload(self.cluster.stats());
-                let env_bytes = env_payload.len();
-                let root_prep_s = t0.elapsed().as_secs_f64();
-                let f = &f;
-                let tasks = slice_tasks(&it, parts, |sub, part| {
+                let (env_payload, root_prep_s) = self.timed_payload(&env);
+                let tasks = slice_tasks(&it, dom.split_parts(self.nodes()), |sub, part| {
                     let penv = env_payload.clone();
                     Box::new(move |ctx: &NodeCtx| {
                         let sub = ctx.unpack_sequential(|| sub.roundtrip());
                         let env: E =
                             ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
-                        PodView::from_vec(node_fragment(ctx, &sub, &env, &part, f))
+                        PodView::from_vec(node_collect(ctx, &sub, &part, |x| f(&env, x)))
                     })
                 });
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
-                self.concat_epilogue("build_vec", root_prep_s, out)
+                let out = self.cluster.run_raw_with_broadcast(tasks, env_payload.len());
+                self.concat_epilogue(name, root_prep_s, out)
             }
         }
     }
@@ -937,60 +931,9 @@ impl Triolet {
         It: DistIter<OuterDom = triolet_domain::Dim3>,
         It::Item: Wire + Send + Sync + Clone,
     {
-        /// One slab's row-major contents: chunk pieces concatenated in
-        /// chunk order (sequential packing on the node).
-        fn slab<It>(ctx: &NodeCtx, sub: &It, part: &triolet_domain::Dim3Part) -> Vec<It::Item>
-        where
-            It: DistIter<OuterDom = triolet_domain::Dim3>,
-            It::Item: Send,
-        {
-            let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-            let pieces = ctx.map_chunks(chunks, |chunk| {
-                let mut v = Vec::with_capacity(chunk.count());
-                sub.fold_outer_part(chunk, (), &mut |(), x| v.push(x));
-                v
-            });
-            ctx.sequential(|| {
-                let total = pieces.iter().map(Vec::len).sum();
-                let mut out = Vec::with_capacity(total);
-                for p in pieces {
-                    out.extend(p);
-                }
-                out
-            })
-        }
-
         let dom = it.outer_domain();
-        match it.hint() {
-            ParHint::Sequential => {
-                let t0 = Instant::now();
-                let mut data = Vec::with_capacity(dom.count());
-                it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| data.push(x));
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(triolet_iter::Array3::from_vec(data, dom), RunStats::local(total_s))
-                    .with_trace(self.local_trace("build_array3", total_s))
-            }
-            ParHint::LocalPar => {
-                let part = dom.whole_part();
-                self.run_localpar("build_array3", |ctx| slab(ctx, &it, &part))
-                    .map(|data| triolet_iter::Array3::from_vec(data, dom))
-            }
-            ParHint::Par => {
-                let parts = dom.split_parts(self.nodes());
-                let t0 = Instant::now();
-                let tasks = slice_tasks(&it, parts, |sub, part| {
-                    Box::new(move |ctx: &NodeCtx| {
-                        let sub = ctx.unpack_sequential(|| sub.roundtrip());
-                        PodView::from_vec(slab(ctx, &sub, &part))
-                    })
-                });
-                let root_prep_s =
-                    t0.elapsed().as_secs_f64() - tasks.iter().map(|t| t.pack_s).sum::<f64>();
-                let out = self.cluster.run_raw(tasks);
-                self.concat_epilogue("build_array3", root_prep_s, out)
-                    .map(|data| triolet_iter::Array3::from_vec(data, dom))
-            }
-        }
+        self.build_ordered("build_array3", it, EnvArg::Plain(&()), |_, x| x)
+            .map(|data| triolet_iter::Array3::from_vec(data, dom))
     }
 
     /// Materialize a 2-D iterator into a dense matrix (sgemm's output
@@ -1048,15 +991,14 @@ impl Triolet {
 
         let dom = it.outer_domain();
         match it.hint() {
-            ParHint::Sequential => {
-                // Elements arrive in row-major order; fill directly.
-                let t0 = Instant::now();
-                let mut data = Vec::with_capacity(dom.count());
-                it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| data.push(x));
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(Array2::from_vec(data, dom.rows, dom.cols), RunStats::local(total_s))
-                    .with_trace(self.local_trace("build_array2", total_s))
-            }
+            ParHint::Sequential => self
+                .run_sequential("build_array2", || {
+                    // Elements arrive in row-major order; fill directly.
+                    let mut data = Vec::with_capacity(dom.count());
+                    it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| data.push(x));
+                    data
+                })
+                .map(|data| Array2::from_vec(data, dom.rows, dom.cols)),
             ParHint::LocalPar => {
                 let part = dom.whole_part();
                 self.run_localpar("build_array2", |ctx| assemble_block(ctx, &it, &part))
@@ -1414,6 +1356,38 @@ mod tests {
         let a = rt.sum(&dv).value;
         let b = rt.sum(from_vec(xs).par()).value;
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    #[test]
+    fn one_node_body_gives_every_arm_the_same_bits_and_trace_shape() {
+        /// The sum's bits and the multiset of per-node (`chunk`, `merge`)
+        /// span counts.
+        fn shape(run: &Run<f64>, nodes: usize) -> (u64, Vec<(usize, usize)>) {
+            let on = |rank: usize, name: &str| {
+                let spans = run.trace.spans.iter().filter(|s| s.name == name);
+                spans
+                    .filter(|s| matches!(s.track, Track::Worker { rank: r, .. } if r == rank))
+                    .count()
+            };
+            let mut per_node: Vec<_> =
+                (0..nodes).map(|r| (on(r, "chunk"), on(r, "merge"))).collect();
+            per_node.sort_unstable();
+            (run.value.to_bits(), per_node)
+        }
+        let xs: Vec<f64> = (0..4321).map(|i| (i as f64) * 0.123 - 17.0).collect();
+        // On one node all three arms cover the same part, so the shared body
+        // must cut the same chunks and merge them in the same order.
+        let rt = Triolet::new(ClusterConfig::virtual_cluster(1, 3).with_trace(true));
+        let dv = rt.scatter(xs.clone()).value;
+        let local = shape(&rt.sum(from_vec(xs.clone()).localpar()), 1);
+        let chunks = 3 * CHUNKS_PER_THREAD;
+        assert_eq!(local.1, vec![(chunks, chunks)]);
+        assert_eq!(shape(&rt.sum(from_vec(xs.clone()).par()), 1), local, "par vs localpar");
+        assert_eq!(shape(&rt.sum(&dv), 1), local, "resident vs localpar");
+        // Across nodes the shipped and resident arms still agree.
+        let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2).with_trace(true));
+        let dv = rt.scatter(xs.clone()).value;
+        assert_eq!(shape(&rt.sum(&dv), 4), shape(&rt.sum(from_vec(xs).par()), 4));
     }
 
     #[test]

@@ -41,6 +41,14 @@ impl<T> Run<T> {
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Run<U> {
         Run { value: f(self.value), stats: self.stats, trace: self.trace }
     }
+
+    /// Chain a phase that ran *after* this one: `next`'s value, the two
+    /// phases' stats added ([`RunStats::then`]) and `next`'s timeline
+    /// appended where this one ends ([`TraceData::then`]).
+    pub fn then<U>(mut self, next: Run<U>) -> Run<U> {
+        self.trace.then(next.trace);
+        Run { value: next.value, stats: self.stats.then(next.stats), trace: self.trace }
+    }
 }
 
 #[cfg(test)]
@@ -56,5 +64,22 @@ mod tests {
         let (v, stats) = doubled.into_inner();
         assert_eq!(v, 42);
         assert_eq!(stats.total_s, 1.0);
+    }
+
+    #[test]
+    fn then_adds_totals_and_shifts_the_second_trace_to_the_firsts_end() {
+        use triolet_obs::{TraceHandle, Track};
+        let phase = |value: u64, total_s: f64, messages: u64| {
+            let h = TraceHandle::recording();
+            h.span("skeleton:phase", "skeleton", Track::Root, 0.0, total_s, vec![]);
+            let stats = RunStats { messages, ..RunStats::local(total_s) };
+            Run::new(value, stats).with_trace(h.take())
+        };
+        let both = phase(1, 1.5, 3).then(phase(2, 0.25, 4));
+        assert_eq!(both.value, 2, "the later phase's value");
+        assert_eq!((both.stats.total_s, both.stats.messages), (1.75, 7));
+        assert_eq!(both.stats.node_compute_s, vec![1.75]);
+        let bounds: Vec<(f64, f64)> = both.trace.spans.iter().map(|s| (s.t0, s.t1)).collect();
+        assert_eq!(bounds, vec![(0.0, 1.5), (1.5, 1.75)]);
     }
 }

@@ -114,6 +114,22 @@ fn build_vec_preserves_order_under_faults() {
 }
 
 #[test]
+fn build_array3_is_bit_identical_under_faults() {
+    // A slab computed on a survivor still lands at its own depth: the
+    // faulty grid equals the one a sequential run fills in row-major order.
+    let dom = Dim3::new(9, 5, 7);
+    let potential = |(x, y, z): (usize, usize, usize)| {
+        1.0 / (1.0 + x as f64 * 0.37 + y as f64 * 1.3 + z as f64 * 0.011)
+    };
+    let seq = clean_rt().build_array3(indices(dom).map(potential));
+    let faulty = faulty_rt().build_array3(indices(dom).map(potential).par());
+    let bits = |g: &Array3<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&seq.value), bits(&faulty.value), "build_array3 changed under faults");
+    assert_eq!((seq.stats.messages, seq.stats.retries), (0, 0));
+    assert_recovered(&faulty.stats);
+}
+
+#[test]
 fn fault_runs_replay_identically() {
     // Same seed => identical results AND identical recovery accounting.
     let xs: Vec<i64> = (0..1000).collect();
