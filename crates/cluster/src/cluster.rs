@@ -70,9 +70,8 @@ pub enum Topology {
 
 /// A result payload gathered at the root failed to decode.
 ///
-/// Like the comm layer's recv/gather (`CommError::Decode`), a damaged or
-/// mistyped result surfaces as a typed error through the `try_*` entry
-/// points.
+/// A damaged or mistyped result surfaces as a typed error through the
+/// `try_*` entry points, not as a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchError {
     /// Task `task`'s result bytes did not decode as the expected type.
@@ -283,6 +282,23 @@ impl<'a, R> RawTask<'a, R> {
 
 /// What the fault schedule did to one message: how many times it was
 /// transmitted and what happened to the attempts.
+///
+/// This is the reliable-messaging protocol, modeled rather than executed:
+///
+/// * each message is keyed by `(from, to, tag, key)`, the coordinates of
+///   its fault decisions;
+/// * the sender retransmits until an attempt is acknowledged or its budget
+///   is spent; a crashed destination receives but never acknowledges, so a
+///   probe of it always spends the budget;
+/// * the receiver discards a corrupted copy (a checksum mismatch, so it
+///   counts like a loss and the intact retransmission is what arrives),
+///   acknowledges every intact arrival, and drops replays, so a duplicate
+///   costs wire bytes but is delivered once;
+/// * acknowledgements are not subject to faults.
+///
+/// The dispatcher folds each message's copies and unacknowledged attempts
+/// into its edge duration ([`Attempts::seconds`]), and the simulator lays
+/// those on the virtual clock as send, receive, and retry-timer events.
 #[derive(Clone, Copy, Default)]
 struct Attempts {
     /// Transmission attempts (1 + retries).

@@ -10,14 +10,14 @@
 //! The plan models three failure classes:
 //!
 //! * **Message loss / corruption / duplication** — per-attempt coin flips
-//!   with the configured probabilities. Corruption is detected by the
-//!   comm layer's payload checksum and handled like a loss (the intact
+//!   with the configured probabilities. A corrupted attempt is modeled as
+//!   detected by the receiver and handled like a loss (the intact
 //!   retransmission is what gets delivered), so faults cost time and
 //!   traffic but never change results.
 //! * **Node crashes** — `crashed_mask` marks whole ranks as down before the
 //!   operation starts. A crashed rank receives traffic but never
-//!   acknowledges it; senders observe a timeout after `max_retries`
-//!   attempts and report [`CommError::NodeDown`](crate::CommError).
+//!   acknowledges it; the dispatcher's probe times out after `max_retries`
+//!   attempts and the task is redispatched to a survivor.
 //! * **Detection parameters** — `timeout` bounds each wait for an
 //!   acknowledgement and `max_retries` bounds retransmissions before a
 //!   peer is declared dead.
@@ -31,7 +31,7 @@ pub struct FaultDecision {
     pub deliver: bool,
     /// A second copy of the attempt also arrives (delivered attempts only).
     pub duplicate: bool,
-    /// The delivered bytes are damaged in flight (checksum will mismatch).
+    /// The delivered bytes are damaged in flight (the receiver discards them).
     pub corrupt: bool,
 }
 
@@ -65,8 +65,8 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The no-fault plan: every probability zero, nobody crashed. This is
-    /// the default everywhere; with it, the comm layer takes its original
-    /// fast path and behaves exactly as before the fault layer existed.
+    /// the default everywhere; with it, every message is delivered on its
+    /// first attempt and no fault decision is drawn.
     pub fn none() -> Self {
         FaultPlan {
             seed: 0,
@@ -122,7 +122,7 @@ impl FaultPlan {
     }
 
     /// True when any fault can actually occur. Inactive plans cost nothing:
-    /// callers skip the ack protocol entirely.
+    /// the dispatcher draws no decision for them.
     pub fn is_active(&self) -> bool {
         self.drop_prob > 0.0
             || self.dup_prob > 0.0
@@ -180,17 +180,6 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// FNV-1a over the payload: the integrity check the comm layer uses to turn
-/// in-flight corruption into a detectable (and hence retryable) loss.
-pub(crate) fn payload_checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,17 +231,6 @@ mod tests {
         for s in 0..256 {
             let d = plan.decide(1, 0, 5, s, 0);
             assert!(d.arrives_intact() && !d.duplicate);
-        }
-    }
-
-    #[test]
-    fn checksum_detects_any_single_flip() {
-        let data: Vec<u8> = (0..200u8).collect();
-        let sum = payload_checksum(&data);
-        for i in 0..data.len() {
-            let mut bad = data.clone();
-            bad[i] ^= 0x40;
-            assert_ne!(payload_checksum(&bad), sum, "flip at {i} undetected");
         }
     }
 }

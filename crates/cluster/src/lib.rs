@@ -16,15 +16,13 @@
 //! This is how the paper's 128-core scaling figures are regenerated on a
 //! small host.
 //!
-//! The [`comm`] module additionally provides a real rank-to-rank typed
-//! message layer (send/recv/broadcast/scatter/gather/all-reduce) over OS
-//! threads — the analogue of the MPI primitives the paper's runtime wraps.
-//! The dispatcher does not send through it; its own tests and the
-//! benchmark's round-trip probe do. The [`fault`] module adds a
-//! deterministic, seeded fault schedule ([`FaultPlan`]) that the comm layer
-//! and the cluster dispatcher consult to inject message loss, duplication,
-//! corruption, and node crashes — and to recover from them, so skeleton
-//! results stay bit-identical with faults on.
+//! The [`fault`] module adds a deterministic, seeded fault schedule
+//! ([`FaultPlan`]) that the dispatcher consults to model message loss,
+//! duplication, corruption, and node crashes — and the retransmissions and
+//! redispatches that recover from them, so skeleton results stay
+//! bit-identical with faults on. Environments and shared pieces reach their
+//! ranks over the binomial tree of `tree`. The [`comm`] module is a bare
+//! point-to-point channel that only a benchmark probe calls.
 
 pub mod cluster;
 pub mod comm;
@@ -32,12 +30,12 @@ pub mod cost;
 pub mod fault;
 pub mod node;
 mod sim;
-pub mod tree;
+mod tree;
 
 pub use cluster::{
     Cluster, ClusterConfig, DispatchError, DistOutcome, RawTask, ResidentSpec, Topology,
 };
-pub use comm::{Comm, CommError, CommHandle, REPLY_TAG_BIT};
+pub use comm::{Comm, CommError, CommHandle};
 pub use cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
 pub use fault::{FaultDecision, FaultPlan};
 pub use node::{NodeCtx, ResidentStore};

@@ -1,31 +1,20 @@
-//! Binomial broadcast/reduce tree over relative ranks.
+//! Binomial relay tree over relative ranks.
 //!
 //! MPI implementations route small- and medium-message collectives over a
 //! binomial tree: the root hands the payload to `log2(N)` children, each of
 //! which relays it to its own subtree, so the root's serialized send time —
 //! O(N) in a naive loop — drops to O(log N) while every relay happens in
-//! parallel on ranks that already hold the data.
+//! parallel on ranks that already hold the data. The dispatcher relays the
+//! broadcast environment and shared input pieces this way.
 //!
 //! The shape used here is the *contiguous-subtree* binomial tree over
-//! relative ranks `0..m` (relative rank = `(rank - root) mod n`):
+//! relative ranks `0..m`:
 //!
-//! * `parent(v)` clears `v`'s lowest set bit;
+//! * the parent of `v` is `v` with its lowest set bit cleared;
 //! * `children(v)` are `v + 2^k` for every `2^k` below `v`'s lowest set bit
 //!   (every power of two for the root), bounded by `m`;
 //! * the subtree rooted at `v` covers exactly the contiguous relative ranks
 //!   `[v, v + lowbit(v))`.
-//!
-//! That contiguity is what lets tree `gather`/`reduce` preserve *rank order*:
-//! a node's own value followed by its children's blocks in ascending-child
-//! order is precisely the rank-ordered run of its subtree, so concatenations
-//! (gather) and left-to-right folds (reduce) over the tree agree with the
-//! linear, root-centric collectives bit for bit.
-
-/// Parent of relative rank `v > 0`: clear the lowest set bit.
-pub fn parent(v: usize) -> usize {
-    debug_assert!(v > 0, "the root has no parent");
-    v & (v - 1)
-}
 
 /// Depth of relative rank `v` (root = 0): its set-bit count.
 pub fn depth(v: usize) -> u32 {
@@ -69,27 +58,6 @@ pub fn fanout(v: usize, m: usize) -> usize {
     n
 }
 
-/// Arrival offsets of every participant relative to the root starting its
-/// first send at time 0, with per-edge costs supplied by `edge_cost(sender,
-/// child)`.
-///
-/// Each sender's NIC serializes its own sends — children are sent
-/// largest-subtree-first (descending), the order that minimizes the critical
-/// path — while different senders transmit concurrently. `arrival[0]` is 0.
-pub fn broadcast_arrivals(m: usize, mut edge_cost: impl FnMut(usize, usize) -> f64) -> Vec<f64> {
-    let mut arrival = vec![0.0f64; m];
-    // Parents have smaller relative ranks than their children, so a single
-    // ascending pass sees every arrival before it is needed.
-    for v in 0..m {
-        let mut clock = arrival[v];
-        for &c in children(v, m).iter().rev() {
-            clock += edge_cost(v, c);
-            arrival[c] = clock;
-        }
-    }
-    arrival
-}
-
 /// Every (sender, child) edge of the tree over `m` participants, in the
 /// order senders transmit them (ascending sender, descending child).
 pub fn edges(m: usize) -> Vec<(usize, usize)> {
@@ -108,12 +76,9 @@ mod tests {
 
     #[test]
     fn parent_clears_lowest_bit() {
-        assert_eq!(parent(1), 0);
-        assert_eq!(parent(2), 0);
-        assert_eq!(parent(3), 2);
-        assert_eq!(parent(6), 4);
-        assert_eq!(parent(7), 6);
-        assert_eq!(parent(12), 8);
+        for (v, p) in [(1, 0), (2, 0), (3, 2), (6, 4), (7, 6), (12, 8)] {
+            assert!(children(p, 16).contains(&v), "v={v} parent={p}");
+        }
     }
 
     #[test]
@@ -131,7 +96,7 @@ mod tests {
     fn every_nonroot_has_its_parent_listing_it() {
         for m in 1..40 {
             for v in 1..m {
-                let p = parent(v);
+                let p = v & (v - 1);
                 assert!(children(p, m).contains(&v), "m={m} v={v} parent={p}");
             }
         }
@@ -140,7 +105,7 @@ mod tests {
     #[test]
     fn subtrees_are_contiguous_and_partition_the_ranks() {
         // Walking the tree depth-first, children ascending, visits 0..m in
-        // order — the property rank-ordered gather/reduce rest on.
+        // order: every subtree is a contiguous run of relative ranks.
         fn visit(v: usize, m: usize, out: &mut Vec<usize>) {
             out.push(v);
             for c in children(v, m) {
@@ -170,19 +135,6 @@ mod tests {
                 assert_eq!(max_depth, ceil_log2, "m={m}");
             }
         }
-    }
-
-    #[test]
-    fn uniform_arrivals_scale_with_depth() {
-        // With unit edge cost, a power-of-two tree delivers rank v no later
-        // than depth(v) + (fan-out serialization) and the farthest rank in
-        // 16 participants is reached in 4 time units, not 15.
-        let a = broadcast_arrivals(16, |_, _| 1.0);
-        assert_eq!(a[0], 0.0);
-        let worst = a.iter().cloned().fold(0.0, f64::max);
-        assert_eq!(worst, 4.0);
-        // Linear root-serialized sends would need 15 units for the last rank.
-        assert!(worst < 15.0);
     }
 
     #[test]

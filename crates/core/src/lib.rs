@@ -13,8 +13,8 @@
 //!    ([`triolet_iter::indexer`], [`triolet_domain`]) — slicing an iterator
 //!    by a domain part extracts exactly the data that part's tasks read.
 //! 3. **Two-level parallelism** ([`triolet_cluster`], [`triolet_pool`]) —
-//!    message passing across nodes, work stealing within a node, private
-//!    per-thread accumulation, per-node combining.
+//!    modeled message passing across nodes, a modeled work-stealing schedule
+//!    within a node, private per-thread accumulation, per-node combining.
 //!
 //! The [`Triolet`] runtime exposes the paper's skeletons: `sum`, `reduce`,
 //! `histogram`, `scatter_add`, `collect`, `build_vec`, `build_array2` —
@@ -75,7 +75,6 @@ pub use triolet_iter::{
     Collector, CountHist, IdxFlat, IdxNest, ParHint, StepFlat, StepNest, TrioIter, VecCollector,
     WeightHist,
 };
-pub use triolet_pool::ThreadPool;
 pub use triolet_serial::Wire;
 
 /// Everything an application typically needs.

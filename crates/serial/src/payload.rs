@@ -5,10 +5,10 @@
 //! `Arc` bump, never a re-serialization, so one buffer can back every
 //! per-destination send of a broadcast *and* every retransmission of a
 //! reliable send. This is the substrate for the engine's broadcast
-//! environment and the comm layer's collective hot path: the paper's runtime
-//! serializes a closure's captured environment once and reuses the message
-//! body for every destination rank (§3.4); re-packing per node would charge
-//! serialization time `N` times for one logical broadcast.
+//! environment: the paper's runtime serializes a closure's captured
+//! environment once and reuses the message body for every destination rank
+//! (§3.4); re-packing per node would charge serialization time `N` times for
+//! one logical broadcast.
 //!
 //! [`bytes`]: PackedPayload::bytes
 
@@ -59,8 +59,7 @@ impl PackedPayload {
         PackedPayload { bytes: packed(value) }
     }
 
-    /// Wrap an already-serialized buffer (e.g. one received off the wire and
-    /// forwarded verbatim down a broadcast tree).
+    /// Wrap an already-serialized buffer.
     pub fn from_bytes(bytes: Bytes) -> Self {
         PackedPayload { bytes }
     }
