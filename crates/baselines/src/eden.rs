@@ -25,9 +25,8 @@
 //! The per-element costs of Eden *kernels* (boxed list/stepper processing)
 //! live in [`crate::list`] and in the per-application Eden kernels.
 
-use std::time::Instant;
-
 use triolet::RunStats;
+use triolet_cluster::clock::timed;
 use triolet_cluster::{Cluster, ClusterConfig, CostModel, NodeCtx, RawTask};
 use triolet_serial::{packed, Wire};
 
@@ -189,9 +188,7 @@ impl EdenRt {
             })
             .collect();
         let out = self.cluster.run_raw(tasks);
-        let t0 = Instant::now();
-        let value = out.results.into_iter().reduce(merge).unwrap_or_else(empty);
-        let root_s = t0.elapsed().as_secs_f64();
+        let (value, root_s) = timed(|| out.results.into_iter().reduce(merge).unwrap_or_else(empty));
         Ok((value, self.apply_straggler(RunStats::from_dist(out.timing, root_s))))
     }
 
@@ -253,9 +250,7 @@ impl EdenRt {
             })
             .collect();
         let out = self.cluster.run_raw(tasks);
-        let t0 = Instant::now();
-        let value = out.results.into_iter().reduce(merge).unwrap_or_else(empty);
-        let root_s = t0.elapsed().as_secs_f64();
+        let (value, root_s) = timed(|| out.results.into_iter().reduce(merge).unwrap_or_else(empty));
         Ok((value, self.apply_straggler(RunStats::from_dist(out.timing, root_s))))
     }
 }
@@ -272,6 +267,7 @@ fn group_transfer_time(cost: CostModel, bytes: usize, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn eden_map_reduce_matches_sequential() {

@@ -10,9 +10,8 @@
 //! actual numerical computation" is visible in the per-app kernels built on
 //! this module.
 
-use std::time::Instant;
-
 use triolet::RunStats;
+use triolet_cluster::clock::timed;
 use triolet_cluster::{Cluster, ClusterConfig, NodeCtx, RawTask};
 use triolet_serial::Wire;
 
@@ -61,9 +60,7 @@ impl LowLevelRt {
         R: Wire + Send,
     {
         let out = self.cluster.run(payloads, kernel);
-        let t0 = Instant::now();
-        let value = combine(out.results);
-        let root_s = t0.elapsed().as_secs_f64();
+        let (value, root_s) = timed(|| combine(out.results));
         (value, RunStats::from_dist(out.timing, root_s))
     }
 
@@ -79,9 +76,7 @@ impl LowLevelRt {
         R: Wire + Send,
     {
         let out = self.cluster.run_raw(tasks);
-        let t0 = Instant::now();
-        let value = combine(out.results);
-        let root_s = t0.elapsed().as_secs_f64();
+        let (value, root_s) = timed(|| combine(out.results));
         (value, RunStats::from_dist(out.timing, root_s))
     }
 

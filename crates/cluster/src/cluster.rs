@@ -11,11 +11,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use triolet_obs::{tree_edge_args, ArgValue, TraceData, TraceHandle, Track};
 use triolet_serial::{packed, unpack_all, unpack_counters, Piece, Wire, WireError};
 
+use crate::clock::timed;
 use crate::cost::{CostModel, DistTiming, TrafficStats};
 use crate::fault::FaultPlan;
 use crate::node::{NodeCtx, ResidentStore};
@@ -986,9 +986,7 @@ impl Cluster {
         let tasks: Vec<RawTask<'_, R>> = payloads
             .into_iter()
             .map(|payload| {
-                let t0 = Instant::now();
-                let msg = packed(&payload);
-                let pack_s = t0.elapsed().as_secs_f64();
+                let (msg, pack_s) = timed(|| packed(&payload));
                 drop(payload);
                 RawTask {
                     wire_bytes: msg.len(),
@@ -1344,9 +1342,7 @@ impl Cluster {
         for &i in &order {
             uclock = uclock.max(ret_arrival[i]);
             let rb = std::mem::take(&mut results_bytes[i]);
-            let t1 = Instant::now();
-            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
-            let u = t1.elapsed().as_secs_f64();
+            let ((decoded, c, a), u) = timed(|| with_unpack_delta(|| unpack_all(rb)));
             moved[i] = (c, a);
             match decoded {
                 Ok(r) => slots[i] = Some(r),

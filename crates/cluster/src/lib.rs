@@ -9,7 +9,8 @@
 //!
 //! Execution is in virtual time: node tasks run one at a time (sound:
 //! cluster nodes share nothing between collectives); every leaf task is
-//! timed and replayed through the greedy virtual-time scheduler of
+//! timed (by [`clock`], the one module that reads host time for the model)
+//! and replayed through the greedy virtual-time scheduler of
 //! [`triolet_pool::vtime`]; the distributed makespan combines per-node
 //! compute times with modeled transfer times over the *actually serialized*
 //! byte counts, laid on one clock by the discrete-event simulator in `sim`.
@@ -24,6 +25,7 @@
 //! ranks over the binomial tree of `tree`. The [`comm`] module is a bare
 //! point-to-point channel that only a benchmark probe calls.
 
+pub mod clock;
 pub mod cluster;
 pub mod comm;
 pub mod cost;

@@ -4,10 +4,11 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
 
 use triolet_obs::{TraceData, TraceHandle, Track};
 use triolet_pool::vtime::greedy_schedule;
+
+use crate::clock::{timed, Laps};
 
 /// The cluster's ownership table for persistent distributed collections.
 ///
@@ -163,9 +164,8 @@ impl NodeCtx {
 
     /// Run a sequential section (runs on one thread; charged at full cost).
     pub fn sequential<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.charge(t0.elapsed().as_secs_f64());
+        let (r, s) = timed(f);
+        self.charge(s);
         r
     }
 
@@ -205,10 +205,13 @@ impl NodeCtx {
         r
     }
 
-    /// Map `leaf` over explicit chunks in parallel, preserving order.
+    /// Map `leaf` over explicit chunks, preserving order, and charge the
+    /// parallel schedule of their measured durations.
     ///
-    /// The chunk list is the thread-level work decomposition (the paper's
-    /// second level, §3.4); pass ~4 chunks per thread so stealing can balance
+    /// The leaves run one at a time on the calling thread; only their
+    /// schedule over [`threads`](Self::threads) workers is modeled. The chunk
+    /// list is the thread-level work decomposition (the paper's second level,
+    /// §3.4); pass ~4 chunks per thread so the modeled stealing can balance
     /// irregular chunk costs.
     pub fn map_chunks<P, T>(&self, chunks: Vec<P>, leaf: impl Fn(&P) -> T + Sync) -> Vec<T>
     where
@@ -217,10 +220,11 @@ impl NodeCtx {
     {
         let mut durations = Vec::with_capacity(chunks.len());
         let mut out = Vec::with_capacity(chunks.len());
+        let mut laps = Laps::start();
         for c in &chunks {
-            let t0 = Instant::now();
-            out.push(leaf(c));
-            durations.push(t0.elapsed().as_secs_f64());
+            let (value, d) = laps.lap(|| leaf(c));
+            out.push(value);
+            durations.push(d.as_secs_f64());
         }
         let sched = greedy_schedule(&durations, self.threads);
         self.trace_schedule(&sched, &durations, &sched.worker_loads, sched.makespan);
@@ -300,20 +304,20 @@ impl NodeCtx {
         // in chunk order and must not follow the schedule: the greedy
         // assignment depends on *measured* durations, so a schedule-shaped
         // merge tree would reassociate floating-point merges from run to
-        // run.
+        // run. A leaf and its merge share a boundary read.
         let mut durations = Vec::with_capacity(chunks.len());
         let mut merge_durations = Vec::with_capacity(chunks.len());
         let mut acc: Option<T> = None;
+        let mut laps = Laps::start();
         for c in &chunks {
-            let t0 = Instant::now();
-            let value = leaf(c);
-            durations.push(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            acc = Some(match acc {
+            let (value, d) = laps.lap(|| leaf(c));
+            durations.push(d.as_secs_f64());
+            let (merged, d) = laps.lap(|| match acc.take() {
                 None => value,
                 Some(a) => merge(a, value),
             });
-            merge_durations.push(t0.elapsed().as_secs_f64());
+            acc = Some(merged);
+            merge_durations.push(d.as_secs_f64());
         }
         // The schedule only decides what the merges *cost*: each is charged
         // to the virtual thread its chunk was assigned to.
@@ -348,6 +352,7 @@ impl NodeCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
     use triolet_domain::{Domain, Seq, SeqPart};
 
     fn vctx(threads: usize) -> NodeCtx {

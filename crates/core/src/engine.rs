@@ -43,8 +43,8 @@
 //! are packed task by task and partials fold in task order as they arrive.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use triolet_cluster::clock::timed;
 use triolet_cluster::{
     Cluster, ClusterConfig, DistOutcome, NodeCtx, RawTask, ResidentSpec, TraceData, TraceHandle,
     Track,
@@ -84,11 +84,11 @@ fn slice_tasks<'a, It: DistIter, R>(
     parts
         .into_iter()
         .map(|part| {
-            let tp = Instant::now();
-            let sub = it.slice_outer_shared(&part, &mut memo);
-            let pieces = sub.source_pieces();
-            let wire_bytes = part.packed_size();
-            let pack_s = tp.elapsed().as_secs_f64();
+            let ((sub, pieces, wire_bytes), pack_s) = timed(|| {
+                let sub = it.slice_outer_shared(&part, &mut memo);
+                let pieces = sub.source_pieces();
+                (sub, pieces, part.packed_size())
+            });
             RawTask { wire_bytes, pieces, pack_s, resident: None, work: body(sub, part) }
         })
         .collect()
@@ -296,17 +296,17 @@ impl Triolet {
     where
         T: Wire + Clone,
     {
-        let t0 = Instant::now();
-        let segs: Vec<Seg<T>> = Seq::new(rows)
-            .split_parts(self.nodes())
-            .into_iter()
-            .map(|part| {
-                let seg: Vec<T> = data[part.start * width..part.end() * width].to_vec();
-                let bytes = seg.packed_size();
-                Seg { part, data: Arc::new(seg), bytes }
-            })
-            .collect();
-        let pack_s = t0.elapsed().as_secs_f64();
+        let (segs, pack_s) = timed(|| {
+            Seq::new(rows)
+                .split_parts(self.nodes())
+                .into_iter()
+                .map(|part| {
+                    let seg: Vec<T> = data[part.start * width..part.end() * width].to_vec();
+                    let bytes = seg.packed_size();
+                    Seg { part, data: Arc::new(seg), bytes }
+                })
+                .collect::<Vec<Seg<T>>>()
+        });
         let lease = Lease::new(self.cluster.resident_store());
         let sizes: Vec<(usize, usize)> =
             segs.iter().enumerate().map(|(rank, s)| (rank, s.bytes)).collect();
@@ -363,9 +363,7 @@ impl Triolet {
     /// The `Sequential` arm of every skeleton: run `work` on the calling
     /// thread, wall-timed, under one `skeleton:<name>` span.
     fn run_sequential<R>(&self, name: &str, work: impl FnOnce() -> R) -> Run<R> {
-        let t0 = Instant::now();
-        let value = work();
-        let total_s = t0.elapsed().as_secs_f64();
+        let (value, total_s) = timed(work);
         let trace = self.skeleton_trace(name, None, TraceData::default(), total_s, &[]);
         Run::new(value, RunStats::local(total_s)).with_trace(trace)
     }
@@ -375,9 +373,7 @@ impl Triolet {
     /// every task shares the buffer, and the cluster charges its transport
     /// per broadcast edge rather than per task.
     fn timed_payload<E: Wire>(&self, env: &EnvArg<'_, E>) -> (PackedPayload, f64) {
-        let t0 = Instant::now();
-        let payload = env.payload(self.cluster.stats());
-        (payload, t0.elapsed().as_secs_f64())
+        timed(|| env.payload(self.cluster.stats()))
     }
 
     /// The `LocalPar` arm of every skeleton: run `work` over the root node's
@@ -475,9 +471,7 @@ impl Triolet {
         let mut spans = Vec::with_capacity(out.arrivals.len());
         for (&arrival, result) in out.arrivals.iter().zip(out.results) {
             clock = clock.max(arrival);
-            let t = Instant::now();
-            step(&mut value, result);
-            let u = t.elapsed().as_secs_f64();
+            let ((), u) = timed(|| step(&mut value, result));
             spans.push((clock, clock + u));
             clock += u;
             busy += u;
@@ -1006,16 +1000,16 @@ impl Triolet {
             }
             ParHint::Par => {
                 let parts = dom.split_parts(self.nodes());
-                let t0 = Instant::now();
-                let tasks = slice_tasks(&it, parts, |sub, part| {
-                    Box::new(move |ctx: &NodeCtx| {
-                        let sub = ctx.unpack_sequential(|| sub.roundtrip());
-                        let block = assemble_block(ctx, &sub, &part);
-                        (part, PodView::from_vec(block))
+                let (tasks, slice_s) = timed(|| {
+                    slice_tasks(&it, parts, |sub, part| {
+                        Box::new(move |ctx: &NodeCtx| {
+                            let sub = ctx.unpack_sequential(|| sub.roundtrip());
+                            let block = assemble_block(ctx, &sub, &part);
+                            (part, PodView::from_vec(block))
+                        })
                     })
                 });
-                let root_prep_s =
-                    t0.elapsed().as_secs_f64() - tasks.iter().map(|t| t.pack_s).sum::<f64>();
+                let root_prep_s = slice_s - tasks.iter().map(|t| t.pack_s).sum::<f64>();
                 let out = self.cluster.run_raw(tasks);
                 // Blocks land at disjoint coordinates, so each is placed
                 // as it arrives.
