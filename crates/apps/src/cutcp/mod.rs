@@ -14,13 +14,11 @@
 //! ```
 
 mod eden;
-pub mod gather;
 mod lowlevel;
 mod seq;
 mod triolet_impl;
 
 pub use eden::run_eden;
-pub use gather::{bin_atoms, run_triolet_gather};
 pub use lowlevel::run_lowlevel;
 pub use seq::run_seq;
 pub use triolet_impl::run_triolet;

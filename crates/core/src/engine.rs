@@ -197,12 +197,6 @@ impl Triolet {
         Triolet { cluster: Cluster::new(config) }
     }
 
-    /// A degenerate single-node, single-thread runtime (for sequential
-    /// reference runs).
-    pub fn sequential() -> Self {
-        Self::new(ClusterConfig::virtual_cluster(1, 1))
-    }
-
     /// Wrap this runtime in a multi-tenant [`JobService`]: a bounded
     /// submission queue, policy-driven dispatch, and per-tenant accounting
     /// over this cluster. Consumes the runtime — all subsequent skeleton

@@ -174,39 +174,6 @@ impl Collector for WeightHist {
     }
 }
 
-/// Scalar sum collector.
-#[derive(Debug, Clone, Default)]
-pub struct SumCollector<T> {
-    total: T,
-}
-
-impl<T: Default> SumCollector<T> {
-    /// Zero-initialized sum.
-    pub fn new() -> Self {
-        SumCollector { total: T::default() }
-    }
-}
-
-impl<T> Collector for SumCollector<T>
-where
-    T: std::ops::AddAssign + Default + Send,
-{
-    type Item = T;
-    type Out = T;
-
-    fn feed(&mut self, item: T) {
-        self.total += item;
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.total += other.total;
-    }
-
-    fn finish(self) -> T {
-        self.total
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Wire framing: collectors are the partial results that nodes send back to
 // the root (per-node histograms, packed output fragments), so they must be
@@ -249,18 +216,6 @@ impl Wire for WeightHist {
     }
     fn packed_size(&self) -> usize {
         self.bins.packed_size()
-    }
-}
-
-impl<T: Wire + Default> Wire for SumCollector<T> {
-    fn pack(&self, w: &mut WireWriter) {
-        self.total.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(SumCollector { total: T::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.total.packed_size()
     }
 }
 
@@ -346,16 +301,5 @@ mod tests {
         b.feed((1, 3.0));
         a.merge(b);
         assert_eq!(a.bins(), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn sum_collector() {
-        let mut s = SumCollector::<f64>::new();
-        s.feed(1.5);
-        s.feed(2.5);
-        let mut t = SumCollector::<f64>::new();
-        t.feed(6.0);
-        s.merge(t);
-        assert_eq!(s.finish(), 10.0);
     }
 }

@@ -44,16 +44,13 @@
 
 pub mod array;
 pub mod collector;
-pub mod dyniter;
-pub mod foldenc;
 pub mod indexer;
 pub mod shapes;
 pub mod sources;
 pub mod stepper;
 
 pub use array::{Array2, Array3};
-pub use collector::{Collector, CountHist, SumCollector, VecCollector, WeightHist};
-pub use dyniter::{DynIdx, DynIter, DynStep};
+pub use collector::{Collector, CountHist, VecCollector, WeightHist};
 pub use indexer::{
     ArrayIdx, FnIdx, Indexer, MapIdx, OuterProductIdx, RangeIdx, RowRef, RowsIdx, SliceMemo,
     StripRef, StripsIdx, Zip3Idx, ZipIdx,

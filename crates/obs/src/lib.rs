@@ -164,65 +164,14 @@ pub fn rehome_event(task: usize, seg: u64, from: usize, to: usize, t: f64) -> Ev
     Event { name: "dist:rehome".into(), cat: "dist", track: Track::Root, t, args }
 }
 
-/// Destination for trace records. The runtime only ever talks to this trait;
-/// the default sink is [`NullSink`], whose methods are empty and inline away.
-pub trait TraceSink: Send + Sync {
-    fn record_span(&self, span: Span);
-    fn record_event(&self, event: Event);
-}
-
-/// The no-op sink: recording disabled.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn record_span(&self, _: Span) {}
-    #[inline(always)]
-    fn record_event(&self, _: Event) {}
-}
-
-/// A sink that accumulates records for later export.
-#[derive(Debug, Default)]
-pub struct SpanRecorder {
-    data: Mutex<TraceData>,
-}
-
-impl SpanRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drain everything recorded so far.
-    pub fn take(&self) -> TraceData {
-        std::mem::take(&mut *self.data.lock().expect("trace mutex"))
-    }
-
-    /// Append an already-shifted child timeline.
-    pub fn absorb(&self, mut data: TraceData) {
-        let mut d = self.data.lock().expect("trace mutex");
-        d.spans.append(&mut data.spans);
-        d.events.append(&mut data.events);
-    }
-}
-
-impl TraceSink for SpanRecorder {
-    fn record_span(&self, span: Span) {
-        self.data.lock().expect("trace mutex").spans.push(span);
-    }
-    fn record_event(&self, event: Event) {
-        self.data.lock().expect("trace mutex").events.push(event);
-    }
-}
-
 /// Cheap cloneable handle the runtime threads through every layer.
 ///
 /// `TraceHandle::disabled()` carries no allocation and makes every record
 /// call a single `if let` on `None` — the "no-op default that compiles away".
-/// `TraceHandle::recording()` shares one [`SpanRecorder`] across clones
-/// (root, per-node contexts, worker threads).
+/// `TraceHandle::recording()` shares one mutex-guarded [`TraceData`] across
+/// clones (root, per-node contexts, worker threads).
 #[derive(Clone, Default)]
-pub struct TraceHandle(Option<Arc<SpanRecorder>>);
+pub struct TraceHandle(Option<Arc<Mutex<TraceData>>>);
 
 impl TraceHandle {
     /// The no-op handle: all record calls are single-branch no-ops.
@@ -232,7 +181,7 @@ impl TraceHandle {
 
     /// A handle backed by a fresh shared recorder.
     pub fn recording() -> Self {
-        TraceHandle(Some(Arc::new(SpanRecorder::new())))
+        TraceHandle(Some(Arc::default()))
     }
 
     /// Is anything listening? Use to skip argument construction.
@@ -252,8 +201,9 @@ impl TraceHandle {
         t1: f64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if let Some(sink) = &self.0 {
-            sink.record_span(Span { name: name.into(), cat, track, t0, t1, args });
+        if let Some(data) = &self.0 {
+            let span = Span { name: name.into(), cat, track, t0, t1, args };
+            data.lock().expect("trace mutex").spans.push(span);
         }
     }
 
@@ -267,22 +217,23 @@ impl TraceHandle {
         t: f64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if let Some(sink) = &self.0 {
-            sink.record_event(Event { name: name.into(), cat, track, t, args });
+        if let Some(data) = &self.0 {
+            let event = Event { name: name.into(), cat, track, t, args };
+            data.lock().expect("trace mutex").events.push(event);
         }
     }
 
     /// Append an already-shifted child timeline (no-op when disabled).
-    pub fn absorb(&self, data: TraceData) {
-        if let Some(sink) = &self.0 {
-            sink.absorb(data);
+    pub fn absorb(&self, child: TraceData) {
+        if let Some(data) = &self.0 {
+            data.lock().expect("trace mutex").merge(child);
         }
     }
 
     /// Drain the recorder (empty data for a disabled handle).
     pub fn take(&self) -> TraceData {
         match &self.0 {
-            Some(sink) => sink.take(),
+            Some(data) => std::mem::take(&mut *data.lock().expect("trace mutex")),
             None => TraceData::default(),
         }
     }

@@ -59,11 +59,6 @@ impl PackedPayload {
         PackedPayload { bytes: packed(value) }
     }
 
-    /// Wrap an already-serialized buffer.
-    pub fn from_bytes(bytes: Bytes) -> Self {
-        PackedPayload { bytes }
-    }
-
     /// A zero-byte payload (the unit environment).
     pub fn empty() -> Self {
         PackedPayload { bytes: Bytes::new() }
@@ -114,12 +109,5 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
         p.unpack::<()>().unwrap();
-    }
-
-    #[test]
-    fn from_bytes_roundtrips() {
-        let p = PackedPayload::pack(&42u32);
-        let q = PackedPayload::from_bytes(p.bytes());
-        assert_eq!(q.unpack::<u32>().unwrap(), 42);
     }
 }

@@ -2,8 +2,8 @@
 //! quantities must move in the directions the paper's measurements move.
 
 use triolet::prelude::*;
-use triolet_apps::sgemm;
-use triolet_baselines::EdenRt;
+use triolet_apps::{sgemm, tpacf};
+use triolet_baselines::{EdenRt, LowLevelRt};
 
 /// A compute-heavy workload whose per-element cost is real CPU time.
 fn busy_value(x: u64) -> u64 {
@@ -80,6 +80,34 @@ fn slicing_beats_full_copy_traffic() {
         "eden={} triolet={}",
         e_stats.bytes_out,
         t_stats.bytes_out
+    );
+}
+
+#[test]
+fn two_level_ships_fewer_bytes_than_flat() {
+    // The same tpacf reduction on 32 cores: 2 nodes x 16 shared-memory
+    // threads against two flat organizations of the same machine, 32
+    // single-threaded ranks and 32 Eden processes. The flat runs replicate
+    // the data per rank (paper §3.4); the two-level run ships it per node.
+    let input = tpacf::generate(128, 32, 16, 7);
+    let two_level =
+        tpacf::run_triolet(&Triolet::new(ClusterConfig::virtual_cluster(2, 16)), &input).stats;
+    let (_, flat) =
+        tpacf::run_lowlevel(&LowLevelRt::new(ClusterConfig::virtual_cluster(32, 1)), &input);
+    let (_, eden) = tpacf::run_eden(&EdenRt::new(2, 16), &input).expect("fits Eden buffers");
+
+    for (name, bytes) in [("lowlevel 32x1", flat.bytes_out), ("eden 2x16", eden.bytes_out)] {
+        assert!(
+            bytes as f64 > 1.5 * two_level.bytes_out as f64,
+            "{name} shipped {bytes} bytes, two-level {}",
+            two_level.bytes_out
+        );
+    }
+    assert!(
+        flat.messages > two_level.messages,
+        "flat={} two-level={}",
+        flat.messages,
+        two_level.messages
     );
 }
 
