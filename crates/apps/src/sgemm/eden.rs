@@ -12,6 +12,7 @@
 
 use triolet::{Array2, Dim2Part, Part, RunStats};
 use triolet_baselines::{EdenError, EdenRt};
+use triolet_cluster::clock::timed;
 use triolet_domain::{chunk_ranges, near_square_grid};
 use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
 
@@ -53,9 +54,7 @@ impl Wire for EdenBlock {
 pub fn run_eden(rt: &EdenRt, input: &SgemmInput) -> Result<(Array2<f32>, RunStats), EdenError> {
     // Sequential transpose: Eden cannot profitably parallelize it on
     // distributed memory (no shared heap), so the main process does it.
-    let t0 = std::time::Instant::now();
-    let bt = transpose_seq(&input.b);
-    let transpose_s = t0.elapsed().as_secs_f64();
+    let (bt, transpose_s) = timed(|| transpose_seq(&input.b));
 
     let m = input.a.rows();
     let n = input.b.cols();

@@ -11,7 +11,7 @@ use triolet::RunStats;
 use triolet_baselines::{boxed_pipeline, EdenError, EdenRt};
 use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
 
-use super::{hist_len, score, Point, TpacfInput, TpacfOutput};
+use super::{hist_len, score, AngularBins, Point, TpacfInput, TpacfOutput};
 
 /// One Eden task: a random set (or a DD marker) plus replicated context.
 #[derive(Clone)]
@@ -40,22 +40,22 @@ impl Wire for EdenTask {
 type ThreeHists = (Vec<u64>, Vec<u64>, Vec<u64>);
 
 /// Self-correlation through boxed pipelines (the unfused stepper chain).
-fn boxed_self(bin_edges: &[f64], set: &[Point], hist: &mut [u64]) {
+fn boxed_self(table: &AngularBins, set: &[Point], hist: &mut [u64]) {
     let pairs = boxed_pipeline((0..set.len()).flat_map(|i| {
         let u = set[i];
         boxed_pipeline(set[i + 1..].iter().map(move |&v| (u, v)))
     }));
-    let scored = boxed_pipeline(pairs.map(|(u, v)| score(bin_edges, u, v)));
+    let scored = boxed_pipeline(pairs.map(|(u, v)| score(table, u, v)));
     for bin in scored {
         hist[bin] += 1;
     }
 }
 
 /// Cross-correlation through boxed pipelines.
-fn boxed_cross(bin_edges: &[f64], a: &[Point], b: &[Point], hist: &mut [u64]) {
+fn boxed_cross(table: &AngularBins, a: &[Point], b: &[Point], hist: &mut [u64]) {
     let pairs =
         boxed_pipeline(a.iter().flat_map(|&u| boxed_pipeline(b.iter().map(move |&v| (u, v)))));
-    let scored = boxed_pipeline(pairs.map(|(u, v)| score(bin_edges, u, v)));
+    let scored = boxed_pipeline(pairs.map(|(u, v)| score(table, u, v)));
     for bin in scored {
         hist[bin] += 1;
     }
@@ -64,13 +64,16 @@ fn boxed_cross(bin_edges: &[f64], a: &[Point], b: &[Point], hist: &mut [u64]) {
 /// Run tpacf through the Eden runtime.
 pub fn run_eden(rt: &EdenRt, input: &TpacfInput) -> Result<(TpacfOutput, RunStats), EdenError> {
     let bins = hist_len(input);
-    let mut tasks: Vec<EdenTask> =
-        vec![EdenTask { rand: None, obs: input.obs.clone(), bin_edges: input.bin_edges.clone() }];
+    let mut tasks: Vec<EdenTask> = vec![EdenTask {
+        rand: None,
+        obs: input.obs.clone(),
+        bin_edges: input.bin_edges.edges().to_vec(),
+    }];
     for rand in &input.rands {
         tasks.push(EdenTask {
             rand: Some(rand.clone()),
             obs: input.obs.clone(), // replicated per task
-            bin_edges: input.bin_edges.clone(),
+            bin_edges: input.bin_edges.edges().to_vec(),
         });
     }
 
@@ -80,11 +83,12 @@ pub fn run_eden(rt: &EdenRt, input: &TpacfInput) -> Result<(TpacfOutput, RunStat
             let mut dd = vec![0u64; bins];
             let mut dr = vec![0u64; bins];
             let mut rr = vec![0u64; bins];
+            let table = AngularBins::new(t.bin_edges);
             match &t.rand {
-                None => boxed_self(&t.bin_edges, &t.obs, &mut dd),
+                None => boxed_self(&table, &t.obs, &mut dd),
                 Some(rand) => {
-                    boxed_cross(&t.bin_edges, &t.obs, rand, &mut dr);
-                    boxed_self(&t.bin_edges, rand, &mut rr);
+                    boxed_cross(&table, &t.obs, rand, &mut dr);
+                    boxed_self(&table, rand, &mut rr);
                 }
             }
             (dd, dr, rr)

@@ -13,10 +13,10 @@ use triolet_domain::{chunk_ranges, Domain, Seq};
 use triolet_serial::{PodView, Wire, WireReader, WireResult, WireWriter};
 
 use super::seq::{cross_correlation_tiled, self_correlation_rows_tiled, self_correlation_tiled};
-use super::{hist_len, Point, TpacfInput, TpacfOutput};
+use super::{hist_len, AngularBins, Point, TpacfInput, TpacfOutput};
 
 /// One rank's hand-built message: its random datasets plus copies of the
-/// observed set and the bin edges.
+/// observed set and the bin edges (the kernel builds the lookup table).
 #[derive(Clone)]
 struct RankPayload {
     rands: Vec<Vec<Point>>,
@@ -52,12 +52,13 @@ type ThreeHists = (Vec<u64>, Vec<u64>, Vec<u64>);
 /// The node kernel: private histograms per thread chunk, reduced by hand.
 fn kernel(ctx: &NodeCtx, p: RankPayload) -> ThreeHists {
     let bins = p.bin_edges.len();
+    let table = AngularBins::new(p.bin_edges.to_vec());
     // DR + RR: one task per random set, each with private histograms.
     let per_set = ctx.map_chunks(p.rands.clone(), |rand: &Vec<Point>| {
         let mut dr = vec![0u64; bins];
         let mut rr = vec![0u64; bins];
-        cross_correlation_tiled(&p.bin_edges, &p.obs, rand, &mut dr);
-        self_correlation_tiled(&p.bin_edges, rand, &mut rr);
+        cross_correlation_tiled(&table, &p.obs, rand, &mut dr);
+        self_correlation_tiled(&table, rand, &mut rr);
         (dr, rr)
     });
     // DD on the designated rank: thread-chunked triangular loop with
@@ -67,7 +68,7 @@ fn kernel(ctx: &NodeCtx, p: RankPayload) -> ThreeHists {
         let chunks = Seq::new(n).split_parts(ctx.threads() * 4);
         let privates = ctx.map_chunks(chunks, |c: &SeqPart| {
             let mut h = vec![0u64; bins];
-            self_correlation_rows_tiled(&p.bin_edges, &p.obs, c.start, c.end(), &mut h);
+            self_correlation_rows_tiled(&table, &p.obs, c.start, c.end(), &mut h);
             h
         });
         ctx.sequential(|| {
@@ -109,7 +110,7 @@ pub fn run_lowlevel(rt: &LowLevelRt, input: &TpacfInput) -> (TpacfOutput, RunSta
         .map(|(rank, &(s, l))| RankPayload {
             rands: input.rands[s..s + l].to_vec(),
             obs: input.obs.clone(),
-            bin_edges: PodView::from_vec(input.bin_edges.clone()),
+            bin_edges: PodView::from_vec(input.bin_edges.edges().to_vec()),
             compute_dd: rank == 0,
         })
         .collect();
@@ -118,7 +119,7 @@ pub fn run_lowlevel(rt: &LowLevelRt, input: &TpacfInput) -> (TpacfOutput, RunSta
         vec![RankPayload {
             rands: Vec::new(),
             obs: input.obs.clone(),
-            bin_edges: PodView::from_vec(input.bin_edges.clone()),
+            bin_edges: PodView::from_vec(input.bin_edges.edges().to_vec()),
             compute_dd: true,
         }]
     } else {

@@ -9,7 +9,11 @@
 //! We parallelize across data sets and across elements of a data set."
 //!
 //! Each comparison computes the angle between two unit vectors on the
-//! celestial sphere and bins it into logarithmically spaced angular bins.
+//! celestial sphere and bins it into logarithmically spaced angular bins
+//! through one [`AngularBins`] lookup table, in every formulation. Pairs
+//! beyond the last edge (more than 90 degrees apart) fold into the last
+//! bin: on uniform data that is half of all pairs, and the last bin (from
+//! about 68 to 90 degrees and beyond) holds about two thirds of them.
 
 mod eden;
 mod lowlevel;
@@ -24,6 +28,8 @@ pub use seq::{
 };
 pub use triolet_impl::{run_triolet, run_triolet_tiled};
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,8 +43,9 @@ pub struct TpacfInput {
     pub obs: Vec<Point>,
     /// Random datasets, each the same length as `obs`.
     pub rands: Vec<Vec<Point>>,
-    /// Angular bin edges in `cos(theta)`, descending (angle ascending).
-    pub bin_edges: Vec<f64>,
+    /// Angular bin edges in `cos(theta)`, descending (angle ascending),
+    /// with their lookup table.
+    pub bin_edges: AngularBins,
 }
 
 /// The three correlation histograms.
@@ -85,7 +92,7 @@ pub fn generate(n: usize, n_rand: usize, bins: usize, seed: u64) -> TpacfInput {
 /// Logarithmically spaced bin edges in `cos(theta)`, descending: bin `i`
 /// covers angles in `[edge_angle(i), edge_angle(i+1))` from 0.01 to 90
 /// degrees.
-pub fn log_bins(bins: usize) -> Vec<f64> {
+pub fn log_bins(bins: usize) -> AngularBins {
     let min_deg = 0.01f64;
     let max_deg = 90.0f64;
     let ratio = (max_deg / min_deg).powf(1.0 / bins as f64);
@@ -94,7 +101,7 @@ pub fn log_bins(bins: usize) -> Vec<f64> {
         let angle_deg = min_deg * ratio.powi(i as i32);
         edges.push(angle_deg.to_radians().cos());
     }
-    edges
+    AngularBins::new(edges)
 }
 
 /// Bin index for a pair of unit vectors: the paper's `score(size, u, v)`.
@@ -102,41 +109,97 @@ pub fn log_bins(bins: usize) -> Vec<f64> {
 /// Returns `bins` (the overflow cell) for angles below the smallest edge, so
 /// no pair is silently dropped.
 #[inline]
-pub fn score(bin_edges: &[f64], u: Point, v: Point) -> usize {
+pub fn score(table: &AngularBins, u: Point, v: Point) -> usize {
     let dot = (u.0 * v.0 + u.1 * v.1 + u.2 * v.2).clamp(-1.0, 1.0);
-    score_cos(bin_edges, dot)
+    score_cos(table, dot)
 }
 
-/// Bin index for an already-computed (clamped) pair cosine: the search half
+/// Bin index for an already-computed (clamped) pair cosine: the lookup half
 /// of [`score`]. The tiled correlation loops batch the dot products of one
 /// tile (a vectorizable loop) and then bin the batch through this function,
 /// so every pair takes exactly the same arithmetic path as [`score`].
 #[inline]
-pub fn score_cos(bin_edges: &[f64], dot: f64) -> usize {
-    // Edges descend in cos; find the first bin whose lower cos edge is
-    // below the dot (i.e. whose angle exceeds the pair's angle).
-    // bin i covers cos in (edges[i+1], edges[i]].
-    let bins = bin_edges.len() - 1;
-    if dot > bin_edges[0] {
-        return bins; // closer than the smallest angle: overflow cell
+pub fn score_cos(table: &AngularBins, dot: f64) -> usize {
+    let e = &table.edges;
+    if dot > e[0] {
+        return e.len() - 1; // closer than the smallest angle: overflow cell
     }
-    // Binary search on the descending edge array.
-    let mut lo = 0usize;
-    let mut hi = bins;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if dot > bin_edges[mid + 1] {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    // Lower edges in cells above the dot's are >= dot and all count; of
+    // the run sharing its cell, those the dot exceeds do not.
+    let c = cell(dot);
+    let (lo, hi) = (table.first[c + 1] as usize, table.first[c] as usize);
+    let below = e[1 + lo..1 + hi].iter().filter(|&&edge| dot > edge).count();
+    (hi - below).min(e.len() - 2)
+}
+
+/// Cells of the [`AngularBins`] lookup table over `cos(theta)` in `[-1, 1]`.
+const CELLS: usize = 1024;
+
+/// The table cell of a cosine: `min(((x + 1) * CELLS/2) as usize, CELLS)`.
+/// Every step is monotone and `as usize` saturates (NaN goes to 0), so the
+/// cell never decreases as `x` grows.
+#[inline]
+fn cell(x: f64) -> usize {
+    (((x + 1.0) * (CELLS / 2) as f64) as usize).min(CELLS)
+}
+
+/// Angular bin edges with a lookup table that bins a cosine without a
+/// search: what [`score`] and every correlation loop bin through.
+///
+/// Bin `i` covers `cos(theta)` in `(edges[i+1], edges[i]]`; a cosine above
+/// `edges[0]` goes to the overflow cell `bins`, and one at or below the
+/// last edge (an angle past it, e.g. beyond 90 degrees for [`log_bins`])
+/// folds into the last bin `bins - 1`, as does NaN.
+///
+/// The bin of a cosine not above `edges[0]` is the number of lower edges
+/// `edges[1..]` it does not exceed, clamped to `bins - 1`. Because [`cell`]
+/// never decreases, a lower edge in a higher cell than the dot is `>=` it
+/// and one in a lower cell is below it; only the contiguous run of edges
+/// sharing the dot's cell is compared exactly. So each cell only needs the
+/// bounds of its run, and the count is exact for every cosine.
+#[derive(Clone, PartialEq)]
+pub struct AngularBins {
+    /// Bin edges in `cos(theta)`, non-increasing (angle ascending).
+    edges: Vec<f64>,
+    /// `first[c]`: how many lower edges lie in cell `c` or above. The run of
+    /// cell `c` is `first[c + 1]..first[c]` in `edges[1..]`.
+    first: Box<[u32; CELLS + 2]>,
+}
+
+impl AngularBins {
+    /// Build the table for `edges` in O(`CELLS` + edges).
+    ///
+    /// # Panics
+    /// Unless there are at least two edges (one bin) and they are
+    /// non-increasing (which rules out NaN): the caller's contract.
+    pub fn new(edges: Vec<f64>) -> Self {
+        assert!(edges.len() >= 2, "angular bins need at least two edges");
+        assert!(edges.windows(2).all(|w| w[0] >= w[1]), "angular bin edges must be non-increasing");
+        let mut first = Box::new([0u32; CELLS + 2]);
+        for &edge in &edges[1..] {
+            first[cell(edge)] += 1;
         }
+        for c in (0..=CELLS).rev() {
+            first[c] += first[c + 1];
+        }
+        AngularBins { edges, first }
     }
-    lo.min(bins - 1)
+
+    /// The edges, non-increasing in `cos(theta)`.
+    pub fn edges(&self) -> &[f64] {
+        &self.edges
+    }
+}
+
+impl fmt::Debug for AngularBins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AngularBins").field("edges", &self.edges).finish_non_exhaustive()
+    }
 }
 
 /// Histogram bin count for an input (bins plus one overflow cell).
 pub fn hist_len(input: &TpacfInput) -> usize {
-    input.bin_edges.len()
+    input.bin_edges.edges().len()
 }
 
 /// Validate two outputs exactly (histograms are integral).
@@ -183,6 +246,18 @@ mod tests {
         let v1 = (1.0f64.to_radians().cos(), 1.0f64.to_radians().sin(), 0.0);
         let v45 = (45.0f64.to_radians().cos(), 45.0f64.to_radians().sin(), 0.0);
         assert!(score(&edges, u, v1) < score(&edges, u, v45));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-increasing")]
+    fn angular_bins_reject_increasing_edges() {
+        AngularBins::new(vec![0.5, 0.25, 0.75]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-increasing")]
+    fn angular_bins_reject_nan_edges() {
+        AngularBins::new(vec![1.0, f64::NAN, 0.0]);
     }
 
     #[test]

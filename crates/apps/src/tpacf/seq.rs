@@ -1,22 +1,22 @@
 //! Sequential reference: plain nested loops and a mutable histogram.
 
-use super::{hist_len, score, score_cos, Point, TpacfInput, TpacfOutput};
+use super::{hist_len, score, score_cos, AngularBins, Point, TpacfInput, TpacfOutput};
 
 /// Self-correlation: all unique pairs `(i, j)` with `j > i`.
-pub fn self_correlation(bin_edges: &[f64], set: &[Point], hist: &mut [u64]) {
+pub fn self_correlation(table: &AngularBins, set: &[Point], hist: &mut [u64]) {
     for i in 0..set.len() {
         let u = set[i];
         for &v in &set[i + 1..] {
-            hist[score(bin_edges, u, v)] += 1;
+            hist[score(table, u, v)] += 1;
         }
     }
 }
 
 /// Cross-correlation: all pairs from `a x b`.
-pub fn cross_correlation(bin_edges: &[f64], a: &[Point], b: &[Point], hist: &mut [u64]) {
+pub fn cross_correlation(table: &AngularBins, a: &[Point], b: &[Point], hist: &mut [u64]) {
     for &u in a {
         for &v in b {
-            hist[score(bin_edges, u, v)] += 1;
+            hist[score(table, u, v)] += 1;
         }
     }
 }
@@ -29,10 +29,10 @@ pub const CORR_TILE: usize = 32;
 /// (every unique pair scored once with the same arithmetic as [`score`]),
 /// so the histogram is bit-for-bit identical — u64 increments commute. The
 /// i-loop is tiled; each streamed `v` computes its tile of dot products in
-/// one batch (a vectorizable loop with no branches) before the branchy bin
-/// search consumes the batch.
-pub fn self_correlation_tiled(bin_edges: &[f64], set: &[Point], hist: &mut [u64]) {
-    self_correlation_rows_tiled(bin_edges, set, 0, set.len(), hist);
+/// one batch (a vectorizable loop with no branches) before the table lookup
+/// bins the batch.
+pub fn self_correlation_tiled(table: &AngularBins, set: &[Point], hist: &mut [u64]) {
+    self_correlation_rows_tiled(table, set, 0, set.len(), hist);
 }
 
 /// Batched inner step shared by the tiled loops: dot one streamed point
@@ -40,14 +40,14 @@ pub fn self_correlation_tiled(bin_edges: &[f64], set: &[Point], hist: &mut [u64]
 /// Each pair's cosine is `(u.0*v.0 + u.1*v.1 + u.2*v.2).clamp(-1, 1)` —
 /// exactly [`score`]'s arithmetic — so the bins are identical.
 #[inline]
-fn score_tile(bin_edges: &[f64], tile: &[Point], v: Point, hist: &mut [u64]) {
+fn score_tile(table: &AngularBins, tile: &[Point], v: Point, hist: &mut [u64]) {
     let mut dots = [0.0f64; CORR_TILE];
     let n = tile.len();
     for (d, &u) in dots[..n].iter_mut().zip(tile) {
         *d = (u.0 * v.0 + u.1 * v.1 + u.2 * v.2).clamp(-1.0, 1.0);
     }
     for &d in &dots[..n] {
-        hist[score_cos(bin_edges, d)] += 1;
+        hist[score_cos(table, d)] += 1;
     }
 }
 
@@ -55,7 +55,7 @@ fn score_tile(bin_edges: &[f64], tile: &[Point], v: Point, hist: &mut [u64]) {
 /// `(i, j)` with `lo <= i < hi` and `j > i`. The building block for both
 /// [`self_correlation_tiled`] and thread-chunked distributed DD loops.
 pub fn self_correlation_rows_tiled(
-    bin_edges: &[f64],
+    table: &AngularBins,
     set: &[Point],
     lo: usize,
     hi: usize,
@@ -68,13 +68,13 @@ pub fn self_correlation_rows_tiled(
         for i in ib..ie {
             let u = set[i];
             for &v in &set[i + 1..ie] {
-                hist[score(bin_edges, u, v)] += 1;
+                hist[score(table, u, v)] += 1;
             }
         }
         // Tile vs everything past it: stream each v across the hot tile,
-        // batching the dots before the bin search.
+        // batching the dots before the bin lookup.
         for &v in &set[ie..] {
-            score_tile(bin_edges, &set[ib..ie], v, hist);
+            score_tile(table, &set[ib..ie], v, hist);
         }
         ib = ie;
     }
@@ -82,12 +82,12 @@ pub fn self_correlation_rows_tiled(
 
 /// Tiled cross-correlation: same pair set as [`cross_correlation`], i-tiled
 /// over `a` so each tile of `a` stays cache-resident while `b` streams by.
-pub fn cross_correlation_tiled(bin_edges: &[f64], a: &[Point], b: &[Point], hist: &mut [u64]) {
+pub fn cross_correlation_tiled(table: &AngularBins, a: &[Point], b: &[Point], hist: &mut [u64]) {
     let mut ib = 0;
     while ib < a.len() {
         let ie = (ib + CORR_TILE).min(a.len());
         for &v in b {
-            score_tile(bin_edges, &a[ib..ie], v, hist);
+            score_tile(table, &a[ib..ie], v, hist);
         }
         ib = ie;
     }

@@ -31,35 +31,35 @@ use triolet_domain::chunk_ranges;
 use triolet_iter::StepFlat;
 
 use super::seq::{cross_correlation_tiled, self_correlation_rows_tiled, self_correlation_tiled};
-use super::{hist_len, score, Point, TpacfInput, TpacfOutput};
+use super::{hist_len, score, AngularBins, Point, TpacfInput, TpacfOutput};
 
 /// The fused triangular pair loop of Figure 6 lines 15–18, drained into a
 /// histogram (the `correlation` function): runs inside one task.
-fn corr1_self(bin_edges: &Arc<Vec<f64>>, rand: &[Point], bins: usize) -> CountHist {
+fn corr1_self(table: &Arc<AngularBins>, rand: &[Point], bins: usize) -> CountHist {
     let data = Arc::new(rand.to_vec());
     let inner_data = Arc::clone(&data);
-    let edges = Arc::clone(bin_edges);
+    let table = Arc::clone(table);
     let pairs = zip(range(data.len()), from_vec(rand.to_vec()))
         .concat_map(move |(i, u): (usize, Point)| {
             let rand = Arc::clone(&inner_data);
             StepFlat::new((i + 1..rand.len()).map(move |j| (u, rand[j])))
         })
-        .map(move |(u, v): (Point, Point)| score(&edges, u, v));
+        .map(move |(u, v): (Point, Point)| score(&table, u, v));
     let mut h = CountHist::new(bins);
     pairs.collect_into(&mut h);
     h
 }
 
 /// Cross-correlation pair loop for one dataset against the observed set.
-fn corr1_cross(bin_edges: &Arc<Vec<f64>>, obs: &[Point], rand: &[Point], bins: usize) -> CountHist {
+fn corr1_cross(table: &Arc<AngularBins>, obs: &[Point], rand: &[Point], bins: usize) -> CountHist {
     let obs = Arc::new(obs.to_vec());
-    let edges = Arc::clone(bin_edges);
+    let table = Arc::clone(table);
     let pairs = from_vec(rand.to_vec())
         .concat_map(move |v: Point| {
             let obs = Arc::clone(&obs);
             StepFlat::new((0..obs.len()).map(move |i| (obs[i], v)))
         })
-        .map(move |(u, v): (Point, Point)| score(&edges, u, v));
+        .map(move |(u, v): (Point, Point)| score(&table, u, v));
     let mut h = CountHist::new(bins);
     pairs.collect_into(&mut h);
     h
@@ -68,10 +68,10 @@ fn corr1_cross(bin_edges: &Arc<Vec<f64>>, obs: &[Point], rand: &[Point], bins: u
 /// Run tpacf through the Triolet skeletons on `rt`.
 pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
     let bins = hist_len(input);
-    let edges = Arc::new(input.bin_edges.clone());
+    let table = Arc::new(input.bin_edges.clone());
 
     // --- DD: self-correlation of the observed set, localpar --------------
-    let dd_edges = Arc::clone(&edges);
+    let dd_table = Arc::clone(&table);
     let obs_data = Arc::new(input.obs.clone());
     let inner_obs = Arc::clone(&obs_data);
     let dd_pairs = zip(range(input.obs.len()), from_vec(input.obs.clone()))
@@ -79,7 +79,7 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
             let obs = Arc::clone(&inner_obs);
             StepFlat::new((i + 1..obs.len()).map(move |j| (u, obs[j])))
         })
-        .map(move |(u, v): (Point, Point)| score(&dd_edges, u, v))
+        .map(move |(u, v): (Point, Point)| score(&dd_table, u, v))
         .localpar();
     let mut dd = rt.histogram(bins, dd_pairs);
 
@@ -89,13 +89,13 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
     let rands = rt.scatter(input.rands.clone());
 
     // --- RR: self-correlation of each random set, par over sets ----------
-    let rr_edges = Arc::clone(&edges);
+    let rr_table = Arc::clone(&table);
     let rr = rt.fold_reduce(
         &rands.value,
         &(),
         move || CountHist::new(bins),
         move |(), mut h: CountHist, rand: Vec<Point>| {
-            h.merge(corr1_self(&rr_edges, &rand, bins));
+            h.merge(corr1_self(&rr_table, &rand, bins));
             h
         },
         |mut a, b| {
@@ -108,13 +108,13 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
     // The observed set is packed to wire bytes exactly once here; the
     // skeleton reuses the shared buffer for every node and retransmission.
     let obs_env = rt.pack_env(input.obs.clone());
-    let dr_edges = Arc::clone(&edges);
+    let dr_table = Arc::clone(&table);
     let dr = rt.fold_reduce(
         &rands.value,
         &obs_env,
         move || CountHist::new(bins),
         move |obs: &Vec<Point>, mut h: CountHist, rand: Vec<Point>| {
-            h.merge(corr1_cross(&dr_edges, obs, &rand, bins));
+            h.merge(corr1_cross(&dr_table, obs, &rand, bins));
             h
         },
         |mut a, b| {
@@ -145,7 +145,7 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
 /// scored exactly once with the same `score`, and u64 increments commute.
 pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
     let bins = hist_len(input);
-    let edges = Arc::new(input.bin_edges.clone());
+    let table = Arc::new(input.bin_edges.clone());
 
     let add = |mut a: Vec<u64>, b: Vec<u64>| {
         for (x, y) in a.iter_mut().zip(b) {
@@ -156,7 +156,7 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
 
     // --- DD: par over anchor-row chunks, observed set broadcast once ------
     let obs_env = rt.pack_env(input.obs.clone());
-    let dd_edges = Arc::clone(&edges);
+    let dd_table = Arc::clone(&table);
     let dd_chunks: Vec<(usize, usize)> = chunk_ranges(input.obs.len(), rt.nodes() * 8)
         .into_iter()
         .map(|(s, l)| (s, s + l))
@@ -166,7 +166,7 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
         &obs_env,
         move || vec![0u64; bins],
         move |obs: &Vec<Point>, mut h: Vec<u64>, (lo, hi): (usize, usize)| {
-            self_correlation_rows_tiled(&dd_edges, obs, lo, hi, &mut h);
+            self_correlation_rows_tiled(&dd_table, obs, lo, hi, &mut h);
             h
         },
         add,
@@ -177,13 +177,13 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
     let rands = rt.scatter(input.rands.clone());
 
     // --- RR: tiled self-correlation of each random set -------------------
-    let rr_edges = Arc::clone(&edges);
+    let rr_table = Arc::clone(&table);
     let mut rr = rt.fold_reduce(
         &rands.value,
         &(),
         move || vec![0u64; bins],
         move |(), mut h: Vec<u64>, rand: Vec<Point>| {
-            self_correlation_tiled(&rr_edges, &rand, &mut h);
+            self_correlation_tiled(&rr_table, &rand, &mut h);
             h
         },
         add,
@@ -191,13 +191,13 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
 
     // --- DR: tiled cross-correlation against the broadcast observed set --
     let dr_obs_env = rt.pack_env(input.obs.clone());
-    let dr_edges = Arc::clone(&edges);
+    let dr_table = Arc::clone(&table);
     let dr = rt.fold_reduce(
         &rands.value,
         &dr_obs_env,
         move || vec![0u64; bins],
         move |obs: &Vec<Point>, mut h: Vec<u64>, rand: Vec<Point>| {
-            cross_correlation_tiled(&dr_edges, obs, &rand, &mut h);
+            cross_correlation_tiled(&dr_table, obs, &rand, &mut h);
             h
         },
         add,

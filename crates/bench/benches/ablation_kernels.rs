@@ -10,8 +10,9 @@
 //!    cache-blocked, register-blocked tiled kernel on one node-sized block.
 //!    The tiled kernel preserves the ascending-k accumulation chain, so the
 //!    outputs are bit-identical; the full-size run must show >= 2x.
-//! 2. **tpacf histogram kernel** — naive vs i-tiled correlation loops; the
-//!    histograms are exactly equal (same pair multiset).
+//! 2. **tpacf histogram kernel** — naive vs i-tiled correlation loops, both
+//!    binning through the input's `AngularBins` table, so the ratio is what
+//!    the tiling buys; the histograms are exactly equal (same pair multiset).
 //! 3. **POD unpack** — decoding the same wire bytes as a copying `Vec<f32>`
 //!    vs a zero-copy `PodView<f32>`, with the serial layer's byte counters
 //!    showing the memcpy traffic collapsing to zero; plus a distributed

@@ -3,8 +3,8 @@
 //! Every modeled compute duration — a node leaf, a merge, a root-side pack,
 //! unpack or fold — is a host reading taken here, so the seam a model of
 //! declared costs would replace is one module wide. CI's `lint` job fails
-//! when non-test code elsewhere in `crates/{cluster,core,baselines}` calls
-//! `Instant::now`.
+//! when non-test code elsewhere in `crates/{cluster,core,baselines,apps}`
+//! (outside the app binaries) calls `Instant::now`.
 //!
 //! A timed body runs in a frame of its own. x86-64 SysV has no callee-saved
 //! XMM register, so a body inlined between two clock reads must keep every
