@@ -12,14 +12,15 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use bytes::Bytes;
 use triolet_obs::{tree_edge_args, ArgValue, TraceData, TraceHandle, Track};
 use triolet_serial::{packed, unpack_all, unpack_counters, Piece, Wire, WireError};
 
 use crate::clock::timed;
-use crate::cost::{CostModel, DistTiming, TrafficStats};
+use crate::cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
 use crate::fault::FaultPlan;
 use crate::node::{NodeCtx, ResidentStore};
-use crate::sim::{self, SimEdge, SimProblem, SimTask};
+use crate::sim::{self, SimEdge, SimProblem, SimTask, SimTimes};
 use crate::tree;
 
 /// Pseudo-rank of the root in fault-schedule coordinates (the root is not a
@@ -68,12 +69,21 @@ pub enum Topology {
     Tree,
 }
 
-/// A result payload gathered at the root failed to decode.
+/// Why a dispatch could not complete.
 ///
-/// A damaged or mistyped result surfaces as a typed error through the
-/// `try_*` entry points, not as a panic.
+/// A fault plan that leaves a task nowhere to run is known before any task
+/// body runs; a damaged or mistyped result only once it reaches the root.
+/// Both surface as typed errors through the `try_*` entry points, not as
+/// panics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchError {
+    /// The fault plan crashes every node, so no task can run anywhere.
+    AllCrashed,
+    /// Every surviving candidate for task `task` exhausted its retry budget.
+    Unroutable {
+        /// Index of the task the plan found no rank for.
+        task: usize,
+    },
     /// Task `task`'s result bytes did not decode as the expected type.
     Decode {
         /// Index of the task whose result failed to decode.
@@ -86,6 +96,14 @@ pub enum DispatchError {
 impl std::fmt::Display for DispatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DispatchError::AllCrashed => {
+                write!(f, "fault plan crashes every node: nothing can recover")
+            }
+            DispatchError::Unroutable { task } => write!(
+                f,
+                "fault plan leaves no route for task {task}: \
+                 every surviving candidate exhausted its retry budget"
+            ),
             DispatchError::Decode { task, source } => {
                 write!(f, "task {task}'s result failed to decode at the root: {source}")
             }
@@ -299,7 +317,7 @@ impl<'a, R> RawTask<'a, R> {
 /// The dispatcher folds each message's copies and unacknowledged attempts
 /// into its edge duration ([`Attempts::seconds`]), and the simulator lays
 /// those on the virtual clock as send, receive, and retry-timer events.
-#[derive(Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Attempts {
     /// Transmission attempts (1 + retries).
     attempts: u32,
@@ -373,39 +391,27 @@ impl Attempts {
     }
 }
 
-/// One dispatch's traffic totals, kept in step with the cluster-wide
-/// [`TrafficStats`]: every message is counted in both by one call.
-struct Tally<'s> {
-    stats: &'s TrafficStats,
-    /// The counts so far (times are filled in when the dispatch closes).
-    totals: DistTiming,
+/// One operation's message counts: what it adds to its [`DistTiming`], and
+/// the per-attempt fault outcomes only the cluster-wide [`TrafficStats`]
+/// keeps. A plain value, banked cluster-wide in one write.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Counts {
+    /// The counts (times are filled in when the operation closes).
+    timing: DistTiming,
+    dropped: u64,
+    duplicated: u64,
+    corrupted: u64,
 }
 
-impl<'s> Tally<'s> {
-    fn new(stats: &'s TrafficStats) -> Self {
-        Tally { stats, totals: DistTiming::default() }
-    }
-
+impl Counts {
     /// Count one `bytes`-sized message from `from` to `to` (ranks, or
     /// [`ROOT`]) and everything the schedule did to it.
     fn message(&mut self, tx: &Attempts, bytes: usize, (from, to): (usize, usize)) {
+        self.dropped += tx.drops as u64;
+        self.duplicated += tx.dups as u64;
+        self.corrupted += tx.corrupts as u64;
+        let t = &mut self.timing;
         let copies = tx.copies();
-        for _ in 0..copies {
-            self.stats.record(bytes);
-        }
-        for _ in 0..tx.drops {
-            self.stats.record_dropped();
-        }
-        for _ in 0..tx.corrupts {
-            self.stats.record_corrupted();
-        }
-        for _ in 0..tx.dups {
-            self.stats.record_duplicated();
-        }
-        for _ in 0..tx.retries() {
-            self.stats.record_retry();
-        }
-        let t = &mut self.totals;
         t.messages += copies;
         t.retries += tx.retries() as u64;
         let total = bytes as u64 * copies;
@@ -423,82 +429,91 @@ impl<'s> Tally<'s> {
     /// Count where one task ended up: its redispatches and, for a resident
     /// task, whether it ran on its segment's home rank.
     fn placement(&mut self, route: &TaskRoute) {
-        for _ in 0..route.redispatches {
-            self.stats.record_redispatch();
-        }
-        self.totals.redispatches += route.redispatches;
+        self.timing.redispatches += route.hops.len().saturating_sub(1) as u64;
         if let Some(spec) = route.resident {
             if route.exec == spec.home {
-                self.stats.record_resident_hit();
-                self.totals.resident_hits += 1;
+                self.timing.resident_hits += 1;
             } else {
-                self.stats.record_resident_miss();
-                self.totals.resident_misses += 1;
+                self.timing.resident_misses += 1;
             }
         }
     }
 
-    /// Close the dispatch: the totals with its times, the root's unpack
-    /// byte movement banked cluster-wide.
-    fn timing(
-        self,
-        total_s: f64,
-        comm_s: f64,
-        node_compute_s: Vec<f64>,
-        (unpack_copied, unpack_aliased): (u64, u64),
-    ) -> DistTiming {
-        self.stats.record_unpack(unpack_copied, unpack_aliased);
-        DistTiming { total_s, comm_s, node_compute_s, unpack_copied, unpack_aliased, ..self.totals }
+    /// The counts in the cluster-wide ledger's terms.
+    fn traffic(&self) -> TrafficSnapshot {
+        let t = &self.timing;
+        TrafficSnapshot {
+            messages: t.messages,
+            bytes: t.bytes_out + t.bytes_back,
+            dropped: self.dropped,
+            duplicated: self.duplicated,
+            corrupted: self.corrupted,
+            retries: t.retries,
+            redispatches: t.redispatches,
+            resident_hits: t.resident_hits,
+            resident_misses: t.resident_misses,
+            unpack_copied: t.unpack_copied,
+            unpack_aliased: t.unpack_aliased,
+            ..TrafficSnapshot::default()
+        }
     }
 }
 
 /// How one task's payload traveled from the root: one entry per rank tried
 /// (none for a task that rode the environment in).
+#[derive(Debug, Clone, PartialEq)]
 struct Hop {
     /// The rank this hop targeted.
     dest: usize,
     /// What each copy carried: the task's private bytes for `dest` plus the
-    /// pieces riding along. Set by the dispatcher's forward walk, once the
-    /// scatter plan says which pieces those are.
+    /// pieces riding along.
     bytes: usize,
     tx: Attempts,
-    /// Whether the final attempt arrived intact (false => moved on).
-    delivered: bool,
-}
-
-impl Hop {
-    /// Attempts the root waited out an ack timeout for.
-    fn timeouts(&self) -> u32 {
-        self.tx.attempts - u32::from(self.delivered)
-    }
 }
 
 /// The full (pre-computed, deterministic) route of one task.
+#[derive(Debug, Clone, PartialEq)]
 struct TaskRoute {
     /// The rank that finally executes the task.
     exec: usize,
+    /// Every rank tried, in order: all but the last timed out, and each
+    /// move to the next is one redispatch.
     hops: Vec<Hop>,
-    redispatches: u64,
+    /// The result's trip back, decided like every other transfer: only its
+    /// size waits for the body.
+    ret: Attempts,
     /// The task's resident claim, if it has one: `exec == home` is a hit.
     resident: Option<ResidentSpec>,
 }
 
-/// Decide, purely from the fault schedule, where task `i` ends up running.
-/// Candidates are tried in order: the task's `home` rank first (its index
-/// for ordinary tasks, its resident segment's rank for resident ones), then
-/// the surviving ranks after it (wrapping), each with the plan's full retry
-/// budget. Moving to the next candidate is one redispatch. The fault
-/// schedule is keyed on the task index `i`, not the home rank, so a
-/// resident and a re-broadcast run of the same call see the same faults.
-fn plan_route<R>(plan: &FaultPlan, n_nodes: usize, t: &RawTask<'_, R>, i: usize) -> TaskRoute {
+/// Decide, purely from the fault schedule, where task `i` ends up running:
+/// the rank, and each rank tried with what the schedule did to the attempts
+/// sent there (the last of them delivered). Candidates are tried in order:
+/// the task's `home` rank first (its index for ordinary tasks, its resident
+/// segment's rank for resident ones), then the surviving ranks after it
+/// (wrapping), each with the plan's full retry budget. Moving to the next
+/// candidate is one redispatch. The fault schedule is keyed on the task
+/// index `i`, not the home rank, so a resident and a re-broadcast run of
+/// the same call see the same faults. A task that rides a `bcast_bytes`
+/// environment has no message to route: it executes at home, where the
+/// environment finds it, and draws nothing from the schedule.
+fn plan_route<R>(
+    plan: &FaultPlan,
+    n_nodes: usize,
+    (i, t): (usize, &RawTask<'_, R>),
+    bcast_bytes: usize,
+) -> Result<(usize, Vec<(usize, Attempts)>), DispatchError> {
     let home = t.home(i);
+    if t.rides(home, plan, bcast_bytes) {
+        return Ok((home, Vec::new()));
+    }
     let mut candidates = vec![home];
     if plan.is_active() {
         candidates
             .extend((1..n_nodes).map(|off| (home + off) % n_nodes).filter(|&r| !plan.crashed(r)));
     }
-    let mut hops = Vec::new();
-    for (ci, &dest) in candidates.iter().enumerate() {
+    let mut tries = Vec::new();
+    for dest in candidates {
         let (tx, delivered) = Attempts::plan(
             plan,
             (ROOT, dest),
@@ -506,15 +521,12 @@ fn plan_route<R>(plan: &FaultPlan, n_nodes: usize, t: &RawTask<'_, R>, i: usize)
             plan.max_retries + 1,
             !plan.crashed(dest),
         );
-        hops.push(Hop { dest, bytes: 0, tx, delivered });
+        tries.push((dest, tx));
         if delivered {
-            return TaskRoute { exec: dest, hops, redispatches: ci as u64, resident: t.resident };
+            return Ok((dest, tries));
         }
     }
-    panic!(
-        "fault plan leaves no route for task {i}: \
-         every surviving candidate exhausted its retry budget"
-    );
+    Err(DispatchError::Unroutable { task: i })
 }
 
 /// Decorate a transfer's span with what the schedule did to it: its
@@ -569,7 +581,7 @@ fn trace_route(
         let dt = cost.edge_time(ROOT, hop.dest, hop.bytes);
         let args = [("task", i.into()), ("dest", hop.dest.into())];
         trace_faults(tr, Track::Root, &hop.tx, (start, dt), &args);
-        if !hop.delivered && h + 1 < route.hops.len() {
+        if h + 1 < route.hops.len() {
             tr.event(
                 "redispatch",
                 "fault",
@@ -605,6 +617,7 @@ fn trace_route(
 /// decided up front from the schedule, like task routes, so the edge list
 /// is a pure function of the plan, ready for both traffic accounting and
 /// virtual-time charging.
+#[derive(Debug, Clone, PartialEq)]
 struct PayloadEdge {
     /// Sending rank, or [`ROOT`].
     sender: usize,
@@ -700,6 +713,7 @@ fn plan_payload(
 }
 
 /// What the scatter of one dispatch looks like once sharing is known.
+#[derive(Debug, Clone, PartialEq)]
 struct ScatterPlan {
     /// Environment edges first, then each task's block of shared-piece
     /// edges (see [`TaskScatter::edges`]).
@@ -712,6 +726,7 @@ struct ScatterPlan {
 }
 
 /// One task's part of a [`ScatterPlan`].
+#[derive(Debug, Clone, PartialEq)]
 struct TaskScatter {
     /// Piece bytes that ride in the task's own message: pieces no buffer
     /// identifies, and pieces whose only reader is this task's rank (the
@@ -726,25 +741,26 @@ struct TaskScatter {
 }
 
 /// Group every task's pieces by buffer over the ranks that will *execute*
-/// (never a rank that only timed out: the environment's rule), and plan the
-/// one-to-many payloads: the environment, then each piece with two or more
-/// reader ranks, in the order tasks first read them.
+/// them (`execs`, in task order; never a rank that only timed out: the
+/// environment's rule), and plan the one-to-many payloads: the environment,
+/// then each piece with two or more reader ranks, in the order tasks first
+/// read them.
 fn plan_scatter<R>(
     plan: &FaultPlan,
     topology: Topology,
     n_nodes: usize,
     tasks: &[RawTask<'_, R>],
-    routes: &[TaskRoute],
+    execs: &[usize],
     bcast_bytes: usize,
 ) -> ScatterPlan {
     let mut edges = Vec::new();
     // Environment: one shared payload to every executing rank.
     let mut env_edge_to = Vec::new();
     if bcast_bytes > 0 && !tasks.is_empty() {
-        let mut execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
-        execs.sort_unstable();
-        execs.dedup();
-        plan_payload(&mut edges, plan, topology, &execs, bcast_bytes, None);
+        let mut ranks = execs.to_vec();
+        ranks.sort_unstable();
+        ranks.dedup();
+        plan_payload(&mut edges, plan, topology, &ranks, bcast_bytes, None);
         env_edge_to = vec![usize::MAX; n_nodes];
         for (idx, e) in edges.iter().enumerate() {
             env_edge_to[e.dest] = idx;
@@ -761,11 +777,10 @@ fn plan_scatter<R>(
         Many(Option<std::ops::Range<usize>>),
     }
     let mut by_id: BTreeMap<usize, Readers> = BTreeMap::new();
-    for (t, route) in tasks.iter().zip(routes) {
+    for (t, &exec) in tasks.iter().zip(execs) {
         for id in t.pieces.iter().filter_map(|p| p.id) {
-            let readers =
-                by_id.entry(id).or_insert(Readers::One { rank: route.exec, carried: false });
-            if matches!(readers, Readers::One { rank, .. } if *rank != route.exec) {
+            let readers = by_id.entry(id).or_insert(Readers::One { rank: exec, carried: false });
+            if matches!(readers, Readers::One { rank, .. } if *rank != exec) {
                 *readers = Readers::Many(None);
             }
         }
@@ -774,10 +789,10 @@ fn plan_scatter<R>(
     let mut needs = Vec::new();
     let mut shared = 0usize;
     let mut scatter = Vec::with_capacity(tasks.len());
-    for (t, route) in tasks.iter().zip(routes) {
+    for (t, &exec) in tasks.iter().zip(execs) {
         let (edges0, needs0) = (edges.len(), needs.len());
         if env_edges > 0 {
-            needs.push(env_edge_to[route.exec]);
+            needs.push(env_edge_to[exec]);
         }
         let mut carried_bytes = 0usize;
         for p in &t.pieces {
@@ -792,10 +807,10 @@ fn plan_scatter<R>(
                     let block = block.get_or_insert_with(|| {
                         // Its reader ranks, in the order tasks first read it.
                         let mut ranks: Vec<usize> = Vec::new();
-                        for (t, route) in tasks.iter().zip(routes) {
+                        for (t, &exec) in tasks.iter().zip(execs) {
                             let reads = t.pieces.iter().any(|q| q.id == p.id);
-                            if reads && !ranks.contains(&route.exec) {
-                                ranks.push(route.exec);
+                            if reads && !ranks.contains(&exec) {
+                                ranks.push(exec);
                             }
                         }
                         let start = edges.len();
@@ -803,7 +818,7 @@ fn plan_scatter<R>(
                         shared += 1;
                         start..edges.len()
                     });
-                    let arrival = block.clone().find(|&e| edges[e].dest == route.exec);
+                    let arrival = block.clone().find(|&e| edges[e].dest == exec);
                     needs.push(arrival.expect("every reader rank is a destination of its piece"));
                 }
             }
@@ -815,6 +830,187 @@ fn plan_scatter<R>(
         });
     }
     ScatterPlan { edges, env_edges, tasks: scatter, needs }
+}
+
+/// Everything a dispatch decides before any task body runs: the routes,
+/// the scatter, each forward transfer's duration and the forward counts.
+/// A pure function of the tasks' descriptors (bytes, pieces, pack seconds,
+/// resident claim), the environment size and the cluster's configuration:
+/// [`Plan::new`] borrows the tasks, and a boxed `FnOnce` body cannot be
+/// called through a shared reference.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Plan {
+    routes: Vec<TaskRoute>,
+    scatter: ScatterPlan,
+    /// `scatter.edges`, timed.
+    edges: Vec<SimEdge>,
+    /// Every hop's seconds, task-major ([`SimTask::hops`] slices it).
+    hop_s: Vec<f64>,
+    tasks: Vec<SimTask>,
+    /// Forward comm seconds, summed over the payload edges and then the
+    /// hops; the returns follow in task order, so the breakdown is a pure
+    /// function of the plan and the measured durations.
+    comm_s: f64,
+    /// The forward path's counts, and every task's placement.
+    counts: Counts,
+}
+
+impl Plan {
+    /// Plan `tasks` behind a `bcast_bytes`-sized environment (0 for none).
+    /// A fault plan that crashes every node, or leaves a task no rank that
+    /// acknowledges it, is an error here, before anything runs.
+    pub(crate) fn new<R>(
+        tasks: &[RawTask<'_, R>],
+        bcast_bytes: usize,
+        config: &ClusterConfig,
+    ) -> Result<Plan, DispatchError> {
+        let (faults, n_nodes) = (&config.faults, config.nodes);
+        if faults.is_active() && (0..n_nodes).all(|r| faults.crashed(r)) {
+            return Err(DispatchError::AllCrashed);
+        }
+        let tried = (tasks.iter().enumerate())
+            .map(|task| plan_route(faults, n_nodes, task, bcast_bytes))
+            .collect::<Result<Vec<_>, _>>()?;
+        let execs: Vec<usize> = tried.iter().map(|&(exec, _)| exec).collect();
+        let scatter = plan_scatter(faults, config.topology, n_nodes, tasks, &execs, bcast_bytes);
+
+        // Every payload edge, then every task hop, is counted (the schedule,
+        // not the executor, decides what happens on the wire) and reduced to
+        // the pure duration the simulator needs. A hop carries the task's
+        // private bytes plus the pieces riding with it; resident tasks pay
+        // per-hop bytes: the control descriptor (plus any halo) to the home
+        // rank, the full segment only when redispatch forces execution
+        // off-home. A task riding the environment has no hop.
+        let (cost, timeout_s) = (config.cost, faults.timeout.as_secs_f64());
+        let mut counts = Counts::default();
+        let mut comm_s = 0.0f64;
+        let edges = scatter
+            .edges
+            .iter()
+            .map(|e| {
+                counts.message(&e.tx, e.bytes, (e.sender, e.dest));
+                let dt = cost.edge_time(e.sender, e.dest, e.bytes);
+                let edge_s = e.tx.seconds(dt, timeout_s, e.tx.retries());
+                comm_s += edge_s;
+                SimEdge { sender: e.sender, dest: e.dest, feeder: e.feeder, edge_s }
+            })
+            .collect();
+        let mut hop_s = Vec::with_capacity(tasks.len());
+        let mut routes = Vec::with_capacity(tasks.len());
+        let mut sim_tasks = Vec::with_capacity(tasks.len());
+        for (i, ((t, (exec, tries)), sc)) in tasks.iter().zip(tried).zip(&scatter.tasks).enumerate()
+        {
+            let h0 = hop_s.len();
+            let last = tries.len().saturating_sub(1);
+            let hops = (tries.into_iter().enumerate())
+                .map(|(k, (dest, tx))| {
+                    let bytes = t.hop_bytes(dest) + sc.carried;
+                    counts.message(&tx, bytes, (ROOT, dest));
+                    // The root waits out an ack timeout for every attempt
+                    // but the one that delivered.
+                    let timeouts = tx.attempts - u32::from(k == last);
+                    let s = tx.seconds(cost.edge_time(ROOT, dest, bytes), timeout_s, timeouts);
+                    comm_s += s;
+                    hop_s.push(s);
+                    Hop { dest, bytes, tx }
+                })
+                .collect();
+            let ret = Attempts::reliable(faults, (exec, ROOT), RET_TAG, i as u64);
+            let route = TaskRoute { exec, hops, ret, resident: t.resident };
+            counts.placement(&route);
+            routes.push(route);
+            sim_tasks.push(SimTask {
+                pack_s: t.pack_s,
+                exec,
+                hops: h0..hop_s.len(),
+                edges: sc.edges.clone(),
+                needs: sc.needs.clone(),
+            });
+        }
+        Ok(Plan { routes, scatter, edges, hop_s, tasks: sim_tasks, comm_s, counts })
+    }
+
+    /// Each task's return-trip seconds once its packed result is known:
+    /// every copy pays the transfer, every retry an ack timeout.
+    fn return_s(&self, results: &[Bytes], config: &ClusterConfig) -> Vec<f64> {
+        let timeout_s = config.faults.timeout.as_secs_f64();
+        (self.routes.iter().zip(results))
+            .map(|(route, rb)| {
+                let dt = config.cost.edge_time(route.exec, ROOT, rb.len());
+                route.ret.seconds(dt, timeout_s, route.ret.retries())
+            })
+            .collect()
+    }
+}
+
+/// What a dispatch's task bodies produced, in task order.
+struct Executed {
+    /// Each task's packed result.
+    results: Vec<Bytes>,
+    /// Each task's wall-measured node seconds (compute + result pack).
+    node_s: Vec<f64>,
+    /// Each task's node timeline, from its own start.
+    traces: Vec<TraceData>,
+}
+
+/// Record a dispatch's timeline in canonical record order (golden traces
+/// pin it): the environment's edges; per task its pack, the shared pieces
+/// it is first to read and its own sends; each task's node timeline inside
+/// its `node:task` span; then each return with its retries.
+fn trace_timeline(
+    tr: &TraceHandle,
+    cost: &CostModel,
+    plan: &Plan,
+    node_traces: Vec<TraceData>,
+    results: &[Bytes],
+    times: &SimTimes,
+) {
+    let scatter = &plan.scatter;
+    let edge_span = |idx: usize| scatter.edges[idx].trace(tr, cost, times.edge_bounds[idx]);
+    (0..scatter.env_edges).for_each(edge_span);
+    for (i, (route, task)) in plan.routes.iter().zip(&plan.tasks).enumerate() {
+        if task.pack_s > 0.0 {
+            let start = times.pack_start[i];
+            let args = vec![("task", i.into())];
+            tr.span("root:pack", "prep", Track::Root, start, start + task.pack_s, args);
+        }
+        scatter.tasks[i].edges.clone().for_each(edge_span);
+        let bounds = &times.hop_bounds[task.hops.clone()];
+        trace_route(tr, cost, i, route, bounds, times.send_done[i]);
+    }
+    for (i, (mut sub, route)) in node_traces.into_iter().zip(&plan.routes).enumerate() {
+        let (start, done) = times.node_bounds[i];
+        sub.shift(start);
+        tr.absorb(sub);
+        let args = vec![("task", i.into())];
+        tr.span("node:task", "dispatch", Track::Node(route.exec), start, done, args);
+    }
+    for (i, route) in plan.routes.iter().enumerate() {
+        let done_at = times.node_bounds[i].1;
+        tr.span(
+            "return",
+            "comm",
+            Track::Root,
+            done_at,
+            times.ret_done[i],
+            vec![
+                ("task", i.into()),
+                ("from", route.exec.into()),
+                ("bytes", results[i].len().into()),
+                ("attempts", (route.ret.attempts as u64).into()),
+            ],
+        );
+        let rdt = cost.edge_time(route.exec, ROOT, results[i].len());
+        for k in 0..route.ret.retries() {
+            tr.event(
+                "retry",
+                "fault",
+                Track::Root,
+                done_at + rdt * (k + 1) as f64,
+                vec![("task", i.into()), ("from", route.exec.into())],
+            );
+        }
+    }
 }
 
 /// A simulated cluster of multicore nodes.
@@ -899,15 +1095,14 @@ impl Cluster {
         let cost = self.config.cost;
         let timeout_s = plan.timeout.as_secs_f64();
         let tr = self.tracer();
-        let mut tally = Tally::new(&self.stats);
+        let mut counts = Counts::default();
         let mut clock = 0.0f64;
         for (slot, &(rank, bytes)) in segs.iter().enumerate() {
             self.resident.register(id, slot, rank, bytes);
-            self.stats.record_seg_scatter();
             // Both endpoints are treated as alive: a crashed home interacts
             // at *call* time, via redispatch.
             let tx = Attempts::reliable(&plan, (ROOT, rank), SEG_TAG, rank as u64);
-            tally.message(&tx, bytes, (ROOT, rank));
+            counts.message(&tx, bytes, (ROOT, rank));
             let edge_s = tx.seconds(cost.edge_time(ROOT, rank, bytes), timeout_s, tx.retries());
             if tr.enabled() {
                 tr.span(
@@ -936,12 +1131,15 @@ impl Cluster {
                 vec![
                     ("seg", id.into()),
                     ("segments", segs.len().into()),
-                    ("bytes", tally.totals.bytes_out.into()),
+                    ("bytes", counts.timing.bytes_out.into()),
                 ],
             );
         }
+        let seg_scatters = segs.len() as u64;
+        self.stats.add(TrafficSnapshot { seg_scatters, ..counts.traffic() }, 0);
         // The root NIC is busy for the whole scatter: all of it is comm.
-        (tally.timing(clock, clock, vec![0.0; self.config.nodes], (0, 0)), tr.take())
+        let node_compute_s = vec![0.0; self.config.nodes];
+        (DistTiming { total_s: clock, comm_s: clock, node_compute_s, ..counts.timing }, tr.take())
     }
 
     /// Scatter `payloads` (one per node, at most `nodes()`), run `task` on
@@ -960,8 +1158,9 @@ impl Cluster {
         self.try_run(payloads, task).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`run`](Self::run), surfacing a result that fails to decode at the
-    /// root as [`DispatchError::Decode`] instead of panicking.
+    /// [`run`](Self::run), surfacing a fault plan that leaves a task
+    /// nowhere to run, or a result that fails to decode at the root, as a
+    /// [`DispatchError`] instead of panicking.
     pub fn try_run<T, R, F>(
         &self,
         payloads: Vec<T>,
@@ -1023,8 +1222,8 @@ impl Cluster {
         self.run_raw_with_broadcast(tasks, 0)
     }
 
-    /// [`run_raw`](Self::run_raw), surfacing root-side decode failures as
-    /// [`DispatchError`] instead of panicking.
+    /// [`run_raw`](Self::run_raw), surfacing unroutable plans and
+    /// root-side decode failures as [`DispatchError`] instead of panicking.
     pub fn try_run_raw<'a, R>(
         &self,
         tasks: Vec<RawTask<'a, R>>,
@@ -1061,7 +1260,8 @@ impl Cluster {
     }
 
     /// [`run_raw_with_broadcast`](Self::run_raw_with_broadcast), surfacing
-    /// root-side decode failures as [`DispatchError`] instead of panicking.
+    /// unroutable plans and root-side decode failures as [`DispatchError`]
+    /// instead of panicking.
     pub fn try_run_raw_with_broadcast<'a, R>(
         &self,
         tasks: Vec<RawTask<'a, R>>,
@@ -1100,20 +1300,24 @@ impl Cluster {
             total_s,
             vec![("task", 0usize.into())],
         );
-        let mut node_compute = vec![0.0f64; self.config.nodes];
-        node_compute[0] = total_s;
-        (value, Tally::new(&self.stats).timing(total_s, 0.0, node_compute, (0, 0)), tr.take())
+        let mut node_compute_s = vec![0.0f64; self.config.nodes];
+        node_compute_s[0] = total_s;
+        self.stats.add(TrafficSnapshot::default(), 0);
+        (value, DistTiming { total_s, node_compute_s, ..DistTiming::default() }, tr.take())
     }
 
-    /// The one dispatcher behind `run` and `run_raw`, in four steps. *Plan*
-    /// every task's route through the fault schedule, then the one-to-many
-    /// payloads (the environment, and input pieces that tasks on several
-    /// ranks share) over the ranks that will execute. *Execute* each task
-    /// once, on its final rank. *Lay the timeline*: the simulator places
-    /// every planned transfer and measured duration on the virtual clock.
-    /// *Account* all traffic (including lost/duplicated attempts and
-    /// retransmissions) and gather results in task order — a redispatched
-    /// task's result still lands in its original task slot.
+    /// The one dispatcher behind `run` and `run_raw`, the composition of
+    /// four values. The [`Plan`] routes every task through the fault
+    /// schedule, then the one-to-many payloads (the environment, and input
+    /// pieces that tasks on several ranks share) over the ranks that will
+    /// execute, before any body runs. [`execute`](Self::execute) runs each
+    /// task once, on its final rank. The [`timeline`](Self::timeline)
+    /// places every planned transfer and measured duration on the virtual
+    /// clock. The [`account`](Self::account) renders the trace, gathers
+    /// results in task order — a redispatched task's result still lands in
+    /// its original slot — and totals the traffic (lost and duplicated
+    /// attempts and retransmissions included), which the cluster-wide
+    /// [`TrafficStats`] receives in one write.
     ///
     /// The root's own pack/unpack work is pipelined against node compute:
     /// task k+1's pack is charged right before its send (so rank k already
@@ -1127,210 +1331,90 @@ impl Cluster {
     where
         R: Wire + Send,
     {
-        let plan = self.config.faults;
-        let n_nodes = self.config.nodes;
+        let plan = Plan::new(&tasks, bcast_bytes, &self.config)?;
+        let executed = self.execute(tasks, &plan);
+        let ret_s = plan.return_s(&executed.results, &self.config);
+        let times = self.timeline(&plan, &executed.node_s, &ret_s);
+        let (traffic, outcome) = self.account(plan, executed, &ret_s, &times);
+        let sim_events = times.events;
+        self.stats.add(TrafficSnapshot { sim_events, ..traffic }, times.peak_heap as u64);
+        outcome
+    }
+
+    /// Run every task body once, in task order, on the rank the plan
+    /// executes it on: the only place a dispatch runs a body. Execution is
+    /// clockless: the seconds it measures feed the timeline, never the
+    /// other way round.
+    fn execute<R: Wire>(&self, tasks: Vec<RawTask<'_, R>>, plan: &Plan) -> Executed {
         let n_tasks = tasks.len();
-        if plan.is_active() {
-            assert!(
-                (0..n_nodes).any(|r| !plan.crashed(r)),
-                "fault plan crashes every node: nothing can recover"
-            );
-        }
-        let mut routes: Vec<TaskRoute> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let home = t.home(i);
-                if t.rides(home, &plan, bcast_bytes) {
-                    // No message to route: the task executes at home, where
-                    // the environment finds it, and draws nothing from the
-                    // schedule.
-                    TaskRoute { exec: home, hops: vec![], redispatches: 0, resident: t.resident }
-                } else {
-                    plan_route(&plan, n_nodes, t, i)
-                }
-            })
-            .collect();
-        let scatter =
-            plan_scatter(&plan, self.config.topology, n_nodes, &tasks, &routes, bcast_bytes);
-
-        let cost = self.config.cost;
-        let timeout_s = plan.timeout.as_secs_f64();
-        let tpn = self.config.threads_per_node;
-        let tr = self.tracer();
-
-        // --- One walk of the forward path: every payload edge, then every
-        // task hop, is counted (the schedule, not the executor, decides what
-        // happens on the wire) and reduced to the pure duration the
-        // simulator needs. A hop carries the task's private bytes plus the
-        // pieces riding with it; resident tasks pay per-hop bytes: the
-        // control descriptor (plus any halo) to the home rank, the full
-        // segment only when redispatch forces execution off-home. A task
-        // riding the environment has no hop. comm_s accumulates in a fixed
-        // order — payload edges, then task hops, then returns below — so the
-        // breakdown is a pure function of the plan and the measured
-        // durations. Each task's root-side pack seconds are charged right
-        // before its own send, so rank k's compute overlaps the pack for
-        // rank k+1.
-        let mut tally = Tally::new(&self.stats);
-        let mut comm_s = 0.0f64;
-        let sim_edges: Vec<SimEdge> = scatter
-            .edges
-            .iter()
-            .map(|e| {
-                tally.message(&e.tx, e.bytes, (e.sender, e.dest));
-                let dt = cost.edge_time(e.sender, e.dest, e.bytes);
-                let edge_s = e.tx.seconds(dt, timeout_s, e.tx.retries());
-                comm_s += edge_s;
-                SimEdge { sender: e.sender, dest: e.dest, feeder: e.feeder, edge_s }
-            })
-            .collect();
-        let mut hop_s: Vec<f64> = Vec::with_capacity(n_tasks);
-        let mut sim_tasks: Vec<SimTask> = Vec::with_capacity(n_tasks);
-        for ((t, route), sc) in tasks.iter().zip(&mut routes).zip(&scatter.tasks) {
-            let h0 = hop_s.len();
-            for hop in &mut route.hops {
-                hop.bytes = t.hop_bytes(hop.dest) + sc.carried;
-                tally.message(&hop.tx, hop.bytes, (ROOT, hop.dest));
-                let dt = cost.edge_time(ROOT, hop.dest, hop.bytes);
-                let s = hop.tx.seconds(dt, timeout_s, hop.timeouts());
-                comm_s += s;
-                hop_s.push(s);
-            }
-            tally.placement(route);
-            sim_tasks.push(SimTask {
-                pack_s: t.pack_s,
-                exec: route.exec,
-                elapsed: 0.0, // measured below, once the task has run
-                ret_s: 0.0,   // filled once result sizes are known
-                hops: h0..hop_s.len(),
-                edges: sc.edges.clone(),
-                needs: sc.needs.clone(),
-            });
-        }
-        let execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
-
-        // --- Execute every task once, in task order. Execution is
-        // clockless: results and wall-measured node seconds feed the
-        // simulator; they never depend on it.
-        let mut node_compute = vec![0.0f64; n_nodes];
-        let mut results_bytes = Vec::with_capacity(n_tasks);
-        let mut sub_traces = Vec::with_capacity(n_tasks);
-        for (i, t) in tasks.into_iter().enumerate() {
-            let exec = routes[i].exec;
-            let ctx = NodeCtx::new(exec, tpn).with_trace(self.tracer());
+        let mut executed = Executed {
+            results: Vec::with_capacity(n_tasks),
+            node_s: Vec::with_capacity(n_tasks),
+            traces: Vec::with_capacity(n_tasks),
+        };
+        for (t, route) in tasks.into_iter().zip(&plan.routes) {
+            let ctx =
+                NodeCtx::new(route.exec, self.config.threads_per_node).with_trace(self.tracer());
             let result = (t.work)(&ctx);
-            let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
-            let elapsed = ctx.elapsed();
-            node_compute[exec] += elapsed;
-            sim_tasks[i].elapsed = elapsed;
-            sub_traces.push(ctx.take_trace());
-            results_bytes.push(rb);
+            executed.results.push(ctx.sequential_labeled("pack", "prep", || packed(&result)));
+            executed.node_s.push(ctx.elapsed());
+            executed.traces.push(ctx.take_trace());
         }
+        executed
+    }
 
-        // Return trips, planned and accounted in task order (the third leg
-        // of the comm_s order). Each attempt pays a transfer and each failed
-        // attempt an ack timeout.
-        let mut returns: Vec<(Attempts, f64)> = Vec::with_capacity(n_tasks);
-        for (i, rb) in results_bytes.iter().enumerate() {
-            let ret = Attempts::reliable(&plan, (routes[i].exec, ROOT), RET_TAG, i as u64);
-            tally.message(&ret, rb.len(), (routes[i].exec, ROOT));
-            let rdt = cost.edge_time(routes[i].exec, ROOT, rb.len());
-            let path_s = ret.seconds(rdt, timeout_s, ret.retries());
-            comm_s += path_s;
-            sim_tasks[i].ret_s = path_s;
-            returns.push((ret, rdt));
-        }
-
-        // --- Lay the dispatch on the virtual clock. Debug builds replay it
-        // through the eager oracle and panic unless the two timelines agree
-        // to the bit.
+    /// Lay the plan, the measured node seconds and the return trips on the
+    /// virtual clock. Debug builds replay it through the eager oracle and
+    /// panic unless the two timelines agree to the bit.
+    fn timeline(&self, plan: &Plan, node_s: &[f64], ret_s: &[f64]) -> SimTimes {
         let problem = SimProblem {
-            n_nodes,
-            edges: &sim_edges,
-            env_edges: scatter.env_edges,
-            hop_s: &hop_s,
-            tasks: &sim_tasks,
-            needs: &scatter.needs,
+            n_nodes: self.config.nodes,
+            edges: &plan.edges,
+            env_edges: plan.scatter.env_edges,
+            hop_s: &plan.hop_s,
+            tasks: &plan.tasks,
+            node_s,
+            ret_s,
+            needs: &plan.scatter.needs,
         };
-        let times = {
-            let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
-            let times = sim::run_event(&problem, &mut scratch);
-            #[cfg(debug_assertions)]
-            sim::assert_cores_agree(&sim::run_eager(&problem, &mut scratch), &times);
-            times
-        };
-        self.stats.record_sim(times.events, times.peak_heap as u64);
-        let finish = times.ret_done.iter().fold(0.0f64, |a, &rd| a.max(rd));
+        let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
+        let times = sim::run_event(&problem, &mut scratch);
+        #[cfg(debug_assertions)]
+        sim::assert_cores_agree(&sim::run_eager(&problem, &mut scratch), &times);
+        times
+    }
 
-        // --- Render the trace off the timeline in canonical record order
-        // (golden traces pin it): the environment's edges, then per task its
-        // pack, the shared pieces it is first to read, and its own sends.
+    /// Close a dispatch off its timeline: render the trace, unpack the
+    /// results as they arrive, and fold the plan's counts, the returns and
+    /// the unpacked bytes into the outcome's timing. The dispatch's traffic
+    /// comes back beside the outcome, for the one write that banks it (a
+    /// result that fails to decode banks all of it but the unpack).
+    fn account<R: Wire>(
+        &self,
+        plan: Plan,
+        executed: Executed,
+        ret_s: &[f64],
+        times: &SimTimes,
+    ) -> (TrafficSnapshot, Result<DistOutcome<R>, DispatchError>) {
+        let Executed { mut results, node_s, traces } = executed;
+        let tr = self.tracer();
         if tr.enabled() {
-            let edge_span =
-                |idx: usize| scatter.edges[idx].trace(&tr, &cost, times.edge_bounds[idx]);
-            (0..scatter.env_edges).for_each(edge_span);
-            for (i, route) in routes.iter().enumerate() {
-                let pack_s = sim_tasks[i].pack_s;
-                if pack_s > 0.0 {
-                    tr.span(
-                        "root:pack",
-                        "prep",
-                        Track::Root,
-                        times.pack_start[i],
-                        times.pack_start[i] + pack_s,
-                        vec![("task", i.into())],
-                    );
-                }
-                scatter.tasks[i].edges.clone().for_each(edge_span);
-                let bounds = &times.hop_bounds[sim_tasks[i].hops.clone()];
-                trace_route(&tr, &cost, i, route, bounds, times.send_done[i]);
-            }
-            for (i, mut sub) in sub_traces.into_iter().enumerate() {
-                let (start, done) = times.node_bounds[i];
-                sub.shift(start);
-                tr.absorb(sub);
-                tr.span(
-                    "node:task",
-                    "dispatch",
-                    Track::Node(routes[i].exec),
-                    start,
-                    done,
-                    vec![("task", i.into())],
-                );
-            }
-            for (i, (ret, rdt)) in returns.iter().enumerate() {
-                let done_at = times.node_bounds[i].1;
-                tr.span(
-                    "return",
-                    "comm",
-                    Track::Root,
-                    done_at,
-                    times.ret_done[i],
-                    vec![
-                        ("task", i.into()),
-                        ("from", routes[i].exec.into()),
-                        ("bytes", results_bytes[i].len().into()),
-                        ("attempts", (ret.attempts as u64).into()),
-                    ],
-                );
-                for k in 0..ret.retries() {
-                    tr.event(
-                        "retry",
-                        "fault",
-                        Track::Root,
-                        done_at + rdt * (k + 1) as f64,
-                        vec![("task", i.into()), ("from", routes[i].exec.into())],
-                    );
-                }
-            }
+            trace_timeline(&tr, &self.config.cost, &plan, traces, &results, times);
+        }
+        let Plan { routes, mut counts, mut comm_s, .. } = plan;
+        let mut node_compute_s = vec![0.0f64; self.config.nodes];
+        for (i, route) in routes.iter().enumerate() {
+            counts.message(&route.ret, results[i].len(), (route.exec, ROOT));
+            comm_s += ret_s[i];
+            node_compute_s[route.exec] += node_s[i];
         }
 
-        // --- Streaming epilogue: the root (one core) unpacks results in
+        // The streamed epilogue: the root (one core) unpacks results in
         // arrival order, each the moment it lands — early results are ready
         // while late nodes still compute, so most of the unpack cost hides
         // inside the network tail. Ties break on task index so the
         // processing order is deterministic.
+        let n_tasks = routes.len();
         let ret_arrival = &times.ret_done;
         let mut order: Vec<usize> = (0..n_tasks).collect();
         order.sort_by(|&a, &b| ret_arrival[a].total_cmp(&ret_arrival[b]).then(a.cmp(&b)));
@@ -1341,12 +1425,14 @@ impl Cluster {
         let mut moved = vec![(0u64, 0u64); n_tasks];
         for &i in &order {
             uclock = uclock.max(ret_arrival[i]);
-            let rb = std::mem::take(&mut results_bytes[i]);
+            let rb = std::mem::take(&mut results[i]);
             let ((decoded, c, a), u) = timed(|| with_unpack_delta(|| unpack_all(rb)));
             moved[i] = (c, a);
             match decoded {
                 Ok(r) => slots[i] = Some(r),
-                Err(source) => return Err(DispatchError::Decode { task: i, source }),
+                Err(source) => {
+                    return (counts.traffic(), Err(DispatchError::Decode { task: i, source }))
+                }
             }
             spans[i] = (uclock, uclock + u);
             uclock += u;
@@ -1371,14 +1457,25 @@ impl Cluster {
                 );
             }
         }
-        let unpacked = moved.iter().fold((0u64, 0u64), |(c, a), m| (c + m.0, a + m.1));
-        Ok(DistOutcome {
+        for &(c, a) in &moved {
+            counts.timing.unpack_copied += c;
+            counts.timing.unpack_aliased += a;
+        }
+        let finish = ret_arrival.iter().fold(0.0f64, |a, &rd| a.max(rd));
+        let timing = DistTiming {
+            total_s: uclock.max(finish),
+            comm_s,
+            node_compute_s,
+            ..counts.timing.clone()
+        };
+        let outcome = DistOutcome {
             results: slots.into_iter().map(|s| s.expect("every task unpacked")).collect(),
-            execs,
+            execs: routes.iter().map(|r| r.exec).collect(),
             arrivals,
             trace: tr.take(),
-            timing: tally.timing(uclock.max(finish), comm_s, node_compute, unpacked),
-        })
+            timing,
+        };
+        (counts.traffic(), Ok(outcome))
     }
 }
 
@@ -1542,6 +1639,64 @@ mod tests {
         let plan = FaultPlan::seeded(1).with_crash(0).with_crash(1);
         let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1).with_faults(plan));
         let _ = cluster.run(vec![1u64, 2], |_ctx, x: u64| x);
+    }
+
+    #[test]
+    fn plan_errors_are_typed_and_run_no_body() {
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        let body = |_: &NodeCtx, x: u64| {
+            ran.store(true, std::sync::atomic::Ordering::Relaxed);
+            x
+        };
+        let all_crashed = FaultPlan::seeded(1).with_crash(0).with_crash(1);
+        let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1).with_faults(all_crashed));
+        let err = cluster.try_run(vec![1u64, 2], body).expect_err("no rank is alive");
+        assert_eq!(err, DispatchError::AllCrashed);
+        assert_eq!(cluster.stats().snapshot(), Default::default(), "nothing was sent");
+        // Every attempt to every rank is lost: task 0 has no route.
+        let lost =
+            ClusterConfig::virtual_cluster(2, 1).with_faults(FaultPlan::seeded(1).with_drop(1.0));
+        let err = Cluster::new(lost).try_run(vec![1u64, 2], body).expect_err("nothing arrives");
+        assert_eq!(err, DispatchError::Unroutable { task: 0 });
+        assert!(!ran.load(std::sync::atomic::Ordering::Relaxed), "a body ran under a failed plan");
+    }
+
+    #[test]
+    fn a_plan_is_a_pure_function_of_the_descriptors() {
+        // Three tasks share piece 7; rank 2 is down, so task 2 is
+        // redispatched; the resident task has nothing to send and rides the
+        // environment into its live home. No body may run while planning.
+        let faults = FaultPlan::seeded(5).with_drop(0.2).with_crash(2);
+        let cfg = ClusterConfig::virtual_cluster(4, 1).with_faults(faults);
+        let untouchable = || -> Box<dyn FnOnce(&NodeCtx) -> u64 + Send> {
+            Box::new(|_| panic!("planning ran a task body"))
+        };
+        let mut tasks: Vec<RawTask<'_, u64>> = (0..3usize)
+            .map(|i| RawTask {
+                wire_bytes: 16,
+                pieces: vec![
+                    Piece { id: Some(7), bytes: 1000 },
+                    Piece { id: Some(100 + i), bytes: 100 },
+                ],
+                pack_s: 0.0,
+                resident: None,
+                work: untouchable(),
+            })
+            .collect();
+        tasks.push(RawTask {
+            wire_bytes: 0,
+            pieces: Vec::new(),
+            pack_s: 0.0,
+            resident: Some(ResidentSpec { id: 1, home: 3, seg_bytes: 4096, halo_bytes: 0 }),
+            work: untouchable(),
+        });
+        let plan = Plan::new(&tasks, 264, &cfg).expect("survivors route every task");
+        assert_eq!(plan, Plan::new(&tasks, 264, &cfg).expect("the same plan"));
+        let counts = &plan.counts;
+        assert_eq!((counts.timing.redispatches, counts.timing.resident_hits), (1, 1));
+        assert!(counts.dropped > 0, "the schedule must drop something");
+        assert!(plan.scatter.edges.iter().any(|e| e.piece.is_some()), "piece 7 is shared");
+        assert!(plan.routes[3].hops.is_empty(), "the resident task rides");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Communication cost model and traffic accounting.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Linear latency/bandwidth model for inter-node transfers, optionally with
 /// a second inter-rack tier.
@@ -112,23 +112,14 @@ impl Default for CostModel {
 /// actually did: attempts lost/duplicated/corrupted in flight,
 /// retransmissions the reliable send layer issued, and task redispatches
 /// the cluster performed after declaring a rank dead.
+///
+/// Every write is one `add` of a whole operation's counts: a dispatch, a
+/// segment scatter and a local run each bank theirs once, so a reader never
+/// sees an operation half counted.
 #[derive(Debug, Default)]
 pub struct TrafficStats {
-    msgs: AtomicU64,
-    bytes: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    corrupted: AtomicU64,
-    retries: AtomicU64,
-    redispatches: AtomicU64,
-    env_packs: AtomicU64,
-    seg_scatters: AtomicU64,
-    resident_hits: AtomicU64,
-    resident_misses: AtomicU64,
-    unpack_copied: AtomicU64,
-    unpack_aliased: AtomicU64,
-    sim_events: AtomicU64,
-    sim_peak_heap: AtomicU64,
+    /// The running totals, and the simulator's peak event-heap length.
+    ledger: Mutex<(TrafficSnapshot, u64)>,
 }
 
 impl TrafficStats {
@@ -137,157 +128,85 @@ impl TrafficStats {
         Self::default()
     }
 
-    /// Record one message of `bytes` payload.
-    pub fn record(&self, bytes: usize) {
-        self.msgs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    fn ledger(&self) -> MutexGuard<'_, (TrafficSnapshot, u64)> {
+        self.ledger.lock().expect("traffic ledger poisoned")
     }
 
-    /// Record one transmission attempt lost in flight.
-    pub fn record_dropped(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one transmission attempt that arrived twice.
-    pub fn record_duplicated(&self) {
-        self.duplicated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one transmission attempt damaged in flight.
-    pub fn record_corrupted(&self) {
-        self.corrupted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one retransmission of an unacknowledged message.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one task moved to a surviving rank.
-    pub fn record_redispatch(&self) {
-        self.redispatches.fetch_add(1, Ordering::Relaxed);
+    /// Bank one operation: every counter of `delta` adds to the totals, and
+    /// `sim_peak_heap` raises the high-water mark.
+    pub(crate) fn add(&self, delta: TrafficSnapshot, sim_peak_heap: u64) {
+        let mut ledger = self.ledger();
+        ledger.0 = ledger.0.plus(&delta);
+        ledger.1 = ledger.1.max(sim_peak_heap);
     }
 
     /// Record one serialization of a broadcast environment. With pack-once
     /// payload caching this is exactly one per skeleton call with a
     /// non-empty environment, regardless of node count.
     pub fn record_env_pack(&self) {
-        self.env_packs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one resident segment scattered to its home rank. Deliberately
-    /// separate from [`record_env_pack`](Self::record_env_pack): the initial
-    /// scatter of a persistent collection is *not* an environment pack, so
-    /// `env_packs` never double-counts it.
-    pub fn record_seg_scatter(&self) {
-        self.seg_scatters.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one task that executed on the rank already holding its
-    /// resident segment (no input bytes shipped).
-    pub fn record_resident_hit(&self) {
-        self.resident_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one resident task forced off its home rank (crash/redispatch):
-    /// the segment was re-shipped to the surviving executor.
-    pub fn record_resident_miss(&self) {
-        self.resident_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the byte movement of one root-side result unpack: `copied`
-    /// bytes went through a memcpy into fresh allocations, `aliased` bytes
-    /// were answered by zero-copy views into the received buffer.
-    pub fn record_unpack(&self, copied: u64, aliased: u64) {
-        self.unpack_copied.fetch_add(copied, Ordering::Relaxed);
-        self.unpack_aliased.fetch_add(aliased, Ordering::Relaxed);
+        self.add(TrafficSnapshot { env_packs: 1, ..TrafficSnapshot::default() }, 0);
     }
 
     /// Record one virtual-time simulation: `events` heap events processed
     /// and the event heap's peak length. The event counter accumulates
     /// across dispatches (events/sec is the simulator's throughput metric);
     /// the peak is a high-water mark over all dispatches since the last
-    /// [`reset`](Self::reset). The eager core processes no events and
-    /// records `(0, 0)`.
+    /// [`reset`](Self::reset). A dispatch banks both with the rest of its
+    /// counts; the eager oracle that debug builds replay it through never
+    /// reaches these counters.
     pub fn record_sim(&self, events: u64, peak_heap: u64) {
-        self.sim_events.fetch_add(events, Ordering::Relaxed);
-        self.sim_peak_heap.fetch_max(peak_heap, Ordering::Relaxed);
+        self.add(TrafficSnapshot { sim_events: events, ..TrafficSnapshot::default() }, peak_heap);
     }
 
     /// Messages recorded so far.
     pub fn messages(&self) -> u64 {
-        self.msgs.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes recorded so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.snapshot().messages
     }
 
     /// Transmission attempts lost in flight.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Transmission attempts delivered twice.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated.load(Ordering::Relaxed)
-    }
-
-    /// Transmission attempts damaged in flight.
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted.load(Ordering::Relaxed)
+        self.snapshot().dropped
     }
 
     /// Retransmissions issued by the reliable send layer.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.snapshot().retries
     }
 
     /// Tasks moved to a surviving rank after a failure.
     pub fn redispatches(&self) -> u64 {
-        self.redispatches.load(Ordering::Relaxed)
+        self.snapshot().redispatches
     }
 
     /// Broadcast-environment serializations recorded so far.
     pub fn env_packs(&self) -> u64 {
-        self.env_packs.load(Ordering::Relaxed)
+        self.snapshot().env_packs
     }
 
     /// Resident segments scattered so far.
     pub fn seg_scatters(&self) -> u64 {
-        self.seg_scatters.load(Ordering::Relaxed)
+        self.snapshot().seg_scatters
     }
 
     /// Resident tasks that ran on their segment's home rank.
     pub fn resident_hits(&self) -> u64 {
-        self.resident_hits.load(Ordering::Relaxed)
+        self.snapshot().resident_hits
     }
 
     /// Resident tasks redispatched off their home rank (segment re-shipped).
     pub fn resident_misses(&self) -> u64 {
-        self.resident_misses.load(Ordering::Relaxed)
-    }
-
-    /// Bytes memcpy'd out of received buffers during root-side unpacks.
-    pub fn unpack_copied(&self) -> u64 {
-        self.unpack_copied.load(Ordering::Relaxed)
-    }
-
-    /// Bytes aliased in place (zero-copy) during root-side unpacks.
-    pub fn unpack_aliased(&self) -> u64 {
-        self.unpack_aliased.load(Ordering::Relaxed)
+        self.snapshot().resident_misses
     }
 
     /// Event-heap events processed by the virtual-time simulator so far.
     pub fn sim_events(&self) -> u64 {
-        self.sim_events.load(Ordering::Relaxed)
+        self.snapshot().sim_events
     }
 
     /// Peak event-heap length across all simulations since the last reset —
     /// the simulator's resident state high-water mark.
     pub fn sim_peak_heap(&self) -> u64 {
-        self.sim_peak_heap.load(Ordering::Relaxed)
+        self.ledger().1
     }
 
     /// A point-in-time copy of every counter. The job service meters each
@@ -295,41 +214,12 @@ impl TrafficStats {
     /// ([`TrafficSnapshot::since`]), so per-tenant accounting needs no hook
     /// inside the dispatch path itself.
     pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            messages: self.messages(),
-            bytes: self.bytes(),
-            dropped: self.dropped(),
-            duplicated: self.duplicated(),
-            corrupted: self.corrupted(),
-            retries: self.retries(),
-            redispatches: self.redispatches(),
-            env_packs: self.env_packs(),
-            seg_scatters: self.seg_scatters(),
-            resident_hits: self.resident_hits(),
-            resident_misses: self.resident_misses(),
-            unpack_copied: self.unpack_copied(),
-            unpack_aliased: self.unpack_aliased(),
-            sim_events: self.sim_events(),
-        }
+        self.ledger().0
     }
 
     /// Zero the counters (between experiments).
     pub fn reset(&self) {
-        self.msgs.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
-        self.duplicated.store(0, Ordering::Relaxed);
-        self.corrupted.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.redispatches.store(0, Ordering::Relaxed);
-        self.env_packs.store(0, Ordering::Relaxed);
-        self.seg_scatters.store(0, Ordering::Relaxed);
-        self.resident_hits.store(0, Ordering::Relaxed);
-        self.resident_misses.store(0, Ordering::Relaxed);
-        self.unpack_copied.store(0, Ordering::Relaxed);
-        self.unpack_aliased.store(0, Ordering::Relaxed);
-        self.sim_events.store(0, Ordering::Relaxed);
-        self.sim_peak_heap.store(0, Ordering::Relaxed);
+        *self.ledger() = Default::default();
     }
 }
 
@@ -543,14 +433,20 @@ mod tests {
         }
     }
 
+    /// A snapshot holding only `messages` and `bytes`.
+    fn sent(messages: u64, bytes: u64) -> TrafficSnapshot {
+        TrafficSnapshot { messages, bytes, ..TrafficSnapshot::default() }
+    }
+
     #[test]
     fn sim_counters_accumulate_max_and_reset() {
         let s = TrafficStats::new();
-        s.record_sim(100, 32);
-        s.record_sim(50, 16);
+        let events = |sim_events| TrafficSnapshot { sim_events, ..TrafficSnapshot::default() };
+        s.add(events(100), 32);
+        s.add(events(50), 16);
         assert_eq!(s.sim_events(), 150);
         assert_eq!(s.sim_peak_heap(), 32, "peak is a max, not a sum");
-        s.record_sim(0, 64);
+        s.add(events(0), 64);
         assert_eq!(s.sim_peak_heap(), 64);
         s.reset();
         assert_eq!(s.sim_events(), 0);
@@ -560,27 +456,31 @@ mod tests {
     #[test]
     fn stats_accumulate_and_reset() {
         let s = TrafficStats::new();
-        s.record(100);
-        s.record(50);
-        s.record_dropped();
-        s.record_duplicated();
-        s.record_corrupted();
-        s.record_retry();
-        s.record_retry();
-        s.record_redispatch();
+        s.add(sent(1, 100), 0);
+        s.add(
+            TrafficSnapshot {
+                dropped: 1,
+                duplicated: 1,
+                corrupted: 1,
+                retries: 2,
+                redispatches: 1,
+                ..sent(1, 50)
+            },
+            0,
+        );
         assert_eq!(s.messages(), 2);
-        assert_eq!(s.bytes(), 150);
+        assert_eq!(s.snapshot().bytes, 150);
         assert_eq!(s.dropped(), 1);
-        assert_eq!(s.duplicated(), 1);
-        assert_eq!(s.corrupted(), 1);
+        assert_eq!(s.snapshot().duplicated, 1);
+        assert_eq!(s.snapshot().corrupted, 1);
         assert_eq!(s.retries(), 2);
         assert_eq!(s.redispatches(), 1);
         s.reset();
         assert_eq!(s.messages(), 0);
-        assert_eq!(s.bytes(), 0);
+        assert_eq!(s.snapshot().bytes, 0);
         assert_eq!(s.dropped(), 0);
-        assert_eq!(s.duplicated(), 0);
-        assert_eq!(s.corrupted(), 0);
+        assert_eq!(s.snapshot().duplicated, 0);
+        assert_eq!(s.snapshot().corrupted, 0);
         assert_eq!(s.retries(), 0);
         assert_eq!(s.redispatches(), 0);
     }
@@ -588,10 +488,9 @@ mod tests {
     #[test]
     fn snapshots_difference_and_sum() {
         let s = TrafficStats::new();
-        s.record(100);
+        s.add(sent(1, 100), 0);
         let before = s.snapshot();
-        s.record(50);
-        s.record_retry();
+        s.add(TrafficSnapshot { retries: 1, ..sent(1, 50) }, 0);
         s.record_env_pack();
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.messages, 1);

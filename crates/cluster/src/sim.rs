@@ -1,13 +1,15 @@
 //! The virtual-time simulator: a discrete-event heap, and its eager oracle.
 //!
-//! A dispatch separates *what* it does (fault routing, task execution, byte
-//! accounting — all decided before any timeline exists) from *when* its
-//! pieces happen on the modeled clock. This module owns the "when": given a
-//! [`SimProblem`] — the durations of every timed piece of one collective
-//! (the edges of every one-to-many payload — the broadcast environment and
-//! the input pieces several ranks share — per-task root pack times, send
-//! hops with their ack/retry timeouts folded in, node compute times, return
-//! trips) — [`run_event`] produces the full [`SimTimes`] timeline.
+//! A dispatch is composed of four values: its `Plan` (routes, the scatter,
+//! every forward transfer's duration — decided before any task body runs),
+//! what `execute` returns (result bytes, node seconds), the timeline, and
+//! the account rendered off it. This module lays the timeline: given a
+//! [`SimProblem`] — the plan's timed pieces (the edges of every one-to-many
+//! payload — the broadcast environment and the input pieces several ranks
+//! share — per-task root pack times, send hops with their ack/retry
+//! timeouts folded in) borrowed beside the node seconds and return trips
+//! the executed bodies determine — [`run_event`] produces the full
+//! [`SimTimes`] timeline.
 //!
 //! The model of a shared payload: the root's one NIC sends it in plan
 //! order; a rank that has received it relays it onward, each relay starting
@@ -48,6 +50,7 @@ use crate::cluster::ROOT;
 
 /// One edge of a one-to-many payload — the broadcast environment or an
 /// input piece several ranks read — reduced to what the timeline needs.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimEdge {
     /// Sending rank, or [`ROOT`].
     pub sender: usize,
@@ -61,17 +64,14 @@ pub(crate) struct SimEdge {
     pub edge_s: f64,
 }
 
-/// One task, reduced to its timed pieces.
+/// One task, reduced to the timed pieces known before it runs.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimTask {
     /// Root-side pack seconds charged immediately before this task's first
     /// send.
     pub pack_s: f64,
     /// Rank that finally executes the task.
     pub exec: usize,
-    /// Wall-measured node seconds (compute + result pack).
-    pub elapsed: f64,
-    /// Return-trip seconds (every copy plus every ack timeout).
-    pub ret_s: f64,
     /// This task's slice of [`SimProblem::hop_s`]. Empty when the task has
     /// no message of its own and rides the first edge of its `needs` into
     /// its rank (it then has no pack time and no `edges` either).
@@ -99,6 +99,11 @@ pub(crate) struct SimProblem<'a> {
     pub hop_s: &'a [f64],
     /// The tasks, in dispatch order.
     pub tasks: &'a [SimTask],
+    /// Per task, its wall-measured node seconds (compute + result pack).
+    pub node_s: &'a [f64],
+    /// Per task, its return-trip seconds (every copy plus every ack
+    /// timeout).
+    pub ret_s: &'a [f64],
     /// Per task, the edges that deliver the payloads it reads to its
     /// executing rank: it cannot start before the last of them is done.
     pub needs: &'a [usize],
@@ -356,14 +361,14 @@ pub(crate) fn run_eager(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
         for &e in &p.needs[t.needs.clone()] {
             start = start.max(times.edge_bounds[e].1);
         }
-        let done = start + t.elapsed;
+        let done = start + p.node_s[i];
         s.node_free[t.exec] = done;
         times.node_bounds[i] = (start, done);
     }
 
     // Return phase: results stream back independently.
-    for (i, t) in p.tasks.iter().enumerate() {
-        times.ret_done[i] = times.node_bounds[i].1 + t.ret_s;
+    for (i, ret_s) in p.ret_s.iter().enumerate() {
+        times.ret_done[i] = times.node_bounds[i].1 + ret_s;
     }
     times.root_free = clock;
     times
@@ -491,7 +496,7 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
                 for &e in needs {
                     start = start.max(times.edge_bounds[e].1);
                 }
-                let done = start + p.tasks[i].elapsed;
+                let done = start + p.node_s[i];
                 s.node_free[r] = done;
                 times.node_bounds[i] = (start, done);
                 s.pending_head[r] += 1;
@@ -565,7 +570,7 @@ pub(crate) fn run_event(p: &SimProblem<'_>, s: &mut SimScratch) -> SimTimes {
                 start_ready_tasks!(exec);
             }
             EventKind::TaskDone { task } => {
-                let done = now + p.tasks[task].ret_s;
+                let done = now + p.ret_s[task];
                 times.ret_done[task] = done;
                 push!(done, EventKind::ReturnArrive);
             }
@@ -628,20 +633,22 @@ mod tests {
     }
 
     /// A task that reads no shared payload.
-    fn task(pack_s: f64, exec: usize, elapsed: f64, ret_s: f64, hop: usize) -> SimTask {
-        SimTask { pack_s, exec, elapsed, ret_s, hops: hop..hop + 1, edges: 0..0, needs: 0..0 }
+    fn task(pack_s: f64, exec: usize, hop: usize) -> SimTask {
+        SimTask { pack_s, exec, hops: hop..hop + 1, edges: 0..0, needs: 0..0 }
     }
 
     #[test]
     fn trivial_two_tasks_chain_on_the_root_nic() {
         let hop_s = vec![0.5, 0.25];
-        let tasks = vec![task(0.1, 0, 2.0, 0.5, 0), task(0.1, 1, 1.0, 0.5, 1)];
+        let tasks = vec![task(0.1, 0, 0), task(0.1, 1, 1)];
         let p = SimProblem {
             n_nodes: 2,
             edges: &[],
             env_edges: 0,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[2.0, 1.0],
+            ret_s: &[0.5, 0.5],
             needs: &[],
         };
         let (t, _) = check(&p);
@@ -658,13 +665,15 @@ mod tests {
     #[test]
     fn same_rank_tasks_serialize_on_its_clock() {
         let hop_s = vec![0.1, 0.1, 0.1];
-        let tasks: Vec<SimTask> = (0..3).map(|i| task(0.0, 0, 1.0, 0.0, i)).collect();
+        let tasks: Vec<SimTask> = (0..3).map(|i| task(0.0, 0, i)).collect();
         let p = SimProblem {
             n_nodes: 1,
             edges: &[],
             env_edges: 0,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[1.0; 3],
+            ret_s: &[0.0; 3],
             needs: &[],
         };
         let (t, _) = check(&p);
@@ -682,13 +691,15 @@ mod tests {
             vec![edge(ROOT, 0, None, 1.0), edge(0, 1, Some(0), 1.0), edge(1, 2, Some(1), 1.0)];
         let hop_s = vec![0.01, 0.01, 0.01];
         let tasks: Vec<SimTask> =
-            (0..3).map(|i| SimTask { needs: i..i + 1, ..task(0.0, i, 0.1, 0.2, i) }).collect();
+            (0..3).map(|i| SimTask { needs: i..i + 1, ..task(0.0, i, i) }).collect();
         let p = SimProblem {
             n_nodes: 3,
             edges: &env,
             env_edges: 3,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[0.1; 3],
+            ret_s: &[0.2; 3],
             needs: &[0, 1, 2],
         };
         let (t, ev) = check(&p);
@@ -715,13 +726,15 @@ mod tests {
         ];
         let hop_s = vec![0.5; 4];
         let tasks: Vec<SimTask> =
-            (0..4).map(|i| SimTask { needs: i..i + 1, ..task(0.05, i, 0.3, 0.1, i) }).collect();
+            (0..4).map(|i| SimTask { needs: i..i + 1, ..task(0.05, i, i) }).collect();
         let p = SimProblem {
             n_nodes: 4,
             edges: &env,
             env_edges: 4,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[0.3; 4],
+            ret_s: &[0.1; 4],
             needs: &[0, 1, 2, 3],
         };
         let (t, _) = check(&p);
@@ -751,9 +764,9 @@ mod tests {
         let hop_s = vec![0.25; 3];
         let needs = [0, 3, 1, 4, 2];
         let tasks = vec![
-            SimTask { edges: 0..5, needs: 0..2, ..task(0.0, 0, 0.125, 0.0625, 0) },
-            SimTask { edges: 5..5, needs: 2..4, ..task(0.0, 1, 0.125, 0.0625, 1) },
-            SimTask { edges: 5..5, needs: 4..5, ..task(0.0, 2, 0.125, 0.0625, 2) },
+            SimTask { edges: 0..5, needs: 0..2, ..task(0.0, 0, 0) },
+            SimTask { edges: 5..5, needs: 2..4, ..task(0.0, 1, 1) },
+            SimTask { edges: 5..5, needs: 4..5, ..task(0.0, 2, 2) },
         ];
         let p = SimProblem {
             n_nodes: 3,
@@ -761,6 +774,8 @@ mod tests {
             env_edges: 0,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[0.125; 3],
+            ret_s: &[0.0625; 3],
             needs: &needs,
         };
         let (t, _) = check(&p);
@@ -782,16 +797,15 @@ mod tests {
         // late by r0; task 1 needs nothing. The rank still runs 0 then 1.
         let edges = vec![edge(ROOT, 0, None, 0.5), edge(0, 1, Some(0), 4.0)];
         let hop_s = vec![0.25, 0.25];
-        let tasks = vec![
-            SimTask { edges: 0..2, needs: 0..1, ..task(0.0, 1, 1.0, 0.0, 0) },
-            task(0.0, 1, 1.0, 0.0, 1),
-        ];
+        let tasks = vec![SimTask { edges: 0..2, needs: 0..1, ..task(0.0, 1, 0) }, task(0.0, 1, 1)];
         let p = SimProblem {
             n_nodes: 2,
             edges: &edges,
             env_edges: 0,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[1.0, 1.0],
+            ret_s: &[0.0, 0.0],
             needs: &[1],
         };
         let (t, _) = check(&p);
@@ -799,8 +813,8 @@ mod tests {
     }
 
     /// A task with no message of its own, riding edge `needs[need]`.
-    fn rider(exec: usize, elapsed: f64, ret_s: f64, need: usize) -> SimTask {
-        SimTask { hops: 0..0, needs: need..need + 1, ..task(0.0, exec, elapsed, ret_s, 0) }
+    fn rider(exec: usize, need: usize) -> SimTask {
+        SimTask { hops: 0..0, needs: need..need + 1, ..task(0.0, exec, 0) }
     }
 
     #[test]
@@ -819,11 +833,11 @@ mod tests {
         let hop_s = vec![0.25];
         let needs = [1, 3, 2, 0, 4];
         let tasks = vec![
-            rider(0, 0.5, 0.125, 0),
-            rider(1, 0.5, 0.125, 1),
-            rider(2, 0.5, 0.125, 2),
-            rider(3, 0.5, 0.125, 3),
-            SimTask { needs: 4..5, ..task(0.0, 4, 0.5, 0.125, 0) },
+            rider(0, 0),
+            rider(1, 1),
+            rider(2, 2),
+            rider(3, 3),
+            SimTask { needs: 4..5, ..task(0.0, 4, 0) },
         ];
         let p = SimProblem {
             n_nodes: 5,
@@ -831,6 +845,8 @@ mod tests {
             env_edges: 5,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[0.5; 5],
+            ret_s: &[0.125; 5],
             needs: &needs,
         };
         let (t, ev) = check(&p);
@@ -860,14 +876,15 @@ mod tests {
         let env = vec![edge(ROOT, 1, None, 1.0)];
         let run = |hop: f64| {
             let hop_s = vec![hop];
-            let tasks =
-                vec![SimTask { needs: 0..1, ..task(0.0, 1, 1.0, 0.0, 0) }, rider(1, 2.0, 0.0, 1)];
+            let tasks = vec![SimTask { needs: 0..1, ..task(0.0, 1, 0) }, rider(1, 1)];
             let p = SimProblem {
                 n_nodes: 2,
                 edges: &env,
                 env_edges: 1,
                 hop_s: &hop_s,
                 tasks: &tasks,
+                node_s: &[1.0, 2.0],
+                ret_s: &[0.0, 0.0],
                 needs: &[0, 0],
             };
             check(&p).0.node_bounds
@@ -878,8 +895,16 @@ mod tests {
 
     #[test]
     fn empty_problem_is_fine() {
-        let p =
-            SimProblem { n_nodes: 4, edges: &[], env_edges: 0, hop_s: &[], tasks: &[], needs: &[] };
+        let p = SimProblem {
+            n_nodes: 4,
+            edges: &[],
+            env_edges: 0,
+            hop_s: &[],
+            tasks: &[],
+            node_s: &[],
+            ret_s: &[],
+            needs: &[],
+        };
         let (t, _) = check(&p);
         assert_eq!(t.root_free, 0.0);
         assert!(t.send_done.is_empty());
@@ -889,13 +914,15 @@ mod tests {
     #[should_panic(expected = "sim-check: ret_done[1] diverged")]
     fn the_oracle_trips_on_a_single_flipped_bit() {
         let hop_s = vec![0.5, 0.25];
-        let tasks = vec![task(0.1, 0, 2.0, 0.5, 0), task(0.1, 1, 1.0, 0.5, 1)];
+        let tasks = vec![task(0.1, 0, 0), task(0.1, 1, 1)];
         let p = SimProblem {
             n_nodes: 2,
             edges: &[],
             env_edges: 0,
             hop_s: &hop_s,
             tasks: &tasks,
+            node_s: &[2.0, 1.0],
+            ret_s: &[0.5, 0.5],
             needs: &[],
         };
         let (eager, mut event) = check(&p);
@@ -909,24 +936,28 @@ mod tests {
         // state must not leak.
         let mut scratch = SimScratch::new();
         let hop_big: Vec<f64> = (0..64).map(|i| 0.01 * (i + 1) as f64).collect();
-        let tasks_big: Vec<SimTask> = (0..64).map(|i| task(0.001, i % 8, 0.5, 0.01, i)).collect();
+        let tasks_big: Vec<SimTask> = (0..64).map(|i| task(0.001, i % 8, i)).collect();
         let big = SimProblem {
             n_nodes: 8,
             edges: &[],
             env_edges: 0,
             hop_s: &hop_big,
             tasks: &tasks_big,
+            node_s: &[0.5; 64],
+            ret_s: &[0.01; 64],
             needs: &[],
         };
         let _ = run_event(&big, &mut scratch);
         let hop_small = vec![1.0];
-        let tasks_small = vec![task(0.0, 0, 1.0, 1.0, 0)];
+        let tasks_small = vec![task(0.0, 0, 0)];
         let small = SimProblem {
             n_nodes: 1,
             edges: &[],
             env_edges: 0,
             hop_s: &hop_small,
             tasks: &tasks_small,
+            node_s: &[1.0],
+            ret_s: &[1.0],
             needs: &[],
         };
         let reused = run_event(&small, &mut scratch);

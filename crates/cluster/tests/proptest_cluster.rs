@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use triolet_cluster::{
     Cluster, ClusterConfig, Comm, CostModel, FaultPlan, NodeCtx, RawTask, ResidentSpec, Topology,
 };
-use triolet_serial::Wire;
+use triolet_serial::{Piece, Wire};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -118,6 +118,77 @@ proptest! {
             if rides(spec) {
                 prop_assert_eq!(exec, spec.0);
             }
+        }
+    }
+
+    /// Every dispatch reaches the cluster-wide counters exactly as its own
+    /// record counts it: over random tasks (private bytes, shared, private
+    /// and anonymous pieces, resident claims with and without halos, result
+    /// sizes), environments, topologies and fault plans, the counters move
+    /// by precisely the dispatch's `DistTiming` — nothing counted twice,
+    /// nothing missed.
+    #[test]
+    fn cluster_counters_move_by_exactly_each_dispatch(
+        calls in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..64, 0usize..4, 0usize..3, 0usize..40), 1..=5),
+                0usize..300,
+            ),
+            1..4,
+        ),
+        (nodes, linear, crash, seed) in (1usize..=5, any::<bool>(), 0usize..8, 0u64..1000),
+        (drop_pct, dup_pct, corrupt_pct) in (0u32..30, 0u32..10, 0u32..10),
+    ) {
+        let mut faults = FaultPlan::seeded(seed)
+            .with_drop(f64::from(drop_pct) / 100.0)
+            .with_duplication(f64::from(dup_pct) / 100.0)
+            .with_corruption(f64::from(corrupt_pct) / 100.0)
+            .with_timeout(std::time::Duration::from_millis(1));
+        if crash < nodes && nodes > 1 {
+            faults = faults.with_crash(crash);
+        }
+        let topology = if linear { Topology::Linear } else { Topology::Tree };
+        let cfg = ClusterConfig::virtual_cluster(nodes, 1).with_topology(topology).with_faults(faults);
+        let cluster = Cluster::new(cfg);
+        for (specs, bcast) in &calls {
+            let tasks: Vec<RawTask<'_, Vec<u8>>> = specs
+                .iter()
+                .take(nodes)
+                .enumerate()
+                .map(|(i, &(wire_bytes, piece, resident, len))| RawTask {
+                    wire_bytes,
+                    pieces: match piece {
+                        1 => vec![Piece { id: Some(7), bytes: 500 }],
+                        2 => vec![Piece { id: Some(100 + i), bytes: 50 }],
+                        3 => vec![Piece { id: None, bytes: 20 }],
+                        _ => Vec::new(),
+                    },
+                    pack_s: 0.0,
+                    resident: (resident > 0).then(|| ResidentSpec {
+                        id: 1,
+                        home: (i + seed as usize) % nodes,
+                        seg_bytes: 256,
+                        halo_bytes: if resident == 2 { 8 } else { 0 },
+                    }),
+                    work: Box::new(move |_: &NodeCtx| vec![i as u8; len]),
+                })
+                .collect();
+            let before = cluster.stats().snapshot();
+            let out = cluster.run_raw_with_broadcast(tasks, *bcast);
+            let d = cluster.stats().snapshot().since(&before);
+            let t = &out.timing;
+            prop_assert_eq!(d.messages, t.messages);
+            prop_assert_eq!(d.bytes, t.bytes_out + t.bytes_back);
+            prop_assert_eq!((d.retries, d.redispatches), (t.retries, t.redispatches));
+            prop_assert_eq!(
+                (d.resident_hits, d.resident_misses),
+                (t.resident_hits, t.resident_misses)
+            );
+            prop_assert_eq!(
+                (d.unpack_copied, d.unpack_aliased),
+                (t.unpack_copied, t.unpack_aliased)
+            );
+            prop_assert_eq!((d.env_packs, d.seg_scatters), (0, 0));
         }
     }
 }
