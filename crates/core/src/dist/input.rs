@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use triolet_cluster::{ResidentStore, TrafficStats};
-use triolet_domain::SeqPart;
+use triolet_domain::Domain;
 use triolet_serial::{PackedPayload, Wire};
 
 use super::DistIter;
@@ -149,7 +149,7 @@ impl Drop for Lease {
 /// slot. The segment's owner is looked up in the store, never remembered
 /// here, so every handle and view sees a move the moment it is made.
 #[derive(Clone)]
-pub struct SegClaim {
+pub(crate) struct SegClaim {
     lease: Arc<Lease>,
     slot: usize,
     bytes: usize,
@@ -174,43 +174,41 @@ impl SegClaim {
     }
 }
 
-/// Enumerates a resident part's items at input-space indices
-/// `start .. start + len`.
-pub type PartFold<T> = Arc<dyn Fn(usize, usize, &mut dyn FnMut(T)) + Send + Sync>;
-
-/// One resident task: a contiguous range of the input's index space whose
-/// backing segment lives on `home`.
+/// One resident task: the iterator over a contiguous range of the input's
+/// index space, read from a segment that lives on `home`.
 ///
-/// `fold` enumerates a subrange of `part` — the engine splits `part` into
-/// the same chunks as the re-broadcast path, so a resident execution folds
-/// and merges in an identical order and the result is bit-identical.
-pub struct ResidentPart<T> {
+/// `iter` answers global indices, and the engine splits `part` into the
+/// same chunks as the re-broadcast path (chunking depends only on the
+/// part's length), so a resident execution folds the same node body over
+/// the same iterator type in an identical order: the result is
+/// bit-identical.
+pub(crate) struct ResidentPart<It: DistIter> {
     /// Rank owning this part's segment when the call was built.
-    pub home: usize,
+    pub(crate) home: usize,
     /// The store entries this part reads (one per zipped operand). Whatever
     /// rank ends up executing the part owns all of them afterwards.
-    pub claims: Vec<SegClaim>,
-    /// The input-space range this part covers.
-    pub part: SeqPart,
+    pub(crate) claims: Vec<SegClaim>,
+    /// The index range this part covers.
+    pub(crate) part: <It::OuterDom as Domain>::Part,
     /// Bytes shipped only when the task executes off `home`: the segments
     /// that live there. A miss moves whole segments, even under a view that
     /// reads a sub-range, because the executing rank becomes their owner.
-    pub seg_bytes: usize,
+    pub(crate) seg_bytes: usize,
     /// Bytes shipped on every call wherever it runs: ghost cells a view
     /// needs from neighboring segments, and any zipped operand whose
     /// segment is not on `home`.
-    pub halo_bytes: usize,
-    /// The part's items.
-    pub fold: PartFold<T>,
+    pub(crate) halo_bytes: usize,
+    /// The part's items: the segment as the indexer it already is.
+    pub(crate) iter: It,
 }
 
-impl<T> ResidentPart<T> {
+impl<It: DistIter> ResidentPart<It> {
     /// A part over `claims`, homed where the first one lives now.
     pub(crate) fn resolve(
         claims: Vec<SegClaim>,
-        part: SeqPart,
+        part: <It::OuterDom as Domain>::Part,
         halo_bytes: usize,
-        fold: PartFold<T>,
+        iter: It,
     ) -> Self {
         let home = claims[0].owner();
         let (mut seg_bytes, mut away_bytes) = (claims[0].bytes, 0);
@@ -221,20 +219,20 @@ impl<T> ResidentPart<T> {
                 away_bytes += claim.bytes;
             }
         }
-        ResidentPart { home, claims, part, seg_bytes, halo_bytes: halo_bytes + away_bytes, fold }
+        ResidentPart { home, claims, part, seg_bytes, halo_bytes: halo_bytes + away_bytes, iter }
     }
 }
 
-/// A resident execution plan: one [`ResidentPart`] per segment, covering
-/// the view's index space in order. Produced by resident collection views;
-/// consumed by the engine's resident dispatch arm.
-pub struct ResidentRun<T> {
-    /// The backing collection's store id (labels hit/miss trace events).
-    pub id: u64,
-    /// Total items in the view's index space.
-    pub len: usize,
-    /// Parts in index order; `parts[i].part` ranges tile `0..len`.
-    pub parts: Vec<ResidentPart<T>>,
+/// A resident execution plan: one [`ResidentPart`] per segment the view
+/// reads, in index order. Produced by resident collection views; consumed
+/// by the engine's distributed arm, which turns each part into a task.
+pub struct ResidentRun<It: DistIter> {
+    /// The backing collection's store id.
+    pub(crate) id: u64,
+    /// Total items in the view.
+    pub(crate) len: usize,
+    /// Parts in index order.
+    pub(crate) parts: Vec<ResidentPart<It>>,
 }
 
 /// A skeleton input, resolved: either an iterator to slice and ship, or a
@@ -243,7 +241,7 @@ pub enum DistInput<It: DistIter> {
     /// Root-held data: slice per part and ship each node its share.
     Iter(It),
     /// Resident data: run each part on the rank that owns its segment.
-    Resident(ResidentRun<It::Item>),
+    Resident(ResidentRun<It>),
 }
 
 /// Anything a skeleton can consume as its data input: every [`DistIter`]
@@ -253,9 +251,10 @@ pub enum DistInput<It: DistIter> {
 pub trait IntoDistInput {
     /// The element type the skeleton's closures receive.
     type Item;
-    /// The iterator type of the shipped path. Resident inputs never
-    /// construct one; the type only carries `Item` and the outer domain
-    /// shape to the engine's bounds.
+    /// The iterator a part is folded through: the input itself for an
+    /// iterator, and for a resident view the indexer over one segment
+    /// (answering the same global indices). Both arms run the same node
+    /// body over it.
     type Iter: DistIter<Item = Self::Item>;
 
     /// Resolve to the concrete input the engine dispatches on.

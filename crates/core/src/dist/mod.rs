@@ -10,19 +10,23 @@
 //!   stay resident in node-local stores across skeleton calls, with views
 //!   ([`DistVec::slice`], [`DistVec::zip`], [`DistVec::enumerate`],
 //!   [`DistVec::halo`]) that describe per-rank subranges without moving data.
+//!   A view is itself an iterator per segment: the segment as the indexer
+//!   it already is (an `ArrayIdx` window answering the collection's global
+//!   indices, zipped with `RangeIdx` for an index or mapped over it for a
+//!   window or a row).
 //! * [`IntoDistInput`] / [`AsEnv`] — the unified input abstraction: every
 //!   skeleton entry point has exactly one signature, accepting a local
 //!   iterator, a resident collection view, and either a plain `&E`
-//!   environment or a pre-packed [`PackedEnv`].
+//!   environment or a pre-packed [`PackedEnv`]. Either input resolves to a
+//!   [`DistIter`] per part, so the engine's node bodies have one element
+//!   protocol.
 
 mod input;
 mod iter;
 mod vec;
 
-pub use input::{
-    AsEnv, DistInput, IntoDistInput, PackedEnv, PartFold, ResidentPart, ResidentRun, SegClaim,
-};
-pub(crate) use input::{EnvArg, Lease};
+pub use input::{AsEnv, DistInput, IntoDistInput, PackedEnv};
+pub(crate) use input::{EnvArg, Lease, SegClaim};
 pub use iter::DistIter;
 pub(crate) use vec::Seg;
 pub use vec::{DistArray2, DistVec, EnumView, HaloView, RowsView, SliceView, ZipView};

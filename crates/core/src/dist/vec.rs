@@ -22,12 +22,14 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use triolet_domain::SeqPart;
-use triolet_iter::indexer::ArrayIdx;
+use triolet_domain::{Seq, SeqPart};
+use triolet_iter::indexer::{ArrayIdx, MapIdx, RangeIdx, ZipIdx};
 use triolet_iter::shapes::IdxFlat;
+use triolet_iter::stepper::ElemFn;
 use triolet_serial::Wire;
 
-use super::input::{DistInput, IntoDistInput, Lease, PartFold, ResidentPart, ResidentRun};
+use super::input::{DistInput, IntoDistInput, Lease, ResidentPart, ResidentRun};
+use super::DistIter;
 
 /// One resident segment: contiguous rows of a collection. Its index in the
 /// collection's segment list is its slot in the
@@ -45,10 +47,16 @@ impl<T> Clone for Seg<T> {
     }
 }
 
-impl<T> Seg<T> {
+impl<T: Wire + Clone + Send + Sync + 'static> Seg<T> {
     /// Estimated wire bytes per element (for pro-rata slice/halo costs).
     fn elem_bytes(&self) -> usize {
         self.bytes / self.part.len.max(1)
+    }
+
+    /// The segment as the indexer it is: a window of a `len`-element
+    /// collection, answering the global indices it holds.
+    fn array(&self, len: usize) -> ArrayIdx<T> {
+        ArrayIdx::window(Arc::clone(&self.data), self.part.start, len)
     }
 }
 
@@ -114,7 +122,8 @@ impl<T> DistVec<T> {
     /// the range participate in calls over the view; no data moves.
     pub fn slice(&self, range: Range<usize>) -> SliceView<T> {
         assert!(range.start <= range.end && range.end <= self.len, "slice out of bounds");
-        SliceView { lease: Arc::clone(&self.lease), segs: Arc::clone(&self.segs), range }
+        let (lease, segs) = (Arc::clone(&self.lease), Arc::clone(&self.segs));
+        SliceView { lease, segs, len: self.len, range }
     }
 
     /// A view yielding `(global_index, element)` pairs.
@@ -147,8 +156,8 @@ impl<T> DistVec<T> {
     /// `window` holds the elements at `i - radius ..= i + radius`, clamped
     /// to the collection bounds. Elements within `radius` of a segment
     /// boundary come from the neighboring segment; each call ships that
-    /// halo (`~2 * radius` elements per boundary) — counted as input bytes,
-    /// unlike the zero-byte interior.
+    /// halo (up to `radius` elements from each neighbouring side of a
+    /// segment) — counted as input bytes, unlike the zero-byte interior.
     pub fn halo(&self, radius: usize) -> HaloView<T> {
         HaloView {
             lease: Arc::clone(&self.lease),
@@ -172,23 +181,25 @@ impl<T> DistVec<T> {
     }
 }
 
-/// Build the full-collection resident parts, one per segment, each homed
-/// where the store says its segment lives now. `make` gives a segment's
-/// item enumeration (the whole-vec and enumerated views differ only in the
-/// emitted item).
-fn whole_parts<T, Item>(
+/// The resident plan over the whole of `segs`: one part per segment, each
+/// homed where the store says its segment lives now, declaring
+/// `halo_bytes(seg)` and folding `iter(seg)` over the segment's rows.
+fn whole_run<T, It: DistIter<OuterDom = Seq>>(
     lease: &Arc<Lease>,
+    len: usize,
     segs: &[Seg<T>],
     halo_bytes: impl Fn(&Seg<T>) -> usize,
-    make: impl Fn(&Seg<T>) -> PartFold<Item>,
-) -> Vec<ResidentPart<Item>> {
-    segs.iter()
+    iter: impl Fn(&Seg<T>) -> It,
+) -> DistInput<It> {
+    let parts = segs
+        .iter()
         .enumerate()
         .map(|(slot, seg)| {
             let claims = vec![lease.claim(slot, seg.bytes)];
-            ResidentPart::resolve(claims, seg.part, halo_bytes(seg), make(seg))
+            ResidentPart::resolve(claims, seg.part, halo_bytes(seg), iter(seg))
         })
-        .collect()
+        .collect();
+    DistInput::Resident(ResidentRun { id: lease.id(), len, parts })
 }
 
 impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
@@ -196,21 +207,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
     type Iter = IdxFlat<ArrayIdx<T>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
-        let parts = whole_parts(
-            &self.lease,
-            &self.segs,
-            |_| 0,
-            |seg| {
-                let data = Arc::clone(&seg.data);
-                let base = seg.part.start;
-                Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
-                    for x in &data[start - base..start - base + len] {
-                        f(x.clone());
-                    }
-                })
-            },
-        );
-        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.len, parts })
+        let len = self.len;
+        whole_run(&self.lease, len, &self.segs, |_| 0, |seg| IdxFlat::new(seg.array(len)))
     }
 }
 
@@ -218,6 +216,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
 pub struct SliceView<T> {
     lease: Arc<Lease>,
     segs: Arc<Vec<Seg<T>>>,
+    len: usize,
     range: Range<usize>,
 }
 
@@ -234,19 +233,13 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for SliceView<T> {
             if lo >= hi {
                 continue;
             }
-            let data = Arc::clone(&seg.data);
-            let base = seg.part.start;
-            // View index v maps to global index a + v.
+            // Parts keep global indices: chunking depends only on a part's
+            // length, so the chunks are those of the range's own parts.
             parts.push(ResidentPart::resolve(
                 vec![self.lease.claim(slot, seg.bytes)],
-                SeqPart::new(lo - a, hi - lo),
+                SeqPart::new(lo, hi - lo),
                 0,
-                Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
-                    let off = a + start - base;
-                    for x in &data[off..off + len] {
-                        f(x.clone());
-                    }
-                }),
+                IdxFlat::new(seg.array(self.len)),
             ));
         }
         DistInput::Resident(ResidentRun { id: self.lease.id(), len: b - a, parts })
@@ -262,24 +255,17 @@ pub struct EnumView<T> {
 
 impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for EnumView<T> {
     type Item = (usize, T);
-    type Iter = IdxFlat<ArrayIdx<(usize, T)>>;
+    type Iter = IdxFlat<ZipIdx<RangeIdx<Seq>, ArrayIdx<T>>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
-        let parts = whole_parts(
+        let len = self.len;
+        whole_run(
             &self.lease,
+            len,
             &self.segs,
             |_| 0,
-            |seg| {
-                let data = Arc::clone(&seg.data);
-                let base = seg.part.start;
-                Arc::new(move |start, len, f: &mut dyn FnMut((usize, T))| {
-                    for (k, x) in data[start - base..start - base + len].iter().enumerate() {
-                        f((start + k, x.clone()));
-                    }
-                })
-            },
-        );
-        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.len, parts })
+            |seg| IdxFlat::new(ZipIdx::new(RangeIdx::new(Seq::new(len)), seg.array(len))),
+        )
     }
 }
 
@@ -299,29 +285,22 @@ where
     U: Wire + Clone + Send + Sync + 'static,
 {
     type Item = (T, U);
-    type Iter = IdxFlat<ArrayIdx<(T, U)>>;
+    type Iter = IdxFlat<ZipIdx<ArrayIdx<T>, ArrayIdx<U>>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let (la, lb) = &self.leases;
+        let len = self.len;
         let parts = self
             .a
             .iter()
             .zip(self.b.iter())
             .enumerate()
             .map(|(slot, (sa, sb))| {
-                let da = Arc::clone(&sa.data);
-                let db = Arc::clone(&sb.data);
-                let base = sa.part.start;
                 ResidentPart::resolve(
                     vec![la.claim(slot, sa.bytes), lb.claim(slot, sb.bytes)],
                     sa.part,
                     0,
-                    Arc::new(move |start, len, f: &mut dyn FnMut((T, U))| {
-                        let off = start - base;
-                        for k in off..off + len {
-                            f((da[k].clone(), db[k].clone()));
-                        }
-                    }),
+                    IdxFlat::new(ZipIdx::new(sa.array(len), sb.array(len))),
                 )
             })
             .collect();
@@ -339,30 +318,41 @@ pub struct HaloView<T> {
 
 impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for HaloView<T> {
     type Item = (usize, Vec<T>);
-    type Iter = IdxFlat<ArrayIdx<(usize, Vec<T>)>>;
+    type Iter = IdxFlat<MapIdx<RangeIdx<Seq>, Window<T>>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
-        let radius = self.radius;
-        let n = self.len;
-        let all = Arc::clone(&self.segs);
-        let parts = whole_parts(
+        let (radius, len) = (self.radius, self.len);
+        let window = Window { segs: Arc::clone(&self.segs), radius, len };
+        whole_run(
             &self.lease,
+            len,
             &self.segs,
-            // Each boundary needs up to `radius` ghost elements per side.
-            |seg| 2 * radius * seg.elem_bytes(),
-            |_seg| {
-                let all = Arc::clone(&all);
-                Arc::new(move |start, len, f: &mut dyn FnMut((usize, Vec<T>))| {
-                    for i in start..start + len {
-                        let lo = i.saturating_sub(radius);
-                        let hi = (i + radius + 1).min(n);
-                        let window: Vec<T> = (lo..hi).map(|j| element_at(&all, j)).collect();
-                        f((i, window));
-                    }
-                })
+            // Up to `radius` ghost elements from each side that has any.
+            |seg| {
+                (radius.min(seg.part.start) + radius.min(len - seg.part.end())) * seg.elem_bytes()
             },
-        );
-        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.len, parts })
+            |_| IdxFlat::new(MapIdx::new(RangeIdx::new(Seq::new(len)), window.clone())),
+        )
+    }
+}
+
+/// Index `i` ↦ `(i, elements i - radius ..= i + radius)`, clamped to the
+/// collection, read across segment boundaries: the element of a
+/// [`HaloView`].
+#[derive(Clone)]
+pub struct Window<T> {
+    segs: Arc<Vec<Seg<T>>>,
+    radius: usize,
+    len: usize,
+}
+
+impl<T: Clone + Send + Sync + 'static> ElemFn<usize> for Window<T> {
+    type Out = (usize, Vec<T>);
+
+    fn call(&self, i: usize) -> (usize, Vec<T>) {
+        let lo = i.saturating_sub(self.radius);
+        let hi = (i + self.radius + 1).min(self.len);
+        (i, (lo..hi).map(|j| element_at(&self.segs, j)).collect())
     }
 }
 
@@ -447,7 +437,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistArray2<T> {
     type Iter = IdxFlat<ArrayIdx<T>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
-        let cols = self.cols;
+        let (cols, len) = (self.cols, self.rows * self.cols);
         // View space is the row-major element space: a row slab covering
         // rows [r0, r0 + k) covers elements [r0 * cols, (r0 + k) * cols).
         let parts = self
@@ -455,21 +445,16 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistArray2<T> {
             .iter()
             .enumerate()
             .map(|(slot, seg)| {
-                let data = Arc::clone(&seg.data);
                 let base = seg.part.start * cols;
                 ResidentPart::resolve(
                     vec![self.lease.claim(slot, seg.bytes)],
                     SeqPart::new(base, seg.part.len * cols),
                     0,
-                    Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
-                        for x in &data[start - base..start - base + len] {
-                            f(x.clone());
-                        }
-                    }),
+                    IdxFlat::new(ArrayIdx::window(Arc::clone(&seg.data), base, len)),
                 )
             })
             .collect();
-        DistInput::Resident(ResidentRun { id: self.id(), len: self.rows * self.cols, parts })
+        DistInput::Resident(ResidentRun { id: self.id(), len, parts })
     }
 }
 
@@ -483,26 +468,38 @@ pub struct RowsView<T> {
 
 impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for RowsView<T> {
     type Item = (usize, Vec<T>);
-    type Iter = IdxFlat<ArrayIdx<(usize, Vec<T>)>>;
+    type Iter = IdxFlat<MapIdx<RangeIdx<Seq>, Row<T>>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
-        let cols = self.cols;
-        let parts = whole_parts(
+        let (rows, cols) = (self.rows, self.cols);
+        whole_run(
             &self.lease,
+            rows,
             &self.segs,
             |_| 0,
             |seg| {
-                let data = Arc::clone(&seg.data);
-                let base = seg.part.start;
-                Arc::new(move |start, len, f: &mut dyn FnMut((usize, Vec<T>))| {
-                    for r in start..start + len {
-                        let off = (r - base) * cols;
-                        f((r, data[off..off + cols].to_vec()));
-                    }
-                })
+                let row = Row { data: Arc::clone(&seg.data), row0: seg.part.start, cols };
+                IdxFlat::new(MapIdx::new(RangeIdx::new(Seq::new(rows)), row))
             },
-        );
-        DistInput::Resident(ResidentRun { id: self.lease.id(), len: self.rows, parts })
+        )
+    }
+}
+
+/// Row index `r` ↦ `(r, row r)`, read from the row slab starting at row
+/// `row0`: the element of a [`RowsView`].
+#[derive(Clone)]
+pub struct Row<T> {
+    data: Arc<Vec<T>>,
+    row0: usize,
+    cols: usize,
+}
+
+impl<T: Clone + Send + Sync + 'static> ElemFn<usize> for Row<T> {
+    type Out = (usize, Vec<T>);
+
+    fn call(&self, r: usize) -> (usize, Vec<T>) {
+        let off = (r - self.row0) * self.cols;
+        (r, self.data[off..off + self.cols].to_vec())
     }
 }
 
@@ -545,7 +542,7 @@ mod tests {
             DistInput::Iter(_) => unreachable!("resident view"),
             DistInput::Resident(run) => {
                 for p in &run.parts {
-                    (p.fold)(p.part.start, p.part.len, &mut |x| out.push(x));
+                    p.iter.fold_outer_part(&p.part, (), &mut |(), x| out.push(x));
                 }
             }
         }
@@ -602,9 +599,19 @@ mod tests {
         assert_eq!(wins[0].1, vec![0, 1, 2]);
         assert_eq!(wins[39].1, vec![37, 38, 39]);
         // Nonzero halo bytes are declared for the ghost exchange.
-        if let DistInput::Resident(run) = v.halo(2).into_dist_input() {
-            assert!(run.parts.iter().all(|p| p.halo_bytes > 0));
-        }
+        let halo_bytes = |v: &DistVec<i64>| match v.halo(2).into_dist_input() {
+            DistInput::Resident(run) => run.parts.iter().map(|p| p.halo_bytes).collect(),
+            DistInput::Iter(_) => unreachable!("resident view"),
+        };
+        let bytes: Vec<usize> = halo_bytes(&v);
+        assert!(bytes.iter().all(|&b| b > 0));
+        // An edge segment has one neighbour: `radius` 8-byte ghosts, not two
+        // sides' worth.
+        assert_eq!(bytes, vec![16, 32, 32, 16]);
+        // A one-segment collection has no neighbour at all.
+        let whole = dv((0..40).collect(), 1);
+        assert_eq!(halo_bytes(&whole), vec![0]);
+        assert_eq!(collect_input(whole.halo(2)), wins);
     }
 
     #[test]

@@ -21,15 +21,17 @@
 //! selects the execution path.
 //!
 //! The arms differ in how they *reach* a node — in place on the root's
-//! threads, behind a sliced and shipped payload, or as a descriptor to the
-//! rank that owns the segment — and in nothing else. What a node does once
-//! reached is written once, over a private `PartSource` that a `DistIter`
-//! slice and a resident part both implement: `node_fold` (chunks → private
-//! accumulators → chunk-order merge) under every reduction, `node_collect`
-//! (chunks → pieces → chunk-order concat) under `build_vec` and
-//! `build_array3`. Chunking and merge order are thus one function of a
-//! part's index range on every path, which is why a resident, a shipped and
-//! a `localpar` run over the same part agree to the bit.
+//! threads, or as a dispatched task that carries a shipped slice or is
+//! routed to the rank holding a resident segment — and in nothing else.
+//! Every node body reads a [`DistIter`] over its part: the input itself, the
+//! slice the root shipped, or the segment as the indexer it already is
+//! (answering the same global indices). What a node does once reached is
+//! written once over it: `node_fold` (chunks → private accumulators →
+//! chunk-order merge) under every reduction, `node_collect` (chunks →
+//! pieces → chunk-order concat) under `build_vec` and `build_array3`.
+//! Chunking and merge order are thus one function of a part's index range
+//! on every path, which is why a resident, a shipped and a `localpar` run
+//! over the same part agree to the bit.
 //!
 //! Every skeleton returns a [`Run`]: the value, its [`RunStats`], and — when
 //! the cluster is built with
@@ -49,7 +51,7 @@ use triolet_cluster::{
     Cluster, ClusterConfig, DistOutcome, NodeCtx, RawTask, ResidentSpec, TraceData, TraceHandle,
     Track,
 };
-use triolet_domain::{Dim2, Domain, Part, Seq, SeqPart};
+use triolet_domain::{Dim2, Domain, Part, Seq};
 use triolet_iter::collector::Collector;
 use triolet_iter::shapes::ParHint;
 use triolet_iter::{Array2, SliceMemo};
@@ -58,82 +60,14 @@ use triolet_pool::parallel::CHUNKS_PER_THREAD;
 use triolet_serial::{PackedPayload, PodView, Wire};
 
 use crate::dist::{
-    AsEnv, DistArray2, DistInput, DistIter, DistVec, EnvArg, IntoDistInput, Lease, PackedEnv,
-    PartFold, ResidentRun, Seg,
+    AsEnv, DistArray2, DistInput, DistIter, DistVec, EnvArg, IntoDistInput, Lease, PackedEnv, Seg,
+    SegClaim,
 };
 use crate::report::RunStats;
 use crate::run::Run;
 
-/// The slicing step of every `Par` arm: cut `it` down to each part's data
-/// (paper §3.5) and wrap `body(sub, part)` — the node-side work over that
-/// slice — as the part's task.
-///
-/// One [`SliceMemo`] spans the call, so a window two parts read (an sgemm
-/// row panel its grid neighbours share) is copied once and both slices hold
-/// the same buffer; the task lists its buffers as [`RawTask::pieces`] and the
-/// cluster ships each shared one once. Only the part descriptor is private
-/// to the task. The slice is wall-measured into `pack_s`, so the streamed
-/// dispatcher can overlap task k+1's slicing with task k's compute — the
-/// first reader of a shared window pays for it, later readers find it.
-fn slice_tasks<'a, It: DistIter, R>(
-    it: &It,
-    parts: Vec<<It::OuterDom as Domain>::Part>,
-    body: impl Fn(It, <It::OuterDom as Domain>::Part) -> Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
-) -> Vec<RawTask<'a, R>> {
-    let mut memo = SliceMemo::default();
-    parts
-        .into_iter()
-        .map(|part| {
-            let ((sub, pieces, wire_bytes), pack_s) = timed(|| {
-                let sub = it.slice_outer_shared(&part, &mut memo);
-                let pieces = sub.source_pieces();
-                (sub, pieces, part.packed_size())
-            });
-            RawTask { wire_bytes, pieces, pack_s, resident: None, work: body(sub, part) }
-        })
-        .collect()
-}
-
-/// Where a node body reads its elements from: a slice of an iterator the
-/// root shipped (or, under `LocalPar`, the iterator itself), or a resident
-/// part's segment in place. The node bodies below are written against this,
-/// once, so every way of reaching a node runs the same chunks in the same
-/// order — statically dispatched: the shipped path gains no indirection, the
-/// resident path keeps the one per-element call its [`PartFold`] always was.
-trait PartSource: Sync {
-    type Item;
-    type Part: Part;
-
-    /// Fold the elements of `chunk`, a sub-range of this source's part.
-    fn fold_chunk<B>(&self, chunk: &Self::Part, init: B, g: impl FnMut(B, Self::Item) -> B) -> B;
-}
-
-impl<It: DistIter> PartSource for It {
-    type Item = It::Item;
-    type Part = <It::OuterDom as Domain>::Part;
-
-    fn fold_chunk<B>(&self, chunk: &Self::Part, init: B, mut g: impl FnMut(B, It::Item) -> B) -> B {
-        self.fold_outer_part(chunk, init, &mut g)
-    }
-}
-
-impl<T> PartSource for PartFold<T> {
-    type Item = T;
-    type Part = SeqPart;
-
-    fn fold_chunk<B>(&self, chunk: &SeqPart, init: B, mut g: impl FnMut(B, T) -> B) -> B {
-        let mut acc = Some(init);
-        let slot = &mut acc;
-        // `g` moves into the per-element callback, so what it captured (the
-        // environment) is one load away there. Reached through a chain of
-        // closure references, the same loop ran ~10% slower per k-means point.
-        self(chunk.start, chunk.len, &mut move |x| {
-            let a = slot.take().expect("accumulator present");
-            *slot = Some(g(a, x));
-        });
-        acc.expect("accumulator present")
-    }
-}
+/// The part type of an iterator's outer domain.
+type PartOf<It> = <<It as DistIter>::OuterDom as Domain>::Part;
 
 /// The node body of every reduction (paper §3.4: "one threaded reduction per
 /// node, which sequentially builds one histogram per thread"): split `part`
@@ -145,16 +79,16 @@ impl<T> PartSource for PartFold<T> {
 /// here or where the data lives — so a resident run is bit-identical to a
 /// shipped one by construction. `step` is `Copy` (a `move` closure over
 /// references) so each chunk's fold owns one rather than borrowing ours.
-fn node_fold<S: PartSource, B: Send>(
+fn node_fold<It: DistIter, B: Send>(
     ctx: &NodeCtx,
-    src: &S,
-    part: &S::Part,
+    src: &It,
+    part: &PartOf<It>,
     seed: impl Fn() -> B + Sync,
-    step: impl Fn(B, S::Item) -> B + Sync + Copy,
+    step: impl Fn(B, It::Item) -> B + Sync + Copy,
     merge: impl Fn(B, B) -> B,
 ) -> B {
     let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-    ctx.map_reduce_chunks(chunks, |chunk| src.fold_chunk(chunk, seed(), step), merge)
+    ctx.map_reduce_chunks(chunks, |chunk| src.fold_outer_part(chunk, seed(), &mut { step }), merge)
         .unwrap_or_else(seed)
 }
 
@@ -162,16 +96,16 @@ fn node_fold<S: PartSource, B: Send>(
 /// each into a piece, concatenate the pieces in chunk order (sequential
 /// packing on the node). For parts that are contiguous in their output's
 /// row-major order ([`Seq`] ranges, [`Dim3`](triolet_domain::Dim3) slabs).
-fn node_collect<S: PartSource, U: Send>(
+fn node_collect<It: DistIter, U: Send>(
     ctx: &NodeCtx,
-    src: &S,
-    part: &S::Part,
-    f: impl Fn(S::Item) -> U + Sync,
+    src: &It,
+    part: &PartOf<It>,
+    f: impl Fn(It::Item) -> U + Sync,
 ) -> Vec<U> {
     let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
     let pieces = ctx.map_chunks(chunks, |chunk| {
         let mut v = Vec::with_capacity(chunk.count());
-        src.fold_chunk(chunk, (), |(), x| v.push(f(x)));
+        src.fold_outer_part(chunk, (), &mut |(), x| v.push(f(x)));
         v
     });
     ctx.sequential(|| {
@@ -379,50 +313,83 @@ impl Triolet {
         Run::new(value, timing).with_trace(trace)
     }
 
-    /// The resident mirror of [`slice_tasks`], dispatch included: one task
-    /// per [`ResidentPart`](crate::dist::ResidentPart), routed to the rank
-    /// the store said owns the part's segment when the view was resolved,
-    /// running `body(part, fold)` there. Tasks declare zero wire bytes (the
-    /// descriptor is control-plane); the environment still broadcasts, and
-    /// its arrival at a rank is what starts that rank's task: a part with no
-    /// halo whose owner is alive is sent no message of its own (the owner
-    /// already knows its part — see [`RawTask`]), so a sweep costs the root
-    /// its tree sends and nothing per task. With the unit environment, or a
-    /// halo to carry, each task still gets its send.
+    /// The tasks of every distributed arm: one per part of `input`, with
+    /// the segment claims it reads. `body(sub, part, shipped)` is the
+    /// node-side work over the part's iterator `sub` either way.
     ///
-    /// A task forced off that rank has its segment re-shipped to whichever
-    /// rank executed it (counted by the cluster as a `dist:resident-miss`).
-    /// The bytes are there now, so ownership follows them: the store entry
-    /// moves (a `dist:rehome`), and every later call over the collection
-    /// routes that part straight to its new owner. The dispatcher itself
-    /// remembers nothing — it is handed owners and reports executing ranks.
-    fn run_resident_tasks<'a, T, R: Wire + Send>(
+    /// An iterator is cut down to each part's data (paper §3.5) and `sub`
+    /// is that slice, `shipped`: it crosses serialization on arrival. One
+    /// [`SliceMemo`] spans the call, so a window two parts read (an sgemm
+    /// row panel its grid neighbours share) is copied once and both slices
+    /// hold the same buffer; the task lists its buffers as
+    /// [`RawTask::pieces`] and the cluster ships each shared one once. Only
+    /// the part descriptor is private to the task. The slice is
+    /// wall-measured into `pack_s`, so the dispatcher can overlap task
+    /// k+1's slicing with task k's compute.
+    ///
+    /// A resident part's `sub` is its segment, read in place: the task
+    /// declares zero wire bytes (the descriptor is control-plane) and a
+    /// [`ResidentSpec`] routing it to the rank the store said owns the
+    /// segment when the view was resolved. The environment still
+    /// broadcasts, and its arrival at a rank is what starts that rank's
+    /// task: a part with no halo whose owner is alive is sent no message of
+    /// its own (see [`RawTask`]). With the unit environment, or a halo to
+    /// carry, each task still gets its send.
+    fn part_tasks<'a, It: DistIter, R>(
         &self,
-        run: ResidentRun<T>,
+        input: DistInput<It>,
+        body: impl Fn(It, PartOf<It>, bool) -> Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
+    ) -> Vec<(RawTask<'a, R>, Vec<SegClaim>)> {
+        match input {
+            DistInput::Iter(it) => {
+                let mut memo = SliceMemo::default();
+                let parts = it.outer_domain().split_parts(self.nodes());
+                parts
+                    .into_iter()
+                    .map(|part| {
+                        let ((sub, pieces, wire_bytes), pack_s) = timed(|| {
+                            let sub = it.slice_outer_shared(&part, &mut memo);
+                            let pieces = sub.source_pieces();
+                            (sub, pieces, part.packed_size())
+                        });
+                        let work = body(sub, part, true);
+                        (RawTask { wire_bytes, pieces, pack_s, resident: None, work }, Vec::new())
+                    })
+                    .collect()
+            }
+            DistInput::Resident(run) => {
+                debug_assert_eq!(run.parts.iter().map(|p| p.part.count()).sum::<usize>(), run.len);
+                let id = run.id;
+                run.parts
+                    .into_iter()
+                    .map(|p| {
+                        let (home, seg_bytes, halo_bytes) = (p.home, p.seg_bytes, p.halo_bytes);
+                        let resident = Some(ResidentSpec { id, home, seg_bytes, halo_bytes });
+                        let work = body(p.iter, p.part, false);
+                        let pieces = Vec::new();
+                        (RawTask { wire_bytes: 0, pieces, pack_s: 0.0, resident, work }, p.claims)
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Dispatch [`part_tasks`](Self::part_tasks) under an `env_bytes`
+    /// broadcast.
+    ///
+    /// A task forced off its segment's owner has the segment re-shipped to
+    /// whichever rank executed it (counted by the cluster as a
+    /// `dist:resident-miss`). The bytes are there now, so ownership follows
+    /// them: the store entry moves (a `dist:rehome`), and every later call
+    /// over the collection routes that part straight to its new owner. The
+    /// dispatcher itself remembers nothing — it is handed owners and
+    /// reports executing ranks.
+    fn dispatch<R: Wire + Send>(
+        &self,
+        tasks: Vec<(RawTask<'_, R>, Vec<SegClaim>)>,
         env_bytes: usize,
-        body: impl Fn(SeqPart, PartFold<T>) -> Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
     ) -> DistOutcome<R> {
-        let id = run.id;
-        let (tasks, claims): (Vec<_>, Vec<_>) = run
-            .parts
-            .into_iter()
-            .map(|p| {
-                let spec = ResidentSpec {
-                    id,
-                    home: p.home,
-                    seg_bytes: p.seg_bytes,
-                    halo_bytes: p.halo_bytes,
-                };
-                let task = RawTask {
-                    wire_bytes: 0,
-                    pieces: Vec::new(),
-                    pack_s: 0.0,
-                    resident: Some(spec),
-                    work: body(p.part, p.fold),
-                };
-                (task, p.claims)
-            })
-            .unzip();
+        let (tasks, claims): (Vec<_>, Vec<_>) = tasks.into_iter().unzip();
         let mut out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
         for (task, (claims, &exec)) in claims.iter().zip(&out.execs).enumerate() {
             for claim in claims {
@@ -600,54 +567,34 @@ impl Triolet {
         Merge: Fn(B, B) -> B + Send + Sync,
     {
         let (seed, step, merge) = (&seed, &step, &merge);
-        let it = match input {
-            DistInput::Resident(run) => {
-                let (env_payload, root_prep_s) = self.timed_payload(&env);
-                let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
-                    let penv = env_payload.clone();
-                    Box::new(move |ctx: &NodeCtx| {
-                        let env: E =
-                            ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
-                        let env = &env;
-                        node_fold(ctx, &fold, &part, seed, move |b, x| step(env, b, x), merge)
-                    })
-                });
-                return self.fold_epilogue(name, root_prep_s, out, seed, merge);
-            }
-            DistInput::Iter(it) => it,
-        };
-        let dom = it.outer_domain();
-        match it.hint() {
-            ParHint::Sequential => {
-                let env = env.value();
+        match input {
+            DistInput::Iter(it) if it.hint() == ParHint::Sequential => {
+                let (env, part) = (env.value(), it.outer_domain().whole_part());
                 self.run_sequential(name, || {
-                    it.fold_outer_part(&dom.whole_part(), seed(), &mut |b, x| step(env, b, x))
+                    it.fold_outer_part(&part, seed(), &mut |b, x| step(env, b, x))
                 })
             }
-            ParHint::LocalPar => {
+            DistInput::Iter(it) if it.hint() == ParHint::LocalPar => {
                 // No node boundary: use the environment in place.
-                let (env, part) = (env.value(), dom.whole_part());
+                let (env, part) = (env.value(), it.outer_domain().whole_part());
                 self.run_localpar(name, |ctx| {
                     node_fold(ctx, &it, &part, seed, move |b, x| step(env, b, x), merge)
                 })
             }
-            ParHint::Par => {
-                // Slicing each node's data (paper §3.5) is measured per
-                // task into `pack_s`, so the dispatcher can overlap task
-                // k+1's slice/pack with task k's compute.
+            input => {
                 let (env_payload, root_prep_s) = self.timed_payload(&env);
-                let tasks = slice_tasks(&it, dom.split_parts(self.nodes()), |sub, part| {
+                let tasks = self.part_tasks(input, |sub, part, shipped| {
                     let penv = env_payload.clone();
                     Box::new(move |ctx: &NodeCtx| {
-                        // Node side: data arrives as bytes.
-                        let sub = ctx.sequential(|| sub.roundtrip());
+                        // Node side: a shipped slice arrives as bytes.
+                        let sub = if shipped { ctx.sequential(|| sub.roundtrip()) } else { sub };
                         let env: E =
                             ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
                         let env = &env;
                         node_fold(ctx, &sub, &part, seed, move |b, x| step(env, b, x), merge)
                     })
                 });
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_payload.len());
+                let out = self.dispatch(tasks, env_payload.len());
                 self.fold_epilogue(name, root_prep_s, out, seed, merge)
             }
         }
@@ -839,34 +786,17 @@ impl Triolet {
         U: Wire + Send + Sync + Clone,
         F: Fn(&Env::Env, In::Item) -> U + Send + Sync,
     {
-        let (env, f) = (env.env_arg(), &f);
-        let it = match input.into_dist_input() {
-            DistInput::Resident(run) => {
-                // Resident assembly: each owning rank materializes its
-                // part's fragment in place; only fragments travel back.
-                let (env_payload, root_prep_s) = self.timed_payload(&env);
-                let out = self.run_resident_tasks(run, env_payload.len(), |part, fold| {
-                    let penv = env_payload.clone();
-                    Box::new(move |ctx: &NodeCtx| {
-                        let env: Env::Env =
-                            ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
-                        PodView::from_vec(node_collect(ctx, &fold, &part, |x| f(&env, x)))
-                    })
-                });
-                return self.concat_epilogue("build_vec", root_prep_s, out);
-            }
-            DistInput::Iter(it) => it,
-        };
-        self.build_ordered("build_vec", it, env, f)
+        self.build_ordered("build_vec", input.into_dist_input(), env.env_arg(), f)
     }
 
-    /// The iterator driver of the ordered-assembly skeletons: materialize
-    /// `f(env, item)` for every item of `it` in row-major order of its outer
-    /// domain, whose parts must be contiguous in that order.
+    /// The arms of the ordered-assembly skeletons: materialize
+    /// `f(env, item)` for every item of `input` in row-major order of its
+    /// outer domain, whose parts must be contiguous in that order. Each
+    /// node materializes its part's fragment; only fragments travel back.
     fn build_ordered<It, E, U, F>(
         &self,
         name: &str,
-        it: It,
+        input: DistInput<It>,
         env: EnvArg<'_, E>,
         f: F,
     ) -> Run<Vec<U>>
@@ -877,32 +807,32 @@ impl Triolet {
         F: Fn(&E, It::Item) -> U + Send + Sync,
     {
         let f = &f;
-        let dom = it.outer_domain();
-        match it.hint() {
-            ParHint::Sequential => {
-                let env = env.value();
+        match input {
+            DistInput::Iter(it) if it.hint() == ParHint::Sequential => {
+                let (env, dom) = (env.value(), it.outer_domain());
                 self.run_sequential(name, || {
                     let mut out = Vec::with_capacity(dom.count());
                     it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| out.push(f(env, x)));
                     out
                 })
             }
-            ParHint::LocalPar => {
-                let (env, part) = (env.value(), dom.whole_part());
+            DistInput::Iter(it) if it.hint() == ParHint::LocalPar => {
+                let (env, part) = (env.value(), it.outer_domain().whole_part());
                 self.run_localpar(name, |ctx| node_collect(ctx, &it, &part, |x| f(env, x)))
             }
-            ParHint::Par => {
+            input => {
                 let (env_payload, root_prep_s) = self.timed_payload(&env);
-                let tasks = slice_tasks(&it, dom.split_parts(self.nodes()), |sub, part| {
+                let tasks = self.part_tasks(input, |sub, part, shipped| {
                     let penv = env_payload.clone();
                     Box::new(move |ctx: &NodeCtx| {
-                        let sub = ctx.unpack_sequential(|| sub.roundtrip());
+                        let sub =
+                            if shipped { ctx.unpack_sequential(|| sub.roundtrip()) } else { sub };
                         let env: E =
                             ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
                         PodView::from_vec(node_collect(ctx, &sub, &part, |x| f(&env, x)))
                     })
                 });
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_payload.len());
+                let out = self.dispatch(tasks, env_payload.len());
                 self.concat_epilogue(name, root_prep_s, out)
             }
         }
@@ -920,7 +850,7 @@ impl Triolet {
         It::Item: Wire + Send + Sync + Clone,
     {
         let dom = it.outer_domain();
-        self.build_ordered("build_array3", it, EnvArg::Plain(&()), |_, x| x)
+        self.build_ordered("build_array3", DistInput::Iter(it), EnvArg::Plain(&()), |_, x| x)
             .map(|data| triolet_iter::Array3::from_vec(data, dom))
     }
 
@@ -993,9 +923,10 @@ impl Triolet {
                     .map(|data| Array2::from_vec(data, dom.rows, dom.cols))
             }
             ParHint::Par => {
-                let parts = dom.split_parts(self.nodes());
                 let (tasks, slice_s) = timed(|| {
-                    slice_tasks(&it, parts, |sub, part| {
+                    // An iterator input, so every part is shipped. It is a
+                    // clone: freeing the root's input is not slicing time.
+                    self.part_tasks(DistInput::Iter(it.clone()), |sub, part, _| {
                         Box::new(move |ctx: &NodeCtx| {
                             let sub = ctx.unpack_sequential(|| sub.roundtrip());
                             let block = assemble_block(ctx, &sub, &part);
@@ -1003,8 +934,8 @@ impl Triolet {
                         })
                     })
                 });
-                let root_prep_s = slice_s - tasks.iter().map(|t| t.pack_s).sum::<f64>();
-                let out = self.cluster.run_raw(tasks);
+                let root_prep_s = slice_s - tasks.iter().map(|(t, _)| t.pack_s).sum::<f64>();
+                let out = self.dispatch(tasks, 0);
                 // Blocks land at disjoint coordinates, so each is placed
                 // as it arrives.
                 let result = Array2::zeros(dom.rows, dom.cols);

@@ -54,7 +54,7 @@ pub mod service;
 
 pub use dist::{
     AsEnv, DistArray2, DistInput, DistIter, DistVec, EnumView, HaloView, IntoDistInput, PackedEnv,
-    ResidentPart, ResidentRun, RowsView, SliceView, ZipView,
+    RowsView, SliceView, ZipView,
 };
 pub use engine::Triolet;
 pub use report::RunStats;

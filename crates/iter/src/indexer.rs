@@ -139,6 +139,14 @@ impl<T: Clone + Send + Sync + 'static> ArrayIdx<T> {
         ArrayIdx { data, base: 0, dom }
     }
 
+    /// A window of a `len`-element array that is already cut: `data` holds
+    /// the elements at global indices `base .. base + data.len()`, as a
+    /// sliced `ArrayIdx` would.
+    pub fn window(data: Arc<Vec<T>>, base: usize, len: usize) -> Self {
+        debug_assert!(base + data.len() <= len);
+        ArrayIdx { data, base, dom: Seq::new(len) }
+    }
+
     /// Global index of the first locally held element.
     pub fn base(&self) -> usize {
         self.base

@@ -158,6 +158,63 @@ where
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Each view is the iterator it stands for: `fold_reduce` and
+    /// `build_vec` over `&dv`, `enumerate()`, `zip(&w)` and `halo(r)` give
+    /// the bits of the same skeleton over the equivalent `.par()` iterator,
+    /// under any shape, topology and fault schedule. Unlike a faulty run
+    /// against a clean one, this fails for a view that yields a wrong
+    /// element, index or window.
+    #[test]
+    fn each_view_equals_its_iterator(
+        xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
+        shape in shapes(8, 4),
+        topo_sel in 0u64..2,
+        seed in 0u64..3000,
+        radius in 0usize..4,
+    ) {
+        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0)));
+        let ys: Vec<f64> = xs.iter().map(|x| x * 0.5 - 1.0).collect();
+        let (dv, dw) = (rt.scatter(xs.clone()).value, rt.scatter(ys.clone()).value);
+        let n = xs.len();
+        let all = std::sync::Arc::new(xs.clone());
+        let halo = range(n).map(move |i: usize| {
+            let (lo, hi) = (i.saturating_sub(radius), (i + radius + 1).min(all.len()));
+            (i, all[lo..hi].to_vec())
+        });
+        let window = |(i, w): (usize, Vec<f64>)| {
+            w.iter().enumerate().map(|(k, x)| x * (k + 1) as f64).sum::<f64>() + i as f64
+        };
+        let at = |(i, x): (usize, f64)| x + i as f64 * 0.25;
+        let dot = |(x, y): (f64, f64)| x * y;
+        for build in [false, true] {
+            let bits = |(bits, _): (Vec<u64>, RunStats)| bits;
+            prop_assert_eq!(
+                bits(run_view(&rt, &dv, build, |x: f64| x)),
+                bits(run_view(&rt, from_vec(xs.clone()).par(), build, |x: f64| x)),
+                "&dv, build {}", build
+            );
+            prop_assert_eq!(
+                bits(run_view(&rt, dv.enumerate(), build, at)),
+                bits(run_view(&rt, enumerate(from_vec(xs.clone())).par(), build, at)),
+                "enumerate, build {}", build
+            );
+            prop_assert_eq!(
+                bits(run_view(&rt, dv.zip(&dw), build, dot)),
+                bits(run_view(&rt, zip(from_vec(xs.clone()), from_vec(ys.clone())).par(), build, dot)),
+                "zip, build {}", build
+            );
+            prop_assert_eq!(
+                bits(run_view(&rt, dv.halo(radius), build, window)),
+                bits(run_view(&rt, halo.clone().par(), build, window)),
+                "halo({}), build {}", radius, build
+            );
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Healing: with a crashed rank, sweeping any view any number of times
