@@ -27,7 +27,7 @@
 
 use triolet::RunStats;
 use triolet_cluster::clock::timed;
-use triolet_cluster::{Cluster, ClusterConfig, CostModel, NodeCtx, RawTask};
+use triolet_cluster::{Cluster, ClusterConfig, CostModel, DispatchError, NodeCtx, RawTask};
 use triolet_serial::{packed, Wire};
 
 /// Default per-message buffer limit (bytes). Eden streams list elements as
@@ -41,7 +41,7 @@ pub const DEFAULT_MSG_LIMIT: usize = 64 << 10;
 pub const STRAGGLER_PER_NODE: f64 = 0.03;
 
 /// Errors surfaced by the Eden runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EdenError {
     /// An inter-node message exceeded the runtime's buffer capacity.
     MessageTooLarge {
@@ -50,6 +50,8 @@ pub enum EdenError {
         /// The configured buffer limit.
         limit: usize,
     },
+    /// The cluster could not complete the dispatch.
+    Dispatch(DispatchError),
 }
 
 impl std::fmt::Display for EdenError {
@@ -59,6 +61,7 @@ impl std::fmt::Display for EdenError {
                 f,
                 "Eden message-passing runtime cannot buffer {bytes}-byte message (limit {limit})"
             ),
+            EdenError::Dispatch(e) => e.fmt(f),
         }
     }
 }
@@ -187,7 +190,7 @@ impl EdenRt {
                 }
             })
             .collect();
-        let out = self.cluster.run_raw(tasks);
+        let out = self.cluster.dispatch(tasks, 0).map_err(EdenError::Dispatch)?;
         let (value, root_s) = timed(|| out.results.into_iter().reduce(merge).unwrap_or_else(empty));
         Ok((value, self.apply_straggler(RunStats::from_dist(out.timing, root_s))))
     }
@@ -249,7 +252,7 @@ impl EdenRt {
                 }
             })
             .collect();
-        let out = self.cluster.run_raw(tasks);
+        let out = self.cluster.dispatch(tasks, 0).map_err(EdenError::Dispatch)?;
         let (value, root_s) = timed(|| out.results.into_iter().reduce(merge).unwrap_or_else(empty));
         Ok((value, self.apply_straggler(RunStats::from_dist(out.timing, root_s))))
     }

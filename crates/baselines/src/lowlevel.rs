@@ -12,7 +12,7 @@
 
 use triolet::RunStats;
 use triolet_cluster::clock::timed;
-use triolet_cluster::{Cluster, ClusterConfig, NodeCtx, RawTask};
+use triolet_cluster::{Cluster, ClusterConfig, NodeCtx};
 use triolet_serial::Wire;
 
 /// The explicit distributed runtime.
@@ -60,22 +60,6 @@ impl LowLevelRt {
         R: Wire + Send,
     {
         let out = self.cluster.run(payloads, kernel);
-        let (value, root_s) = timed(|| combine(out.results));
-        (value, RunStats::from_dist(out.timing, root_s))
-    }
-
-    /// Run with zero-copy payload accounting: the caller declares wire sizes
-    /// and the closures carry data natively. Used for kernels whose payload
-    /// types are not `Wire` (e.g. borrowed slices the caller manages).
-    pub fn run_raw<R, O>(
-        &self,
-        tasks: Vec<RawTask<'_, R>>,
-        combine: impl FnOnce(Vec<R>) -> O,
-    ) -> (O, RunStats)
-    where
-        R: Wire + Send,
-    {
-        let out = self.cluster.run_raw(tasks);
         let (value, root_s) = timed(|| combine(out.results));
         (value, RunStats::from_dist(out.timing, root_s))
     }

@@ -43,7 +43,7 @@ fn run_point(nodes: usize, topology: Topology, env: &Vec<f64>, xs: &[f64]) -> Po
         },
         total_s: run.stats.total_s,
         comm_s: run.stats.comm_s,
-        env_packs: rt.cluster().stats().env_packs(),
+        env_packs: rt.cluster().stats().snapshot().env_packs,
     }
 }
 

@@ -73,8 +73,8 @@ pub enum Topology {
 ///
 /// A fault plan that leaves a task nowhere to run is known before any task
 /// body runs; a damaged or mistyped result only once it reaches the root.
-/// Both surface as typed errors through the `try_*` entry points, not as
-/// panics.
+/// Both surface as typed errors from [`Cluster::dispatch`] and
+/// [`Cluster::try_run`], not as panics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchError {
     /// The fault plan crashes every node, so no task can run anywhere.
@@ -166,11 +166,6 @@ impl ClusterConfig {
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
         self
-    }
-
-    /// Total cores across the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.threads_per_node
     }
 }
 
@@ -288,7 +283,7 @@ impl<'a, R> RawTask<'a, R> {
     /// `bcast_bytes`-sized environment is about to reach anyway: no private
     /// byte, halo or piece, and nothing packed for it. Such a task *rides*
     /// the environment edge into its rank instead of getting a message of
-    /// its own (see [`Cluster::run_raw_with_broadcast`]).
+    /// its own (see [`Cluster::dispatch`]).
     fn rides(&self, home: usize, plan: &FaultPlan, bcast_bytes: usize) -> bool {
         bcast_bytes > 0
             && self.pieces.is_empty()
@@ -1015,11 +1010,13 @@ fn trace_timeline(
 
 /// A simulated cluster of multicore nodes.
 ///
-/// `run` is the core collective: it ships one serialized payload to each
-/// participating node, executes the task there (two-level: the task uses the
-/// node's [`NodeCtx`] for thread parallelism), and gathers serialized
-/// results back to the root — the fork-join pattern Triolet's distributed
-/// skeletons compile to.
+/// [`dispatch`](Self::dispatch) is the one way work enters it: it ships
+/// one prepared task to each participating node, executes it there
+/// (two-level: the task uses the node's [`NodeCtx`] for thread
+/// parallelism), and gathers serialized results back to the root — the
+/// fork-join pattern Triolet's distributed skeletons compile to.
+/// [`run`](Self::run) and [`try_run`](Self::try_run) are its
+/// payload-packing form.
 pub struct Cluster {
     config: ClusterConfig,
     stats: TrafficStats,
@@ -1086,9 +1083,9 @@ impl Cluster {
     /// This is the *one-time* placement cost of a resident collection; every
     /// later skeleton call over it ships zero input bytes (see
     /// [`ResidentSpec`]). Segments land in the [`ResidentStore`] and each
-    /// send is counted in [`TrafficStats::seg_scatters`] — deliberately not
-    /// in `env_packs`, so environment accounting never double-counts the
-    /// scatter. Returns the modeled timing and a trace rooted at a
+    /// send is counted in [`TrafficSnapshot::seg_scatters`] — deliberately
+    /// not in `env_packs`, so environment accounting never double-counts
+    /// the scatter. Returns the modeled timing and a trace rooted at a
     /// `dist:scatter` span.
     pub fn scatter_segments(&self, id: u64, segs: &[(usize, usize)]) -> (DistTiming, TraceData) {
         let plan = self.config.faults;
@@ -1160,7 +1157,8 @@ impl Cluster {
 
     /// [`run`](Self::run), surfacing a fault plan that leaves a task
     /// nowhere to run, or a result that fails to decode at the root, as a
-    /// [`DispatchError`] instead of panicking.
+    /// [`DispatchError`] instead of panicking: the payload-packing form of
+    /// [`dispatch`](Self::dispatch).
     pub fn try_run<T, R, F>(
         &self,
         payloads: Vec<T>,
@@ -1205,80 +1203,6 @@ impl Cluster {
         self.dispatch(tasks, 0)
     }
 
-    /// Lowest-level collective: run one prepared task per node.
-    ///
-    /// Used by the skeleton engine, whose payloads are sliced indexers: the
-    /// closure carries the data natively — code plus the sliced buffers it
-    /// deserializes on the node — while `wire_bytes` and `pieces` declare
-    /// what the payload occupies on the wire for the cost model and traffic
-    /// accounting, and which of its buffers other tasks hold too (those are
-    /// shipped once and relayed, see [`RawTask::pieces`]). Each task must
-    /// route its compute through the provided [`NodeCtx`] so virtual time
-    /// observes it.
-    pub fn run_raw<'a, R>(&self, tasks: Vec<RawTask<'a, R>>) -> DistOutcome<R>
-    where
-        R: Wire + Send,
-    {
-        self.run_raw_with_broadcast(tasks, 0)
-    }
-
-    /// [`run_raw`](Self::run_raw), surfacing unroutable plans and
-    /// root-side decode failures as [`DispatchError`] instead of panicking.
-    pub fn try_run_raw<'a, R>(
-        &self,
-        tasks: Vec<RawTask<'a, R>>,
-    ) -> Result<DistOutcome<R>, DispatchError>
-    where
-        R: Wire + Send,
-    {
-        self.try_run_raw_with_broadcast(tasks, 0)
-    }
-
-    /// Like [`run_raw`](Self::run_raw), but additionally charges one
-    /// `bcast_bytes`-sized shared payload (the packed closure environment)
-    /// broadcast from the root to every *executing* rank over the
-    /// configured [`Topology`] before any slice payload goes out.
-    ///
-    /// The environment is accounted once per broadcast edge — not once per
-    /// task — and in virtual time a task cannot start before its rank
-    /// holds the environment. `bcast_bytes == 0` (the unit environment)
-    /// charges nothing.
-    ///
-    /// The environment's arrival is also the start signal for a task with
-    /// nothing of its own to send (see [`RawTask`]): the root sends such a
-    /// task no message, so a sweep of `n` resident hits costs the root its
-    /// `⌈log₂(n+1)⌉` tree sends rather than those plus `n` empty ones.
-    pub fn run_raw_with_broadcast<'a, R>(
-        &self,
-        tasks: Vec<RawTask<'a, R>>,
-        bcast_bytes: usize,
-    ) -> DistOutcome<R>
-    where
-        R: Wire + Send,
-    {
-        self.try_run_raw_with_broadcast(tasks, bcast_bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_raw_with_broadcast`](Self::run_raw_with_broadcast), surfacing
-    /// unroutable plans and root-side decode failures as [`DispatchError`]
-    /// instead of panicking.
-    pub fn try_run_raw_with_broadcast<'a, R>(
-        &self,
-        tasks: Vec<RawTask<'a, R>>,
-        bcast_bytes: usize,
-    ) -> Result<DistOutcome<R>, DispatchError>
-    where
-        R: Wire + Send,
-    {
-        assert!(
-            tasks.len() <= self.config.nodes,
-            "more tasks ({}) than nodes ({})",
-            tasks.len(),
-            self.config.nodes
-        );
-        self.dispatch(tasks, bcast_bytes)
-    }
-
     /// Run `work` on the root's own node: the `localpar` path.
     ///
     /// Shared memory only — no route is planned, nothing is packed, sent,
@@ -1306,32 +1230,55 @@ impl Cluster {
         (value, DistTiming { total_s, node_compute_s, ..DistTiming::default() }, tr.take())
     }
 
-    /// The one dispatcher behind `run` and `run_raw`, the composition of
-    /// four values. The [`Plan`] routes every task through the fault
-    /// schedule, then the one-to-many payloads (the environment, and input
-    /// pieces that tasks on several ranks share) over the ranks that will
-    /// execute, before any body runs. [`execute`](Self::execute) runs each
-    /// task once, on its final rank. The [`timeline`](Self::timeline)
+    /// Run one prepared task per node (at most `nodes()`): the one
+    /// dispatcher, behind `run` and every skeleton.
+    ///
+    /// The skeleton engine's payloads are sliced indexers: each closure
+    /// carries its data natively — code plus the sliced buffers it
+    /// deserializes on the node — while `wire_bytes` and `pieces` declare
+    /// what the payload occupies on the wire for the cost model and traffic
+    /// accounting, and which of its buffers other tasks hold too (those are
+    /// shipped once and relayed, see [`RawTask::pieces`]). Each task must
+    /// route its compute through the provided [`NodeCtx`] so virtual time
+    /// observes it.
+    ///
+    /// `env_bytes` is one shared payload (the packed closure environment)
+    /// broadcast from the root to every *executing* rank over the
+    /// configured [`Topology`] before any task payload goes out. It is
+    /// accounted once per broadcast edge — not once per task — and in
+    /// virtual time a task cannot start before its rank holds it; `0` (the
+    /// unit environment) charges nothing. Its arrival is also the start
+    /// signal for a task with nothing of its own to send (see [`RawTask`]):
+    /// the root sends such a task no message, so a sweep of `n` resident
+    /// hits costs the root its `⌈log₂(n+1)⌉` tree sends rather than those
+    /// plus `n` empty ones.
+    ///
+    /// The composition of four values. The `Plan` routes every task
+    /// through the fault schedule, then the one-to-many payloads (the
+    /// environment, and input pieces that tasks on several ranks share)
+    /// over the ranks that will execute, before any body runs; a plan that
+    /// leaves a task nowhere to run is a [`DispatchError`] and runs no body.
+    /// `execute` runs each task once, on its final rank. The `timeline`
     /// places every planned transfer and measured duration on the virtual
-    /// clock. The [`account`](Self::account) renders the trace, gathers
-    /// results in task order — a redispatched task's result still lands in
-    /// its original slot — and totals the traffic (lost and duplicated
-    /// attempts and retransmissions included), which the cluster-wide
-    /// [`TrafficStats`] receives in one write.
+    /// clock. The `account` renders the trace, gathers results in task
+    /// order — a redispatched task's result still lands in its original
+    /// slot — and totals the traffic (lost and duplicated attempts and
+    /// retransmissions included), which the cluster-wide [`TrafficStats`]
+    /// receives in one write. A result that fails to decode at the root is
+    /// a [`DispatchError`] too.
     ///
     /// The root's own pack/unpack work is pipelined against node compute:
     /// task k+1's pack is charged right before its send (so rank k already
     /// computes), and each result is unpacked the moment it arrives rather
     /// than after the slowest node.
-    fn dispatch<'a, R>(
+    pub fn dispatch<R: Wire + Send>(
         &self,
-        tasks: Vec<RawTask<'a, R>>,
-        bcast_bytes: usize,
-    ) -> Result<DistOutcome<R>, DispatchError>
-    where
-        R: Wire + Send,
-    {
-        let plan = Plan::new(&tasks, bcast_bytes, &self.config)?;
+        tasks: Vec<RawTask<'_, R>>,
+        env_bytes: usize,
+    ) -> Result<DistOutcome<R>, DispatchError> {
+        let nodes = self.config.nodes;
+        assert!(tasks.len() <= nodes, "more tasks ({}) than nodes ({nodes})", tasks.len());
+        let plan = Plan::new(&tasks, env_bytes, &self.config)?;
         let executed = self.execute(tasks, &plan);
         let ret_s = plan.return_s(&executed.results, &self.config);
         let times = self.timeline(&plan, &executed.node_s, &ret_s);
@@ -1497,7 +1444,7 @@ mod tests {
         assert_eq!(out.timing.retries, 0);
         assert_eq!(out.timing.redispatches, 0);
         assert!(out.timing.bytes_out > 0);
-        assert_eq!(cluster.stats().messages(), 8);
+        assert_eq!(cluster.stats().snapshot().messages, 8);
     }
 
     #[test]
@@ -1574,7 +1521,7 @@ mod tests {
         let out = cluster.run(vec![10u64, 20, 30, 40], |_ctx, x: u64| x * 2);
         assert_eq!(out.results, vec![20, 40, 60, 80], "task order survives redispatch");
         assert!(out.timing.redispatches >= 1, "rank 1's task must move to a survivor");
-        assert_eq!(cluster.stats().redispatches(), out.timing.redispatches);
+        assert_eq!(cluster.stats().snapshot().redispatches, out.timing.redispatches);
         // The crashed rank computed nothing.
         assert_eq!(out.timing.node_compute_s[1], 0.0);
     }
@@ -1658,6 +1605,29 @@ mod tests {
             ClusterConfig::virtual_cluster(2, 1).with_faults(FaultPlan::seeded(1).with_drop(1.0));
         let err = Cluster::new(lost).try_run(vec![1u64, 2], body).expect_err("nothing arrives");
         assert_eq!(err, DispatchError::Unroutable { task: 0 });
+        assert!(!ran.load(std::sync::atomic::Ordering::Relaxed), "a body ran under a failed plan");
+    }
+
+    #[test]
+    fn dispatch_errors_are_typed_under_an_environment() {
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        let all_crashed = FaultPlan::seeded(1).with_crash(0).with_crash(1);
+        let lost = FaultPlan::seeded(1).with_drop(1.0);
+        let want = [DispatchError::AllCrashed, DispatchError::Unroutable { task: 0 }];
+        for (faults, want) in [all_crashed, lost].into_iter().zip(want) {
+            let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1).with_faults(faults));
+            // The halo gives the resident task a message of its own to route.
+            let task = RawTask {
+                wire_bytes: 0,
+                pieces: Vec::new(),
+                pack_s: 0.0,
+                resident: Some(ResidentSpec { id: 1, home: 1, seg_bytes: 4096, halo_bytes: 8 }),
+                work: Box::new(|_: &NodeCtx| ran.store(true, std::sync::atomic::Ordering::Relaxed)),
+            };
+            let err = cluster.dispatch(vec![task], 264).expect_err("the plan must fail");
+            assert_eq!(err, want);
+            assert_eq!(cluster.stats().snapshot(), Default::default(), "nothing was sent");
+        }
         assert!(!ran.load(std::sync::atomic::Ordering::Relaxed), "a body ran under a failed plan");
     }
 
@@ -1813,7 +1783,7 @@ mod tests {
     fn a_piece_four_ranks_read_leaves_the_root_once() {
         let run = |topology| {
             let cfg = ClusterConfig::virtual_cluster(4, 1).with_topology(topology).with_trace(true);
-            Cluster::new(cfg).run_raw_with_broadcast(sharing_tasks(), 500)
+            Cluster::new(cfg).dispatch(sharing_tasks(), 500).unwrap()
         };
         let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
         for out in [&tree, &linear] {
@@ -1844,7 +1814,7 @@ mod tests {
         // readers of the shared piece and must receive it once.
         let plan = FaultPlan::seeded(3).with_crash(1).with_timeout(Duration::from_millis(1));
         let cfg = ClusterConfig::virtual_cluster(4, 1).with_faults(plan).with_trace(true);
-        let out = Cluster::new(cfg).run_raw(sharing_tasks());
+        let out = Cluster::new(cfg).dispatch(sharing_tasks(), 0).unwrap();
         assert_eq!(out.results, vec![0, 2, 2, 3]);
         let edges_to = |rank: usize| {
             let to_rank = |s: &&triolet_obs::Span| s.args.contains(&("dest", rank.into()));
@@ -1890,7 +1860,7 @@ mod tests {
             .with_cost(CostModel::flat(LATENCY, f64::INFINITY))
             .with_faults(plan)
             .with_trace(true);
-        Cluster::new(cfg).run_raw_with_broadcast(tasks, env_bytes)
+        Cluster::new(cfg).dispatch(tasks, env_bytes).unwrap()
     }
 
     #[test]
@@ -1921,7 +1891,7 @@ mod tests {
     #[test]
     fn linear_topology_rides_its_direct_environment_sends() {
         let cfg = ClusterConfig::virtual_cluster(4, 1).with_topology(Topology::Linear);
-        let out = Cluster::new(cfg).run_raw_with_broadcast(resident_tasks(4, 0, &[]), 100);
+        let out = Cluster::new(cfg).dispatch(resident_tasks(4, 0, &[]), 100).unwrap();
         assert_eq!(out.results, vec![0, 1, 2, 3]);
         assert_eq!((out.timing.messages, out.timing.bytes_out), (8, 400));
         assert_eq!(out.timing.root_bytes_out, 400);
@@ -1979,7 +1949,7 @@ mod tests {
             })
             .collect();
         let cfg = ClusterConfig::virtual_cluster(8, 1).with_faults(lossy_plan(13)).with_trace(true);
-        let out = Cluster::new(cfg).run_raw_with_broadcast(tasks, 500);
+        let out = Cluster::new(cfg).dispatch(tasks, 500).unwrap();
         assert_eq!(out.results, (0..8).collect::<Vec<u64>>());
         assert_eq!((out.trace.count_events("retry") as u64, out.timing.retries), (16, 16));
         let count = |name: &str, on_root: bool| {

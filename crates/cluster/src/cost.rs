@@ -147,58 +147,9 @@ impl TrafficStats {
         self.add(TrafficSnapshot { env_packs: 1, ..TrafficSnapshot::default() }, 0);
     }
 
-    /// Record one virtual-time simulation: `events` heap events processed
-    /// and the event heap's peak length. The event counter accumulates
-    /// across dispatches (events/sec is the simulator's throughput metric);
-    /// the peak is a high-water mark over all dispatches since the last
-    /// [`reset`](Self::reset). A dispatch banks both with the rest of its
-    /// counts; the eager oracle that debug builds replay it through never
-    /// reaches these counters.
-    pub fn record_sim(&self, events: u64, peak_heap: u64) {
-        self.add(TrafficSnapshot { sim_events: events, ..TrafficSnapshot::default() }, peak_heap);
-    }
-
-    /// Messages recorded so far.
-    pub fn messages(&self) -> u64 {
-        self.snapshot().messages
-    }
-
-    /// Transmission attempts lost in flight.
-    pub fn dropped(&self) -> u64 {
-        self.snapshot().dropped
-    }
-
-    /// Retransmissions issued by the reliable send layer.
-    pub fn retries(&self) -> u64 {
-        self.snapshot().retries
-    }
-
-    /// Tasks moved to a surviving rank after a failure.
-    pub fn redispatches(&self) -> u64 {
-        self.snapshot().redispatches
-    }
-
-    /// Broadcast-environment serializations recorded so far.
-    pub fn env_packs(&self) -> u64 {
-        self.snapshot().env_packs
-    }
-
-    /// Resident segments scattered so far.
-    pub fn seg_scatters(&self) -> u64 {
-        self.snapshot().seg_scatters
-    }
-
-    /// Resident tasks that ran on their segment's home rank.
-    pub fn resident_hits(&self) -> u64 {
-        self.snapshot().resident_hits
-    }
-
-    /// Resident tasks redispatched off their home rank (segment re-shipped).
-    pub fn resident_misses(&self) -> u64 {
-        self.snapshot().resident_misses
-    }
-
-    /// Event-heap events processed by the virtual-time simulator so far.
+    /// Event-heap events processed by the virtual-time simulator so far,
+    /// summed over dispatches (the eager oracle that debug builds replay
+    /// each dispatch through is never counted).
     pub fn sim_events(&self) -> u64 {
         self.snapshot().sim_events
     }
@@ -230,16 +181,24 @@ impl TrafficStats {
 /// it is deliberately absent — a difference of maxima means nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
+    /// Messages recorded.
     pub messages: u64,
     pub bytes: u64,
+    /// Transmission attempts lost in flight.
     pub dropped: u64,
     pub duplicated: u64,
     pub corrupted: u64,
+    /// Retransmissions issued by the reliable send layer.
     pub retries: u64,
+    /// Tasks moved to a surviving rank after a failure.
     pub redispatches: u64,
+    /// Broadcast-environment serializations.
     pub env_packs: u64,
+    /// Resident segments scattered.
     pub seg_scatters: u64,
+    /// Resident tasks that ran on their segment's home rank.
     pub resident_hits: u64,
+    /// Resident tasks redispatched off their home rank (segment re-shipped).
     pub resident_misses: u64,
     pub unpack_copied: u64,
     pub unpack_aliased: u64,
@@ -468,21 +427,21 @@ mod tests {
             },
             0,
         );
-        assert_eq!(s.messages(), 2);
+        assert_eq!(s.snapshot().messages, 2);
         assert_eq!(s.snapshot().bytes, 150);
-        assert_eq!(s.dropped(), 1);
+        assert_eq!(s.snapshot().dropped, 1);
         assert_eq!(s.snapshot().duplicated, 1);
         assert_eq!(s.snapshot().corrupted, 1);
-        assert_eq!(s.retries(), 2);
-        assert_eq!(s.redispatches(), 1);
+        assert_eq!(s.snapshot().retries, 2);
+        assert_eq!(s.snapshot().redispatches, 1);
         s.reset();
-        assert_eq!(s.messages(), 0);
+        assert_eq!(s.snapshot().messages, 0);
         assert_eq!(s.snapshot().bytes, 0);
-        assert_eq!(s.dropped(), 0);
+        assert_eq!(s.snapshot().dropped, 0);
         assert_eq!(s.snapshot().duplicated, 0);
         assert_eq!(s.snapshot().corrupted, 0);
-        assert_eq!(s.retries(), 0);
-        assert_eq!(s.redispatches(), 0);
+        assert_eq!(s.snapshot().retries, 0);
+        assert_eq!(s.snapshot().redispatches, 0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ proptest! {
         prop_assert_eq!(out.timing.bytes_out, expect_out);
         // Each result is one u64 (8 bytes).
         prop_assert_eq!(out.timing.bytes_back, 8 * n as u64);
-        prop_assert_eq!(cluster.stats().messages(), 2 * n as u64);
+        prop_assert_eq!(cluster.stats().snapshot().messages, 2 * n as u64);
     }
 
     #[test]
@@ -109,7 +109,7 @@ proptest! {
                 work: Box::new(move |_: &NodeCtx| i as u64),
             })
             .collect();
-        let out = Cluster::new(cfg).run_raw_with_broadcast(tasks, 100);
+        let out = Cluster::new(cfg).dispatch(tasks, 100).unwrap();
         prop_assert_eq!(&out.results, &(0..specs.len() as u64).collect::<Vec<_>>());
         let rides = |&(home, kind): &(usize, usize)| kind == 0 && !plan.crashed(home);
         let riders = specs.iter().filter(|spec| rides(spec)).count();
@@ -174,7 +174,7 @@ proptest! {
                 })
                 .collect();
             let before = cluster.stats().snapshot();
-            let out = cluster.run_raw_with_broadcast(tasks, *bcast);
+            let out = cluster.dispatch(tasks, *bcast).unwrap();
             let d = cluster.stats().snapshot().since(&before);
             let t = &out.timing;
             prop_assert_eq!(d.messages, t.messages);

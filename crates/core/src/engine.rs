@@ -154,11 +154,6 @@ impl Triolet {
         self.cluster.threads_per_node()
     }
 
-    /// Total cores (the x-axis of the paper's scaling figures).
-    pub fn total_cores(&self) -> usize {
-        self.nodes() * self.threads_per_node()
-    }
-
     /// Is span/event recording on for this runtime's cluster?
     pub fn traced(&self) -> bool {
         self.cluster.config().trace
@@ -167,7 +162,7 @@ impl Triolet {
     /// Pack a broadcast environment once, for reuse across skeleton calls:
     /// the returned [`PackedEnv`] is accepted anywhere a skeleton takes an
     /// environment. Counted in
-    /// [`TrafficStats::env_packs`](triolet_cluster::TrafficStats::env_packs):
+    /// [`TrafficSnapshot::env_packs`](triolet_cluster::TrafficSnapshot::env_packs):
     /// with a `PackedEnv`, N consecutive skeleton calls over M nodes cost
     /// one serialization total, not N (let alone N·M).
     pub fn pack_env<E: Wire>(&self, env: E) -> PackedEnv<E> {
@@ -375,7 +370,10 @@ impl Triolet {
     }
 
     /// Dispatch [`part_tasks`](Self::part_tasks) under an `env_bytes`
-    /// broadcast.
+    /// broadcast: the one place a skeleton turns a
+    /// [`DispatchError`](triolet_cluster::DispatchError) (a fault plan that
+    /// leaves a task nowhere to run, a result that fails to decode) into a
+    /// panic.
     ///
     /// A task forced off its segment's owner has the segment re-shipped to
     /// whichever rank executed it (counted by the cluster as a
@@ -390,7 +388,7 @@ impl Triolet {
         env_bytes: usize,
     ) -> DistOutcome<R> {
         let (tasks, claims): (Vec<_>, Vec<_>) = tasks.into_iter().unzip();
-        let mut out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
+        let mut out = self.cluster.dispatch(tasks, env_bytes).unwrap_or_else(|e| panic!("{e}"));
         for (task, (claims, &exec)) in claims.iter().zip(&out.execs).enumerate() {
             for claim in claims {
                 if let Some(from) = claim.rehome(exec) {
@@ -1116,6 +1114,14 @@ mod tests {
                 assert_eq!(m[(r, c)], (r * 100 + c) as i64);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "crashes every node")]
+    fn a_skeleton_over_an_all_crashed_cluster_panics() {
+        let plan = triolet_cluster::FaultPlan::seeded(1).with_crash(0).with_crash(1);
+        let rt = Triolet::new(ClusterConfig::virtual_cluster(2, 2).with_faults(plan));
+        let _ = rt.sum(from_vec((0..64i64).collect()).par());
     }
 
     #[test]

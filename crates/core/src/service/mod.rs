@@ -29,9 +29,9 @@
 //!   `service:job` umbrella span.
 //!
 //! Because cluster dispatch is stateless across calls — fault decisions are
-//! pure hashes of `(seed, edge, tag, seq, attempt)`, and `run_raw` takes
-//! `&self` — a job's *result* is bit-identical to running it alone on an
-//! identically configured runtime, whatever the interleaving. The
+//! pure hashes of `(seed, edge, tag, seq, attempt)`, and `Cluster::dispatch`
+//! takes `&self` — a job's *result* is bit-identical to running it alone on
+//! an identically configured runtime, whatever the interleaving. The
 //! `proptest_service` suite holds the service to exactly that.
 
 mod policy;
@@ -191,15 +191,6 @@ impl TenantUsage {
     pub fn latency_percentile_s(&self, q: f64) -> f64 {
         percentile(&self.latencies_s, q)
     }
-
-    /// Mean job latency (0.0 with no completed jobs).
-    pub fn mean_latency_s(&self) -> f64 {
-        if self.latencies_s.is_empty() {
-            0.0
-        } else {
-            self.latencies_s.iter().sum::<f64>() / self.latencies_s.len() as f64
-        }
-    }
 }
 
 /// Nearest-rank percentile over an unsorted sample (total_cmp sort).
@@ -335,11 +326,6 @@ impl JobService {
     /// Current service-clock seconds.
     pub fn now_s(&self) -> f64 {
         self.lock().now_s
-    }
-
-    /// Jobs currently pending.
-    pub fn queue_len(&self) -> usize {
-        self.lock().pending.len()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ServiceState> {

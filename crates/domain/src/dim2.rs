@@ -47,16 +47,6 @@ impl Dim2Part {
     pub fn new(row0: usize, rows: usize, col0: usize, cols: usize) -> Self {
         Dim2Part { row0, rows, col0, cols }
     }
-
-    /// The row range covered by the block.
-    pub fn row_range(&self) -> std::ops::Range<usize> {
-        self.row0..self.row0 + self.rows
-    }
-
-    /// The column range covered by the block.
-    pub fn col_range(&self) -> std::ops::Range<usize> {
-        self.col0..self.col0 + self.cols
-    }
 }
 
 impl Part for Dim2Part {

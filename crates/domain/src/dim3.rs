@@ -45,11 +45,6 @@ impl Dim3Part {
     pub fn new(x0: usize, nx: usize, ny: usize, nz: usize) -> Self {
         Dim3Part { x0, nx, ny, nz }
     }
-
-    /// The x range covered by the slab.
-    pub fn x_range(&self) -> std::ops::Range<usize> {
-        self.x0..self.x0 + self.nx
-    }
 }
 
 impl Part for Dim3Part {

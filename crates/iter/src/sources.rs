@@ -1,8 +1,6 @@
 //! User-facing constructors: the library functions application code calls to
 //! start a loop (paper §2's `zip`, `rows`, `outerproduct`, `range`, …).
 
-use std::sync::Arc;
-
 use triolet_domain::{Dim2, Domain, Seq};
 use triolet_serial::Wire;
 
@@ -54,15 +52,6 @@ pub fn row_strips<T: Wire + Clone + Send + Sync + 'static>(
     strip_rows: usize,
 ) -> IdxFlat<StripsIdx<T>> {
     IdxFlat::new(StripsIdx::new(a.to_shared(), a.rows(), a.cols(), strip_rows))
-}
-
-/// View a shared row-major buffer as an iterator over rows, without copying.
-pub fn rows_shared<T: Wire + Clone + Send + Sync + 'static>(
-    data: Arc<Vec<T>>,
-    nrows: usize,
-    ncols: usize,
-) -> IdxFlat<RowsIdx<T>> {
-    IdxFlat::new(RowsIdx::new(data, nrows, ncols))
 }
 
 /// Iterate a matrix's elements in row-major order with a `Dim2` domain.

@@ -40,7 +40,7 @@ fn six_tuple_and_fixed_arrays() {
 #[test]
 fn interleaved_heterogeneous_stream() {
     // A writer that frames a whole conversation; the reader must consume it
-    // field-exactly (what run_raw result streams look like).
+    // field-exactly (what dispatch result streams look like).
     let mut w = WireWriter::new();
     42u32.pack(&mut w);
     vec![1.0f32, 2.0].pack(&mut w);

@@ -37,7 +37,7 @@ fn environment_packs_once_regardless_of_node_count() {
         let run = weighted_sum(&rt, xs.clone(), &env);
         assert!(run.value.is_finite());
         assert_eq!(
-            rt.cluster().stats().env_packs(),
+            rt.cluster().stats().snapshot().env_packs,
             1,
             "env must pack exactly once at {nodes} nodes, not once per node"
         );
@@ -61,7 +61,7 @@ fn packed_environment_is_reused_across_calls() {
         assert!(run.value.is_finite());
     }
     assert_eq!(
-        rt.cluster().stats().env_packs(),
+        rt.cluster().stats().snapshot().env_packs,
         1,
         "three skeleton calls over one packed env must serialize it once"
     );
@@ -73,7 +73,7 @@ fn unit_environment_still_packs_nothing() {
     let rt = Triolet::new(ClusterConfig::virtual_cluster(4, TPN));
     let run = rt.sum(from_vec(xs).par());
     assert_eq!(run.value, 1024 * 1023 / 2);
-    assert_eq!(rt.cluster().stats().env_packs(), 0, "a unit env has no bytes to pack");
+    assert_eq!(rt.cluster().stats().snapshot().env_packs, 0, "a unit env has no bytes to pack");
 }
 
 #[test]

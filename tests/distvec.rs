@@ -108,8 +108,8 @@ fn resident_sweeps_ship_zero_input_bytes() {
         assert_eq!(run.stats.resident_misses, 0);
     }
     let traffic = rt.cluster().stats();
-    assert_eq!(traffic.resident_hits(), 3 * dv.segments() as u64);
-    assert_eq!(traffic.resident_misses(), 0);
+    assert_eq!(traffic.snapshot().resident_hits, 3 * dv.segments() as u64);
+    assert_eq!(traffic.snapshot().resident_misses, 0);
 }
 
 #[test]
@@ -118,9 +118,9 @@ fn scatter_is_segment_traffic_not_an_env_pack() {
     let rt = rt(4);
     let scattered = rt.scatter(xs);
     let traffic = rt.cluster().stats();
-    assert_eq!(traffic.env_packs(), 0, "a scatter is not an environment pack");
+    assert_eq!(traffic.snapshot().env_packs, 0, "a scatter is not an environment pack");
     assert_eq!(
-        traffic.seg_scatters(),
+        traffic.snapshot().seg_scatters,
         scattered.value.segments() as u64,
         "each shipped segment must be counted exactly once"
     );
@@ -136,7 +136,7 @@ fn scatter_is_segment_traffic_not_an_env_pack() {
         |a, b| a + b,
     );
     assert!(run.value.is_finite());
-    assert_eq!(rt.cluster().stats().env_packs(), 1, "the sweep env packs exactly once");
+    assert_eq!(rt.cluster().stats().snapshot().env_packs, 1, "the sweep env packs exactly once");
 }
 
 #[test]

@@ -156,7 +156,7 @@ fn traffic_counters_expose_fault_events() {
     let xs: Vec<usize> = (0..4000).map(|i| i % 32).collect();
     let stats = rt.histogram(32, from_vec(xs).par()).stats;
     let traffic = rt.cluster().stats();
-    assert!(traffic.dropped() > 0, "the schedule must actually drop attempts");
-    assert_eq!(traffic.retries(), stats.retries, "RunStats and TrafficStats must agree");
-    assert_eq!(traffic.redispatches(), stats.redispatches);
+    assert!(traffic.snapshot().dropped > 0, "the schedule must actually drop attempts");
+    assert_eq!(traffic.snapshot().retries, stats.retries, "RunStats and TrafficStats must agree");
+    assert_eq!(traffic.snapshot().redispatches, stats.redispatches);
 }
