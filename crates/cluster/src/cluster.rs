@@ -71,15 +71,25 @@ pub enum Topology {
 
 /// Why a dispatch could not complete.
 ///
-/// A fault plan that leaves a task nowhere to run is known before any task
-/// body runs; a damaged or mistyped result only once it reaches the root.
-/// Both surface as typed errors from [`Cluster::dispatch`] and
-/// [`Cluster::try_run`], not as panics.
+/// More tasks than nodes, or a fault plan that leaves a task nowhere to run,
+/// is known before anything is sent or any task body runs; a damaged or
+/// mistyped result only once it reaches the root. All surface as typed
+/// errors from [`Cluster::dispatch`] and [`Cluster::try_run`], not as
+/// panics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchError {
+    /// More tasks than nodes: a dispatch runs at most one task per node.
+    TooManyTasks {
+        /// Tasks handed to the dispatch.
+        tasks: usize,
+        /// Nodes in the cluster.
+        nodes: usize,
+    },
     /// The fault plan crashes every node, so no task can run anywhere.
     AllCrashed,
-    /// Every surviving candidate for task `task` exhausted its retry budget.
+    /// Every surviving candidate for task `task` exhausted its retry budget,
+    /// or a transfer the task needs (the environment or a shared piece to
+    /// its rank, its result back to the root) never delivers.
     Unroutable {
         /// Index of the task the plan found no rank for.
         task: usize,
@@ -96,13 +106,16 @@ pub enum DispatchError {
 impl std::fmt::Display for DispatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DispatchError::TooManyTasks { tasks, nodes } => {
+                write!(f, "more tasks ({tasks}) than nodes ({nodes})")
+            }
             DispatchError::AllCrashed => {
                 write!(f, "fault plan crashes every node: nothing can recover")
             }
             DispatchError::Unroutable { task } => write!(
                 f,
-                "fault plan leaves no route for task {task}: \
-                 every surviving candidate exhausted its retry budget"
+                "fault plan leaves no route for task {task}: every surviving candidate \
+                 exhausted its retry budget, or a transfer it needs never delivers"
             ),
             DispatchError::Decode { task, source } => {
                 write!(f, "task {task}'s result failed to decode at the root: {source}")
@@ -361,11 +374,11 @@ impl Attempts {
         (tx, false)
     }
 
-    /// A transfer between two live endpoints: retried until it arrives.
-    fn reliable(plan: &FaultPlan, ends: (usize, usize), tag: u32, key: u64) -> Attempts {
+    /// A transfer between two live endpoints: retried until it arrives, or
+    /// `None` if the plan never delivers it.
+    fn reliable(plan: &FaultPlan, ends: (usize, usize), tag: u32, key: u64) -> Option<Attempts> {
         let (tx, delivered) = Attempts::plan(plan, ends, (tag, key), LIVE_ATTEMPT_CAP, true);
-        assert!(delivered, "fault plan never delivers message (tag {tag}, key {key}) to its peer");
-        tx
+        delivered.then_some(tx)
     }
 
     /// Copies of the message that crossed the wire.
@@ -652,7 +665,7 @@ impl PayloadEdge {
 
 /// Append the edges that carry one `bytes`-sized payload from the root to
 /// every rank in `dests`, each retried through the fault schedule until it
-/// delivers intact.
+/// delivers intact; `Err(rank)` if the edge to `rank` never does.
 ///
 /// The environment (`piece == None`) enters the binomial tree at the root,
 /// which therefore sends `O(log N)` copies. A shared piece is sent by the
@@ -667,7 +680,7 @@ fn plan_payload(
     dests: &[usize],
     bytes: usize,
     piece: Option<usize>,
-) {
+) -> Result<(), usize> {
     let n = dests.len();
     // Positions: 0 is the root, `p >= 1` is `dests[p - 1]`.
     let shape: Vec<(usize, usize, u32, usize)> = match (topology, piece) {
@@ -693,6 +706,7 @@ fn plan_payload(
             None => (ENV_TAG, c as u64),
             Some(k) => (PIECE_TAG, k as u64),
         };
+        let tx = Attempts::reliable(plan, (sender, dest), tag, key).ok_or(dest)?;
         arrived_by[c] = Some(edges.len());
         edges.push(PayloadEdge {
             sender,
@@ -702,9 +716,10 @@ fn plan_payload(
             fanout,
             bytes,
             piece,
-            tx: Attempts::reliable(plan, (sender, dest), tag, key),
+            tx,
         });
     }
+    Ok(())
 }
 
 /// What the scatter of one dispatch looks like once sharing is known.
@@ -739,7 +754,8 @@ struct TaskScatter {
 /// them (`execs`, in task order; never a rank that only timed out: the
 /// environment's rule), and plan the one-to-many payloads: the environment,
 /// then each piece with two or more reader ranks, in the order tasks first
-/// read them.
+/// read them. An edge that never delivers strands the first task on its
+/// rank that reads the payload: it is [`DispatchError::Unroutable`].
 fn plan_scatter<R>(
     plan: &FaultPlan,
     topology: Topology,
@@ -747,7 +763,13 @@ fn plan_scatter<R>(
     tasks: &[RawTask<'_, R>],
     execs: &[usize],
     bcast_bytes: usize,
-) -> ScatterPlan {
+) -> Result<ScatterPlan, DispatchError> {
+    // Piece `id` (`None`: the environment) never reaches `rank`.
+    let stranded = |rank: usize, id: Option<usize>| {
+        let reads = |t: &RawTask<'_, R>| id.is_none() || t.pieces.iter().any(|q| q.id == id);
+        let task = (tasks.iter().zip(execs)).position(|(t, &exec)| exec == rank && reads(t));
+        DispatchError::Unroutable { task: task.expect("a payload goes only to its readers") }
+    };
     let mut edges = Vec::new();
     // Environment: one shared payload to every executing rank.
     let mut env_edge_to = Vec::new();
@@ -755,7 +777,8 @@ fn plan_scatter<R>(
         let mut ranks = execs.to_vec();
         ranks.sort_unstable();
         ranks.dedup();
-        plan_payload(&mut edges, plan, topology, &ranks, bcast_bytes, None);
+        plan_payload(&mut edges, plan, topology, &ranks, bcast_bytes, None)
+            .map_err(|rank| stranded(rank, None))?;
         env_edge_to = vec![usize::MAX; n_nodes];
         for (idx, e) in edges.iter().enumerate() {
             env_edge_to[e.dest] = idx;
@@ -799,7 +822,7 @@ fn plan_scatter<R>(
                     }
                 }
                 Some(Readers::Many(block)) => {
-                    let block = block.get_or_insert_with(|| {
+                    if block.is_none() {
                         // Its reader ranks, in the order tasks first read it.
                         let mut ranks: Vec<usize> = Vec::new();
                         for (t, &exec) in tasks.iter().zip(execs) {
@@ -809,11 +832,13 @@ fn plan_scatter<R>(
                             }
                         }
                         let start = edges.len();
-                        plan_payload(&mut edges, plan, topology, &ranks, p.bytes, Some(shared));
+                        plan_payload(&mut edges, plan, topology, &ranks, p.bytes, Some(shared))
+                            .map_err(|rank| stranded(rank, p.id))?;
                         shared += 1;
-                        start..edges.len()
-                    });
-                    let arrival = block.clone().find(|&e| edges[e].dest == exec);
+                        *block = Some(start..edges.len());
+                    }
+                    let arrival =
+                        block.clone().and_then(|mut b| b.find(|&e| edges[e].dest == exec));
                     needs.push(arrival.expect("every reader rank is a destination of its piece"));
                 }
             }
@@ -824,7 +849,7 @@ fn plan_scatter<R>(
             needs: needs0..needs.len(),
         });
     }
-    ScatterPlan { edges, env_edges, tasks: scatter, needs }
+    Ok(ScatterPlan { edges, env_edges, tasks: scatter, needs })
 }
 
 /// Everything a dispatch decides before any task body runs: the routes,
@@ -867,7 +892,7 @@ impl Plan {
             .map(|task| plan_route(faults, n_nodes, task, bcast_bytes))
             .collect::<Result<Vec<_>, _>>()?;
         let execs: Vec<usize> = tried.iter().map(|&(exec, _)| exec).collect();
-        let scatter = plan_scatter(faults, config.topology, n_nodes, tasks, &execs, bcast_bytes);
+        let scatter = plan_scatter(faults, config.topology, n_nodes, tasks, &execs, bcast_bytes)?;
 
         // Every payload edge, then every task hop, is counted (the schedule,
         // not the executor, decides what happens on the wire) and reduced to
@@ -910,7 +935,8 @@ impl Plan {
                     Hop { dest, bytes, tx }
                 })
                 .collect();
-            let ret = Attempts::reliable(faults, (exec, ROOT), RET_TAG, i as u64);
+            let ret = Attempts::reliable(faults, (exec, ROOT), RET_TAG, i as u64)
+                .ok_or(DispatchError::Unroutable { task: i })?;
             let route = TaskRoute { exec, hops, ret, resident: t.resident };
             counts.placement(&route);
             routes.push(route);
@@ -1087,6 +1113,12 @@ impl Cluster {
     /// not in `env_packs`, so environment accounting never double-counts
     /// the scatter. Returns the modeled timing and a trace rooted at a
     /// `dist:scatter` span.
+    ///
+    /// # Panics
+    ///
+    /// If the fault plan never delivers a segment (e.g. it drops every
+    /// message): the caller's contract is a plan under which the root can
+    /// reach every home rank.
     pub fn scatter_segments(&self, id: u64, segs: &[(usize, usize)]) -> (DistTiming, TraceData) {
         let plan = self.config.faults;
         let cost = self.config.cost;
@@ -1098,7 +1130,8 @@ impl Cluster {
             self.resident.register(id, slot, rank, bytes);
             // Both endpoints are treated as alive: a crashed home interacts
             // at *call* time, via redispatch.
-            let tx = Attempts::reliable(&plan, (ROOT, rank), SEG_TAG, rank as u64);
+            let tx = Attempts::reliable(&plan, (ROOT, rank), SEG_TAG, rank as u64)
+                .expect("fault plan never delivers a segment to its home rank");
             counts.message(&tx, bytes, (ROOT, rank));
             let edge_s = tx.seconds(cost.edge_time(ROOT, rank, bytes), timeout_s, tx.retries());
             if tr.enabled() {
@@ -1256,8 +1289,10 @@ impl Cluster {
     /// The composition of four values. The `Plan` routes every task
     /// through the fault schedule, then the one-to-many payloads (the
     /// environment, and input pieces that tasks on several ranks share)
-    /// over the ranks that will execute, before any body runs; a plan that
-    /// leaves a task nowhere to run is a [`DispatchError`] and runs no body.
+    /// over the ranks that will execute, before any body runs; more tasks
+    /// than nodes, or a plan that leaves a task nowhere to run or a
+    /// transfer it needs undelivered, is a [`DispatchError`] and sends
+    /// nothing and runs no body.
     /// `execute` runs each task once, on its final rank. The `timeline`
     /// places every planned transfer and measured duration on the virtual
     /// clock. The `account` renders the trace, gathers results in task
@@ -1277,7 +1312,9 @@ impl Cluster {
         env_bytes: usize,
     ) -> Result<DistOutcome<R>, DispatchError> {
         let nodes = self.config.nodes;
-        assert!(tasks.len() <= nodes, "more tasks ({}) than nodes ({nodes})", tasks.len());
+        if tasks.len() > nodes {
+            return Err(DispatchError::TooManyTasks { tasks: tasks.len(), nodes });
+        }
         let plan = Plan::new(&tasks, env_bytes, &self.config)?;
         let executed = self.execute(tasks, &plan);
         let ret_s = plan.return_s(&executed.results, &self.config);
@@ -1611,20 +1648,31 @@ mod tests {
     #[test]
     fn dispatch_errors_are_typed_under_an_environment() {
         let ran = std::sync::atomic::AtomicBool::new(false);
+        // A resident task on rank 1: with a halo it has a message of its own
+        // to route; without one it rides the environment in.
+        let task = |halo_bytes| RawTask {
+            wire_bytes: 0,
+            pieces: Vec::new(),
+            pack_s: 0.0,
+            resident: Some(ResidentSpec { id: 1, home: 1, seg_bytes: 4096, halo_bytes }),
+            work: Box::new(|_: &NodeCtx| ran.store(true, std::sync::atomic::Ordering::Relaxed)),
+        };
         let all_crashed = FaultPlan::seeded(1).with_crash(0).with_crash(1);
         let lost = FaultPlan::seeded(1).with_drop(1.0);
-        let want = [DispatchError::AllCrashed, DispatchError::Unroutable { task: 0 }];
-        for (faults, want) in [all_crashed, lost].into_iter().zip(want) {
+        let cases = [
+            (all_crashed, vec![task(8)], DispatchError::AllCrashed),
+            (lost, vec![task(8)], DispatchError::Unroutable { task: 0 }),
+            // The environment edge to the rider's rank never delivers.
+            (lost, vec![task(0)], DispatchError::Unroutable { task: 0 }),
+            (
+                FaultPlan::none(),
+                vec![task(8), task(8), task(8)],
+                DispatchError::TooManyTasks { tasks: 3, nodes: 2 },
+            ),
+        ];
+        for (faults, tasks, want) in cases {
             let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1).with_faults(faults));
-            // The halo gives the resident task a message of its own to route.
-            let task = RawTask {
-                wire_bytes: 0,
-                pieces: Vec::new(),
-                pack_s: 0.0,
-                resident: Some(ResidentSpec { id: 1, home: 1, seg_bytes: 4096, halo_bytes: 8 }),
-                work: Box::new(|_: &NodeCtx| ran.store(true, std::sync::atomic::Ordering::Relaxed)),
-            };
-            let err = cluster.dispatch(vec![task], 264).expect_err("the plan must fail");
+            let err = cluster.dispatch(tasks, 264).expect_err("the plan must fail");
             assert_eq!(err, want);
             assert_eq!(cluster.stats().snapshot(), Default::default(), "nothing was sent");
         }

@@ -25,8 +25,8 @@ mod input;
 mod iter;
 mod vec;
 
+pub(crate) use input::Lease;
 pub use input::{AsEnv, DistInput, IntoDistInput, PackedEnv};
-pub(crate) use input::{EnvArg, Lease, SegClaim};
 pub use iter::DistIter;
 pub(crate) use vec::Seg;
 pub use vec::{DistArray2, DistVec, EnumView, HaloView, RowsView, SliceView, ZipView};

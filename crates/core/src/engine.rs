@@ -26,9 +26,10 @@
 //! Every node body reads a [`DistIter`] over its part: the input itself, the
 //! slice the root shipped, or the segment as the indexer it already is
 //! (answering the same global indices). What a node does once reached is
-//! written once over it: `node_fold` (chunks → private accumulators →
-//! chunk-order merge) under every reduction, `node_collect` (chunks →
-//! pieces → chunk-order concat) under `build_vec` and `build_array3`.
+//! written once over it, `node_fold` (chunks → partials → chunk-order merge
+//! → the task's result), and every skeleton is one `Reducer` through it:
+//! the identity fold under reductions, the fragment monoid under
+//! `build_vec` / `build_array3`, the tile monoid under `build_array2`.
 //! Chunking and merge order are thus one function of a part's index range
 //! on every path, which is why a resident, a shipped and a `localpar` run
 //! over the same part agree to the bit.
@@ -51,17 +52,16 @@ use triolet_cluster::{
     Cluster, ClusterConfig, DistOutcome, NodeCtx, RawTask, ResidentSpec, TraceData, TraceHandle,
     Track,
 };
-use triolet_domain::{Dim2, Domain, Part, Seq};
+use triolet_domain::{Dim2, Dim2Part, Domain, Part, Seq};
 use triolet_iter::collector::Collector;
-use triolet_iter::shapes::ParHint;
+use triolet_iter::shapes::{ParHint, TrioIter};
 use triolet_iter::{Array2, SliceMemo};
 use triolet_obs::rehome_event;
 use triolet_pool::parallel::CHUNKS_PER_THREAD;
 use triolet_serial::{PackedPayload, PodView, Wire};
 
 use crate::dist::{
-    AsEnv, DistArray2, DistInput, DistIter, DistVec, EnvArg, IntoDistInput, Lease, PackedEnv, Seg,
-    SegClaim,
+    AsEnv, DistArray2, DistInput, DistIter, DistVec, IntoDistInput, Lease, PackedEnv, Seg,
 };
 use crate::report::RunStats;
 use crate::run::Run;
@@ -69,52 +69,190 @@ use crate::run::Run;
 /// The part type of an iterator's outer domain.
 type PartOf<It> = <<It as DistIter>::OuterDom as Domain>::Part;
 
-/// The node body of every reduction (paper §3.4: "one threaded reduction per
-/// node, which sequentially builds one histogram per thread"): split `part`
-/// into chunks, fold each into a private accumulator, merge the partials in
-/// chunk order.
+/// A skeleton as one reduction of `It`'s items under an environment `E`
+/// (paper §3.4: "a distributed reduction, which performs one threaded
+/// reduction per node, which sequentially builds one histogram per thread").
+///
+/// A chunk folds from `seed(chunk)` by `step` into an `Acc`; a node merges
+/// its chunks' partials in chunk order and ships the result; the root
+/// absorbs task results in task order, from the first (`None` before it),
+/// and `finish`es (`None`: there was no task). `merge` and `absorb` must be
+/// associative, as chunk and task boundaries follow the cluster shape, but
+/// need not be commutative: partials combine left to right, never in the
+/// order the schedule finishes them.
+trait Reducer<It: DistIter, E>: Sync {
+    type Acc: Send;
+    /// A node's partial as it crosses the wire.
+    type Shipped: Wire + Send;
+    type Value;
+    fn seed(&self, chunk: &PartOf<It>) -> Self::Acc;
+    fn step(&self, env: &E, acc: Self::Acc, x: It::Item) -> Self::Acc;
+    fn merge(&self, a: Self::Acc, b: Self::Acc) -> Self::Acc;
+    /// `part`'s partial as its task's result, on `ctx`'s clock.
+    fn ship(&self, ctx: &NodeCtx, part: &PartOf<It>, acc: Self::Acc) -> Self::Shipped;
+    fn absorb(&self, value: Option<Self::Value>, shipped: Self::Shipped) -> Self::Value;
+    fn finish(&self, value: Option<Self::Value>) -> Self::Value;
+}
+
+/// The identity reducer, under every reduction: a partial is the caller's
+/// `B` at every level, and the root fold starts from the first partial.
+struct Fold<Seed, Step, Merge>(Seed, Step, Merge);
+
+impl<It, E, B, Seed, Step, Merge> Reducer<It, E> for Fold<Seed, Step, Merge>
+where
+    It: DistIter,
+    B: Wire + Send,
+    Seed: Fn() -> B + Sync,
+    Step: Fn(&E, B, It::Item) -> B + Sync,
+    Merge: Fn(B, B) -> B + Sync,
+{
+    type Acc = B;
+    type Shipped = B;
+    type Value = B;
+    fn seed(&self, _: &PartOf<It>) -> B {
+        (self.0)()
+    }
+    fn step(&self, env: &E, acc: B, x: It::Item) -> B {
+        (self.1)(env, acc, x)
+    }
+    fn merge(&self, a: B, b: B) -> B {
+        (self.2)(a, b)
+    }
+    fn ship(&self, _: &NodeCtx, _: &PartOf<It>, acc: B) -> B {
+        acc
+    }
+    fn absorb(&self, value: Option<B>, shipped: B) -> B {
+        if let Some(a) = value {
+            (self.2)(a, shipped)
+        } else {
+            shipped
+        }
+    }
+    fn finish(&self, value: Option<B>) -> B {
+        value.unwrap_or_else(&self.0)
+    }
+}
+
+/// The fragment monoid, under ordered assembly: a partial is the run of
+/// `f`'s values its part covers and merging appends, so parts must be
+/// contiguous in the output's row-major order ([`Seq`] ranges,
+/// [`Dim3`](triolet_domain::Dim3) slabs). A pod fragment's root-side unpack
+/// aliases the received buffer, so the root's append is its one copy.
+struct Fragments<F>(F);
+
+impl<It, E, U, F> Reducer<It, E> for Fragments<F>
+where
+    It: DistIter,
+    U: Wire + Send + Sync + Clone,
+    F: Fn(&E, It::Item) -> U + Sync,
+{
+    type Acc = Vec<U>;
+    type Shipped = PodView<U>;
+    type Value = Vec<U>;
+    fn seed(&self, chunk: &PartOf<It>) -> Vec<U> {
+        Vec::with_capacity(chunk.count())
+    }
+    fn step(&self, env: &E, mut acc: Vec<U>, x: It::Item) -> Vec<U> {
+        acc.push((self.0)(env, x));
+        acc
+    }
+    fn merge(&self, mut a: Vec<U>, mut b: Vec<U>) -> Vec<U> {
+        a.append(&mut b);
+        a
+    }
+    fn ship(&self, _: &NodeCtx, _: &PartOf<It>, acc: Vec<U>) -> PodView<U> {
+        PodView::from_vec(acc)
+    }
+    fn absorb(&self, value: Option<Vec<U>>, shipped: PodView<U>) -> Vec<U> {
+        let Some(mut value) = value else { return shipped.into_vec() };
+        value.extend_from_slice(&shipped);
+        value
+    }
+    fn finish(&self, value: Option<Vec<U>>) -> Vec<U> {
+        value.unwrap_or_default()
+    }
+}
+
+/// The tile monoid, under `build_array2` of a matrix this shape: chunks
+/// are 2-D tiles ([`Dim2Part::split`]), so a partial is a list of (tile,
+/// row-major contents) and merging appends to the list. A node places its
+/// tiles into its block, and the root places each block in the matrix.
+struct Tiles(Dim2);
+
+impl<It, T> Reducer<It, ()> for Tiles
+where
+    It: DistIter<OuterDom = Dim2, Item = T>,
+    T: Wire + Send + Sync + Clone + Default,
+{
+    type Acc = Vec<(Dim2Part, Vec<T>)>;
+    type Shipped = (Dim2Part, PodView<T>);
+    type Value = Array2<T>;
+    fn seed(&self, chunk: &Dim2Part) -> Self::Acc {
+        vec![(*chunk, Vec::with_capacity(chunk.count()))]
+    }
+    fn step(&self, _: &(), mut acc: Self::Acc, x: T) -> Self::Acc {
+        // A chunk folds into the one tile its seed made.
+        acc[0].1.push(x);
+        acc
+    }
+    fn merge(&self, mut a: Self::Acc, mut b: Self::Acc) -> Self::Acc {
+        a.append(&mut b);
+        a
+    }
+    fn ship(&self, ctx: &NodeCtx, part: &Dim2Part, acc: Self::Acc) -> Self::Shipped {
+        let block = ctx.sequential(|| {
+            let mut block = vec![T::default(); part.count()];
+            acc.into_iter().for_each(|(tile, data)| place(&mut block, part, &tile, data));
+            block
+        });
+        (*part, PodView::from_vec(block))
+    }
+    fn absorb(&self, value: Option<Array2<T>>, (part, block): Self::Shipped) -> Array2<T> {
+        let whole = self.0.whole_part();
+        if value.is_none() && part == whole {
+            // A block covering the matrix is the matrix.
+            return Array2::from_vec(block.into_vec(), whole.rows, whole.cols);
+        }
+        let mut value = value.unwrap_or_else(|| Array2::zeros(whole.rows, whole.cols));
+        place(value.as_mut_slice(), &whole, &part, block.into_vec());
+        value
+    }
+    fn finish(&self, value: Option<Array2<T>>) -> Array2<T> {
+        value.unwrap_or_else(|| Array2::zeros(self.0.rows, self.0.cols))
+    }
+}
+
+/// Move `tile`'s row-major `data` into `block`, the row-major contents of
+/// `within` (which contains `tile`), one row at a time.
+fn place<T>(block: &mut [T], within: &Dim2Part, tile: &Dim2Part, data: Vec<T>) {
+    let mut data = data.into_iter();
+    for r in tile.row0 - within.row0..tile.row0 - within.row0 + tile.rows {
+        let d0 = r * within.cols + tile.col0 - within.col0;
+        block[d0..d0 + tile.cols].iter_mut().zip(&mut data).for_each(|(d, x)| *d = x);
+    }
+}
+
+/// The node body of every skeleton (paper §3.4: "one threaded reduction per
+/// node"): `part`'s chunks fold from their own seeds and merge in chunk
+/// order, and the node's partial ships as its task's result.
 ///
 /// The chunking depends only on `part`'s index range and the node's thread
 /// count, and the merge order only on the chunking — never on which arm got
 /// here or where the data lives — so a resident run is bit-identical to a
 /// shipped one by construction. `step` is `Copy` (a `move` closure over
 /// references) so each chunk's fold owns one rather than borrowing ours.
-fn node_fold<It: DistIter, B: Send>(
+fn node_fold<It: DistIter, E: Sync, R: Reducer<It, E>>(
     ctx: &NodeCtx,
     src: &It,
     part: &PartOf<It>,
-    seed: impl Fn() -> B + Sync,
-    step: impl Fn(B, It::Item) -> B + Sync + Copy,
-    merge: impl Fn(B, B) -> B,
-) -> B {
+    env: &E,
+    r: &R,
+) -> R::Shipped {
     let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-    ctx.map_reduce_chunks(chunks, |chunk| src.fold_outer_part(chunk, seed(), &mut { step }), merge)
-        .unwrap_or_else(seed)
-}
-
-/// The node body of every ordered assembly: split `part` into chunks, map
-/// each into a piece, concatenate the pieces in chunk order (sequential
-/// packing on the node). For parts that are contiguous in their output's
-/// row-major order ([`Seq`] ranges, [`Dim3`](triolet_domain::Dim3) slabs).
-fn node_collect<It: DistIter, U: Send>(
-    ctx: &NodeCtx,
-    src: &It,
-    part: &PartOf<It>,
-    f: impl Fn(It::Item) -> U + Sync,
-) -> Vec<U> {
-    let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-    let pieces = ctx.map_chunks(chunks, |chunk| {
-        let mut v = Vec::with_capacity(chunk.count());
-        src.fold_outer_part(chunk, (), &mut |(), x| v.push(f(x)));
-        v
-    });
-    ctx.sequential(|| {
-        let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
-        for piece in pieces {
-            out.extend(piece);
-        }
-        out
-    })
+    let step = move |acc, x| r.step(env, acc, x);
+    let fold = |chunk: &PartOf<It>| src.fold_outer_part(chunk, r.seed(chunk), &mut { step });
+    let acc = ctx.map_reduce_chunks(chunks, fold, |a, b| r.merge(a, b));
+    r.ship(ctx, part, acc.unwrap_or_else(|| r.seed(part)))
 }
 
 /// The Triolet runtime: a cluster plus the skeleton dispatch logic.
@@ -269,48 +407,17 @@ impl Triolet {
             h.span("root:slice", "prep", Track::Root, 0.0, prep_s, vec![]);
         }
         for (i, &(s0, s1)) in merge_spans.iter().enumerate() {
-            h.span(
-                "root:merge:streamed",
-                "merge",
-                Track::Root,
-                prep_s + s0,
-                prep_s + s1,
-                vec![("task", i.into())],
-            );
+            let args = vec![("task", i.into())];
+            h.span("root:merge:streamed", "merge", Track::Root, prep_s + s0, prep_s + s1, args);
         }
         dist.shift(prep_s);
         h.absorb(dist);
         h.take()
     }
 
-    /// The `Sequential` arm of every skeleton: run `work` on the calling
-    /// thread, wall-timed, under one `skeleton:<name>` span.
-    fn run_sequential<R>(&self, name: &str, work: impl FnOnce() -> R) -> Run<R> {
-        let (value, total_s) = timed(work);
-        let trace = self.skeleton_trace(name, None, TraceData::default(), total_s, &[]);
-        Run::new(value, RunStats::local(total_s)).with_trace(trace)
-    }
-
-    /// The root-side preamble of every dispatching arm: the environment is
-    /// packed at most once here (its seconds are the call's root prep);
-    /// every task shares the buffer, and the cluster charges its transport
-    /// per broadcast edge rather than per task.
-    fn timed_payload<E: Wire>(&self, env: &EnvArg<'_, E>) -> (PackedPayload, f64) {
-        timed(|| env.payload(self.cluster.stats()))
-    }
-
-    /// The `LocalPar` arm of every skeleton: run `work` over the root node's
-    /// threads, in place. Nothing ships and nothing comes back over the
-    /// wire, so the result is used as computed.
-    fn run_localpar<R>(&self, name: &str, work: impl FnOnce(&NodeCtx) -> R) -> Run<R> {
-        let (value, timing, trace) = self.cluster.run_local(work);
-        let trace = self.skeleton_trace(name, None, trace, timing.total_s, &[]);
-        Run::new(value, timing).with_trace(trace)
-    }
-
-    /// The tasks of every distributed arm: one per part of `input`, with
-    /// the segment claims it reads. `body(sub, part, shipped)` is the
-    /// node-side work over the part's iterator `sub` either way.
+    /// The tasks of every distributed arm: one per part of `input`.
+    /// `body(sub, part, shipped)` is the node-side work over the part's
+    /// iterator `sub` either way.
     ///
     /// An iterator is cut down to each part's data (paper §3.5) and `sub`
     /// is that slice, `shipped`: it crosses serialization on arrival. One
@@ -332,15 +439,13 @@ impl Triolet {
     /// carry, each task still gets its send.
     fn part_tasks<'a, It: DistIter, R>(
         &self,
-        input: DistInput<It>,
+        input: &DistInput<It>,
         body: impl Fn(It, PartOf<It>, bool) -> Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
-    ) -> Vec<(RawTask<'a, R>, Vec<SegClaim>)> {
+    ) -> Vec<RawTask<'a, R>> {
         match input {
             DistInput::Iter(it) => {
                 let mut memo = SliceMemo::default();
-                let parts = it.outer_domain().split_parts(self.nodes());
-                parts
-                    .into_iter()
+                (it.outer_domain().split_parts(self.nodes()).into_iter())
                     .map(|part| {
                         let ((sub, pieces, wire_bytes), pack_s) = timed(|| {
                             let sub = it.slice_outer_shared(&part, &mut memo);
@@ -348,29 +453,27 @@ impl Triolet {
                             (sub, pieces, part.packed_size())
                         });
                         let work = body(sub, part, true);
-                        (RawTask { wire_bytes, pieces, pack_s, resident: None, work }, Vec::new())
+                        RawTask { wire_bytes, pieces, pack_s, resident: None, work }
                     })
                     .collect()
             }
             DistInput::Resident(run) => {
                 debug_assert_eq!(run.parts.iter().map(|p| p.part.count()).sum::<usize>(), run.len);
-                let id = run.id;
-                run.parts
-                    .into_iter()
+                (run.parts.iter())
                     .map(|p| {
                         let (home, seg_bytes, halo_bytes) = (p.home, p.seg_bytes, p.halo_bytes);
-                        let resident = Some(ResidentSpec { id, home, seg_bytes, halo_bytes });
-                        let work = body(p.iter, p.part, false);
-                        let pieces = Vec::new();
-                        (RawTask { wire_bytes: 0, pieces, pack_s: 0.0, resident, work }, p.claims)
+                        let resident =
+                            Some(ResidentSpec { id: run.id, home, seg_bytes, halo_bytes });
+                        let work = body(p.iter.clone(), p.part.clone(), false);
+                        RawTask { wire_bytes: 0, pieces: Vec::new(), pack_s: 0.0, resident, work }
                     })
                     .collect()
             }
         }
     }
 
-    /// Dispatch [`part_tasks`](Self::part_tasks) under an `env_bytes`
-    /// broadcast: the one place a skeleton turns a
+    /// Dispatch `input`'s [`part_tasks`](Self::part_tasks) under an
+    /// `env_bytes` broadcast: the one place a skeleton turns a
     /// [`DispatchError`](triolet_cluster::DispatchError) (a fault plan that
     /// leaves a task nowhere to run, a result that fails to decode) into a
     /// panic.
@@ -382,15 +485,16 @@ impl Triolet {
     /// over the collection routes that part straight to its new owner. The
     /// dispatcher itself remembers nothing — it is handed owners and
     /// reports executing ranks.
-    fn dispatch<R: Wire + Send>(
+    fn dispatch<It: DistIter, R: Wire + Send>(
         &self,
-        tasks: Vec<(RawTask<'_, R>, Vec<SegClaim>)>,
+        input: &DistInput<It>,
+        tasks: Vec<RawTask<'_, R>>,
         env_bytes: usize,
     ) -> DistOutcome<R> {
-        let (tasks, claims): (Vec<_>, Vec<_>) = tasks.into_iter().unzip();
         let mut out = self.cluster.dispatch(tasks, env_bytes).unwrap_or_else(|e| panic!("{e}"));
-        for (task, (claims, &exec)) in claims.iter().zip(&out.execs).enumerate() {
-            for claim in claims {
+        let DistInput::Resident(run) = input else { return out };
+        for (task, (p, &exec)) in run.parts.iter().zip(&out.execs).enumerate() {
+            for claim in &p.claims {
                 if let Some(from) = claim.rehome(exec) {
                     if self.traced() {
                         let at = out.timing.total_s;
@@ -403,98 +507,94 @@ impl Triolet {
     }
 
     // ======================================================================
-    // Root-side epilogues (shared by the iterator and resident paths)
-    // ======================================================================
-
-    /// Close a `Par` call at the root: the rank-ordered streaming merge,
-    /// modeled against the dispatch timeline.
-    ///
-    /// `step` folds one task's result into `value` and is wall-measured
-    /// here. On the modeled clock, step `i` cannot start before task `i`'s
-    /// result is unpacked at the root (`arrivals[i]`) nor before step `i-1`
-    /// finished — the completed prefix folds as it grows, in fixed task
-    /// order, so the merged value is that of a plain left fold while most
-    /// of its cost hides inside the arrival stream. Each step is one
-    /// `root:merge:streamed` span; the stats report the root's busy seconds
-    /// apart from the makespan they overlap.
-    fn merge_epilogue<R, V>(
-        &self,
-        name: &str,
-        root_prep_s: f64,
-        out: DistOutcome<R>,
-        mut value: V,
-        mut step: impl FnMut(&mut V, R),
-    ) -> Run<V> {
-        let mut clock = 0.0f64;
-        let mut busy = 0.0f64;
-        let mut spans = Vec::with_capacity(out.arrivals.len());
-        for (&arrival, result) in out.arrivals.iter().zip(out.results) {
-            clock = clock.max(arrival);
-            let ((), u) = timed(|| step(&mut value, result));
-            spans.push((clock, clock + u));
-            clock += u;
-            busy += u;
-        }
-        let end_s = out.timing.total_s.max(clock);
-        let trace = self.skeleton_trace(name, Some(root_prep_s), out.trace, end_s, &spans);
-        Run::new(value, RunStats::overlapped(out.timing, root_prep_s + busy, root_prep_s + end_s))
-            .with_trace(trace)
-    }
-
-    /// Fold task partials at the root, in task order.
-    fn fold_epilogue<B, Empty, Merge>(
-        &self,
-        name: &str,
-        root_prep_s: f64,
-        out: DistOutcome<B>,
-        empty: Empty,
-        merge: Merge,
-    ) -> Run<B>
-    where
-        B: Wire + Send,
-        Empty: Fn() -> B,
-        Merge: Fn(B, B) -> B,
-    {
-        self.merge_epilogue(name, root_prep_s, out, None, |acc: &mut Option<B>, r| {
-            *acc = Some(match acc.take() {
-                None => r,
-                Some(a) => merge(a, r),
-            });
-        })
-        .map(|acc| acc.unwrap_or_else(empty))
-    }
-
-    /// Concatenate ordered per-task fragments at the root (build_vec-style
-    /// assembly), extending in task order.
-    ///
-    /// Fragments arrive as [`PodView`]s: for pod element types the root-side
-    /// unpack aliased the received buffer, so the only copy left is this
-    /// merge's `extend_from_slice` into the final vector.
-    fn concat_epilogue<U>(
-        &self,
-        name: &str,
-        root_prep_s: f64,
-        out: DistOutcome<PodView<U>>,
-    ) -> Run<Vec<U>>
-    where
-        U: Wire + Send + Sync + Clone,
-    {
-        let total: usize = out.results.iter().map(PodView::len).sum();
-        self.merge_epilogue(name, root_prep_s, out, Vec::with_capacity(total), |value, frag| {
-            value.extend_from_slice(&frag);
-        })
-    }
-
-    // ======================================================================
     // The master skeleton
     // ======================================================================
+
+    /// Run `r` over `input` under `env`: the one arm match under every
+    /// skeleton. `Sequential` folds on the calling thread as one chunk;
+    /// `LocalPar` runs the node body in place on the root node's threads,
+    /// shipping nothing; anything else is one task per part.
+    ///
+    /// The root's prep is all it does before the dispatch but the slices'
+    /// packing, which the dispatcher charges per task: packing the
+    /// environment once (its transport is charged per broadcast edge) and
+    /// building the tasks. The input drops after, untimed. The root then
+    /// absorbs results in task order, each once unpacked (`arrivals[i]`)
+    /// and after the one before, so most of the fold hides inside the
+    /// arrival stream; each absorb is one wall-measured
+    /// `root:merge:streamed` span, and the stats report the root's busy
+    /// seconds apart from the makespan they overlap.
+    fn run_reducer<In, Env, R>(&self, name: &str, input: In, env: Env, r: R) -> Run<R::Value>
+    where
+        In: IntoDistInput,
+        Env: AsEnv,
+        R: Reducer<In::Iter, Env::Env>,
+    {
+        let (r, env) = (&r, env.env_arg());
+        match input.into_dist_input() {
+            DistInput::Iter(it) if it.hint() == ParHint::Sequential => {
+                let (env, part) = (env.value(), it.outer_domain().whole_part());
+                let (value, total_s) = timed(|| {
+                    let acc =
+                        it.fold_outer_part(&part, r.seed(&part), &mut |a, x| r.step(env, a, x));
+                    // The calling thread is a one-thread node off the clock.
+                    r.absorb(None, r.ship(&NodeCtx::new(0, 1), &part, acc))
+                });
+                let trace = self.skeleton_trace(name, None, TraceData::default(), total_s, &[]);
+                Run::new(value, RunStats::local(total_s)).with_trace(trace)
+            }
+            DistInput::Iter(it) if it.hint() == ParHint::LocalPar => {
+                let (env, part) = (env.value(), it.outer_domain().whole_part());
+                let (value, timing, trace) = (self.cluster)
+                    .run_local(|ctx| r.absorb(None, node_fold(ctx, &it, &part, env, r)));
+                let trace = self.skeleton_trace(name, None, trace, timing.total_s, &[]);
+                Run::new(value, timing).with_trace(trace)
+            }
+            input => {
+                let ((payload, tasks), prep_s) = timed(|| {
+                    let payload = env.payload(self.cluster.stats());
+                    let tasks = self.part_tasks(&input, |sub, part, shipped| {
+                        let payload = payload.clone();
+                        Box::new(move |ctx: &NodeCtx| {
+                            // Node side: a shipped slice arrives as bytes.
+                            let sub =
+                                if shipped { ctx.sequential(|| sub.roundtrip()) } else { sub };
+                            let env: Env::Env =
+                                ctx.sequential(|| payload.unpack().expect("environment roundtrip"));
+                            node_fold(ctx, &sub, &part, &env, r)
+                        })
+                    });
+                    (payload, tasks)
+                });
+                let root_prep_s = prep_s - tasks.iter().map(|t| t.pack_s).sum::<f64>();
+                let out = self.dispatch(&input, tasks, payload.len());
+                let (mut clock, mut busy, mut value) = (0.0f64, 0.0f64, None);
+                let mut spans = Vec::with_capacity(out.arrivals.len());
+                for (&arrival, shipped) in out.arrivals.iter().zip(out.results) {
+                    clock = clock.max(arrival);
+                    let (absorbed, u) = timed(|| r.absorb(value.take(), shipped));
+                    value = Some(absorbed);
+                    spans.push((clock, clock + u));
+                    clock += u;
+                    busy += u;
+                }
+                let end_s = out.timing.total_s.max(clock);
+                let trace = self.skeleton_trace(name, Some(root_prep_s), out.trace, end_s, &spans);
+                let stats =
+                    RunStats::overlapped(out.timing, root_prep_s + busy, root_prep_s + end_s);
+                Run::new(r.finish(value), stats).with_trace(trace)
+            }
+        }
+    }
 
     /// Parallel fold-reduce: the skeleton every consumer is built on.
     ///
     /// Each leaf task folds a chunk of the outer domain into a private `B`
     /// started from `seed()`; partials merge pairwise with `merge` up the
-    /// thread → node → root hierarchy. `B` must be serializable (node
-    /// partials cross the network).
+    /// thread → node → root hierarchy, and the root's fold starts from the
+    /// first node partial, not from `seed()`. `B` must be serializable
+    /// (node partials cross the network). Every other skeleton is this
+    /// same fold over a different reducer.
     ///
     /// `input` is anything implementing [`IntoDistInput`]: a local iterator
     /// (sliced and shipped per node, §3.5) or a resident collection view
@@ -516,9 +616,8 @@ impl Triolet {
     /// task order at the root, never in the order the schedule finishes
     /// them. For a given cluster shape the merge tree is therefore fixed,
     /// so even an approximately-associative `f64` merge gives the same bits
-    /// on every run and fault seed. To assemble elements in
-    /// order without a merge, use [`Triolet::build_vec`] /
-    /// [`Triolet::build_array2`].
+    /// on every run and fault seed. To assemble elements in order without a
+    /// merge, use [`Triolet::build_vec`] / [`Triolet::build_array2`].
     pub fn fold_reduce<In, Env, B, Seed, Step, Merge>(
         &self,
         input: In,
@@ -535,67 +634,7 @@ impl Triolet {
         Step: Fn(&Env::Env, B, In::Item) -> B + Send + Sync,
         Merge: Fn(B, B) -> B + Send + Sync,
     {
-        self.fold_reduce_named(
-            "fold_reduce",
-            input.into_dist_input(),
-            env.env_arg(),
-            seed,
-            step,
-            merge,
-        )
-    }
-
-    /// [`Triolet::fold_reduce`] with an explicit skeleton name, so derived
-    /// consumers label their traces `skeleton:sum`, `skeleton:histogram`, …
-    fn fold_reduce_named<It, E, B, Seed, Step, Merge>(
-        &self,
-        name: &str,
-        input: DistInput<It>,
-        env: EnvArg<'_, E>,
-        seed: Seed,
-        step: Step,
-        merge: Merge,
-    ) -> Run<B>
-    where
-        It: DistIter,
-        E: Wire + Send + Sync,
-        B: Wire + Send,
-        Seed: Fn() -> B + Send + Sync,
-        Step: Fn(&E, B, It::Item) -> B + Send + Sync,
-        Merge: Fn(B, B) -> B + Send + Sync,
-    {
-        let (seed, step, merge) = (&seed, &step, &merge);
-        match input {
-            DistInput::Iter(it) if it.hint() == ParHint::Sequential => {
-                let (env, part) = (env.value(), it.outer_domain().whole_part());
-                self.run_sequential(name, || {
-                    it.fold_outer_part(&part, seed(), &mut |b, x| step(env, b, x))
-                })
-            }
-            DistInput::Iter(it) if it.hint() == ParHint::LocalPar => {
-                // No node boundary: use the environment in place.
-                let (env, part) = (env.value(), it.outer_domain().whole_part());
-                self.run_localpar(name, |ctx| {
-                    node_fold(ctx, &it, &part, seed, move |b, x| step(env, b, x), merge)
-                })
-            }
-            input => {
-                let (env_payload, root_prep_s) = self.timed_payload(&env);
-                let tasks = self.part_tasks(input, |sub, part, shipped| {
-                    let penv = env_payload.clone();
-                    Box::new(move |ctx: &NodeCtx| {
-                        // Node side: a shipped slice arrives as bytes.
-                        let sub = if shipped { ctx.sequential(|| sub.roundtrip()) } else { sub };
-                        let env: E =
-                            ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
-                        let env = &env;
-                        node_fold(ctx, &sub, &part, seed, move |b, x| step(env, b, x), merge)
-                    })
-                });
-                let out = self.dispatch(tasks, env_payload.len());
-                self.fold_epilogue(name, root_prep_s, out, seed, merge)
-            }
-        }
+        self.run_reducer("fold_reduce", input, env, Fold(seed, step, merge))
     }
 
     // ======================================================================
@@ -608,13 +647,11 @@ impl Triolet {
         In: IntoDistInput,
         In::Item: Wire + Send + Default + std::ops::Add<Output = In::Item>,
     {
-        self.fold_reduce_named(
+        self.run_reducer(
             "sum",
-            input.into_dist_input(),
-            EnvArg::Plain(&()),
-            In::Item::default,
-            |_, a, x| a + x,
-            |a, b| a + b,
+            input,
+            &(),
+            Fold(In::Item::default, |_: &(), a, x| a + x, |a, b| a + b),
         )
     }
 
@@ -634,20 +671,22 @@ impl Triolet {
         In::Item: Wire + Send,
         Op: Fn(In::Item, In::Item) -> In::Item + Send + Sync,
     {
-        self.fold_reduce_named(
+        self.run_reducer(
             name,
-            input.into_dist_input(),
-            EnvArg::Plain(&()),
-            || None,
-            |_, acc: Option<In::Item>, x| match acc {
-                None => Some(x),
-                Some(a) => Some(op(a, x)),
-            },
-            |a, b| match (a, b) {
-                (Some(a), Some(b)) => Some(op(a, b)),
-                (a, None) => a,
-                (None, b) => b,
-            },
+            input,
+            &(),
+            Fold(
+                || None,
+                |_: &(), acc: Option<In::Item>, x| match acc {
+                    None => Some(x),
+                    Some(a) => Some(op(a, x)),
+                },
+                |a, b| match (a, b) {
+                    (Some(a), Some(b)) => Some(op(a, b)),
+                    (a, None) => a,
+                    (None, b) => b,
+                },
+            ),
         )
     }
 
@@ -656,14 +695,7 @@ impl Triolet {
     where
         In: IntoDistInput,
     {
-        self.fold_reduce_named(
-            "count",
-            input.into_dist_input(),
-            EnvArg::Plain(&()),
-            || 0u64,
-            |_, n, _| n + 1,
-            |a, b| a + b,
-        )
+        self.run_reducer("count", input, &(), Fold(|| 0u64, |_: &(), n, _| n + 1, |a, b| a + b))
     }
 
     /// Parallel minimum (by `PartialOrd`; NaNs lose).
@@ -689,13 +721,15 @@ impl Triolet {
     where
         In: IntoDistInput<Item = f64>,
     {
-        self.fold_reduce_named(
+        self.run_reducer(
             "mean",
-            input.into_dist_input(),
-            EnvArg::Plain(&()),
-            || (0.0f64, 0u64),
-            |_, (s, n), x| (s + x, n + 1),
-            |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2),
+            input,
+            &(),
+            Fold(
+                || (0.0f64, 0u64),
+                |_: &(), (s, n), x| (s + x, n + 1),
+                |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2),
+            ),
         )
         .map(|(sum, count)| if count == 0 { None } else { Some(sum / count as f64) })
     }
@@ -713,35 +747,37 @@ impl Triolet {
         C: Collector<Item = In::Item> + Wire + Send,
         Make: Fn() -> C + Send + Sync,
     {
-        self.collect_named("collect", input.into_dist_input(), env.env_arg(), make)
+        self.collect_named("collect", input, env, make)
     }
 
-    fn collect_named<It, E, C, Make>(
+    fn collect_named<In, Env, C, Make>(
         &self,
         name: &str,
-        input: DistInput<It>,
-        env: EnvArg<'_, E>,
+        input: In,
+        env: Env,
         make: Make,
     ) -> Run<C::Out>
     where
-        It: DistIter,
-        E: Wire + Send + Sync,
-        C: Collector<Item = It::Item> + Wire + Send,
+        In: IntoDistInput,
+        Env: AsEnv,
+        C: Collector<Item = In::Item> + Wire + Send,
         Make: Fn() -> C + Send + Sync,
     {
-        self.fold_reduce_named(
+        self.run_reducer(
             name,
             input,
             env,
-            make,
-            |_env, mut c: C, x| {
-                c.feed(x);
-                c
-            },
-            |mut a, b| {
-                a.merge(b);
-                a
-            },
+            Fold(
+                make,
+                |_: &Env::Env, mut c: C, x| {
+                    c.feed(x);
+                    c
+                },
+                |mut a: C, b| {
+                    a.merge(b);
+                    a
+                },
+            ),
         )
         .map(|c| c.finish())
     }
@@ -751,9 +787,7 @@ impl Triolet {
     where
         In: IntoDistInput<Item = usize>,
     {
-        self.collect_named("histogram", input.into_dist_input(), EnvArg::Plain(&()), || {
-            triolet_iter::CountHist::new(bins)
-        })
+        self.collect_named("histogram", input, &(), || triolet_iter::CountHist::new(bins))
     }
 
     /// Floating-point scatter-add over `cells` cells (cutcp's skeleton: a
@@ -762,20 +796,19 @@ impl Triolet {
     where
         In: IntoDistInput<Item = (usize, f64)>,
     {
-        self.collect_named("scatter_add", input.into_dist_input(), EnvArg::Plain(&()), || {
-            triolet_iter::WeightHist::new(cells)
-        })
+        self.collect_named("scatter_add", input, &(), || triolet_iter::WeightHist::new(cells))
     }
 
     /// Materialize a 1-D input into a vector of `f(env, item)`, preserving
     /// element order (mri-q's pixel map).
     ///
-    /// Works for irregular iterators too: each node packs its variable-length
-    /// fragment (the paper's variable-length output packing) and the root
-    /// concatenates fragments in part order: like [`Triolet::fold_reduce`]'s
-    /// partials, fragments are reassembled in chunk order at every level,
-    /// never in the order the schedule finishes them. Identity materialization
-    /// is `build_vec(it, &(), |_, x| x)`.
+    /// Works for irregular iterators too: this is [`Triolet::fold_reduce`]
+    /// over the fragment monoid, where a partial is the variable-length run
+    /// of values its part covers (the paper's variable-length output
+    /// packing) and merging appends. Like any fold's partials, fragments
+    /// join in chunk order on a node and in part order at the root, never
+    /// in the order the schedule finishes them. Identity materialization is
+    /// `build_vec(it, &(), |_, x| x)`.
     pub fn build_vec<In, Env, U, F>(&self, input: In, env: Env, f: F) -> Run<Vec<U>>
     where
         In: IntoDistInput,
@@ -784,56 +817,7 @@ impl Triolet {
         U: Wire + Send + Sync + Clone,
         F: Fn(&Env::Env, In::Item) -> U + Send + Sync,
     {
-        self.build_ordered("build_vec", input.into_dist_input(), env.env_arg(), f)
-    }
-
-    /// The arms of the ordered-assembly skeletons: materialize
-    /// `f(env, item)` for every item of `input` in row-major order of its
-    /// outer domain, whose parts must be contiguous in that order. Each
-    /// node materializes its part's fragment; only fragments travel back.
-    fn build_ordered<It, E, U, F>(
-        &self,
-        name: &str,
-        input: DistInput<It>,
-        env: EnvArg<'_, E>,
-        f: F,
-    ) -> Run<Vec<U>>
-    where
-        It: DistIter,
-        E: Wire + Send + Sync,
-        U: Wire + Send + Sync + Clone,
-        F: Fn(&E, It::Item) -> U + Send + Sync,
-    {
-        let f = &f;
-        match input {
-            DistInput::Iter(it) if it.hint() == ParHint::Sequential => {
-                let (env, dom) = (env.value(), it.outer_domain());
-                self.run_sequential(name, || {
-                    let mut out = Vec::with_capacity(dom.count());
-                    it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| out.push(f(env, x)));
-                    out
-                })
-            }
-            DistInput::Iter(it) if it.hint() == ParHint::LocalPar => {
-                let (env, part) = (env.value(), it.outer_domain().whole_part());
-                self.run_localpar(name, |ctx| node_collect(ctx, &it, &part, |x| f(env, x)))
-            }
-            input => {
-                let (env_payload, root_prep_s) = self.timed_payload(&env);
-                let tasks = self.part_tasks(input, |sub, part, shipped| {
-                    let penv = env_payload.clone();
-                    Box::new(move |ctx: &NodeCtx| {
-                        let sub =
-                            if shipped { ctx.unpack_sequential(|| sub.roundtrip()) } else { sub };
-                        let env: E =
-                            ctx.unpack_sequential(|| penv.unpack().expect("environment roundtrip"));
-                        PodView::from_vec(node_collect(ctx, &sub, &part, |x| f(&env, x)))
-                    })
-                });
-                let out = self.dispatch(tasks, env_payload.len());
-                self.concat_epilogue(name, root_prep_s, out)
-            }
-        }
+        self.run_reducer("build_vec", input, env, Fragments(f))
     }
 
     /// Materialize a 3-D iterator into a dense grid (cutcp-style outputs
@@ -848,7 +832,7 @@ impl Triolet {
         It::Item: Wire + Send + Sync + Clone,
     {
         let dom = it.outer_domain();
-        self.build_ordered("build_array3", DistInput::Iter(it), EnvArg::Plain(&()), |_, x| x)
+        self.run_reducer("build_array3", it, &(), Fragments(|_: &(), x: It::Item| x))
             .map(|data| triolet_iter::Array3::from_vec(data, dom))
     }
 
@@ -859,93 +843,8 @@ impl Triolet {
         It: DistIter<OuterDom = Dim2>,
         It::Item: Wire + Send + Sync + Clone + Default,
     {
-        /// Compute one block's row-major contents from ordered chunk pieces.
-        fn assemble_block<It>(
-            ctx: &NodeCtx,
-            sub: &It,
-            part: &triolet_domain::Dim2Part,
-        ) -> Vec<It::Item>
-        where
-            It: DistIter<OuterDom = Dim2>,
-            It::Item: Send + Clone + Default,
-        {
-            let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-            let pieces = ctx.map_chunks(chunks.clone(), |chunk| {
-                let mut v = Vec::with_capacity(chunk.count());
-                sub.fold_outer_part(chunk, (), &mut |(), x| v.push(x));
-                v
-            });
-            // Place chunk pieces into the block (sequential on the node).
-            ctx.sequential(|| {
-                let mut block = vec![It::Item::default(); part.count()];
-                for (chunk, piece) in chunks.iter().zip(pieces) {
-                    for (k, x) in piece.into_iter().enumerate() {
-                        let (r, c) = chunk.index_at(k);
-                        let local = (r - part.row0) * part.cols + (c - part.col0);
-                        block[local] = x;
-                    }
-                }
-                block
-            })
-        }
-
-        /// Place one row-major block at its part's coordinates with row-wise
-        /// slice copies (no per-element index arithmetic).
-        fn place_block<T: Clone>(
-            result: &mut Array2<T>,
-            result_cols: usize,
-            part: &triolet_domain::Dim2Part,
-            block: &[T],
-        ) {
-            let data = result.as_mut_slice();
-            for rr in 0..part.rows {
-                let src = &block[rr * part.cols..(rr + 1) * part.cols];
-                let d0 = (part.row0 + rr) * result_cols + part.col0;
-                data[d0..d0 + part.cols].clone_from_slice(src);
-            }
-        }
-
         let dom = it.outer_domain();
-        match it.hint() {
-            ParHint::Sequential => self
-                .run_sequential("build_array2", || {
-                    // Elements arrive in row-major order; fill directly.
-                    let mut data = Vec::with_capacity(dom.count());
-                    it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| data.push(x));
-                    data
-                })
-                .map(|data| Array2::from_vec(data, dom.rows, dom.cols)),
-            ParHint::LocalPar => {
-                let part = dom.whole_part();
-                self.run_localpar("build_array2", |ctx| assemble_block(ctx, &it, &part))
-                    .map(|data| Array2::from_vec(data, dom.rows, dom.cols))
-            }
-            ParHint::Par => {
-                let (tasks, slice_s) = timed(|| {
-                    // An iterator input, so every part is shipped. It is a
-                    // clone: freeing the root's input is not slicing time.
-                    self.part_tasks(DistInput::Iter(it.clone()), |sub, part, _| {
-                        Box::new(move |ctx: &NodeCtx| {
-                            let sub = ctx.unpack_sequential(|| sub.roundtrip());
-                            let block = assemble_block(ctx, &sub, &part);
-                            (part, PodView::from_vec(block))
-                        })
-                    })
-                });
-                let root_prep_s = slice_s - tasks.iter().map(|(t, _)| t.pack_s).sum::<f64>();
-                let out = self.dispatch(tasks, 0);
-                // Blocks land at disjoint coordinates, so each is placed
-                // as it arrives.
-                let result = Array2::zeros(dom.rows, dom.cols);
-                self.merge_epilogue(
-                    "build_array2",
-                    root_prep_s,
-                    out,
-                    result,
-                    |result, (part, block)| place_block(result, dom.cols, &part, &block),
-                )
-            }
-        }
+        self.run_reducer("build_array2", it, &(), Tiles(dom))
     }
 }
 
@@ -1285,9 +1184,8 @@ mod tests {
 
     #[test]
     fn one_node_body_gives_every_arm_the_same_bits_and_trace_shape() {
-        /// The sum's bits and the multiset of per-node (`chunk`, `merge`)
-        /// span counts.
-        fn shape(run: &Run<f64>, nodes: usize) -> (u64, Vec<(usize, usize)>) {
+        /// The multiset of per-node (`chunk`, `merge`) span counts.
+        fn spans<T>(run: &Run<T>, nodes: usize) -> Vec<(usize, usize)> {
             let on = |rank: usize, name: &str| {
                 let spans = run.trace.spans.iter().filter(|s| s.name == name);
                 spans
@@ -1297,7 +1195,14 @@ mod tests {
             let mut per_node: Vec<_> =
                 (0..nodes).map(|r| (on(r, "chunk"), on(r, "merge"))).collect();
             per_node.sort_unstable();
-            (run.value.to_bits(), per_node)
+            per_node
+        }
+        /// The sum's bits and its span counts.
+        fn shape(run: &Run<f64>, nodes: usize) -> (u64, Vec<(usize, usize)>) {
+            (run.value.to_bits(), spans(run, nodes))
+        }
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
         }
         let xs: Vec<f64> = (0..4321).map(|i| (i as f64) * 0.123 - 17.0).collect();
         // On one node all three arms cover the same part, so the shared body
@@ -1309,6 +1214,29 @@ mod tests {
         assert_eq!(local.1, vec![(chunks, chunks)]);
         assert_eq!(shape(&rt.sum(from_vec(xs.clone()).par()), 1), local, "par vs localpar");
         assert_eq!(shape(&rt.sum(&dv), 1), local, "resident vs localpar");
+        // Ordered assembly folds through the same body: every arm gives the
+        // same values, and each node-side arm merges once per chunk.
+        let f = |_: &(), x: f64| x * 0.75 - 1.5;
+        let seq = bits(&rt.build_vec(from_vec(xs.clone()), &(), f).value);
+        let local = rt.build_vec(from_vec(xs.clone()).localpar(), &(), f);
+        assert_eq!(spans(&local, 1), vec![(chunks, chunks)]);
+        for (arm, run) in [
+            ("localpar", local),
+            ("par", rt.build_vec(from_vec(xs.clone()).par(), &(), f)),
+            ("resident", rt.build_vec(&dv, &(), f)),
+        ] {
+            assert_eq!(bits(&run.value), seq, "build_vec {arm} vs sequential");
+            assert_eq!(spans(&run, 1), vec![(chunks, chunks)], "build_vec {arm}");
+        }
+        let cell = |(r, c): (usize, usize)| (r * 1000 + c) as f64 * 0.1;
+        let seq = rt.build_array2(range2d(37, 29).map(cell)).value;
+        let local = rt.build_array2(range2d(37, 29).map(cell).localpar());
+        let par = rt.build_array2(range2d(37, 29).map(cell).par());
+        let tiles = spans(&local, 1);
+        assert!(tiles[0].0 > 1 && tiles[0].0 == tiles[0].1, "one merge per tile: {tiles:?}");
+        assert_eq!(spans(&par, 1), tiles, "build_array2 par vs localpar");
+        assert_eq!(bits(local.value.as_slice()), bits(seq.as_slice()), "build_array2 localpar");
+        assert_eq!(bits(par.value.as_slice()), bits(seq.as_slice()), "build_array2 par");
         // Across nodes the shipped and resident arms still agree.
         let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2).with_trace(true));
         let dv = rt.scatter(xs.clone()).value;

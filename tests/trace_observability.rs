@@ -2,11 +2,11 @@
 //! hierarchy (skeleton → slice → dispatch → chunk → merge → unpack), the
 //! chrome://tracing export must be valid JSON with those spans, recovery
 //! work under a seeded fault plan must be visible as point events, and the
-//! trace *structure* on a fixed cluster shape is pinned by a golden file.
+//! trace *structure* on a fixed cluster shape is pinned by golden files.
 //!
-//! The golden file holds `TraceData::canonical_lines()` — category, name,
+//! Each golden file holds `TraceData::canonical_lines()` — category, name,
 //! and track per span/event, no timestamps — so it is deterministic and
-//! robust to cost-model retuning. Regenerate it after an
+//! robust to cost-model retuning. Regenerate them after an
 //! intentional structure change with:
 //!
 //! ```text
@@ -22,18 +22,12 @@ fn traced_rt(nodes: usize, tpn: usize) -> Triolet {
     Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn).with_trace(true))
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_sum_3x2.txt")
-}
-
-#[test]
-fn golden_trace_structure_for_sum_on_3x2() {
-    let xs: Vec<i64> = (0..600).collect();
-    let run = traced_rt(3, 2).sum(from_vec(xs.clone()).par());
-    assert_eq!(run.value, xs.iter().sum::<i64>());
-    let got = run.trace.canonical_lines().join("\n") + "\n";
-
-    let path = golden_path();
+/// Compare `trace`'s structure with `tests/golden/<name>`, or rewrite the
+/// file under `UPDATE_GOLDEN`.
+fn check_golden(name: &str, trace: &TraceData) {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(name);
+    let got = trace.canonical_lines().join("\n") + "\n";
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &got).expect("write golden");
         return;
@@ -42,8 +36,20 @@ fn golden_trace_structure_for_sum_on_3x2() {
         std::fs::read_to_string(&path).expect("golden file missing — run with UPDATE_GOLDEN=1");
     assert_eq!(
         got, want,
-        "trace structure changed; if intentional, regenerate with UPDATE_GOLDEN=1"
+        "{name}: trace structure changed; if intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+#[test]
+fn golden_trace_structure_for_sum_on_3x2() {
+    let xs: Vec<i64> = (0..600).collect();
+    let run = traced_rt(3, 2).sum(from_vec(xs.clone()).par());
+    assert_eq!(run.value, xs.iter().sum::<i64>());
+    check_golden("trace_sum_3x2.txt", &run.trace);
+    // Ordered assembly runs through the same node body and root epilogue.
+    let run = traced_rt(3, 2).build_vec(range(600).par(), &(), |_, i| i as i64);
+    assert_eq!(run.value, xs);
+    check_golden("trace_build_vec_3x2.txt", &run.trace);
 }
 
 #[test]
