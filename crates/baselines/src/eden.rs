@@ -28,7 +28,7 @@
 use triolet::RunStats;
 use triolet_cluster::clock::timed;
 use triolet_cluster::{Cluster, ClusterConfig, CostModel, DispatchError, NodeCtx, RawTask};
-use triolet_serial::{packed, Wire};
+use triolet_serial::{packed, Piece, Wire};
 
 /// Default per-message buffer limit (bytes). Eden streams list elements as
 /// individual messages, so the limit applies to each task payload (and to
@@ -158,10 +158,8 @@ impl EdenRt {
             .map(|group| {
                 let wire_bytes = if self.nodes() > 1 { group.packed_size() } else { 0 };
                 RawTask {
-                    wire_bytes,
-                    pieces: Vec::new(),
+                    pieces: Piece::anonymous(wire_bytes).into_iter().collect(),
                     pack_s: 0.0,
-                    resident: None,
                     work: Box::new(move |ctx: &NodeCtx| {
                         // Leader -> process messages: every task input is
                         // serialized to its worker process (no shared heap).
@@ -224,10 +222,8 @@ impl EdenRt {
                 let data = data.clone();
                 let wire_bytes = if self.nodes() > 1 { data_bytes } else { 0 };
                 RawTask {
-                    wire_bytes,
-                    pieces: Vec::new(),
+                    pieces: Piece::anonymous(wire_bytes).into_iter().collect(),
                     pack_s: 0.0,
-                    resident: None,
                     work: Box::new(move |ctx: &NodeCtx| {
                         // Each process receives its own full copy of `data`.
                         let data: D = ctx.sequential(|| {

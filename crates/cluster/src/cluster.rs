@@ -202,108 +202,73 @@ pub struct DistOutcome<R> {
     pub trace: TraceData,
 }
 
-/// A task's claim on a resident segment of a persistent collection.
-///
-/// A task carrying one of these reads its input from node-local storage
-/// rather than a root-shipped payload: dispatched to `home`, it pays zero
-/// input bytes on the wire (a *resident hit*); forced onto any other rank —
-/// a redispatch — the dispatcher re-ships the full `seg_bytes` to the
-/// survivor (a *resident miss*), so recovery stays possible and its cost
-/// stays visible. A hit with no halo under a broadcast environment is the
-/// case in which the task has no message at all: the segment's owner
-/// already knows its part, so the environment reaching `home` starts it
-/// (see [`RawTask`]). A crashed `home` is never assumed dead — it is
-/// probed with the task's message, timed out, and the task redispatched.
-/// The dispatcher keeps no memory of either: `home` is
-/// whatever the caller resolved from the [`ResidentStore`] when it built
-/// the task, and [`DistOutcome::execs`] tells the caller where the segment
-/// went, so it can move the store entry there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResidentSpec {
-    /// Collection id in the cluster's [`ResidentStore`].
-    pub id: u64,
-    /// Rank owning the segment this task reads.
-    pub home: usize,
-    /// Bytes re-shipped if the task must execute off its home rank.
-    pub seg_bytes: usize,
-    /// Ghost/halo bytes fetched from neighbor segments on *every* call
-    /// (zero for non-halo views).
-    pub halo_bytes: usize,
-}
-
 /// One node's share of a distributed operation, in prepared form: the
-/// payload it would occupy on the wire plus the work to run on the node.
+/// pieces its input occupies on the wire plus the work to run on the node.
+///
+/// Every input byte is a [`Piece`], and a hop to a rank carries the task's
+/// pieces minus those the rank already holds. A piece held by a rank (a
+/// resident segment at its owner) makes that rank the task's *home* — the
+/// holder of its first rank-held piece, or else its index — and routes the
+/// task there: executed at home it is a *resident hit* and ships none of
+/// those bytes; forced onto any other rank by a redispatch it is a
+/// *resident miss*, and the root ships the survivor every piece it does
+/// not hold, so recovery stays possible and its cost visible. A crashed
+/// home is never assumed dead: it is probed with the task's message, timed
+/// out, and the task redispatched. The dispatcher keeps no memory of
+/// either: holders are whatever the caller resolved from the
+/// [`ResidentStore`] when it built the task, and [`DistOutcome::execs`]
+/// tells the caller where the bytes went, so it can move the store entry
+/// there.
 ///
 /// A task normally travels in a message of its own, sent by the root. A
-/// task whose message would be *empty* — `wire_bytes == 0`, no `pieces`,
-/// `pack_s == 0.0`, and for a resident task a live `home` and no halo —
-/// dispatched under a non-empty broadcast environment is not sent: it
-/// *rides* the environment edge into its rank and starts when that edge
-/// lands (one `task:ride` trace instant in place of a `send` span, no
-/// message counted, no fault decision drawn). Any byte of its own, and the
-/// task gets its send back: relaying non-empty descriptors down the tree
-/// would put them on more links than the root's.
+/// task with nothing packed (`pack_s == 0.0`) whose live home holds every
+/// piece it lists, dispatched under a non-empty broadcast environment, is
+/// not sent: it *rides* the environment edge into its home and starts when
+/// that edge lands (one `task:ride` trace instant in place of a `send`
+/// span, no message counted, no fault decision drawn). Any byte to ship,
+/// and the task gets its send back: relaying non-empty messages down the
+/// tree would put them on more links than the root's.
 pub struct RawTask<'a, R> {
-    /// Bytes of the input payload that belong to this task alone (the part
-    /// descriptor of a sliced iterator; the whole payload of a hand-packed
-    /// one). They travel in the task's own message.
-    pub wire_bytes: usize,
-    /// The rest of the input payload, one [`Piece`] per buffer. A piece
-    /// only this task's rank reads rides in the task's own message like
-    /// `wire_bytes`; a piece that tasks on several ranks hold is sent by
-    /// the root once and relayed among its readers.
+    /// The input payload, one [`Piece`] per run of bytes: the part
+    /// descriptor or packed payload (anonymous, root-held), each buffer of
+    /// a sliced iterator (root-held; one that tasks on several ranks read
+    /// is sent by the root once and relayed among its readers), each
+    /// resident segment (held at its owner) and any halo strip
+    /// (anonymous). The other pieces ride in the task's own message.
     pub pieces: Vec<Piece>,
     /// Root-side seconds spent slicing/packing this task's payload. Charged
     /// on the root clock immediately before the task's send, so later packs
     /// overlap earlier nodes' compute.
     pub pack_s: f64,
-    /// Resident-segment claim: `Some` routes the task to the segment's home
-    /// rank and makes its input bytes placement-dependent (zero on a hit,
-    /// `seg_bytes` on a redispatch); `None` is the ordinary ship-the-slice
-    /// path.
-    pub resident: Option<ResidentSpec>,
     /// The node task; must route compute through the [`NodeCtx`].
     pub work: Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
 }
 
 impl<'a, R> RawTask<'a, R> {
-    /// Private input bytes this task puts on the wire for a hop targeting
-    /// `dest` (the pieces riding along are the planner's to add).
-    ///
-    /// Ordinary tasks ship `wire_bytes` to every candidate rank. Resident
-    /// tasks ship only halo bytes to their home rank and additionally the
-    /// full segment to anyone else.
-    fn hop_bytes(&self, dest: usize) -> usize {
-        match self.resident {
-            None => self.wire_bytes,
-            Some(spec) => {
-                let base = self.wire_bytes + spec.halo_bytes;
-                if dest == spec.home {
-                    base
-                } else {
-                    base + spec.seg_bytes
-                }
-            }
-        }
-    }
-
-    /// The rank this task is routed to first (its home).
-    fn home(&self, i: usize) -> usize {
-        self.resident.map_or(i, |spec| spec.home)
+    /// The holder of the task's first rank-held piece, if it lists one:
+    /// its home. A task without one is homed at its index.
+    fn home(&self) -> Option<usize> {
+        self.pieces.iter().find_map(|p| p.holder)
     }
 
     /// Whether this task has nothing to send to a live `home` that a
-    /// `bcast_bytes`-sized environment is about to reach anyway: no private
-    /// byte, halo or piece, and nothing packed for it. Such a task *rides*
-    /// the environment edge into its rank instead of getting a message of
-    /// its own (see [`Cluster::dispatch`]).
+    /// `bcast_bytes`-sized environment is about to reach anyway: nothing
+    /// packed for it, and every piece already held there. Such a task
+    /// *rides* the environment edge into its rank instead of getting a
+    /// message of its own (see [`Cluster::dispatch`]).
     fn rides(&self, home: usize, plan: &FaultPlan, bcast_bytes: usize) -> bool {
         bcast_bytes > 0
-            && self.pieces.is_empty()
             && self.pack_s == 0.0
-            && self.hop_bytes(home) == 0
             && !plan.crashed(home)
+            && self.pieces.iter().all(|p| p.holder == Some(home))
     }
+}
+
+/// The buffer a piece is relayed by: tasks on several ranks that read one
+/// root-held buffer share its relay tree. Anonymous pieces and rank-held
+/// ones (shipped from the root on a miss) ride their task's own message.
+fn relay_id(p: &Piece) -> Option<usize> {
+    p.id.filter(|_| p.holder.is_none())
 }
 
 /// What the fault schedule did to one message: how many times it was
@@ -434,12 +399,12 @@ impl Counts {
         }
     }
 
-    /// Count where one task ended up: its redispatches and, for a resident
-    /// task, whether it ran on its segment's home rank.
+    /// Count where one task ended up: its redispatches and, for a task
+    /// with a rank-held piece, whether it ran at its home.
     fn placement(&mut self, route: &TaskRoute) {
         self.timing.redispatches += route.hops.len().saturating_sub(1) as u64;
-        if let Some(spec) = route.resident {
-            if route.exec == spec.home {
+        if let Some(home) = route.home {
+            if route.exec == home {
                 self.timing.resident_hits += 1;
             } else {
                 self.timing.resident_misses += 1;
@@ -473,8 +438,8 @@ impl Counts {
 struct Hop {
     /// The rank this hop targeted.
     dest: usize,
-    /// What each copy carried: the task's private bytes for `dest` plus the
-    /// pieces riding along.
+    /// What each copy carried: the pieces riding in the task's message
+    /// that `dest` does not hold.
     bytes: usize,
     tx: Attempts,
 }
@@ -490,15 +455,16 @@ struct TaskRoute {
     /// The result's trip back, decided like every other transfer: only its
     /// size waits for the body.
     ret: Attempts,
-    /// The task's resident claim, if it has one: `exec == home` is a hit.
-    resident: Option<ResidentSpec>,
+    /// The task's home if it lists a rank-held piece: executing there is a
+    /// resident hit, anywhere else a miss.
+    home: Option<usize>,
 }
 
 /// Decide, purely from the fault schedule, where task `i` ends up running:
 /// the rank, and each rank tried with what the schedule did to the attempts
 /// sent there (the last of them delivered). Candidates are tried in order:
-/// the task's `home` rank first (its index for ordinary tasks, its resident
-/// segment's rank for resident ones), then the surviving ranks after it
+/// the task's home first (the holder of its first rank-held piece, or else
+/// its index), then the surviving ranks after it
 /// (wrapping), each with the plan's full retry budget. Moving to the next
 /// candidate is one redispatch. The fault schedule is keyed on the task
 /// index `i`, not the home rank, so a resident and a re-broadcast run of
@@ -511,7 +477,7 @@ fn plan_route<R>(
     (i, t): (usize, &RawTask<'_, R>),
     bcast_bytes: usize,
 ) -> Result<(usize, Vec<(usize, Attempts)>), DispatchError> {
-    let home = t.home(i);
+    let home = t.home().unwrap_or(i);
     if t.rides(home, plan, bcast_bytes) {
         return Ok((home, Vec::new()));
     }
@@ -603,20 +569,10 @@ fn trace_route(
             );
         }
     }
-    if let Some(spec) = route.resident {
-        let name = if route.exec == spec.home { "dist:resident-hit" } else { "dist:resident-miss" };
-        tr.event(
-            name,
-            "dist",
-            Track::Root,
-            settled,
-            vec![
-                ("task", i.into()),
-                ("seg", spec.id.into()),
-                ("home", spec.home.into()),
-                ("exec", route.exec.into()),
-            ],
-        );
+    if let Some(home) = route.home {
+        let name = if route.exec == home { "dist:resident-hit" } else { "dist:resident-miss" };
+        let args = vec![("task", i.into()), ("home", home.into()), ("exec", route.exec.into())];
+        tr.event(name, "dist", Track::Root, settled, args);
     }
 }
 
@@ -738,11 +694,12 @@ struct ScatterPlan {
 /// One task's part of a [`ScatterPlan`].
 #[derive(Debug, Clone, PartialEq)]
 struct TaskScatter {
-    /// Piece bytes that ride in the task's own message: pieces no buffer
-    /// identifies, and pieces whose only reader is this task's rank (the
-    /// first task on the rank to hold one carries it; later ones find it
-    /// there).
-    carried: usize,
+    /// The pieces that ride in the task's own message: anonymous and
+    /// rank-held pieces, and root-held buffers whose only reader is this
+    /// task's rank (the first task on the rank to read one carries it;
+    /// later ones find it there). A hop carries those its destination does
+    /// not hold.
+    carried: Vec<Piece>,
     /// The edges of the shared pieces this task is the first to read.
     edges: std::ops::Range<usize>,
     /// This task's slice of [`ScatterPlan::needs`]: the edges delivering the
@@ -750,7 +707,7 @@ struct TaskScatter {
     needs: std::ops::Range<usize>,
 }
 
-/// Group every task's pieces by buffer over the ranks that will *execute*
+/// Group every task's root-held buffers over the ranks that will *execute*
 /// them (`execs`, in task order; never a rank that only timed out: the
 /// environment's rule), and plan the one-to-many payloads: the environment,
 /// then each piece with two or more reader ranks, in the order tasks first
@@ -766,7 +723,7 @@ fn plan_scatter<R>(
 ) -> Result<ScatterPlan, DispatchError> {
     // Piece `id` (`None`: the environment) never reaches `rank`.
     let stranded = |rank: usize, id: Option<usize>| {
-        let reads = |t: &RawTask<'_, R>| id.is_none() || t.pieces.iter().any(|q| q.id == id);
+        let reads = |t: &RawTask<'_, R>| id.is_none() || t.pieces.iter().any(|q| relay_id(q) == id);
         let task = (tasks.iter().zip(execs)).position(|(t, &exec)| exec == rank && reads(t));
         DispatchError::Unroutable { task: task.expect("a payload goes only to its readers") }
     };
@@ -796,7 +753,7 @@ fn plan_scatter<R>(
     }
     let mut by_id: BTreeMap<usize, Readers> = BTreeMap::new();
     for (t, &exec) in tasks.iter().zip(execs) {
-        for id in t.pieces.iter().filter_map(|p| p.id) {
+        for id in t.pieces.iter().filter_map(relay_id) {
             let readers = by_id.entry(id).or_insert(Readers::One { rank: exec, carried: false });
             if matches!(readers, Readers::One { rank, .. } if *rank != exec) {
                 *readers = Readers::Many(None);
@@ -812,13 +769,13 @@ fn plan_scatter<R>(
         if env_edges > 0 {
             needs.push(env_edge_to[exec]);
         }
-        let mut carried_bytes = 0usize;
+        let mut carried_pieces = Vec::new();
         for p in &t.pieces {
-            match p.id.map(|id| by_id.get_mut(&id).expect("grouped above")) {
-                None => carried_bytes += p.bytes,
+            match relay_id(p).map(|id| by_id.get_mut(&id).expect("grouped above")) {
+                None => carried_pieces.push(*p),
                 Some(Readers::One { carried, .. }) => {
                     if !std::mem::replace(carried, true) {
-                        carried_bytes += p.bytes;
+                        carried_pieces.push(*p);
                     }
                 }
                 Some(Readers::Many(block)) => {
@@ -826,7 +783,7 @@ fn plan_scatter<R>(
                         // Its reader ranks, in the order tasks first read it.
                         let mut ranks: Vec<usize> = Vec::new();
                         for (t, &exec) in tasks.iter().zip(execs) {
-                            let reads = t.pieces.iter().any(|q| q.id == p.id);
+                            let reads = t.pieces.iter().any(|q| relay_id(q) == p.id);
                             if reads && !ranks.contains(&exec) {
                                 ranks.push(exec);
                             }
@@ -844,7 +801,7 @@ fn plan_scatter<R>(
             }
         }
         scatter.push(TaskScatter {
-            carried: carried_bytes,
+            carried: carried_pieces,
             edges: edges0..edges.len(),
             needs: needs0..needs.len(),
         });
@@ -854,8 +811,8 @@ fn plan_scatter<R>(
 
 /// Everything a dispatch decides before any task body runs: the routes,
 /// the scatter, each forward transfer's duration and the forward counts.
-/// A pure function of the tasks' descriptors (bytes, pieces, pack seconds,
-/// resident claim), the environment size and the cluster's configuration:
+/// A pure function of the tasks' descriptors (pieces and pack seconds),
+/// the environment size and the cluster's configuration:
 /// [`Plan::new`] borrows the tasks, and a boxed `FnOnce` body cannot be
 /// called through a shared reference.
 #[derive(Debug, Clone, PartialEq)]
@@ -896,11 +853,10 @@ impl Plan {
 
         // Every payload edge, then every task hop, is counted (the schedule,
         // not the executor, decides what happens on the wire) and reduced to
-        // the pure duration the simulator needs. A hop carries the task's
-        // private bytes plus the pieces riding with it; resident tasks pay
-        // per-hop bytes: the control descriptor (plus any halo) to the home
-        // rank, the full segment only when redispatch forces execution
-        // off-home. A task riding the environment has no hop.
+        // the pure duration the simulator needs. A hop carries the pieces
+        // riding with the task minus those its destination holds: a
+        // resident segment costs nothing at home and is shipped to a
+        // survivor. A task riding the environment has no hop.
         let (cost, timeout_s) = (config.cost, faults.timeout.as_secs_f64());
         let mut counts = Counts::default();
         let mut comm_s = 0.0f64;
@@ -924,7 +880,8 @@ impl Plan {
             let last = tries.len().saturating_sub(1);
             let hops = (tries.into_iter().enumerate())
                 .map(|(k, (dest, tx))| {
-                    let bytes = t.hop_bytes(dest) + sc.carried;
+                    let carried = sc.carried.iter().filter(|p| p.holder != Some(dest));
+                    let bytes = carried.map(|p| p.bytes).sum();
                     counts.message(&tx, bytes, (ROOT, dest));
                     // The root waits out an ack timeout for every attempt
                     // but the one that delivered.
@@ -937,7 +894,7 @@ impl Plan {
                 .collect();
             let ret = Attempts::reliable(faults, (exec, ROOT), RET_TAG, i as u64)
                 .ok_or(DispatchError::Unroutable { task: i })?;
-            let route = TaskRoute { exec, hops, ret, resident: t.resident };
+            let route = TaskRoute { exec, hops, ret, home: t.home() };
             counts.placement(&route);
             routes.push(route);
             sim_tasks.push(SimTask {
@@ -1108,7 +1065,7 @@ impl Cluster {
     ///
     /// This is the *one-time* placement cost of a resident collection; every
     /// later skeleton call over it ships zero input bytes (see
-    /// [`ResidentSpec`]). Segments land in the [`ResidentStore`] and each
+    /// [`Piece::holder`]). Segments land in the [`ResidentStore`] and each
     /// send is counted in [`TrafficSnapshot::seg_scatters`] — deliberately
     /// not in `env_packs`, so environment accounting never double-counts
     /// the scatter. Returns the modeled timing and a trace rooted at a
@@ -1188,10 +1145,11 @@ impl Cluster {
         self.try_run(payloads, task).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`run`](Self::run), surfacing a fault plan that leaves a task
-    /// nowhere to run, or a result that fails to decode at the root, as a
-    /// [`DispatchError`] instead of panicking: the payload-packing form of
-    /// [`dispatch`](Self::dispatch).
+    /// [`run`](Self::run), surfacing more payloads than nodes (before any is
+    /// packed), a fault plan that leaves a task nowhere to run, or a result
+    /// that fails to decode at the root, as a [`DispatchError`] instead of
+    /// panicking: the payload-packing form of [`dispatch`](Self::dispatch),
+    /// each payload one anonymous piece.
     pub fn try_run<T, R, F>(
         &self,
         payloads: Vec<T>,
@@ -1202,12 +1160,7 @@ impl Cluster {
         R: Wire + Send,
         F: Fn(&NodeCtx, T) -> R + Send + Sync,
     {
-        assert!(
-            payloads.len() <= self.config.nodes,
-            "more payloads ({}) than nodes ({})",
-            payloads.len(),
-            self.config.nodes
-        );
+        self.fits(payloads.len())?;
         // Root packs every outgoing message (the paper observed message
         // construction itself becoming a bottleneck for sgemm — we charge
         // it, per payload, so the streamed dispatcher can overlap rank k+1's
@@ -1219,10 +1172,8 @@ impl Cluster {
                 let (msg, pack_s) = timed(|| packed(&payload));
                 drop(payload);
                 RawTask {
-                    wire_bytes: msg.len(),
-                    pieces: Vec::new(),
+                    pieces: Piece::anonymous(msg.len()).into_iter().collect(),
                     pack_s,
-                    resident: None,
                     work: Box::new(move |ctx: &NodeCtx| {
                         // Deserialization happens on the node: charge it (and
                         // let the trace show how much of it was zero-copy).
@@ -1268,10 +1219,10 @@ impl Cluster {
     ///
     /// The skeleton engine's payloads are sliced indexers: each closure
     /// carries its data natively — code plus the sliced buffers it
-    /// deserializes on the node — while `wire_bytes` and `pieces` declare
-    /// what the payload occupies on the wire for the cost model and traffic
-    /// accounting, and which of its buffers other tasks hold too (those are
-    /// shipped once and relayed, see [`RawTask::pieces`]). Each task must
+    /// deserializes on the node — while `pieces` declare what the payload
+    /// occupies on the wire for the cost model and traffic accounting,
+    /// which of its buffers other tasks read too (those are shipped once and
+    /// relayed) and which a rank already holds (see [`RawTask`]). Each task must
     /// route its compute through the provided [`NodeCtx`] so virtual time
     /// observes it.
     ///
@@ -1311,10 +1262,7 @@ impl Cluster {
         tasks: Vec<RawTask<'_, R>>,
         env_bytes: usize,
     ) -> Result<DistOutcome<R>, DispatchError> {
-        let nodes = self.config.nodes;
-        if tasks.len() > nodes {
-            return Err(DispatchError::TooManyTasks { tasks: tasks.len(), nodes });
-        }
+        self.fits(tasks.len())?;
         let plan = Plan::new(&tasks, env_bytes, &self.config)?;
         let executed = self.execute(tasks, &plan);
         let ret_s = plan.return_s(&executed.results, &self.config);
@@ -1323,6 +1271,15 @@ impl Cluster {
         let sim_events = times.events;
         self.stats.add(TrafficSnapshot { sim_events, ..traffic }, times.peak_heap as u64);
         outcome
+    }
+
+    /// At most one task per node.
+    fn fits(&self, tasks: usize) -> Result<(), DispatchError> {
+        let nodes = self.config.nodes;
+        if tasks > nodes {
+            return Err(DispatchError::TooManyTasks { tasks, nodes });
+        }
+        Ok(())
     }
 
     /// Run every task body once, in task order, on the rank the plan
@@ -1492,7 +1449,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more payloads")]
+    #[should_panic(expected = "more tasks")]
     fn too_many_payloads_panics() {
         let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1));
         let _ = cluster.run(vec![1u64, 2, 3], |_ctx, x: u64| x);
@@ -1632,16 +1589,20 @@ mod tests {
             ran.store(true, std::sync::atomic::Ordering::Relaxed);
             x
         };
-        let all_crashed = FaultPlan::seeded(1).with_crash(0).with_crash(1);
-        let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1).with_faults(all_crashed));
-        let err = cluster.try_run(vec![1u64, 2], body).expect_err("no rank is alive");
-        assert_eq!(err, DispatchError::AllCrashed);
-        assert_eq!(cluster.stats().snapshot(), Default::default(), "nothing was sent");
-        // Every attempt to every rank is lost: task 0 has no route.
-        let lost =
-            ClusterConfig::virtual_cluster(2, 1).with_faults(FaultPlan::seeded(1).with_drop(1.0));
-        let err = Cluster::new(lost).try_run(vec![1u64, 2], body).expect_err("nothing arrives");
-        assert_eq!(err, DispatchError::Unroutable { task: 0 });
+        let rows = [
+            // No rank is alive.
+            (FaultPlan::seeded(1).with_crash(0).with_crash(1), 2, DispatchError::AllCrashed),
+            // Every attempt to every rank is lost: task 0 has no route.
+            (FaultPlan::seeded(1).with_drop(1.0), 2, DispatchError::Unroutable { task: 0 }),
+            // Refused before any payload is packed.
+            (FaultPlan::none(), 3, DispatchError::TooManyTasks { tasks: 3, nodes: 2 }),
+        ];
+        for (faults, n, want) in rows {
+            let cluster = Cluster::new(ClusterConfig::virtual_cluster(2, 1).with_faults(faults));
+            let err = cluster.try_run((1..=n).collect(), body).expect_err("the plan must fail");
+            assert_eq!(err, want);
+            assert_eq!(cluster.stats().snapshot(), Default::default(), "nothing was sent");
+        }
         assert!(!ran.load(std::sync::atomic::Ordering::Relaxed), "a body ran under a failed plan");
     }
 
@@ -1651,10 +1612,8 @@ mod tests {
         // A resident task on rank 1: with a halo it has a message of its own
         // to route; without one it rides the environment in.
         let task = |halo_bytes| RawTask {
-            wire_bytes: 0,
-            pieces: Vec::new(),
+            pieces: [held(1, 4096)].into_iter().chain(Piece::anonymous(halo_bytes)).collect(),
             pack_s: 0.0,
-            resident: Some(ResidentSpec { id: 1, home: 1, seg_bytes: 4096, halo_bytes }),
             work: Box::new(|_: &NodeCtx| ran.store(true, std::sync::atomic::Ordering::Relaxed)),
         };
         let all_crashed = FaultPlan::seeded(1).with_crash(0).with_crash(1);
@@ -1691,23 +1650,12 @@ mod tests {
         };
         let mut tasks: Vec<RawTask<'_, u64>> = (0..3usize)
             .map(|i| RawTask {
-                wire_bytes: 16,
-                pieces: vec![
-                    Piece { id: Some(7), bytes: 1000 },
-                    Piece { id: Some(100 + i), bytes: 100 },
-                ],
+                pieces: vec![anonymous(16), shared(7, 1000), shared(100 + i, 100)],
                 pack_s: 0.0,
-                resident: None,
                 work: untouchable(),
             })
             .collect();
-        tasks.push(RawTask {
-            wire_bytes: 0,
-            pieces: Vec::new(),
-            pack_s: 0.0,
-            resident: Some(ResidentSpec { id: 1, home: 3, seg_bytes: 4096, halo_bytes: 0 }),
-            work: untouchable(),
-        });
+        tasks.push(RawTask { pieces: vec![held(3, 4096)], pack_s: 0.0, work: untouchable() });
         let plan = Plan::new(&tasks, 264, &cfg).expect("survivors route every task");
         assert_eq!(plan, Plan::new(&tasks, 264, &cfg).expect("the same plan"));
         let counts = &plan.counts;
@@ -1810,20 +1758,31 @@ mod tests {
         assert!(unpack0.t1 <= unpack2.t0, "streamed unpacks must not wait for stragglers");
     }
 
+    /// `bytes` only the root holds, in no shared buffer.
+    fn anonymous(bytes: usize) -> Piece {
+        Piece::anonymous(bytes).expect("a non-empty piece")
+    }
+
+    /// `bytes` of root-held buffer `id`.
+    fn shared(id: usize, bytes: usize) -> Piece {
+        Piece { id: Some(id), bytes, holder: None }
+    }
+
+    /// `bytes` that rank `holder` already holds: a resident segment.
+    fn held(holder: usize, bytes: usize) -> Piece {
+        Piece { id: None, bytes, holder: Some(holder) }
+    }
+
+    /// A task over `pieces` returning the rank it ran on.
+    fn rank_task<'a>(pieces: Vec<Piece>) -> RawTask<'a, u64> {
+        RawTask { pieces, pack_s: 0.0, work: Box::new(|ctx: &NodeCtx| ctx.rank() as u64) }
+    }
+
     /// Four tasks that all read buffer `7` (1000 bytes) and each a buffer
     /// of their own (100 bytes), behind a 16-byte descriptor.
     fn sharing_tasks<'a>() -> Vec<RawTask<'a, u64>> {
         (0..4usize)
-            .map(|i| RawTask {
-                wire_bytes: 16,
-                pieces: vec![
-                    Piece { id: Some(7), bytes: 1000 },
-                    Piece { id: Some(100 + i), bytes: 100 },
-                ],
-                pack_s: 0.0,
-                resident: None,
-                work: Box::new(move |ctx: &NodeCtx| ctx.rank() as u64),
-            })
+            .map(|i| rank_task(vec![anonymous(16), shared(7, 1000), shared(100 + i, 100)]))
             .collect()
     }
 
@@ -1881,16 +1840,16 @@ mod tests {
     /// the wall-measured node and unpack times are noise beside it.
     const LATENCY: f64 = 0.05;
 
-    /// One resident task per rank of an `n`-rank cluster, each with `halo`
-    /// halo bytes and the given pieces, returning the rank it ran on.
+    /// One resident task per rank of an `n`-rank cluster, each reading a
+    /// 4096-byte segment its rank holds, `halo` halo bytes and the given
+    /// pieces, returning the rank it ran on.
     fn resident_tasks<'a>(n: usize, halo: usize, pieces: &[Piece]) -> Vec<RawTask<'a, u64>> {
         (0..n)
-            .map(|home| RawTask {
-                wire_bytes: 0,
-                pieces: pieces.to_vec(),
-                pack_s: 0.0,
-                resident: Some(ResidentSpec { id: 1, home, seg_bytes: 4096, halo_bytes: halo }),
-                work: Box::new(move |ctx: &NodeCtx| ctx.rank() as u64),
+            .map(|home| {
+                let halo = Piece::anonymous(halo);
+                rank_task(
+                    [held(home, 4096)].into_iter().chain(halo).chain(pieces.to_vec()).collect(),
+                )
             })
             .collect()
     }
@@ -1951,7 +1910,7 @@ mod tests {
         // messages + 8 returns, the task messages serialized on the root's
         // NIC behind its four tree sends: what every variant cost before
         // empty messages rode, and still does.
-        let piece = [Piece { id: None, bytes: 1 }];
+        let piece = [anonymous(1)];
         for (env, halo, pieces) in [(0, 0, &[][..]), (264, 1, &[][..]), (264, 0, &piece[..])] {
             let out = resident_sweep(FaultPlan::none(), env, halo, pieces);
             let env_edges = if env > 0 { 8 } else { 0 };
@@ -1983,16 +1942,61 @@ mod tests {
     }
 
     #[test]
+    fn each_hop_carries_the_pieces_its_destination_does_not_hold() {
+        // One task on four ranks behind a 264-byte environment; rank 1 holds
+        // a 4096-byte segment, and under `crashed` rank 1 is down, so its
+        // task moves on to rank 2.
+        let crashed = FaultPlan::seeded(11).with_crash(1).with_timeout(Duration::from_millis(1));
+        let none = FaultPlan::none();
+        let (seg, other) = (held(1, 4096), 1024);
+        // (what, faults, pieces, each hop's (dest, bytes), (hits, misses))
+        let cases = [
+            ("a hit that rides", none, vec![seg], vec![], (1, 0)),
+            ("a hit with a halo", none, vec![seg, anonymous(8)], vec![(1, 8)], (1, 0)),
+            // The probe of the dead home carries no segment bytes; the
+            // survivor is shipped exactly the segment.
+            ("a crashed home", crashed, vec![seg], vec![(1, 0), (2, 4096)], (0, 1)),
+            // The operand away from home travels on every call.
+            ("a zipped split pair", none, vec![seg, held(3, other)], vec![(1, other)], (1, 0)),
+            // Rank 2 holds the other operand already: only the segment moves.
+            (
+                "a pair redispatched onto the other operand's holder",
+                crashed,
+                vec![seg, held(2, other)],
+                vec![(1, other), (2, 4096)],
+                (0, 1),
+            ),
+            ("a private descriptor", none, vec![anonymous(16)], vec![(0, 16)], (0, 0)),
+            ("an empty input", none, Piece::anonymous(0).into_iter().collect(), vec![], (0, 0)),
+        ];
+        for (what, faults, pieces, want_hops, want_placement) in cases {
+            let cfg = ClusterConfig::virtual_cluster(4, 1).with_faults(faults).with_trace(true);
+            let out = Cluster::new(cfg).dispatch(vec![rank_task(pieces)], 264).unwrap();
+            let hops: Vec<(usize, usize)> = (out.trace.spans.iter())
+                .filter(|s| s.name == "send")
+                .map(|s| {
+                    (s.arg_u64("dest").unwrap() as usize, s.arg_u64("bytes").unwrap() as usize)
+                })
+                .collect();
+            assert_eq!(hops, want_hops, "{what}");
+            assert_eq!(out.trace.count_events("task:ride"), usize::from(hops.is_empty()), "{what}");
+            let placement = (out.timing.resident_hits, out.timing.resident_misses);
+            assert_eq!(placement, want_placement, "{what}");
+            let events =
+                ["dist:resident-hit", "dist:resident-miss"].map(|e| out.trace.count_events(e));
+            assert_eq!(events.map(|n| n as u64), [placement.0, placement.1], "{what}");
+        }
+    }
+
+    #[test]
     fn fault_events_on_hops_and_tree_edges_match_the_schedule() {
         // Eight ranks, so the environment and the piece every task reads
         // are both relayed rank to rank: fault events land on the root's
         // track (task hops, the tree's first edges) and on relay tracks.
         let tasks: Vec<RawTask<'_, u64>> = (0..8usize)
             .map(|i| RawTask {
-                wire_bytes: 16,
-                pieces: vec![Piece { id: Some(7), bytes: 1000 }],
+                pieces: vec![anonymous(16), shared(7, 1000)],
                 pack_s: 0.0,
-                resident: None,
                 work: Box::new(move |_: &NodeCtx| i as u64),
             })
             .collect();

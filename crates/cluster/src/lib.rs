@@ -34,9 +34,7 @@ pub mod node;
 mod sim;
 mod tree;
 
-pub use cluster::{
-    Cluster, ClusterConfig, DispatchError, DistOutcome, RawTask, ResidentSpec, Topology,
-};
+pub use cluster::{Cluster, ClusterConfig, DispatchError, DistOutcome, RawTask, Topology};
 pub use comm::{Comm, CommError, CommHandle};
 pub use cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
 pub use fault::{FaultDecision, FaultPlan};

@@ -4,9 +4,14 @@
 
 use proptest::prelude::*;
 use triolet_cluster::{
-    Cluster, ClusterConfig, Comm, CostModel, FaultPlan, NodeCtx, RawTask, ResidentSpec, Topology,
+    Cluster, ClusterConfig, Comm, CostModel, FaultPlan, NodeCtx, RawTask, Topology,
 };
 use triolet_serial::{Piece, Wire};
+
+/// `bytes` that rank `holder` already holds: a resident segment.
+fn held(holder: usize, bytes: usize) -> Piece {
+    Piece { id: None, bytes, holder: Some(holder) }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -92,20 +97,17 @@ proptest! {
             .with_topology(topology)
             .with_faults(plan)
             .with_trace(true);
-        // Kind 0 has nothing to send, 1 carries a halo, 2 a descriptor.
+        // Each task reads a segment its home holds. Kind 0 has nothing to
+        // send, 1 carries a halo, 2 a descriptor.
         let tasks: Vec<RawTask<'_, u64>> = specs
             .iter()
             .enumerate()
             .map(|(i, &(home, kind))| RawTask {
-                wire_bytes: if kind == 2 { 16 } else { 0 },
-                pieces: Vec::new(),
+                pieces: std::iter::once(held(home, 256))
+                    .chain(Piece::anonymous(if kind == 1 { 8 } else { 0 }))
+                    .chain(Piece::anonymous(if kind == 2 { 16 } else { 0 }))
+                    .collect(),
                 pack_s: 0.0,
-                resident: Some(ResidentSpec {
-                    id: 1,
-                    home,
-                    seg_bytes: 256,
-                    halo_bytes: if kind == 1 { 8 } else { 0 },
-                }),
                 work: Box::new(move |_: &NodeCtx| i as u64),
             })
             .collect();
@@ -123,15 +125,20 @@ proptest! {
 
     /// Every dispatch reaches the cluster-wide counters exactly as its own
     /// record counts it: over random tasks (private bytes, shared, private
-    /// and anonymous pieces, resident claims with and without halos, result
-    /// sizes), environments, topologies and fault plans, the counters move
-    /// by precisely the dispatch's `DistTiming` — nothing counted twice,
-    /// nothing missed.
+    /// and anonymous pieces, held segments with and without halos, a held
+    /// piece at a random, crashed or redispatch-target rank, result sizes),
+    /// environments, topologies and fault plans, the counters move by
+    /// precisely the dispatch's `DistTiming` — nothing counted twice,
+    /// nothing missed — and every task with a held piece is one hit or one
+    /// miss.
     #[test]
     fn cluster_counters_move_by_exactly_each_dispatch(
         calls in proptest::collection::vec(
             (
-                proptest::collection::vec((0usize..64, 0usize..4, 0usize..3, 0usize..40), 1..=5),
+                proptest::collection::vec(
+                    (0usize..64, 0usize..4, 0usize..3, 0usize..40, 0usize..4),
+                    1..=5,
+                ),
                 0usize..300,
             ),
             1..4,
@@ -151,28 +158,42 @@ proptest! {
         let cfg = ClusterConfig::virtual_cluster(nodes, 1).with_topology(topology).with_faults(faults);
         let cluster = Cluster::new(cfg);
         for (specs, bcast) in &calls {
+            // A resident task (`resident > 0`) reads a segment held at its
+            // home, with a halo when `resident == 2`. The extra held piece
+            // (`extra > 0`) sits on a random rank, on the crashed one, or on
+            // the survivor a task homed at the crashed rank moves to.
+            let extra_holder = |i: usize, extra: usize| match extra {
+                1 => (i * 7 + seed as usize) % nodes,
+                2 => crash % nodes,
+                _ => (crash + 1) % nodes,
+            };
             let tasks: Vec<RawTask<'_, Vec<u8>>> = specs
                 .iter()
                 .take(nodes)
                 .enumerate()
-                .map(|(i, &(wire_bytes, piece, resident, len))| RawTask {
-                    wire_bytes,
-                    pieces: match piece {
-                        1 => vec![Piece { id: Some(7), bytes: 500 }],
-                        2 => vec![Piece { id: Some(100 + i), bytes: 50 }],
-                        3 => vec![Piece { id: None, bytes: 20 }],
+                .map(|(i, &(wire_bytes, piece, resident, len, extra))| {
+                    let mut pieces: Vec<Piece> = match piece {
+                        1 => vec![Piece { id: Some(7), bytes: 500, holder: None }],
+                        2 => vec![Piece { id: Some(100 + i), bytes: 50, holder: None }],
+                        3 => vec![Piece { id: None, bytes: 20, holder: None }],
                         _ => Vec::new(),
-                    },
-                    pack_s: 0.0,
-                    resident: (resident > 0).then(|| ResidentSpec {
-                        id: 1,
-                        home: (i + seed as usize) % nodes,
-                        seg_bytes: 256,
-                        halo_bytes: if resident == 2 { 8 } else { 0 },
-                    }),
-                    work: Box::new(move |_: &NodeCtx| vec![i as u8; len]),
+                    };
+                    pieces.extend(Piece::anonymous(wire_bytes));
+                    if resident > 0 {
+                        pieces.push(held((i + seed as usize) % nodes, 256));
+                        pieces.extend(Piece::anonymous(if resident == 2 { 8 } else { 0 }));
+                    }
+                    if extra > 0 {
+                        pieces.push(held(extra_holder(i, extra), 64));
+                    }
+                    RawTask {
+                        pieces,
+                        pack_s: 0.0,
+                        work: Box::new(move |_: &NodeCtx| vec![i as u8; len]),
+                    }
                 })
                 .collect();
+            let with_held = specs.iter().take(nodes).filter(|s| s.2 > 0 || s.4 > 0).count();
             let before = cluster.stats().snapshot();
             let out = cluster.dispatch(tasks, *bcast).unwrap();
             let d = cluster.stats().snapshot().since(&before);
@@ -184,6 +205,7 @@ proptest! {
                 (d.resident_hits, d.resident_misses),
                 (t.resident_hits, t.resident_misses)
             );
+            prop_assert_eq!(t.resident_hits + t.resident_misses, with_held as u64);
             prop_assert_eq!(
                 (d.unpack_copied, d.unpack_aliased),
                 (t.unpack_copied, t.unpack_aliased)

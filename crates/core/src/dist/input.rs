@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use triolet_cluster::{ResidentStore, TrafficStats};
 use triolet_domain::Domain;
-use triolet_serial::{PackedPayload, Wire};
+use triolet_serial::{PackedPayload, Piece, Wire};
 
 use super::DistIter;
 
@@ -175,7 +175,7 @@ impl SegClaim {
 }
 
 /// One resident task: the iterator over a contiguous range of the input's
-/// index space, read from a segment that lives on `home`.
+/// index space, read from segments that live on their owners.
 ///
 /// `iter` answers global indices, and the engine splits `part` into the
 /// same chunks as the re-broadcast path (chunking depends only on the
@@ -183,43 +183,33 @@ impl SegClaim {
 /// the same iterator type in an identical order: the result is
 /// bit-identical.
 pub(crate) struct ResidentPart<It: DistIter> {
-    /// Rank owning this part's segment when the call was built.
-    pub(crate) home: usize,
     /// The store entries this part reads (one per zipped operand). Whatever
     /// rank ends up executing the part owns all of them afterwards.
     pub(crate) claims: Vec<SegClaim>,
     /// The index range this part covers.
     pub(crate) part: <It::OuterDom as Domain>::Part,
-    /// Bytes shipped only when the task executes off `home`: the segments
-    /// that live there. A miss moves whole segments, even under a view that
-    /// reads a sub-range, because the executing rank becomes their owner.
-    pub(crate) seg_bytes: usize,
-    /// Bytes shipped on every call wherever it runs: ghost cells a view
-    /// needs from neighboring segments, and any zipped operand whose
-    /// segment is not on `home`.
-    pub(crate) halo_bytes: usize,
+    /// The task's input: one piece per claim, held by the segment's owner
+    /// when the call was built (the first one's owner is the task's home),
+    /// then the ghost cells a view needs from neighboring segments, if any,
+    /// which only the root holds. A rank is shipped the pieces it does not
+    /// hold: a miss moves whole segments, even under a view that reads a
+    /// sub-range, because the executing rank becomes their owner.
+    pub(crate) pieces: Vec<Piece>,
     /// The part's items: the segment as the indexer it already is.
     pub(crate) iter: It,
 }
 
 impl<It: DistIter> ResidentPart<It> {
-    /// A part over `claims`, homed where the first one lives now.
+    /// A part over `claims`, each held where it lives now.
     pub(crate) fn resolve(
         claims: Vec<SegClaim>,
         part: <It::OuterDom as Domain>::Part,
         halo_bytes: usize,
         iter: It,
     ) -> Self {
-        let home = claims[0].owner();
-        let (mut seg_bytes, mut away_bytes) = (claims[0].bytes, 0);
-        for claim in &claims[1..] {
-            if claim.owner() == home {
-                seg_bytes += claim.bytes;
-            } else {
-                away_bytes += claim.bytes;
-            }
-        }
-        ResidentPart { home, claims, part, seg_bytes, halo_bytes: halo_bytes + away_bytes, iter }
+        let held = |c: &SegClaim| Piece { id: None, bytes: c.bytes, holder: Some(c.owner()) };
+        let pieces = claims.iter().map(held).chain(Piece::anonymous(halo_bytes)).collect();
+        ResidentPart { claims, part, pieces, iter }
     }
 }
 
@@ -227,8 +217,6 @@ impl<It: DistIter> ResidentPart<It> {
 /// reads, in index order. Produced by resident collection views; consumed
 /// by the engine's distributed arm, which turns each part into a task.
 pub struct ResidentRun<It: DistIter> {
-    /// The backing collection's store id.
-    pub(crate) id: u64,
     /// Total items in the view.
     pub(crate) len: usize,
     /// Parts in index order.

@@ -199,7 +199,7 @@ fn whole_run<T, It: DistIter<OuterDom = Seq>>(
             ResidentPart::resolve(claims, seg.part, halo_bytes(seg), iter(seg))
         })
         .collect();
-    DistInput::Resident(ResidentRun { id: lease.id(), len, parts })
+    DistInput::Resident(ResidentRun { len, parts })
 }
 
 impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
@@ -242,7 +242,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for SliceView<T> {
                 IdxFlat::new(seg.array(self.len)),
             ));
         }
-        DistInput::Resident(ResidentRun { id: self.lease.id(), len: b - a, parts })
+        DistInput::Resident(ResidentRun { len: b - a, parts })
     }
 }
 
@@ -270,8 +270,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for EnumView<T> {
 }
 
 /// An element-aligned pairing of two identically-segmented [`DistVec`]s
-/// (see [`DistVec::zip`]). A redispatch off-home re-ships both segments, and
-/// both move to the rank that received them.
+/// (see [`DistVec::zip`]). A redispatch off-home ships the survivor each
+/// segment it does not already hold, and both move to it.
 pub struct ZipView<T, U> {
     leases: (Arc<Lease>, Arc<Lease>),
     len: usize,
@@ -304,7 +304,7 @@ where
                 )
             })
             .collect();
-        DistInput::Resident(ResidentRun { id: la.id(), len: self.len, parts })
+        DistInput::Resident(ResidentRun { len: self.len, parts })
     }
 }
 
@@ -454,7 +454,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistArray2<T> {
                 )
             })
             .collect();
-        DistInput::Resident(ResidentRun { id: self.id(), len, parts })
+        DistInput::Resident(ResidentRun { len, parts })
     }
 }
 
@@ -600,7 +600,12 @@ mod tests {
         assert_eq!(wins[39].1, vec![37, 38, 39]);
         // Nonzero halo bytes are declared for the ghost exchange.
         let halo_bytes = |v: &DistVec<i64>| match v.halo(2).into_dist_input() {
-            DistInput::Resident(run) => run.parts.iter().map(|p| p.halo_bytes).collect(),
+            DistInput::Resident(run) => {
+                let ghosts = |p: &ResidentPart<_>| {
+                    p.pieces.iter().filter(|q| q.holder.is_none()).map(|q| q.bytes).sum()
+                };
+                run.parts.iter().map(ghosts).collect()
+            }
             DistInput::Iter(_) => unreachable!("resident view"),
         };
         let bytes: Vec<usize> = halo_bytes(&v);

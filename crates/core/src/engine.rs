@@ -49,8 +49,7 @@ use std::sync::Arc;
 
 use triolet_cluster::clock::timed;
 use triolet_cluster::{
-    Cluster, ClusterConfig, DistOutcome, NodeCtx, RawTask, ResidentSpec, TraceData, TraceHandle,
-    Track,
+    Cluster, ClusterConfig, DistOutcome, NodeCtx, RawTask, TraceData, TraceHandle, Track,
 };
 use triolet_domain::{Dim2, Dim2Part, Domain, Part, Seq};
 use triolet_iter::collector::Collector;
@@ -58,7 +57,7 @@ use triolet_iter::shapes::{ParHint, TrioIter};
 use triolet_iter::{Array2, SliceMemo};
 use triolet_obs::rehome_event;
 use triolet_pool::parallel::CHUNKS_PER_THREAD;
-use triolet_serial::{PackedPayload, PodView, Wire};
+use triolet_serial::{PackedPayload, Piece, PodView, Wire};
 
 use crate::dist::{
     AsEnv, DistArray2, DistInput, DistIter, DistVec, IntoDistInput, Lease, PackedEnv, Seg,
@@ -425,18 +424,19 @@ impl Triolet {
     /// row panel its grid neighbours share) is copied once and both slices
     /// hold the same buffer; the task lists its buffers as
     /// [`RawTask::pieces`] and the cluster ships each shared one once. Only
-    /// the part descriptor is private to the task. The slice is
-    /// wall-measured into `pack_s`, so the dispatcher can overlap task
-    /// k+1's slicing with task k's compute.
+    /// the part descriptor, one more anonymous piece, is private to the
+    /// task. The slice is wall-measured into `pack_s`, so the dispatcher
+    /// can overlap task k+1's slicing with task k's compute.
     ///
-    /// A resident part's `sub` is its segment, read in place: the task
-    /// declares zero wire bytes (the descriptor is control-plane) and a
-    /// [`ResidentSpec`] routing it to the rank the store said owns the
-    /// segment when the view was resolved. The environment still
-    /// broadcasts, and its arrival at a rank is what starts that rank's
-    /// task: a part with no halo whose owner is alive is sent no message of
-    /// its own (see [`RawTask`]). With the unit environment, or a halo to
-    /// carry, each task still gets its send.
+    /// A resident part's `sub` is its segment, read in place: its task
+    /// lists the part's pieces (each segment held by the rank the store
+    /// said owns it when the view was resolved, then any halo), so it is
+    /// routed to the first segment's owner; the descriptor is
+    /// control-plane. The environment still broadcasts, and its arrival at
+    /// a rank is what starts that rank's task: a part whose live owner
+    /// holds every piece is sent no message of its own (see [`RawTask`]).
+    /// With the unit environment, or a halo to carry, each task still gets
+    /// its send.
     fn part_tasks<'a, It: DistIter, R>(
         &self,
         input: &DistInput<It>,
@@ -447,13 +447,14 @@ impl Triolet {
                 let mut memo = SliceMemo::default();
                 (it.outer_domain().split_parts(self.nodes()).into_iter())
                     .map(|part| {
-                        let ((sub, pieces, wire_bytes), pack_s) = timed(|| {
+                        let ((sub, pieces), pack_s) = timed(|| {
                             let sub = it.slice_outer_shared(&part, &mut memo);
-                            let pieces = sub.source_pieces();
-                            (sub, pieces, part.packed_size())
+                            let mut pieces = sub.source_pieces();
+                            pieces.extend(Piece::anonymous(part.packed_size()));
+                            (sub, pieces)
                         });
                         let work = body(sub, part, true);
-                        RawTask { wire_bytes, pieces, pack_s, resident: None, work }
+                        RawTask { pieces, pack_s, work }
                     })
                     .collect()
             }
@@ -461,11 +462,8 @@ impl Triolet {
                 debug_assert_eq!(run.parts.iter().map(|p| p.part.count()).sum::<usize>(), run.len);
                 (run.parts.iter())
                     .map(|p| {
-                        let (home, seg_bytes, halo_bytes) = (p.home, p.seg_bytes, p.halo_bytes);
-                        let resident =
-                            Some(ResidentSpec { id: run.id, home, seg_bytes, halo_bytes });
                         let work = body(p.iter.clone(), p.part.clone(), false);
-                        RawTask { wire_bytes: 0, pieces: Vec::new(), pack_s: 0.0, resident, work }
+                        RawTask { pieces: p.pieces.clone(), pack_s: 0.0, work }
                     })
                     .collect()
             }
@@ -478,7 +476,7 @@ impl Triolet {
     /// leaves a task nowhere to run, a result that fails to decode) into a
     /// panic.
     ///
-    /// A task forced off its segment's owner has the segment re-shipped to
+    /// A task forced off its segment's owner has the segment shipped to
     /// whichever rank executed it (counted by the cluster as a
     /// `dist:resident-miss`). The bytes are there now, so ownership follows
     /// them: the store entry moves (a `dist:rehome`), and every later call

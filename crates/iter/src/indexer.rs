@@ -59,7 +59,8 @@ impl SliceMemo {
 /// The piece for one array-backed data source: the buffer's packed elements
 /// plus `header` bytes of coordinates, identified by the buffer.
 fn buffer_piece<T: Wire>(data: &Arc<Vec<T>>, header: usize) -> Piece {
-    Piece { id: Some(Arc::as_ptr(data) as usize), bytes: T::slice_packed_size(data) + header }
+    let (id, bytes) = (Some(Arc::as_ptr(data) as usize), T::slice_packed_size(data) + header);
+    Piece { id, bytes, holder: None }
 }
 
 /// Random-access virtual collection over a [`Domain`].
@@ -499,7 +500,7 @@ impl<D: Domain> Indexer for RangeIdx<D> {
     }
 
     fn pieces(&self, out: &mut Vec<Piece>) {
-        out.push(Piece { id: None, bytes: self.dom.packed_size() });
+        out.extend(Piece::anonymous(self.dom.packed_size()));
     }
 
     fn roundtrip_source(self) -> Self {
@@ -550,7 +551,7 @@ where
     }
 
     fn pieces(&self, out: &mut Vec<Piece>) {
-        out.push(Piece { id: None, bytes: self.dom.packed_size() });
+        out.extend(Piece::anonymous(self.dom.packed_size()));
     }
 
     fn roundtrip_source(self) -> Self {

@@ -18,20 +18,36 @@ use crate::wire::{packed, unpack_all, Wire};
 use crate::WireResult;
 
 /// One separately shippable run of a task's input: how many bytes it packs
-/// to, and which buffer they come from.
+/// to, which buffer they come from, and which rank already holds them.
 ///
-/// A payload that lists its pieces lets a transport notice that two
-/// destinations read the *same* buffer and move it once (the sharing-aware
-/// scatter in `triolet-cluster`). The identity is the address of the
-/// reference-counted buffer holding the bytes, so it is only meaningful
-/// while that buffer is alive — within one dispatch.
+/// Every input byte of a `triolet-cluster` task is a piece, and a transfer
+/// is a reader's pieces minus those it already holds: a piece held by the
+/// rank a task runs on (a resident segment at its owner) costs nothing
+/// there and is shipped from the root anywhere else. A payload that lists
+/// its pieces also lets a transport notice that two destinations read the
+/// *same* root-held buffer and move it once (the sharing-aware scatter).
+/// The identity is the address of the reference-counted buffer holding the
+/// bytes, so it is only meaningful while that buffer is alive — within one
+/// dispatch. Zero-byte pieces are never listed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Piece {
     /// Address of the shared buffer; equal ids are the same bytes. `None`
-    /// for bytes no other payload can hold (domains, extractor state).
+    /// for bytes no other payload can hold (domains, extractor state, part
+    /// descriptors, packed payloads, halo strips, resident segments).
     pub id: Option<usize>,
     /// Packed size of the piece, headers included.
     pub bytes: usize,
+    /// The rank that already holds the bytes; `None` when only the root
+    /// does.
+    pub holder: Option<usize>,
+}
+
+impl Piece {
+    /// `bytes` that only the root holds and no other payload shares, or
+    /// `None` when there are none to list.
+    pub fn anonymous(bytes: usize) -> Option<Piece> {
+        (bytes > 0).then_some(Piece { id: None, bytes, holder: None })
+    }
 }
 
 /// A value packed once into shared bytes.
