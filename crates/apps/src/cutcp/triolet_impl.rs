@@ -10,8 +10,9 @@
 //! nearby grid points (a dynamically sized inner loop); `filter` skips
 //! points outside the cutoff; `map` computes the contribution; and the
 //! `scatter_add` skeleton plays `floatHist`, building one private grid per
-//! thread, merging per node, and summing node grids at the root — the
-//! two-level floating-point histogram of §3.4.
+//! chunk (four chunks per thread: 512 grids at 8×16), merging per node, and
+//! summing node grids at the root — the two-level floating-point histogram
+//! of §3.4.
 
 use triolet::prelude::*;
 use triolet_iter::StepFlat;

@@ -114,8 +114,8 @@ impl Default for CostModel {
 /// the cluster performed after declaring a rank dead.
 ///
 /// Every write is one `add` of a whole operation's counts: a dispatch, a
-/// segment scatter and a local run each bank theirs once, so a reader never
-/// sees an operation half counted.
+/// segment scatter, a local run and a committed service job each bank
+/// theirs once, so a reader never sees an operation half counted.
 #[derive(Debug, Default)]
 pub struct TrafficStats {
     /// The running totals, and the simulator's peak event-heap length.
@@ -133,8 +133,9 @@ impl TrafficStats {
     }
 
     /// Bank one operation: every counter of `delta` adds to the totals, and
-    /// `sim_peak_heap` raises the high-water mark.
-    pub(crate) fn add(&self, delta: TrafficSnapshot, sim_peak_heap: u64) {
+    /// `sim_peak_heap` raises the high-water mark. The job service banks
+    /// each job here, metered on the worker runtime that ran it.
+    pub fn add(&self, delta: TrafficSnapshot, sim_peak_heap: u64) {
         let mut ledger = self.ledger();
         ledger.0 = ledger.0.plus(&delta);
         ledger.1 = ledger.1.max(sim_peak_heap);

@@ -15,14 +15,28 @@
 //!   over declared job costs), or strict priority. Selection is a pure
 //!   function of queue contents and accumulated per-tenant virtual runtime
 //!   (`f64::total_cmp`, tenant/seq tie-breaks), so the schedule of a given
-//!   submission sequence is bit-identical across runs and hosts.
-//! - **A job-level virtual clock.** Skeleton jobs are gang-scheduled: each
-//!   runs over the whole cluster through the event-driven virtual-time
-//!   core, and its modeled makespan (`Run::stats.total_s`) advances the
-//!   service clock. Job latency = completion vtime − submission vtime, so
-//!   queueing delay is measured on the same timeline the simulator lays.
+//!   submission sequence is bit-identical across runs and hosts. Only the
+//!   head of each tenant's FIFO competes (every policy's key grows with
+//!   `seq` within a tenant), and a job's `cost / weight` is charged to its
+//!   tenant's vruntime when it is *selected*.
+//! - **A job-level virtual clock, every host core.** Skeleton jobs are
+//!   gang-scheduled: each runs over the whole cluster through the
+//!   event-driven virtual-time core, and its modeled makespan
+//!   (`Run::stats.total_s`) advances the service clock, one job at a time.
+//!   Job latency = completion vtime − submission vtime. On the host, a
+//!   drain runs jobs on `available_parallelism()` workers, each with a
+//!   runtime of its own, and commits them in selection order, so every
+//!   record is that of a sequential drain — except the traffic of jobs
+//!   that share a resident collection built outside them (below). A
+//!   `wait` or `submit_blocking` on another thread waits for the drain's
+//!   next commit instead of for the whole drain. Makespans are host
+//!   readings, and jobs sharing the host read them slower, so modeled
+//!   seconds depend on the host's core count: +0.8–1.0% on the `service`
+//!   benchmark at 2 vCPUs, the only width measured.
 //! - **Per-tenant accounting.** Cluster traffic is metered by snapshot
-//!   deltas around each job ([`TrafficSnapshot`]), busy seconds and
+//!   deltas around each job on its worker runtime ([`TrafficSnapshot`]) and
+//!   banked into [`JobService::runtime`]'s ledger at commit, so no tenant
+//!   is billed for another thread's dispatch there. Busy seconds and
 //!   latencies accumulate per tenant ([`TenantUsage`]), and when tracing is
 //!   on every span/event of a job's timeline is tagged with
 //!   `tenant`/`job` args and rebased onto the service clock, under a
@@ -31,17 +45,26 @@
 //! Because cluster dispatch is stateless across calls — fault decisions are
 //! pure hashes of `(seed, edge, tag, seq, attempt)`, and `Cluster::dispatch`
 //! takes `&self` — a job's *result* is bit-identical to running it alone on
-//! an identically configured runtime, whatever the interleaving. The
-//! `proptest_service` suite holds the service to exactly that.
+//! an identically configured runtime, whatever the interleaving or the
+//! worker that ran it. The `proptest_service` suite holds the service to
+//! exactly that.
+//!
+//! Its *traffic* is a pure function of the job too, unless the job reads a
+//! `DistVec` that other jobs share, built on [`JobService::runtime`]
+//! before submission. A crash redispatch moves that collection's segments
+//! to a survivor when its call ends. A sequential drain pays the move once
+//! (a resident miss, then hits), but two jobs running at once may both
+//! plan against the dead owner and both pay it. Their values, and the
+//! ledger being the sum of the reports' traffic, hold either way.
 
 mod policy;
 
 pub use policy::{SchedPolicy, Tenant};
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use triolet_cluster::TrafficSnapshot;
 use triolet_obs::{ArgValue, TraceData, TraceHandle, Track};
@@ -246,6 +269,36 @@ struct QueuedJob {
     work: BoxedWork,
 }
 
+impl QueuedJob {
+    /// Run the job on `rt`, a worker runtime no other thread dispatches on,
+    /// so the runtime's snapshot delta is exactly this job's traffic.
+    fn run(self, rt: &Triolet) -> RanJob {
+        let ledger = rt.cluster().stats();
+        let before = ledger.snapshot();
+        let (value, stats, trace) = (self.work)(rt);
+        let report = JobReport {
+            id: JobId(self.seq),
+            tenant: self.tenant,
+            cost: self.cost,
+            submitted_s: self.submitted_s,
+            started_s: 0.0,
+            finished_s: 0.0,
+            stats,
+            traffic: ledger.snapshot().since(&before),
+        };
+        RanJob { done: CompletedJob { value, report }, trace, peak: ledger.sim_peak_heap() }
+    }
+}
+
+/// A job that has run on a host worker and waits for its turn to commit,
+/// which fills in its service-clock times.
+struct RanJob {
+    done: CompletedJob,
+    trace: TraceData,
+    /// The worker runtime's simulator high-water mark so far.
+    peak: u64,
+}
+
 struct CompletedJob {
     value: BoxedValue,
     report: JobReport,
@@ -255,7 +308,16 @@ struct CompletedJob {
 struct ServiceState {
     now_s: f64,
     next_seq: u64,
-    pending: VecDeque<QueuedJob>,
+    /// One FIFO per tenant, indexed by tenant id. Every policy's key grows
+    /// with `seq` within a tenant, so only the heads compete.
+    queues: Vec<VecDeque<QueuedJob>>,
+    /// Jobs selected so far. The n-th selected job is the n-th to commit,
+    /// so `order.len()` is the selection index whose turn it is.
+    selected: usize,
+    /// Jobs that finished ahead of their turn, by selection index.
+    ran: BTreeMap<usize, RanJob>,
+    /// A run holds the host workers.
+    running: bool,
     /// Per-tenant accumulated virtual runtime (fair-share stride clock).
     vruntime: Vec<f64>,
     usage: Vec<TenantUsage>,
@@ -272,6 +334,7 @@ impl ServiceState {
         while self.usage.len() <= idx {
             let t = Tenant(self.usage.len() as u32);
             self.usage.push(TenantUsage::new(t));
+            self.queues.push(VecDeque::new());
         }
         if self.vruntime.len() <= idx {
             // A tenant joining late starts at the floor of the active
@@ -288,6 +351,30 @@ impl ServiceState {
         }
         &mut self.usage[idx]
     }
+
+    /// Pop the policy's next job, unless `until` jobs have been selected,
+    /// and charge its tenant `cost / weight` of virtual runtime now: the
+    /// next selection must see the charge before this job completes.
+    fn select(&mut self, policy: &SchedPolicy, until: usize) -> Option<(usize, QueuedJob)> {
+        let heads: Vec<(Tenant, u64)> = (0..)
+            .zip(&self.queues)
+            .filter_map(|(t, q)| Some((Tenant(t), q.front()?.seq)))
+            .collect();
+        if heads.is_empty() || self.selected >= until {
+            return None;
+        }
+        let vr = &self.vruntime;
+        let tenant = heads[policy.select(&heads, |t| vr[t.idx()])].0;
+        let job = self.queues[tenant.idx()].pop_front()?;
+        self.vruntime[tenant.idx()] += job.cost / policy.weight_of(tenant);
+        self.selected += 1;
+        Some((self.selected - 1, job))
+    }
+
+    /// Jobs waiting in the tenants' queues.
+    fn queued(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
 }
 
 /// The long-running multi-tenant job service. See the module docs.
@@ -296,9 +383,12 @@ pub struct JobService {
     config: ServiceConfig,
     trace: TraceHandle,
     state: Mutex<ServiceState>,
-    /// Serializes [`step`](Self::step): one job runs at a time, so the
-    /// virtual clock advances atomically with the job that moved it.
-    run_lock: Mutex<()>,
+    /// Woken at every commit and when a run ends.
+    progress: Condvar,
+    /// Serializes runs ([`step`](Self::step), [`drain`](Self::drain)) and
+    /// keeps one runtime per host worker between them, built from `rt`'s
+    /// config.
+    workers: Mutex<Vec<Triolet>>,
 }
 
 impl JobService {
@@ -310,10 +400,18 @@ impl JobService {
         } else {
             TraceHandle::disabled()
         };
-        JobService { rt, config, trace, state: Mutex::default(), run_lock: Mutex::new(()) }
+        JobService {
+            rt,
+            config,
+            trace,
+            state: Mutex::default(),
+            progress: Condvar::new(),
+            workers: Mutex::default(),
+        }
     }
 
-    /// The shared runtime jobs execute against.
+    /// The service's runtime, whose ledger banks each job's traffic at
+    /// commit (jobs run on worker runtimes of the same config).
     pub fn runtime(&self) -> &Triolet {
         &self.rt
     }
@@ -328,7 +426,7 @@ impl JobService {
         self.lock().now_s
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ServiceState> {
+    fn lock(&self) -> MutexGuard<'_, ServiceState> {
         self.state.lock().expect("service state mutex")
     }
 
@@ -368,10 +466,9 @@ impl JobService {
                 Ok(id) => return JobHandle { id, _value: PhantomData },
                 Err((_, back)) => {
                     boxed = back;
-                    // Saturated with nothing running means pending work
-                    // exists by definition; drain one job and retry.
-                    let ran = self.step();
-                    assert!(ran.is_some(), "saturated queue must have runnable jobs");
+                    // A run on another thread may empty the queue before
+                    // this one gets to run a job: retry either way.
+                    self.advance();
                 }
             }
         }
@@ -385,7 +482,7 @@ impl JobService {
         count_reject: bool,
     ) -> Result<JobId, (AdmissionError, BoxedWork)> {
         let mut st = self.lock();
-        if st.pending.len() >= self.config.queue_cap {
+        if st.queued() >= self.config.queue_cap {
             let now = st.now_s;
             if count_reject {
                 st.rejected += 1;
@@ -410,7 +507,7 @@ impl JobService {
         let now = st.now_s;
         let usage = st.usage_mut(tenant);
         usage.submitted += 1;
-        st.pending.push_back(QueuedJob { seq, tenant, cost, submitted_s: now, work });
+        st.queues[tenant.idx()].push_back(QueuedJob { seq, tenant, cost, submitted_s: now, work });
         if self.trace.enabled() {
             self.trace.event(
                 "service:admit",
@@ -420,7 +517,7 @@ impl JobService {
                 vec![
                     ("tenant", ArgValue::U64(tenant.0 as u64)),
                     ("job", ArgValue::U64(seq)),
-                    ("queued", ArgValue::U64(st.pending.len() as u64)),
+                    ("queued", ArgValue::U64(st.queued() as u64)),
                 ],
             );
         }
@@ -428,90 +525,125 @@ impl JobService {
     }
 
     /// Run the next scheduled job to completion (None when the queue is
-    /// empty). The policy picks the job; its modeled makespan advances the
-    /// service clock; its tenant is charged `cost / weight` of virtual
-    /// runtime.
+    /// empty): a drain of one job. During a drain on another thread, it
+    /// waits for that drain to end.
     pub fn step(&self) -> Option<JobId> {
-        let _running = self.run_lock.lock().expect("service run mutex");
-        let (job, start) = {
+        self.run(1)
+    }
+
+    /// Run queued jobs until the queue is empty.
+    pub fn drain(&self) {
+        self.run(usize::MAX);
+    }
+
+    /// Run up to `limit` queued jobs on the caller and scoped threads, one
+    /// per host core, and return the last one committed. Each job commits
+    /// only after every job selected before it.
+    fn run(&self, limit: usize) -> Option<JobId> {
+        let mut runtimes = self.workers.lock().expect("service worker mutex");
+        let (first, queued) = {
             let mut st = self.lock();
-            if st.pending.is_empty() {
-                return None;
-            }
-            let metas: Vec<(Tenant, u64)> = st.pending.iter().map(|j| (j.tenant, j.seq)).collect();
-            let vr = &st.vruntime;
-            let idx =
-                self.config.policy.select(&metas, |t| vr.get(t.idx()).copied().unwrap_or(0.0));
-            let job = st.pending.remove(idx).expect("selected job index in range");
-            (job, st.now_s)
+            st.running = true;
+            (st.selected, st.queued())
         };
+        let _running = Running(self);
+        let workers = host_workers().min(limit).min(queued);
+        if workers == 0 {
+            return None;
+        }
+        while runtimes.len() < workers {
+            runtimes.push(Triolet::new(*self.rt.cluster().config()));
+        }
+        let until = first.saturating_add(limit);
+        let work = |rt: &Triolet| {
+            let mut next = self.lock().select(&self.config.policy, until);
+            while let Some((at, job)) = next {
+                let ran = job.run(rt);
+                let mut st = self.lock();
+                let st = &mut *st;
+                st.ran.insert(at, ran);
+                while let Some(ran) = st.ran.remove(&st.order.len()) {
+                    self.commit(st, ran);
+                }
+                next = st.select(&self.config.policy, until);
+                self.progress.notify_all();
+            }
+        };
+        std::thread::scope(|s| {
+            for rt in &runtimes[1..workers] {
+                s.spawn(|| work(rt));
+            }
+            work(&runtimes[0]);
+        });
+        let last = self.lock().order.last().copied();
+        last
+    }
 
-        let before = self.rt.cluster().stats().snapshot();
-        let (value, stats, mut job_trace) = (job.work)(&self.rt);
-        let traffic = self.rt.cluster().stats().snapshot().since(&before);
+    /// Make progress for a caller held up by the queue: while a run on
+    /// another thread is active, wait for its next commit or its end;
+    /// otherwise run one job. False when there was nothing to run.
+    fn advance(&self) -> bool {
+        let st = self.lock();
+        if st.running {
+            let seen = st.order.len();
+            let cond = |st: &mut ServiceState| st.running && st.order.len() == seen;
+            drop(self.progress.wait_while(st, cond).expect("service state mutex"));
+            return true;
+        }
+        drop(st);
+        self.step().is_some()
+    }
 
-        let duration = stats.total_s.max(0.0);
-        let finish = start + duration;
-        let node_compute: f64 = stats.node_compute_s.iter().sum();
-
-        let mut st = self.lock();
-        st.now_s = finish;
+    /// Book a job whose turn has come: its modeled makespan advances the
+    /// service clock, its tenant is billed, and its traffic is banked in
+    /// the service runtime's ledger. The one path every completion takes.
+    fn commit(&self, st: &mut ServiceState, ran: RanJob) {
+        let RanJob { mut done, trace, peak } = ran;
+        let r = &mut done.report;
+        self.rt.cluster().stats().add(r.traffic, peak);
+        let duration = r.stats.total_s.max(0.0);
+        let node_compute: f64 = r.stats.node_compute_s.iter().sum();
+        r.started_s = st.now_s;
+        r.finished_s = r.started_s + duration;
+        st.now_s = r.finished_s;
         st.busy_s += duration;
         st.node_busy_s += node_compute;
-        let weight = self.config.policy.weight_of(job.tenant);
-        st.vruntime[job.tenant.idx()] += job.cost / weight;
-        let report = JobReport {
-            id: JobId(job.seq),
-            tenant: job.tenant,
-            cost: job.cost,
-            submitted_s: job.submitted_s,
-            started_s: start,
-            finished_s: finish,
-            stats,
-            traffic,
-        };
-        {
-            let usage = st.usage_mut(job.tenant);
-            usage.completed += 1;
-            usage.cost += job.cost;
-            usage.busy_s += duration;
-            usage.node_busy_s += node_compute;
-            usage.traffic = usage.traffic.plus(&traffic);
-            usage.latencies_s.push(report.latency_s());
-        }
+        let usage = st.usage_mut(r.tenant);
+        usage.completed += 1;
+        usage.cost += r.cost;
+        usage.busy_s += duration;
+        usage.node_busy_s += node_compute;
+        usage.traffic = usage.traffic.plus(&r.traffic);
+        usage.latencies_s.push(r.latency_s());
         if self.trace.enabled() {
             // Rebase the job's own timeline onto the service clock and
             // stamp every record with its tenant/job attribution.
-            job_trace.shift(start);
-            job_trace.tag("tenant", ArgValue::U64(job.tenant.0 as u64));
-            job_trace.tag("job", ArgValue::U64(job.seq));
+            let (tenant, job) = (ArgValue::U64(r.tenant.0 as u64), ArgValue::U64(r.id.0));
+            let mut job_trace = trace;
+            job_trace.shift(r.started_s);
+            job_trace.tag("tenant", tenant.clone());
+            job_trace.tag("job", job.clone());
             self.trace.absorb(job_trace);
             self.trace.span(
                 "service:job",
                 "service",
                 Track::Root,
-                start,
-                finish,
+                r.started_s,
+                r.finished_s,
                 vec![
-                    ("tenant", ArgValue::U64(job.tenant.0 as u64)),
-                    ("job", ArgValue::U64(job.seq)),
-                    ("cost", ArgValue::F64(job.cost)),
+                    ("tenant", tenant),
+                    ("job", job),
+                    ("cost", ArgValue::F64(r.cost)),
                     ("policy", ArgValue::Str(self.config.policy.name().to_string())),
                 ],
             );
         }
-        let seq = job.seq as usize;
-        if st.completed.len() <= seq {
-            st.completed.resize_with(seq + 1, || None);
+        let id = r.id;
+        if st.completed.len() <= id.0 as usize {
+            st.completed.resize_with(id.0 as usize + 1, || None);
         }
-        st.completed[seq] = Some(CompletedJob { value, report });
-        st.order.push(JobId(job.seq));
-        Some(JobId(job.seq))
-    }
-
-    /// Run queued jobs until the queue is empty.
-    pub fn drain(&self) {
-        while self.step().is_some() {}
+        st.completed[id.0 as usize] = Some(done);
+        st.order.push(id);
     }
 
     /// Drive the service until `handle`'s job completes, then return its
@@ -520,20 +652,21 @@ impl JobService {
     /// Panics if the handle's job is not queued or completed (impossible
     /// for handles obtained from this service's `submit*`).
     pub fn wait<T: Send + 'static>(&self, handle: JobHandle<T>) -> JobOutput<T> {
-        loop {
+        let done = loop {
             if let Some(done) = self.take_completed(handle.id) {
-                let value = *done
-                    .value
-                    .downcast::<T>()
-                    .expect("job handle type matches the submitted closure");
-                return JobOutput { value, report: done.report };
+                break done;
             }
-            assert!(
-                self.step().is_some(),
-                "job {:?} neither completed nor queued (double wait?)",
-                handle.id
-            );
-        }
+            // A run on another thread may commit the job, and empty the
+            // queue, before this one gets to run a job.
+            if !self.advance() {
+                break self.take_completed(handle.id).unwrap_or_else(|| {
+                    panic!("job {:?} neither completed nor queued (double wait?)", handle.id)
+                });
+            }
+        };
+        let value =
+            *done.value.downcast::<T>().expect("job handle type matches the submitted closure");
+        JobOutput { value, report: done.report }
     }
 
     fn take_completed(&self, id: JobId) -> Option<CompletedJob> {
@@ -567,7 +700,7 @@ impl JobService {
             nodes: self.rt.nodes(),
             completed: st.order.len() as u64,
             rejected: st.rejected,
-            queued: st.pending.len(),
+            queued: st.queued(),
         }
     }
 
@@ -575,6 +708,17 @@ impl JobService {
     /// built without `with_trace(true)`).
     pub fn take_trace(&self) -> TraceData {
         self.trace.take()
+    }
+}
+
+/// Ends a run, also when a job panics: clears `running` and wakes every
+/// caller waiting in [`JobService::advance`].
+struct Running<'a>(&'a JobService);
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner).running = false;
+        self.0.progress.notify_all();
     }
 }
 
@@ -589,10 +733,20 @@ where
     })
 }
 
+/// Host workers a run may keep busy: one per core the host offers.
+fn host_workers() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    #[cfg(test)]
+    let cores = tests::WORKERS.get().unwrap_or(cores);
+    cores
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triolet_cluster::ClusterConfig;
+    use std::time::Duration;
+    use triolet_cluster::{ClusterConfig, FaultPlan};
     use triolet_iter::{from_vec, TrioIter};
 
     fn service(policy: SchedPolicy, cap: usize) -> JobService {
@@ -701,5 +855,267 @@ mod tests {
         assert_eq!(percentile(&xs, 0.75), 3.0);
         assert_eq!(percentile(&xs, 1.0), 4.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
+    }
+
+    thread_local! {
+        /// The host worker count this thread's runs use instead of the
+        /// host's core count, when set.
+        pub(super) static WORKERS: std::cell::Cell<Option<usize>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    fn empty_job() -> impl FnOnce(&Triolet) -> Run<u64> + Send + 'static {
+        |_| Run::new(0, RunStats::local(0.0))
+    }
+
+    /// The single pending queue that per-tenant FIFOs replaced, kept as the
+    /// oracle: every selection scans the whole queue, and a job's charge
+    /// lands on its tenant's vruntime when the job completes.
+    struct Oracle {
+        policy: SchedPolicy,
+        cap: usize,
+        pending: VecDeque<(Tenant, u64, f64)>,
+        submitted: Vec<u64>,
+        vruntime: Vec<f64>,
+        next_seq: u64,
+        order: Vec<JobId>,
+    }
+
+    impl Oracle {
+        fn new(policy: SchedPolicy, cap: usize) -> Self {
+            Oracle {
+                policy,
+                cap,
+                pending: VecDeque::new(),
+                submitted: Vec::new(),
+                vruntime: Vec::new(),
+                next_seq: 0,
+                order: Vec::new(),
+            }
+        }
+
+        /// `ServiceState::usage_mut`'s late-join floor.
+        fn join(&mut self, tenant: Tenant) {
+            let idx = tenant.idx();
+            if self.submitted.len() <= idx {
+                self.submitted.resize(idx + 1, 0);
+            }
+            if self.vruntime.len() <= idx {
+                let floor = (self.submitted.iter().zip(&self.vruntime))
+                    .filter(|(&n, _)| n > 0)
+                    .map(|(_, &v)| v)
+                    .fold(f64::INFINITY, f64::min);
+                self.vruntime.resize(idx + 1, if floor.is_finite() { floor } else { 0.0 });
+            }
+        }
+
+        fn submit(&mut self, tenant: Tenant, cost: f64, count_reject: bool) -> bool {
+            if self.pending.len() >= self.cap {
+                if count_reject {
+                    self.join(tenant);
+                }
+                return false;
+            }
+            self.join(tenant);
+            self.submitted[tenant.idx()] += 1;
+            self.pending.push_back((tenant, self.next_seq, cost));
+            self.next_seq += 1;
+            true
+        }
+
+        fn step(&mut self) -> bool {
+            if self.pending.is_empty() {
+                return false;
+            }
+            let metas: Vec<(Tenant, u64)> = self.pending.iter().map(|&(t, s, _)| (t, s)).collect();
+            let vr = &self.vruntime;
+            let idx = self.policy.select(&metas, |t| vr.get(t.idx()).copied().unwrap_or(0.0));
+            let (tenant, seq, cost) = self.pending.remove(idx).expect("selected index in range");
+            // The job runs here; its tenant is charged on completion.
+            self.vruntime[tenant.idx()] += cost / self.policy.weight_of(tenant);
+            self.order.push(JobId(seq));
+            true
+        }
+    }
+
+    fn vruntime_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn tenant_queues_select_what_the_full_scan_selects(
+            policy_sel in 0u64..3,
+            cap in 1usize..6,
+            workers in 1usize..=2,
+            ops in proptest::collection::vec((0u64..4, 0u32..3, 1u64..8), 1..48),
+        ) {
+            let policy = match policy_sel {
+                0 => SchedPolicy::Fifo,
+                1 => SchedPolicy::FairShare { weights: vec![1.0, 2.0, 0.5, 3.0] },
+                _ => SchedPolicy::Priority { levels: vec![1, 0, 2, 1] },
+            };
+            WORKERS.set(Some(workers));
+            let svc = service(policy.clone(), cap);
+            let mut oracle = Oracle::new(policy, cap);
+            for (i, &(op, t, c)) in ops.iter().enumerate() {
+                // Tenant 3 joins only in the second half of the sequence.
+                let tenant = Tenant(if 2 * i >= ops.len() && t == 2 && c % 2 == 0 { 3 } else { t });
+                let cost = c as f64 * 0.7;
+                match op {
+                    0 => {
+                        let admitted = svc.submit(tenant, cost, empty_job()).is_ok();
+                        proptest::prop_assert_eq!(admitted, oracle.submit(tenant, cost, true));
+                    }
+                    1 => {
+                        svc.submit_blocking(tenant, cost, empty_job());
+                        while !oracle.submit(tenant, cost, false) {
+                            oracle.step();
+                        }
+                    }
+                    2 => proptest::prop_assert_eq!(svc.step().is_some(), oracle.step()),
+                    _ => {
+                        svc.drain();
+                        while oracle.step() {}
+                    }
+                }
+                proptest::prop_assert_eq!(&svc.completion_order(), &oracle.order);
+                proptest::prop_assert_eq!(
+                    vruntime_bits(&svc.lock().vruntime),
+                    vruntime_bits(&oracle.vruntime)
+                );
+            }
+            WORKERS.set(None);
+        }
+    }
+
+    #[test]
+    fn selections_run_ahead_of_commits() {
+        // Job 0 cannot finish until the second job selected has started, so
+        // that selection happens before job 0 commits. It must already see
+        // job 0's charge, and commit after it.
+        WORKERS.set(Some(2));
+        let svc = service(SchedPolicy::FairShare { weights: vec![1.0, 1.0] }, 8);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        svc.submit(Tenant(0), 1.0, move |_: &Triolet| {
+            started_rx.recv().expect("a second job starts");
+            Run::new(0u64, RunStats::local(0.0))
+        })
+        .expect("admitted");
+        for t in [0, 1] {
+            let started = started_tx.clone();
+            svc.submit(Tenant(t), 1.0, move |_: &Triolet| {
+                // Job 0 has stopped listening once the first signal lands.
+                let _ = started.send(());
+                Run::new(0u64, RunStats::local(0.0))
+            })
+            .expect("admitted");
+        }
+        drop(started_tx);
+        svc.drain();
+        WORKERS.set(None);
+        assert_eq!(svc.completion_order(), vec![JobId(0), JobId(2), JobId(1)]);
+    }
+
+    /// Every count a job's stats carry (its seconds are host-measured).
+    fn counts(s: &RunStats) -> [u64; 9] {
+        [
+            s.bytes_out,
+            s.root_bytes_out,
+            s.bytes_back,
+            s.messages,
+            s.retries,
+            s.redispatches,
+            s.resident_hits,
+            s.resident_misses,
+            s.unpack_copied + s.unpack_aliased,
+        ]
+    }
+
+    #[test]
+    fn one_worker_and_two_commit_the_same_batch() {
+        let batch = |workers: usize| {
+            WORKERS.set(Some(workers));
+            let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2).with_trace(true));
+            let policy = SchedPolicy::FairShare { weights: vec![1.0, 2.0, 4.0] };
+            let svc = JobService::new(rt, ServiceConfig::new(policy).with_queue_cap(64));
+            let handles: Vec<_> = (0..18u64)
+                .map(|j| {
+                    let n = 50 + 37 * (j % 5);
+                    svc.submit(Tenant((j % 3) as u32), n as f64, sum_job(n)).expect("admitted")
+                })
+                .collect();
+            svc.drain();
+            WORKERS.set(None);
+            let outs: Vec<_> = handles.into_iter().map(|h| svc.wait(h)).collect();
+            (svc, outs)
+        };
+        let (one, one_outs) = batch(1);
+        let (two, two_outs) = batch(2);
+        assert_eq!(one.completion_order(), two.completion_order());
+        for (a, b) in one_outs.iter().zip(&two_outs) {
+            assert_eq!(a.value, b.value);
+            let (ra, rb) = (&a.report, &b.report);
+            assert_eq!((ra.id, ra.tenant), (rb.id, rb.tenant));
+            assert_eq!(
+                (ra.cost.to_bits(), ra.submitted_s.to_bits()),
+                (rb.cost.to_bits(), rb.submitted_s.to_bits())
+            );
+            assert_eq!(ra.traffic, rb.traffic);
+            assert_eq!(counts(&ra.stats), counts(&rb.stats));
+        }
+        for (a, b) in one.usage().iter().zip(&two.usage()) {
+            assert_eq!(
+                (a.submitted, a.completed, a.rejected),
+                (b.submitted, b.completed, b.rejected)
+            );
+            assert_eq!((a.cost.to_bits(), a.traffic), (b.cost.to_bits(), b.traffic));
+            assert_eq!(a.latencies_s.len(), b.latencies_s.len());
+        }
+        assert_eq!(vruntime_bits(&one.lock().vruntime), vruntime_bits(&two.lock().vruntime));
+        let ledger = |svc: &JobService| svc.runtime().cluster().stats().snapshot();
+        assert_eq!(ledger(&one), ledger(&two));
+        assert_eq!(one.take_trace().canonical_lines(), two.take_trace().canonical_lines());
+    }
+
+    #[test]
+    fn jobs_sharing_a_resident_collection_pay_its_move_once_or_twice() {
+        // Three jobs sum one collection scattered on the service runtime,
+        // whose rank 1 has crashed. One worker drains them in turn: the
+        // first re-ships rank 1's segment and rehomes it, the rest hit.
+        // Two workers may both plan against the dead owner.
+        let batch = |workers: usize| {
+            WORKERS.set(Some(workers));
+            let plan = FaultPlan::seeded(7).with_crash(1).with_timeout(Duration::from_millis(1));
+            let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2).with_faults(plan));
+            let dv = rt.scatter((0..4096u64).collect::<Vec<_>>()).value;
+            let scattered = rt.cluster().stats().snapshot();
+            let svc = JobService::new(rt, ServiceConfig::new(SchedPolicy::Fifo));
+            let handles: Vec<_> = (0..3)
+                .map(|t| {
+                    let dv = dv.clone();
+                    svc.submit(Tenant(t), 1.0, move |rt: &Triolet| rt.sum(&dv)).expect("admitted")
+                })
+                .collect();
+            svc.drain();
+            WORKERS.set(None);
+            let outs: Vec<_> = handles.into_iter().map(|h| svc.wait(h)).collect();
+            let banked = outs.iter().fold(scattered, |acc, o| acc.plus(&o.report.traffic));
+            assert_eq!(svc.runtime().cluster().stats().snapshot(), banked);
+            for o in &outs {
+                assert_eq!(o.value, 4096 * 4095 / 2);
+                let t = &o.report.traffic;
+                assert_eq!(t.resident_hits + t.resident_misses, 4, "one resident task per rank");
+            }
+            outs.iter().map(|o| o.report.traffic.resident_misses).collect::<Vec<_>>()
+        };
+        assert_eq!(batch(1), vec![1, 0, 0]);
+        let misses: u64 = batch(2).iter().sum();
+        assert!(
+            (1..=2).contains(&misses),
+            "{misses} misses: at most the two first jobs plan stale"
+        );
     }
 }

@@ -34,7 +34,7 @@ impl std::fmt::Display for Tenant {
 pub enum SchedPolicy {
     /// Global submission order, tenants ignored.
     Fifo,
-    /// Weighted fair sharing (stride scheduling): each completed job
+    /// Weighted fair sharing (stride scheduling): each selected job
     /// charges its tenant `cost / weight` of virtual runtime, and the
     /// tenant with the *least* accumulated virtual runtime runs next.
     /// `weights[tenant.idx()]`; tenants beyond the vector (or with a

@@ -4,9 +4,11 @@
 //! updates its output value by side effect. It is the only encoding that
 //! supports mutation — Triolet "uses collectors in sequential code for
 //! histogramming and for packing variable-length output skeletons' results
-//! into an array." Parallel skeletons give each thread a *private* collector
-//! and [`Collector::merge`] the partials (the paper's per-thread histograms,
-//! §3.4), so collectors never need to be thread-safe themselves.
+//! into an array." Parallel skeletons give each chunk a *private* collector
+//! and [`Collector::merge`] the partials in chunk order, so collectors never
+//! need to be thread-safe themselves. The paper builds one histogram per
+//! thread (§3.4); here a node cuts its part into four chunks per thread so
+//! stealing can balance irregular work — 512 partials at 8×16.
 
 /// An imperative accumulation sink.
 pub trait Collector: Send {

@@ -66,16 +66,6 @@ impl Schedule {
     pub fn work(&self) -> f64 {
         self.worker_loads.iter().sum()
     }
-
-    /// Fraction of `makespan * workers` spent busy; 1.0 is a perfect
-    /// balance.
-    pub fn efficiency(&self) -> f64 {
-        let p = self.worker_loads.len() as f64;
-        if self.makespan <= 0.0 || p == 0.0 {
-            return 1.0;
-        }
-        self.work() / (self.makespan * p)
-    }
 }
 
 /// Greedy earliest-available-worker scheduling of `durations` (seconds) onto
@@ -104,17 +94,6 @@ pub fn greedy_schedule(durations: &[f64], workers: usize) -> Schedule {
     Schedule { makespan, assignment, start_times, worker_loads }
 }
 
-/// Group task indices by assigned worker, preserving submission order within
-/// each worker. Used to replay per-worker sequential merging in virtual mode
-/// (each virtual thread folds its own chunks into one private accumulator).
-pub fn tasks_by_worker(schedule: &Schedule) -> Vec<Vec<usize>> {
-    let mut groups = vec![Vec::new(); schedule.worker_loads.len()];
-    for (task, &w) in schedule.assignment.iter().enumerate() {
-        groups[w].push(task);
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +109,7 @@ mod tests {
     fn perfect_split_halves_makespan() {
         let s = greedy_schedule(&[1.0, 1.0, 1.0, 1.0], 2);
         assert!((s.makespan - 2.0).abs() < 1e-12);
-        assert!((s.efficiency() - 1.0).abs() < 1e-12);
+        assert_eq!(s.worker_loads, vec![2.0, 2.0]);
     }
 
     #[test]
@@ -139,7 +118,7 @@ mod tests {
         // makespan is bounded below by its duration.
         let s = greedy_schedule(&[0.1, 0.1, 0.1, 5.0], 4);
         assert!((s.makespan - 5.0).abs() < 1e-12);
-        assert!(s.efficiency() < 0.5);
+        assert!(s.work() < 0.5 * s.makespan * 4.0, "most worker time idles");
     }
 
     #[test]
@@ -171,15 +150,6 @@ mod tests {
         let s = greedy_schedule(&[], 4);
         assert_eq!(s.makespan, 0.0);
         assert!(s.assignment.is_empty());
-    }
-
-    #[test]
-    fn tasks_by_worker_partition() {
-        let s = greedy_schedule(&[1.0; 10], 3);
-        let groups = tasks_by_worker(&s);
-        let mut all: Vec<usize> = groups.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

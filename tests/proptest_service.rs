@@ -2,13 +2,15 @@
 //! through the shared [`JobService`] — under FairShare or Priority, across
 //! topologies and seeded fault plans including crashed ranks — yields
 //! per-job results bit-identical to running each job alone on an identically
-//! configured cluster. Values and traffic accounting are order-independent;
+//! configured cluster, and per-job traffic equal to that solo cluster's
+//! whole ledger. Values and traffic accounting are order-independent;
 //! only wall-measured timings may differ, so those are deliberately not
 //! compared. The schedule itself must also be deterministic: two identical
 //! services complete jobs in the same order.
 
 use proptest::prelude::*;
 use triolet::prelude::*;
+use triolet::TrafficSnapshot;
 
 mod common;
 use common::{cluster, plan_for, topology_from};
@@ -92,13 +94,17 @@ proptest! {
             .collect();
         svc.drain();
 
+        let mut banked = TrafficSnapshot::default();
         for (handle, &spec) in handles.into_iter().zip(&specs) {
             let out = svc.wait(handle);
             // Solo baseline: a fresh, identically configured cluster
             // running only this job. Values and traffic counters are pure
             // functions of (config, job); the service's interleaving must
             // not leak into either.
-            let solo = run_spec(&Triolet::new(cfg), spec);
+            let solo_rt = Triolet::new(cfg);
+            let solo = run_spec(&solo_rt, spec);
+            prop_assert_eq!(out.report.traffic, solo_rt.cluster().stats().snapshot());
+            banked = banked.plus(&out.report.traffic);
             prop_assert_eq!(&out.value, &solo.value, "value diverged for {:?}", spec);
             prop_assert_eq!(out.report.stats.messages, solo.stats.messages);
             prop_assert_eq!(out.report.stats.retries, solo.stats.retries);
@@ -107,6 +113,8 @@ proptest! {
             prop_assert_eq!(out.report.stats.bytes_back, solo.stats.bytes_back);
             prop_assert_eq!(out.report.tenant, Tenant(spec.tenant));
         }
+        // The service runtime's ledger is exactly the jobs' traffic.
+        prop_assert_eq!(svc.runtime().cluster().stats().snapshot(), banked);
     }
 
     #[test]

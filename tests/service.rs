@@ -2,6 +2,7 @@
 //! per-tenant accounting, tenant-tagged traces, and solo-vs-service result
 //! identity under a seeded fault plan with a crashed rank.
 
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use triolet::prelude::*;
@@ -237,4 +238,135 @@ fn service_stats_aggregate_consistently() {
     assert!(u > 0.0 && u <= 1.0, "utilization {u} out of range");
     let lats: Vec<f64> = usage.iter().flat_map(|u| u.latencies_s.iter().copied()).collect();
     assert!(percentile(&lats, 0.5) <= percentile(&lats, 0.99));
+}
+
+/// The whole ledger of a fresh 4x2 cluster after running `job` alone.
+fn solo_traffic(job: impl FnOnce(&Triolet) -> Run<u64>) -> TrafficSnapshot {
+    let rt = Triolet::new(config(4, 2));
+    job(&rt);
+    rt.cluster().stats().snapshot()
+}
+
+#[test]
+fn outside_dispatches_during_a_drain_bill_no_tenant() {
+    // Job 0 holds its worker until a second thread has run a skeleton on
+    // the service's own runtime, so that dispatch lands inside a job.
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let outside = |rt: &Triolet| rt.sum(from_vec((0..500u64).collect::<Vec<_>>()).par());
+    let svc = Triolet::new(config(4, 2))
+        .into_service(ServiceConfig::new(SchedPolicy::Fifo).with_queue_cap(64));
+    let jobs: Vec<(u32, usize, u64)> =
+        (0..6).map(|i| ((i % 2) as u32, 100 + 20 * i, 3 + i as u64)).collect();
+    let (_, size0, seed0) = jobs[0];
+    svc.submit(Tenant(0), 1.0, move |rt: &Triolet| {
+        started_tx.send(()).expect("the outside caller listens");
+        done_rx.recv().expect("the outside caller reports");
+        dot_job(size0, seed0)(rt)
+    })
+    .expect("admitted");
+    for &(t, size, seed) in &jobs[1..] {
+        svc.submit(Tenant(t), 1.0, dot_job(size, seed)).expect("admitted");
+    }
+    let svc = &svc;
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            started_rx.recv().expect("job 0 starts");
+            outside(svc.runtime());
+            done_tx.send(()).expect("job 0 waits");
+        });
+        svc.drain();
+    });
+
+    let mut total = solo_traffic(outside);
+    for (t, u) in svc.usage().iter().enumerate() {
+        let billed = jobs
+            .iter()
+            .filter(|j| j.0 as usize == t)
+            .map(|&(_, size, seed)| solo_traffic(dot_job(size, seed)))
+            .fold(TrafficSnapshot::default(), |acc, x| acc.plus(&x));
+        assert_eq!(u.traffic, billed, "tenant {t} billed for traffic that is not its jobs'");
+        total = total.plus(&billed);
+    }
+    assert_eq!(svc.runtime().cluster().stats().snapshot(), total);
+}
+
+#[test]
+fn a_wait_issued_during_a_drain_returns_its_value() {
+    // Job 0 holds the drain open until the second thread has issued its
+    // wait on job 1, which cannot have committed yet: jobs commit in
+    // selection order.
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let svc = Triolet::new(config(4, 2))
+        .into_service(ServiceConfig::new(SchedPolicy::Fifo).with_queue_cap(8));
+    svc.submit(Tenant(0), 1.0, move |rt: &Triolet| {
+        started_tx.send(()).expect("the test listens");
+        go_rx.recv().expect("the test lets job 0 finish");
+        dot_job(100, 3)(rt)
+    })
+    .expect("admitted");
+    let h1 = svc.submit(Tenant(1), 1.0, dot_job(120, 4)).expect("admitted");
+    let (waiting_tx, waiting_rx) = mpsc::channel::<()>();
+    let svc = &svc;
+    let value = std::thread::scope(|s| {
+        s.spawn(|| svc.drain());
+        started_rx.recv().expect("job 0 starts");
+        let waiter = s.spawn(move || {
+            waiting_tx.send(()).expect("the test listens");
+            svc.wait(h1).value
+        });
+        waiting_rx.recv().expect("the waiter starts");
+        go_tx.send(()).expect("job 0 waits");
+        waiter.join().expect("wait returns")
+    });
+    assert_eq!(value, dot_job(120, 4)(&Triolet::new(config(4, 2))).value);
+}
+
+#[test]
+fn a_blocking_submission_saturated_during_a_drain_is_admitted() {
+    // Every job first waits at a gate the test holds, so each of the
+    // drain's workers holds a job while the test fills the queue behind
+    // them. A blocking submission then meets a full queue mid-drain.
+    let gate = Arc::new(Mutex::new(()));
+    let held = gate.lock().expect("gate");
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let gated = |n: usize| {
+        let (gate, started) = (Arc::clone(&gate), started_tx.clone());
+        move |rt: &Triolet| {
+            started.send(()).expect("the test listens");
+            drop(gate.lock().expect("gate"));
+            dot_job(100 + n, 3 + n as u64)(rt)
+        }
+    };
+    let svc = Triolet::new(config(4, 2))
+        .into_service(ServiceConfig::new(SchedPolicy::Fifo).with_queue_cap(2));
+    for n in 0..2 {
+        svc.submit(Tenant(0), 1.0, gated(n)).expect("admitted");
+    }
+    // A drain starts one worker per host core, at most one per queued job.
+    let workers = std::thread::available_parallelism().map_or(1, usize::from).min(2);
+    let svc = &svc;
+    let value = std::thread::scope(|s| {
+        s.spawn(|| svc.drain());
+        for _ in 0..workers {
+            started_rx.recv().expect("a worker starts a job");
+        }
+        let mut n = 2;
+        while svc.submit(Tenant(1), 1.0, gated(n)).is_ok() {
+            n += 1;
+        }
+        let (stalled_tx, stalled_rx) = mpsc::channel::<()>();
+        let late = s.spawn(move || {
+            stalled_tx.send(()).expect("the test listens");
+            svc.submit_blocking(Tenant(2), 1.0, dot_job(150, 9))
+        });
+        stalled_rx.recv().expect("the blocking submission starts");
+        std::thread::sleep(Duration::from_millis(50));
+        drop(held);
+        let handle = late.join().expect("the blocking submission is admitted");
+        svc.wait(handle).value
+    });
+    assert_eq!(value, dot_job(150, 9)(&Triolet::new(config(4, 2))).value);
+    assert_eq!(svc.service_stats().queued, 0);
 }
