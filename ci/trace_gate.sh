@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Run a triolet-apps binary with --trace-out and validate the exported
+# Run one `triolet-app` command with --trace-out and validate the exported
 # chrome://tracing JSON with trace_check — the one observability gate every
 # CI job shares instead of six copy-pasted run-then-check blocks.
 #
 # Usage:
-#   ci/trace_gate.sh <bin> [app args...] -- <trace_check args...>
+#   ci/trace_gate.sh <app> [app args...] -- <trace_check args...>
 #
-# Everything before `--` is passed to the app binary (the script appends
+# <app> is an app of the table (mriq, sgemm, tpacf, cutcp, kmeans) or `jobs`.
+# Everything before `--` is passed to `triolet-app <app>` (the script appends
 # --trace-out itself); everything after it is passed to trace_check after
 # the trace path, so required spans, `--events NAME...`, and
 # `--tagged SPAN KEY...` all work unchanged.
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 <bin> [app args...] -- <trace_check args...>" >&2
+  echo "usage: $0 <app> [app args...] -- <trace_check args...>" >&2
   exit 2
 }
 
@@ -30,6 +31,6 @@ done
 shift
 
 TRACE="${BIN}.gate.trace.json"
-cargo run --offline --release -p triolet-apps --bin "$BIN" -- \
+cargo run --offline --release -p triolet-apps --bin triolet-app -- "$BIN" \
   "${APP_ARGS[@]}" --trace-out "$TRACE"
 cargo run --offline --release -p triolet-obs --bin trace_check -- "$TRACE" "$@"

@@ -1,4 +1,4 @@
-//! Tiny argument parsing shared by the benchmark binaries (no external
+//! Argument parsing and printing for the `triolet-app` binary (no external
 //! dependencies: the offline crate policy applies to binaries too).
 
 use std::time::Duration;
@@ -7,24 +7,10 @@ use triolet::prelude::*;
 use triolet::RunStats;
 use triolet::TraceData;
 
-/// Which implementation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Impl {
-    /// Plain sequential loops.
-    Seq,
-    /// Triolet skeletons.
-    Triolet,
-    /// Triolet skeletons with tiled node kernels (sgemm/tpacf only).
-    Tiled,
-    /// Hand-partitioned C+MPI+OpenMP style.
-    Lowlevel,
-    /// Eden-style skeletons.
-    Eden,
-}
+use crate::table::Impl;
 
-/// The fault-injection flags every binary that takes `--nodes` accepts:
-/// `--crash RANK`, `--drop P`, `--fault-seed S`, `--timeout-ms T`. With
-/// none given the run is fault-free.
+/// The fault-injection flags: `--crash RANK`, `--drop P`, `--fault-seed S`,
+/// `--timeout-ms T`. With none given the run is fault-free.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultFlags {
     crash: Option<usize>,
@@ -34,43 +20,6 @@ pub struct FaultFlags {
 }
 
 impl FaultFlags {
-    /// The flags, for a usage line.
-    pub const USAGE: &'static str = "[--crash RANK] [--drop P] [--fault-seed S] [--timeout-ms T]";
-
-    /// If `flag` is a fault flag, parse the value `next` yields into it.
-    /// `Ok(false)` means the flag is somebody else's; `Err` carries why the
-    /// value was refused.
-    pub fn accept(
-        &mut self,
-        flag: &str,
-        next: &mut dyn FnMut() -> Option<String>,
-    ) -> Result<bool, String> {
-        fn value<T: std::str::FromStr>(flag: &str, text: Option<String>) -> Result<T, String> {
-            let text = text.ok_or_else(|| format!("{flag} needs a value"))?;
-            text.parse().map_err(|_| format!("{flag}: cannot parse {text:?}"))
-        }
-        match flag {
-            "--crash" => {
-                let rank: usize = value(flag, next())?;
-                if rank >= 64 {
-                    return Err(format!("--crash {rank}: the fault plan covers ranks 0..64"));
-                }
-                self.crash = Some(rank);
-            }
-            "--drop" => {
-                let p: f64 = value(flag, next())?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("--drop {p}: not a probability"));
-                }
-                self.drop = Some(p);
-            }
-            "--fault-seed" => self.seed = Some(value(flag, next())?),
-            "--timeout-ms" => self.timeout_ms = Some(value(flag, next())?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
     /// The plan the flags describe ([`FaultPlan::none`] when none was given:
     /// a seed or timeout alone injects nothing).
     pub fn plan(&self) -> FaultPlan {
@@ -88,10 +37,10 @@ impl FaultFlags {
     }
 }
 
-/// Parsed common options.
+/// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct Opts {
-    /// Implementation selector (`--impl seq|triolet|lowlevel|eden`).
+    /// Implementation selector (`--impl seq|triolet|tiled|lowlevel|eden`).
     pub imp: Impl,
     /// Cluster nodes (`--nodes N`).
     pub nodes: usize,
@@ -102,129 +51,81 @@ pub struct Opts {
     /// Write a chrome://tracing JSON timeline here (`--trace-out FILE`);
     /// also switches span recording on in the runtime.
     pub trace_out: Option<String>,
-    /// Injected faults (`--crash`, `--drop`, `--fault-seed`, `--timeout-ms`);
-    /// applied to every runtime built from a
-    /// [`cluster_config`](Opts::cluster_config).
+    /// Injected faults, applied to the [`cluster_config`](Opts::cluster_config).
     pub faults: FaultFlags,
-    /// App-specific sizes, filled from the remaining `--key value` pairs.
-    pub sizes: Vec<(String, usize)>,
+    /// Command-specific sizes, each set by its own `--key N`.
+    pub sizes: Vec<(&'static str, usize)>,
 }
 
 impl Opts {
-    /// Parse `std::env::args`, with app-specific size keys and defaults.
-    ///
-    /// Exits with a usage message on `--help` or malformed input.
-    pub fn parse(app: &str, size_keys: &[(&str, usize)]) -> Opts {
-        let mut imp = Impl::Triolet;
-        let mut nodes = 4usize;
-        let mut threads = 4usize;
-        let mut seed = 1u64;
-        let mut trace_out = None;
-        let mut faults = FaultFlags::default();
-        let mut sizes: Vec<(String, usize)> =
-            size_keys.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            let usage = || {
-                let keys: Vec<String> =
-                    size_keys.iter().map(|(k, v)| format!("[--{k} N (default {v})]")).collect();
-                eprintln!(
-                    "usage: {app} [--impl seq|triolet|tiled|lowlevel|eden] [--nodes N] \
-                     [--threads T] [--seed S] [--trace-out FILE] {} {}",
-                    FaultFlags::USAGE,
-                    keys.join(" ")
-                );
-                std::process::exit(2);
-            };
-            let value = |args: &mut dyn Iterator<Item = String>| -> String {
-                args.next().unwrap_or_else(|| {
-                    usage();
-                    unreachable!()
-                })
-            };
-            match arg.as_str() {
+    /// The defaults (`--impl triolet`, a 4x4 cluster, seed 1, no trace, no
+    /// faults) with these size keys at their default values.
+    pub fn new(sizes: impl IntoIterator<Item = (&'static str, usize)>) -> Opts {
+        Opts {
+            imp: Impl::Triolet,
+            nodes: 4,
+            threads: 4,
+            seed: 1,
+            trace_out: None,
+            faults: FaultFlags::default(),
+            sizes: sizes.into_iter().collect(),
+        }
+    }
+
+    /// Apply the flags in `args` (the command line after the command name)
+    /// over these options. `Err` says which flag was malformed or unknown.
+    pub fn parse(mut self, args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let text = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            let bad = || format!("{flag}: cannot parse {text:?}");
+            let faults = &mut self.faults;
+            match flag.as_str() {
                 "--impl" => {
-                    imp = match value(&mut args).as_str() {
-                        "seq" => Impl::Seq,
-                        "triolet" => Impl::Triolet,
-                        "tiled" => Impl::Tiled,
-                        "lowlevel" => Impl::Lowlevel,
-                        "eden" => Impl::Eden,
-                        _ => {
-                            usage();
-                            unreachable!()
-                        }
+                    let imp = Impl::ALL.into_iter().find(|imp| imp.flag() == text);
+                    self.imp =
+                        imp.ok_or_else(|| format!("--impl {text}: no such implementation"))?;
+                }
+                "--nodes" => self.nodes = text.parse().map_err(|_| bad())?,
+                "--threads" => self.threads = text.parse().map_err(|_| bad())?,
+                "--seed" => self.seed = text.parse().map_err(|_| bad())?,
+                "--trace-out" => self.trace_out = Some(text),
+                "--crash" => match text.parse().map_err(|_| bad())? {
+                    rank if rank >= 64 => {
+                        return Err(format!("--crash {rank}: the fault plan covers ranks 0..64"))
                     }
-                }
-                "--nodes" => {
-                    nodes = value(&mut args).parse().unwrap_or_else(|_| {
-                        usage();
-                        unreachable!()
-                    })
-                }
-                "--threads" => {
-                    threads = value(&mut args).parse().unwrap_or_else(|_| {
-                        usage();
-                        unreachable!()
-                    })
-                }
-                "--seed" => {
-                    seed = value(&mut args).parse().unwrap_or_else(|_| {
-                        usage();
-                        unreachable!()
-                    })
-                }
-                "--trace-out" => trace_out = Some(value(&mut args)),
-                other => {
-                    match faults.accept(other, &mut || args.next()) {
-                        Ok(true) => continue,
-                        Ok(false) => {}
-                        Err(why) => {
-                            eprintln!("{app}: {why}");
-                            usage();
-                        }
+                    rank => faults.crash = Some(rank),
+                },
+                "--drop" => match text.parse().map_err(|_| bad())? {
+                    p if !(0.0..=1.0).contains(&p) => {
+                        return Err(format!("--drop {p}: not a probability"))
                     }
-                    let key = other.strip_prefix("--").unwrap_or_else(|| {
-                        usage();
-                        unreachable!()
-                    });
-                    let slot = sizes.iter_mut().find(|(k, _)| k == key);
-                    match slot {
-                        Some((_, v)) => {
-                            *v = value(&mut args).parse().unwrap_or_else(|_| {
-                                usage();
-                                unreachable!()
-                            })
-                        }
-                        None => {
-                            usage();
-                            unreachable!()
-                        }
-                    }
+                    p => faults.drop = Some(p),
+                },
+                "--fault-seed" => faults.seed = Some(text.parse().map_err(|_| bad())?),
+                "--timeout-ms" => faults.timeout_ms = Some(text.parse().map_err(|_| bad())?),
+                _ => {
+                    let key = flag.strip_prefix("--");
+                    let slot = self.sizes.iter_mut().find(|(k, _)| key == Some(*k));
+                    slot.ok_or_else(|| format!("{flag}: unknown flag"))?.1 =
+                        text.parse().map_err(|_| bad())?;
                 }
             }
         }
-        Opts { imp, nodes, threads, seed, trace_out, faults, sizes }
+        Ok(self)
     }
 
-    /// Look up an app-specific size by key.
-    pub fn size(&self, key: &str) -> usize {
-        self.sizes
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("size key {key} not registered"))
+    /// The size values, in key order.
+    pub fn values(&self) -> Vec<usize> {
+        self.sizes.iter().map(|&(_, v)| v).collect()
     }
 
-    /// The virtual cluster these options describe, fault flags applied.
+    /// The virtual cluster these options describe: fault flags applied, span
+    /// recording on exactly when `--trace-out` was given.
     pub fn cluster_config(&self) -> ClusterConfig {
-        ClusterConfig::virtual_cluster(self.nodes, self.threads).with_faults(self.faults.plan())
-    }
-
-    /// Build the Triolet runtime for these options. Span recording is on
-    /// exactly when `--trace-out` was given.
-    pub fn triolet_rt(&self) -> Triolet {
-        Triolet::new(self.cluster_config().with_trace(self.trace_out.is_some()))
+        ClusterConfig::virtual_cluster(self.nodes, self.threads)
+            .with_faults(self.faults.plan())
+            .with_trace(self.trace_out.is_some())
     }
 
     /// Write a recorded timeline as chrome://tracing JSON to the
@@ -246,22 +147,25 @@ impl Opts {
         );
     }
 
-    /// Print the run header.
-    pub fn banner(&self, app: &str) {
-        println!(
-            "{app}: impl={:?} cluster={}x{} seed={} sizes={:?}",
-            self.imp, self.nodes, self.threads, self.seed, self.sizes
+    /// The run header, with the cluster shape that runs (a requested 0 nodes
+    /// or threads runs as 1), and a second line naming any faults.
+    pub fn banner(&self, title: &str) -> String {
+        let cfg = self.cluster_config();
+        let mut text = format!(
+            "{title}: impl={:?} cluster={}x{} seed={} sizes={:?}",
+            self.imp, cfg.nodes, cfg.threads_per_node, self.seed, self.sizes
         );
         if self.faults != FaultFlags::default() {
-            println!("{app}: faults={:?}", self.faults);
+            text += &format!("\n{title}: faults={:?}", self.faults);
         }
+        text
     }
 }
 
 /// A [`RunStats`] as one line. What recovery cost (`retries`,
 /// `redispatches`, `resident_misses`) is appended only when there was some,
 /// so a fault-free line reads as it always has.
-fn stats_line(stats: &RunStats) -> String {
+pub fn stats_line(stats: &RunStats) -> String {
     let mut line = format!(
         "time={:.4}s comm={:.4}s root={:.4}s span={:.4}s out={}B back={}B msgs={}",
         stats.total_s,
@@ -280,29 +184,16 @@ fn stats_line(stats: &RunStats) -> String {
     line
 }
 
-/// Print a [`RunStats`] in one line.
-pub fn print_stats(stats: &RunStats) {
-    println!("{}", stats_line(stats));
-}
-
-/// Print a sequential-run timing in the same format.
-pub fn print_seq_time(seconds: f64) {
-    println!("time={seconds:.4}s (sequential)");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn opts(args: &[&str]) -> Result<Opts, String> {
+        Opts::new([("pixels", 4096), ("samples", 512)]).parse(args.iter().map(|s| s.to_string()))
+    }
+
     fn parse(args: &[&str]) -> Result<FaultFlags, String> {
-        let mut flags = FaultFlags::default();
-        let mut it = args.iter().map(|s| s.to_string());
-        while let Some(flag) = it.next() {
-            if !flags.accept(&flag, &mut || it.next())? {
-                return Err(format!("{flag}: not a fault flag"));
-            }
-        }
-        Ok(flags)
+        opts(args).map(|o| o.faults)
     }
 
     #[test]
@@ -343,9 +234,63 @@ mod tests {
             &["--drop", "1.5"],
             &["--drop", "nan"],
             &["--timeout-ms"],
-            &["--nodes", "4"],
+            &["--fault-seed", "-1"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} accepted");
         }
+    }
+
+    #[test]
+    fn impl_takes_every_value() {
+        for imp in Impl::ALL {
+            assert_eq!(opts(&["--impl", &imp.flag()]).unwrap().imp, imp);
+        }
+        assert_eq!(opts(&["--impl", "fast"]).unwrap_err(), "--impl fast: no such implementation");
+    }
+
+    #[test]
+    fn a_size_key_overrides_its_default() {
+        let o = opts(&["--samples", "64"]).unwrap();
+        assert_eq!(o.sizes, [("pixels", 4096), ("samples", 64)]);
+        assert_eq!(o.values(), [4096, 64]);
+        assert!(opts(&["--samples", "-1"]).is_err());
+    }
+
+    #[test]
+    fn an_unknown_key_is_refused() {
+        assert_eq!(opts(&["--bogus", "3"]).unwrap_err(), "--bogus: unknown flag");
+        assert_eq!(opts(&["pixels", "3"]).unwrap_err(), "pixels: unknown flag");
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_refused() {
+        for flag in
+            ["--impl", "--nodes", "--threads", "--seed", "--trace-out", "--pixels", "--crash"]
+        {
+            assert_eq!(opts(&[flag]).unwrap_err(), format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn fault_flags_mix_with_size_keys() {
+        let o = opts(&["--pixels", "128", "--crash", "3", "--nodes", "8", "--drop", "0.05"]);
+        let o = o.and_then(|o| o.parse(["--samples", "16", "--fault-seed", "7"].map(String::from)));
+        let o = o.unwrap();
+        assert_eq!((o.nodes, o.threads), (8, 4));
+        assert_eq!(o.sizes, [("pixels", 128), ("samples", 16)]);
+        assert_eq!(o.faults.plan(), FaultPlan::seeded(7).with_drop(0.05).with_crash(3));
+    }
+
+    #[test]
+    fn the_banner_reports_the_cluster_that_runs() {
+        let sizes = r#"sizes=[("pixels", 4096), ("samples", 512)]"#;
+        let o = opts(&["--nodes", "0"]).unwrap();
+        assert_eq!(o.banner("mri-q"), format!("mri-q: impl=Triolet cluster=1x4 seed=1 {sizes}"));
+        let o = opts(&["--impl", "eden", "--threads", "2", "--crash", "1"]).unwrap();
+        let faults = "FaultFlags { crash: Some(1), drop: None, seed: None, timeout_ms: None }";
+        assert_eq!(
+            o.banner("mri-q"),
+            format!("mri-q: impl=Eden cluster=4x2 seed=1 {sizes}\nmri-q: faults={faults}")
+        );
     }
 }

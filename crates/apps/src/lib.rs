@@ -1,16 +1,9 @@
 //! The four Parboil benchmarks of the Triolet evaluation (paper §4), each
-//! implemented four ways:
-//!
-//! | style | module suffix | corresponds to |
-//! |---|---|---|
-//! | plain sequential loops | `seq` | the paper's "sequential C" baseline |
-//! | Triolet skeletons | `triolet` | the paper's Triolet versions |
-//! | explicit partitioning + kernels | `lowlevel` | C+MPI+OpenMP |
-//! | Eden-style skeletons + boxed pipelines | `eden` | Eden (GHC) |
-//!
-//! Every app module provides a seeded input generator, the four
-//! implementations, and an output validator used by the cross-implementation
-//! equivalence tests.
+//! a module with a seeded input generator, a sequential reference, its
+//! Triolet, low-level (C+MPI+OpenMP) and Eden versions, and an output
+//! validator. The [`table`] declares each app once, with the implementations
+//! it has ([`table::Impl`]); the `triolet-app` binary, `repro` and the
+//! equivalence tests read it.
 //!
 //! * [`mriq`] — non-uniform 3-D inverse Fourier transform (§4.2): a regular
 //!   parallel map over pixels with an inner reduction over k-space samples.
@@ -30,6 +23,7 @@ pub mod cutcp;
 pub mod kmeans;
 pub mod mriq;
 pub mod sgemm;
+pub mod table;
 pub mod tpacf;
 
 /// Relative-error comparison for floating-point outputs: `|a-b|` within

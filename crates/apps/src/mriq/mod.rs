@@ -22,7 +22,7 @@ mod triolet_impl;
 pub use eden::run_eden;
 pub use lowlevel::run_lowlevel;
 pub use seq::run_seq;
-pub use triolet_impl::{run_triolet, run_triolet_localpar};
+pub use triolet_impl::run_triolet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

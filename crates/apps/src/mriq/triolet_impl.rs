@@ -26,18 +26,6 @@ pub fn run_triolet(rt: &Triolet, input: &MriqInput) -> Run<MriqOutput> {
     })
 }
 
-/// Same computation restricted to one node's threads (used by ablations).
-pub fn run_triolet_localpar(rt: &Triolet, input: &MriqInput) -> Run<MriqOutput> {
-    let samples = input.samples();
-    let pixels =
-        zip3(from_vec(input.x.clone()), from_vec(input.y.clone()), from_vec(input.z.clone()))
-            .localpar();
-    rt.build_vec(pixels, &samples, pixel_value).map(|q| {
-        let (qr, qi) = q.into_iter().unzip();
-        MriqOutput { qr, qi }
-    })
-}
-
 /// The fused pixel body: `sum(ftcoeff(k, r) for k in ks)`.
 #[inline]
 fn pixel_value(samples: &Samples, (x, y, z): (f32, f32, f32)) -> (f32, f32) {

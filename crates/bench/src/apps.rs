@@ -1,165 +1,70 @@
-//! Per-application adapters: uniform timing entry points for the sweeps.
+//! The paper's apps at `repro`'s scales, and the speedup sweeps over them,
+//! read from the app table.
 
 use triolet::prelude::*;
-use triolet_apps::{cutcp, mriq, sgemm, tpacf};
-use triolet_baselines::{EdenRt, LowLevelRt};
+use triolet_apps::table::{Impl, Instance, Scale, APPS};
 
-use crate::sweep::{core_points, median_seconds, Scale, SweepRow};
+use crate::sweep::{core_points, median_seconds, SweepRow};
 
-/// The four benchmark inputs at one scale.
-pub struct BenchSet {
-    /// mri-q instance.
-    pub mriq: mriq::MriqInput,
-    /// sgemm instance.
-    pub sgemm: sgemm::SgemmInput,
-    /// tpacf instance.
-    pub tpacf: tpacf::TpacfInput,
-    /// cutcp instance.
-    pub cutcp: cutcp::CutcpInput,
+/// The inputs at `scale` of the paper's four apps (the table's first four);
+/// the `i`-th app's input has seed `i + 1`.
+pub fn workloads(scale: Scale) -> Vec<Box<dyn Instance>> {
+    APPS[..4].iter().zip(1..).map(|(app, seed)| app.at(scale, seed)).collect()
 }
 
-/// Build the benchmark inputs.
-///
-/// `Paper` scale mirrors the computational shape of the Parboil datasets the
-/// paper selected ("sequential C running time between 20 and 200 seconds"),
-/// scaled down ~100x so a full sweep finishes in minutes: the kernels are
-/// identical, only the element counts shrink.
-pub fn workloads(scale: Scale) -> BenchSet {
-    match scale {
-        Scale::Quick => BenchSet {
-            mriq: mriq::generate(512, 128, 1),
-            sgemm: sgemm::generate(64, 2),
-            tpacf: tpacf::generate(192, 4, 32, 3),
-            cutcp: cutcp::generate(256, 16, 4),
-        },
-        Scale::Paper => BenchSet {
-            mriq: mriq::generate(16_384, 2_048, 1),
-            sgemm: sgemm::generate(384, 2),
-            // 128 random sets (the paper used 100): the outer loop must
-            // expose at least 128-way parallelism for the 128-core sweep.
-            tpacf: tpacf::generate(512, 128, 32, 3),
-            // Enough atoms that compute dominates until the per-node grid
-            // reduction bites (the paper's saturation), not before.
-            cutcp: cutcp::generate(65_536, 48, 4),
-        },
-    }
+/// The input of the app named `name`.
+pub fn find<'a>(set: &'a [Box<dyn Instance>], name: &str) -> &'a dyn Instance {
+    &**set.iter().find(|input| input.app().name() == name).expect("a paper app")
 }
 
-/// The four applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum App {
-    /// Non-uniform inverse FFT.
-    Mriq,
-    /// Scaled matrix multiply.
-    Sgemm,
-    /// Angular correlation.
-    Tpacf,
-    /// Cutoff Coulombic potential.
-    Cutcp,
+/// Median host seconds of `reps` runs of the sequential ("C") version.
+pub fn seq_seconds(input: &dyn Instance, reps: usize) -> f64 {
+    let cfg = ClusterConfig::virtual_cluster(1, 1);
+    median_seconds(reps, || {
+        std::hint::black_box(
+            input.run(Impl::Seq, cfg).expect("every app has a sequential version"),
+        );
+    })
 }
 
-impl App {
-    /// All four, in the paper's Figure 3 order.
-    pub const ALL: [App; 4] = [App::Tpacf, App::Mriq, App::Sgemm, App::Cutcp];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            App::Mriq => "mri-q",
-            App::Sgemm => "sgemm",
-            App::Tpacf => "tpacf",
-            App::Cutcp => "cutcp",
-        }
-    }
+/// Modeled seconds of `imp` on a `nodes x threads` virtual cluster; `None`
+/// when the runtime fails (sgemm's Eden buffer overflow beyond one node).
+pub fn modeled_seconds(
+    input: &dyn Instance,
+    imp: Impl,
+    nodes: usize,
+    threads: usize,
+) -> Option<f64> {
+    let cfg = ClusterConfig::virtual_cluster(nodes, threads);
+    input.run(imp, cfg).ok().map(|out| out.stats.total_s)
 }
 
-/// Median wall time of the plain sequential ("C") version.
-pub fn seq_seconds(app: App, set: &BenchSet, reps: usize) -> f64 {
-    match app {
-        App::Mriq => median_seconds(reps, || {
-            std::hint::black_box(mriq::run_seq(&set.mriq));
-        }),
-        App::Sgemm => median_seconds(reps, || {
-            std::hint::black_box(sgemm::run_seq(&set.sgemm));
-        }),
-        App::Tpacf => median_seconds(reps, || {
-            std::hint::black_box(tpacf::run_seq(&set.tpacf));
-        }),
-        App::Cutcp => median_seconds(reps, || {
-            std::hint::black_box(cutcp::run_seq(&set.cutcp));
-        }),
-    }
-}
-
-/// Modeled seconds of the Triolet version on a `nodes x threads` cluster.
-pub fn triolet_seconds(app: App, set: &BenchSet, nodes: usize, threads: usize) -> f64 {
-    let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, threads));
-    match app {
-        App::Mriq => mriq::run_triolet(&rt, &set.mriq).stats.total_s,
-        App::Sgemm => sgemm::run_triolet(&rt, &set.sgemm).stats.total_s,
-        App::Tpacf => tpacf::run_triolet(&rt, &set.tpacf).stats.total_s,
-        App::Cutcp => cutcp::run_triolet(&rt, &set.cutcp).stats.total_s,
-    }
-}
-
-/// Modeled seconds of the low-level (C+MPI+OpenMP) version.
-pub fn lowlevel_seconds(app: App, set: &BenchSet, nodes: usize, threads: usize) -> f64 {
-    let rt = LowLevelRt::new(ClusterConfig::virtual_cluster(nodes, threads));
-    match app {
-        App::Mriq => mriq::run_lowlevel(&rt, &set.mriq).1.total_s,
-        App::Sgemm => sgemm::run_lowlevel(&rt, &set.sgemm).1.total_s,
-        App::Tpacf => tpacf::run_lowlevel(&rt, &set.tpacf).1.total_s,
-        App::Cutcp => cutcp::run_lowlevel(&rt, &set.cutcp).1.total_s,
-    }
-}
-
-/// Modeled seconds of the Eden version; `None` when the runtime fails
-/// (sgemm's buffer overflow beyond one node).
-pub fn eden_seconds(app: App, set: &BenchSet, nodes: usize, procs: usize) -> Option<f64> {
-    let rt = EdenRt::new(nodes, procs);
-    let res = match app {
-        App::Mriq => mriq::run_eden(&rt, &set.mriq).map(|(_, s)| s.total_s),
-        App::Sgemm => sgemm::run_eden(&rt, &set.sgemm).map(|(_, s)| s.total_s),
-        App::Tpacf => tpacf::run_eden(&rt, &set.tpacf).map(|(_, s)| s.total_s),
-        App::Cutcp => cutcp::run_eden(&rt, &set.cutcp).map(|(_, s)| s.total_s),
-    };
-    res.ok()
-}
-
-/// Minimum over `reps` runs: modeled times are deterministic up to host
-/// noise, which is strictly additive, so the minimum is the robust
-/// estimator.
-fn min_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps.max(1)).map(|_| f()).fold(f64::INFINITY, f64::min)
+/// Minimum over `reps` runs, `None` as soon as one fails: modeled times are
+/// deterministic up to host noise, which is strictly additive, so the
+/// minimum is the robust estimator.
+fn min_of(reps: usize, mut f: impl FnMut() -> Option<f64>) -> Option<f64> {
+    (0..reps.max(1)).try_fold(f64::INFINITY, |best, _| Some(best.min(f()?)))
 }
 
 /// The full speedup sweep for one application: the data behind the paper's
 /// Figures 4, 5, 7 and 8. Each point takes the best of three runs per
 /// implementation *and* re-measures the sequential reference, so host CPU
 /// drift cancels row-wise.
-pub fn sweep_app(app: App, set: &BenchSet) -> Vec<SweepRow> {
+pub fn sweep_app(input: &dyn Instance) -> Vec<SweepRow> {
     core_points()
         .into_iter()
-        .map(|(nodes, threads)| SweepRow {
-            cores: nodes * threads,
-            nodes,
-            threads,
-            seq_s: min_of(2, || seq_seconds(app, set, 1)),
-            lowlevel_s: min_of(3, || lowlevel_seconds(app, set, nodes, threads)),
-            triolet_s: min_of(3, || triolet_seconds(app, set, nodes, threads)),
-            eden_s: {
-                let mut best: Option<f64> = None;
-                for _ in 0..3 {
-                    match eden_seconds(app, set, nodes, threads) {
-                        Some(t) => best = Some(best.map_or(t, |b: f64| b.min(t))),
-                        None => {
-                            best = None;
-                            break;
-                        }
-                    }
-                }
-                best
-            },
+        .map(|(nodes, threads)| {
+            let best = |imp| min_of(3, || modeled_seconds(input, imp, nodes, threads));
+            let runs = "a paper app's Triolet and low-level versions run on every shape";
+            SweepRow {
+                cores: nodes * threads,
+                nodes,
+                threads,
+                seq_s: (0..2).map(|_| seq_seconds(input, 1)).fold(f64::INFINITY, f64::min),
+                lowlevel_s: best(Impl::Lowlevel).expect(runs),
+                triolet_s: best(Impl::Triolet).expect(runs),
+                eden_s: best(Impl::Eden),
+            }
         })
         .collect()
 }
@@ -170,13 +75,11 @@ mod tests {
 
     #[test]
     fn quick_workloads_run_everywhere() {
-        let set = workloads(Scale::Quick);
-        for app in App::ALL {
-            let seq = seq_seconds(app, &set, 1);
-            assert!(seq > 0.0);
-            let t = triolet_seconds(app, &set, 2, 2);
-            let ll = lowlevel_seconds(app, &set, 2, 2);
-            assert!(t > 0.0 && ll > 0.0, "{}", app.name());
+        for input in workloads(Scale::Quick) {
+            assert!(seq_seconds(&*input, 1) > 0.0);
+            let t = modeled_seconds(&*input, Impl::Triolet, 2, 2).unwrap();
+            let ll = modeled_seconds(&*input, Impl::Lowlevel, 2, 2).unwrap();
+            assert!(t > 0.0 && ll > 0.0, "{}", input.app().title());
         }
     }
 
@@ -184,13 +87,12 @@ mod tests {
     fn eden_sgemm_fails_at_two_nodes_paper_scale_only() {
         let quick = workloads(Scale::Quick);
         // Quick sgemm (64x64) fits the buffers even at 2 nodes.
-        assert!(eden_seconds(App::Sgemm, &quick, 2, 4).is_some());
+        assert!(modeled_seconds(find(&quick, "sgemm"), Impl::Eden, 2, 4).is_some());
     }
 
     #[test]
     fn sweep_produces_all_core_points() {
-        let set = workloads(Scale::Quick);
-        let rows = sweep_app(App::Cutcp, &set);
+        let rows = sweep_app(find(&workloads(Scale::Quick), "cutcp"));
         assert_eq!(rows.len(), core_points().len());
         assert!(rows.iter().all(|r| r.triolet_s > 0.0));
     }

@@ -9,15 +9,15 @@
 //! run alongside the paper's reported values.
 
 use triolet::prelude::*;
-use triolet_bench::apps::{self, App, BenchSet};
+use triolet_apps::table::{Impl, Instance, Scale};
+use triolet_bench::apps::{self, find, modeled_seconds, seq_seconds};
 use triolet_bench::{
-    median_seconds, print_phase_breakdown, print_series, print_table, Scale, Series, SweepRow,
+    median_seconds, print_phase_breakdown, print_series, print_table, Series, SweepRow,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = Scale::from_flag(quick);
+    let scale = if args.iter().any(|a| a == "--quick") { Scale::Quick } else { Scale::Paper };
     let mut figs: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     if figs.is_empty() {
@@ -39,25 +39,16 @@ fn main() {
     if all || figs.contains(&"fig3") {
         fig3(&set);
     }
-    let mut sweeps: Vec<(App, &str)> = Vec::new();
-    if all || figs.contains(&"fig4") {
-        sweeps.push((App::Mriq, "Figure 4: mri-q scalability"));
-    }
-    if all || figs.contains(&"fig5") {
-        sweeps.push((App::Sgemm, "Figure 5: sgemm scalability"));
-    }
-    if all || figs.contains(&"fig7") {
-        sweeps.push((App::Tpacf, "Figure 7: tpacf scalability"));
-    }
-    if all || figs.contains(&"fig8") {
-        sweeps.push((App::Cutcp, "Figure 8: cutcp scalability"));
-    }
-    let mut collected: Vec<(App, f64, Vec<SweepRow>)> = Vec::new();
-    for (app, title) in sweeps {
-        let seq = apps::seq_seconds(app, &set, 2);
-        let rows = apps::sweep_app(app, &set);
-        print_series(&Series { title, seq_s: seq, rows: &rows });
-        collected.push((app, seq, rows));
+    // The table lists the paper's apps in the order of these figures.
+    let mut collected: Vec<(&str, Vec<SweepRow>)> = Vec::new();
+    for (input, fig) in set.iter().zip(["fig4", "fig5", "fig7", "fig8"]) {
+        if all || figs.contains(&fig) {
+            let name = input.app().title();
+            let title = format!("Figure {}: {name} scalability", &fig[3..]);
+            let rows = apps::sweep_app(&**input);
+            print_series(&Series { title: &title, seq_s: seq_seconds(&**input, 2), rows: &rows });
+            collected.push((name, rows));
+        }
     }
     if all || figs.contains(&"phases") {
         phases(&set);
@@ -69,12 +60,14 @@ fn main() {
 
 /// Where the modeled time goes: per-phase span totals from the recorded
 /// traces of two representative benchmarks on the reference cluster.
-fn phases(set: &BenchSet) {
-    let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 4).with_trace(true));
-    let mriq = triolet_apps::mriq::run_triolet(&rt, &set.mriq);
-    print_phase_breakdown("Phase breakdown: mri-q (4x4 virtual cluster)", &mriq.trace);
-    let cutcp = triolet_apps::cutcp::run_triolet(&rt, &set.cutcp);
-    print_phase_breakdown("Phase breakdown: cutcp (4x4 virtual cluster)", &cutcp.trace);
+fn phases(set: &[Box<dyn Instance>]) {
+    let cfg = ClusterConfig::virtual_cluster(4, 4).with_trace(true);
+    for name in ["mriq", "cutcp"] {
+        let input = find(set, name);
+        let out = input.run(Impl::Triolet, cfg).expect("a paper app runs on Triolet");
+        let title = format!("Phase breakdown: {} (4x4 virtual cluster)", input.app().title());
+        print_phase_breakdown(&title, &out.trace);
+    }
 }
 
 /// Figure 1: the capability matrix of fusible encodings, with the "slow"
@@ -156,16 +149,17 @@ fn fig1() {
 }
 
 /// Figure 3: sequential execution time per benchmark and language.
-fn fig3(set: &BenchSet) {
+fn fig3(set: &[Box<dyn Instance>]) {
     let mut rows = Vec::new();
-    for app in App::ALL {
-        let c = apps::seq_seconds(app, set, 2);
+    for name in ["tpacf", "mriq", "sgemm", "cutcp"] {
+        let input = find(set, name);
+        let c = seq_seconds(input, 2);
         // Triolet "sequential": the skeleton code on a 1x1 cluster.
-        let triolet = apps::triolet_seconds(app, set, 1, 1);
+        let triolet = modeled_seconds(input, Impl::Triolet, 1, 1).expect("runs on 1x1");
         // Eden "sequential": the Eden runtime with a single process.
-        let eden = apps::eden_seconds(app, set, 1, 1).expect("1 node never hits buffers");
+        let eden = modeled_seconds(input, Impl::Eden, 1, 1).expect("1 node never hits buffers");
         rows.push(vec![
-            app.name().to_string(),
+            input.app().title().to_string(),
             format!("{:.3}", c),
             format!("{:.3} ({:.2}x)", eden, eden / c),
             format!("{:.3} ({:.2}x)", triolet, triolet / c),
@@ -179,14 +173,13 @@ fn fig3(set: &BenchSet) {
 }
 
 /// The §4 headline claims, checked against the collected sweeps.
-fn summary(collected: &[(App, f64, Vec<SweepRow>)]) {
+fn summary(collected: &[(&str, Vec<SweepRow>)]) {
     if collected.is_empty() {
         return;
     }
     let mut rows = Vec::new();
-    for (app, seq, sweep) in collected {
+    for (name, sweep) in collected {
         let last = sweep.last().expect("non-empty sweep");
-        let _ = seq;
         let (ll, tr, ed) = last.speedups();
         // The paper's claim concerns distributed execution; within a single
         // node Eden-style plain loops can match (its costs are messages and
@@ -199,7 +192,7 @@ fn summary(collected: &[(App, f64, Vec<SweepRow>)]) {
             }
         });
         rows.push(vec![
-            app.name().to_string(),
+            name.to_string(),
             format!("{tr:.1}x"),
             format!("{ll:.1}x"),
             format!("{:.0}%", 100.0 * tr / ll),

@@ -24,4 +24,4 @@ pub mod report;
 pub mod sweep;
 
 pub use report::{print_phase_breakdown, print_series, print_table, Series};
-pub use sweep::{core_points, median_seconds, Scale, SweepRow};
+pub use sweep::{core_points, median_seconds, SweepRow};

@@ -2,27 +2,6 @@
 
 use std::time::Instant;
 
-/// Workload scale: `Quick` for CI-speed smoke runs, `Paper` for the
-/// evaluation-shaped runs recorded in EXPERIMENTS.md.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Seconds-long total runtime; tiny inputs.
-    Quick,
-    /// Minutes-long total runtime; the scaled-down Parboil shapes.
-    Paper,
-}
-
-impl Scale {
-    /// Parse from a CLI flag.
-    pub fn from_flag(quick: bool) -> Self {
-        if quick {
-            Scale::Quick
-        } else {
-            Scale::Paper
-        }
-    }
-}
-
 /// The paper's x-axis: core counts up to 8 nodes x 16 cores. Points below
 /// 16 cores use one node with that many threads; beyond, full 16-thread
 /// nodes.

@@ -5,85 +5,46 @@
 //! three versions compute the same thing.
 
 use triolet::prelude::*;
+use triolet_apps::table::{app, Impl};
 use triolet_apps::{cutcp, mriq, sgemm, tpacf};
-use triolet_baselines::{EdenRt, LowLevelRt};
 
 const SHAPES: &[(usize, usize)] = &[(1, 1), (1, 4), (2, 2), (4, 2), (8, 16)];
 
+/// The app's Triolet, low-level and Eden versions on every shape of
+/// `SHAPES` against its sequential reference, each within the tolerance the
+/// table gives it.
+fn equivalent_across_shapes_and_models(name: &str, sizes: &[usize], seed: u64) {
+    let input = app(name).expect("in the table").generate(sizes, seed);
+    let expect = input.run(Impl::Seq, ClusterConfig::virtual_cluster(1, 1)).unwrap();
+    for imp in [Impl::Triolet, Impl::Lowlevel, Impl::Eden] {
+        // Eden runs sgemm on one node only at this size class (buffer limit).
+        let shapes = if (name, imp) == ("sgemm", Impl::Eden) { &[(1, 8)][..] } else { SHAPES };
+        for &(nodes, tpn) in shapes {
+            let got = input.run(imp, ClusterConfig::virtual_cluster(nodes, tpn));
+            let got = got.unwrap_or_else(|e| panic!("{imp:?} {nodes}x{tpn}: {e}"));
+            assert!(input.validate(&expect, &got), "{name} {imp:?} {nodes}x{tpn}");
+        }
+    }
+}
+
 #[test]
 fn mriq_equivalent_across_shapes_and_models() {
-    let input = mriq::generate(96, 48, 11);
-    let expect = mriq::run_seq(&input);
-    for &(nodes, tpn) in SHAPES {
-        let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let got = mriq::run_triolet(&rt, &input);
-        assert!(mriq::validate(&expect, &got.value, 1e-4), "triolet {nodes}x{tpn}");
-
-        let ll = LowLevelRt::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let (got, _) = mriq::run_lowlevel(&ll, &input);
-        assert!(mriq::validate(&expect, &got, 1e-4), "lowlevel {nodes}x{tpn}");
-
-        let eden = EdenRt::new(nodes, tpn);
-        let (got, _) = mriq::run_eden(&eden, &input).expect("fits buffers");
-        assert!(mriq::validate(&expect, &got, 1e-3), "eden {nodes}x{tpn}");
-    }
+    equivalent_across_shapes_and_models("mriq", &[96, 48], 11);
 }
 
 #[test]
 fn sgemm_equivalent_across_shapes_and_models() {
-    let input = sgemm::generate(32, 22);
-    let expect = sgemm::run_seq(&input);
-    for &(nodes, tpn) in SHAPES {
-        let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let got = sgemm::run_triolet(&rt, &input);
-        assert!(sgemm::validate(&expect, &got.value, 1e-4), "triolet {nodes}x{tpn}");
-
-        let ll = LowLevelRt::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let (got, _) = sgemm::run_lowlevel(&ll, &input);
-        assert!(sgemm::validate(&expect, &got, 1e-4), "lowlevel {nodes}x{tpn}");
-    }
-    // Eden only runs on one node at this size class (buffer limit).
-    let eden = EdenRt::new(1, 8);
-    let (got, _) = sgemm::run_eden(&eden, &input).expect("single node");
-    assert!(sgemm::validate(&expect, &got, 1e-4), "eden 1x8");
+    equivalent_across_shapes_and_models("sgemm", &[32], 22);
 }
 
 #[test]
 fn tpacf_equivalent_across_shapes_and_models() {
-    let input = tpacf::generate(48, 5, 16, 33);
-    let expect = tpacf::run_seq(&input);
-    for &(nodes, tpn) in SHAPES {
-        let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let got = tpacf::run_triolet(&rt, &input);
-        assert!(tpacf::validate(&expect, &got.value), "triolet {nodes}x{tpn}");
-
-        let ll = LowLevelRt::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let (got, _) = tpacf::run_lowlevel(&ll, &input);
-        assert!(tpacf::validate(&expect, &got), "lowlevel {nodes}x{tpn}");
-
-        let eden = EdenRt::new(nodes, tpn);
-        let (got, _) = tpacf::run_eden(&eden, &input).expect("fits buffers");
-        assert!(tpacf::validate(&expect, &got), "eden {nodes}x{tpn}");
-    }
+    equivalent_across_shapes_and_models("tpacf", &[48, 5, 16], 33);
 }
 
 #[test]
 fn cutcp_equivalent_across_shapes_and_models() {
-    let input = cutcp::generate(80, 10, 77);
-    let expect = cutcp::run_seq(&input);
-    for &(nodes, tpn) in SHAPES {
-        let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let got = cutcp::run_triolet(&rt, &input);
-        assert!(cutcp::validate(&expect, &got.value, 1e-9), "triolet {nodes}x{tpn}");
-
-        let ll = LowLevelRt::new(ClusterConfig::virtual_cluster(nodes, tpn));
-        let (got, _) = cutcp::run_lowlevel(&ll, &input);
-        assert!(cutcp::validate(&expect, &got, 1e-9), "lowlevel {nodes}x{tpn}");
-
-        let eden = EdenRt::new(nodes, tpn);
-        let (got, _) = cutcp::run_eden(&eden, &input).expect("fits buffers");
-        assert!(cutcp::validate(&expect, &got, 1e-9), "eden {nodes}x{tpn}");
-    }
+    equivalent_across_shapes_and_models("cutcp", &[80, 10], 77);
 }
 
 #[test]
