@@ -8,8 +8,9 @@
 //!     --nodes 8 --threads 2 --tenants 3 --jobs 60 --policy fair
 //! ```
 //!
-//! A malformed command line, or an implementation the app does not have,
-//! exits 2; an Eden runtime failure (sgemm's buffers beyond one node) exits 1.
+//! A malformed command line, an implementation the app does not have, or
+//! fault flags on an Eden run (its runtime injects none) exits 2; an Eden
+//! runtime failure (sgemm's buffers beyond one node) exits 1.
 
 use triolet::prelude::*;
 use triolet::service::percentile;
@@ -44,7 +45,7 @@ fn main() {
     let input = app.generate(&opts.values(), opts.seed);
     let out = input.run(opts.imp, opts.cluster_config()).unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(if matches!(e, AppError::Missing(_)) { 2 } else { 1 })
+        std::process::exit(if matches!(e, AppError::Eden(_)) { 1 } else { 2 })
     });
     if opts.imp == Impl::Seq {
         println!("time={:.4}s (sequential)", out.stats.total_s);

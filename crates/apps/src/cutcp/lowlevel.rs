@@ -5,7 +5,7 @@ use triolet::{Domain, NodeCtx, RunStats};
 use triolet_baselines::LowLevelRt;
 use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
 
-use super::{axis_range, potential, Atom, CutcpInput, GridGeom};
+use super::{accumulate_atom, Atom, CutcpInput, GridGeom};
 
 /// One rank's hand-built message: its atom slice plus the geometry.
 #[derive(Clone)]
@@ -24,29 +24,6 @@ impl Wire for RankPayload {
     }
     fn packed_size(&self) -> usize {
         self.atoms.packed_size() + self.geom.packed_size()
-    }
-}
-
-/// Accumulate one atom into a raw grid (the C inner loop nest).
-#[inline]
-fn accumulate_atom(grid: &mut [f64], geom: &GridGeom, a: &Atom) {
-    let c2 = geom.cutoff * geom.cutoff;
-    let (x0, x1) = axis_range(a.x, geom.cutoff, geom.h, geom.dom.nx);
-    let (y0, y1) = axis_range(a.y, geom.cutoff, geom.h, geom.dom.ny);
-    let (z0, z1) = axis_range(a.z, geom.cutoff, geom.h, geom.dom.nz);
-    for ix in x0..=x1 {
-        let dx = ix as f32 * geom.h - a.x;
-        for iy in y0..=y1 {
-            let dy = iy as f32 * geom.h - a.y;
-            for iz in z0..=z1 {
-                let dz = iz as f32 * geom.h - a.z;
-                let r2 = dx * dx + dy * dy + dz * dz;
-                if r2 > c2 || r2 <= 0.0 {
-                    continue;
-                }
-                grid[geom.dom.linear_of((ix, iy, iz))] += potential(a.q, r2, c2);
-            }
-        }
     }
 }
 

@@ -25,7 +25,7 @@ pub use triolet_impl::run_triolet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use triolet::Dim3;
+use triolet::{Dim3, Domain};
 use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
 
 /// A charged atom.
@@ -127,6 +127,30 @@ pub fn potential(q: f32, r2: f32, cutoff2: f32) -> f64 {
     let r = (r2 as f64).sqrt();
     let t = 1.0 - r2 as f64 / cutoff2 as f64;
     q as f64 * (1.0 / r) * t * t
+}
+
+/// Accumulate one atom into a raw grid: the C inner loop nest, shared by
+/// the sequential reference and the low-level ranks.
+#[inline]
+fn accumulate_atom(grid: &mut [f64], geom: &GridGeom, a: &Atom) {
+    let c2 = geom.cutoff * geom.cutoff;
+    let (x0, x1) = axis_range(a.x, geom.cutoff, geom.h, geom.dom.nx);
+    let (y0, y1) = axis_range(a.y, geom.cutoff, geom.h, geom.dom.ny);
+    let (z0, z1) = axis_range(a.z, geom.cutoff, geom.h, geom.dom.nz);
+    for ix in x0..=x1 {
+        let dx = ix as f32 * geom.h - a.x;
+        for iy in y0..=y1 {
+            let dy = iy as f32 * geom.h - a.y;
+            for iz in z0..=z1 {
+                let dz = iz as f32 * geom.h - a.z;
+                let r2 = dx * dx + dy * dy + dz * dz;
+                if r2 > c2 || r2 <= 0.0 {
+                    continue;
+                }
+                grid[geom.dom.linear_of((ix, iy, iz))] += potential(a.q, r2, c2);
+            }
+        }
+    }
 }
 
 /// Validate two grids to a relative tolerance.

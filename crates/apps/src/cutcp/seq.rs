@@ -2,32 +2,13 @@
 
 use triolet::Domain;
 
-use super::{axis_range, potential, CutcpInput};
+use super::{accumulate_atom, CutcpInput};
 
 /// Compute the potential grid with plain sequential loops.
 pub fn run_seq(input: &CutcpInput) -> Vec<f64> {
-    let g = input.geom;
-    let (nx, ny, nz) = (g.dom.nx, g.dom.ny, g.dom.nz);
-    let c2 = g.cutoff * g.cutoff;
-    let mut grid = vec![0.0f64; g.dom.count()];
+    let mut grid = vec![0.0f64; input.geom.dom.count()];
     for a in &input.atoms {
-        let (x0, x1) = axis_range(a.x, g.cutoff, g.h, nx);
-        let (y0, y1) = axis_range(a.y, g.cutoff, g.h, ny);
-        let (z0, z1) = axis_range(a.z, g.cutoff, g.h, nz);
-        for ix in x0..=x1 {
-            let dx = ix as f32 * g.h - a.x;
-            for iy in y0..=y1 {
-                let dy = iy as f32 * g.h - a.y;
-                for iz in z0..=z1 {
-                    let dz = iz as f32 * g.h - a.z;
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    if r2 > c2 || r2 <= 0.0 {
-                        continue; // outside cutoff (or the singular point)
-                    }
-                    grid[g.dom.linear_of((ix, iy, iz))] += potential(a.q, r2, c2);
-                }
-            }
-        }
+        accumulate_atom(&mut grid, &input.geom, a);
     }
     grid
 }

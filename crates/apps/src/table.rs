@@ -275,7 +275,8 @@ pub trait Instance {
     /// The app it is an input of.
     fn app(&self) -> &dyn App;
     /// Run `imp` on a virtual cluster configured by `cfg`. `Seq` ignores
-    /// `cfg` and reports its host seconds as [`RunStats::local`].
+    /// `cfg` and reports its host seconds as [`RunStats::local`]; `Eden`
+    /// refuses a `cfg` whose fault plan is not [`FaultPlan::none`].
     fn run(&self, imp: Impl, cfg: ClusterConfig) -> Result<Outcome, AppError>;
     /// Does `got` match the reference `expect` within the tolerance of the
     /// implementation that produced it?
@@ -303,6 +304,8 @@ pub enum AppError {
     Missing(String),
     /// The Eden runtime failed (sgemm's buffer overflow beyond one node).
     Eden(EdenError),
+    /// A fault plan was given to this app's Eden run, which injects none.
+    EdenFaults(&'static str),
 }
 
 impl fmt::Display for AppError {
@@ -310,6 +313,10 @@ impl fmt::Display for AppError {
         match self {
             AppError::Missing(why) => f.write_str(why),
             AppError::Eden(e) => write!(f, "eden runtime failure: {e}"),
+            AppError::EdenFaults(app) => write!(
+                f,
+                "{app} --impl eden takes no fault flags: the Eden runtime injects no faults"
+            ),
         }
     }
 }
@@ -358,6 +365,9 @@ impl<I, O> Instance for Loaded<'_, I, O> {
             (_, Some((_, Arm::LowLevel(f)))) => {
                 let (value, stats) = f(&LowLevelRt::new(cfg.with_trace(false)), input);
                 Run::new(value, stats)
+            }
+            (_, Some((_, Arm::Eden(_)))) if cfg.faults != FaultPlan::none() => {
+                return Err(AppError::EdenFaults(spec.name));
             }
             (_, Some((_, Arm::Eden(f)))) => {
                 let eden = EdenRt::new(cfg.nodes, cfg.threads_per_node);
@@ -420,6 +430,32 @@ mod tests {
         let err = kmeans.at(Scale::Quick, 1).run(Impl::Eden, ClusterConfig::virtual_cluster(1, 1));
         let text = err.err().expect("kmeans has no Eden version").to_string();
         assert_eq!(text, "kmeans has no eden implementation; use --impl seq|triolet|lowlevel");
+    }
+
+    #[test]
+    fn eden_refuses_fault_flags_and_runs_fault_free_as_before() {
+        let mriq_app = app("mriq").expect("in the table");
+        let sizes = mriq_app.sizes().iter().map(|s| (s.key, s.quick));
+        let flags = ["--impl", "eden", "--nodes", "4", "--threads", "2", "--crash", "1"];
+        let opts = crate::cli::Opts::new(sizes).parse(flags.map(String::from)).expect("parses");
+        let input = mriq_app.generate(&opts.values(), opts.seed);
+        let text = match input.run(opts.imp, opts.cluster_config()) {
+            Err(e @ AppError::EdenFaults(_)) => e.to_string(),
+            other => panic!("a crash plan must be refused, got {:?}", other.map(|o| o.stats)),
+        };
+        assert_eq!(
+            text,
+            "mriq --impl eden takes no fault flags: the Eden runtime injects no faults"
+        );
+
+        // Without faults, the table runs exactly what `mriq::run_eden` runs.
+        let got = input.run(Impl::Eden, ClusterConfig::virtual_cluster(4, 2)).expect("runs");
+        let [pixels, samples] = opts.values()[..] else { panic!("two size keys") };
+        let direct = mriq::generate(pixels, samples, opts.seed);
+        let (value, stats) = mriq::run_eden(&EdenRt::new(4, 2), &direct).expect("fits");
+        assert_eq!(output::<mriq::MriqOutput>(&got), &value);
+        let traffic = |s: &RunStats| (s.bytes_out, s.bytes_back, s.messages);
+        assert_eq!(traffic(&got.stats), traffic(&stats));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triolet::prelude::*;
-use triolet_iter::StepFlat;
 
 fn main() {
     let dim = 16usize;
@@ -35,22 +34,21 @@ fn main() {
     let contributions = from_vec(atoms.clone())
         .par()
         .concat_map(move |(x, y, z, q): (f32, f32, f32, f32)| {
-            // gridPts: all cells in the atom's bounding box.
+            // gridPts: all cells in the atom's bounding box, a fused x/y/z nest.
             let lo = |p: f32| ((p - cutoff) / h).floor().max(0.0) as usize;
             let hi = |p: f32| (((p + cutoff) / h).ceil() as usize).min(dim - 1);
             let (x0, x1, y0, y1, z0, z1) = (lo(x), hi(x), lo(y), hi(y), lo(z), hi(z));
-            let mut cells = Vec::new();
-            for ix in x0..=x1 {
-                for iy in y0..=y1 {
-                    for iz in z0..=z1 {
+            range(x1 - x0 + 1).concat_map(move |i: usize| {
+                range(y1 - y0 + 1).concat_map(move |j: usize| {
+                    range(z1 - z0 + 1).map(move |k: usize| {
+                        let (ix, iy, iz) = (x0 + i, y0 + j, z0 + k);
                         let dx = ix as f32 * h - x;
                         let dy = iy as f32 * h - y;
                         let dz = iz as f32 * h - z;
-                        cells.push((dom.linear_of((ix, iy, iz)), dx * dx + dy * dy + dz * dz, q));
-                    }
-                }
-            }
-            StepFlat::new(cells.into_iter())
+                        (dom.linear_of((ix, iy, iz)), dx * dx + dy * dy + dz * dz, q)
+                    })
+                })
+            })
         })
         .filter(move |&(_, r2, _): &(usize, f32, f32)| r2 <= c2 && r2 > 0.0)
         .map(move |(cell, r2, q): (usize, f32, f32)| {
