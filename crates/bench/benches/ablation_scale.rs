@@ -1,4 +1,4 @@
-//! Scale sweep: the event-driven virtual-time core at 64–4096 ranks.
+//! Scale sweep: the virtual-time walk at 64–4096 ranks.
 //!
 //! ```text
 //! cargo bench --bench ablation_scale -- [--smoke] [--out FILE]
@@ -6,9 +6,9 @@
 //!
 //! Runs an environment-broadcasting `fold_reduce` across N ∈ {64, 256,
 //! 1024, 4096} simulated ranks and reports, per point: the host wall-clock
-//! for the whole virtual dispatch, the simulator's heap throughput
-//! (events/second), and its peak resident heap length, asserted to stay
-//! `O(ranks)`. `--out` writes the table as JSON (BENCH_scale.json is the
+//! for the whole virtual dispatch, the timestamps the simulator assigned
+//! (asserted equal to the timeline's formula) and its throughput
+//! (events/second). `--out` writes the table as JSON (BENCH_scale.json is the
 //! committed capture); `--smoke` shrinks the workload and rank sweep for CI
 //! while keeping the 1024-rank point — the only > 8-rank floor CI has.
 
@@ -23,7 +23,6 @@ struct Point {
     total_s: f64,
     events: u64,
     events_per_s: f64,
-    peak_heap: u64,
 }
 
 fn workload(ranks: usize, items_per_rank: usize) -> (Vec<f64>, Vec<f64>) {
@@ -45,14 +44,12 @@ fn run_point(ranks: usize, env: &Vec<f64>, xs: &[f64]) -> Point {
     );
     let wall_s = t0.elapsed().as_secs_f64();
     let events = rt.cluster().stats().sim_events();
-    let peak_heap = rt.cluster().stats().sim_peak_heap();
     Point {
         ranks,
         wall_s,
         total_s: run.stats.total_s,
         events,
         events_per_s: if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 },
-        peak_heap,
     }
 }
 
@@ -64,13 +61,13 @@ fn main() {
     let rank_sweep: &[usize] = if smoke { &[64, 1024] } else { &[64, 256, 1024, 4096] };
     let items_per_rank = if smoke { 16 } else { 64 };
 
-    println!("# Scale sweep: event-driven virtual-time core");
+    println!("# Scale sweep: virtual-time walk");
     println!(
         "{items_per_rank} items/rank | env broadcast 4096 bytes | cost model {:?}",
         CostModel::default()
     );
-    println!("| ranks | sim wall (s) | events | events/s | peak heap | makespan (s) |");
-    println!("|------:|-------------:|-------:|---------:|----------:|-------------:|");
+    println!("| ranks | sim wall (s) | events | events/s | makespan (s) |");
+    println!("|------:|-------------:|-------:|---------:|-------------:|");
 
     // One discarded run to warm the allocator and page in the inputs.
     {
@@ -83,17 +80,13 @@ fn main() {
         let (env, xs) = workload(ranks, items_per_rank);
         let p = run_point(ranks, &env, &xs);
         println!(
-            "| {} | {:.6} | {} | {:.0} | {} | {:.6} |",
-            p.ranks, p.wall_s, p.events, p.events_per_s, p.peak_heap, p.total_s
+            "| {} | {:.6} | {} | {:.0} | {:.6} |",
+            p.ranks, p.wall_s, p.events, p.events_per_s, p.total_s
         );
-        // The heap discipline: every timed piece pops as an event, while
-        // resident state stays O(ranks) — far below the event total.
-        assert!(p.events > 0, "the simulator must process heap events at {ranks} ranks");
-        assert!(
-            p.peak_heap <= 4 * ranks as u64 + 16,
-            "peak heap {} must stay O(ranks) at {ranks} ranks",
-            p.peak_heap
-        );
+        // `edges + tasks with a message + hops + 3 × tasks`: one task per
+        // rank, each with one hop and one environment edge to its rank.
+        let (edges, sent, hops, tasks) = (ranks, ranks, ranks, ranks);
+        assert_eq!(p.events, (edges + sent + hops + 3 * tasks) as u64, "at {ranks} ranks");
         points.push(p);
     }
 
@@ -103,12 +96,11 @@ fn main() {
         for (i, p) in points.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"ranks\": {}, \"sim_wall_s\": {:.9}, \"events\": {}, \
-                 \"events_per_s\": {:.0}, \"peak_heap\": {}, \"total_s\": {:.9}}}{}\n",
+                 \"events_per_s\": {:.0}, \"total_s\": {:.9}}}{}\n",
                 p.ranks,
                 p.wall_s,
                 p.events,
                 p.events_per_s,
-                p.peak_heap,
                 p.total_s,
                 if i + 1 < points.len() { "," } else { "" }
             ));

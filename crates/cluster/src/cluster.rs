@@ -10,7 +10,7 @@
 //! order, bit-identical to a fault-free run.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use triolet_obs::{tree_edge_args, ArgValue, TraceData, TraceHandle, Track};
@@ -1004,22 +1004,13 @@ pub struct Cluster {
     config: ClusterConfig,
     stats: TrafficStats,
     resident: Arc<ResidentStore>,
-    /// Reusable simulator state (clock vectors, event heap): capacity is
-    /// retained across dispatches, so a collective step allocates no
-    /// per-step `sender_clock` vectors.
-    sim_scratch: Mutex<sim::SimScratch>,
 }
 
 impl Cluster {
     /// Bring up a cluster (no threads are spawned: node tasks run one at a
     /// time on the caller's thread, in virtual time).
     pub fn new(config: ClusterConfig) -> Self {
-        Cluster {
-            config,
-            stats: TrafficStats::new(),
-            resident: Arc::new(ResidentStore::new()),
-            sim_scratch: Mutex::new(sim::SimScratch::new()),
-        }
+        Cluster { config, stats: TrafficStats::new(), resident: Arc::new(ResidentStore::new()) }
     }
 
     /// The cluster's configuration.
@@ -1090,8 +1081,11 @@ impl Cluster {
             let tx = Attempts::reliable(&plan, (ROOT, rank), SEG_TAG, rank as u64)
                 .expect("fault plan never delivers a segment to its home rank");
             counts.message(&tx, bytes, (ROOT, rank));
-            let edge_s = tx.seconds(cost.edge_time(ROOT, rank, bytes), timeout_s, tx.retries());
+            let dt = cost.edge_time(ROOT, rank, bytes);
+            let edge_s = tx.seconds(dt, timeout_s, tx.retries());
             if tr.enabled() {
+                let args = [("seg", id.into()), ("dest", rank.into())];
+                trace_faults(&tr, Track::Root, &tx, (clock, dt), &args);
                 tr.span(
                     "send",
                     "comm",
@@ -1123,7 +1117,7 @@ impl Cluster {
             );
         }
         let seg_scatters = segs.len() as u64;
-        self.stats.add(TrafficSnapshot { seg_scatters, ..counts.traffic() }, 0);
+        self.stats.add(TrafficSnapshot { seg_scatters, ..counts.traffic() });
         // The root NIC is busy for the whole scatter: all of it is comm.
         let node_compute_s = vec![0.0; self.config.nodes];
         (DistTiming { total_s: clock, comm_s: clock, node_compute_s, ..counts.timing }, tr.take())
@@ -1210,7 +1204,6 @@ impl Cluster {
         );
         let mut node_compute_s = vec![0.0f64; self.config.nodes];
         node_compute_s[0] = total_s;
-        self.stats.add(TrafficSnapshot::default(), 0);
         (value, DistTiming { total_s, node_compute_s, ..DistTiming::default() }, tr.take())
     }
 
@@ -1269,7 +1262,7 @@ impl Cluster {
         let times = self.timeline(&plan, &executed.node_s, &ret_s);
         let (traffic, outcome) = self.account(plan, executed, &ret_s, &times);
         let sim_events = times.events;
-        self.stats.add(TrafficSnapshot { sim_events, ..traffic }, times.peak_heap as u64);
+        self.stats.add(TrafficSnapshot { sim_events, ..traffic });
         outcome
     }
 
@@ -1305,8 +1298,7 @@ impl Cluster {
     }
 
     /// Lay the plan, the measured node seconds and the return trips on the
-    /// virtual clock. Debug builds replay it through the eager oracle and
-    /// panic unless the two timelines agree to the bit.
+    /// virtual clock.
     fn timeline(&self, plan: &Plan, node_s: &[f64], ret_s: &[f64]) -> SimTimes {
         let problem = SimProblem {
             n_nodes: self.config.nodes,
@@ -1318,11 +1310,7 @@ impl Cluster {
             ret_s,
             needs: &plan.scatter.needs,
         };
-        let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
-        let times = sim::run_event(&problem, &mut scratch);
-        #[cfg(debug_assertions)]
-        sim::assert_cores_agree(&sim::run_eager(&problem, &mut scratch), &times);
-        times
+        sim::run(&problem)
     }
 
     /// Close a dispatch off its timeline: render the trace, unpack the
@@ -2012,6 +2000,20 @@ mod tests {
         // Recorded at the commit before hops and tree edges shared one
         // `trace_faults`, for this seed.
         assert_eq!((on(true), on(false)), ([6, 1, 1], [2, 2, 2]));
+    }
+
+    #[test]
+    fn a_traced_scatter_shows_every_fault_its_stats_count() {
+        let cfg = ClusterConfig::virtual_cluster(8, 1).with_faults(lossy_plan(5)).with_trace(true);
+        let cluster = Cluster::new(cfg);
+        let segs: Vec<(usize, usize)> = (0..8).map(|rank| (rank, 4096)).collect();
+        let (_, trace) = cluster.scatter_segments(7, &segs);
+        let s = cluster.stats().snapshot();
+        let counted = [s.retries, s.dropped, s.corrupted, s.duplicated];
+        let traced =
+            ["retry", "drop", "corrupt", "duplicate"].map(|n| trace.count_events(n) as u64);
+        assert_eq!(traced, counted);
+        assert!(s.retries > 0 && s.dropped > 0, "the plan must fault this scatter: {s:?}");
     }
 
     #[test]

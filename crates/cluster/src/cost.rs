@@ -114,12 +114,12 @@ impl Default for CostModel {
 /// the cluster performed after declaring a rank dead.
 ///
 /// Every write is one `add` of a whole operation's counts: a dispatch, a
-/// segment scatter, a local run and a committed service job each bank
-/// theirs once, so a reader never sees an operation half counted.
+/// segment scatter and a committed service job each bank theirs once, so a
+/// reader never sees an operation half counted. A local run touches no wire
+/// and banks nothing.
 #[derive(Debug, Default)]
 pub struct TrafficStats {
-    /// The running totals, and the simulator's peak event-heap length.
-    ledger: Mutex<(TrafficSnapshot, u64)>,
+    ledger: Mutex<TrafficSnapshot>,
 }
 
 impl TrafficStats {
@@ -128,37 +128,29 @@ impl TrafficStats {
         Self::default()
     }
 
-    fn ledger(&self) -> MutexGuard<'_, (TrafficSnapshot, u64)> {
+    fn ledger(&self) -> MutexGuard<'_, TrafficSnapshot> {
         self.ledger.lock().expect("traffic ledger poisoned")
     }
 
-    /// Bank one operation: every counter of `delta` adds to the totals, and
-    /// `sim_peak_heap` raises the high-water mark. The job service banks
-    /// each job here, metered on the worker runtime that ran it.
-    pub fn add(&self, delta: TrafficSnapshot, sim_peak_heap: u64) {
+    /// Bank one operation: every counter of `delta` adds to the totals. The
+    /// job service banks each job here, metered on the worker runtime that
+    /// ran it.
+    pub fn add(&self, delta: TrafficSnapshot) {
         let mut ledger = self.ledger();
-        ledger.0 = ledger.0.plus(&delta);
-        ledger.1 = ledger.1.max(sim_peak_heap);
+        *ledger = ledger.plus(&delta);
     }
 
     /// Record one serialization of a broadcast environment. With pack-once
     /// payload caching this is exactly one per skeleton call with a
     /// non-empty environment, regardless of node count.
     pub fn record_env_pack(&self) {
-        self.add(TrafficSnapshot { env_packs: 1, ..TrafficSnapshot::default() }, 0);
+        self.add(TrafficSnapshot { env_packs: 1, ..TrafficSnapshot::default() });
     }
 
-    /// Event-heap events processed by the virtual-time simulator so far,
-    /// summed over dispatches (the eager oracle that debug builds replay
-    /// each dispatch through is never counted).
+    /// Timestamps the virtual-time simulator has assigned so far, summed
+    /// over dispatches.
     pub fn sim_events(&self) -> u64 {
         self.snapshot().sim_events
-    }
-
-    /// Peak event-heap length across all simulations since the last reset —
-    /// the simulator's resident state high-water mark.
-    pub fn sim_peak_heap(&self) -> u64 {
-        self.ledger().1
     }
 
     /// A point-in-time copy of every counter. The job service meters each
@@ -166,7 +158,7 @@ impl TrafficStats {
     /// ([`TrafficSnapshot::since`]), so per-tenant accounting needs no hook
     /// inside the dispatch path itself.
     pub fn snapshot(&self) -> TrafficSnapshot {
-        self.ledger().0
+        *self.ledger()
     }
 
     /// Zero the counters (between experiments).
@@ -178,8 +170,7 @@ impl TrafficStats {
 /// A plain-value copy of the cluster's cumulative traffic counters
 /// ([`TrafficStats::snapshot`]). Two snapshots bracket an interval of
 /// cluster activity; [`since`](Self::since) yields the traffic of exactly
-/// that interval. `sim_peak_heap` is a high-water mark, not a counter, so
-/// it is deliberately absent — a difference of maxima means nothing.
+/// that interval.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
     /// Messages recorded.
@@ -399,35 +390,28 @@ mod tests {
     }
 
     #[test]
-    fn sim_counters_accumulate_max_and_reset() {
+    fn sim_events_accumulate_and_reset() {
         let s = TrafficStats::new();
         let events = |sim_events| TrafficSnapshot { sim_events, ..TrafficSnapshot::default() };
-        s.add(events(100), 32);
-        s.add(events(50), 16);
+        s.add(events(100));
+        s.add(events(50));
         assert_eq!(s.sim_events(), 150);
-        assert_eq!(s.sim_peak_heap(), 32, "peak is a max, not a sum");
-        s.add(events(0), 64);
-        assert_eq!(s.sim_peak_heap(), 64);
         s.reset();
         assert_eq!(s.sim_events(), 0);
-        assert_eq!(s.sim_peak_heap(), 0);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
         let s = TrafficStats::new();
-        s.add(sent(1, 100), 0);
-        s.add(
-            TrafficSnapshot {
-                dropped: 1,
-                duplicated: 1,
-                corrupted: 1,
-                retries: 2,
-                redispatches: 1,
-                ..sent(1, 50)
-            },
-            0,
-        );
+        s.add(sent(1, 100));
+        s.add(TrafficSnapshot {
+            dropped: 1,
+            duplicated: 1,
+            corrupted: 1,
+            retries: 2,
+            redispatches: 1,
+            ..sent(1, 50)
+        });
         assert_eq!(s.snapshot().messages, 2);
         assert_eq!(s.snapshot().bytes, 150);
         assert_eq!(s.snapshot().dropped, 1);
@@ -448,9 +432,9 @@ mod tests {
     #[test]
     fn snapshots_difference_and_sum() {
         let s = TrafficStats::new();
-        s.add(sent(1, 100), 0);
+        s.add(sent(1, 100));
         let before = s.snapshot();
-        s.add(TrafficSnapshot { retries: 1, ..sent(1, 50) }, 0);
+        s.add(TrafficSnapshot { retries: 1, ..sent(1, 50) });
         s.record_env_pack();
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.messages, 1);

@@ -13,7 +13,7 @@
 //! and replayed through the greedy virtual-time scheduler of
 //! [`triolet_pool::vtime`]; the distributed makespan combines per-node
 //! compute times with modeled transfer times over the *actually serialized*
-//! byte counts, laid on one clock by the discrete-event simulator in `sim`.
+//! byte counts, laid on one clock by the per-rank walk in `sim`.
 //! This is how the paper's 128-core scaling figures are regenerated on a
 //! small host.
 //!

@@ -72,12 +72,11 @@ proptest! {
     }
 
     /// Tasks that ride the environment in and tasks with a message of their
-    /// own, piled onto shared ranks: exactly the empty ones with a live home
-    /// ride, results keep their slots, and — this being a debug build —
-    /// every dispatch passes the simulator's oracle, including on a free
-    /// network where every arrival is a tie at time zero.
+    /// own, piled onto shared ranks, including on a free network where
+    /// every arrival is a tie at time zero: exactly the empty ones with a
+    /// live home ride, and results keep their slots.
     #[test]
-    fn riders_and_senders_share_ranks_under_the_oracle(
+    fn riders_and_senders_share_ranks_keeping_their_slots(
         specs in proptest::collection::vec((0usize..6, 0usize..3), 1..=6),
         (free, linear, crash) in (any::<bool>(), any::<bool>(), 0usize..12),
         seed in 0u64..500,

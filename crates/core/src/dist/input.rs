@@ -33,7 +33,9 @@ pub struct PackedEnv<E> {
 }
 
 impl<E: Wire> PackedEnv<E> {
-    pub(crate) fn new(value: E, payload: PackedPayload) -> Self {
+    /// Pack `value` once, counted in `stats` (see [`pack_counted`]).
+    pub(crate) fn new(value: E, stats: &TrafficStats) -> Self {
+        let payload = pack_counted(&value, stats);
         PackedEnv { value, payload }
     }
 
@@ -46,6 +48,16 @@ impl<E: Wire> PackedEnv<E> {
     pub fn wire_bytes(&self) -> usize {
         self.payload.len()
     }
+}
+
+/// Serialize a broadcast environment, counting the pack in `stats` unless
+/// it is empty: the zero-byte unit environment ships nothing.
+fn pack_counted<E: Wire>(env: &E, stats: &TrafficStats) -> PackedPayload {
+    let payload = PackedPayload::pack(env);
+    if !payload.is_empty() {
+        stats.record_env_pack();
+    }
+    payload
 }
 
 /// How a skeleton call received its environment: a plain reference (packed
@@ -69,17 +81,10 @@ impl<'a, E: Wire> EnvArg<'a, E> {
     }
 
     /// The serialized environment, packing now (and counting it) only for
-    /// plain references. The zero-byte unit environment is never counted:
-    /// nothing ships.
+    /// plain references.
     pub(crate) fn payload(&self, stats: &TrafficStats) -> PackedPayload {
         match self {
-            EnvArg::Plain(e) => {
-                let p = PackedPayload::pack(*e);
-                if !p.is_empty() {
-                    stats.record_env_pack();
-                }
-                p
-            }
+            EnvArg::Plain(e) => pack_counted(*e, stats),
             EnvArg::Packed(pe) => pe.payload.clone(),
         }
     }

@@ -57,7 +57,7 @@ use triolet_iter::shapes::{ParHint, TrioIter};
 use triolet_iter::{Array2, SliceMemo};
 use triolet_obs::rehome_event;
 use triolet_pool::parallel::CHUNKS_PER_THREAD;
-use triolet_serial::{PackedPayload, Piece, PodView, Wire};
+use triolet_serial::{Piece, PodView, Wire};
 
 use crate::dist::{
     AsEnv, DistArray2, DistInput, DistIter, DistVec, IntoDistInput, Lease, PackedEnv, Seg,
@@ -303,11 +303,7 @@ impl Triolet {
     /// with a `PackedEnv`, N consecutive skeleton calls over M nodes cost
     /// one serialization total, not N (let alone N·M).
     pub fn pack_env<E: Wire>(&self, env: E) -> PackedEnv<E> {
-        let payload = PackedPayload::pack(&env);
-        if !payload.is_empty() {
-            self.cluster.stats().record_env_pack();
-        }
-        PackedEnv::new(env, payload)
+        PackedEnv::new(env, self.cluster.stats())
     }
 
     // ======================================================================

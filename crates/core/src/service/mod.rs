@@ -21,7 +21,7 @@
 //!   tenant's vruntime when it is *selected*.
 //! - **A job-level virtual clock, every host core.** Skeleton jobs are
 //!   gang-scheduled: each runs over the whole cluster through the
-//!   event-driven virtual-time core, and its modeled makespan
+//!   virtual-time walk, and its modeled makespan
 //!   (`Run::stats.total_s`) advances the service clock, one job at a time.
 //!   Job latency = completion vtime − submission vtime. On the host, a
 //!   drain runs jobs on `available_parallelism()` workers, each with a
@@ -286,7 +286,7 @@ impl QueuedJob {
             stats,
             traffic: ledger.snapshot().since(&before),
         };
-        RanJob { done: CompletedJob { value, report }, trace, peak: ledger.sim_peak_heap() }
+        RanJob { done: CompletedJob { value, report }, trace }
     }
 }
 
@@ -295,8 +295,6 @@ impl QueuedJob {
 struct RanJob {
     done: CompletedJob,
     trace: TraceData,
-    /// The worker runtime's simulator high-water mark so far.
-    peak: u64,
 }
 
 struct CompletedJob {
@@ -598,9 +596,9 @@ impl JobService {
     /// service clock, its tenant is billed, and its traffic is banked in
     /// the service runtime's ledger. The one path every completion takes.
     fn commit(&self, st: &mut ServiceState, ran: RanJob) {
-        let RanJob { mut done, trace, peak } = ran;
+        let RanJob { mut done, trace } = ran;
         let r = &mut done.report;
-        self.rt.cluster().stats().add(r.traffic, peak);
+        self.rt.cluster().stats().add(r.traffic);
         let duration = r.stats.total_s.max(0.0);
         let node_compute: f64 = r.stats.node_compute_s.iter().sum();
         r.started_s = st.now_s;

@@ -11,9 +11,8 @@
 //!
 //! The earliest-free worker comes off a binary min-heap keyed `(free time,
 //! worker index)` — `O(n log p)` for `n` tasks on `p` workers instead of the
-//! old `O(n·p)` scan, the same event-heap discipline the cluster's
-//! discrete-event simulator uses — with `total_cmp` time ordering and the
-//! index tie-break reproducing the scan's first-minimum choice exactly, so
+//! old `O(n·p)` scan — with `total_cmp` time ordering and the index
+//! tie-break reproducing the scan's first-minimum choice exactly, so
 //! schedules are bit-identical to the linear version.
 
 use std::cmp::Reverse;

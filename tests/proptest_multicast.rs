@@ -6,8 +6,7 @@
 //! one survivor — shipping each shared panel once and relaying it must
 //! change nothing but *which link* carries a byte: values stay bit-equal to
 //! the sequential run and every reader still receives each of its panels
-//! exactly once. (In debug builds every dispatch here is also replayed
-//! through the simulator's eager oracle.)
+//! exactly once.
 
 use proptest::prelude::*;
 use triolet::prelude::*;
