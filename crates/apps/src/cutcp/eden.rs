@@ -6,29 +6,8 @@
 
 use triolet::{Domain, RunStats};
 use triolet_baselines::{boxed_pipeline, EdenError, EdenRt};
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
 
-use super::{axis_range, potential, Atom, CutcpInput, GridGeom};
-
-/// One Eden task: an atom chunk plus the geometry.
-#[derive(Clone)]
-pub struct EdenTask {
-    atoms: Vec<Atom>,
-    geom: GridGeom,
-}
-
-impl Wire for EdenTask {
-    fn pack(&self, w: &mut WireWriter) {
-        self.atoms.pack(w);
-        self.geom.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(EdenTask { atoms: Vec::unpack(r)?, geom: GridGeom::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.atoms.packed_size() + self.geom.packed_size()
-    }
-}
+use super::{axis_range, potential, CutcpInput};
 
 /// Run cutcp through the Eden runtime.
 pub fn run_eden(rt: &EdenRt, input: &CutcpInput) -> Result<(Vec<f64>, RunStats), EdenError> {
@@ -37,12 +16,12 @@ pub fn run_eden(rt: &EdenRt, input: &CutcpInput) -> Result<(Vec<f64>, RunStats),
     // One chunk per process across the machine.
     let total_procs = (rt.nodes() * rt.procs_per_node()).max(1);
     let chunk_size = input.atoms.len().div_ceil(total_procs).max(1);
-    let tasks: Vec<EdenTask> =
-        input.atoms.chunks(chunk_size).map(|c| EdenTask { atoms: c.to_vec(), geom }).collect();
+    let tasks: Vec<CutcpInput> =
+        input.atoms.chunks(chunk_size).map(|c| CutcpInput { atoms: c.to_vec(), geom }).collect();
 
     let (grid, stats) = rt.map_reduce(
         tasks,
-        move |t: EdenTask| -> Vec<f64> {
+        move |t: CutcpInput| -> Vec<f64> {
             let g = t.geom;
             let c2 = g.cutoff * g.cutoff;
             let mut grid = vec![0.0f64; cells];

@@ -3,32 +3,11 @@
 
 use triolet::{Domain, NodeCtx, RunStats};
 use triolet_baselines::LowLevelRt;
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
 
-use super::{accumulate_atom, Atom, CutcpInput, GridGeom};
+use super::{accumulate_atom, Atom, CutcpInput};
 
-/// One rank's hand-built message: its atom slice plus the geometry.
-#[derive(Clone)]
-struct RankPayload {
-    atoms: Vec<Atom>,
-    geom: GridGeom,
-}
-
-impl Wire for RankPayload {
-    fn pack(&self, w: &mut WireWriter) {
-        self.atoms.pack(w);
-        self.geom.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(RankPayload { atoms: Vec::unpack(r)?, geom: GridGeom::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.atoms.packed_size() + self.geom.packed_size()
-    }
-}
-
-/// The node kernel: private grid per thread chunk, explicit reduction.
-fn kernel(ctx: &NodeCtx, p: RankPayload) -> Vec<f64> {
+/// The node kernel over one rank's atom slice: private grid per thread chunk, explicit reduction.
+fn kernel(ctx: &NodeCtx, p: CutcpInput) -> Vec<f64> {
     let cells = p.geom.dom.count();
     let chunk_count = ctx.threads() * 4;
     let chunk_size = p.atoms.len().div_ceil(chunk_count.max(1)).max(1);
@@ -57,10 +36,10 @@ fn kernel(ctx: &NodeCtx, p: RankPayload) -> Vec<f64> {
 pub fn run_lowlevel(rt: &LowLevelRt, input: &CutcpInput) -> (Vec<f64>, RunStats) {
     let geom = input.geom;
     let cells = geom.dom.count();
-    let payloads: Vec<RankPayload> = rt
+    let payloads: Vec<CutcpInput> = rt
         .partition_slice(&input.atoms)
         .into_iter()
-        .map(|atoms| RankPayload { atoms, geom })
+        .map(|atoms| CutcpInput { atoms, geom })
         .collect();
     rt.run(payloads, kernel, move |grids| {
         // Root: sum the per-node grids (the expensive gather of §4.5).

@@ -26,7 +26,7 @@ pub use triolet_impl::run_triolet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triolet::{Dim3, Domain};
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 /// A charged atom.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,20 +41,7 @@ pub struct Atom {
     pub q: f32,
 }
 
-impl Wire for Atom {
-    fn pack(&self, w: &mut WireWriter) {
-        self.x.pack(w);
-        self.y.pack(w);
-        self.z.pack(w);
-        self.q.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(Atom { x: f32::unpack(r)?, y: f32::unpack(r)?, z: f32::unpack(r)?, q: f32::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        16
-    }
-}
+wire_struct!(Atom { x, y, z, q });
 
 /// Grid geometry: dimensions, spacing, cutoff radius.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,21 +54,10 @@ pub struct GridGeom {
     pub cutoff: f32,
 }
 
-impl Wire for GridGeom {
-    fn pack(&self, w: &mut WireWriter) {
-        self.dom.pack(w);
-        self.h.pack(w);
-        self.cutoff.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(GridGeom { dom: Dim3::unpack(r)?, h: f32::unpack(r)?, cutoff: f32::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.dom.packed_size() + 8
-    }
-}
+wire_struct!(GridGeom { dom, h, cutoff });
 
-/// Problem instance.
+/// Problem instance. The low-level and Eden versions send chunks of it, an
+/// atom slice plus the geometry, as their task messages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CutcpInput {
     /// The atoms.
@@ -89,6 +65,8 @@ pub struct CutcpInput {
     /// Grid geometry.
     pub geom: GridGeom,
 }
+
+wire_struct!(CutcpInput { atoms, geom });
 
 /// Deterministic synthetic instance: `n_atoms` atoms uniform in the grid's
 /// bounding box, unit-ish charges, grid `dim³` with spacing 0.5 and cutoff
@@ -176,6 +154,18 @@ mod tests {
         for at in &a.atoms {
             assert!(at.x >= 0.0 && at.x < extent);
         }
+    }
+
+    #[test]
+    fn messages_frame_as_their_fields() {
+        use triolet_serial::{packed, unpack_all};
+        let a = Atom { x: 1.0, y: 2.0, z: 3.0, q: -0.5 };
+        assert_eq!(packed(&a), packed(&(1.0f32, 2.0f32, 3.0f32, -0.5f32)));
+        let input = small();
+        let g = input.geom;
+        let fields = (input.atoms.clone(), ((g.dom.nx, g.dom.ny, g.dom.nz), g.h, g.cutoff));
+        assert_eq!(packed(&input), packed(&fields));
+        assert_eq!(unpack_all::<CutcpInput>(packed(&input)).unwrap(), input);
     }
 
     #[test]

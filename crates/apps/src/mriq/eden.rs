@@ -16,7 +16,7 @@
 
 use triolet::RunStats;
 use triolet_baselines::{boxed_pipeline, EdenError, EdenRt};
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 use super::{MriqInput, MriqOutput, Samples};
 
@@ -41,30 +41,7 @@ pub struct EdenTask {
     samples: Samples,
 }
 
-impl Wire for EdenTask {
-    fn pack(&self, w: &mut WireWriter) {
-        self.start.pack(w);
-        self.x.pack(w);
-        self.y.pack(w);
-        self.z.pack(w);
-        self.samples.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(EdenTask {
-            start: usize::unpack(r)?,
-            x: Vec::unpack(r)?,
-            y: Vec::unpack(r)?,
-            z: Vec::unpack(r)?,
-            samples: Samples::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        8 + self.x.packed_size()
-            + self.y.packed_size()
-            + self.z.packed_size()
-            + self.samples.packed_size()
-    }
-}
+wire_struct!(EdenTask { start, x, y, z, samples });
 
 /// The slower trig path: f64 libm calls with conversions (the missed
 /// `sinf`/`cosf` optimization).

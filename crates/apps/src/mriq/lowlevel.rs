@@ -9,7 +9,7 @@
 use triolet::{NodeCtx, RunStats, SeqPart};
 use triolet_baselines::LowLevelRt;
 use triolet_domain::{chunk_ranges, Domain, Part, Seq};
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 use super::{ftcoeff, MriqInput, MriqOutput};
 
@@ -23,28 +23,7 @@ struct RankPayload {
     samples: super::Samples,
 }
 
-impl Wire for RankPayload {
-    fn pack(&self, w: &mut WireWriter) {
-        self.x.pack(w);
-        self.y.pack(w);
-        self.z.pack(w);
-        self.samples.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(RankPayload {
-            x: Vec::unpack(r)?,
-            y: Vec::unpack(r)?,
-            z: Vec::unpack(r)?,
-            samples: super::Samples::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        self.x.packed_size()
-            + self.y.packed_size()
-            + self.z.packed_size()
-            + self.samples.packed_size()
-    }
-}
+wire_struct!(RankPayload { x, y, z, samples });
 
 /// Run mri-q with hand-written partitioning on `rt`.
 pub fn run_lowlevel(rt: &LowLevelRt, input: &MriqInput) -> (MriqOutput, RunStats) {

@@ -26,7 +26,7 @@ pub use triolet_impl::run_triolet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 /// Problem instance: pixel positions and k-space samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,28 +84,7 @@ pub struct Samples {
     pub phi_mag: Vec<f32>,
 }
 
-impl Wire for Samples {
-    fn pack(&self, w: &mut WireWriter) {
-        self.kx.pack(w);
-        self.ky.pack(w);
-        self.kz.pack(w);
-        self.phi_mag.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(Samples {
-            kx: Vec::unpack(r)?,
-            ky: Vec::unpack(r)?,
-            kz: Vec::unpack(r)?,
-            phi_mag: Vec::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        self.kx.packed_size()
-            + self.ky.packed_size()
-            + self.kz.packed_size()
-            + self.phi_mag.packed_size()
-    }
-}
+wire_struct!(Samples { kx, ky, kz, phi_mag });
 
 impl MriqInput {
     /// Precompute the sample bundle (`phiMag = phiR² + phiI²`).

@@ -14,7 +14,7 @@ use triolet::{Array2, Dim2Part, Part, RunStats};
 use triolet_baselines::{EdenError, EdenRt};
 use triolet_cluster::clock::timed;
 use triolet_domain::{chunk_ranges, near_square_grid};
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 use super::{dot_rows, transpose_seq, SgemmInput};
 
@@ -28,27 +28,7 @@ pub struct EdenBlock {
     alpha: f32,
 }
 
-impl Wire for EdenBlock {
-    fn pack(&self, w: &mut WireWriter) {
-        self.block.pack(w);
-        self.a_rows.pack(w);
-        self.bt_rows.pack(w);
-        self.k.pack(w);
-        self.alpha.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(EdenBlock {
-            block: Dim2Part::unpack(r)?,
-            a_rows: Vec::unpack(r)?,
-            bt_rows: Vec::unpack(r)?,
-            k: usize::unpack(r)?,
-            alpha: f32::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        self.block.packed_size() + self.a_rows.packed_size() + self.bt_rows.packed_size() + 8 + 4
-    }
-}
+wire_struct!(EdenBlock { block, a_rows, bt_rows, k, alpha });
 
 /// Run sgemm through the Eden runtime.
 pub fn run_eden(rt: &EdenRt, input: &SgemmInput) -> Result<(Array2<f32>, RunStats), EdenError> {

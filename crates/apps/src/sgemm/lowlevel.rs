@@ -9,7 +9,7 @@
 use triolet::{Array2, NodeCtx, RunStats};
 use triolet_baselines::LowLevelRt;
 use triolet_domain::{chunk_ranges, near_square_grid, Dim2Part, Domain, Part, Seq, SeqPart};
-use triolet_serial::{PodView, Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::{wire_struct, PodView};
 
 use super::{gemm_tiled, transpose_seq, SgemmInput};
 
@@ -31,27 +31,7 @@ struct BlockPayload {
     alpha: f32,
 }
 
-impl Wire for BlockPayload {
-    fn pack(&self, w: &mut WireWriter) {
-        self.block.pack(w);
-        self.a_rows.pack(w);
-        self.bt_rows.pack(w);
-        self.k.pack(w);
-        self.alpha.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(BlockPayload {
-            block: Dim2Part::unpack(r)?,
-            a_rows: PodView::unpack(r)?,
-            bt_rows: PodView::unpack(r)?,
-            k: usize::unpack(r)?,
-            alpha: f32::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        self.block.packed_size() + self.a_rows.packed_size() + self.bt_rows.packed_size() + 8 + 4
-    }
-}
+wire_struct!(BlockPayload { block, a_rows, bt_rows, k, alpha });
 
 /// Build the per-rank payloads: choose a process grid, slice row bands.
 fn build_payloads(input: &SgemmInput, bt: &Array2<f32>, nodes: usize) -> Vec<BlockPayload> {

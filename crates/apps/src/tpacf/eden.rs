@@ -9,7 +9,7 @@
 
 use triolet::RunStats;
 use triolet_baselines::{boxed_pipeline, EdenError, EdenRt};
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 use super::{hist_len, score, AngularBins, Point, TpacfInput, TpacfOutput};
 
@@ -23,19 +23,7 @@ pub struct EdenTask {
     bin_edges: Vec<f64>,
 }
 
-impl Wire for EdenTask {
-    fn pack(&self, w: &mut WireWriter) {
-        self.rand.pack(w);
-        self.obs.pack(w);
-        self.bin_edges.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(EdenTask { rand: Option::unpack(r)?, obs: Vec::unpack(r)?, bin_edges: Vec::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.rand.packed_size() + self.obs.packed_size() + self.bin_edges.packed_size()
-    }
-}
+wire_struct!(EdenTask { rand, obs, bin_edges });
 
 type ThreeHists = (Vec<u64>, Vec<u64>, Vec<u64>);
 

@@ -10,7 +10,7 @@
 use triolet::{NodeCtx, RunStats, SeqPart};
 use triolet_baselines::LowLevelRt;
 use triolet_domain::{chunk_ranges, Domain, Seq};
-use triolet_serial::{PodView, Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::{wire_struct, PodView};
 
 use super::seq::{cross_correlation_tiled, self_correlation_rows_tiled, self_correlation_tiled};
 use super::{hist_len, AngularBins, Point, TpacfInput, TpacfOutput};
@@ -27,25 +27,7 @@ struct RankPayload {
     compute_dd: bool,
 }
 
-impl Wire for RankPayload {
-    fn pack(&self, w: &mut WireWriter) {
-        self.rands.pack(w);
-        self.obs.pack(w);
-        self.bin_edges.pack(w);
-        self.compute_dd.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(RankPayload {
-            rands: Vec::unpack(r)?,
-            obs: Vec::unpack(r)?,
-            bin_edges: PodView::unpack(r)?,
-            compute_dd: bool::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        self.rands.packed_size() + self.obs.packed_size() + self.bin_edges.packed_size() + 1
-    }
-}
+wire_struct!(RankPayload { rands, obs, bin_edges, compute_dd });
 
 type ThreeHists = (Vec<u64>, Vec<u64>, Vec<u64>);
 

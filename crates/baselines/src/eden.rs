@@ -22,8 +22,9 @@
 //!   `STRAGGLER_PER_NODE` fractional delay on the critical node, growing
 //!   with node count.
 //!
-//! The per-element costs of Eden *kernels* (boxed list/stepper processing)
-//! live in [`crate::list`] and in the per-application Eden kernels.
+//! The per-element costs of Eden *kernels* (stepper chains behind dynamic
+//! dispatch) live in [`boxed_pipeline`](crate::boxed_pipeline) and in the
+//! per-application Eden kernels.
 
 use triolet::RunStats;
 use triolet_cluster::clock::timed;
@@ -337,6 +338,26 @@ mod tests {
         let rel2 = s2.total_s / s2.compute_span_s();
         let rel8 = s8.total_s / s8.compute_span_s();
         assert!(rel8 > rel2, "rel8={rel8} rel2={rel2}");
+    }
+
+    #[test]
+    fn straggler_delay_is_exactly_its_term_and_grows_with_nodes() {
+        let stats = RunStats {
+            total_s: 1.0,
+            comm_s: 0.125,
+            node_compute_s: vec![0.25, 0.5, 0.375],
+            ..RunStats::default()
+        };
+        let mut prev = 0.0;
+        for nodes in [1, 2, 4, 8, 16] {
+            let out = EdenRt::new(nodes, 1).apply_straggler(stats.clone());
+            let delay = out.total_s - stats.total_s;
+            assert_eq!(out.total_s, stats.total_s + STRAGGLER_PER_NODE * nodes as f64 * 0.5);
+            assert!(delay > prev, "{nodes} nodes: delay {delay} after {prev}");
+            prev = delay;
+            // Only the makespan moves.
+            assert_eq!(RunStats { total_s: stats.total_s, ..out }, stats);
+        }
     }
 
     #[test]

@@ -15,15 +15,15 @@
 //!   serialized messages), full-copy data distribution unless the programmer
 //!   chunks by hand, and a message-buffer size limit (the cause of Eden's
 //!   sgemm failure at ≥2 nodes, §4.3).
-//! * [`list`] — Haskell-style cons lists and boxed-iterator pipelines, used
-//!   by Eden-style kernels to reproduce the per-element overhead of list
-//!   manipulation and unoptimized steppers ("using steppers was roughly a
-//!   factor of two to five slower than imperative loop nests", §3.1).
+//! * [`list`] — boxed-iterator pipelines, used by Eden-style kernels to
+//!   reproduce the per-element overhead of list manipulation and
+//!   unoptimized steppers ("using steppers was roughly a factor of two to
+//!   five slower than imperative loop nests", §3.1).
 
 pub mod eden;
 pub mod list;
 pub mod lowlevel;
 
 pub use eden::{EdenError, EdenRt};
-pub use list::{boxed_pipeline, List};
+pub use list::boxed_pipeline;
 pub use lowlevel::LowLevelRt;

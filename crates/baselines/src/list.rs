@@ -1,125 +1,13 @@
-//! Haskell-style lists and boxed pipelines: the cost structure of Eden code.
+//! Boxed pipelines: the cost structure of Eden's list processing.
 //!
 //! The paper attributes the naive Eden version's order-of-magnitude
 //! sequential slowdown "chiefly [to] the overhead of list manipulation"
 //! (§1), and even the optimized version pays a 2–5x penalty when nested
-//! traversals go through unoptimized steppers (§3.1). This module provides
-//! honest Rust analogues of both cost sources:
-//!
-//! * [`List`] — an immutable cons list with one heap allocation per cell.
-//! * [`boxed_pipeline`] — dynamic-dispatch iterator composition: each
-//!   combinator layer is a `Box<dyn Iterator>`, so element flow pays a
-//!   virtual call per stage per element (what a stepper looks like when the
-//!   optimizer cannot see through it).
-
-/// An immutable singly linked list with per-cell heap allocation: the data
-/// representation idiomatic Haskell code manipulates.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct List<T> {
-    head: Option<Box<Node<T>>>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Node<T> {
-    value: T,
-    next: List<T>,
-}
-
-impl<T> List<T> {
-    /// The empty list.
-    pub fn nil() -> Self {
-        List { head: None }
-    }
-
-    /// Prepend an element (the cons cell: one heap allocation).
-    pub fn cons(value: T, rest: List<T>) -> Self {
-        List { head: Some(Box::new(Node { value, next: rest })) }
-    }
-
-    /// Build from a slice (allocates one cell per element).
-    pub fn from_slice(xs: &[T]) -> Self
-    where
-        T: Clone,
-    {
-        let mut out = List::nil();
-        for x in xs.iter().rev() {
-            out = List::cons(x.clone(), out);
-        }
-        out
-    }
-
-    /// Number of elements (walks the list).
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// True for the empty list.
-    pub fn is_empty(&self) -> bool {
-        self.head.is_none()
-    }
-
-    /// Map into a new list (allocates a whole new spine).
-    pub fn map<U>(&self, f: impl Fn(&T) -> U) -> List<U> {
-        let mapped: Vec<U> = self.iter().map(f).collect();
-        let mut out = List::nil();
-        for x in mapped.into_iter().rev() {
-            out = List::cons(x, out);
-        }
-        out
-    }
-
-    /// Left fold.
-    pub fn foldl<B>(&self, init: B, f: impl Fn(B, &T) -> B) -> B {
-        let mut acc = init;
-        for x in self.iter() {
-            acc = f(acc, x);
-        }
-        acc
-    }
-
-    /// Filter into a new list.
-    pub fn filter(&self, p: impl Fn(&T) -> bool) -> List<T>
-    where
-        T: Clone,
-    {
-        let kept: Vec<T> = self.iter().filter(|x| p(x)).cloned().collect();
-        let mut out = List::nil();
-        for x in kept.into_iter().rev() {
-            out = List::cons(x, out);
-        }
-        out
-    }
-
-    /// Iterate by reference.
-    pub fn iter(&self) -> ListIter<'_, T> {
-        ListIter { cur: self }
-    }
-}
-
-/// Borrowing iterator over a [`List`].
-pub struct ListIter<'a, T> {
-    cur: &'a List<T>,
-}
-
-impl<'a, T> Iterator for ListIter<'a, T> {
-    type Item = &'a T;
-    fn next(&mut self) -> Option<&'a T> {
-        let node = self.cur.head.as_deref()?;
-        self.cur = &node.next;
-        Some(&node.value)
-    }
-}
-
-impl<T> Drop for List<T> {
-    fn drop(&mut self) {
-        // Iterative drop: the default recursive drop overflows the stack on
-        // long lists. Detach each node's tail before the node drops.
-        let mut cur = self.head.take();
-        while let Some(mut node) = cur {
-            cur = node.next.head.take();
-        }
-    }
-}
+//! traversals go through unoptimized steppers (§3.1). [`boxed_pipeline`] is
+//! the Rust analogue the Eden kernels use: dynamic-dispatch iterator
+//! composition, where each combinator layer is a `Box<dyn Iterator>`, so
+//! element flow pays a virtual call per stage per element (what a stepper
+//! looks like when the optimizer cannot see through it).
 
 /// Erase an iterator behind dynamic dispatch: one `Box<dyn Iterator>` layer.
 ///
@@ -135,39 +23,6 @@ pub fn boxed_pipeline<'a, T: 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn list_roundtrip_and_len() {
-        let l = List::from_slice(&[1, 2, 3, 4]);
-        assert_eq!(l.len(), 4);
-        assert!(!l.is_empty());
-        assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn list_map_filter_fold() {
-        let l = List::from_slice(&[1i64, 2, 3, 4, 5]);
-        let doubled = l.map(|x| x * 2);
-        assert_eq!(doubled.iter().copied().collect::<Vec<_>>(), vec![2, 4, 6, 8, 10]);
-        let evens = l.filter(|x| x % 2 == 0);
-        assert_eq!(evens.len(), 2);
-        assert_eq!(l.foldl(0i64, |a, x| a + x), 15);
-    }
-
-    #[test]
-    fn empty_list() {
-        let l = List::<u8>::nil();
-        assert!(l.is_empty());
-        assert_eq!(l.len(), 0);
-        assert_eq!(l.iter().count(), 0);
-    }
-
-    #[test]
-    fn long_list_drops_without_overflow() {
-        let l = List::from_slice(&vec![0u8; 2_000_000]);
-        assert_eq!(l.len(), 2_000_000);
-        drop(l);
-    }
 
     #[test]
     fn boxed_pipeline_composes() {

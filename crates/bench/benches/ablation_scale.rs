@@ -6,9 +6,10 @@
 //!
 //! Runs an environment-broadcasting `fold_reduce` across N ∈ {64, 256,
 //! 1024, 4096} simulated ranks and reports, per point: the host wall-clock
-//! for the whole virtual dispatch, the timestamps the simulator assigned
-//! (asserted equal to the timeline's formula) and its throughput
-//! (events/second). `--out` writes the table as JSON (BENCH_scale.json is the
+//! of the whole `fold_reduce` call (planning, every task body, the walk and
+//! the account, of which the walk is a small part), the timestamps the
+//! simulator assigned (asserted equal to the timeline's formula) and the
+//! modeled makespan. `--out` writes the table as JSON (BENCH_scale.json is the
 //! committed capture); `--smoke` shrinks the workload and rank sweep for CI
 //! while keeping the 1024-rank point — the only > 8-rank floor CI has.
 
@@ -19,10 +20,9 @@ use triolet::prelude::*;
 
 struct Point {
     ranks: usize,
-    wall_s: f64,
+    call_wall_s: f64,
     total_s: f64,
     events: u64,
-    events_per_s: f64,
 }
 
 fn workload(ranks: usize, items_per_rank: usize) -> (Vec<f64>, Vec<f64>) {
@@ -42,15 +42,9 @@ fn run_point(ranks: usize, env: &Vec<f64>, xs: &[f64]) -> Point {
         |env, acc: f64, x: f64| acc + x * env[(x as usize) % env.len()],
         |a, b| a + b,
     );
-    let wall_s = t0.elapsed().as_secs_f64();
+    let call_wall_s = t0.elapsed().as_secs_f64();
     let events = rt.cluster().stats().sim_events();
-    Point {
-        ranks,
-        wall_s,
-        total_s: run.stats.total_s,
-        events,
-        events_per_s: if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 },
-    }
+    Point { ranks, call_wall_s, total_s: run.stats.total_s, events }
 }
 
 fn main() {
@@ -66,8 +60,8 @@ fn main() {
         "{items_per_rank} items/rank | env broadcast 4096 bytes | cost model {:?}",
         CostModel::default()
     );
-    println!("| ranks | sim wall (s) | events | events/s | makespan (s) |");
-    println!("|------:|-------------:|-------:|---------:|-------------:|");
+    println!("| ranks | call wall (s) | events | makespan (s) |");
+    println!("|------:|--------------:|-------:|-------------:|");
 
     // One discarded run to warm the allocator and page in the inputs.
     {
@@ -79,10 +73,7 @@ fn main() {
     for &ranks in rank_sweep {
         let (env, xs) = workload(ranks, items_per_rank);
         let p = run_point(ranks, &env, &xs);
-        println!(
-            "| {} | {:.6} | {} | {:.0} | {:.6} |",
-            p.ranks, p.wall_s, p.events, p.events_per_s, p.total_s
-        );
+        println!("| {} | {:.6} | {} | {:.6} |", p.ranks, p.call_wall_s, p.events, p.total_s);
         // `edges + tasks with a message + hops + 3 × tasks`: one task per
         // rank, each with one hop and one environment edge to its rank.
         let (edges, sent, hops, tasks) = (ranks, ranks, ranks, ranks);
@@ -95,12 +86,11 @@ fn main() {
         json.push_str(&format!("  \"items_per_rank\": {items_per_rank},\n  \"points\": [\n"));
         for (i, p) in points.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"ranks\": {}, \"sim_wall_s\": {:.9}, \"events\": {}, \
-                 \"events_per_s\": {:.0}, \"total_s\": {:.9}}}{}\n",
+                "    {{\"ranks\": {}, \"call_wall_s\": {:.9}, \"events\": {}, \
+                 \"total_s\": {:.9}}}{}\n",
                 p.ranks,
-                p.wall_s,
+                p.call_wall_s,
                 p.events,
-                p.events_per_s,
                 p.total_s,
                 if i + 1 < points.len() { "," } else { "" }
             ));

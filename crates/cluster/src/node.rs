@@ -143,9 +143,9 @@ impl NodeCtx {
     /// Seconds of node time charged so far.
     ///
     /// This is the task's whole timed footprint: the dispatcher reads it
-    /// once after the task body returns and hands it to the discrete-event
-    /// simulator as the task's node-execution duration, so a rank's timeline
-    /// is a chain of these, each gated on payload arrival, rank
+    /// once after the task body returns and hands it to the simulator's
+    /// per-rank walk as the task's node-execution duration, so a rank's
+    /// timeline is a chain of these, each gated on payload arrival, rank
     /// availability, and the broadcast environment.
     pub fn elapsed(&self) -> f64 {
         self.vclock.get()

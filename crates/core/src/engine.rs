@@ -40,9 +40,9 @@
 //! — a recorded span/event timeline rooted at a `skeleton:<name>` span.
 //!
 //! The dispatch timeline under every `Par` call is laid by the cluster's
-//! discrete-event simulator, which processes a call in `O(E log E)` heap
-//! events with `O(ranks)` resident state, so 1k-rank shapes are usable from
-//! the skeleton API. The root's own work is pipelined against it: slices
+//! simulator, one per-rank walk over the call's plan in
+//! `O(edges + hops + tasks log tasks)` time and `O(ranks + tasks)` space, so
+//! 1k-rank shapes are usable from the skeleton API. The root's own work is pipelined against it: slices
 //! are packed task by task and partials fold in task order as they arrive.
 
 use std::sync::Arc;

@@ -1,6 +1,6 @@
 //! Two-dimensional domains: the paper's `Dim2`.
 
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 use crate::part::Part;
 use crate::split::{chunk_ranges, near_square_grid};
@@ -131,38 +131,9 @@ impl Domain for Dim2 {
     }
 }
 
-impl Wire for Dim2 {
-    fn pack(&self, w: &mut WireWriter) {
-        self.rows.pack(w);
-        self.cols.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(Dim2 { rows: usize::unpack(r)?, cols: usize::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        16
-    }
-}
+wire_struct!(Dim2 { rows, cols });
 
-impl Wire for Dim2Part {
-    fn pack(&self, w: &mut WireWriter) {
-        self.row0.pack(w);
-        self.rows.pack(w);
-        self.col0.pack(w);
-        self.cols.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(Dim2Part {
-            row0: usize::unpack(r)?,
-            rows: usize::unpack(r)?,
-            col0: usize::unpack(r)?,
-            cols: usize::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        32
-    }
-}
+wire_struct!(Dim2Part { row0, rows, col0, cols });
 
 #[cfg(test)]
 mod tests {
@@ -240,5 +211,7 @@ mod tests {
         assert_eq!(unpack_all::<Dim2>(packed(&d)).unwrap(), d);
         let b = Dim2Part::new(1, 2, 3, 4);
         assert_eq!(unpack_all::<Dim2Part>(packed(&b)).unwrap(), b);
+        // Format pin: the fields in declaration order, nothing else.
+        assert_eq!(packed(&b), packed(&(1usize, 2usize, 3usize, 4usize)));
     }
 }

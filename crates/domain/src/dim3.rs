@@ -1,6 +1,6 @@
 //! Three-dimensional domains, used by cutcp's potential grid.
 
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 use crate::part::Part;
 use crate::split::chunk_ranges;
@@ -116,39 +116,9 @@ impl Domain for Dim3 {
     }
 }
 
-impl Wire for Dim3 {
-    fn pack(&self, w: &mut WireWriter) {
-        self.nx.pack(w);
-        self.ny.pack(w);
-        self.nz.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(Dim3 { nx: usize::unpack(r)?, ny: usize::unpack(r)?, nz: usize::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        24
-    }
-}
+wire_struct!(Dim3 { nx, ny, nz });
 
-impl Wire for Dim3Part {
-    fn pack(&self, w: &mut WireWriter) {
-        self.x0.pack(w);
-        self.nx.pack(w);
-        self.ny.pack(w);
-        self.nz.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(Dim3Part {
-            x0: usize::unpack(r)?,
-            nx: usize::unpack(r)?,
-            ny: usize::unpack(r)?,
-            nz: usize::unpack(r)?,
-        })
-    }
-    fn packed_size(&self) -> usize {
-        32
-    }
-}
+wire_struct!(Dim3Part { x0, nx, ny, nz });
 
 #[cfg(test)]
 mod tests {

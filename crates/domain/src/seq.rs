@@ -1,6 +1,6 @@
 //! One-dimensional domains: the paper's `Seq`.
 
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
 use crate::part::Part;
 use crate::split::chunk_ranges;
@@ -116,30 +116,9 @@ impl Domain for Seq {
     }
 }
 
-impl Wire for Seq {
-    fn pack(&self, w: &mut WireWriter) {
-        self.0.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(Seq(usize::unpack(r)?))
-    }
-    fn packed_size(&self) -> usize {
-        8
-    }
-}
+wire_struct!(Seq { 0 });
 
-impl Wire for SeqPart {
-    fn pack(&self, w: &mut WireWriter) {
-        self.start.pack(w);
-        self.len.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(SeqPart { start: usize::unpack(r)?, len: usize::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        16
-    }
-}
+wire_struct!(SeqPart { start, len });
 
 #[cfg(test)]
 mod tests {
@@ -187,6 +166,8 @@ mod tests {
         assert_eq!(unpack_all::<Seq>(packed(&d)).unwrap(), d);
         let p = SeqPart::new(7, 12);
         assert_eq!(unpack_all::<SeqPart>(packed(&p)).unwrap(), p);
+        // Format pin: the fields in declaration order, nothing else.
+        assert_eq!(packed(&p), packed(&(7usize, 12usize)));
     }
 
     #[test]

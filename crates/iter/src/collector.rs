@@ -182,44 +182,11 @@ impl Collector for WeightHist {
 // serializable.
 // ---------------------------------------------------------------------------
 
-use triolet_serial::{Wire, WireReader, WireResult, WireWriter};
+use triolet_serial::wire_struct;
 
-impl<T: Wire + Send> Wire for VecCollector<T> {
-    fn pack(&self, w: &mut WireWriter) {
-        self.items.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(VecCollector { items: Vec::<T>::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.items.packed_size()
-    }
-}
-
-impl Wire for CountHist {
-    fn pack(&self, w: &mut WireWriter) {
-        self.bins.pack(w);
-        self.overflow.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(CountHist { bins: Vec::<u64>::unpack(r)?, overflow: u64::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.bins.packed_size() + 8
-    }
-}
-
-impl Wire for WeightHist {
-    fn pack(&self, w: &mut WireWriter) {
-        self.bins.pack(w);
-    }
-    fn unpack(r: &mut WireReader) -> WireResult<Self> {
-        Ok(WeightHist { bins: Vec::<f64>::unpack(r)? })
-    }
-    fn packed_size(&self) -> usize {
-        self.bins.packed_size()
-    }
-}
+wire_struct!(VecCollector<T> { items });
+wire_struct!(CountHist { bins, overflow });
+wire_struct!(WeightHist { bins });
 
 #[cfg(test)]
 mod tests {

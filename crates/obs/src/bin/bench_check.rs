@@ -33,7 +33,7 @@ const REGISTRY: &[(&str, &[&str], &[&str])] = &[
         &["nodes", "input", "total_s", "bytes_per_iter", "resident_hits", "scatter_bytes"],
     ),
     ("ablation_kernels", &["sgemm", "tpacf", "unpack", "e2e_sgemm"], &[]),
-    ("ablation_scale", &["points"], &["ranks", "sim_wall_s", "events", "events_per_s", "total_s"]),
+    ("ablation_scale", &["points"], &["ranks", "call_wall_s", "events", "total_s"]),
     (
         "ablation_tenancy",
         &["nodes", "queue_cap", "points"],

@@ -2,14 +2,14 @@
 //! node boundary.
 //!
 //! This is the analogue of the serialization code Triolet's compiler generates
-//! from algebraic data type definitions (paper §3.4). Composite types are
-//! framed field-by-field; slices of [`Pod`] element types override the slice
-//! hooks with a single block copy.
+//! from algebraic data type definitions (paper §3.4). Structs are framed
+//! field-by-field by [`wire_struct!`](crate::wire_struct), the one place that
+//! framing is defined; slices of [`Pod`](crate::Pod) element types override
+//! the slice hooks with a single block copy.
 
 use bytes::Bytes;
 
 use crate::error::WireError;
-use crate::pod::Pod;
 use crate::reader::WireReader;
 use crate::writer::WireWriter;
 use crate::WireResult;
@@ -17,7 +17,10 @@ use crate::WireResult;
 /// Types that can be serialized to and from a byte payload.
 ///
 /// The three methods must agree: `packed_size` returns exactly the number of
-/// bytes `pack` appends, and `unpack` consumes exactly those bytes.
+/// bytes `pack` appends, and `unpack` consumes exactly those bytes. A struct
+/// framed as its fields in order gets all three from one field list with
+/// [`wire_struct!`](crate::wire_struct); only a type that checks its decoded
+/// fields against each other writes them by hand.
 pub trait Wire: Sized {
     /// Append this value's encoding to `w`.
     fn pack(&self, w: &mut WireWriter);
@@ -29,8 +32,9 @@ pub trait Wire: Sized {
     /// buffers and to account traffic in the cluster cost model.
     fn packed_size(&self) -> usize;
 
-    /// Pack a slice of values. The default loops element-wise; [`Pod`] types
-    /// override it with a length prefix plus one block copy.
+    /// Pack a slice of values. The default loops element-wise;
+    /// [`Pod`](crate::Pod) types override it with a length prefix plus one
+    /// block copy.
     fn pack_slice(slice: &[Self], w: &mut WireWriter) {
         w.put_len(slice.len());
         for x in slice {
@@ -57,9 +61,9 @@ pub trait Wire: Sized {
     }
 
     /// Unpack a slice written by [`Wire::pack_slice`] as a
-    /// [`PodView`](crate::PodView). [`Pod`] element types override this to
-    /// alias the reader's buffer (zero-copy when aligned); the default wraps
-    /// the element-wise [`Wire::unpack_vec`] path.
+    /// [`PodView`](crate::PodView). [`Pod`](crate::Pod) element types
+    /// override this to alias the reader's buffer (zero-copy when aligned);
+    /// the default wraps the element-wise [`Wire::unpack_vec`] path.
     fn unpack_view(r: &mut WireReader) -> WireResult<crate::PodView<Self>> {
         Ok(crate::PodView::from_vec(Self::unpack_vec(r)?))
     }
@@ -237,6 +241,48 @@ impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
+/// Implement [`Wire`] for a struct framed as its listed fields, in order:
+/// `pack` packs each field, `unpack` fills a struct literal (whose fields
+/// evaluate in the order written) and `packed_size` sums the fields' sizes,
+/// so the three methods agree by construction and the bytes equal those of
+/// the tuple of the fields.
+///
+/// `wire_struct!(Name { a, b })` for a named-field struct, `Name { 0 }` for
+/// a tuple struct and `Name<T> { items }` for a generic one (every type
+/// parameter is bound by `Wire`). A field left out of the list fails to
+/// compile: the struct literal misses it.
+///
+/// ```
+/// use triolet_serial::{packed, unpack_all, wire_struct};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     start: usize,
+///     len: u32,
+/// }
+/// wire_struct!(Span { start, len });
+///
+/// let s = Span { start: 7, len: 3 };
+/// assert_eq!(packed(&s), packed(&(7usize, 3u32)));
+/// assert_eq!(unpack_all::<Span>(packed(&s)).unwrap(), s);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident $(<$($g:ident),+>)? { $($field:tt),+ $(,)? }) => {
+        impl$(<$($g: $crate::Wire),+>)? $crate::Wire for $name$(<$($g),+>)? {
+            fn pack(&self, w: &mut $crate::WireWriter) {
+                $($crate::Wire::pack(&self.$field, w);)+
+            }
+            fn unpack(r: &mut $crate::WireReader) -> $crate::WireResult<Self> {
+                ::core::result::Result::Ok(Self { $($field: $crate::Wire::unpack(r)?),+ })
+            }
+            fn packed_size(&self) -> usize {
+                0 $(+ $crate::Wire::packed_size(&self.$field))+
+            }
+        }
+    };
+}
+
 impl<T: Wire, const N: usize> Wire for [T; N] {
     fn pack(&self, w: &mut WireWriter) {
         for x in self {
@@ -255,10 +301,6 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
         self.iter().map(Wire::packed_size).sum()
     }
 }
-
-/// Block-copy helper exposed for data-source types that want to state the
-/// intent explicitly at the call site.
-pub(crate) fn _assert_pod_is_wire<T: Pod + Wire>() {}
 
 #[cfg(test)]
 mod tests {
@@ -323,6 +365,85 @@ mod tests {
         w.put_u8(2);
         let err = unpack_all::<bool>(w.finish()).unwrap_err();
         assert_eq!(err, WireError::BadTag { ty: "bool", tag: 2 });
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Block {
+        origin: (usize, usize),
+        scale: f32,
+        rows: Vec<u32>,
+        label: Option<String>,
+    }
+    wire_struct!(Block { origin, scale, rows, label });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Id(u64, bool);
+    wire_struct!(Id { 0, 1 });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tagged<T, U> {
+        tag: U,
+        items: Vec<T>,
+    }
+    wire_struct!(Tagged<T, U> { tag, items });
+
+    #[derive(Debug, Clone)]
+    struct Edges {
+        n: u64,
+        edges: crate::PodView<f64>,
+    }
+    wire_struct!(Edges { n, edges });
+
+    fn block() -> Block {
+        Block { origin: (3, 9), scale: 0.5, rows: vec![1, 2, 3], label: Some("b".to_string()) }
+    }
+
+    #[test]
+    fn wire_struct_frames_fields_in_listed_order() {
+        let b = block();
+        roundtrip(b.clone());
+        roundtrip(Block { rows: vec![], label: None, ..b.clone() });
+        // The bytes are the tuple of the fields, in the listed order.
+        let fields = (b.origin, b.scale, b.rows.clone(), b.label.clone());
+        assert_eq!(packed(&b), packed(&fields));
+        assert_eq!(b.packed_size(), 16 + 4 + (8 + 12) + (1 + 8 + 1));
+    }
+
+    #[test]
+    fn wire_struct_refuses_short_input_and_trailing_bytes() {
+        let bytes = packed(&block());
+        for cut in [0, 1, 16, bytes.len() - 1] {
+            let short = bytes.slice(..cut);
+            assert!(unpack_all::<Block>(short).is_err(), "{cut} of {} bytes", bytes.len());
+        }
+        let mut w = WireWriter::new();
+        block().pack(&mut w);
+        w.put_u8(7);
+        let err = unpack_all::<Block>(w.finish()).unwrap_err();
+        assert_eq!(err, WireError::TrailingBytes { remaining: 1 });
+    }
+
+    #[test]
+    fn wire_struct_tuple_and_generic_forms() {
+        roundtrip(Id(u64::MAX, true));
+        assert_eq!(packed(&Id(5, false)), packed(&(5u64, false)));
+        let t = Tagged { tag: b'x', items: vec![Id(1, true), Id(2, false)] };
+        roundtrip(t.clone());
+        assert_eq!(packed(&t), packed(&(b'x', vec![(1u64, true), (2u64, false)])));
+        roundtrip(Tagged::<f64, ()> { tag: (), items: vec![1.5, -2.0] });
+    }
+
+    #[test]
+    fn wire_struct_podview_field_aliases_on_unpack() {
+        let e = Edges { n: 4, edges: crate::PodView::from_vec(vec![0.0, 0.25, 0.5, 1.0]) };
+        let bytes = packed(&e);
+        assert_eq!(bytes.len(), e.packed_size());
+        crate::reset_unpack_counters();
+        let back = unpack_all::<Edges>(bytes).unwrap();
+        // The f64 block starts at offset 16: aligned, so it is not copied.
+        assert!(back.edges.is_aliased());
+        assert_eq!(crate::unpack_counters(), (0, 32));
+        assert_eq!((back.n, &back.edges[..]), (4, &[0.0, 0.25, 0.5, 1.0][..]));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use triolet::prelude::*;
 use triolet_apps::{sgemm, tpacf};
+use triolet_baselines::eden::STRAGGLER_PER_NODE;
 use triolet_baselines::{EdenRt, LowLevelRt};
 
 /// A compute-heavy workload whose per-element cost is real CPU time.
@@ -141,15 +142,29 @@ fn virtual_total_includes_comm_and_compute() {
 
 #[test]
 fn eden_straggler_penalty_visible_at_scale() {
-    // Same work per node; the 8-node Eden run must carry a visibly larger
-    // total/span ratio than the 2-node run (the paper's delayed tasks).
-    let work = |v: Vec<u64>| v.into_iter().map(busy_value).fold(0u64, u64::wrapping_add);
-    let inputs = |n: usize| (0..n).map(|i| vec![i as u64; 256]).collect::<Vec<_>>();
-    let (_, s2) =
-        EdenRt::new(2, 1).map_reduce(inputs(2), work, |a, b| a.wrapping_add(b), || 0).unwrap();
-    let (_, s8) =
-        EdenRt::new(8, 1).map_reduce(inputs(8), work, |a, b| a.wrapping_add(b), || 0).unwrap();
-    let rel2 = s2.total_s / s2.compute_span_s();
-    let rel8 = s8.total_s / s8.compute_span_s();
-    assert!(rel8 > rel2 + 0.05, "rel8={rel8} rel2={rel2}");
+    // The paper's delayed tasks: every Eden run's makespan carries
+    // `STRAGGLER_PER_NODE × nodes × compute span` on top of its dispatch.
+    // The makespan less that term still covers the compute span within
+    // each run, whatever the host's load. Each task spins for at least
+    // 5 ms, so the term outweighs every modeled transfer of the run and the
+    // bound fails when the term is missing.
+    let spin = |v: Vec<u64>| {
+        let t0 = std::time::Instant::now();
+        let mut acc = 0u64;
+        while t0.elapsed().as_secs_f64() < 5e-3 {
+            acc = v.iter().copied().map(busy_value).fold(acc, u64::wrapping_add);
+        }
+        acc
+    };
+    for nodes in [2, 8] {
+        let inputs = (0..nodes).map(|i| vec![i as u64; 16]).collect::<Vec<_>>();
+        let (_, s) =
+            EdenRt::new(nodes, 1).map_reduce(inputs, spin, |a, b| a.wrapping_add(b), || 0).unwrap();
+        let span = s.compute_span_s();
+        let straggler = STRAGGLER_PER_NODE * nodes as f64 * span;
+        assert!(straggler > s.comm_s, "{nodes} nodes: {straggler} <= comm {}", s.comm_s);
+        let before = s.total_s - straggler;
+        let slack = 1e-12 * s.total_s;
+        assert!(before + slack >= span + s.root_s, "{nodes} nodes: {before} < span {span}");
+    }
 }
