@@ -4,8 +4,8 @@
 //! astronomical objects. It uses histogramming and nested traversals,
 //! presenting a challenge for conventional fusion frameworks. Three
 //! histograms are computed using different inputs. One loop compares an
-//! observed data set with itself [DD]; one compares it with several random
-//! data sets [DR]; and one compares each random data set with itself [RR].
+//! observed data set with itself \[DD\]; one compares it with several random
+//! data sets \[DR\]; and one compares each random data set with itself \[RR\].
 //! We parallelize across data sets and across elements of a data set."
 //!
 //! Each comparison computes the angle between two unit vectors on the
@@ -152,7 +152,7 @@ fn cell(x: f64) -> usize {
 /// folds into the last bin `bins - 1`, as does NaN.
 ///
 /// The bin of a cosine not above `edges[0]` is the number of lower edges
-/// `edges[1..]` it does not exceed, clamped to `bins - 1`. Because [`cell`]
+/// `edges[1..]` it does not exceed, clamped to `bins - 1`. Because `cell`
 /// never decreases, a lower edge in a higher cell than the dot is `>=` it
 /// and one in a lower cell is below it; only the contiguous run of edges
 /// sharing the dot's cell is compared exactly. So each cell only needs the

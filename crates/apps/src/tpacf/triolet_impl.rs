@@ -138,7 +138,7 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
 /// Run tpacf through the Triolet skeletons with the tiled histogram kernels.
 ///
 /// Same four-phase structure as [`run_triolet`], but every correlation loop
-/// is the i-tiled variant from [`super::seq`]: DD parallelizes over anchor
+/// is the i-tiled variant from `super::seq`: DD parallelizes over anchor
 /// row chunks of the broadcast observed set (each chunk running the tiled
 /// triangular loop), and RR/DR fold the tiled kernels over the resident
 /// random sets. Histograms are identical to [`run_triolet`] — every pair is

@@ -6,14 +6,14 @@
 //! * **No shared heap.** Every process — even two on the same node —
 //!   exchanges serialized messages. `EdenRt` charges genuine serialization
 //!   per process task plus a modeled intra-node transfer
-//!   ([`EdenRt::local_cost`]).
+//!   (`EdenRt::local_cost`).
 //! * **Full-copy distribution.** Standard Eden "sends each distributed task
 //!   a copy of all objects that are referenced by its input"; there is no
 //!   slicing. [`EdenRt::map_reduce_full_copy`] models that default;
 //!   [`EdenRt::map_reduce`] models the optimized style the paper's Eden
 //!   versions use, where the programmer chunks data by hand.
 //! * **Bounded message buffers.** Inter-node messages beyond
-//!   [`EdenRt::max_msg_bytes`] fail — the reason "the Eden code fails at 2
+//!   `EdenRt::max_msg_bytes` fail — the reason "the Eden code fails at 2
 //!   nodes because the array data is too large for Eden's message-passing
 //!   runtime to buffer" (§4.3).
 //! * **Stragglers.** "While Eden scales fairly well, tasks occasionally run

@@ -6,7 +6,7 @@
 //! * [`lowlevel`] — the **C+MPI+OpenMP analogue**: explicit, hand-written
 //!   partitioning and node kernels over raw slices, driven directly by the
 //!   cluster and pool substrates with no skeleton or iterator machinery.
-//!   "As a highly efficient implementation layer, [it] serves as a useful
+//!   "As a highly efficient implementation layer, \[it\] serves as a useful
 //!   reference point against which to evaluate the scalability and parallel
 //!   overhead of the high-level languages."
 //! * [`eden`] — the **Eden analogue**: a distributed functional skeleton

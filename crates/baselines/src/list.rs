@@ -1,7 +1,7 @@
 //! Boxed pipelines: the cost structure of Eden's list processing.
 //!
 //! The paper attributes the naive Eden version's order-of-magnitude
-//! sequential slowdown "chiefly [to] the overhead of list manipulation"
+//! sequential slowdown "chiefly \[to\] the overhead of list manipulation"
 //! (§1), and even the optimized version pays a 2–5x penalty when nested
 //! traversals go through unoptimized steppers (§3.1). [`boxed_pipeline`] is
 //! the Rust analogue the Eden kernels use: dynamic-dispatch iterator

@@ -6,7 +6,7 @@
 //! shape of this runtime's [`LowLevelRt::run`]: the *programmer* supplies
 //! all three pieces; the runtime contributes only transport and threads —
 //! like MPI + OpenMP. The paper's observation that the low-level mri-q
-//! "dedicat[es] more code to partitioning data across MPI ranks than to the
+//! "dedicat\[es\] more code to partitioning data across MPI ranks than to the
 //! actual numerical computation" is visible in the per-app kernels built on
 //! this module.
 

@@ -28,7 +28,7 @@ use std::time::Instant;
 use triolet::prelude::*;
 use triolet_apps::{sgemm, tpacf};
 use triolet_baselines::LowLevelRt;
-use triolet_serial::{packed, reset_unpack_counters, unpack_all, unpack_counters, PodView};
+use triolet_serial::{packed, unpack_counted, PodView};
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
@@ -100,18 +100,21 @@ fn main() {
     let bytes = packed(&payload);
     let decode_reps = if smoke { 8 } else { 16 };
 
-    reset_unpack_counters();
+    // Each decode's `(copied, aliased)` bytes, summed over every rep.
+    let (mut vec_copied, mut vec_aliased) = (0, 0);
     let (vec_s, vec_out) = best_of(decode_reps, || -> Vec<f32> {
-        unpack_all(bytes.clone()).expect("payload roundtrip")
+        let (v, (c, a)) = unpack_counted(bytes.clone()).expect("payload roundtrip");
+        (vec_copied, vec_aliased) = (vec_copied + c, vec_aliased + a);
+        v
     });
-    let (vec_copied, vec_aliased) = unpack_counters();
     assert_eq!(vec_aliased, 0, "Vec decode never aliases");
 
-    reset_unpack_counters();
+    let (mut view_copied, mut view_aliased) = (0, 0);
     let (view_s, view_out) = best_of(decode_reps, || -> PodView<f32> {
-        unpack_all(bytes.clone()).expect("payload roundtrip")
+        let (v, (c, a)) = unpack_counted(bytes.clone()).expect("payload roundtrip");
+        (view_copied, view_aliased) = (view_copied + c, view_aliased + a);
+        v
     });
-    let (view_copied, view_aliased) = unpack_counters();
 
     assert_eq!(vec_out.len(), view_out.len());
     for (x, y) in vec_out.iter().zip(view_out.as_slice()) {

@@ -1,9 +1,9 @@
 //! Benchmark harness: regenerates every table and figure of the Triolet
 //! paper's evaluation (§4).
 //!
-//! The `repro` binary drives the harness. `benches/` holds the five
-//! design-choice ablations called out in DESIGN.md (`collectives`,
-//! `distvec`, `kernels`, `scale`, `tenancy`): plain `harness = false`
+//! The `repro` binary drives the harness. `benches/` holds the four
+//! design-choice ablations called out in DESIGN.md (`distvec`, `kernels`,
+//! `scale`, `tenancy`): plain `harness = false`
 //! binaries that assert their claim, take `--smoke` for the CI-sized run
 //! and `--out FILE` for the committed `BENCH_*.json` capture.
 //!

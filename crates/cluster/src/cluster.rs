@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use triolet_obs::{tree_edge_args, ArgValue, TraceData, TraceHandle, Track};
-use triolet_serial::{packed, unpack_all, unpack_counters, Piece, Wire, WireError};
+use triolet_serial::{packed, unpack_counted, Piece, Wire, WireError};
 
 use crate::clock::timed;
 use crate::cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
@@ -41,33 +41,6 @@ const PIECE_TAG: u32 = 4;
 /// come from them, and a segment scatter treats its home as alive): the
 /// sender never gives up, so only a drop rate of essentially 1.0 trips this.
 const LIVE_ATTEMPT_CAP: u32 = 10_000;
-
-/// Run `f` and return its result plus the `(copied, aliased)` unpack byte
-/// deltas it produced on this thread — the root-side accounting hook for the
-/// zero-copy unpack path. Must run on the thread doing the unpacking (the
-/// counters are thread-local).
-fn with_unpack_delta<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (c0, a0) = unpack_counters();
-    let out = f();
-    let (c1, a1) = unpack_counters();
-    (out, c1.wrapping_sub(c0), a1.wrapping_sub(a0))
-}
-
-/// How one-to-all payloads (the broadcast environment) are routed.
-///
-/// `Tree` sends over the contiguous-subtree binomial tree of [`tree`]: the
-/// root transmits `O(log N)` copies and ranks that already hold the payload
-/// relay it concurrently, so the last arrival is `O(log N)` edge times
-/// behind the root instead of `O(N)`. Under `Linear` the root loops over
-/// every destination itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Topology {
-    /// Root sends every copy itself, serialized on its one NIC.
-    Linear,
-    /// Binomial-tree relay (the default).
-    #[default]
-    Tree,
-}
 
 /// Why a dispatch could not complete.
 ///
@@ -140,8 +113,6 @@ pub struct ClusterConfig {
     /// Record a span/event timeline for every dispatch (off by default;
     /// the disabled path is a single branch per record site).
     pub trace: bool,
-    /// Route for one-to-all payloads (tree by default).
-    pub topology: Topology,
 }
 
 impl ClusterConfig {
@@ -153,7 +124,6 @@ impl ClusterConfig {
             cost: CostModel::default(),
             faults: FaultPlan::none(),
             trace: false,
-            topology: Topology::default(),
         }
     }
 
@@ -172,12 +142,6 @@ impl ClusterConfig {
     /// Enable or disable timeline recording.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Replace the one-to-all routing topology.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
         self
     }
 }
@@ -627,25 +591,22 @@ impl PayloadEdge {
 /// which therefore sends `O(log N)` copies. A shared piece is sent by the
 /// root exactly **once**, to its first reader, and the readers relay it
 /// among themselves over the tree rooted there — the root link is the
-/// scarce one when a whole input fans out. Under [`Topology::Linear`] the
-/// root sends every copy of either kind itself.
+/// scarce one when a whole input fans out.
 fn plan_payload(
     edges: &mut Vec<PayloadEdge>,
     plan: &FaultPlan,
-    topology: Topology,
     dests: &[usize],
     bytes: usize,
     piece: Option<usize>,
 ) -> Result<(), usize> {
     let n = dests.len();
     // Positions: 0 is the root, `p >= 1` is `dests[p - 1]`.
-    let shape: Vec<(usize, usize, u32, usize)> = match (topology, piece) {
-        (Topology::Linear, _) => (1..=n).map(|c| (0, c, 1, n)).collect(),
-        (Topology::Tree, None) => tree::edges(n + 1)
+    let shape: Vec<(usize, usize, u32, usize)> = match piece {
+        None => tree::edges(n + 1)
             .into_iter()
             .map(|(s, c)| (s, c, tree::depth(c), tree::fanout(s, n + 1)))
             .collect(),
-        (Topology::Tree, Some(_)) => std::iter::once((0, 1, 1, 1))
+        Some(_) => std::iter::once((0, 1, 1, 1))
             .chain(
                 tree::edges(n)
                     .into_iter()
@@ -715,7 +676,6 @@ struct TaskScatter {
 /// rank that reads the payload: it is [`DispatchError::Unroutable`].
 fn plan_scatter<R>(
     plan: &FaultPlan,
-    topology: Topology,
     n_nodes: usize,
     tasks: &[RawTask<'_, R>],
     execs: &[usize],
@@ -734,7 +694,7 @@ fn plan_scatter<R>(
         let mut ranks = execs.to_vec();
         ranks.sort_unstable();
         ranks.dedup();
-        plan_payload(&mut edges, plan, topology, &ranks, bcast_bytes, None)
+        plan_payload(&mut edges, plan, &ranks, bcast_bytes, None)
             .map_err(|rank| stranded(rank, None))?;
         env_edge_to = vec![usize::MAX; n_nodes];
         for (idx, e) in edges.iter().enumerate() {
@@ -789,7 +749,7 @@ fn plan_scatter<R>(
                             }
                         }
                         let start = edges.len();
-                        plan_payload(&mut edges, plan, topology, &ranks, p.bytes, Some(shared))
+                        plan_payload(&mut edges, plan, &ranks, p.bytes, Some(shared))
                             .map_err(|rank| stranded(rank, p.id))?;
                         shared += 1;
                         *block = Some(start..edges.len());
@@ -849,7 +809,7 @@ impl Plan {
             .map(|task| plan_route(faults, n_nodes, task, bcast_bytes))
             .collect::<Result<Vec<_>, _>>()?;
         let execs: Vec<usize> = tried.iter().map(|&(exec, _)| exec).collect();
-        let scatter = plan_scatter(faults, config.topology, n_nodes, tasks, &execs, bcast_bytes)?;
+        let scatter = plan_scatter(faults, n_nodes, tasks, &execs, bcast_bytes)?;
 
         // Every payload edge, then every task hop, is counted (the schedule,
         // not the executor, decides what happens on the wire) and reduced to
@@ -1171,8 +1131,7 @@ impl Cluster {
                     work: Box::new(move |ctx: &NodeCtx| {
                         // Deserialization happens on the node: charge it (and
                         // let the trace show how much of it was zero-copy).
-                        let payload: T =
-                            ctx.unpack_sequential(|| unpack_all(msg).expect("payload roundtrip"));
+                        let payload: T = ctx.unpack(msg).expect("payload roundtrip");
                         task(ctx, payload)
                     }),
                 }
@@ -1220,15 +1179,15 @@ impl Cluster {
     /// observes it.
     ///
     /// `env_bytes` is one shared payload (the packed closure environment)
-    /// broadcast from the root to every *executing* rank over the
-    /// configured [`Topology`] before any task payload goes out. It is
-    /// accounted once per broadcast edge — not once per task — and in
-    /// virtual time a task cannot start before its rank holds it; `0` (the
-    /// unit environment) charges nothing. Its arrival is also the start
-    /// signal for a task with nothing of its own to send (see [`RawTask`]):
-    /// the root sends such a task no message, so a sweep of `n` resident
-    /// hits costs the root its `⌈log₂(n+1)⌉` tree sends rather than those
-    /// plus `n` empty ones.
+    /// broadcast from the root to every *executing* rank over a binomial
+    /// tree before any task payload goes out. It is accounted once per
+    /// broadcast edge — not once per task — and in virtual time a task
+    /// cannot start before its rank holds it; `0` (the unit environment)
+    /// charges nothing. Its arrival is also the start signal for a task
+    /// with nothing of its own to send (see [`RawTask`]): the root sends
+    /// such a task no message, so a sweep of `n` resident hits costs the
+    /// root its `⌈log₂(n+1)⌉` tree sends rather than those plus `n` empty
+    /// ones.
     ///
     /// The composition of four values. The `Plan` routes every task
     /// through the fault schedule, then the one-to-many payloads (the
@@ -1355,10 +1314,9 @@ impl Cluster {
         for &i in &order {
             uclock = uclock.max(ret_arrival[i]);
             let rb = std::mem::take(&mut results[i]);
-            let ((decoded, c, a), u) = timed(|| with_unpack_delta(|| unpack_all(rb)));
-            moved[i] = (c, a);
+            let (decoded, u) = timed(|| unpack_counted(rb));
             match decoded {
-                Ok(r) => slots[i] = Some(r),
+                Ok((r, split)) => (slots[i], moved[i]) = (Some(r), split),
                 Err(source) => {
                     return (counts.traffic(), Err(DispatchError::Decode { task: i, source }))
                 }
@@ -1776,30 +1734,22 @@ mod tests {
 
     #[test]
     fn a_piece_four_ranks_read_leaves_the_root_once() {
-        let run = |topology| {
-            let cfg = ClusterConfig::virtual_cluster(4, 1).with_topology(topology).with_trace(true);
-            Cluster::new(cfg).dispatch(sharing_tasks(), 500).unwrap()
-        };
-        let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
-        for out in [&tree, &linear] {
-            assert_eq!(out.results, vec![0, 1, 2, 3]);
-            // Every rank receives the environment, the shared piece, its own
-            // piece and its descriptor: the same bytes on all links.
-            assert_eq!(out.timing.bytes_out, 4 * (500 + 1000 + 100 + 16));
-            // 4 env edges + 4 piece edges + 4 hops + 4 returns.
-            assert_eq!(out.timing.messages, 16);
-        }
-        assert_eq!(linear.timing.root_bytes_out, linear.timing.bytes_out);
-        // Tree: the environment enters the 5-participant tree at the root
-        // (3 copies), the shared piece goes to its first reader only.
-        assert_eq!(tree.timing.root_bytes_out, 3 * 500 + 1000 + 4 * (100 + 16));
-        let piece_edges = |out: &DistOutcome<u64>| {
-            let tagged = |s: &&triolet_obs::Span| s.args.iter().any(|(k, _)| *k == "piece");
-            out.trace.spans.iter().filter(|s| s.name == "comm:tree").filter(tagged).count()
-        };
-        assert_eq!((piece_edges(&tree), piece_edges(&linear)), (4, 4));
+        let cfg = ClusterConfig::virtual_cluster(4, 1).with_trace(true);
+        let out = Cluster::new(cfg).dispatch(sharing_tasks(), 500).unwrap();
+        assert_eq!(out.results, vec![0, 1, 2, 3]);
+        // Every rank receives the environment, the shared piece, its own
+        // piece and its descriptor.
+        assert_eq!(out.timing.bytes_out, 4 * (500 + 1000 + 100 + 16));
+        // 4 env edges + 4 piece edges + 4 hops + 4 returns.
+        assert_eq!(out.timing.messages, 16);
+        // The environment enters the 5-participant tree at the root (3
+        // copies), the shared piece goes to its first reader only.
+        assert_eq!(out.timing.root_bytes_out, 3 * 500 + 1000 + 4 * (100 + 16));
+        let tagged = |s: &&triolet_obs::Span| s.args.iter().any(|(k, _)| *k == "piece");
+        let piece_edges = out.trace.spans.iter().filter(|s| s.name == "comm:tree").filter(tagged);
+        assert_eq!(piece_edges.count(), 4);
         // A single-reader piece rides its task's own message.
-        let hop = tree.trace.spans.iter().find(|s| s.name == "send").expect("a send");
+        let hop = out.trace.spans.iter().find(|s| s.name == "send").expect("a send");
         assert!(hop.args.contains(&("bytes", 116usize.into())), "{hop:?}");
     }
 
@@ -1828,29 +1778,25 @@ mod tests {
     /// the wall-measured node and unpack times are noise beside it.
     const LATENCY: f64 = 0.05;
 
-    /// One resident task per rank of an `n`-rank cluster, each reading a
+    /// One resident task per rank of an 8-rank cluster, each reading a
     /// 4096-byte segment its rank holds, `halo` halo bytes and the given
-    /// pieces, returning the rank it ran on.
-    fn resident_tasks<'a>(n: usize, halo: usize, pieces: &[Piece]) -> Vec<RawTask<'a, u64>> {
-        (0..n)
-            .map(|home| {
-                let halo = Piece::anonymous(halo);
-                rank_task(
-                    [held(home, 4096)].into_iter().chain(halo).chain(pieces.to_vec()).collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// Eight [`resident_tasks`] behind an `env_bytes`-byte environment (0
-    /// for none), on a flat network where every message costs [`LATENCY`].
+    /// pieces and returning the rank it ran on, behind an `env_bytes`-byte
+    /// environment (0 for none), on a flat network where every message
+    /// costs [`LATENCY`].
     fn resident_sweep(
         plan: FaultPlan,
         env_bytes: usize,
         halo: usize,
         pieces: &[Piece],
     ) -> DistOutcome<u64> {
-        let tasks = resident_tasks(8, halo, pieces);
+        let tasks = (0..8)
+            .map(|home| {
+                let halo = Piece::anonymous(halo);
+                rank_task(
+                    [held(home, 4096)].into_iter().chain(halo).chain(pieces.to_vec()).collect(),
+                )
+            })
+            .collect();
         let cfg = ClusterConfig::virtual_cluster(8, 1)
             .with_cost(CostModel::flat(LATENCY, f64::INFINITY))
             .with_faults(plan)
@@ -1881,15 +1827,6 @@ mod tests {
             let task = out.trace.spans.iter().filter(|s| s.name == "node:task").find(on_rank);
             assert_eq!(task.expect("every rank ran a task").t0, edge.t1, "rank {rank}");
         }
-    }
-
-    #[test]
-    fn linear_topology_rides_its_direct_environment_sends() {
-        let cfg = ClusterConfig::virtual_cluster(4, 1).with_topology(Topology::Linear);
-        let out = Cluster::new(cfg).dispatch(resident_tasks(4, 0, &[]), 100).unwrap();
-        assert_eq!(out.results, vec![0, 1, 2, 3]);
-        assert_eq!((out.timing.messages, out.timing.bytes_out), (8, 400));
-        assert_eq!(out.timing.root_bytes_out, 400);
     }
 
     #[test]

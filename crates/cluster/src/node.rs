@@ -5,8 +5,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use bytes::Bytes;
 use triolet_obs::{TraceData, TraceHandle, Track};
 use triolet_pool::vtime::greedy_schedule;
+use triolet_serial::{unpack_counted, Wire, WireResult};
 
 use crate::clock::{timed, Laps};
 
@@ -183,26 +185,23 @@ impl NodeCtx {
         r
     }
 
-    /// Run a payload deserialization on this node's clock, emitting an
-    /// `"unpack"` span annotated with how many payload bytes were memcpy'd
-    /// vs aliased in place ([`PodView`](triolet_serial::PodView) fields alias
-    /// the received buffer; everything else copies). The counters are
-    /// thread-local, and both the closure and the delta reads run on this
-    /// thread, so concurrent node tasks cannot bleed into each other.
-    pub fn unpack_sequential<R>(&self, f: impl FnOnce() -> R) -> R {
-        let (c0, a0) = triolet_serial::unpack_counters();
+    /// Decode `payload` on this node's clock, emitting an `"unpack"` span
+    /// annotated with how many of its slice bytes were memcpy'd vs aliased
+    /// in place ([`PodView`](triolet_serial::PodView) fields alias the
+    /// received buffer; everything else copies).
+    pub fn unpack<T: Wire>(&self, payload: Bytes) -> WireResult<T> {
         let t0 = self.elapsed();
-        let r = self.sequential(f);
-        let (c1, a1) = triolet_serial::unpack_counters();
+        let decoded = self.sequential(|| unpack_counted(payload));
+        let (copied, aliased) = decoded.as_ref().map_or((0, 0), |(_, moved)| *moved);
         self.trace.span(
             "unpack",
             "prep",
             self.node_track(),
             t0,
             self.elapsed(),
-            vec![("copied", c1.wrapping_sub(c0).into()), ("aliased", a1.wrapping_sub(a0).into())],
+            vec![("copied", copied.into()), ("aliased", aliased.into())],
         );
-        r
+        decoded.map(|(value, _)| value)
     }
 
     /// Map `leaf` over explicit chunks, preserving order, and charge the

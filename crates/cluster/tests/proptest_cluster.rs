@@ -3,9 +3,7 @@
 //! deliver under arbitrary interleavings.
 
 use proptest::prelude::*;
-use triolet_cluster::{
-    Cluster, ClusterConfig, Comm, CostModel, FaultPlan, NodeCtx, RawTask, Topology,
-};
+use triolet_cluster::{Cluster, ClusterConfig, Comm, CostModel, FaultPlan, NodeCtx, RawTask};
 use triolet_serial::{Piece, Wire};
 
 /// `bytes` that rank `holder` already holds: a resident segment.
@@ -78,7 +76,7 @@ proptest! {
     #[test]
     fn riders_and_senders_share_ranks_keeping_their_slots(
         specs in proptest::collection::vec((0usize..6, 0usize..3), 1..=6),
-        (free, linear, crash) in (any::<bool>(), any::<bool>(), 0usize..12),
+        (free, crash) in (any::<bool>(), 0usize..12),
         seed in 0u64..500,
     ) {
         const NODES: usize = 6;
@@ -90,10 +88,8 @@ proptest! {
             _ => FaultPlan::none(),
         };
         let cost = if free { CostModel::free() } else { CostModel::flat(1e-5, 1e9) };
-        let topology = if linear { Topology::Linear } else { Topology::Tree };
         let cfg = ClusterConfig::virtual_cluster(NODES, 1)
             .with_cost(cost)
-            .with_topology(topology)
             .with_faults(plan)
             .with_trace(true);
         // Each task reads a segment its home holds. Kind 0 has nothing to
@@ -126,7 +122,7 @@ proptest! {
     /// record counts it: over random tasks (private bytes, shared, private
     /// and anonymous pieces, held segments with and without halos, a held
     /// piece at a random, crashed or redispatch-target rank, result sizes),
-    /// environments, topologies and fault plans, the counters move by
+    /// environments and fault plans, the counters move by
     /// precisely the dispatch's `DistTiming` — nothing counted twice,
     /// nothing missed — and every task with a held piece is one hit or one
     /// miss.
@@ -142,7 +138,7 @@ proptest! {
             ),
             1..4,
         ),
-        (nodes, linear, crash, seed) in (1usize..=5, any::<bool>(), 0usize..8, 0u64..1000),
+        (nodes, crash, seed) in (1usize..=5, 0usize..8, 0u64..1000),
         (drop_pct, dup_pct, corrupt_pct) in (0u32..30, 0u32..10, 0u32..10),
     ) {
         let mut faults = FaultPlan::seeded(seed)
@@ -153,8 +149,7 @@ proptest! {
         if crash < nodes && nodes > 1 {
             faults = faults.with_crash(crash);
         }
-        let topology = if linear { Topology::Linear } else { Topology::Tree };
-        let cfg = ClusterConfig::virtual_cluster(nodes, 1).with_topology(topology).with_faults(faults);
+        let cfg = ClusterConfig::virtual_cluster(nodes, 1).with_faults(faults);
         let cluster = Cluster::new(cfg);
         for (specs, bcast) in &calls {
             // A resident task (`resident > 0`) reads a segment held at its

@@ -268,7 +268,7 @@ impl Triolet {
         Triolet { cluster: Cluster::new(config) }
     }
 
-    /// Wrap this runtime in a multi-tenant [`JobService`]: a bounded
+    /// Wrap this runtime in a multi-tenant [`JobService`](crate::JobService): a bounded
     /// submission queue, policy-driven dispatch, and per-tenant accounting
     /// over this cluster. Consumes the runtime — all subsequent skeleton
     /// calls go through submitted jobs.

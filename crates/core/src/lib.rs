@@ -66,8 +66,8 @@ pub use service::{
 
 // Re-export the substrate crates under the facade.
 pub use triolet_cluster::{
-    Cluster, ClusterConfig, CostModel, DispatchError, DistTiming, FaultPlan, NodeCtx, Topology,
-    TraceData, TraceHandle, Track, TrafficSnapshot, TrafficStats,
+    Cluster, ClusterConfig, CostModel, DispatchError, DistTiming, FaultPlan, NodeCtx, TraceData,
+    TraceHandle, Track, TrafficSnapshot, TrafficStats,
 };
 pub use triolet_domain::{Dim2, Dim2Part, Dim3, Dim3Part, Domain, Part, Seq, SeqPart};
 pub use triolet_iter::{
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::report::RunStats;
     pub use crate::run::Run;
     pub use crate::service::{AdmissionError, JobService, SchedPolicy, ServiceConfig, Tenant};
-    pub use triolet_cluster::{ClusterConfig, CostModel, FaultPlan, Topology, TraceData};
+    pub use triolet_cluster::{ClusterConfig, CostModel, FaultPlan, TraceData};
     pub use triolet_domain::{Dim2, Dim3, Domain, Part, Seq};
     pub use triolet_iter::prelude::*;
 }

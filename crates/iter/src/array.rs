@@ -1,6 +1,6 @@
 //! Dense unboxed arrays: the in-memory data structures behind indexers.
 //!
-//! The paper's runtime "stor[es] data in arrays" and serializes pointer-free
+//! The paper's runtime "stor\[es\] data in arrays" and serializes pointer-free
 //! arrays with a block copy. [`Array2`] and [`Array3`] are row-major dense
 //! matrices/grids with [`Wire`] framing whose element payload takes the
 //! block-copy fast path for pod element types.

@@ -26,7 +26,6 @@ use triolet_obs::json::{parse, Value};
 /// `point_fields` is checked against each element of `points`; benches
 /// without a `points` array list their required top-level sections instead.
 const REGISTRY: &[(&str, &[&str], &[&str])] = &[
-    ("ablation_collectives", &["points"], &["nodes", "topology", "total_s", "comm_s", "env_packs"]),
     (
         "ablation_distvec",
         &["points"],

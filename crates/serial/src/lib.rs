@@ -47,8 +47,8 @@ pub use error::WireError;
 pub use payload::{PackedPayload, Piece};
 pub use pod::Pod;
 pub use reader::WireReader;
-pub use view::{reset_unpack_counters, unpack_counters, PodView};
-pub use wire::{packed, unpack_all, Wire};
+pub use view::PodView;
+pub use wire::{packed, unpack_all, unpack_counted, Wire};
 pub use writer::WireWriter;
 
 /// Convenience result alias for unpacking.

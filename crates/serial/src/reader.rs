@@ -9,17 +9,27 @@ use crate::WireResult;
 /// Consuming cursor over an immutable payload.
 ///
 /// All reads validate against the remaining length, so corrupt or truncated
-/// payloads surface as [`WireError`] instead of panics.
+/// payloads surface as [`WireError`] instead of panics. The reader counts
+/// the pod-slice bytes it decodes (see [`unpacked`](Self::unpacked)).
 #[derive(Debug)]
 pub struct WireReader {
     buf: Bytes,
     pos: usize,
+    pub(crate) copied: u64,
+    pub(crate) aliased: u64,
 }
 
 impl WireReader {
     /// Wrap a received payload.
     pub fn new(buf: Bytes) -> Self {
-        Self { buf, pos: 0 }
+        Self { buf, pos: 0, copied: 0, aliased: 0 }
+    }
+
+    /// Pod-slice bytes decoded so far: `(copied, aliased)`. Copied bytes
+    /// went through a `memcpy` into a fresh allocation; aliased bytes were
+    /// answered by a [`PodView`](crate::PodView) pointing into the buffer.
+    pub fn unpacked(&self) -> (u64, u64) {
+        (self.copied, self.aliased)
     }
 
     /// Bytes not yet consumed.
@@ -89,7 +99,7 @@ impl WireReader {
         let nbytes = len * std::mem::size_of::<T>();
         let bytes = self.take(nbytes)?;
         let out = pod_from_bytes(bytes);
-        crate::view::record_copied(nbytes);
+        self.copied += nbytes as u64;
         Ok(out)
     }
 }
@@ -136,5 +146,6 @@ mod tests {
         w.put_pod_slice(&xs);
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_pod_slice::<i16>().unwrap(), xs);
+        assert_eq!(r.unpacked(), (8, 0));
     }
 }

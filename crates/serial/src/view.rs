@@ -13,7 +13,6 @@
 //! environment whose arrays are `PodView`s is decoded once per node into
 //! views that all share the one received buffer.
 
-use std::cell::Cell;
 use std::ops::Deref;
 
 use bytes::Bytes;
@@ -23,37 +22,6 @@ use crate::reader::WireReader;
 use crate::wire::Wire;
 use crate::writer::WireWriter;
 use crate::WireResult;
-
-// ---------------------------------------------------------------------------
-// Unpack copy accounting
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static UNPACK_COPIED: Cell<u64> = const { Cell::new(0) };
-    static UNPACK_ALIASED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Bytes moved by slice unpacks on this thread since the last reset:
-/// `(copied, aliased)`. Copied bytes went through a `memcpy` into a fresh
-/// allocation; aliased bytes were answered by a [`PodView`] pointing into the
-/// received buffer.
-pub fn unpack_counters() -> (u64, u64) {
-    (UNPACK_COPIED.get(), UNPACK_ALIASED.get())
-}
-
-/// Reset this thread's unpack counters to zero.
-pub fn reset_unpack_counters() {
-    UNPACK_COPIED.set(0);
-    UNPACK_ALIASED.set(0);
-}
-
-pub(crate) fn record_copied(n: usize) {
-    UNPACK_COPIED.set(UNPACK_COPIED.get() + n as u64);
-}
-
-pub(crate) fn record_aliased(n: usize) {
-    UNPACK_ALIASED.set(UNPACK_ALIASED.get() + n as u64);
-}
 
 // ---------------------------------------------------------------------------
 // PodView
@@ -233,16 +201,18 @@ impl WireReader {
     /// for whole-payload reads, where the buffer starts at an allocation
     /// boundary), the view aliases the buffer and no element bytes move.
     /// A misaligned window falls back to the copying path, so the result is
-    /// always valid — alignment only affects cost, never correctness.
+    /// always valid — alignment only affects cost, never correctness. The
+    /// window's bytes count as aliased or copied accordingly
+    /// ([`WireReader::unpacked`]).
     pub fn get_pod_view<T: Pod>(&mut self) -> WireResult<PodView<T>> {
         let len = self.get_len(std::mem::size_of::<T>())?;
         let nbytes = len * std::mem::size_of::<T>();
         let window = self.take_shared(nbytes)?;
         if window.as_ptr() as usize % std::mem::align_of::<T>() == 0 {
-            record_aliased(nbytes);
+            self.aliased += nbytes as u64;
             Ok(PodView::borrowed(window, len))
         } else {
-            record_copied(nbytes);
+            self.copied += nbytes as u64;
             Ok(PodView::from_vec(pod_from_bytes(&window)))
         }
     }
@@ -251,19 +221,15 @@ impl WireReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{packed, unpack_all};
+    use crate::wire::{packed, unpack_all, unpack_counted};
 
     #[test]
     fn view_aliases_aligned_payload() {
         let v: Vec<f32> = (0..64).map(|i| i as f32 * 1.5).collect();
-        let bytes = packed(&v);
-        reset_unpack_counters();
-        let view: PodView<f32> = unpack_all(bytes).unwrap();
+        let (view, moved): (PodView<f32>, _) = unpack_counted(packed(&v)).unwrap();
         assert!(view.is_aliased(), "whole-payload f32 slice starts at offset 8, aligned");
         assert_eq!(view.as_slice(), v.as_slice());
-        let (copied, aliased) = unpack_counters();
-        assert_eq!(copied, 0);
-        assert_eq!(aliased, 64 * 4);
+        assert_eq!(moved, (0, 64 * 4));
     }
 
     #[test]
@@ -277,13 +243,10 @@ mod tests {
         let bytes = w.finish();
         let mut r = WireReader::new(bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        reset_unpack_counters();
         let view = r.get_pod_view::<u64>().unwrap();
         assert!(!view.is_aliased(), "offset 9 cannot alias u64");
         assert_eq!(view.as_slice(), v.as_slice());
-        let (copied, aliased) = unpack_counters();
-        assert_eq!(copied, 16 * 8);
-        assert_eq!(aliased, 0);
+        assert_eq!(r.unpacked(), (16 * 8, 0));
     }
 
     #[test]

@@ -78,12 +78,18 @@ pub fn packed<T: Wire>(value: &T) -> Bytes {
 
 /// Unpack a payload that must contain exactly one `T` and nothing else.
 pub fn unpack_all<T: Wire>(bytes: Bytes) -> WireResult<T> {
+    unpack_counted(bytes).map(|(value, _)| value)
+}
+
+/// [`unpack_all`], also returning the pod-slice bytes the decode moved,
+/// `(copied, aliased)` (see [`WireReader::unpacked`]).
+pub fn unpack_counted<T: Wire>(bytes: Bytes) -> WireResult<(T, (u64, u64))> {
     let mut r = WireReader::new(bytes);
     let value = T::unpack(&mut r)?;
     if !r.is_exhausted() {
         return Err(WireError::TrailingBytes { remaining: r.remaining() });
     }
-    Ok(value)
+    Ok((value, r.unpacked()))
 }
 
 // ---------------------------------------------------------------------------
@@ -438,11 +444,10 @@ mod tests {
         let e = Edges { n: 4, edges: crate::PodView::from_vec(vec![0.0, 0.25, 0.5, 1.0]) };
         let bytes = packed(&e);
         assert_eq!(bytes.len(), e.packed_size());
-        crate::reset_unpack_counters();
-        let back = unpack_all::<Edges>(bytes).unwrap();
+        let (back, moved) = unpack_counted::<Edges>(bytes).unwrap();
         // The f64 block starts at offset 16: aligned, so it is not copied.
         assert!(back.edges.is_aliased());
-        assert_eq!(crate::unpack_counters(), (0, 32));
+        assert_eq!(moved, (0, 32));
         assert_eq!((back.n, &back.edges[..]), (4, &[0.0, 0.25, 0.5, 1.0][..]));
     }
 

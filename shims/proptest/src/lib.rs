@@ -357,7 +357,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `Vec<T>`; see [`vec`].
+    /// Strategy for `Vec<T>`; see [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: SizeRange,

@@ -4,11 +4,14 @@
 //!   regardless of node count (the pack-once cache);
 //! * a pre-packed environment is reused — not re-serialized — across
 //!   consecutive skeleton calls (tpacf's multi-phase pattern);
-//! * `Topology::Linear` and `Topology::Tree` produce bit-identical results,
-//!   with and without a seeded fault schedule;
-//! * at 8 nodes the tree broadcast's modeled makespan beats the linear one.
+//! * a seeded fault schedule leaves the broadcast's result bit-identical;
+//! * the binomial-tree broadcast to `n` ranks costs the root
+//!   `⌈log₂(n+1)⌉` sends and ends after as many edge times.
 
 use triolet::prelude::*;
+use triolet::{Cluster, NodeCtx, Track};
+use triolet_cluster::RawTask;
+use triolet_serial::Piece;
 
 const TPN: usize = 2;
 
@@ -77,55 +80,58 @@ fn unit_environment_still_packs_nothing() {
 }
 
 #[test]
-fn linear_and_tree_topologies_are_bit_identical() {
+fn a_seeded_fault_schedule_leaves_the_bits_unchanged() {
     let xs: Vec<f64> = (0..4096).map(|i| (i as f64) * 0.125 + 0.3).collect();
     let env = big_env();
-    let run_with = |topology| {
-        let cfg = ClusterConfig::virtual_cluster(8, TPN).with_topology(topology);
-        let rt = Triolet::new(cfg);
+    let run_with = |plan| {
+        let rt = Triolet::new(ClusterConfig::virtual_cluster(8, TPN).with_faults(plan));
         weighted_sum(&rt, xs.clone(), &env)
     };
-    let linear = run_with(Topology::Linear);
-    let tree = run_with(Topology::Tree);
-    assert_eq!(
-        linear.value.to_bits(),
-        tree.value.to_bits(),
-        "the routing topology must never change the computed value"
-    );
+    let clean = run_with(FaultPlan::none());
+    let faulty = run_with(FaultPlan::seeded(77).with_drop(0.15));
+    assert_eq!(clean.value.to_bits(), faulty.value.to_bits());
+    assert!(faulty.stats.retries > 0, "the schedule must actually bite");
 }
 
-#[test]
-fn topologies_agree_under_a_seeded_fault_schedule() {
-    let xs: Vec<f64> = (0..4096).map(|i| (i as f64) * 0.125 + 0.3).collect();
-    let env = big_env();
-    let plan = FaultPlan::seeded(77).with_drop(0.15);
-    let run_with = |topology| {
-        let cfg = ClusterConfig::virtual_cluster(8, TPN).with_topology(topology).with_faults(plan);
-        let rt = Triolet::new(cfg);
-        weighted_sum(&rt, xs.clone(), &env)
-    };
-    let linear = run_with(Topology::Linear);
-    let tree = run_with(Topology::Tree);
-    assert_eq!(linear.value.to_bits(), tree.value.to_bits());
-    assert!(linear.stats.retries > 0, "the schedule must actually bite");
-    assert!(tree.stats.retries > 0);
-}
+/// Seconds per message in the broadcast's closed form: a binary fraction,
+/// so every sum of edge times is exact.
+const LATENCY: f64 = 0.125;
 
+/// The binomial tree over the root and `n` executing ranks
+/// (`tree::edges(n + 1)`) has `n` edges. The root's children are the powers
+/// of two below `n + 1`, `⌈log₂(n+1)⌉` of them, sent largest subtree first:
+/// the child reached at `j` edge times roots a subtree of depth
+/// `⌈log₂(n+1)⌉ - j` and relays down it without waiting, so the last edge
+/// ends at `⌈log₂(n+1)⌉` edge times — when the root's own last send does.
 #[test]
-fn tree_broadcast_beats_linear_at_eight_nodes() {
-    let xs: Vec<f64> = (0..256).map(|i| i as f64).collect();
-    let env = big_env();
-    let run_with = |topology| {
-        let cfg = ClusterConfig::virtual_cluster(8, TPN).with_topology(topology);
-        let rt = Triolet::new(cfg);
-        weighted_sum(&rt, xs.clone(), &env)
-    };
-    let linear = run_with(Topology::Linear);
-    let tree = run_with(Topology::Tree);
-    assert!(
-        tree.stats.total_s < linear.stats.total_s,
-        "tree broadcast must shorten the 8-node makespan: tree {} s vs linear {} s",
-        tree.stats.total_s,
-        linear.stats.total_s
-    );
+fn the_broadcast_leaves_the_root_ceil_log2_times_and_ends_in_as_many_rounds() {
+    const ENV: usize = 264;
+    for n in 1..=16usize {
+        // ⌈log₂(n+1)⌉ is the bit length of n.
+        let rounds = (usize::BITS - n.leading_zeros()) as usize;
+        let cfg = ClusterConfig::virtual_cluster(n, 1)
+            .with_cost(CostModel::flat(LATENCY, f64::INFINITY))
+            .with_trace(true);
+        // Resident tasks: each reads a segment its home holds, so it has
+        // no message of its own and rides the environment in.
+        let tasks = (0..n)
+            .map(|home| RawTask {
+                pieces: vec![Piece { id: None, bytes: 4096, holder: Some(home) }],
+                pack_s: 0.0,
+                work: Box::new(move |_: &NodeCtx| home as u64),
+            })
+            .collect();
+        let out = Cluster::new(cfg).dispatch(tasks, ENV).unwrap();
+        assert_eq!(out.results, (0..n as u64).collect::<Vec<_>>());
+        assert_eq!(out.trace.count_events("task:ride"), n, "{n} ranks");
+        // n environment edges + n returns.
+        assert_eq!(out.timing.messages, 2 * n as u64, "{n} ranks");
+        let edges: Vec<_> = out.trace.spans.iter().filter(|s| s.name == "comm:tree").collect();
+        assert_eq!(edges.len(), n);
+        let from_root = edges.iter().filter(|s| s.track == Track::Root).count();
+        assert_eq!(from_root, rounds, "{n} ranks");
+        assert_eq!(out.timing.root_bytes_out, (rounds * ENV) as u64, "{n} ranks");
+        let last = edges.iter().map(|s| s.t1).fold(0.0, f64::max);
+        assert_eq!(last, rounds as f64 * LATENCY, "{n} ranks");
+    }
 }

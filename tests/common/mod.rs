@@ -12,16 +12,6 @@ pub fn shapes(max_nodes: usize, max_tpn: usize) -> impl Strategy<Value = (usize,
     (1..=max_nodes, 1..=max_tpn)
 }
 
-/// The shimmed proptest has no `prop_oneof`; pick the topology from an
-/// integer.
-pub fn topology_from(sel: u64) -> Topology {
-    if sel % 2 == 0 {
-        Topology::Linear
-    } else {
-        Topology::Tree
-    }
-}
-
 /// Seeded 12 % message loss, detected after a 1 ms ack timeout.
 pub fn lossy(seed: u64) -> FaultPlan {
     FaultPlan::seeded(seed).with_drop(0.12).with_timeout(Duration::from_millis(1))
@@ -38,13 +28,9 @@ pub fn plan_for(seed: u64, nodes: usize) -> Option<FaultPlan> {
     }
 }
 
-/// A virtual cluster of the given shape and topology under `plan`.
-pub fn cluster(
-    (nodes, tpn): (usize, usize),
-    topology: Topology,
-    plan: Option<FaultPlan>,
-) -> ClusterConfig {
-    let cfg = ClusterConfig::virtual_cluster(nodes, tpn).with_topology(topology);
+/// A virtual cluster of the given shape under `plan`.
+pub fn cluster((nodes, tpn): (usize, usize), plan: Option<FaultPlan>) -> ClusterConfig {
+    let cfg = ClusterConfig::virtual_cluster(nodes, tpn);
     match plan {
         Some(plan) => cfg.with_faults(plan),
         None => cfg,

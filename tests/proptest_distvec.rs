@@ -1,5 +1,5 @@
 //! Property-based gate for resident execution: for random data, random
-//! cluster shapes, either topology, and seeded fault schedules (including
+//! cluster shapes and seeded fault schedules (including
 //! whole-rank crashes that force resident segments to re-ship), a skeleton
 //! over a resident `DistVec` must be **bit-identical** to the same skeleton
 //! over a re-broadcast iterator — and a crash must be paid for once per
@@ -12,7 +12,7 @@ use triolet::prelude::*;
 use triolet::{Track, Wire};
 
 mod common;
-use common::{cluster, lossy, plan_for, shapes, topology_from};
+use common::{cluster, lossy, plan_for, shapes};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -24,11 +24,10 @@ proptest! {
     fn resident_f64_fold_is_bit_identical(
         xs in proptest::collection::vec(-1e6f64..1e6, 1..400),
         shape in shapes(8, 4),
-        topo_sel in 0u64..2,
         seed in 0u64..3000,
     ) {
         let faults = plan_for(seed, shape.0);
-        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), faults));
+        let rt = Triolet::new(cluster(shape, faults));
         let fold = |input: DistInputOf<f64>, rt: &Triolet| {
             match input {
                 DistInputOf::Resident(dv) => rt.fold_reduce(
@@ -57,10 +56,9 @@ proptest! {
     fn resident_concat_fold_preserves_order(
         xs in proptest::collection::vec(any::<u32>(), 1..300),
         shape in shapes(8, 4),
-        topo_sel in 0u64..2,
         seed in 0u64..3000,
     ) {
-        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0)));
+        let rt = Triolet::new(cluster(shape, plan_for(seed, shape.0)));
         let concat = |rt: &Triolet, dv: &DistVec<u32>| {
             rt.fold_reduce(
                 dv,
@@ -81,10 +79,9 @@ proptest! {
     fn resident_build_vec_matches_map(
         xs in proptest::collection::vec(any::<u32>(), 1..300),
         shape in shapes(8, 4),
-        topo_sel in 0u64..2,
         seed in 0u64..3000,
     ) {
-        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0)));
+        let rt = Triolet::new(cluster(shape, plan_for(seed, shape.0)));
         let dv = rt.scatter(xs.clone()).value;
         let got = rt.build_vec(&dv, &(), |_, x: u32| x as u64 * 3 + 1);
         let expect: Vec<u64> = xs.iter().map(|&x| x as u64 * 3 + 1).collect();
@@ -163,18 +160,17 @@ proptest! {
     /// Each view is the iterator it stands for: `fold_reduce` and
     /// `build_vec` over `&dv`, `enumerate()`, `zip(&w)` and `halo(r)` give
     /// the bits of the same skeleton over the equivalent `.par()` iterator,
-    /// under any shape, topology and fault schedule. Unlike a faulty run
+    /// under any shape and fault schedule. Unlike a faulty run
     /// against a clean one, this fails for a view that yields a wrong
     /// element, index or window.
     #[test]
     fn each_view_equals_its_iterator(
         xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
         shape in shapes(8, 4),
-        topo_sel in 0u64..2,
         seed in 0u64..3000,
         radius in 0usize..4,
     ) {
-        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0)));
+        let rt = Triolet::new(cluster(shape, plan_for(seed, shape.0)));
         let ys: Vec<f64> = xs.iter().map(|x| x * 0.5 - 1.0).collect();
         let (dv, dw) = (rt.scatter(xs.clone()).value, rt.scatter(ys.clone()).value);
         let n = xs.len();
@@ -225,17 +221,15 @@ proptest! {
     fn a_crash_is_paid_for_once_through_every_view(
         xs in proptest::collection::vec(-1e6f64..1e6, COLS..300),
         (nodes, tpn) in (2usize..=9, 1usize..=3),
-        topo_sel in 0u64..2,
         (seed, crash) in (0u64..1000, 0usize..8),
         (view, build, sweeps) in (0..VIEWS, 0u8..2, 1usize..=6),
     ) {
-        let topology = topology_from(topo_sel);
         // Rank 0 is the root's own node and the redispatch target of last
         // resort, so the crash hits ranks 1+.
         let crash = 1 + crash % (nodes - 1);
         let faulty_rt =
-            Triolet::new(cluster((nodes, tpn), topology, Some(lossy(seed).with_crash(crash))));
-        let clean_rt = Triolet::new(cluster((nodes, tpn), topology, None));
+            Triolet::new(cluster((nodes, tpn), Some(lossy(seed).with_crash(crash))));
+        let clean_rt = Triolet::new(cluster((nodes, tpn), None));
         let faulty = Collections::scatter(&faulty_rt, &xs);
         let clean = Collections::scatter(&clean_rt, &xs);
 
@@ -304,7 +298,6 @@ proptest! {
         xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
         env in proptest::collection::vec(-2.0f64..2.0, 1..40),
         shape in shapes(8, 3),
-        topo_sel in 0u64..2,
         seed in 0u64..3000,
     ) {
         // A third of seeds run clean, a third over a dropping link, a third
@@ -316,7 +309,7 @@ proptest! {
             (_, Some(rank)) => Some(lossy(seed).with_crash(rank)),
             _ => Some(lossy(seed)),
         };
-        let rt = Triolet::new(cluster(shape, topology_from(topo_sel), plan).with_trace(true));
+        let rt = Triolet::new(cluster(shape, plan).with_trace(true));
         // An f64 sum (association-sensitive) beside the elements in fold
         // order (order-sensitive), both reading the environment.
         type Acc = (f64, Vec<u64>);

@@ -151,7 +151,7 @@ proptest! {
     ) {
         let input = sgemm::generate_rect(m, k, n, seed);
         let expect = sgemm::run_seq(&input);
-        let cfg = cluster(shape, Topology::Tree, plan_for(fault_seed, shape.0));
+        let cfg = cluster(shape, plan_for(fault_seed, shape.0));
 
         let rt = Triolet::new(cfg);
         let got = sgemm::run_triolet_tiled(&rt, &input).value;
@@ -196,7 +196,7 @@ proptest! {
     ) {
         let input = tpacf::generate(n, n_rand, 12, seed);
         let expect = tpacf::run_seq(&input);
-        let cfg = cluster(shape, Topology::Tree, plan_for(fault_seed, shape.0));
+        let cfg = cluster(shape, plan_for(fault_seed, shape.0));
 
         let rt = Triolet::new(cfg);
         let run = tpacf::run_triolet_tiled(&rt, &input);

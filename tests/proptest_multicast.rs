@@ -1,12 +1,14 @@
 //! Property-based gate for the sharing-aware scatter: the block-decomposed
 //! matrix product is the workload whose tasks share input windows (every A
 //! row panel with its grid row, every Bᵀ panel with its grid column), so for
-//! random shapes, cluster sizes, topologies and seeded fault schedules —
+//! random shapes, cluster sizes and seeded fault schedules —
 //! including a crashed rank, which piles several tasks and their panels onto
 //! one survivor — shipping each shared panel once and relaying it must
 //! change nothing but *which link* carries a byte: values stay bit-equal to
 //! the sequential run and every reader still receives each of its panels
 //! exactly once.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use triolet::prelude::*;
@@ -14,7 +16,7 @@ use triolet_apps::sgemm;
 use triolet_serial::Wire;
 
 mod common;
-use common::{cluster, plan_for, shapes, topology_from};
+use common::{cluster, plan_for, shapes};
 
 /// Bytes each rank received, read off the traced sends (`send` hops and
 /// `comm:tree` piece edges). One copy per span: for fault-free links.
@@ -42,21 +44,20 @@ proptest! {
     fn multicast_changes_no_value_and_no_count(
         (m, k, n) in (1usize..40, 1usize..24, 1usize..40),
         shape in shapes(9, 3),
-        topo_sel in 0u64..2,
         seed in 0u64..3000,
     ) {
         let input = sgemm::generate_rect(m, k, n, seed);
         let expect = sgemm::run_seq(&input);
-        let cfg = cluster(shape, topology_from(topo_sel), plan_for(seed, shape.0));
+        let cfg = cluster(shape, plan_for(seed, shape.0));
         let run = sgemm::run_triolet(&Triolet::new(cfg), &input);
         assert_bits(&run.value, &expect)?;
         prop_assert!(run.stats.root_bytes_out <= run.stats.bytes_out);
     }
 
     /// Fault-free, the bytes on all links are what point-to-point slicing
-    /// would ship — every task's whole slice plus its descriptor — and each
-    /// rank receives the same bytes whether the readers relay a shared
-    /// panel (`Tree`) or the root sends every copy (`Linear`).
+    /// would ship — every task's whole slice plus its descriptor — each rank
+    /// receives exactly its own task's slice and descriptor, and the root
+    /// link carries one copy of each distinct panel plus every descriptor.
     #[test]
     fn every_reader_receives_each_panel_once(
         (m, k, n) in (1usize..40, 1usize..24, 1usize..40),
@@ -64,30 +65,35 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let input = sgemm::generate_rect(m, k, n, seed);
-        let run = |topology| {
-            let rt = Triolet::new(cluster(shape, topology, None).with_trace(true));
-            sgemm::run_triolet(&rt, &input)
-        };
-        let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
-        assert_bits(&tree.value, &linear.value)?;
+        let rt = Triolet::new(cluster(shape, None).with_trace(true));
+        let run = sgemm::run_triolet(&rt, &input);
+        assert_bits(&run.value, &sgemm::run_seq(&input))?;
 
         let it = sgemm::zipped_ab(&input.a, &sgemm::transpose_seq(&input.b));
         let parts = it.outer_domain().split_parts(shape.0);
-        let sliced: usize =
-            parts.iter().map(|p| it.slice_outer(p).source_bytes() + p.packed_size()).sum();
-        prop_assert_eq!(tree.stats.bytes_out, sliced as u64);
-        prop_assert_eq!(linear.stats.bytes_out, sliced as u64);
-        prop_assert_eq!(received(&tree.trace, shape.0), received(&linear.trace, shape.0));
-        // The root link carries everything under `Linear`; under `Tree`
-        // strictly less as soon as there are two blocks, because two blocks
-        // of a grid always share a row panel or a column panel.
-        prop_assert_eq!(linear.stats.root_bytes_out, linear.stats.bytes_out);
-        if parts.len() > 1 {
-            prop_assert!(tree.stats.root_bytes_out < linear.stats.root_bytes_out);
-            prop_assert!(tree.trace.count_spans("comm:tree") > 0);
-        } else {
-            prop_assert_eq!(tree.stats.root_bytes_out, linear.stats.root_bytes_out);
+        let per_part: Vec<u64> = parts
+            .iter()
+            .map(|p| (it.slice_outer(p).source_bytes() + p.packed_size()) as u64)
+            .collect();
+        let mut expect = vec![0u64; shape.0];
+        expect[..per_part.len()].copy_from_slice(&per_part);
+        prop_assert_eq!(run.stats.bytes_out, per_part.iter().sum::<u64>());
+        prop_assert_eq!(received(&run.trace, shape.0), expect);
+        // A block's slice is its A row panel and its Bᵀ row panel, each a
+        // 32-byte frame around `rows × k` f32s; one copy of every distinct
+        // panel leaves the root, beside every descriptor.
+        let panel = |rows: usize| (32 + rows * k * 4) as u64;
+        for (p, &bytes) in parts.iter().zip(&per_part) {
+            prop_assert_eq!(bytes, panel(p.rows) + panel(p.cols) + p.packed_size() as u64);
         }
+        let a_panels: BTreeSet<_> = parts.iter().map(|p| (p.row0, p.rows)).collect();
+        let b_panels: BTreeSet<_> = parts.iter().map(|p| (p.col0, p.cols)).collect();
+        let descriptors: usize = parts.iter().map(Wire::packed_size).sum();
+        let distinct: u64 = a_panels.iter().chain(&b_panels).map(|&(_, rows)| panel(rows)).sum();
+        prop_assert_eq!(run.stats.root_bytes_out, distinct + descriptors as u64);
+        // Two blocks of a grid always share a row panel or a column panel,
+        // so as soon as there are two, pieces relay over the tree.
+        prop_assert_eq!(parts.len() > 1, run.trace.count_spans("comm:tree") > 0);
     }
 
     /// The strip-level decomposition the benchmark runs shares panels the
@@ -101,15 +107,11 @@ proptest! {
         let input = sgemm::generate_rect(m, k, n, seed);
         let expect = sgemm::run_seq(&input);
         let plan = plan_for(seed, nodes);
-        let run = |topology| {
-            sgemm::run_triolet_tiled(&Triolet::new(cluster((nodes, 2), topology, plan)), &input)
-        };
-        let (tree, linear) = (run(Topology::Tree), run(Topology::Linear));
-        assert_bits(&tree.value, &expect)?;
-        assert_bits(&linear.value, &expect)?;
+        let run =
+            sgemm::run_triolet_tiled(&Triolet::new(cluster((nodes, 2), plan)), &input);
+        assert_bits(&run.value, &expect)?;
         if plan.is_none() {
-            prop_assert_eq!(tree.stats.bytes_out, linear.stats.bytes_out);
-            prop_assert!(tree.stats.root_bytes_out < linear.stats.root_bytes_out);
+            prop_assert!(run.stats.root_bytes_out < run.stats.bytes_out);
         }
     }
 }

@@ -4,9 +4,7 @@
 //! to the copying `Vec` unpack of the same wire bytes.
 
 use proptest::prelude::*;
-use triolet_serial::{
-    packed, reset_unpack_counters, unpack_counters, PodView, Wire, WireReader, WireWriter,
-};
+use triolet_serial::{packed, PodView, Wire, WireReader, WireWriter};
 
 /// Pack `prefix` raw bytes, then the slice, and hand back a reader
 /// positioned after the prefix. The prefix shifts the payload window, so the
@@ -28,17 +26,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// f64 payloads at random window offsets: aliased or copied, the view's
-    /// contents are bit-identical to the copying path, and the unpack
-    /// counters account for every payload byte exactly once.
+    /// contents are bit-identical to the copying path, and the reader's
+    /// unpack counts account for every payload byte exactly once.
     #[test]
     fn podview_f64_matches_copying_path_at_any_offset(
         xs in proptest::collection::vec(-1e30f64..1e30, 0..200),
         prefix in 0usize..16,
     ) {
         let mut r = reader_after_prefix(prefix, &xs);
-        reset_unpack_counters();
         let view: PodView<f64> = PodView::unpack(&mut r).expect("payload roundtrip");
-        let (copied, aliased) = unpack_counters();
+        let (copied, aliased) = r.unpacked();
 
         prop_assert_eq!(view.len(), xs.len());
         for (a, b) in view.as_slice().iter().zip(&xs) {

@@ -1,6 +1,6 @@
 //! Property-based tenancy isolation: any interleaving of N tenants' jobs
 //! through the shared [`JobService`] — under FairShare or Priority, across
-//! topologies and seeded fault plans including crashed ranks — yields
+//! seeded fault plans including crashed ranks — yields
 //! per-job results bit-identical to running each job alone on an identically
 //! configured cluster, and per-job traffic equal to that solo cluster's
 //! whole ledger. Values and traffic accounting are order-independent;
@@ -13,7 +13,7 @@ use triolet::prelude::*;
 use triolet::TrafficSnapshot;
 
 mod common;
-use common::{cluster, plan_for, topology_from};
+use common::{cluster, plan_for};
 
 fn policy_from(sel: u64, tenants: usize) -> SchedPolicy {
     if sel % 2 == 0 {
@@ -73,11 +73,10 @@ proptest! {
         (nodes, tpn) in (2usize..=8, 1usize..=3),
         tenants in 1usize..=4,
         jobs in 1usize..=12,
-        topo_sel in 0u64..2,
         policy_sel in 0u64..2,
         seed in 0u64..1_000,
     ) {
-        let cfg = cluster((nodes, tpn), topology_from(topo_sel), plan_for(seed, nodes));
+        let cfg = cluster((nodes, tpn), plan_for(seed, nodes));
         let specs = specs_for(tenants, jobs, seed);
 
         let svc = Triolet::new(cfg).into_service(
@@ -125,7 +124,7 @@ proptest! {
         policy_sel in 0u64..2,
         seed in 0u64..1_000,
     ) {
-        let cfg = cluster((nodes, tpn), Topology::Tree, plan_for(seed, nodes));
+        let cfg = cluster((nodes, tpn), plan_for(seed, nodes));
         let specs = specs_for(tenants, jobs, seed);
         let run_service = || {
             let svc = Triolet::new(cfg).into_service(
