@@ -19,7 +19,7 @@ use triolet_apps::table::{self, AppError, Impl, APPS};
 
 fn usage(why: &str) -> ! {
     eprintln!(
-        "triolet-app: {why}\nusage: triolet-app <app> [--impl seq|triolet|tiled|lowlevel|eden] \
+        "triolet-app: {why}\nusage: triolet-app <app> [--impl seq|triolet|lowlevel|eden] \
          [--nodes N] [--threads T] [--seed S] [--trace-out FILE] [--crash RANK] [--drop P] \
          [--fault-seed S] [--timeout-ms T] [--<size> N]..."
     );

@@ -40,7 +40,7 @@ impl FaultFlags {
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct Opts {
-    /// Implementation selector (`--impl seq|triolet|tiled|lowlevel|eden`).
+    /// Implementation selector (`--impl seq|triolet|lowlevel|eden`).
     pub imp: Impl,
     /// Cluster nodes (`--nodes N`).
     pub nodes: usize,
@@ -245,7 +245,10 @@ mod tests {
         for imp in Impl::ALL {
             assert_eq!(opts(&["--impl", &imp.flag()]).unwrap().imp, imp);
         }
-        assert_eq!(opts(&["--impl", "fast"]).unwrap_err(), "--impl fast: no such implementation");
+        for gone in ["fast", "tiled"] {
+            let why = format!("--impl {gone}: no such implementation");
+            assert_eq!(opts(&["--impl", gone]).unwrap_err(), why);
+        }
     }
 
     #[test]

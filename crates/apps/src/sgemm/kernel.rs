@@ -58,7 +58,7 @@ pub fn gemm_naive(
     out
 }
 
-/// Tiled kernel: allocate and fill a `rows x cols` output block.
+/// The tiled kernel: allocate and fill a `rows x cols` output block.
 pub fn gemm_tiled(
     a_rows: &[f32],
     bt_rows: &[f32],
@@ -72,7 +72,7 @@ pub fn gemm_tiled(
     out
 }
 
-/// Tiled kernel writing into a caller-provided `rows x cols` buffer.
+/// The tiled kernel, writing into a caller-provided `rows x cols` buffer.
 pub fn gemm_tiled_into(
     a_rows: &[f32],
     bt_rows: &[f32],

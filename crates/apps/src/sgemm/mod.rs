@@ -12,6 +12,11 @@
 //! AB = [dot(u, v) for (u, v) in par(zipped_AB)]
 //! ```
 //!
+//! written at strip level: `rows` becomes `row_strips(.., BLOCK_MC)` and
+//! `dot` the tiled block kernel [`gemm_tiled`], so each element of the grid is
+//! one `BLOCK_MC x BLOCK_MC` output block. The row-level form (`rows(A)` is
+//! `row_strips(A, 1)`) is `examples/matmul.rs`.
+//!
 //! The transpose itself "does too little work to parallelize profitably on
 //! distributed memory"; Triolet runs it `localpar` over shared memory, and
 //! the Eden model pays it as a sequential bottleneck.
@@ -26,9 +31,10 @@ pub use eden::run_eden;
 pub use kernel::{gemm_naive, gemm_tiled, gemm_tiled_into, BLOCK_MC, BLOCK_NC, TILE_MR, TILE_NR};
 pub use lowlevel::run_lowlevel;
 pub use seq::{run_seq, transpose_seq};
-pub use triolet_impl::{
-    run_triolet, run_triolet_tiled, transpose_triolet, zipped_ab, Dim2OuterProduct,
-};
+/// The name `perf/` still calls [`run_triolet`] by. The next change to the
+/// benchmark calls `run_triolet` and deletes this alias (ROADMAP item 2a).
+pub use triolet_impl::run_triolet as run_triolet_tiled;
+pub use triolet_impl::{run_triolet, transpose_triolet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,20 +131,23 @@ mod tests {
     fn triolet_block_slicing_bounds_traffic() {
         // 2-D block decomposition: total received bytes are O(sqrt(nodes))
         // copies of each matrix, far less than nodes x full copies.
-        let input = generate(64, 3);
+        let input = generate(128, 3);
         let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
-        let full = 2 * (64 * 64 * 4) as u64;
+        let full = 2 * (128 * 128 * 4) as u64;
         let stats = run_triolet(&rt, &input).stats;
-        // 2x2 grid: each row panel is read by 2 nodes, so every matrix
-        // arrives twice over all links — but leaves the root only once.
+        // A 2x2 grid of 64-row strips: each strip is read by 2 nodes, so
+        // every matrix arrives twice over all links — but leaves the root
+        // only once.
         assert!(stats.bytes_out < 3 * full, "bytes_out={} full={}", stats.bytes_out, full);
         assert!(stats.bytes_out as f64 > 1.5 * full as f64);
         assert!(stats.root_bytes_out < full + 1024, "root_bytes_out={}", stats.root_bytes_out);
     }
 
-    /// Packed size of a `rows x k` f32 row panel as `rows(..)` slices it.
+    /// Packed size of a `rows x k` f32 panel as `row_strips(..)` slices it:
+    /// the element vector (length word + data) and `StripsIdx`'s 40-byte
+    /// header.
     fn panel(rows: usize, k: usize) -> u64 {
-        (8 + rows * k * 4 + 24) as u64
+        (8 + rows * k * 4 + 40) as u64
     }
 
     /// Bytes each rank received, read off the traced sends (`send` hops and
@@ -153,12 +162,13 @@ mod tests {
 
     #[test]
     fn shared_panels_leave_the_root_once() {
-        // 8 nodes: a 2 x 4 grid of 32 x 16 blocks over a 64^3 product. Every
-        // A panel is read by 4 tasks and every B^T panel by 2.
-        let input = generate(64, 3);
-        let descriptors = 8 * Dim2::new(64, 64).whole_part().packed_size() as u64;
-        let distinct = 2 * panel(32, 64) + 4 * panel(16, 64);
-        let per_task = panel(32, 64) + panel(16, 64);
+        // 8 nodes over a 256^3 product: a 4 x 4 grid of strips split 2 x 4,
+        // so each task is a 128 x 64 block. Every A panel (two strips) is
+        // read by 4 tasks and every B^T panel (one strip) by 2.
+        let input = generate(256, 3);
+        let descriptors = 8 * Dim2::new(4, 4).whole_part().packed_size() as u64;
+        let distinct = 2 * panel(128, 256) + 4 * panel(64, 256);
+        let per_task = panel(128, 256) + panel(64, 256);
         let config = ClusterConfig::virtual_cluster(8, 2).with_trace(true);
         let run = run_triolet(&Triolet::new(config), &input);
         assert_eq!(run.value, run_seq(&input));
@@ -171,19 +181,19 @@ mod tests {
 
     #[test]
     fn tasks_redispatched_onto_one_rank_receive_a_shared_panel_once() {
-        // 4 nodes, a 2 x 2 grid; ranks 1 and 2 are down, so tasks 1 (A0,B1)
-        // and 2 (A1,B0) both move to rank 3, which also runs task 3
-        // (A1,B1). B1 and A1 then have rank 3 as their only reader: each
+        // 4 nodes, a 2 x 2 grid of strips; ranks 1 and 2 are down, so tasks
+        // 1 (A0,B1) and 2 (A1,B0) both move to rank 3, which also runs task
+        // 3 (A1,B1). B1 and A1 then have rank 3 as their only reader: each
         // rides with the first task that holds it and the second finds it
         // there. A0 and B0 are shared with rank 0 and relayed from it.
         let plan = FaultPlan::seeded(5).with_crash(1).with_crash(2);
         let config = ClusterConfig::virtual_cluster(4, 2).with_faults(plan).with_trace(true);
-        let input = generate(64, 3);
+        let input = generate(128, 3);
         let run = run_triolet(&Triolet::new(config), &input);
         assert_eq!(run.value, run_seq(&input));
         assert_eq!(run.stats.redispatches, 2);
-        let descriptor = Dim2::new(64, 64).whole_part().packed_size() as u64;
-        assert_eq!(received(&run.trace, 4)[3], 4 * panel(32, 64) + 3 * descriptor);
+        let descriptor = Dim2::new(2, 2).whole_part().packed_size() as u64;
+        assert_eq!(received(&run.trace, 4)[3], 4 * panel(64, 128) + 3 * descriptor);
     }
 
     #[test]
@@ -210,13 +220,14 @@ mod tests {
     }
 
     #[test]
-    fn triolet_tiled_matches_triolet_bitwise() {
-        // Strip-level two-liner with the tiled kernel vs the row-level
-        // two-liner with dot_rows: bit-identical outputs.
+    fn triolet_matches_seq_bitwise() {
+        // A 2 x 2 strip grid with short last strips: the tiled kernel keeps
+        // the naive accumulation order, so the distributed result is
+        // bit-identical to run_seq.
         let input = generate_rect(70, 33, 65, 21);
+        let expect = run_seq(&input);
         let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
-        let expect = run_triolet(&rt, &input).value;
-        let run = run_triolet_tiled(&rt, &input);
+        let run = run_triolet(&rt, &input);
         assert_eq!(expect.rows(), run.value.rows());
         assert_eq!(expect.cols(), run.value.cols());
         for (x, y) in expect.as_slice().iter().zip(run.value.as_slice()) {

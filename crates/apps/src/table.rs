@@ -19,8 +19,6 @@ pub enum Impl {
     Seq,
     /// Triolet skeletons.
     Triolet,
-    /// Triolet skeletons with tiled node kernels.
-    Tiled,
     /// Hand-partitioned C+MPI+OpenMP style.
     Lowlevel,
     /// Eden-style skeletons.
@@ -29,7 +27,7 @@ pub enum Impl {
 
 impl Impl {
     /// Every implementation, in `--impl` order.
-    pub const ALL: [Impl; 5] = [Impl::Seq, Impl::Triolet, Impl::Tiled, Impl::Lowlevel, Impl::Eden];
+    pub const ALL: [Impl; 4] = [Impl::Seq, Impl::Triolet, Impl::Lowlevel, Impl::Eden];
 
     /// Its `--impl` value: the variant's name in lower case.
     pub fn flag(self) -> String {
@@ -131,7 +129,6 @@ static SGEMM: Spec<sgemm::SgemmInput, Array2<f32>> = Spec {
     seq: sgemm::run_seq,
     arms: &[
         (Impl::Triolet, Arm::Triolet(sgemm::run_triolet)),
-        (Impl::Tiled, Arm::Triolet(sgemm::run_triolet_tiled)),
         (Impl::Lowlevel, Arm::LowLevel(sgemm::run_lowlevel)),
         (Impl::Eden, Arm::Eden(sgemm::run_eden)),
     ],
@@ -156,7 +153,6 @@ static TPACF: Spec<tpacf::TpacfInput, tpacf::TpacfOutput> = Spec {
     seq: tpacf::run_seq,
     arms: &[
         (Impl::Triolet, Arm::Triolet(tpacf::run_triolet)),
-        (Impl::Tiled, Arm::Triolet(tpacf::run_triolet_tiled)),
         (Impl::Lowlevel, Arm::LowLevel(tpacf::run_lowlevel)),
         (Impl::Eden, Arm::Eden(tpacf::run_eden)),
     ],

@@ -26,7 +26,7 @@ pub use seq::{
     cross_correlation, cross_correlation_tiled, run_seq, self_correlation,
     self_correlation_rows_tiled, self_correlation_tiled, CORR_TILE,
 };
-pub use triolet_impl::{run_triolet, run_triolet_tiled};
+pub use triolet_impl::run_triolet;
 
 use std::fmt;
 
@@ -300,16 +300,6 @@ mod tests {
         let rt = EdenRt::new(2, 2);
         let (got, _) = run_eden(&rt, &input).expect("payloads fit Eden buffers");
         assert!(validate(&expect, &got));
-    }
-
-    #[test]
-    fn triolet_tiled_matches_seq() {
-        let input = small();
-        let expect = run_seq(&input);
-        let rt = Triolet::new(ClusterConfig::virtual_cluster(3, 2));
-        let run = run_triolet_tiled(&rt, &input);
-        assert!(validate(&expect, &run.value));
-        assert!(run.stats.bytes_out > 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub fn cross_correlation(table: &AngularBins, a: &[Point], b: &[Point], hist: &m
 /// stays resident in L1 while the partner set streams past it once.
 pub const CORR_TILE: usize = 32;
 
-/// Tiled self-correlation: identical pair set to [`self_correlation`]
+/// The tiled self-correlation: identical pair set to [`self_correlation`]
 /// (every unique pair scored once with the same arithmetic as [`score`]),
 /// so the histogram is bit-for-bit identical — u64 increments commute. The
 /// i-loop is tiled; each streamed `v` computes its tile of dot products in
@@ -51,7 +51,7 @@ fn score_tile(table: &AngularBins, tile: &[Point], v: Point, hist: &mut [u64]) {
     }
 }
 
-/// Tiled self-correlation restricted to anchor rows `lo..hi`: all pairs
+/// The tiled self-correlation restricted to anchor rows `lo..hi`: all pairs
 /// `(i, j)` with `lo <= i < hi` and `j > i`. The building block for both
 /// [`self_correlation_tiled`] and thread-chunked distributed DD loops.
 pub fn self_correlation_rows_tiled(
@@ -80,7 +80,7 @@ pub fn self_correlation_rows_tiled(
     }
 }
 
-/// Tiled cross-correlation: same pair set as [`cross_correlation`], i-tiled
+/// The tiled cross-correlation: same pair set as [`cross_correlation`], i-tiled
 /// over `a` so each tile of `a` stays cache-resident while `b` streams by.
 pub fn cross_correlation_tiled(table: &AngularBins, a: &[Point], b: &[Point], hist: &mut [u64]) {
     let mut ib = 0;

@@ -27,10 +27,8 @@ use std::sync::Arc;
 
 use triolet::prelude::*;
 use triolet::{Collector, CountHist};
-use triolet_domain::chunk_ranges;
 use triolet_iter::StepFlat;
 
-use super::seq::{cross_correlation_tiled, self_correlation_rows_tiled, self_correlation_tiled};
 use super::{hist_len, score, AngularBins, Point, TpacfInput, TpacfOutput};
 
 /// The fused triangular pair loop of Figure 6 lines 15–18, drained into a
@@ -133,76 +131,4 @@ pub fn run_triolet(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
         dr: dr.finish(),
         rr: rr_hist,
     })
-}
-
-/// Run tpacf through the Triolet skeletons with the tiled histogram kernels.
-///
-/// Same four-phase structure as [`run_triolet`], but every correlation loop
-/// is the i-tiled variant from `super::seq`: DD parallelizes over anchor
-/// row chunks of the broadcast observed set (each chunk running the tiled
-/// triangular loop), and RR/DR fold the tiled kernels over the resident
-/// random sets. Histograms are identical to [`run_triolet`] — every pair is
-/// scored exactly once with the same `score`, and u64 increments commute.
-pub fn run_triolet_tiled(rt: &Triolet, input: &TpacfInput) -> Run<TpacfOutput> {
-    let bins = hist_len(input);
-    let table = Arc::new(input.bin_edges.clone());
-
-    let add = |mut a: Vec<u64>, b: Vec<u64>| {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x += y;
-        }
-        a
-    };
-
-    // --- DD: par over anchor-row chunks, observed set broadcast once ------
-    let obs_env = rt.pack_env(input.obs.clone());
-    let dd_table = Arc::clone(&table);
-    let dd_chunks: Vec<(usize, usize)> = chunk_ranges(input.obs.len(), rt.nodes() * 8)
-        .into_iter()
-        .map(|(s, l)| (s, s + l))
-        .collect();
-    let mut dd = rt.fold_reduce(
-        from_vec(dd_chunks).par(),
-        &obs_env,
-        move || vec![0u64; bins],
-        move |obs: &Vec<Point>, mut h: Vec<u64>, (lo, hi): (usize, usize)| {
-            self_correlation_rows_tiled(&dd_table, obs, lo, hi, &mut h);
-            h
-        },
-        add,
-    );
-
-    // --- Scatter the random sets once; RR and DR run over the resident
-    // segments (same traffic shape as `run_triolet`).
-    let rands = rt.scatter(input.rands.clone());
-
-    // --- RR: tiled self-correlation of each random set -------------------
-    let rr_table = Arc::clone(&table);
-    let mut rr = rt.fold_reduce(
-        &rands.value,
-        &(),
-        move || vec![0u64; bins],
-        move |(), mut h: Vec<u64>, rand: Vec<Point>| {
-            self_correlation_tiled(&rr_table, &rand, &mut h);
-            h
-        },
-        add,
-    );
-
-    // --- DR: tiled cross-correlation against the broadcast observed set --
-    let dr_obs_env = rt.pack_env(input.obs.clone());
-    let dr_table = Arc::clone(&table);
-    let dr = rt.fold_reduce(
-        &rands.value,
-        &dr_obs_env,
-        move || vec![0u64; bins],
-        move |obs: &Vec<Point>, mut h: Vec<u64>, rand: Vec<Point>| {
-            cross_correlation_tiled(&dr_table, obs, &rand, &mut h);
-            h
-        },
-        add,
-    );
-
-    let (dd_hist, rr_hist) = (std::mem::take(&mut dd.value), std::mem::take(&mut rr.value));
-    dd.then(rands).then(rr).then(dr).map(|dr| TpacfOutput { dd: dd_hist, dr, rr: rr_hist })
 }

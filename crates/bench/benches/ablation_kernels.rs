@@ -144,9 +144,9 @@ fn main() {
     let rt = LowLevelRt::new(ClusterConfig::virtual_cluster(4, 2));
     let (c_ll, ll_stats) = sgemm::run_lowlevel(&rt, &e2e);
     let trt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
-    let run = sgemm::run_triolet_tiled(&trt, &e2e);
+    let run = sgemm::run_triolet(&trt, &e2e);
     for (x, y) in c_ll.as_slice().iter().zip(run.value.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "lowlevel and triolet tiled paths must agree");
+        assert_eq!(x.to_bits(), y.to_bits(), "lowlevel and triolet paths must agree");
     }
     assert!(
         ll_stats.unpack_aliased > 0,
@@ -162,7 +162,7 @@ fn main() {
         100.0 * aliased_frac
     );
     println!(
-        "| e2e triolet tiled sgemm {e2e_dim}^2 | root unpack copied {} B | aliased {} B |",
+        "| e2e triolet sgemm {e2e_dim}^2 | root unpack copied {} B | aliased {} B |",
         run.stats.unpack_copied, run.stats.unpack_aliased
     );
     assert!(aliased_frac > 0.5, "most root-unpack bytes must be zero-copy: {:.3}", aliased_frac);

@@ -72,7 +72,9 @@ impl<T> Array2<T> {
         self.data
     }
 
-    /// Share the backing data (for [`crate::indexer::RowsIdx`] sources).
+    /// A shared copy of the backing data, for sources that index into it
+    /// ([`row_strips`](crate::sources::row_strips),
+    /// [`array2_iter`](crate::sources::array2_iter)).
     pub fn to_shared(&self) -> Arc<Vec<T>>
     where
         T: Clone,

@@ -18,7 +18,6 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::ops::Index;
 use std::sync::Arc;
 
 use triolet_domain::{Dim2, Dim2Part, Domain, Seq, SeqPart};
@@ -195,85 +194,6 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for ArrayIdx<T> {
 }
 
 // ---------------------------------------------------------------------------
-// RowsIdx: a row-major 2-D array as a 1-D indexer of rows
-// ---------------------------------------------------------------------------
-
-/// A cheap, shareable view of one array row; what the paper's `rows`
-/// function yields per element.
-pub struct RowRef<T> {
-    data: Arc<Vec<T>>,
-    offset: usize,
-    len: usize,
-}
-
-impl<T> Clone for RowRef<T> {
-    fn clone(&self) -> Self {
-        RowRef { data: Arc::clone(&self.data), offset: self.offset, len: self.len }
-    }
-}
-
-impl<T> RowRef<T> {
-    /// Number of elements in the row.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the row has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The row's elements as a contiguous slice.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data[self.offset..self.offset + self.len]
-    }
-}
-
-impl<T> Index<usize> for RowRef<T> {
-    type Output = T;
-    fn index(&self, i: usize) -> &T {
-        &self.as_slice()[i]
-    }
-}
-
-/// A row-major matrix exposed as a `Seq` indexer whose elements are rows —
-/// the paper's `rows(A)` (§2): "reinterpret the two-dimensional arrays as
-/// one-dimensional iterators over array rows".
-///
-/// Slicing by a row range copies out only those rows, which is what makes the
-/// two-line sgemm block decomposition send each node only the rows it needs.
-pub struct RowsIdx<T> {
-    data: Arc<Vec<T>>,
-    base_row: usize,
-    cols: usize,
-    dom: Seq,
-}
-
-impl<T> Clone for RowsIdx<T> {
-    fn clone(&self) -> Self {
-        RowsIdx {
-            data: Arc::clone(&self.data),
-            base_row: self.base_row,
-            cols: self.cols,
-            dom: self.dom,
-        }
-    }
-}
-
-impl<T: Clone + Send + Sync + 'static> RowsIdx<T> {
-    /// View `data` (row-major, `rows * cols` elements) as `rows` rows.
-    pub fn new(data: Arc<Vec<T>>, rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols, "row-major data must fill the matrix");
-        RowsIdx { data, base_row: 0, cols, dom: Seq::new(rows) }
-    }
-
-    /// Row length.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-}
-
-// ---------------------------------------------------------------------------
 // StripsIdx: a row-major 2-D array as a 1-D indexer of row strips
 // ---------------------------------------------------------------------------
 
@@ -324,10 +244,13 @@ impl<T> StripRef<T> {
 }
 
 /// A row-major matrix exposed as a `Seq` indexer over fixed-height row
-/// *strips* (the last strip may be shorter). The strip-level analogue of
-/// [`RowsIdx`]: `outerproduct(row_strips(A), row_strips(BT))` yields the
-/// 2-D *block* decomposition directly, with each cell holding exactly the
-/// input strips a tiled block kernel consumes.
+/// *strips* (the last strip may be shorter). Strips of height 1 are the
+/// paper's `rows(A)` (§2): "reinterpret the two-dimensional arrays as
+/// one-dimensional iterators over array rows". Taller strips make
+/// `outerproduct(row_strips(A), row_strips(BT))` the 2-D *block*
+/// decomposition directly, with each cell holding exactly the input strips a
+/// tiled block kernel consumes. Slicing by a strip range copies out only
+/// those rows, so each node receives only the rows it needs.
 pub struct StripsIdx<T> {
     data: Arc<Vec<T>>,
     base_strip: usize,
@@ -425,43 +348,6 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for StripsIdx<T> {
             cols: self.cols,
             dom: self.dom,
         }
-    }
-}
-
-impl<T: Wire + Clone + Send + Sync + 'static> Indexer for RowsIdx<T> {
-    type Dom = Seq;
-    type Out = RowRef<T>;
-
-    fn domain(&self) -> Seq {
-        self.dom
-    }
-
-    fn get(&self, row: usize) -> RowRef<T> {
-        debug_assert!(
-            row >= self.base_row && (row - self.base_row + 1) * self.cols <= self.data.len()
-        );
-        RowRef {
-            data: Arc::clone(&self.data),
-            offset: (row - self.base_row) * self.cols,
-            len: self.cols,
-        }
-    }
-
-    fn slice(&self, part: &SeqPart, memo: &mut SliceMemo) -> Self {
-        debug_assert!(part.start >= self.base_row);
-        let lo = (part.start - self.base_row) * self.cols;
-        let data = memo.window(&self.data, lo, part.len * self.cols);
-        RowsIdx { data, base_row: part.start, cols: self.cols, dom: self.dom }
-    }
-
-    fn pieces(&self, out: &mut Vec<Piece>) {
-        out.push(buffer_piece(&self.data, 24)); // base_row + cols + dom
-    }
-
-    fn roundtrip_source(self) -> Self {
-        let bytes = packed(&*self.data);
-        let data: Vec<T> = unpack_all(bytes).expect("pack/unpack of own data cannot fail");
-        RowsIdx { data: Arc::new(data), base_row: self.base_row, cols: self.cols, dom: self.dom }
     }
 }
 
@@ -816,21 +702,21 @@ mod tests {
 
     #[test]
     fn rows_idx_yields_rows() {
-        // 3x4 matrix 0..12.
-        let m = RowsIdx::new(Arc::new((0..12i32).collect()), 3, 4);
+        // 3x4 matrix 0..12, as `rows` views it: strips one row high.
+        let m = StripsIdx::new(Arc::new((0..12i32).collect()), 3, 4, 1);
         assert_eq!(m.domain(), Seq::new(3));
         assert_eq!(m.get(1).as_slice(), &[4, 5, 6, 7]);
-        assert_eq!(m.get(2)[3], 11);
+        assert_eq!((m.get(2).row0(), m.get(2).as_slice()[3]), (2, 11));
     }
 
     #[test]
     fn rows_idx_slice_holds_only_rows() {
-        let m = RowsIdx::new(Arc::new((0..20i32).collect()), 5, 4);
+        let m = StripsIdx::new(Arc::new((0..20i32).collect()), 5, 4, 1);
         let sub = m.slice(&SeqPart::new(2, 2), &mut SliceMemo::default());
         assert_eq!(sub.get(2).as_slice(), &[8, 9, 10, 11]);
         assert_eq!(sub.get(3).as_slice(), &[12, 13, 14, 15]);
-        // Data footprint: exactly 2 rows of 4 i32 plus small headers.
-        assert_eq!(sub.source_size(), 8 + 8 * 4 + 24);
+        // Data footprint: exactly 2 rows of 4 i32 plus the 40-byte header.
+        assert_eq!(sub.source_size(), 8 + 8 * 4 + 40);
     }
 
     #[test]
@@ -915,7 +801,7 @@ mod tests {
 
     #[test]
     fn outerproduct_blocks_share_their_row_and_column_panels() {
-        let a = RowsIdx::new(Arc::new((0..32i32).collect()), 8, 4);
+        let a = StripsIdx::new(Arc::new((0..32i32).collect()), 8, 4, 1);
         let b = StripsIdx::new(Arc::new((0..24i32).collect()), 6, 4, 2);
         let op = OuterProductIdx::new(a, b);
         let mut memo = SliceMemo::default();
@@ -949,17 +835,17 @@ mod tests {
             assert_eq!(idx.source_size(), expect_bytes);
         }
         let arr = || ArrayIdx::new(vec![0f64; 10]); // 8 + 80 elements, 16 header
-        let rows = RowsIdx::new(Arc::new(vec![0i32; 20]), 5, 4);
+        let rows = StripsIdx::new(Arc::new(vec![0i32; 20]), 5, 4, 1);
         let strips = StripsIdx::new(Arc::new(vec![0i32; 20]), 5, 4, 2);
         check(&arr(), 1, 104);
-        check(&rows, 1, 8 + 80 + 24);
+        check(&rows, 1, 8 + 80 + 40);
         check(&strips, 1, 8 + 80 + 40);
         check(&RangeIdx::new(Seq::new(7)), 1, 8);
         check(&FnIdx::new(Dim2::new(2, 3), |i: (usize, usize)| i), 1, 16);
         check(&MapIdx::new(arr(), |x: f64| x), 1, 104);
         check(&ZipIdx::new(arr(), arr()), 2, 208);
         check(&Zip3Idx::new(arr(), arr(), arr()), 3, 312);
-        check(&OuterProductIdx::new(rows.clone(), strips.clone()), 2, 112 + 128);
+        check(&OuterProductIdx::new(rows.clone(), strips.clone()), 2, 128 + 128);
         // Data-free indexers name no buffer; array-backed ones do.
         assert_eq!(ids(&RangeIdx::new(Seq::new(7))), vec![None]);
         assert!(ids(&rows)[0].is_some());

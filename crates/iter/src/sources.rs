@@ -5,9 +5,7 @@ use triolet_domain::{Dim2, Domain, Seq};
 use triolet_serial::Wire;
 
 use crate::array::Array2;
-use crate::indexer::{
-    ArrayIdx, Indexer, OuterProductIdx, RangeIdx, RowsIdx, StripsIdx, Zip3Idx, ZipIdx,
-};
+use crate::indexer::{ArrayIdx, Indexer, OuterProductIdx, RangeIdx, StripsIdx, Zip3Idx, ZipIdx};
 use crate::shapes::{IdxFlat, StepFlat, TrioIter};
 
 /// Iterate an owned vector (becomes a shared, sliceable data source).
@@ -37,16 +35,18 @@ pub fn indices<D: Domain>(dom: D) -> IdxFlat<RangeIdx<D>> {
     IdxFlat::new(RangeIdx::new(dom))
 }
 
-/// View a matrix as an iterator over its rows — the paper's `rows(A)` (§2).
-/// The backing data is shared once; slicing ships only the addressed rows.
-pub fn rows<T: Wire + Clone + Send + Sync + 'static>(a: &Array2<T>) -> IdxFlat<RowsIdx<T>> {
-    IdxFlat::new(RowsIdx::new(a.to_shared(), a.rows(), a.cols()))
+/// View a matrix as an iterator over its rows — the paper's `rows(A)` (§2):
+/// [`row_strips`] one row high, so each element is a one-row
+/// [`StripRef`](crate::indexer::StripRef).
+pub fn rows<T: Wire + Clone + Send + Sync + 'static>(a: &Array2<T>) -> IdxFlat<StripsIdx<T>> {
+    row_strips(a, 1)
 }
 
-/// View a matrix as an iterator over fixed-height row *strips* — the
-/// strip-level analogue of [`rows`] used by tiled block kernels. Each
-/// element is a [`StripRef`](crate::indexer::StripRef) carrying its global
-/// row coordinates; slicing ships only the addressed strips.
+/// View a matrix as an iterator over fixed-height row *strips*, the form
+/// tiled block kernels consume. Each element is a
+/// [`StripRef`](crate::indexer::StripRef) carrying its global row
+/// coordinates. The backing data is shared once; slicing ships only the
+/// addressed strips.
 pub fn row_strips<T: Wire + Clone + Send + Sync + 'static>(
     a: &Array2<T>,
     strip_rows: usize,
@@ -178,7 +178,7 @@ mod tests {
         let a = Array2::from_vec(vec![1.0f64, 2.0, 3.0, 4.0], 2, 2);
         let b_t = Array2::from_vec(vec![5.0f64, 7.0, 6.0, 8.0], 2, 2); // B transposed
         let prod = outerproduct(rows(&a), rows(&b_t))
-            .map(|(u, v): (crate::indexer::RowRef<f64>, crate::indexer::RowRef<f64>)| {
+            .map(|(u, v): (crate::indexer::StripRef<f64>, crate::indexer::StripRef<f64>)| {
                 u.as_slice().iter().zip(v.as_slice()).map(|(x, y)| x * y).sum::<f64>()
             })
             .collect_vec();

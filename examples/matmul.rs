@@ -6,13 +6,17 @@
 //! AB = [dot(u, v) for (u, v) in par(zipped_AB)]
 //! ```
 //!
+//! `rows(A)` is `row_strips(A, 1)`: each element is a one-row `StripRef`.
+//! The sgemm app (`crates/apps/src/sgemm`) runs the same two-liner over 64-row
+//! strips with a tiled block kernel as `dot`.
+//!
 //! Run with: `cargo run --example matmul`
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triolet::prelude::*;
 use triolet::Array2;
-use triolet_iter::RowRef;
+use triolet_iter::StripRef;
 
 fn main() {
     let n = 96;
@@ -33,8 +37,8 @@ fn main() {
 
     // The two-liner: each output block's node receives only the A rows and
     // B^T rows covering the block.
-    let zipped_ab = outerproduct(rows(&a), rows(&bt)).par();
-    let run = rt.build_array2(zipped_ab.map(|(u, v): (RowRef<f64>, RowRef<f64>)| {
+    let zipped = outerproduct(rows(&a), rows(&bt)).par();
+    let run = rt.build_array2(zipped.map(|(u, v): (StripRef<f64>, StripRef<f64>)| {
         u.as_slice().iter().zip(v.as_slice()).map(|(x, y)| x * y).sum::<f64>()
     }));
     let (c, stats) = (run.value, run.stats);

@@ -115,8 +115,10 @@ fn two_level_ships_fewer_bytes_than_flat() {
 #[test]
 fn sgemm_block_traffic_grows_sublinearly_in_nodes() {
     // With a 2-D block decomposition, going from 4 to 16 nodes doubles (not
-    // quadruples) the shipped copies of each matrix: O(sqrt(p)).
-    let input = sgemm::generate(64, 8);
+    // quadruples) the shipped copies of each matrix: O(sqrt(p)). At 256^2
+    // the grid is 4 x 4 strips, so 4 nodes take 2 x 2 strips each and 16
+    // nodes one each: every task's panels halve while the tasks quadruple.
+    let input = sgemm::generate(256, 8);
     let bytes = |nodes: usize| {
         let rt = Triolet::new(ClusterConfig::virtual_cluster(nodes, 1));
         sgemm::run_triolet(&rt, &input).stats.bytes_out as f64

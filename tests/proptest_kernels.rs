@@ -137,14 +137,14 @@ proptest! {
         assert_f32_bits(&naive, &tiled)?;
     }
 
-    /// Distributed sgemm: the tiled strip-level two-liner and the tiled
-    /// low-level decomposition both reproduce the sequential result to the
+    /// Distributed sgemm: the strip-level two-liner and the low-level
+    /// decomposition, both on the tiled kernel, both reproduce the sequential result to the
     /// bit across cluster shapes and fault schedules.
     #[test]
     fn distributed_sgemm_tiled_is_bit_identical(
-        m in 1usize..40,
+        m in 1usize..140,
         k in 1usize..20,
-        n in 1usize..40,
+        n in 1usize..140,
         seed in 0u64..1000,
         shape in shapes(6, 4),
         fault_seed in 0u64..3000,
@@ -154,7 +154,7 @@ proptest! {
         let cfg = cluster(shape, plan_for(fault_seed, shape.0));
 
         let rt = Triolet::new(cfg);
-        let got = sgemm::run_triolet_tiled(&rt, &input).value;
+        let got = sgemm::run_triolet(&rt, &input).value;
         assert_f32_bits(expect.as_slice(), got.as_slice())?;
 
         let ll = LowLevelRt::new(cfg);
@@ -184,8 +184,8 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Distributed tpacf: tiled skeleton and tiled low-level runs equal the
-    /// sequential histograms exactly across shapes and faults.
+    /// Distributed tpacf: the fused skeleton run and the tiled low-level run
+    /// equal the sequential histograms exactly across shapes and faults.
     #[test]
     fn distributed_tpacf_tiled_matches_seq(
         n in 1usize..50,
@@ -199,7 +199,7 @@ proptest! {
         let cfg = cluster(shape, plan_for(fault_seed, shape.0));
 
         let rt = Triolet::new(cfg);
-        let run = tpacf::run_triolet_tiled(&rt, &input);
+        let run = tpacf::run_triolet(&rt, &input);
         prop_assert_eq!(&expect, &run.value);
 
         let ll = LowLevelRt::new(cfg);
