@@ -124,7 +124,7 @@ static MRIQ: Spec<mriq::MriqInput, mriq::MriqOutput> = Spec {
 static SGEMM: Spec<sgemm::SgemmInput, Array2<f32>> = Spec {
     name: "sgemm",
     title: "sgemm",
-    sizes: &[Size { key: "dim", cli: 256, quick: 64, paper: 384 }],
+    sizes: &[Size { key: "dim", cli: 256, quick: 120, paper: 384 }],
     generate: |s, seed| sgemm::generate(s[0], seed),
     seq: sgemm::run_seq,
     arms: &[
@@ -460,7 +460,7 @@ mod tests {
         let eden = |scale, procs| {
             sgemm.at(scale, 2).run(Impl::Eden, ClusterConfig::virtual_cluster(2, procs))
         };
-        // Quick sgemm (64x64) fits the buffers even at 2 nodes; the paper
+        // Quick sgemm (120x120) fits the buffers even at 2 nodes; the paper
         // size does not, and the runtime refuses before any body runs.
         assert!(eden(Scale::Quick, 4).is_ok());
         assert!(matches!(

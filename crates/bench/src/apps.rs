@@ -86,7 +86,7 @@ mod tests {
     #[test]
     fn eden_sgemm_fails_at_two_nodes_paper_scale_only() {
         let quick = workloads(Scale::Quick);
-        // Quick sgemm (64x64) fits the buffers even at 2 nodes.
+        // Quick sgemm (120x120, 2x2 strips) fits the buffers even at 2 nodes.
         assert!(modeled_seconds(find(&quick, "sgemm"), Impl::Eden, 2, 4).is_some());
     }
 

@@ -10,7 +10,6 @@
 //! order, bit-identical to a fault-free run.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use triolet_obs::{tree_edge_args, ArgValue, TraceData, TraceHandle, Track};
@@ -19,7 +18,7 @@ use triolet_serial::{packed, unpack_counted, Piece, Wire, WireError};
 use crate::clock::timed;
 use crate::cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
 use crate::fault::FaultPlan;
-use crate::node::{NodeCtx, ResidentStore};
+use crate::node::NodeCtx;
 use crate::sim::{self, SimEdge, SimProblem, SimTask, SimTimes};
 use crate::tree;
 
@@ -153,7 +152,8 @@ pub struct DistOutcome<R> {
     /// have been computed on a different rank than its index).
     pub results: Vec<R>,
     /// The rank each task executed on, in task order: its home unless the
-    /// fault schedule redispatched it to a survivor.
+    /// fault schedule redispatched it to a survivor, which then holds every
+    /// piece the task listed.
     pub execs: Vec<usize>,
     /// When each task's result was unpacked and ready at the root, in task
     /// order, on the outcome's timeline: staggered arrival-order times (the
@@ -179,10 +179,10 @@ pub struct DistOutcome<R> {
 /// not hold, so recovery stays possible and its cost visible. A crashed
 /// home is never assumed dead: it is probed with the task's message, timed
 /// out, and the task redispatched. The dispatcher keeps no memory of
-/// either: holders are whatever the caller resolved from the
-/// [`ResidentStore`] when it built the task, and [`DistOutcome::execs`]
-/// tells the caller where the bytes went, so it can move the store entry
-/// there.
+/// either: holders are whatever the caller named when it built the task,
+/// and [`DistOutcome::execs`] tells the caller where the bytes went, so it
+/// can record the segment's new owner. The cluster knows nothing else of
+/// collections.
 ///
 /// A task normally travels in a message of its own, sent by the root. A
 /// task with nothing packed (`pack_s == 0.0`) whose live home holds every
@@ -963,14 +963,13 @@ fn trace_timeline(
 pub struct Cluster {
     config: ClusterConfig,
     stats: TrafficStats,
-    resident: Arc<ResidentStore>,
 }
 
 impl Cluster {
     /// Bring up a cluster (no threads are spawned: node tasks run one at a
     /// time on the caller's thread, in virtual time).
     pub fn new(config: ClusterConfig) -> Self {
-        Cluster { config, stats: TrafficStats::new(), resident: Arc::new(ResidentStore::new()) }
+        Cluster { config, stats: TrafficStats::new() }
     }
 
     /// The cluster's configuration.
@@ -993,12 +992,6 @@ impl Cluster {
         &self.stats
     }
 
-    /// The ownership table of resident collection segments, shared with
-    /// every collection handle (whose last drop evicts its entries).
-    pub fn resident_store(&self) -> &Arc<ResidentStore> {
-        &self.resident
-    }
-
     /// A fresh timeline for one operation: recording iff the cluster was
     /// configured with [`ClusterConfig::trace`].
     fn tracer(&self) -> TraceHandle {
@@ -1010,17 +1003,16 @@ impl Cluster {
     }
 
     /// Scatter the segments of a persistent collection to their home ranks:
-    /// one `(rank, bytes)` send per segment (its index is its store slot),
-    /// serialized on the root NIC, each retrying through the fault schedule
-    /// until delivered intact.
+    /// one `(rank, bytes)` send per segment, serialized on the root NIC, each
+    /// retrying through the fault schedule until delivered intact. `id`
+    /// only labels the sends in the trace.
     ///
     /// This is the *one-time* placement cost of a resident collection; every
     /// later skeleton call over it ships zero input bytes (see
-    /// [`Piece::holder`]). Segments land in the [`ResidentStore`] and each
-    /// send is counted in [`TrafficSnapshot::seg_scatters`] — deliberately
-    /// not in `env_packs`, so environment accounting never double-counts
-    /// the scatter. Returns the modeled timing and a trace rooted at a
-    /// `dist:scatter` span.
+    /// [`Piece::holder`]). Each send is counted in
+    /// [`TrafficSnapshot::seg_scatters`] — deliberately not in `env_packs`,
+    /// so environment accounting never double-counts the scatter. Returns
+    /// the modeled timing and a trace rooted at a `dist:scatter` span.
     ///
     /// # Panics
     ///
@@ -1034,8 +1026,7 @@ impl Cluster {
         let tr = self.tracer();
         let mut counts = Counts::default();
         let mut clock = 0.0f64;
-        for (slot, &(rank, bytes)) in segs.iter().enumerate() {
-            self.resident.register(id, slot, rank, bytes);
+        for &(rank, bytes) in segs {
             // Both endpoints are treated as alive: a crashed home interacts
             // at *call* time, via redispatch.
             let tx = Attempts::reliable(&plan, (ROOT, rank), SEG_TAG, rank as u64)

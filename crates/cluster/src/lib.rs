@@ -38,5 +38,5 @@ pub use cluster::{Cluster, ClusterConfig, DispatchError, DistOutcome, RawTask};
 pub use comm::{Comm, CommError, CommHandle};
 pub use cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
 pub use fault::{FaultDecision, FaultPlan};
-pub use node::{NodeCtx, ResidentStore};
+pub use node::NodeCtx;
 pub use triolet_obs::{TraceData, TraceHandle, Track};

@@ -1,9 +1,6 @@
 //! Per-node execution context: where two-level parallelism meets the clock.
 
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use bytes::Bytes;
 use triolet_obs::{TraceData, TraceHandle, Track};
@@ -11,79 +8,6 @@ use triolet_pool::vtime::greedy_schedule;
 use triolet_serial::{unpack_counted, Wire, WireResult};
 
 use crate::clock::{timed, Laps};
-
-/// The cluster's ownership table for persistent distributed collections.
-///
-/// Scattering a collection registers each segment under a
-/// `(collection id, segment slot)` key with the rank that owns it and the
-/// bytes it occupies there. The table is the source of truth for
-/// *placement*: a resident view resolves each part's home through
-/// [`owner`](Self::owner) when a call is built, and after a dispatch that
-/// ran a task off that rank — the segment crossed the wire to a survivor —
-/// [`rehome`](Self::rehome) moves ownership to where the bytes now are, so
-/// later calls route straight there. The dispatcher never reads the table:
-/// it sees only the owners its tasks were built with. Dropping a
-/// collection's last handle or view evicts its segments (the node-side
-/// `free`).
-#[derive(Debug, Default)]
-pub struct ResidentStore {
-    next_id: AtomicU64,
-    /// `(collection id, segment slot)` -> `(owner rank, resident bytes)`.
-    segments: Mutex<HashMap<(u64, usize), (usize, usize)>>,
-}
-
-impl ResidentStore {
-    /// Fresh empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn table(&self) -> MutexGuard<'_, HashMap<(u64, usize), (usize, usize)>> {
-        self.segments.lock().expect("resident store poisoned")
-    }
-
-    /// Allocate a collection id (unique within this cluster).
-    pub fn alloc_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Register segment `slot` of collection `id` as resident on `rank`.
-    pub fn register(&self, id: u64, slot: usize, rank: usize, bytes: usize) {
-        self.table().insert((id, slot), (rank, bytes));
-    }
-
-    /// The rank owning segment `slot` of collection `id` (`None` once the
-    /// collection is evicted).
-    pub fn owner(&self, id: u64, slot: usize) -> Option<usize> {
-        self.table().get(&(id, slot)).map(|&(rank, _)| rank)
-    }
-
-    /// Move segment `slot` of collection `id` to rank `to`, returning the
-    /// rank that owned it before — `None` when it already lives on `to`, or
-    /// when the collection is evicted (a move never resurrects an entry).
-    pub fn rehome(&self, id: u64, slot: usize, to: usize) -> Option<usize> {
-        let mut table = self.table();
-        let (owner, _) = table.get_mut(&(id, slot)).filter(|(owner, _)| *owner != to)?;
-        Some(std::mem::replace(owner, to))
-    }
-
-    /// Number of registered segments.
-    pub fn segment_count(&self) -> usize {
-        self.table().len()
-    }
-
-    /// Evict every segment of collection `id`, returning the bytes freed.
-    pub fn evict(&self, id: u64) -> usize {
-        let mut freed = 0;
-        self.table().retain(|&(i, _), &mut (_, bytes)| {
-            if i == id {
-                freed += bytes;
-            }
-            i != id
-        });
-        freed
-    }
-}
 
 /// The context a node task receives: its rank, its modeled thread count,
 /// and a virtual clock.
@@ -356,23 +280,6 @@ mod tests {
 
     fn vctx(threads: usize) -> NodeCtx {
         NodeCtx::new(0, threads)
-    }
-
-    #[test]
-    fn store_moves_owners_and_never_resurrects_an_evicted_segment() {
-        let store = ResidentStore::new();
-        let (a, b) = (store.alloc_id(), store.alloc_id());
-        for slot in 0..3 {
-            store.register(a, slot, slot, 100);
-            store.register(b, slot, slot, 10);
-        }
-        assert_eq!(store.rehome(a, 1, 2), Some(1));
-        assert_eq!(store.rehome(a, 1, 2), None, "already there: not a move");
-        assert_eq!((store.owner(a, 1), store.owner(b, 1)), (Some(2), Some(1)));
-        assert_eq!(store.segment_count(), 6, "a move replaces the entry, it adds none");
-        assert_eq!(store.evict(a), 300, "the moved segment is evicted with its collection");
-        assert_eq!(store.rehome(a, 1, 0), None);
-        assert_eq!((store.owner(a, 1), store.segment_count()), (None, 3));
     }
 
     #[test]

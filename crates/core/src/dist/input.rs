@@ -9,9 +9,10 @@
 //! calls). The `*_packed` / `_env` method families this replaces are gone —
 //! the type of the argument, not the name of the method, selects the path.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use triolet_cluster::{ResidentStore, TrafficStats};
+use triolet_cluster::TrafficStats;
 use triolet_domain::Domain;
 use triolet_serial::{PackedPayload, Piece, Wire};
 
@@ -119,63 +120,61 @@ impl<E: Wire + Send + Sync> AsEnv for &PackedEnv<E> {
     }
 }
 
-/// A collection's registration in the cluster's [`ResidentStore`], shared by
-/// every handle, view and in-flight call over it: the last one to drop
-/// evicts the collection's segments.
-pub(crate) struct Lease {
-    store: Arc<ResidentStore>,
+/// Where a collection's segments live: one owner cell per segment slot,
+/// shared by every handle, view and in-flight call over the collection.
+/// Slot `k` starts on rank `k`, where the scatter sent it; a task that ran
+/// elsewhere moves the cell to where the bytes now are. The id only labels
+/// the collection in traces. Nothing outside the collection records where
+/// its segments live: the cells die with the last holder, like the segments.
+/// A cell publishes only a rank number, never other data, so its loads and
+/// swaps are relaxed.
+pub(crate) struct Owners {
     id: u64,
+    cells: Box<[AtomicUsize]>,
 }
 
-impl Lease {
-    /// Allocate a collection id on `store`; the scatter registers its
-    /// segments under it.
-    pub(crate) fn new(store: &Arc<ResidentStore>) -> Arc<Self> {
-        Arc::new(Lease { store: Arc::clone(store), id: store.alloc_id() })
+impl Owners {
+    /// Collection `id`, `segments` long, each segment on the rank of its slot.
+    pub(crate) fn new(id: u64, segments: usize) -> Arc<Self> {
+        Arc::new(Owners { id, cells: (0..segments).map(AtomicUsize::new).collect() })
     }
 
     pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
+    /// The rank that owns segment `slot` now.
+    pub(crate) fn owner(&self, slot: usize) -> usize {
+        self.cells[slot].load(Ordering::Relaxed)
+    }
+
     /// The claim on segment `slot`, `bytes` large.
     pub(crate) fn claim(self: &Arc<Self>, slot: usize, bytes: usize) -> SegClaim {
-        SegClaim { lease: Arc::clone(self), slot, bytes }
+        SegClaim { owners: Arc::clone(self), slot, bytes }
     }
 }
 
-impl Drop for Lease {
-    fn drop(&mut self) {
-        self.store.evict(self.id);
-    }
-}
-
-/// One store entry a resident task reads: a segment of a collection, by
-/// slot. The segment's owner is looked up in the store, never remembered
-/// here, so every handle and view sees a move the moment it is made.
+/// One segment a resident task reads: a collection's segment, by slot. Its
+/// owner is read from the collection's cell, never remembered here, so
+/// every handle and view sees a move the moment it is made.
 #[derive(Clone)]
 pub(crate) struct SegClaim {
-    lease: Arc<Lease>,
+    owners: Arc<Owners>,
     slot: usize,
     bytes: usize,
 }
 
 impl SegClaim {
-    /// The store id of the collection this segment belongs to.
+    /// The id of the collection this segment belongs to.
     pub(crate) fn id(&self) -> u64 {
-        self.lease.id
-    }
-
-    /// The rank that owns the segment now.
-    fn owner(&self) -> usize {
-        let owner = self.lease.store.owner(self.lease.id, self.slot);
-        owner.expect("a segment stays registered while its lease lives")
+        self.owners.id
     }
 
     /// Record that the segment now lives on `rank`; returns the rank that
     /// owned it before if that is a move.
     pub(crate) fn rehome(&self, rank: usize) -> Option<usize> {
-        self.lease.store.rehome(self.lease.id, self.slot, rank)
+        let prev = self.owners.cells[self.slot].swap(rank, Ordering::Relaxed);
+        (prev != rank).then_some(prev)
     }
 }
 
@@ -187,9 +186,9 @@ impl SegClaim {
 /// part's length), so a resident execution folds the same node body over
 /// the same iterator type in an identical order: the result is
 /// bit-identical.
-pub(crate) struct ResidentPart<It: DistIter> {
-    /// The store entries this part reads (one per zipped operand). Whatever
-    /// rank ends up executing the part owns all of them afterwards.
+pub struct ResidentPart<It: DistIter> {
+    /// The segments this part reads (one per zipped operand). Whatever rank
+    /// ends up executing the part owns all of them afterwards.
     pub(crate) claims: Vec<SegClaim>,
     /// The index range this part covers.
     pub(crate) part: <It::OuterDom as Domain>::Part,
@@ -212,20 +211,11 @@ impl<It: DistIter> ResidentPart<It> {
         halo_bytes: usize,
         iter: It,
     ) -> Self {
-        let held = |c: &SegClaim| Piece { id: None, bytes: c.bytes, holder: Some(c.owner()) };
+        let held =
+            |c: &SegClaim| Piece { id: None, bytes: c.bytes, holder: Some(c.owners.owner(c.slot)) };
         let pieces = claims.iter().map(held).chain(Piece::anonymous(halo_bytes)).collect();
         ResidentPart { claims, part, pieces, iter }
     }
-}
-
-/// A resident execution plan: one [`ResidentPart`] per segment the view
-/// reads, in index order. Produced by resident collection views; consumed
-/// by the engine's distributed arm, which turns each part into a task.
-pub struct ResidentRun<It: DistIter> {
-    /// Total items in the view.
-    pub(crate) len: usize,
-    /// Parts in index order.
-    pub(crate) parts: Vec<ResidentPart<It>>,
 }
 
 /// A skeleton input, resolved: either an iterator to slice and ship, or a
@@ -233,8 +223,9 @@ pub struct ResidentRun<It: DistIter> {
 pub enum DistInput<It: DistIter> {
     /// Root-held data: slice per part and ship each node its share.
     Iter(It),
-    /// Resident data: run each part on the rank that owns its segment.
-    Resident(ResidentRun<It>),
+    /// Resident data: one part per segment the view reads, in index order,
+    /// each run on the rank that owns its segment.
+    Resident(Vec<ResidentPart<It>>),
 }
 
 /// Anything a skeleton can consume as its data input: every [`DistIter`]

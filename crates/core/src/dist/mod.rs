@@ -7,9 +7,10 @@
 //!   data sources can be sliced per part (the paper's §3.2/§3.5 machinery).
 //! * [`DistVec`] / [`DistArray2`] — *persistent* collections whose segments
 //!   are scattered once ([`Triolet::scatter`](crate::Triolet::scatter)) and
-//!   stay resident in node-local stores across skeleton calls, with views
-//!   ([`DistVec::slice`], [`DistVec::zip`], [`DistVec::enumerate`],
-//!   [`DistVec::halo`]) that describe per-rank subranges without moving data.
+//!   stay resident across skeleton calls on the owners the collection's own
+//!   per-segment cells name, with views ([`DistVec::slice`], [`DistVec::zip`],
+//!   [`DistVec::enumerate`], [`DistVec::halo`]) that describe per-rank
+//!   subranges without moving data.
 //!   A view is itself an iterator per segment: the segment as the indexer
 //!   it already is (an `ArrayIdx` window answering the collection's global
 //!   indices, zipped with `RangeIdx` for an index or mapped over it for a
@@ -25,7 +26,7 @@ mod input;
 mod iter;
 mod vec;
 
-pub(crate) use input::Lease;
+pub(crate) use input::Owners;
 pub use input::{AsEnv, DistInput, IntoDistInput, PackedEnv};
 pub use iter::DistIter;
 pub(crate) use vec::Seg;

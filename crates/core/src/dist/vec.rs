@@ -28,13 +28,12 @@ use triolet_iter::shapes::IdxFlat;
 use triolet_iter::stepper::ElemFn;
 use triolet_serial::Wire;
 
-use super::input::{DistInput, IntoDistInput, Lease, ResidentPart, ResidentRun};
+use super::input::{DistInput, IntoDistInput, Owners, ResidentPart};
 use super::DistIter;
 
 /// One resident segment: contiguous rows of a collection. Its index in the
-/// collection's segment list is its slot in the
-/// [`ResidentStore`](triolet_cluster::ResidentStore), which says where it
-/// lives.
+/// collection's segment list is its slot, whose owner cell in the
+/// collection's [`Owners`] says where it lives.
 pub(crate) struct Seg<T> {
     pub(crate) part: SeqPart,
     pub(crate) data: Arc<Vec<T>>,
@@ -76,26 +75,33 @@ fn element_at<T: Clone>(segs: &[Seg<T>], i: usize) -> T {
 /// [`slice`](DistVec::slice), [`enumerate`](DistVec::enumerate),
 /// [`zip`](DistVec::zip), [`halo`](DistVec::halo).
 pub struct DistVec<T> {
-    lease: Arc<Lease>,
+    owners: Arc<Owners>,
     len: usize,
     segs: Arc<Vec<Seg<T>>>,
 }
 
 impl<T> Clone for DistVec<T> {
     fn clone(&self) -> Self {
-        DistVec { lease: Arc::clone(&self.lease), len: self.len, segs: Arc::clone(&self.segs) }
+        DistVec { owners: Arc::clone(&self.owners), len: self.len, segs: Arc::clone(&self.segs) }
     }
 }
 
 impl<T> DistVec<T> {
-    pub(crate) fn from_segments(lease: Arc<Lease>, len: usize, segs: Vec<Seg<T>>) -> Self {
+    pub(crate) fn from_segments(owners: Arc<Owners>, len: usize, segs: Vec<Seg<T>>) -> Self {
         debug_assert!(segs.windows(2).all(|w| w[0].part.end() == w[1].part.start));
-        DistVec { lease, len, segs: Arc::new(segs) }
+        DistVec { owners, len, segs: Arc::new(segs) }
     }
 
-    /// The resident-store id of this collection.
+    /// This collection's id, unique within the runtime that scattered it:
+    /// the label of its segments in traces.
     pub fn id(&self) -> u64 {
-        self.lease.id()
+        self.owners.id()
+    }
+
+    /// The rank segment `slot` lives on now.
+    #[cfg(test)]
+    pub(crate) fn owner(&self, slot: usize) -> usize {
+        self.owners.owner(slot)
     }
 
     /// Total elements across all segments.
@@ -122,13 +128,13 @@ impl<T> DistVec<T> {
     /// the range participate in calls over the view; no data moves.
     pub fn slice(&self, range: Range<usize>) -> SliceView<T> {
         assert!(range.start <= range.end && range.end <= self.len, "slice out of bounds");
-        let (lease, segs) = (Arc::clone(&self.lease), Arc::clone(&self.segs));
-        SliceView { lease, segs, len: self.len, range }
+        let (owners, segs) = (Arc::clone(&self.owners), Arc::clone(&self.segs));
+        SliceView { owners, segs, len: self.len, range }
     }
 
     /// A view yielding `(global_index, element)` pairs.
     pub fn enumerate(&self) -> EnumView<T> {
-        EnumView { lease: Arc::clone(&self.lease), len: self.len, segs: Arc::clone(&self.segs) }
+        EnumView { owners: Arc::clone(&self.owners), len: self.len, segs: Arc::clone(&self.segs) }
     }
 
     /// Zip with another resident vector of identical segmentation (same
@@ -145,7 +151,7 @@ impl<T> DistVec<T> {
             "zip requires identical segmentation (scatter both on the same runtime)"
         );
         ZipView {
-            leases: (Arc::clone(&self.lease), Arc::clone(&other.lease)),
+            owners: (Arc::clone(&self.owners), Arc::clone(&other.owners)),
             len: self.len,
             a: Arc::clone(&self.segs),
             b: Arc::clone(&other.segs),
@@ -160,7 +166,7 @@ impl<T> DistVec<T> {
     /// segment) — counted as input bytes, unlike the zero-byte interior.
     pub fn halo(&self, radius: usize) -> HaloView<T> {
         HaloView {
-            lease: Arc::clone(&self.lease),
+            owners: Arc::clone(&self.owners),
             len: self.len,
             radius,
             segs: Arc::clone(&self.segs),
@@ -182,11 +188,10 @@ impl<T> DistVec<T> {
 }
 
 /// The resident plan over the whole of `segs`: one part per segment, each
-/// homed where the store says its segment lives now, declaring
+/// homed where its owner cell says the segment lives now, declaring
 /// `halo_bytes(seg)` and folding `iter(seg)` over the segment's rows.
 fn whole_run<T, It: DistIter<OuterDom = Seq>>(
-    lease: &Arc<Lease>,
-    len: usize,
+    owners: &Arc<Owners>,
     segs: &[Seg<T>],
     halo_bytes: impl Fn(&Seg<T>) -> usize,
     iter: impl Fn(&Seg<T>) -> It,
@@ -195,11 +200,11 @@ fn whole_run<T, It: DistIter<OuterDom = Seq>>(
         .iter()
         .enumerate()
         .map(|(slot, seg)| {
-            let claims = vec![lease.claim(slot, seg.bytes)];
+            let claims = vec![owners.claim(slot, seg.bytes)];
             ResidentPart::resolve(claims, seg.part, halo_bytes(seg), iter(seg))
         })
         .collect();
-    DistInput::Resident(ResidentRun { len, parts })
+    DistInput::Resident(parts)
 }
 
 impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
@@ -208,13 +213,13 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let len = self.len;
-        whole_run(&self.lease, len, &self.segs, |_| 0, |seg| IdxFlat::new(seg.array(len)))
+        whole_run(&self.owners, &self.segs, |_| 0, |seg| IdxFlat::new(seg.array(len)))
     }
 }
 
 /// A contiguous-range view of a [`DistVec`] (see [`DistVec::slice`]).
 pub struct SliceView<T> {
-    lease: Arc<Lease>,
+    owners: Arc<Owners>,
     segs: Arc<Vec<Seg<T>>>,
     len: usize,
     range: Range<usize>,
@@ -236,19 +241,19 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for SliceView<T> {
             // Parts keep global indices: chunking depends only on a part's
             // length, so the chunks are those of the range's own parts.
             parts.push(ResidentPart::resolve(
-                vec![self.lease.claim(slot, seg.bytes)],
+                vec![self.owners.claim(slot, seg.bytes)],
                 SeqPart::new(lo, hi - lo),
                 0,
                 IdxFlat::new(seg.array(self.len)),
             ));
         }
-        DistInput::Resident(ResidentRun { len: b - a, parts })
+        DistInput::Resident(parts)
     }
 }
 
 /// An index-carrying view of a [`DistVec`] (see [`DistVec::enumerate`]).
 pub struct EnumView<T> {
-    lease: Arc<Lease>,
+    owners: Arc<Owners>,
     len: usize,
     segs: Arc<Vec<Seg<T>>>,
 }
@@ -260,8 +265,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for EnumView<T> {
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let len = self.len;
         whole_run(
-            &self.lease,
-            len,
+            &self.owners,
             &self.segs,
             |_| 0,
             |seg| IdxFlat::new(ZipIdx::new(RangeIdx::new(Seq::new(len)), seg.array(len))),
@@ -273,7 +277,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for EnumView<T> {
 /// (see [`DistVec::zip`]). A redispatch off-home ships the survivor each
 /// segment it does not already hold, and both move to it.
 pub struct ZipView<T, U> {
-    leases: (Arc<Lease>, Arc<Lease>),
+    owners: (Arc<Owners>, Arc<Owners>),
     len: usize,
     a: Arc<Vec<Seg<T>>>,
     b: Arc<Vec<Seg<U>>>,
@@ -288,7 +292,7 @@ where
     type Iter = IdxFlat<ZipIdx<ArrayIdx<T>, ArrayIdx<U>>>;
 
     fn into_dist_input(self) -> DistInput<Self::Iter> {
-        let (la, lb) = &self.leases;
+        let (oa, ob) = &self.owners;
         let len = self.len;
         let parts = self
             .a
@@ -297,20 +301,20 @@ where
             .enumerate()
             .map(|(slot, (sa, sb))| {
                 ResidentPart::resolve(
-                    vec![la.claim(slot, sa.bytes), lb.claim(slot, sb.bytes)],
+                    vec![oa.claim(slot, sa.bytes), ob.claim(slot, sb.bytes)],
                     sa.part,
                     0,
                     IdxFlat::new(ZipIdx::new(sa.array(len), sb.array(len))),
                 )
             })
             .collect();
-        DistInput::Resident(ResidentRun { len: self.len, parts })
+        DistInput::Resident(parts)
     }
 }
 
 /// A ghost-cell stencil view of a [`DistVec`] (see [`DistVec::halo`]).
 pub struct HaloView<T> {
-    lease: Arc<Lease>,
+    owners: Arc<Owners>,
     len: usize,
     radius: usize,
     segs: Arc<Vec<Seg<T>>>,
@@ -324,8 +328,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for HaloView<T> {
         let (radius, len) = (self.radius, self.len);
         let window = Window { segs: Arc::clone(&self.segs), radius, len };
         whole_run(
-            &self.lease,
-            len,
+            &self.owners,
             &self.segs,
             // Up to `radius` ghost elements from each side that has any.
             |seg| {
@@ -360,7 +363,7 @@ impl<T: Clone + Send + Sync + 'static> ElemFn<usize> for Window<T> {
 /// their owning ranks. `&da` iterates elements in row-major order;
 /// [`rows`](DistArray2::rows) yields whole rows with their indices.
 pub struct DistArray2<T> {
-    lease: Arc<Lease>,
+    owners: Arc<Owners>,
     rows: usize,
     cols: usize,
     /// Segments partition the *row* space; each holds its slab row-major.
@@ -370,7 +373,7 @@ pub struct DistArray2<T> {
 impl<T> Clone for DistArray2<T> {
     fn clone(&self) -> Self {
         DistArray2 {
-            lease: Arc::clone(&self.lease),
+            owners: Arc::clone(&self.owners),
             rows: self.rows,
             cols: self.cols,
             segs: Arc::clone(&self.segs),
@@ -380,17 +383,18 @@ impl<T> Clone for DistArray2<T> {
 
 impl<T> DistArray2<T> {
     pub(crate) fn from_segments(
-        lease: Arc<Lease>,
+        owners: Arc<Owners>,
         rows: usize,
         cols: usize,
         segs: Vec<Seg<T>>,
     ) -> Self {
-        DistArray2 { lease, rows, cols, segs: Arc::new(segs) }
+        DistArray2 { owners, rows, cols, segs: Arc::new(segs) }
     }
 
-    /// The resident-store id of this collection.
+    /// This collection's id, unique within the runtime that scattered it:
+    /// the label of its segments in traces.
     pub fn id(&self) -> u64 {
-        self.lease.id()
+        self.owners.id()
     }
 
     /// Matrix rows.
@@ -411,7 +415,7 @@ impl<T> DistArray2<T> {
     /// A view yielding `(row_index, row)` pairs, one per matrix row.
     pub fn row_view(&self) -> RowsView<T> {
         RowsView {
-            lease: Arc::clone(&self.lease),
+            owners: Arc::clone(&self.owners),
             rows: self.rows,
             cols: self.cols,
             segs: Arc::clone(&self.segs),
@@ -447,20 +451,20 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistArray2<T> {
             .map(|(slot, seg)| {
                 let base = seg.part.start * cols;
                 ResidentPart::resolve(
-                    vec![self.lease.claim(slot, seg.bytes)],
+                    vec![self.owners.claim(slot, seg.bytes)],
                     SeqPart::new(base, seg.part.len * cols),
                     0,
                     IdxFlat::new(ArrayIdx::window(Arc::clone(&seg.data), base, len)),
                 )
             })
             .collect();
-        DistInput::Resident(ResidentRun { len, parts })
+        DistInput::Resident(parts)
     }
 }
 
 /// A whole-row view of a [`DistArray2`] (see [`DistArray2::row_view`]).
 pub struct RowsView<T> {
-    lease: Arc<Lease>,
+    owners: Arc<Owners>,
     rows: usize,
     cols: usize,
     segs: Arc<Vec<Seg<T>>>,
@@ -473,8 +477,7 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for RowsView<T> {
     fn into_dist_input(self) -> DistInput<Self::Iter> {
         let (rows, cols) = (self.rows, self.cols);
         whole_run(
-            &self.lease,
-            rows,
+            &self.owners,
             &self.segs,
             |_| 0,
             |seg| {
@@ -506,19 +509,7 @@ impl<T: Clone + Send + Sync + 'static> ElemFn<usize> for Row<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triolet_cluster::ResidentStore;
     use triolet_domain::{Domain, Seq};
-
-    /// A lease on a fresh store with `segs` registered one per rank, as
-    /// `Cluster::scatter_segments` would leave them.
-    fn registered<T>(segs: &[Seg<T>]) -> Arc<Lease> {
-        let store = Arc::new(ResidentStore::new());
-        let lease = Lease::new(&store);
-        for (slot, seg) in segs.iter().enumerate() {
-            store.register(lease.id(), slot, slot, seg.bytes);
-        }
-        lease
-    }
 
     /// A hand-built DistVec over `data` split into `n` segments (the engine
     /// normally does this through `Triolet::scatter`).
@@ -533,15 +524,15 @@ mod tests {
                 bytes: part.len * 8,
             })
             .collect();
-        DistVec::from_segments(registered(&segs), len, segs)
+        DistVec::from_segments(Owners::new(0, segs.len()), len, segs)
     }
 
     fn collect_input<In: IntoDistInput>(input: In) -> Vec<In::Item> {
         let mut out = Vec::new();
         match input.into_dist_input() {
             DistInput::Iter(_) => unreachable!("resident view"),
-            DistInput::Resident(run) => {
-                for p in &run.parts {
+            DistInput::Resident(parts) => {
+                for p in &parts {
                     p.iter.fold_outer_part(&p.part, (), &mut |(), x| out.push(x));
                 }
             }
@@ -562,10 +553,29 @@ mod tests {
         let got = collect_input(v.slice(10..90));
         assert_eq!(got, (10..90).collect::<Vec<i64>>());
         // A slice inside one segment involves only that segment.
-        if let DistInput::Resident(run) = v.slice(2..20).into_dist_input() {
-            assert_eq!(run.parts.len(), 1);
-            assert_eq!(run.len, 18);
+        if let DistInput::Resident(parts) = v.slice(2..20).into_dist_input() {
+            assert_eq!(parts.len(), 1);
+            assert_eq!(parts.iter().map(|p| p.part.len).sum::<usize>(), 18);
         }
+    }
+
+    #[test]
+    fn the_last_handle_or_view_frees_the_segments() {
+        let v = dv((0..100).collect(), 4);
+        let segs = Arc::downgrade(&v.segs);
+        let w = v.clone();
+        drop(v);
+        assert!(segs.upgrade().is_some(), "a handle is left");
+        drop(w);
+        assert!(segs.upgrade().is_none(), "the segment list dies with the last handle");
+
+        let v = dv((0..100).collect(), 4);
+        let segs = Arc::downgrade(&v.segs);
+        let view = v.slice(10..90);
+        drop(v);
+        assert!(segs.upgrade().is_some(), "a view outliving its handle keeps the segments");
+        assert_eq!(collect_input(view), (10..90).collect::<Vec<i64>>(), "and still sweeps");
+        assert!(segs.upgrade().is_none(), "the swept view was the last holder");
     }
 
     #[test]
@@ -600,11 +610,11 @@ mod tests {
         assert_eq!(wins[39].1, vec![37, 38, 39]);
         // Nonzero halo bytes are declared for the ghost exchange.
         let halo_bytes = |v: &DistVec<i64>| match v.halo(2).into_dist_input() {
-            DistInput::Resident(run) => {
+            DistInput::Resident(parts) => {
                 let ghosts = |p: &ResidentPart<_>| {
                     p.pieces.iter().filter(|q| q.holder.is_none()).map(|q| q.bytes).sum()
                 };
-                run.parts.iter().map(ghosts).collect()
+                parts.iter().map(ghosts).collect()
             }
             DistInput::Iter(_) => unreachable!("resident view"),
         };
@@ -633,7 +643,7 @@ mod tests {
                 bytes: part.len * cols * 8,
             })
             .collect();
-        let m = DistArray2::from_segments(registered(&segs), rows, cols, segs);
+        let m = DistArray2::from_segments(Owners::new(0, segs.len()), rows, cols, segs);
         assert_eq!(collect_input(&m), data);
         let row_pairs = collect_input(m.row_view());
         assert_eq!(row_pairs.len(), rows);

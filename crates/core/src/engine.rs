@@ -45,6 +45,7 @@
 //! 1k-rank shapes are usable from the skeleton API. The root's own work is pipelined against it: slices
 //! are packed task by task and partials fold in task order as they arrive.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use triolet_cluster::clock::timed;
@@ -60,7 +61,7 @@ use triolet_pool::parallel::CHUNKS_PER_THREAD;
 use triolet_serial::{Piece, PodView, Wire};
 
 use crate::dist::{
-    AsEnv, DistArray2, DistInput, DistIter, DistVec, IntoDistInput, Lease, PackedEnv, Seg,
+    AsEnv, DistArray2, DistInput, DistIter, DistVec, IntoDistInput, Owners, PackedEnv, Seg,
 };
 use crate::report::RunStats;
 use crate::run::Run;
@@ -260,12 +261,14 @@ fn node_fold<It: DistIter, E: Sync, R: Reducer<It, E>>(
 /// and call skeletons on it. Every skeleton returns a [`Run`].
 pub struct Triolet {
     cluster: Cluster,
+    /// The id of the next collection this runtime scatters.
+    next_id: AtomicU64,
 }
 
 impl Triolet {
     /// Bring up a runtime on the given cluster shape.
     pub fn new(config: ClusterConfig) -> Self {
-        Triolet { cluster: Cluster::new(config) }
+        Triolet { cluster: Cluster::new(config), next_id: AtomicU64::new(0) }
     }
 
     /// Wrap this runtime in a multi-tenant [`JobService`](crate::JobService): a bounded
@@ -325,7 +328,7 @@ impl Triolet {
     {
         let len = data.len();
         self.scatter_cut(len, 1, &data)
-            .map(|(lease, segs)| DistVec::from_segments(lease, len, segs))
+            .map(|(owners, segs)| DistVec::from_segments(owners, len, segs))
     }
 
     /// Scatter a matrix across the cluster once as row slabs, returning a
@@ -336,19 +339,19 @@ impl Triolet {
     {
         let (rows, cols) = (m.rows(), m.cols());
         self.scatter_cut(rows, cols, &m.into_vec())
-            .map(|(lease, segs)| DistArray2::from_segments(lease, rows, cols, segs))
+            .map(|(owners, segs)| DistArray2::from_segments(owners, rows, cols, segs))
     }
 
     /// Cut `data` — `rows` rows of `width` items — into one row-range
     /// segment per node (the parts the shipped path would use; cutting is
-    /// the root's prep time), ship segment `k` to rank `k` and register it
-    /// there under a fresh lease.
+    /// the root's prep time) and ship segment `k` to rank `k`, where a fresh
+    /// [`Owners`] starts its cell.
     fn scatter_cut<T>(
         &self,
         rows: usize,
         width: usize,
         data: &[T],
-    ) -> Run<(Arc<Lease>, Vec<Seg<T>>)>
+    ) -> Run<(Arc<Owners>, Vec<Seg<T>>)>
     where
         T: Wire + Clone,
     {
@@ -363,12 +366,12 @@ impl Triolet {
                 })
                 .collect::<Vec<Seg<T>>>()
         });
-        let lease = Lease::new(self.cluster.resident_store());
+        let owners = Owners::new(self.next_id.fetch_add(1, Ordering::Relaxed), segs.len());
         let sizes: Vec<(usize, usize)> =
             segs.iter().enumerate().map(|(rank, s)| (rank, s.bytes)).collect();
-        let (timing, dist_trace) = self.cluster.scatter_segments(lease.id(), &sizes);
+        let (timing, dist_trace) = self.cluster.scatter_segments(owners.id(), &sizes);
         let trace = self.skeleton_trace("scatter", Some(pack_s), dist_trace, timing.total_s, &[]);
-        Run::new((lease, segs), RunStats::from_dist(timing, pack_s)).with_trace(trace)
+        Run::new((owners, segs), RunStats::from_dist(timing, pack_s)).with_trace(trace)
     }
 
     // ======================================================================
@@ -425,8 +428,8 @@ impl Triolet {
     /// can overlap task k+1's slicing with task k's compute.
     ///
     /// A resident part's `sub` is its segment, read in place: its task
-    /// lists the part's pieces (each segment held by the rank the store
-    /// said owns it when the view was resolved, then any halo), so it is
+    /// lists the part's pieces (each segment held by the rank its owner cell
+    /// named when the view was resolved, then any halo), so it is
     /// routed to the first segment's owner; the descriptor is
     /// control-plane. The environment still broadcasts, and its arrival at
     /// a rank is what starts that rank's task: a part whose live owner
@@ -454,15 +457,12 @@ impl Triolet {
                     })
                     .collect()
             }
-            DistInput::Resident(run) => {
-                debug_assert_eq!(run.parts.iter().map(|p| p.part.count()).sum::<usize>(), run.len);
-                (run.parts.iter())
-                    .map(|p| {
-                        let work = body(p.iter.clone(), p.part.clone(), false);
-                        RawTask { pieces: p.pieces.clone(), pack_s: 0.0, work }
-                    })
-                    .collect()
-            }
+            DistInput::Resident(parts) => (parts.iter())
+                .map(|p| {
+                    let work = body(p.iter.clone(), p.part.clone(), false);
+                    RawTask { pieces: p.pieces.clone(), pack_s: 0.0, work }
+                })
+                .collect(),
         }
     }
 
@@ -475,10 +475,10 @@ impl Triolet {
     /// A task forced off its segment's owner has the segment shipped to
     /// whichever rank executed it (counted by the cluster as a
     /// `dist:resident-miss`). The bytes are there now, so ownership follows
-    /// them: the store entry moves (a `dist:rehome`), and every later call
-    /// over the collection routes that part straight to its new owner. The
-    /// dispatcher itself remembers nothing — it is handed owners and
-    /// reports executing ranks.
+    /// them: the segment's owner cell moves (a `dist:rehome`), and every
+    /// later call over the collection routes that part straight to its new
+    /// owner. The dispatcher itself remembers nothing — it is handed owners
+    /// and reports executing ranks.
     fn dispatch<It: DistIter, R: Wire + Send>(
         &self,
         input: &DistInput<It>,
@@ -486,8 +486,8 @@ impl Triolet {
         env_bytes: usize,
     ) -> DistOutcome<R> {
         let mut out = self.cluster.dispatch(tasks, env_bytes).unwrap_or_else(|e| panic!("{e}"));
-        let DistInput::Resident(run) = input else { return out };
-        for (task, (p, &exec)) in run.parts.iter().zip(&out.execs).enumerate() {
+        let DistInput::Resident(parts) = input else { return out };
+        for (task, (p, &exec)) in parts.iter().zip(&out.execs).enumerate() {
             for claim in &p.claims {
                 if let Some(from) = claim.rehome(exec) {
                     if self.traced() {
@@ -1250,7 +1250,6 @@ mod tests {
             Triolet::new(ClusterConfig::virtual_cluster(4, 2).with_faults(plan).with_trace(true));
         let xs: Vec<f64> = (0..1000).map(|i| i as f64 * 0.25 - 3.0).collect();
         let dv = lossy.scatter(xs.clone()).value;
-        let store = lossy.cluster().resident_store();
         let first = lossy.sum(&dv);
         assert!(first.stats.resident_misses > 0, "seed 5 drops the only attempt of two tasks");
         let moves: Vec<&triolet_obs::Event> =
@@ -1263,9 +1262,8 @@ mod tests {
             };
             // A whole-collection call's task index is its segment's slot.
             assert_eq!(arg("from"), arg("task"), "segments start on the rank of their slot");
-            assert_eq!(store.owner(dv.id(), arg("task")), Some(arg("to")));
+            assert_eq!(dv.owner(arg("task")), arg("to"));
         }
-        assert_eq!(store.segment_count(), 4, "the stale entry is gone: still one per segment");
         // The same hops now lead to the new owners: the same attempts that
         // delivered the segments deliver the descriptors.
         let second = lossy.sum(&dv);

@@ -253,25 +253,3 @@ fn a_crashed_home_is_paid_for_once() {
     }
     assert_eq!((misses, redispatches), (1, 1), "the crash is detected and paid for exactly once");
 }
-
-#[test]
-fn dropping_a_collection_frees_its_segments() {
-    let plan =
-        FaultPlan::seeded(7).with_drop(0.05).with_crash(3).with_timeout(Duration::from_millis(1));
-    let rt = Triolet::new(ClusterConfig::virtual_cluster(8, TPN).with_faults(plan));
-    let store = rt.cluster().resident_store();
-    for _ in 0..100 {
-        let dv = rt.scatter(data(256)).value;
-        assert_eq!(store.segment_count(), 8);
-        // The sweep moves rank 3's segment; the moved entry goes with the
-        // rest when the handle drops.
-        assert_eq!(weighted_sum(&rt, &dv).stats.resident_misses, 1);
-    }
-    assert_eq!(store.segment_count(), 0, "every scatter's segments were evicted on drop");
-
-    // A view keeps the collection registered after its handle is gone.
-    let view = rt.scatter(data(256)).value.slice(10..200);
-    assert_eq!(store.segment_count(), 8);
-    weighted_sum(&rt, view);
-    assert_eq!(store.segment_count(), 0);
-}

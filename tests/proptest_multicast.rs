@@ -106,23 +106,4 @@ proptest! {
         // so as soon as there are two, pieces relay over the tree.
         prop_assert_eq!(parts.len() > 1, run.trace.count_spans("comm:tree") > 0);
     }
-
-    /// With at least two strips a side on two or more nodes, a fault-free
-    /// run always shares a panel (the root link carries less than all
-    /// links), and under every plan the product is the sequential product.
-    #[test]
-    fn tiled_strips_share_their_panels_too(
-        (m, k, n) in (65usize..200, 1usize..12, 65usize..200),
-        nodes in 2usize..=9,
-        seed in 0u64..3000,
-    ) {
-        let input = sgemm::generate_rect(m, k, n, seed);
-        let expect = sgemm::run_seq(&input);
-        let plan = plan_for(seed, nodes);
-        let run = sgemm::run_triolet(&Triolet::new(cluster((nodes, 2), plan)), &input);
-        assert_bits(&run.value, &expect)?;
-        if plan.is_none() {
-            prop_assert!(run.stats.root_bytes_out < run.stats.bytes_out);
-        }
-    }
 }
