@@ -6,17 +6,23 @@
 //! floatHist [f a r | a <- atoms, r <- gridPts a]
 //! ```
 //!
-//! `par(atoms)` is sliced across nodes; `concat_map` generates each atom's
-//! nearby grid points (a fused x/y/z nest over its clamped box); `filter`
-//! skips points outside the cutoff; `map` computes the contribution; and
-//! the `scatter_add` skeleton plays `floatHist`, building one private grid
-//! per chunk (four chunks per thread: 512 grids at 8×16), merging per node,
-//! and summing node grids at the root — the two-level floating-point
-//! histogram of §3.4.
+//! The atoms are first binned by x cell ([`bin_by_x`], charged to the model
+//! as a root-local phase), so each node's part and each chunk's atoms are an
+//! x-slab. `par(atoms)` is sliced across nodes; `concat_map` generates each
+//! atom's nearby grid points (a fused x/y/z nest over its clamped box);
+//! `filter` skips points outside the cutoff; `map` computes the
+//! contribution; and the `scatter_add` skeleton plays `floatHist`, building
+//! one private partial per chunk (four chunks per thread: 512 at 8×16),
+//! merging per node, and summing node partials at the root — the two-level
+//! floating-point histogram of §3.4. A partial holds only the range of
+//! cells its atoms wrote (`WeightHist`), so a node ships its slab, about a
+//! third of the grid at 8 nodes, not the whole grid.
 
 use triolet::prelude::*;
+use triolet::Run;
+use triolet_cluster::clock;
 
-use super::{axis_range, potential, Atom, CutcpInput, GridGeom};
+use super::{axis_range, bin_by_x, potential, Atom, CutcpInput, GridGeom};
 
 /// Candidate contribution: cell index, squared distance, charge.
 type Candidate = (usize, f32, f32);
@@ -48,12 +54,13 @@ fn grid_pts(geom: GridGeom, a: Atom) -> impl TrioIter<Item = Candidate> {
 pub fn run_triolet(rt: &Triolet, input: &CutcpInput) -> Run<Vec<f64>> {
     let geom = input.geom;
     let c2 = geom.cutoff * geom.cutoff;
-    let contributions = from_vec(input.atoms.clone())
+    let (atoms, bin_s) = clock::timed(|| bin_by_x(input));
+    let contributions = from_vec(atoms)
         .par()
         .concat_map(move |a: Atom| grid_pts(geom, a))
         .filter(move |&(_, r2, _): &Candidate| r2 <= c2 && r2 > 0.0)
         .map(move |(cell, r2, q): Candidate| (cell, potential(q, r2, c2)));
-    rt.scatter_add(geom.dom.count(), contributions)
+    Run::new((), RunStats::local(bin_s)).then(rt.scatter_add(geom.dom.count(), contributions))
 }
 
 #[cfg(test)]

@@ -785,7 +785,10 @@ impl Triolet {
     }
 
     /// Floating-point scatter-add over `cells` cells (cutcp's skeleton: a
-    /// "floating-point histogram").
+    /// "floating-point histogram"). Each partial is a
+    /// [`WeightHist`](triolet_iter::WeightHist) holding only the range of
+    /// cells its items wrote, so a part whose items write a slab of the grid
+    /// merges and ships that slab; the value is the dense grid.
     pub fn scatter_add<In>(&self, cells: usize, input: In) -> Run<Vec<f64>>
     where
         In: IntoDistInput<Item = (usize, f64)>,

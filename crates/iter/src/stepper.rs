@@ -33,6 +33,7 @@ where
     F: Fn(In) -> O + Clone + Send + Sync + 'static,
 {
     type Out = O;
+    #[inline]
     fn call(&self, x: In) -> O {
         self(x)
     }
@@ -55,6 +56,7 @@ where
     F: Fn(In) -> R + Clone + Send + Sync + 'static,
 {
     type OutIter = R;
+    #[inline]
     fn call_iter(&self, x: In) -> R {
         self(x)
     }
