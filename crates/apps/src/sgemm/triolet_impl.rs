@@ -12,8 +12,10 @@
 //! register-blocked [`gemm_tiled`] over the two strips. Slicing per node
 //! ships only those strips (§2, §3.5). Blocks of one grid row slice the
 //! *same* `A` strips (and blocks of one grid column the same `B^T` strips):
-//! the engine's slice memo hands them one buffer, and the cluster sends it
-//! from the root once and relays it among the nodes that read it. The
+//! their slices are one window onto the input's buffer, so the root copies
+//! no panel, and the cluster sends each from the root once and relays it
+//! among the nodes that read it. `B^T` moves into its strips; `A`, which
+//! the caller keeps, is cloned into its own once per call. The
 //! row-level form, `rows(A)` being `row_strips(A, 1)`, is kept as
 //! `examples/matmul.rs`. The transpose runs `localpar`: "Single-node
 //! parallelization leverages shared memory to obtain speedup on loops that
@@ -40,15 +42,16 @@ pub fn transpose_triolet(rt: &Triolet, b: &Array2<f32>) -> Run<Array2<f32>> {
 /// bit-identical to [`run_seq`](super::run_seq): the tiled kernel keeps the
 /// naive accumulation order.
 pub fn run_triolet(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
-    // Transpose on shared memory first (sequential bottleneck elsewhere).
-    let t = transpose_triolet(rt, &input.b);
     let alpha = input.alpha;
     let k = input.a.cols();
     let (m, n) = (input.a.rows(), input.b.cols());
     let strip = BLOCK_MC;
+    // Transpose on shared memory first (sequential bottleneck elsewhere),
+    // straight into its strips.
+    let t = transpose_triolet(rt, &input.b).map(|bt| row_strips(bt, strip));
 
     // The two-liner.
-    let zipped = outerproduct(row_strips(&input.a, strip), row_strips(&t.value, strip)).par();
+    let zipped = outerproduct(row_strips(input.a.clone(), strip), t.value.clone()).par();
     let blocks = rt.build_array2(zipped.map(move |(u, v): (StripRef<f32>, StripRef<f32>)| {
         gemm_tiled(u.as_slice(), v.as_slice(), k, u.rows(), v.rows(), alpha)
     }));

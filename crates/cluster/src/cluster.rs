@@ -231,7 +231,7 @@ impl<'a, R> RawTask<'a, R> {
 /// The buffer a piece is relayed by: tasks on several ranks that read one
 /// root-held buffer share its relay tree. Anonymous pieces and rank-held
 /// ones (shipped from the root on a miss) ride their task's own message.
-fn relay_id(p: &Piece) -> Option<usize> {
+fn relay_id(p: &Piece) -> Option<(usize, usize)> {
     p.id.filter(|_| p.holder.is_none())
 }
 
@@ -682,7 +682,7 @@ fn plan_scatter<R>(
     bcast_bytes: usize,
 ) -> Result<ScatterPlan, DispatchError> {
     // Piece `id` (`None`: the environment) never reaches `rank`.
-    let stranded = |rank: usize, id: Option<usize>| {
+    let stranded = |rank: usize, id: Option<(usize, usize)>| {
         let reads = |t: &RawTask<'_, R>| id.is_none() || t.pieces.iter().any(|q| relay_id(q) == id);
         let task = (tasks.iter().zip(execs)).position(|(t, &exec)| exec == rank && reads(t));
         DispatchError::Unroutable { task: task.expect("a payload goes only to its readers") }
@@ -711,7 +711,7 @@ fn plan_scatter<R>(
         /// Tasks on several ranks hold it: its edges, once planned.
         Many(Option<std::ops::Range<usize>>),
     }
-    let mut by_id: BTreeMap<usize, Readers> = BTreeMap::new();
+    let mut by_id: BTreeMap<(usize, usize), Readers> = BTreeMap::new();
     for (t, &exec) in tasks.iter().zip(execs) {
         for id in t.pieces.iter().filter_map(relay_id) {
             let readers = by_id.entry(id).or_insert(Readers::One { rank: exec, carried: false });
@@ -1700,9 +1700,9 @@ mod tests {
         Piece::anonymous(bytes).expect("a non-empty piece")
     }
 
-    /// `bytes` of root-held buffer `id`.
+    /// `bytes` of the root-held buffer at address `id`.
     fn shared(id: usize, bytes: usize) -> Piece {
-        Piece { id: Some(id), bytes, holder: None }
+        Piece { id: Some((id, bytes)), bytes, holder: None }
     }
 
     /// `bytes` that rank `holder` already holds: a resident segment.

@@ -167,8 +167,8 @@ proptest! {
                 .enumerate()
                 .map(|(i, &(wire_bytes, piece, resident, len, extra))| {
                     let mut pieces: Vec<Piece> = match piece {
-                        1 => vec![Piece { id: Some(7), bytes: 500, holder: None }],
-                        2 => vec![Piece { id: Some(100 + i), bytes: 50, holder: None }],
+                        1 => vec![Piece { id: Some((7, 500)), bytes: 500, holder: None }],
+                        2 => vec![Piece { id: Some((100 + i, 50)), bytes: 50, holder: None }],
                         3 => vec![Piece { id: None, bytes: 20, holder: None }],
                         _ => Vec::new(),
                     };

@@ -55,7 +55,7 @@ use triolet_cluster::{
 use triolet_domain::{Dim2, Dim2Part, Domain, Part, Seq};
 use triolet_iter::collector::Collector;
 use triolet_iter::shapes::{ParHint, TrioIter};
-use triolet_iter::{Array2, SliceMemo};
+use triolet_iter::{Array2, WeightHist};
 use triolet_obs::rehome_event;
 use triolet_pool::parallel::CHUNKS_PER_THREAD;
 use triolet_serial::{Piece, PodView, Wire};
@@ -130,6 +130,43 @@ where
     }
     fn finish(&self, value: Option<B>) -> B {
         value.unwrap_or_else(&self.0)
+    }
+}
+
+/// `scatter_add`'s fold over [`WeightHist`] partials. A decoded partial's
+/// grid size comes off the wire and only the call knows what it should be,
+/// so the root refuses a received partial of another grid before merging
+/// or finishing sizes anything from it.
+struct ScatterAdd(usize);
+
+impl<It: DistIter<Item = (usize, f64)>, E> Reducer<It, E> for ScatterAdd {
+    type Acc = WeightHist;
+    type Shipped = WeightHist;
+    type Value = WeightHist;
+    fn seed(&self, _: &PartOf<It>) -> WeightHist {
+        WeightHist::new(self.0)
+    }
+    fn step(&self, _: &E, mut acc: WeightHist, x: (usize, f64)) -> WeightHist {
+        acc.feed(x);
+        acc
+    }
+    fn merge(&self, mut a: WeightHist, b: WeightHist) -> WeightHist {
+        a.merge(b);
+        a
+    }
+    fn ship(&self, _: &NodeCtx, _: &PartOf<It>, acc: WeightHist) -> WeightHist {
+        acc
+    }
+    fn absorb(&self, value: Option<WeightHist>, shipped: WeightHist) -> WeightHist {
+        let (cells, got) = (self.0, shipped.cells());
+        assert!(got == cells, "scatter_add over {cells} cells received a partial of {got} cells");
+        match value {
+            Some(a) => Reducer::<It, E>::merge(self, a, shipped),
+            None => shipped,
+        }
+    }
+    fn finish(&self, value: Option<WeightHist>) -> WeightHist {
+        value.unwrap_or_else(|| WeightHist::new(self.0))
     }
 }
 
@@ -418,14 +455,15 @@ impl Triolet {
     /// iterator `sub` either way.
     ///
     /// An iterator is cut down to each part's data (paper §3.5) and `sub`
-    /// is that slice, `shipped`: it crosses serialization on arrival. One
-    /// [`SliceMemo`] spans the call, so a window two parts read (an sgemm
-    /// row panel its grid neighbours share) is copied once and both slices
-    /// hold the same buffer; the task lists its buffers as
-    /// [`RawTask::pieces`] and the cluster ships each shared one once. Only
-    /// the part descriptor, one more anonymous piece, is private to the
-    /// task. The slice is wall-measured into `pack_s`, so the dispatcher
-    /// can overlap task k+1's slicing with task k's compute.
+    /// is that slice, `shipped`: it crosses serialization on arrival. A
+    /// slice is windows onto the input's own buffers, so the root copies
+    /// no element here. The task lists its windows as [`RawTask::pieces`],
+    /// each named by its address range, so a window two parts read (an
+    /// sgemm row panel its grid neighbours share) is one piece and the
+    /// cluster ships it once. Only the part descriptor, one more anonymous
+    /// piece, is private to the task. The slice is wall-measured into
+    /// `pack_s`, so the dispatcher can overlap task k+1's slicing with task
+    /// k's compute.
     ///
     /// A resident part's `sub` is its segment, read in place: its task
     /// lists the part's pieces (each segment held by the rank its owner cell
@@ -442,21 +480,18 @@ impl Triolet {
         body: impl Fn(It, PartOf<It>, bool) -> Box<dyn FnOnce(&NodeCtx) -> R + Send + 'a>,
     ) -> Vec<RawTask<'a, R>> {
         match input {
-            DistInput::Iter(it) => {
-                let mut memo = SliceMemo::default();
-                (it.outer_domain().split_parts(self.nodes()).into_iter())
-                    .map(|part| {
-                        let ((sub, pieces), pack_s) = timed(|| {
-                            let sub = it.slice_outer_shared(&part, &mut memo);
-                            let mut pieces = sub.source_pieces();
-                            pieces.extend(Piece::anonymous(part.packed_size()));
-                            (sub, pieces)
-                        });
-                        let work = body(sub, part, true);
-                        RawTask { pieces, pack_s, work }
-                    })
-                    .collect()
-            }
+            DistInput::Iter(it) => (it.outer_domain().split_parts(self.nodes()).into_iter())
+                .map(|part| {
+                    let ((sub, pieces), pack_s) = timed(|| {
+                        let sub = it.slice_outer(&part);
+                        let mut pieces = sub.source_pieces();
+                        pieces.extend(Piece::anonymous(part.packed_size()));
+                        (sub, pieces)
+                    });
+                    let work = body(sub, part, true);
+                    RawTask { pieces, pack_s, work }
+                })
+                .collect(),
             DistInput::Resident(parts) => (parts.iter())
                 .map(|p| {
                     let work = body(p.iter.clone(), p.part.clone(), false);
@@ -785,15 +820,17 @@ impl Triolet {
     }
 
     /// Floating-point scatter-add over `cells` cells (cutcp's skeleton: a
-    /// "floating-point histogram"). Each partial is a
-    /// [`WeightHist`](triolet_iter::WeightHist) holding only the range of
-    /// cells its items wrote, so a part whose items write a slab of the grid
-    /// merges and ships that slab; the value is the dense grid.
+    /// "floating-point histogram"). Each partial is a [`WeightHist`]
+    /// holding only the range of cells its items wrote, so a part whose
+    /// items write a slab of the grid merges and ships that slab; the value
+    /// is the dense grid. A received partial of another grid size is
+    /// refused with a panic naming both sizes, before anything is allocated
+    /// from it.
     pub fn scatter_add<In>(&self, cells: usize, input: In) -> Run<Vec<f64>>
     where
         In: IntoDistInput<Item = (usize, f64)>,
     {
-        self.collect_named("scatter_add", input, &(), || triolet_iter::WeightHist::new(cells))
+        self.run_reducer("scatter_add", input, &(), ScatterAdd(cells)).map(|h| h.finish())
     }
 
     /// Materialize a 1-D input into a vector of `f(env, item)`, preserving
@@ -984,6 +1021,30 @@ mod tests {
         for (a, b) in grid.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn scatter_add_refuses_a_partial_of_another_grid() {
+        type It = IdxFlat<triolet_iter::ArrayIdx<(usize, f64)>>;
+        // A partial as a node ships it, `(cells, lo, range)`, written by hand.
+        let partial = |cells: usize| -> WeightHist {
+            triolet_serial::unpack_all(triolet_serial::packed(&(cells, 3usize, vec![1.0f64])))
+                .expect("a well-formed section")
+        };
+        let refusal = |value: Option<WeightHist>, shipped: WeightHist| {
+            let r = std::panic::catch_unwind(|| {
+                Reducer::<It, ()>::absorb(&ScatterAdd(16), value, shipped).cells()
+            });
+            *r.expect_err("refused").downcast::<String>().expect("a formatted message")
+        };
+        // A 2^40-cell claim would have `finish` ask for 8 TiB; a second
+        // partial one cell short would fail `merge`'s assertion.
+        let huge = refusal(None, partial(1 << 40));
+        assert_eq!(huge, "scatter_add over 16 cells received a partial of 1099511627776 cells");
+        let short = refusal(Some(partial(16)), partial(15));
+        assert_eq!(short, "scatter_add over 16 cells received a partial of 15 cells");
+        let fits = Reducer::<It, ()>::absorb(&ScatterAdd(16), Some(partial(16)), partial(16));
+        assert_eq!(fits.finish()[3], 2.0);
     }
 
     #[test]

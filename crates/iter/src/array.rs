@@ -73,8 +73,7 @@ impl<T> Array2<T> {
     }
 
     /// A shared copy of the backing data, for sources that index into it
-    /// ([`row_strips`](crate::sources::row_strips),
-    /// [`array2_iter`](crate::sources::array2_iter)).
+    /// ([`array2_iter`](crate::sources::array2_iter)).
     pub fn to_shared(&self) -> Arc<Vec<T>>
     where
         T: Clone,

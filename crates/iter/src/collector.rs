@@ -173,6 +173,14 @@ impl WeightHist {
         WeightHist(Box::new(Section { cells, lo: 0, bins: Vec::new() }))
     }
 
+    /// Cells in the dense grid. A decoded partial's comes off the wire, so
+    /// a receiver that knows its grid checks this before
+    /// [`merge`](Collector::merge) or [`finish`](Collector::finish) sizes
+    /// anything from it.
+    pub fn cells(&self) -> usize {
+        self.0.cells
+    }
+
     /// The written section with its `+0.0` edge cells trimmed: the grid
     /// index of its first cell and its values (`(0, [])` when nothing
     /// non-zero was written).

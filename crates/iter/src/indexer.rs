@@ -4,72 +4,93 @@
 //! the §3.5 refinement that the lookup function is split into a *data source*
 //! (the arrays it reads — potentially large, shipped over the wire) and an
 //! *extractor* (code — free to ship). The [`Indexer::slice`] method builds a
-//! new indexer whose data source holds only the elements a
+//! new indexer whose data source covers only the elements a
 //! [`Part`](triolet_domain::Part) touches; distributed skeletons use it to
 //! send each node exactly the data its tasks read, with no compile-time
 //! array-reference analysis.
 //!
-//! Slices are values, so sharing is visible: every `slice` call of one
-//! skeleton invocation goes through the same [`SliceMemo`], and two parts
-//! that read the same window of the same buffer get the *same* `Arc`.
-//! [`Indexer::pieces`] then lists each sliced buffer with that `Arc`'s
-//! address as its identity, which is all the cluster needs to ship a window
-//! two tasks share once instead of twice.
+//! A slice is a view, not a copy: an array-backed source holds a window
+//! (an offset and a length) onto its root buffer, and slicing it is offset
+//! arithmetic. The bytes are copied only when they cross serialization.
+//! Sharing is therefore visible without bookkeeping: [`Indexer::pieces`]
+//! names each window by the live address range it covers (start address
+//! and byte length), so two parts that read the same window of the same
+//! buffer list the same piece, and the cluster ships a window two tasks
+//! share once instead of twice. Every view holds its buffer alive, so no
+//! other buffer can take that range while the piece is listed.
 
-use std::any::Any;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use triolet_domain::{Dim2, Dim2Part, Domain, Seq, SeqPart};
-use triolet_serial::{packed, unpack_all, Piece, Wire};
+use triolet_serial::{packed, unpack_all, Piece, Wire, WireWriter};
 
-/// A buffer of some element type, held only to share it or keep it alive.
-type SharedBuf = Arc<dyn Any + Send + Sync>;
-
-/// The windows already copied out during one skeleton call, keyed by
-/// `(source buffer, offset, length)`.
-///
-/// The first part to read a window pays for the copy; every later part
-/// reading the same window is handed the same `Arc`. Create one per call
-/// and drop it with the call. A key names its source buffer by address, so
-/// the memo keeps every source it has sliced alive beside the window: no
-/// other buffer can take that address while the entry exists.
-#[derive(Default)]
-pub struct SliceMemo {
-    windows: BTreeMap<(usize, usize, usize), (SharedBuf, SharedBuf)>,
+/// A contiguous run of a shared buffer, `src[lo..lo + len]`: the data of
+/// every array-backed source and of the [`StripRef`]s it hands out.
+#[derive(Clone)]
+struct Window<T> {
+    src: Arc<Vec<T>>,
+    lo: usize,
+    len: usize,
 }
 
-impl SliceMemo {
-    /// `src[lo..lo + len]` as an owned, shared buffer.
-    fn window<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        src: &Arc<Vec<T>>,
-        lo: usize,
-        len: usize,
-    ) -> Arc<Vec<T>> {
-        let key = (Arc::as_ptr(src) as usize, lo, len);
-        let (_source, window) = self.windows.entry(key).or_insert_with(|| {
-            (Arc::clone(src) as SharedBuf, Arc::new(src[lo..lo + len].to_vec()) as SharedBuf)
-        });
-        Arc::clone(window).downcast().expect("a live buffer has one element type")
+impl<T> Window<T> {
+    /// All of `src`.
+    fn whole(src: Arc<Vec<T>>) -> Self {
+        let len = src.len();
+        Window { src, lo: 0, len }
+    }
+
+    /// The `len` elements from `lo`, counted within this window. Copies
+    /// nothing.
+    fn sub(&self, lo: usize, len: usize) -> Self {
+        debug_assert!(lo + len <= self.len, "window [{lo}, {}) outside {}", lo + len, self.len);
+        Window { src: Arc::clone(&self.src), lo: self.lo + lo, len }
+    }
+
+    /// Element `i` of the window.
+    #[inline]
+    fn at(&self, i: usize) -> &T {
+        debug_assert!(i < self.len, "index {i} outside a {}-element window", self.len);
+        &self.src[self.lo + i]
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.src[self.lo..self.lo + self.len]
     }
 }
 
-/// The piece for one array-backed data source: the buffer's packed elements
-/// plus `header` bytes of coordinates, identified by the buffer.
-fn buffer_piece<T: Wire>(data: &Arc<Vec<T>>, header: usize) -> Piece {
-    let (id, bytes) = (Some(Arc::as_ptr(data) as usize), T::slice_packed_size(data) + header);
-    Piece { id, bytes, holder: None }
+impl<T: Wire> Window<T> {
+    /// The window's elements as one piece, plus `header` bytes of
+    /// coordinates. Its identity is the address range the elements occupy,
+    /// so equal windows are one piece and windows that differ in start or
+    /// length are not; an empty window names no bytes and is anonymous.
+    fn piece(&self, header: usize) -> Piece {
+        let elems = self.as_slice();
+        let span = std::mem::size_of_val(elems);
+        let id = (span > 0).then_some((elems.as_ptr() as usize, span));
+        Piece { id, bytes: T::slice_packed_size(elems) + header, holder: None }
+    }
+
+    /// The window's elements pushed through pack/unpack into a buffer of
+    /// their own: the bytes a node receives.
+    fn roundtrip(&self) -> Self {
+        let elems = self.as_slice();
+        let mut w = WireWriter::with_capacity(T::slice_packed_size(elems));
+        T::pack_slice(elems, &mut w);
+        let data: Vec<T> = unpack_all(w.finish()).expect("pack/unpack of own data cannot fail");
+        Window::whole(Arc::new(data))
+    }
 }
 
 /// Random-access virtual collection over a [`Domain`].
 ///
-/// Cloning an indexer is cheap (data sources are reference-counted); slicing
-/// copies out only the addressed window. `pieces`, `source_size` and
-/// `roundtrip_source` exist for the distributed engine: the first two say
-/// which buffers this indexer's data occupies on the wire and how many bytes
-/// that is, the last actually pushes the data through pack/unpack — the
-/// moment at which, in a real cluster, the bytes would cross the network.
+/// Cloning an indexer is cheap (data sources are reference-counted), and so
+/// is slicing: a slice is a narrower window onto the same buffers.
+/// `pieces`, `source_size` and `roundtrip_source` exist for the distributed
+/// engine: the first two say which buffers this indexer's data occupies on
+/// the wire and how many bytes that is, the last actually pushes the data
+/// through pack/unpack — the moment at which, in a real cluster, the bytes
+/// would cross the network.
 pub trait Indexer: Clone + Send + Sync + 'static {
     /// The iteration space.
     type Dom: Domain;
@@ -84,9 +105,9 @@ pub trait Indexer: Clone + Send + Sync + 'static {
     /// part and must not be asked about others.
     fn get(&self, idx: <Self::Dom as Domain>::Index) -> Self::Out;
 
-    /// Extract an indexer owning only the data `part` touches (paper §3.5).
-    /// Windows already in `memo` are shared, not copied again.
-    fn slice(&self, part: &<Self::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self;
+    /// An indexer whose data sources cover only what `part` touches (paper
+    /// §3.5): windows onto the same buffers, no element copied.
+    fn slice(&self, part: &<Self::Dom as Domain>::Part) -> Self;
 
     /// Append this indexer's data sources to `out`, one [`Piece`] each.
     /// Combinators only forward to the indexers they wrap.
@@ -112,31 +133,26 @@ pub trait Indexer: Clone + Send + Sync + 'static {
 
 /// A one-dimensional array viewed as an indexer: the workhorse data source.
 ///
-/// Holds the backing data behind an [`Arc`]; `base` is the global index of
-/// `data[0]`, so a sliced `ArrayIdx` still answers global indices.
+/// Holds a window onto backing data behind an [`Arc`]; `base` is the global
+/// index of the window's first element, so a sliced `ArrayIdx` still
+/// answers global indices.
+#[derive(Clone)]
 pub struct ArrayIdx<T> {
-    data: Arc<Vec<T>>,
+    win: Window<T>,
     base: usize,
     dom: Seq,
-}
-
-impl<T> Clone for ArrayIdx<T> {
-    fn clone(&self) -> Self {
-        ArrayIdx { data: Arc::clone(&self.data), base: self.base, dom: self.dom }
-    }
 }
 
 impl<T: Clone + Send + Sync + 'static> ArrayIdx<T> {
     /// Wrap an owned vector; the domain is its full length.
     pub fn new(data: Vec<T>) -> Self {
-        let dom = Seq::new(data.len());
-        ArrayIdx { data: Arc::new(data), base: 0, dom }
+        ArrayIdx::from_arc(Arc::new(data))
     }
 
     /// Wrap an already shared vector without copying.
     pub fn from_arc(data: Arc<Vec<T>>) -> Self {
         let dom = Seq::new(data.len());
-        ArrayIdx { data, base: 0, dom }
+        ArrayIdx { win: Window::whole(data), base: 0, dom }
     }
 
     /// A window of a `len`-element array that is already cut: `data` holds
@@ -144,7 +160,7 @@ impl<T: Clone + Send + Sync + 'static> ArrayIdx<T> {
     /// sliced `ArrayIdx` would.
     pub fn window(data: Arc<Vec<T>>, base: usize, len: usize) -> Self {
         debug_assert!(base + data.len() <= len);
-        ArrayIdx { data, base, dom: Seq::new(len) }
+        ArrayIdx { win: Window::whole(data), base, dom: Seq::new(len) }
     }
 
     /// Global index of the first locally held element.
@@ -154,7 +170,7 @@ impl<T: Clone + Send + Sync + 'static> ArrayIdx<T> {
 
     /// Locally held elements (the current window).
     pub fn local_data(&self) -> &[T] {
-        &self.data
+        self.win.as_slice()
     }
 }
 
@@ -166,30 +182,23 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for ArrayIdx<T> {
         self.dom
     }
 
+    #[inline]
     fn get(&self, idx: usize) -> T {
-        debug_assert!(
-            idx >= self.base && idx - self.base < self.data.len(),
-            "index {idx} outside held window [{}, {})",
-            self.base,
-            self.base + self.data.len()
-        );
-        self.data[idx - self.base].clone()
+        debug_assert!(idx >= self.base, "index {idx} before held window at {}", self.base);
+        self.win.at(idx - self.base).clone()
     }
 
-    fn slice(&self, part: &SeqPart, memo: &mut SliceMemo) -> Self {
-        debug_assert!(part.start >= self.base && part.end() <= self.base + self.data.len());
-        let data = memo.window(&self.data, part.start - self.base, part.len);
-        ArrayIdx { data, base: part.start, dom: self.dom }
+    fn slice(&self, part: &SeqPart) -> Self {
+        debug_assert!(part.start >= self.base);
+        ArrayIdx { win: self.win.sub(part.start - self.base, part.len), base: part.start, ..*self }
     }
 
     fn pieces(&self, out: &mut Vec<Piece>) {
-        out.push(buffer_piece(&self.data, self.base.packed_size() + self.dom.packed_size()));
+        out.push(self.win.piece(self.base.packed_size() + self.dom.packed_size()));
     }
 
     fn roundtrip_source(self) -> Self {
-        let bytes = packed(&*self.data);
-        let data: Vec<T> = unpack_all(bytes).expect("pack/unpack of own data cannot fail");
-        ArrayIdx { data: Arc::new(data), base: self.base, dom: self.dom }
+        ArrayIdx { win: self.win.roundtrip(), ..self }
     }
 }
 
@@ -201,24 +210,12 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for ArrayIdx<T> {
 /// [`row_strips`](crate::sources::row_strips) yields per element. Carries its
 /// global row coordinates so consumers (tiled block kernels) know which
 /// output block the strip covers.
+#[derive(Clone)]
 pub struct StripRef<T> {
-    data: Arc<Vec<T>>,
-    offset: usize,
+    win: Window<T>,
     row0: usize,
     rows: usize,
     cols: usize,
-}
-
-impl<T> Clone for StripRef<T> {
-    fn clone(&self) -> Self {
-        StripRef {
-            data: Arc::clone(&self.data),
-            offset: self.offset,
-            row0: self.row0,
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
 }
 
 impl<T> StripRef<T> {
@@ -239,7 +236,7 @@ impl<T> StripRef<T> {
 
     /// The strip's elements as one contiguous row-major slice.
     pub fn as_slice(&self) -> &[T] {
-        &self.data[self.offset..self.offset + self.rows * self.cols]
+        self.win.as_slice()
     }
 }
 
@@ -249,28 +246,16 @@ impl<T> StripRef<T> {
 /// one-dimensional iterators over array rows". Taller strips make
 /// `outerproduct(row_strips(A), row_strips(BT))` the 2-D *block*
 /// decomposition directly, with each cell holding exactly the input strips a
-/// tiled block kernel consumes. Slicing by a strip range copies out only
-/// those rows, so each node receives only the rows it needs.
+/// tiled block kernel consumes. Slicing by a strip range narrows the window
+/// to those rows, so each node receives only the rows it needs.
+#[derive(Clone)]
 pub struct StripsIdx<T> {
-    data: Arc<Vec<T>>,
+    win: Window<T>,
     base_strip: usize,
     strip_rows: usize,
     total_rows: usize,
     cols: usize,
     dom: Seq,
-}
-
-impl<T> Clone for StripsIdx<T> {
-    fn clone(&self) -> Self {
-        StripsIdx {
-            data: Arc::clone(&self.data),
-            base_strip: self.base_strip,
-            strip_rows: self.strip_rows,
-            total_rows: self.total_rows,
-            cols: self.cols,
-            dom: self.dom,
-        }
-    }
 }
 
 impl<T: Clone + Send + Sync + 'static> StripsIdx<T> {
@@ -281,7 +266,7 @@ impl<T: Clone + Send + Sync + 'static> StripsIdx<T> {
         assert_eq!(data.len(), rows * cols, "row-major data must fill the matrix");
         let nstrips = rows.div_ceil(strip_rows);
         StripsIdx {
-            data,
+            win: Window::whole(data),
             base_strip: 0,
             strip_rows,
             total_rows: rows,
@@ -305,49 +290,36 @@ impl<T: Wire + Clone + Send + Sync + 'static> Indexer for StripsIdx<T> {
         self.dom
     }
 
+    #[inline]
     fn get(&self, strip: usize) -> StripRef<T> {
         debug_assert!(strip >= self.base_strip);
-        let offset = (strip - self.base_strip) * self.strip_rows * self.cols;
+        let lo = (strip - self.base_strip) * self.strip_rows * self.cols;
         let rows = self.rows_of(strip);
-        debug_assert!(offset + rows * self.cols <= self.data.len());
         StripRef {
-            data: Arc::clone(&self.data),
-            offset,
+            win: self.win.sub(lo, rows * self.cols),
             row0: strip * self.strip_rows,
             rows,
             cols: self.cols,
         }
     }
 
-    fn slice(&self, part: &SeqPart, memo: &mut SliceMemo) -> Self {
+    fn slice(&self, part: &SeqPart) -> Self {
         debug_assert!(part.start >= self.base_strip);
         let lo = (part.start - self.base_strip) * self.strip_rows * self.cols;
         let rows_covered: usize = (part.start..part.end()).map(|s| self.rows_of(s)).sum();
         StripsIdx {
-            data: memo.window(&self.data, lo, rows_covered * self.cols),
+            win: self.win.sub(lo, rows_covered * self.cols),
             base_strip: part.start,
-            strip_rows: self.strip_rows,
-            total_rows: self.total_rows,
-            cols: self.cols,
-            dom: self.dom,
+            ..*self
         }
     }
 
     fn pieces(&self, out: &mut Vec<Piece>) {
-        out.push(buffer_piece(&self.data, 40)); // base_strip + strip_rows + total_rows + cols + dom
+        out.push(self.win.piece(40)); // base_strip + strip_rows + total_rows + cols + dom
     }
 
     fn roundtrip_source(self) -> Self {
-        let bytes = packed(&*self.data);
-        let data: Vec<T> = unpack_all(bytes).expect("pack/unpack of own data cannot fail");
-        StripsIdx {
-            data: Arc::new(data),
-            base_strip: self.base_strip,
-            strip_rows: self.strip_rows,
-            total_rows: self.total_rows,
-            cols: self.cols,
-            dom: self.dom,
-        }
+        StripsIdx { win: self.win.roundtrip(), ..self }
     }
 }
 
@@ -377,11 +349,12 @@ impl<D: Domain> Indexer for RangeIdx<D> {
         self.dom.clone()
     }
 
+    #[inline]
     fn get(&self, idx: D::Index) -> D::Index {
         idx
     }
 
-    fn slice(&self, _part: &D::Part, _memo: &mut SliceMemo) -> Self {
+    fn slice(&self, _part: &D::Part) -> Self {
         self.clone()
     }
 
@@ -428,11 +401,12 @@ where
         self.dom.clone()
     }
 
+    #[inline]
     fn get(&self, idx: D::Index) -> O {
         (self.f)(idx)
     }
 
-    fn slice(&self, _part: &D::Part, _memo: &mut SliceMemo) -> Self {
+    fn slice(&self, _part: &D::Part) -> Self {
         self.clone()
     }
 
@@ -477,12 +451,13 @@ where
         self.inner.domain()
     }
 
+    #[inline]
     fn get(&self, idx: <I::Dom as Domain>::Index) -> F::Out {
         self.f.call(self.inner.get(idx))
     }
 
-    fn slice(&self, part: &<I::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self {
-        MapIdx { inner: self.inner.slice(part, memo), f: self.f.clone() }
+    fn slice(&self, part: &<I::Dom as Domain>::Part) -> Self {
+        MapIdx { inner: self.inner.slice(part), f: self.f.clone() }
     }
 
     fn pieces(&self, out: &mut Vec<Piece>) {
@@ -528,12 +503,13 @@ where
         self.a.domain().intersect(&self.b.domain())
     }
 
+    #[inline]
     fn get(&self, idx: <A::Dom as Domain>::Index) -> (A::Out, B::Out) {
         (self.a.get(idx), self.b.get(idx))
     }
 
-    fn slice(&self, part: &<A::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self {
-        ZipIdx { a: self.a.slice(part, memo), b: self.b.slice(part, memo) }
+    fn slice(&self, part: &<A::Dom as Domain>::Part) -> Self {
+        ZipIdx { a: self.a.slice(part), b: self.b.slice(part) }
     }
 
     fn pieces(&self, out: &mut Vec<Piece>) {
@@ -574,16 +550,13 @@ where
         self.a.domain().intersect(&self.b.domain()).intersect(&self.c.domain())
     }
 
+    #[inline]
     fn get(&self, idx: <A::Dom as Domain>::Index) -> (A::Out, B::Out, C::Out) {
         (self.a.get(idx), self.b.get(idx), self.c.get(idx))
     }
 
-    fn slice(&self, part: &<A::Dom as Domain>::Part, memo: &mut SliceMemo) -> Self {
-        Zip3Idx {
-            a: self.a.slice(part, memo),
-            b: self.b.slice(part, memo),
-            c: self.c.slice(part, memo),
-        }
+    fn slice(&self, part: &<A::Dom as Domain>::Part) -> Self {
+        Zip3Idx { a: self.a.slice(part), b: self.b.slice(part), c: self.c.slice(part) }
     }
 
     fn pieces(&self, out: &mut Vec<Piece>) {
@@ -637,14 +610,15 @@ where
         Dim2::new(self.a.domain().len(), self.b.domain().len())
     }
 
+    #[inline]
     fn get(&self, (r, c): (usize, usize)) -> (A::Out, B::Out) {
         (self.a.get(r), self.b.get(c))
     }
 
-    fn slice(&self, part: &Dim2Part, memo: &mut SliceMemo) -> Self {
+    fn slice(&self, part: &Dim2Part) -> Self {
         OuterProductIdx {
-            a: self.a.slice(&SeqPart::new(part.row0, part.rows), memo),
-            b: self.b.slice(&SeqPart::new(part.col0, part.cols), memo),
+            a: self.a.slice(&SeqPart::new(part.row0, part.rows)),
+            b: self.b.slice(&SeqPart::new(part.col0, part.cols)),
         }
     }
 
@@ -667,7 +641,7 @@ mod tests {
     fn array_idx_global_indexing_after_slice() {
         let idx = ArrayIdx::new((0..100i64).collect());
         let part = SeqPart::new(40, 10);
-        let sub = idx.slice(&part, &mut SliceMemo::default());
+        let sub = idx.slice(&part);
         assert_eq!(sub.base(), 40);
         assert_eq!(sub.local_data().len(), 10);
         for i in 40..50 {
@@ -685,8 +659,8 @@ mod tests {
     #[test]
     fn slice_of_slice_composes() {
         let idx = ArrayIdx::new((0..1000u32).collect());
-        let sub = idx.slice(&SeqPart::new(100, 500), &mut SliceMemo::default());
-        let subsub = sub.slice(&SeqPart::new(300, 50), &mut SliceMemo::default());
+        let sub = idx.slice(&SeqPart::new(100, 500));
+        let subsub = sub.slice(&SeqPart::new(300, 50));
         for i in 300..350 {
             assert_eq!(subsub.get(i), i as u32);
         }
@@ -696,7 +670,7 @@ mod tests {
     #[test]
     fn source_size_shrinks_with_slice() {
         let idx = ArrayIdx::new(vec![0f64; 1000]);
-        let sub = idx.slice(&SeqPart::new(0, 10), &mut SliceMemo::default());
+        let sub = idx.slice(&SeqPart::new(0, 10));
         assert!(sub.source_size() < idx.source_size() / 50);
     }
 
@@ -712,7 +686,7 @@ mod tests {
     #[test]
     fn rows_idx_slice_holds_only_rows() {
         let m = StripsIdx::new(Arc::new((0..20i32).collect()), 5, 4, 1);
-        let sub = m.slice(&SeqPart::new(2, 2), &mut SliceMemo::default());
+        let sub = m.slice(&SeqPart::new(2, 2));
         assert_eq!(sub.get(2).as_slice(), &[8, 9, 10, 11]);
         assert_eq!(sub.get(3).as_slice(), &[12, 13, 14, 15]);
         // Data footprint: exactly 2 rows of 4 i32 plus the 40-byte header.
@@ -723,7 +697,7 @@ mod tests {
     fn map_idx_composes_and_slices() {
         let idx = MapIdx::new(ArrayIdx::new((0..10i64).collect()), |x: i64| x * x);
         assert_eq!(idx.get(3), 9);
-        let sub = idx.slice(&SeqPart::new(5, 5), &mut SliceMemo::default());
+        let sub = idx.slice(&SeqPart::new(5, 5));
         assert_eq!(sub.get(7), 49);
     }
 
@@ -754,7 +728,7 @@ mod tests {
         let op = OuterProductIdx::new(a, b);
         assert_eq!(op.domain(), Dim2::new(4, 4));
         let block = Dim2Part::new(1, 2, 2, 2);
-        let sub = op.slice(&block, &mut SliceMemo::default());
+        let sub = op.slice(&block);
         // The block covers rows {1,2} and cols {2,3}.
         assert_eq!(sub.get((1, 2)), (1, 12));
         assert_eq!(sub.get((2, 3)), (2, 13));
@@ -769,11 +743,11 @@ mod tests {
         let r = RangeIdx::new(Dim2::new(2, 2));
         assert_eq!(r.get((1, 0)), (1, 0));
         // Slicing data-free indexers is identity.
-        let sub = sq.slice(&SeqPart::new(2, 2), &mut SliceMemo::default());
+        let sub = sq.slice(&SeqPart::new(2, 2));
         assert_eq!(sub.get(3), 9);
     }
 
-    fn ids<I: Indexer>(idx: &I) -> Vec<Option<usize>> {
+    fn ids<I: Indexer>(idx: &I) -> Vec<Option<(usize, usize)>> {
         let mut out = Vec::new();
         idx.pieces(&mut out);
         out.iter().map(|p| p.id).collect()
@@ -784,19 +758,23 @@ mod tests {
         let a = ArrayIdx::new((0..100i64).collect());
         let b = ArrayIdx::new((100..200i64).collect());
         let it = MapIdx::new(ZipIdx::new(a, b), |(x, y): (i64, i64)| x + y);
-        let mut memo = SliceMemo::default();
         let part = SeqPart::new(10, 20);
-        let (s1, s2) = (it.slice(&part, &mut memo), it.slice(&part, &mut memo));
-        assert!(Arc::ptr_eq(&s1.inner.a.data, &s2.inner.a.data));
-        assert!(Arc::ptr_eq(&s1.inner.b.data, &s2.inner.b.data));
+        let (s1, s2) = (it.slice(&part), it.slice(&part));
+        // The same window of the same buffers is the same pieces.
         assert_eq!(ids(&s1), ids(&s2));
+        assert!(ids(&s1).iter().all(Option::is_some));
         assert_eq!(s2.get(15), 15 + 115);
-        // A different window of the same buffers is a different piece, and
-        // so is the same window under another call's memo.
-        let other = it.slice(&SeqPart::new(30, 20), &mut memo);
-        assert!(ids(&other).iter().all(|id| !ids(&s1).contains(id)));
-        let fresh = it.slice(&part, &mut SliceMemo::default());
-        assert!(!Arc::ptr_eq(&s1.inner.a.data, &fresh.inner.a.data));
+        // Another window of the same buffers is other pieces, and so is the
+        // same start with another length.
+        let disjoint = |x: &[Option<(usize, usize)>], y: &[Option<(usize, usize)>]| {
+            x.iter().all(|id| !y.contains(id))
+        };
+        assert!(disjoint(&ids(&it.slice(&SeqPart::new(30, 20))), &ids(&s1)));
+        assert!(disjoint(&ids(&it.slice(&SeqPart::new(10, 19))), &ids(&s1)));
+        // A slice is a view: its elements lie inside the source's buffer.
+        let (src, view) = (it.inner.a.local_data().as_ptr_range(), s1.inner.a.local_data());
+        assert!(src.contains(&view.as_ptr()) && view.as_ptr_range().end <= src.end);
+        assert_eq!(view.as_ptr(), it.inner.a.local_data()[10..].as_ptr());
     }
 
     #[test]
@@ -804,20 +782,19 @@ mod tests {
         let a = StripsIdx::new(Arc::new((0..32i32).collect()), 8, 4, 1);
         let b = StripsIdx::new(Arc::new((0..24i32).collect()), 6, 4, 2);
         let op = OuterProductIdx::new(a, b);
-        let mut memo = SliceMemo::default();
         // A 2x2 grid of blocks over 8 rows x 3 strips.
         let blocks: Vec<_> = [(0, 0), (0, 2), (4, 0), (4, 2)]
             .iter()
-            .map(|&(r, c)| op.slice(&Dim2Part::new(r, 4, c, if c == 0 { 2 } else { 1 }), &mut memo))
+            .map(|&(r, c)| op.slice(&Dim2Part::new(r, 4, c, if c == 0 { 2 } else { 1 })))
             .collect();
         // Same grid row => same A panel; same grid column => same B panel.
-        assert!(Arc::ptr_eq(&blocks[0].a.data, &blocks[1].a.data));
-        assert!(Arc::ptr_eq(&blocks[2].a.data, &blocks[3].a.data));
-        assert!(Arc::ptr_eq(&blocks[0].b.data, &blocks[2].b.data));
-        assert!(Arc::ptr_eq(&blocks[1].b.data, &blocks[3].b.data));
+        assert_eq!(ids(&blocks[0].a), ids(&blocks[1].a));
+        assert_eq!(ids(&blocks[2].a), ids(&blocks[3].a));
+        assert_eq!(ids(&blocks[0].b), ids(&blocks[2].b));
+        assert_eq!(ids(&blocks[1].b), ids(&blocks[3].b));
         // Diagonal blocks read disjoint windows and share nothing.
         assert!(ids(&blocks[0]).iter().all(|id| !ids(&blocks[3]).contains(id)));
-        // Four distinct buffers cover the eight the blocks list.
+        // Four distinct windows cover the eight the blocks list.
         let mut distinct: Vec<_> = blocks.iter().flat_map(ids).collect();
         distinct.sort();
         distinct.dedup();

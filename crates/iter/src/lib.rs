@@ -52,8 +52,8 @@ pub mod stepper;
 pub use array::{Array2, Array3};
 pub use collector::{Collector, CountHist, VecCollector, WeightHist};
 pub use indexer::{
-    ArrayIdx, FnIdx, Indexer, MapIdx, OuterProductIdx, RangeIdx, SliceMemo, StripRef, StripsIdx,
-    Zip3Idx, ZipIdx,
+    ArrayIdx, FnIdx, Indexer, MapIdx, OuterProductIdx, RangeIdx, StripRef, StripsIdx, Zip3Idx,
+    ZipIdx,
 };
 pub use shapes::{IdxFlat, IdxNest, ParHint, StepFlat, StepNest, TrioIter};
 pub use sources::{

@@ -22,7 +22,7 @@
 use triolet_domain::{Domain, Part};
 
 use crate::collector::Collector;
-use crate::indexer::{Indexer, MapIdx, SliceMemo};
+use crate::indexer::{Indexer, MapIdx};
 use crate::stepper::{
     ConcatMapInner, ElemFn, ElemPred, FilterInner, FilterStep, FilterToStep, IdxStepper, IterFn,
     IterFnAdapter, MapInner, MapStep,
@@ -196,7 +196,7 @@ impl<I: Indexer> IdxFlat<I> {
     /// Restrict to a part of the domain, keeping only that part's data
     /// (paper §3.5). The distributed engine calls this per node.
     pub fn slice_part(&self, part: &<I::Dom as Domain>::Part) -> Self {
-        IdxFlat { idx: self.idx.slice(part, &mut SliceMemo::default()), hint: self.hint }
+        IdxFlat { idx: self.idx.slice(part), hint: self.hint }
     }
 
     /// Fold the elements of one part only (a node's or thread's share).
@@ -359,7 +359,7 @@ where
 
     /// Restrict the outer loop to a part, keeping only that part's data.
     pub fn slice_part(&self, part: &<I::Dom as Domain>::Part) -> Self {
-        IdxNest { idx: self.idx.slice(part, &mut SliceMemo::default()), hint: self.hint }
+        IdxNest { idx: self.idx.slice(part), hint: self.hint }
     }
 
     /// Fold the elements generated by one outer part only.

@@ -1,6 +1,8 @@
 //! User-facing constructors: the library functions application code calls to
 //! start a loop (paper §2's `zip`, `rows`, `outerproduct`, `range`, …).
 
+use std::sync::Arc;
+
 use triolet_domain::{Dim2, Domain, Seq};
 use triolet_serial::Wire;
 
@@ -38,20 +40,22 @@ pub fn indices<D: Domain>(dom: D) -> IdxFlat<RangeIdx<D>> {
 /// View a matrix as an iterator over its rows — the paper's `rows(A)` (§2):
 /// [`row_strips`] one row high, so each element is a one-row
 /// [`StripRef`](crate::indexer::StripRef).
-pub fn rows<T: Wire + Clone + Send + Sync + 'static>(a: &Array2<T>) -> IdxFlat<StripsIdx<T>> {
+pub fn rows<T: Wire + Clone + Send + Sync + 'static>(a: Array2<T>) -> IdxFlat<StripsIdx<T>> {
     row_strips(a, 1)
 }
 
 /// View a matrix as an iterator over fixed-height row *strips*, the form
 /// tiled block kernels consume. Each element is a
 /// [`StripRef`](crate::indexer::StripRef) carrying its global row
-/// coordinates. The backing data is shared once; slicing ships only the
-/// addressed strips.
+/// coordinates. The matrix moves into the source, so its elements are
+/// never copied at the root (a caller that keeps the matrix passes a
+/// clone); slicing ships only the addressed strips.
 pub fn row_strips<T: Wire + Clone + Send + Sync + 'static>(
-    a: &Array2<T>,
+    a: Array2<T>,
     strip_rows: usize,
 ) -> IdxFlat<StripsIdx<T>> {
-    IdxFlat::new(StripsIdx::new(a.to_shared(), a.rows(), a.cols(), strip_rows))
+    let (rows, cols) = (a.rows(), a.cols());
+    IdxFlat::new(StripsIdx::new(Arc::new(a.into_vec()), rows, cols, strip_rows))
 }
 
 /// Iterate a matrix's elements in row-major order with a `Dim2` domain.
@@ -177,7 +181,7 @@ mod tests {
         // 2x2 matrix product structure: outerproduct(rows(A), rows(Bt)).
         let a = Array2::from_vec(vec![1.0f64, 2.0, 3.0, 4.0], 2, 2);
         let b_t = Array2::from_vec(vec![5.0f64, 7.0, 6.0, 8.0], 2, 2); // B transposed
-        let prod = outerproduct(rows(&a), rows(&b_t))
+        let prod = outerproduct(rows(a), rows(b_t))
             .map(|(u, v): (crate::indexer::StripRef<f64>, crate::indexer::StripRef<f64>)| {
                 u.as_slice().iter().zip(v.as_slice()).map(|(x, y)| x * y).sum::<f64>()
             })

@@ -68,6 +68,7 @@ pub struct IdentityIter;
 
 impl<R: TrioIter> IterFn<R> for IdentityIter {
     type OutIter = R;
+    #[inline]
     fn call_iter(&self, x: R) -> R {
         x
     }
@@ -86,6 +87,7 @@ where
     F: IterFn<In>,
 {
     type Out = F::OutIter;
+    #[inline]
     fn call(&self, x: In) -> F::OutIter {
         self.f.call_iter(x)
     }
@@ -123,6 +125,7 @@ where
     F: ElemFn<R::Item>,
 {
     type Out = R::Mapped<F>;
+    #[inline]
     fn call(&self, inner: R) -> Self::Out {
         inner.map(self.f.clone())
     }
@@ -140,6 +143,7 @@ where
     P: ElemPred<R::Item>,
 {
     type Out = R::Filtered<P>;
+    #[inline]
     fn call(&self, inner: R) -> Self::Out {
         inner.filter(self.p.clone())
     }
@@ -157,6 +161,7 @@ where
     F: IterFn<R::Item>,
 {
     type Out = R::ConcatMapped<F>;
+    #[inline]
     fn call(&self, inner: R) -> Self::Out {
         inner.concat_map(self.f.clone())
     }
@@ -177,6 +182,7 @@ where
     P: ElemPred<T>,
 {
     type Out = crate::shapes::StepFlat<std::option::IntoIter<T>>;
+    #[inline]
     fn call(&self, x: T) -> Self::Out {
         let keep = self.p.test(&x);
         crate::shapes::StepFlat::new(if keep { Some(x) } else { None }.into_iter())
@@ -211,6 +217,7 @@ impl<I: Indexer> IdxStepper<I> {
 impl<I: Indexer> Iterator for IdxStepper<I> {
     type Item = I::Out;
 
+    #[inline]
     fn next(&mut self) -> Option<I::Out> {
         if self.k >= self.part.count() {
             return None;
@@ -242,6 +249,7 @@ where
 {
     type Item = F::Out;
 
+    #[inline]
     fn next(&mut self) -> Option<F::Out> {
         self.inner.next().map(|x| self.f.call(x))
     }
@@ -265,6 +273,7 @@ where
 {
     type Item = S::Item;
 
+    #[inline]
     fn next(&mut self) -> Option<S::Item> {
         loop {
             let x = self.inner.next()?;

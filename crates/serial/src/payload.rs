@@ -26,15 +26,18 @@ use crate::WireResult;
 /// there and is shipped from the root anywhere else. A payload that lists
 /// its pieces also lets a transport notice that two destinations read the
 /// *same* root-held buffer and move it once (the sharing-aware scatter).
-/// The identity is the address of the reference-counted buffer holding the
-/// bytes, so it is only meaningful while that buffer is alive — within one
-/// dispatch. Zero-byte pieces are never listed.
+/// The identity is the address range the bytes occupy in the root's
+/// memory, so it is only meaningful while the buffer holding them is alive
+/// — within one dispatch, whose tasks hold their data. Zero-byte pieces are
+/// never listed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Piece {
-    /// Address of the shared buffer; equal ids are the same bytes. `None`
-    /// for bytes no other payload can hold (domains, extractor state, part
-    /// descriptors, packed payloads, halo strips, resident segments).
-    pub id: Option<usize>,
+    /// `(start address, byte length)` of the elements in memory; equal ids
+    /// are the same bytes, and two windows that differ in either are
+    /// different pieces. `None` for bytes no other payload can hold
+    /// (domains, extractor state, part descriptors, packed payloads, halo
+    /// strips, resident segments).
+    pub id: Option<(usize, usize)>,
     /// Packed size of the piece, headers included.
     pub bytes: usize,
     /// The rank that already holds the bytes; `None` when only the root

@@ -37,7 +37,7 @@ fn main() {
 
     // The two-liner: each output block's node receives only the A rows and
     // B^T rows covering the block.
-    let zipped = outerproduct(rows(&a), rows(&bt)).par();
+    let zipped = outerproduct(rows(a.clone()), rows(bt)).par();
     let run = rt.build_array2(zipped.map(|(u, v): (StripRef<f64>, StripRef<f64>)| {
         u.as_slice().iter().zip(v.as_slice()).map(|(x, y)| x * y).sum::<f64>()
     }));

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use triolet::prelude::*;
-use triolet_apps::cutcp;
+use triolet_apps::{cutcp, sgemm};
 
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -60,19 +60,25 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, u64) {
     counts
 }
 
+/// Count `name`'s second call (the first initialises lazily) and hold it
+/// to `(max_calls, max_bytes)`.
+fn check<R>(name: &str, (max_calls, max_bytes): (u64, u64), f: impl Fn() -> R) {
+    counted(&f);
+    let (calls, bytes) = counted(&f);
+    eprintln!("{name} 8x16: {calls} allocations, {bytes} bytes");
+    assert!(calls <= max_calls, "{name}: {calls} allocations > {max_calls}");
+    assert!(bytes <= max_bytes, "{name}: {bytes} bytes > {max_bytes}");
+}
+
 #[test]
 fn allocations_per_call_stay_under_their_bounds() {
-    // cutcp at the benchmark's size and shape: 16 384 atoms, a 48³ grid,
-    // 8 nodes × 16 threads. The first call initialises lazily, so count the
-    // second.
-    let input = cutcp::generate(16_384, 48, 1);
+    // Each app at the benchmark's size and shape, 8 nodes × 16 threads:
+    // cutcp over 16 384 atoms and a 48³ grid, sgemm over 768² matrices.
     let rt = Triolet::new(ClusterConfig::virtual_cluster(8, 16));
-    counted(|| cutcp::run_triolet(&rt, &input));
-    let (calls, bytes) = counted(|| cutcp::run_triolet(&rt, &input));
-    eprintln!("cutcp 8x16: {calls} allocations, {bytes} bytes");
-    let (max_calls, max_bytes) = CUTCP;
-    assert!(calls <= max_calls, "cutcp: {calls} allocations > {max_calls}");
-    assert!(bytes <= max_bytes, "cutcp: {bytes} bytes > {max_bytes}");
+    let input = cutcp::generate(16_384, 48, 1);
+    check("cutcp", CUTCP, || cutcp::run_triolet(&rt, &input));
+    let input = sgemm::generate(768, 1);
+    check("sgemm", SGEMM, || sgemm::run_triolet(&rt, &input));
 }
 
 /// cutcp's bounds, `(allocations, bytes)`. An unoptimised build allocates
@@ -80,4 +86,11 @@ fn allocations_per_call_stay_under_their_bounds() {
 /// `concat_map`s, which the optimiser removes), so each profile has its own
 /// bound.
 const CUTCP: (u64, u64) =
-    if cfg!(debug_assertions) { (67_321, 177_449_000) } else { (1_769, 177_186_728) };
+    if cfg!(debug_assertions) { (67_304, 177_186_632) } else { (1_752, 176_924_360) };
+
+/// sgemm's bounds, `(allocations, bytes)`, one pair per profile. The bytes
+/// hold no root copy of an input panel: slicing is windows onto the
+/// matrices, and the transposed `B` moves into its strips, so copying
+/// either back in (7.1 MB at this size) fails here.
+const SGEMM: (u64, u64) =
+    if cfg!(debug_assertions) { (1_252, 160_537_168) } else { (1_220, 160_536_912) };

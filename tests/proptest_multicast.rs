@@ -72,7 +72,7 @@ proptest! {
         assert_bits(&run.value, &sgemm::run_seq(&input))?;
 
         let bt = sgemm::transpose_seq(&input.b);
-        let it = outerproduct(row_strips(&input.a, BLOCK_MC), row_strips(&bt, BLOCK_MC));
+        let it = outerproduct(row_strips(input.a.clone(), BLOCK_MC), row_strips(bt, BLOCK_MC));
         let parts = it.outer_domain().split_parts(shape.0);
         let per_part: Vec<u64> = parts
             .iter()
